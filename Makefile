@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race crashtest equivalence serverbench liveretune allocgate verify clean
+.PHONY: build test vet race crashtest equivalence serverbench liveretune allocgate loc verify clean
 
 build:
 	$(GO) build ./...
@@ -54,6 +54,11 @@ allocgate:
 # cross-session insight file written.
 liveretune:
 	./scripts/liveretune.sh
+
+# Non-test, non-blank Go lines per package and in total: the counted number a
+# simplicity PR quotes (run it at the parent and at the change).
+loc:
+	./scripts/loc.sh
 
 verify: build vet test race equivalence allocgate serverbench liveretune
 

@@ -57,13 +57,19 @@ func (t *serverTarget) ApplyLive(cf string, changes map[string]string) error {
 	if _, err := t.client.SetOptions(cf, kvs); err != nil {
 		return err
 	}
-	// Mirror the applied values into the tracked config (per-family scope).
-	o := t.cfg.Default
-	if cf != "" && cf != lsm.DefaultColumnFamilyName {
-		o = t.cfg.CF(cf)
+	// Mirror the applied values into the tracked config the way the server
+	// applied them (vetted upstream, accepted by the server): DB-scoped names
+	// on Default, the rest on the family.
+	dbScope, cfScope := lsm.SplitOptionScopes(changes)
+	for name, value := range dbScope {
+		_ = t.cfg.Default.SetByName(name, value)
 	}
-	for _, kv := range kvs {
-		_ = o.SetByName(kv.Name, kv.Value) // vetted upstream; DB-scope names land on Default
+	family := t.cfg.Default
+	if cf != "" && cf != lsm.DefaultColumnFamilyName {
+		family = t.cfg.CF(cf)
+	}
+	for name, value := range cfScope {
+		_ = family.SetByName(name, value)
 	}
 	return nil
 }

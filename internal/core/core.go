@@ -8,16 +8,13 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"strings"
 	"time"
 
 	"repro/internal/bench"
 	"repro/internal/flagger"
-	"repro/internal/ini"
 	"repro/internal/llm"
 	"repro/internal/lsm"
 	"repro/internal/parser"
-	"repro/internal/prompt"
 	"repro/internal/safeguard"
 	"repro/internal/sysmon"
 )
@@ -138,7 +135,8 @@ type Iteration struct {
 	// Config is the full multi-family configuration measured this iteration
 	// (Config.Default == Options).
 	Config *lsm.ConfigSet
-	// LLMDuration is the (wall) time of the LLM call.
+	// LLMDuration is the (wall) time of the LLM calls, the format retry
+	// included.
 	LLMDuration time.Duration
 }
 
@@ -166,7 +164,8 @@ func (r *Result) ImprovementFactor() float64 {
 	return r.BestMetrics.Throughput / r.BaselineMetrics.Throughput
 }
 
-// Run executes the feedback loop.
+// Run executes the feedback loop offline: every iteration benchmarks its
+// configuration on a fresh database. The loop itself is session.run.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.Client == nil || cfg.Runner == nil || (cfg.InitialOptions == nil && cfg.InitialConfig == nil) {
 		return nil, fmt.Errorf("core: Client, Runner and InitialOptions (or InitialConfig) are required")
@@ -178,14 +177,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if err := initial.Validate(); err != nil {
 		return nil, fmt.Errorf("core: initial configuration: %w", err)
 	}
-	// runBench routes the whole configuration to runners that understand
-	// column families and the default family's options to those that don't.
-	runBench := func(cs *lsm.ConfigSet, monitor func(bench.Progress) bool) (*bench.Report, error) {
-		if cr, ok := cfg.Runner.(ConfigRunner); ok {
-			return cr.RunBenchmarkConfig(cs.Clone(), monitor)
-		}
-		return cfg.Runner.RunBenchmark(cs.Default.Clone(), monitor)
-	}
 	if cfg.MaxIterations <= 0 {
 		cfg.MaxIterations = 7
 	}
@@ -195,288 +186,91 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	if cfg.StallLimit <= 0 {
 		cfg.StallLimit = 3
 	}
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
+	s := &session{
+		Config:       cfg,
+		target:       &benchTarget{runner: cfg.Runner, cfg: initial, earlyStop: !cfg.DisableEarlyStop, checkAfter: cfg.EarlyStopCheckAfter},
+		enforcer:     safeguard.New(),
+		trace:        NewTraceWriter(cfg.Trace),
+		current:      initial.Clone(),
+		unit:         "iteration",
+		reverted:     "reverted",
+		baselineLine: "iteration 0 (default config): %.0f ops/sec",
+		traceKind:    "iteration",
 	}
-	var host sysmon.HostInfo
-	if cfg.Monitor != nil {
-		host = cfg.Monitor.Host()
-	}
-
-	enforcer := safeguard.New()
 	if cfg.DisableSafeguards {
-		enforcer = safeguard.NewUnsafe()
+		s.enforcer = safeguard.NewUnsafe()
 	}
-	enforcer.Blacklist(cfg.ExtraBlacklist...)
-	flag := flagger.New()
-
-	var insights *InsightStore
-	if cfg.InsightPath != "" {
-		var err error
-		if insights, err = LoadInsights(cfg.InsightPath); err != nil {
-			logf("insights: %v (continuing without)", err)
-			insights = nil
-		}
+	s.enforcer.Blacklist(cfg.ExtraBlacklist...)
+	err := s.run(ctx)
+	if s.baseline == nil {
+		return nil, err
 	}
-
-	// Iteration 0: the out-of-box baseline.
-	logf("iteration 0: measuring baseline (%s)", cfg.WorkloadName)
-	baseline, err := runBench(initial, nil)
-	if err != nil {
-		return nil, fmt.Errorf("core: baseline benchmark: %w", err)
-	}
-	baseMetrics := flagger.FromReport(baseline)
-	flag.SetBaseline(baseMetrics)
-	logf("iteration 0: %s", baseline.Summary())
-
-	tw := newTraceWriter(cfg.Trace)
-	if err := tw.write(reportRecord(TraceRecord{
-		Kind:     "baseline",
-		Workload: cfg.WorkloadName,
-		Kept:     true,
-	}, baseline)); err != nil {
-		logf("trace: %v", err)
-	}
-
 	res := &Result{
-		Baseline:        baseline,
-		BaselineMetrics: baseMetrics,
-		BestOptions:     initial.Default.Clone(),
-		BestConfig:      initial.Clone(),
-		BestMetrics:     baseMetrics,
+		Baseline:        s.baseline.report,
+		BaselineMetrics: s.baseline.metrics,
+		BestOptions:     s.current.Default.Clone(),
+		BestConfig:      s.current.Clone(),
+		BestMetrics:     s.best,
+		StoppedEarly:    s.stoppedEarly,
 	}
-	current := initial.Clone()
-	lastReport := baseline.Format()
-	lastStatsDump := baseline.StatsDump
-	lastHistograms := baseline.HistogramDump
-	// lastWorkload carries the measured workload characterization across
-	// iterations; each run's drift is scored against the previous run's
-	// window (benchmarks use fresh DBs, so the engine cannot score it).
-	lastWorkload := baseline.WorkloadSnap
-	var history []string
-	history = append(history, fmt.Sprintf("iteration 0 (default config): %.0f ops/sec", baseMetrics.Throughput))
-	deteriorated := false
-	detNote := ""
-	stalled := 0
-
-	// llmFailure records an iteration whose LLM call ultimately failed:
-	// the session keeps the current best configuration, flags the miss to
-	// the model next round, and counts it against the stall limit.
-	// Returns true when the stall limit fires.
-	llmFailure := func(n int, llmDur time.Duration, err error) bool {
-		logf("iteration %d: LLM call failed: %v (keeping current configuration)", n, err)
-		deteriorated = true
-		detNote = "The previous LLM call failed; no changes were applied: " + err.Error()
-		res.Iterations = append(res.Iterations, Iteration{
-			Number:      n,
-			Kept:        false,
-			Options:     current.Default.Clone(),
-			Config:      current.Clone(),
-			LLMDuration: llmDur,
-		})
-		if terr := tw.write(TraceRecord{
-			Kind:      "iteration",
-			Iteration: n,
-			Workload:  cfg.WorkloadName,
-			Reverted:  true,
-			Reason:    "LLM call failed: " + err.Error(),
-			LLMMillis: llmDur.Milliseconds(),
-		}); terr != nil {
-			logf("trace: %v", terr)
-		}
-		stalled++
-		return stalled >= cfg.StallLimit
+	for _, r := range s.rounds {
+		res.Iterations = append(res.Iterations, r.Iteration)
 	}
+	return res, err
+}
 
-	for n := 1; n <= cfg.MaxIterations; n++ {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		in := prompt.Inputs{
-			Iteration:           n,
-			WorkloadName:        cfg.WorkloadName,
-			WorkloadDescription: cfg.WorkloadDescription,
-			Host:                host,
-			Config:              current,
-			LastReport:          lastReport,
-			StatsDump:           lastStatsDump,
-			Histograms:          lastHistograms,
-			Workload:            lastWorkload,
-			History:             history,
-			Insights:            insights.Nearest(lastWorkload, 1.0).PromptLines(),
-			Deteriorated:        deteriorated,
-			DeteriorationNote:   detNote,
-		}
-		msgs := prompt.Build(in)
-		llmStart := time.Now()
-		response, err := cfg.Client.Complete(ctx, msgs)
-		llmDur := time.Since(llmStart)
-		if err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return res, cerr
-			}
-			if llmFailure(n, llmDur, err) {
-				res.StoppedEarly = true
-				break
-			}
-			continue
-		}
-		parsed := parser.Parse(response)
-		if len(parsed.Changes) == 0 && !cfg.DisableFormatRetry {
-			// Format checker: one re-ask with an explicit format reminder.
-			logf("iteration %d: unparseable response, re-asking with format reminder", n)
-			msgs = append(msgs,
-				llm.Assistant(response),
-				llm.User("Your reply contained no parseable option changes. Reply ONLY with lines of the form option_name=value."))
-			response, err = cfg.Client.Complete(ctx, msgs)
-			if err != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					return res, cerr
-				}
-				if llmFailure(n, llmDur, err) {
-					res.StoppedEarly = true
-					break
-				}
-				continue
-			}
-			parsed = parser.Parse(response)
-		}
+// benchTarget is offline tuning's target: landing a configuration is
+// remembering it (so rolling back is free), and measuring is one benchmark of
+// it on a fresh database, watched by the early-stop monitor once there is a
+// best to fall short of.
+type benchTarget struct {
+	runner     BenchRunner
+	cfg        *lsm.ConfigSet
+	earlyStop  bool
+	checkAfter time.Duration
+	// prev is the previous run's workload characterization: benchmarks use
+	// fresh databases, so the engine cannot score drift across runs itself.
+	prev *lsm.WorkloadSnapshot
+}
 
-		it := Iteration{Number: n, Response: response, Parsed: parsed, LLMDuration: llmDur}
-		decisions := enforcer.VetConfig(current, parsed.Changes)
-		it.Decisions = decisions
-		for _, d := range decisions {
-			if d.Verdict != safeguard.Accepted {
-				scope := ""
-				if d.Change.CF != "" {
-					scope = fmt.Sprintf(" [%s]", d.Change.CF)
-				}
-				logf("iteration %d: %s%s %s=%s (%s)", n, d.Verdict, scope, d.Change.Name, d.Change.Value, d.Reason)
-			}
-		}
-		next, _, err := safeguard.ApplyConfig(current, decisions)
-		if err != nil {
-			// Combined changes are inconsistent: skip the iteration, tell
-			// the model next round.
-			logf("iteration %d: %v", n, err)
-			deteriorated = true
-			detNote = "The proposed combination was rejected by validation: " + err.Error()
-			it.Kept = false
-			it.Options = current.Default.Clone()
-			it.Config = current.Clone()
-			res.Iterations = append(res.Iterations, it)
-			if terr := tw.write(TraceRecord{
-				Kind:      "iteration",
-				Iteration: n,
-				Workload:  cfg.WorkloadName,
-				Rejected:  rejectedStrings(decisions),
-				Reverted:  true,
-				Reason:    "combination rejected by validation: " + err.Error(),
-				LLMMillis: llmDur.Milliseconds(),
-			}); terr != nil {
-				logf("trace: %v", terr)
-			}
-			continue
-		}
-		it.AppliedDiff = ini.Diff(current.ToINI(), next.ToINI())
-		it.Options = next.Default.Clone()
-		it.Config = next.Clone()
+func (t *benchTarget) land(next *lsm.ConfigSet, _ []safeguard.Decision) (string, time.Duration, error) {
+	t.cfg = next
+	return "", 0, nil
+}
 
-		var monitor func(bench.Progress) bool
-		var earlyStopped bool
-		if !cfg.DisableEarlyStop {
-			es := flagger.NewEarlyStop(res.BestMetrics.Throughput)
-			if cfg.EarlyStopCheckAfter > 0 {
-				es.CheckAfter = cfg.EarlyStopCheckAfter
-			}
-			monitor = func(p bench.Progress) bool {
-				ok := es.Monitor(p)
-				if !ok {
-					earlyStopped = true
-				}
-				return ok
-			}
+func (t *benchTarget) measure(_ context.Context, best float64) (*window, error) {
+	w := &window{}
+	var monitor func(bench.Progress) bool
+	if t.earlyStop && best > 0 {
+		es := flagger.NewEarlyStop(best)
+		if t.checkAfter > 0 {
+			es.CheckAfter = t.checkAfter
 		}
-		report, err := runBench(next, monitor)
-		if err != nil {
-			return res, fmt.Errorf("core: benchmark at iteration %d: %w", n, err)
-		}
-		it.Report = report
-		it.EarlyStopped = earlyStopped
-		it.Metrics = flagger.FromReport(report)
-		lastReport = report.Format()
-		lastStatsDump = report.StatsDump
-		lastHistograms = report.HistogramDump
-		if report.WorkloadSnap != nil {
-			report.WorkloadSnap.Drift = report.WorkloadSnap.DriftFrom(lastWorkload)
-			lastWorkload = report.WorkloadSnap
-		}
-
-		decision := flag.Judge(it.Metrics)
-		it.Kept = decision.Keep && !earlyStopped
-		if cfg.KeepAllIterations {
-			it.Kept = true
-		}
-		if it.Kept {
-			improvement := 0.0
-			if res.BestMetrics.Throughput > 0 {
-				improvement = it.Metrics.Throughput/res.BestMetrics.Throughput - 1
-			}
-			current = next
-			res.BestOptions = next.Default.Clone()
-			res.BestConfig = next.Clone()
-			res.BestMetrics = it.Metrics
-			deteriorated = false
-			detNote = ""
-			history = append(history, fmt.Sprintf("iteration %d (kept): %.0f ops/sec", n, it.Metrics.Throughput))
-			logf("iteration %d: kept (%s)", n, report.Summary())
-			if improvement < cfg.MinImprovement {
-				stalled++
-			} else {
-				stalled = 0
-			}
-		} else {
-			// Revert: keep `current` as is; craft the intermediate prompt.
-			deteriorated = true
-			detNote = flagger.DeteriorationNote(decision, strings.Join(it.AppliedDiff, "\n"))
-			if earlyStopped {
-				detNote += "\n(The run was stopped by the 30-second monitor because throughput collapsed.)"
-			}
-			history = append(history, fmt.Sprintf("iteration %d (reverted): %.0f ops/sec", n, it.Metrics.Throughput))
-			logf("iteration %d: reverted (%s)", n, decision.Reason)
-			stalled++
-		}
-		if terr := tw.write(reportRecord(TraceRecord{
-			Kind:         "iteration",
-			Iteration:    n,
-			Workload:     cfg.WorkloadName,
-			AppliedDiff:  it.AppliedDiff,
-			Rejected:     rejectedStrings(decisions),
-			Kept:         it.Kept,
-			Reverted:     !it.Kept,
-			EarlyStopped: earlyStopped,
-			Reason:       decision.Reason,
-			LLMMillis:    llmDur.Milliseconds(),
-		}, report)); terr != nil {
-			logf("trace: %v", terr)
-		}
-		res.Iterations = append(res.Iterations, it)
-		if stalled >= cfg.StallLimit {
-			logf("stopping: %d consecutive iterations without >%.1f%% improvement",
-				stalled, cfg.MinImprovement*100)
-			res.StoppedEarly = true
-			break
+		monitor = func(p bench.Progress) bool {
+			ok := es.Monitor(p)
+			w.earlyStopped = w.earlyStopped || !ok
+			return ok
 		}
 	}
-	if insights != nil {
-		insights.Add(insightFrom(cfg.WorkloadName, lastWorkload, res.BestMetrics.Throughput,
-			ini.Diff(initial.ToINI(), res.BestConfig.ToINI())))
-		if err := insights.Save(); err != nil {
-			logf("insights: save: %v", err)
-		}
+	// The whole configuration goes to runners that understand column
+	// families, the default family's options to those that don't.
+	var err error
+	if cr, ok := t.runner.(ConfigRunner); ok {
+		w.report, err = cr.RunBenchmarkConfig(t.cfg.Clone(), monitor)
+	} else {
+		w.report, err = t.runner.RunBenchmark(t.cfg.Default.Clone(), monitor)
 	}
-	return res, nil
+	if err != nil {
+		return nil, err
+	}
+	rep := w.report
+	if rep.WorkloadSnap != nil {
+		rep.WorkloadSnap.Drift = rep.WorkloadSnap.DriftFrom(t.prev)
+		t.prev = rep.WorkloadSnap
+	}
+	w.LiveObservation = LiveObservation{rep.Throughput, rep.WorkloadSnap, rep.StatsDump, rep.HistogramDump}
+	w.metrics = flagger.FromReport(rep)
+	return w, nil
 }
 
 // WriteOptionsFile persists the session's best configuration as a RocksDB

@@ -165,9 +165,11 @@ func TestRunRevertsRegressions(t *testing.T) {
 }
 
 func TestRunFormatRetry(t *testing.T) {
+	const perCall = 20 * time.Millisecond
 	calls := 0
 	client := &llm.FuncClient{Fn: func(_ context.Context, msgs []llm.Message) (string, error) {
 		calls++
+		time.Sleep(perCall)
 		if calls%2 == 1 {
 			return "I think the configuration could be improved in several ways, but let me describe them qualitatively first.", nil
 		}
@@ -189,6 +191,9 @@ func TestRunFormatRetry(t *testing.T) {
 	}
 	if len(res.Iterations[0].Parsed.Changes) == 0 {
 		t.Fatal("retry response not parsed")
+	}
+	if d := res.Iterations[0].LLMDuration; d < 2*perCall {
+		t.Fatalf("LLMDuration = %v, want >= %v (both calls)", d, 2*perCall)
 	}
 }
 

@@ -108,16 +108,3 @@ func (ins *Insight) PromptLines() []string {
 	}
 	return out
 }
-
-// insightFrom distills a finished session into an Insight. The fingerprint
-// comes from the last measured workload window; nil ws leaves the fractions
-// zero (still useful as a same-workload-name match).
-func insightFrom(workload string, ws *lsm.WorkloadSnapshot, throughput float64, bestDiff []string) Insight {
-	ins := Insight{Workload: workload, Throughput: throughput, BestDiff: bestDiff}
-	if ws != nil {
-		ins.ReadFraction = ws.ReadFraction
-		ins.WriteFraction = ws.WriteFraction
-		ins.ScanFraction = ws.ScanFraction
-	}
-	return ins
-}

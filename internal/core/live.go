@@ -4,17 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/flagger"
-	"repro/internal/ini"
 	"repro/internal/llm"
 	"repro/internal/lsm"
-	"repro/internal/parser"
-	"repro/internal/prompt"
 	"repro/internal/safeguard"
 	"repro/internal/sysmon"
 )
@@ -84,8 +79,9 @@ type LiveConfig struct {
 	InsightPath string
 	// Logf, when set, receives progress lines.
 	Logf func(format string, args ...any)
-	// Trace, when set, receives one JSONL TraceRecord per round, including
-	// apply mode (in_place vs reopen) and measured apply downtime.
+	// Trace, when set, receives a baseline record and then one JSONL
+	// TraceRecord per round, however the round ended, including apply mode
+	// (in_place vs reopen) and measured apply downtime.
 	Trace *TraceWriter
 }
 
@@ -105,7 +101,8 @@ type LiveRound struct {
 	// Before/After are the observation windows around the apply.
 	Before, After *LiveObservation
 	// Kept reports the flagger's verdict on the post-apply window; a false
-	// Kept means the round's changes were rolled back.
+	// Kept means the round's changes were rolled back, or (After == nil)
+	// that the round applied nothing.
 	Kept bool
 }
 
@@ -120,19 +117,12 @@ type LiveResult struct {
 	BestThroughput float64
 }
 
-// TraceWriter is the exported face of the JSONL trace sink so live sessions
-// and cmd tooling can share one file.
-type TraceWriter = traceWriter
-
-// NewTraceWriter wraps w (nil yields a no-op writer).
-var NewTraceWriter = newTraceWriter
-
-// RunLive executes the live feedback loop against a running instance:
-// observe -> prompt -> LLM -> safeguard -> apply WITHOUT stopping the
-// database (SetOptions for mutable knobs, a measured reopen for immutable
-// ones) -> observe -> keep or roll back. After the initial rounds it keeps
-// watching the workload and re-triggers tuning when the drift score crosses
-// the threshold.
+// RunLive executes the feedback loop against a running instance: observe ->
+// prompt -> LLM -> safeguard -> apply WITHOUT stopping the database
+// (SetOptions for mutable knobs, a measured reopen for immutable ones) ->
+// observe -> keep or roll back. After the initial rounds it keeps watching
+// the workload and re-triggers tuning when the drift score crosses the
+// threshold. The loop itself is session.run.
 func RunLive(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 	if cfg.Client == nil || cfg.Target == nil {
 		return nil, fmt.Errorf("core: Client and Target are required")
@@ -146,255 +136,95 @@ func RunLive(ctx context.Context, cfg LiveConfig) (*LiveResult, error) {
 	if cfg.DriftThreshold <= 0 {
 		cfg.DriftThreshold = 0.5
 	}
-	logf := cfg.Logf
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	var host sysmon.HostInfo
-	if cfg.Monitor != nil {
-		host = cfg.Monitor.Host()
-	}
-	enforcer := safeguard.New()
-	enforcer.LiveMode = true // reject immutable knobs when the target can't reopen
-	enforcer.Blacklist(cfg.ExtraBlacklist...)
-	// Probe whether the target can reopen: if it can, immutable knobs are
-	// legal (they just cost a restart), so vet in normal mode.
-	canReopen := true
-	if err := cfg.Target.Reopen(nil); errors.Is(err, ErrReopenUnsupported) {
-		canReopen = false
-	}
-	enforcer.LiveMode = !canReopen
-
-	var insights *InsightStore
-	if cfg.InsightPath != "" {
-		var err error
-		if insights, err = LoadInsights(cfg.InsightPath); err != nil {
-			logf("insights: %v (continuing without)", err)
-			insights = nil
-		}
-	}
-
 	current, err := cfg.Target.Config()
 	if err != nil {
 		return nil, fmt.Errorf("core: target config: %w", err)
 	}
-	initial := current.Clone()
-
-	logf("live: observing baseline window (%s)", cfg.ObserveWindow)
-	obs, err := cfg.Target.Observe(ctx, cfg.ObserveWindow)
-	if err != nil {
-		return nil, fmt.Errorf("core: baseline observation: %w", err)
-	}
-	logf("live: baseline %.0f ops/sec", obs.Throughput)
-
-	res := &LiveResult{FinalConfig: current.Clone(), BestThroughput: obs.Throughput}
-	var history []string
-	history = append(history, fmt.Sprintf("window 0 (current config): %.0f ops/sec", obs.Throughput))
-
-	// tuneRound runs one prompt->LLM->apply->measure->keep/rollback cycle.
-	tuneRound := func(n int, trigger string, before *LiveObservation) (*LiveObservation, error) {
-		round := LiveRound{Number: n, Trigger: trigger, Before: before}
-		in := prompt.Inputs{
-			Iteration:           n,
+	s := &session{
+		Config: Config{
+			Client:              cfg.Client,
+			Monitor:             cfg.Monitor,
 			WorkloadName:        cfg.WorkloadName,
 			WorkloadDescription: cfg.WorkloadDescription,
-			Host:                host,
-			Config:              current,
-			StatsDump:           before.StatsDump,
-			Histograms:          before.Histograms,
-			Workload:            before.Workload,
-			History:             history,
-			Insights:            insights.Nearest(before.Workload, 1.0).PromptLines(),
-			Live:                true,
-		}
-		if trigger == "drift" {
-			in.WorkloadDescription = strings.TrimSpace(cfg.WorkloadDescription +
-				"\nNOTE: the measured workload DRIFTED from the shape the current configuration was tuned for; retune for the new shape.")
-		}
-		response, err := cfg.Client.Complete(ctx, prompt.Build(in))
-		if err != nil {
-			return before, fmt.Errorf("core: LLM call: %w", err)
-		}
-		parsed := parser.Parse(response)
-		decisions := enforcer.VetConfig(current, parsed.Changes)
-		round.Decisions = decisions
-		for _, d := range decisions {
-			if d.Verdict != safeguard.Accepted {
-				logf("live round %d: %s %s=%s (%s)", n, d.Verdict, d.Change.Name, d.Change.Value, d.Reason)
-			}
-		}
-		next, applied, err := safeguard.ApplyConfig(current, decisions)
-		if err != nil || len(applied) == 0 {
-			if err != nil {
-				logf("live round %d: %v", n, err)
-			} else {
-				logf("live round %d: no applicable changes", n)
-			}
-			res.Rounds = append(res.Rounds, round)
-			return before, nil
-		}
-		round.AppliedDiff = ini.Diff(current.ToINI(), next.ToINI())
-
-		mode, downtime, err := applyLive(cfg.Target, current, next, applied, canReopen)
-		if err != nil {
-			return before, fmt.Errorf("core: live apply: %w", err)
-		}
-		round.ApplyMode = mode
-		round.Downtime = downtime
-		logf("live round %d: applied %d change(s) via %s (downtime %s)",
-			n, len(applied), mode, downtime)
-
-		after, err := cfg.Target.Observe(ctx, cfg.ObserveWindow)
-		if err != nil {
-			return before, fmt.Errorf("core: post-apply observation: %w", err)
-		}
-		round.After = after
-		round.Kept = flagger.Better(
-			flagger.Metrics{Throughput: after.Throughput},
-			flagger.Metrics{Throughput: before.Throughput}, 0) ||
-			after.Throughput >= before.Throughput*0.99 // keep near-ties: churn is not free
-		if round.Kept {
-			current = next
-			res.FinalConfig = next.Clone()
-			if after.Throughput > res.BestThroughput {
-				res.BestThroughput = after.Throughput
-			}
-			history = append(history, fmt.Sprintf("round %d (kept, %s): %.0f ops/sec", n, mode, after.Throughput))
-			logf("live round %d: kept (%.0f -> %.0f ops/sec)", n, before.Throughput, after.Throughput)
-		} else {
-			// Roll back through the same live path.
-			if _, _, rerr := applyLive(cfg.Target, next, current, applied, canReopen); rerr != nil {
-				return after, fmt.Errorf("core: rollback: %w", rerr)
-			}
-			history = append(history, fmt.Sprintf("round %d (rolled back): %.0f ops/sec", n, after.Throughput))
-			logf("live round %d: rolled back (%.0f -> %.0f ops/sec)", n, before.Throughput, after.Throughput)
-		}
-		res.Rounds = append(res.Rounds, round)
-		if terr := cfg.Trace.write(TraceRecord{
-			Kind:                "live_round",
-			Iteration:           n,
-			Workload:            cfg.WorkloadName,
-			AppliedDiff:         round.AppliedDiff,
-			Rejected:            rejectedStrings(decisions),
-			Kept:                round.Kept,
-			Reverted:            !round.Kept,
-			Reason:              trigger,
-			OpsPerSec:           after.Throughput,
-			ApplyMode:           mode,
-			ApplyDowntimeMillis: downtime.Milliseconds(),
-			Drift:               driftOf(before),
-			WorkloadSnap:        after.Workload,
-		}); terr != nil {
-			logf("trace: %v", terr)
-		}
-		return after, nil
+			MaxIterations:       cfg.MaxRounds,
+			InsightPath:         cfg.InsightPath,
+			Logf:                cfg.Logf,
+		},
+		target:         liveTarget{cfg.Target, cfg.ObserveWindow},
+		enforcer:       safeguard.New(),
+		trace:          cfg.Trace,
+		current:        current,
+		live:           true,
+		unit:           "round",
+		reverted:       "rolled back",
+		baselineLine:   "window 0 (current config): %.0f ops/sec",
+		traceKind:      "live_round",
+		watchWindows:   cfg.WatchWindows,
+		driftThreshold: cfg.DriftThreshold,
 	}
-
-	n := 0
-	for r := 0; r < cfg.MaxRounds; r++ {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		n++
-		if obs, err = tuneRound(n, "initial", obs); err != nil {
-			return res, err
+	// Probe whether the target can reopen: if it can, immutable knobs are
+	// legal (they just cost a restart); if not, vetting rejects them.
+	s.enforcer.LiveMode = errors.Is(cfg.Target.Reopen(nil), ErrReopenUnsupported)
+	s.enforcer.Blacklist(cfg.ExtraBlacklist...)
+	err = s.run(ctx)
+	if s.baseline == nil {
+		return nil, err
+	}
+	res := &LiveResult{
+		DriftRetunes:   s.driftRetunes,
+		FinalConfig:    s.current.Clone(),
+		BestThroughput: s.baseline.Throughput,
+	}
+	for _, r := range s.rounds {
+		res.Rounds = append(res.Rounds, r.live)
+		if r.Kept && r.after.Throughput > res.BestThroughput {
+			res.BestThroughput = r.after.Throughput
 		}
 	}
-	// Watch phase: keep observing; drift past the threshold re-triggers a
-	// tuning round against the running instance.
-	for w := 0; w < cfg.WatchWindows; w++ {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		obs, err = cfg.Target.Observe(ctx, cfg.ObserveWindow)
-		if err != nil {
-			return res, fmt.Errorf("core: watch observation: %w", err)
-		}
-		d := driftOf(obs)
-		logf("live watch %d: %.0f ops/sec, drift %.3f", w+1, obs.Throughput, d)
-		if d < cfg.DriftThreshold {
-			continue
-		}
-		logf("live: workload drift %.3f >= %.2f, retuning", d, cfg.DriftThreshold)
-		res.DriftRetunes++
-		n++
-		if obs, err = tuneRound(n, "drift", obs); err != nil {
-			return res, err
-		}
-	}
-
-	if insights != nil {
-		insights.Add(insightFrom(cfg.WorkloadName, lastWorkloadOf(res, obs), res.BestThroughput,
-			ini.Diff(initial.ToINI(), res.FinalConfig.ToINI())))
-		if err := insights.Save(); err != nil {
-			logf("insights: save: %v", err)
-		}
-	}
-	return res, nil
+	return res, err
 }
 
-// driftOf extracts the drift score (0 when unknown).
-func driftOf(obs *LiveObservation) float64 {
-	if obs == nil || obs.Workload == nil {
-		return 0
-	}
-	return obs.Workload.Drift
+// liveTarget is live tuning's target: a LiveTarget observed one window at a
+// time.
+type liveTarget struct {
+	LiveTarget
+	window time.Duration
 }
 
-// lastWorkloadOf picks the freshest workload fingerprint the session saw.
-func lastWorkloadOf(res *LiveResult, obs *LiveObservation) *lsm.WorkloadSnapshot {
-	if obs != nil && obs.Workload != nil {
-		return obs.Workload
+func (t liveTarget) measure(ctx context.Context, _ float64) (*window, error) {
+	obs, err := t.Observe(ctx, t.window)
+	if err != nil {
+		return nil, err
 	}
-	for i := len(res.Rounds) - 1; i >= 0; i-- {
-		if res.Rounds[i].After != nil && res.Rounds[i].After.Workload != nil {
-			return res.Rounds[i].After.Workload
-		}
-	}
-	return nil
+	return &window{LiveObservation: *obs, metrics: flagger.Metrics{Throughput: obs.Throughput}}, nil
 }
 
-// applyLive lands the accepted decisions on the target: through SetOptions
-// when every change is runtime-mutable, through one measured reopen
-// otherwise. Returns the mode used and the apply downtime.
-func applyLive(target LiveTarget, cur, next *lsm.ConfigSet, applied []safeguard.Decision, canReopen bool) (string, time.Duration, error) {
-	needReopen := false
-	perCF := make(map[string]map[string]string)
+// land moves the instance to next: through SetOptions when every changed
+// knob is runtime-mutable, through one measured reopen otherwise (a target
+// that cannot reopen says so; vetting keeps such changes from getting here).
+// The values sent are next's, so the same call rolls a change set back.
+func (t liveTarget) land(next *lsm.ConfigSet, applied []safeguard.Decision) (string, time.Duration, error) {
+	start := time.Now()
 	for _, d := range applied {
 		if !lsm.IsMutableOption(d.Change.Name) {
-			needReopen = true
-			continue
+			err := t.Reopen(next.Clone())
+			return "reopen", time.Since(start), err
 		}
-		cf := d.Change.CF
+	}
+	for _, cf := range next.Names() {
+		opts, batch := next.Lookup(cf), make(map[string]string)
+		for _, d := range applied {
+			if next.Lookup(d.Change.CF) == opts {
+				batch[d.Change.Name], _ = opts.GetByName(d.Change.Name) // a name ApplyConfig just set
+			}
+		}
 		if cf == lsm.DefaultColumnFamilyName {
 			cf = ""
 		}
-		if perCF[cf] == nil {
-			perCF[cf] = make(map[string]string)
-		}
-		perCF[cf][d.Change.Name] = d.Change.Value
-	}
-	if needReopen {
-		if !canReopen {
-			// Vetting runs in LiveMode for such targets, so accepted
-			// immutable changes indicate a bug upstream.
-			return "", 0, fmt.Errorf("immutable change accepted for a target that %w", ErrReopenUnsupported)
-		}
-		start := time.Now()
-		if err := target.Reopen(next.Clone()); err != nil {
-			return "", time.Since(start), err
-		}
-		return "reopen", time.Since(start), nil
-	}
-	cfNames := make([]string, 0, len(perCF))
-	for cf := range perCF {
-		cfNames = append(cfNames, cf)
-	}
-	sort.Strings(cfNames)
-	start := time.Now()
-	for _, cf := range cfNames {
-		if err := target.ApplyLive(cf, perCF[cf]); err != nil {
-			return "in_place", time.Since(start), err
+		if len(batch) > 0 {
+			if err := t.ApplyLive(cf, batch); err != nil {
+				return "in_place", time.Since(start), err
+			}
 		}
 	}
 	return "in_place", time.Since(start), nil
@@ -426,37 +256,17 @@ func (t *EmbeddedTarget) Config() (*lsm.ConfigSet, error) {
 	return t.DB().Config(), nil
 }
 
-// ApplyLive implements LiveTarget: names route to SetDBOptions or SetOptions
-// by registry section; cf "" targets the default family.
+// ApplyLive implements LiveTarget; cf "" targets the default family.
 func (t *EmbeddedTarget) ApplyLive(cf string, changes map[string]string) error {
 	db := t.DB()
-	dbScope := make(map[string]string)
-	cfScope := make(map[string]string)
-	for name, value := range changes {
-		if spec, ok := lsm.LookupOption(name); ok && spec.Section == lsm.SectionDB {
-			dbScope[name] = value
-		} else {
-			cfScope[name] = value
-		}
-	}
-	if len(dbScope) > 0 {
-		if err := db.SetDBOptions(dbScope); err != nil {
+	var h *lsm.ColumnFamilyHandle
+	if cf != "" && cf != lsm.DefaultColumnFamilyName {
+		var err error
+		if h, err = db.GetColumnFamily(cf); err != nil {
 			return err
 		}
 	}
-	if len(cfScope) > 0 {
-		var h *lsm.ColumnFamilyHandle
-		if cf != "" && cf != lsm.DefaultColumnFamilyName {
-			var err error
-			if h, err = db.GetColumnFamily(cf); err != nil {
-				return err
-			}
-		}
-		if err := db.SetOptions(h, cfScope); err != nil {
-			return err
-		}
-	}
-	return nil
+	return db.SetOptionsByScope(h, changes)
 }
 
 // Reopen implements LiveTarget: close and reopen under cfg. A nil cfg is the

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"io"
 
-	"repro/internal/bench"
 	"repro/internal/lsm"
 	"repro/internal/safeguard"
 )
@@ -56,42 +55,27 @@ type TraceRecord struct {
 	Drift float64 `json:"drift,omitempty"`
 }
 
-// traceWriter emits JSONL records; a nil receiver or nil writer is a no-op.
-type traceWriter struct {
+// TraceWriter emits JSONL records, so a session and the tooling around it can
+// share one file; a nil receiver is a no-op.
+type TraceWriter struct {
 	enc *json.Encoder
 }
 
-// newTraceWriter wraps w (nil w yields a no-op writer).
-func newTraceWriter(w io.Writer) *traceWriter {
+// NewTraceWriter wraps w (nil w yields a no-op writer).
+func NewTraceWriter(w io.Writer) *TraceWriter {
 	if w == nil {
 		return nil
 	}
-	return &traceWriter{enc: json.NewEncoder(w)}
+	return &TraceWriter{enc: json.NewEncoder(w)}
 }
 
 // write encodes one record; errors are returned for the caller to log
 // (tracing is observability, never fatal to the tuning session).
-func (t *traceWriter) write(rec TraceRecord) error {
+func (t *TraceWriter) write(rec TraceRecord) error {
 	if t == nil {
 		return nil
 	}
 	return t.enc.Encode(rec)
-}
-
-// reportRecord fills the benchmark-summary and telemetry fields from a
-// report.
-func reportRecord(rec TraceRecord, rep *bench.Report) TraceRecord {
-	if rep == nil {
-		return rec
-	}
-	rec.OpsPerSec = rep.Throughput
-	rec.P99WriteMicros = rep.P99Write()
-	rec.P99ReadMicros = rep.P99Read()
-	rec.StatsDump = rep.StatsDump
-	rec.Histograms = rep.HistogramDump
-	rec.Tickers = rep.Stats
-	rec.WorkloadSnap = rep.WorkloadSnap
-	return rec
 }
 
 // rejectedStrings renders non-accepted safeguard decisions for the trace.

@@ -157,36 +157,23 @@ func (t *Tool) DumpOptions() error {
 }
 
 // SetOptions applies knob=value changes to the running database without a
-// reopen — the ldb face of DB.SetOptions/SetDBOptions. Changes are split by
-// registry scope (DB-wide vs column family); CF-scoped changes land on the
-// family selected with UseColumnFamily. Only registry-mutable knobs are
+// reopen — the ldb face of DB.SetOptionsByScope, which splits them by registry
+// scope (DB-wide vs column family); CF-scoped changes land on the family
+// selected with UseColumnFamily. Only registry-mutable knobs are
 // accepted; anything else errors naming the knob.
 func (t *Tool) SetOptions(pairs []string) error {
-	dbScope := make(map[string]string)
-	cfScope := make(map[string]string)
+	changes := make(map[string]string, len(pairs))
 	for _, p := range pairs {
 		name, value, ok := strings.Cut(p, "=")
 		if !ok || name == "" {
 			return fmt.Errorf("ldb: bad option %q (want name=value)", p)
 		}
-		if spec, ok := lsm.LookupOption(name); ok && spec.Section == lsm.SectionDB {
-			dbScope[name] = value
-		} else {
-			// Unknown names fall through so the engine reports them verbatim.
-			cfScope[name] = value
-		}
+		changes[name] = value
 	}
-	if len(dbScope) > 0 {
-		if err := t.DB.SetDBOptions(dbScope); err != nil {
-			return err
-		}
+	if err := t.DB.SetOptionsByScope(t.cf, changes); err != nil {
+		return err
 	}
-	if len(cfScope) > 0 {
-		if err := t.DB.SetOptions(t.cf, cfScope); err != nil {
-			return err
-		}
-	}
-	fmt.Fprintf(t.Out, "OK (%d option(s) applied)\n", len(dbScope)+len(cfScope))
+	fmt.Fprintf(t.Out, "OK (%d option(s) applied)\n", len(changes))
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -158,7 +159,7 @@ func ConfigSetFromINI(f *ini.File) (cs *ConfigSet, unknown []string, err error) 
 		for _, k := range sec.Keys() {
 			v, _ := sec.Get(k)
 			if setErr := o.SetByName(k, v); setErr != nil {
-				if isUnknownOption(setErr) {
+				if errors.Is(setErr, ErrUnknownOption) {
 					unknown = append(unknown, k)
 					continue
 				}

@@ -1,6 +1,7 @@
 package lsm
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -835,7 +836,7 @@ func FromINI(f *ini.File) (o *Options, unknown []string, err error) {
 		for _, k := range sec.Keys() {
 			v, _ := sec.Get(k)
 			if setErr := o.SetByName(k, v); setErr != nil {
-				if isUnknownOption(setErr) {
+				if errors.Is(setErr, ErrUnknownOption) {
 					unknown = append(unknown, k)
 					continue
 				}
@@ -844,19 +845,4 @@ func FromINI(f *ini.File) (o *Options, unknown []string, err error) {
 		}
 	}
 	return o, unknown, nil
-}
-
-// isUnknownOption reports whether err wraps ErrUnknownOption.
-func isUnknownOption(err error) bool {
-	for e := err; e != nil; {
-		if e == ErrUnknownOption {
-			return true
-		}
-		u, ok := e.(interface{ Unwrap() error })
-		if !ok {
-			return false
-		}
-		e = u.Unwrap()
-	}
-	return false
 }

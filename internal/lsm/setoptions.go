@@ -44,6 +44,33 @@ func (db *DB) SetDBOptions(changes map[string]string) error {
 	return db.setOptions(nil, changes, scopeDB)
 }
 
+// SplitOptionScopes partitions a mixed batch of option changes by registry
+// section: DB-scoped names, and everything else. Unknown names land on the
+// column-family side so the engine's own ErrUnknownOption names them.
+func SplitOptionScopes(changes map[string]string) (dbScope, cfScope map[string]string) {
+	dbScope = make(map[string]string)
+	cfScope = make(map[string]string)
+	for name, value := range changes {
+		if spec, ok := LookupOption(name); ok && spec.Section == SectionDB {
+			dbScope[name] = value
+		} else {
+			cfScope[name] = value
+		}
+	}
+	return dbScope, cfScope
+}
+
+// SetOptionsByScope applies a mixed batch to a running database: DB-scoped
+// names through SetDBOptions, then the rest through SetOptions against h
+// (nil = the default family). Each scope group applies atomically.
+func (db *DB) SetOptionsByScope(h *ColumnFamilyHandle, changes map[string]string) error {
+	dbScope, cfScope := SplitOptionScopes(changes)
+	if err := db.SetDBOptions(dbScope); err != nil {
+		return err
+	}
+	return db.SetOptions(h, cfScope)
+}
+
 // setOptions is the shared apply path. It holds db.mu across validate, swap
 // and side effects: concurrent readers are lock-free (they load the old or
 // the new snapshot, never a torn one), and concurrent SetOptions calls

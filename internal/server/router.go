@@ -313,45 +313,26 @@ func (r *Router) Scan(cf string, start []byte, limit int) ([]KV, error) {
 }
 
 // SetOptions applies dynamic option changes to EVERY shard — the shards are
-// one logical database, so a live retune must land on all of them. Changes
-// are split by registry scope: DB-scoped knobs go through SetDBOptions,
-// everything else through SetOptions against the named family ("" = default).
-// Mixed batches are allowed on the wire; each scope group applies atomically
-// per shard. The first shard error aborts (later shards keep the old config —
+// one logical database, so a live retune must land on all of them. Mixed
+// batches are allowed on the wire: lsm.DB.SetOptionsByScope sends DB-scoped
+// knobs through SetDBOptions and everything else through SetOptions against
+// the named family ("" = default), each scope group atomically per shard. The first shard error aborts (later shards keep the old config —
 // the caller re-sends or reports, same as a failed reopen).
 func (r *Router) SetOptions(cf string, changes []OptionKV) error {
 	if len(changes) == 0 {
 		return nil
 	}
-	dbScope := make(map[string]string)
-	cfScope := make(map[string]string)
+	batch := make(map[string]string, len(changes))
 	for _, kv := range changes {
-		spec, ok := lsm.LookupOption(kv.Name)
-		if ok && spec.Section == lsm.SectionDB {
-			dbScope[kv.Name] = kv.Value
-		} else {
-			// Unknown names fall through to SetOptions so the engine's own
-			// ErrUnknownOption (with the original name) reaches the client.
-			cfScope[kv.Name] = kv.Value
-		}
+		batch[kv.Name] = kv.Value
 	}
-	var hs []*lsm.ColumnFamilyHandle
-	if len(cfScope) > 0 {
-		var err error
-		if hs, err = r.handles(cf); err != nil {
-			return err
-		}
+	hs, err := r.handles(cf)
+	if err != nil {
+		return err
 	}
 	for s, db := range r.shards {
-		if len(dbScope) > 0 {
-			if err := db.SetDBOptions(dbScope); err != nil {
-				return fmt.Errorf("shard %d: %w", s, err)
-			}
-		}
-		if len(cfScope) > 0 {
-			if err := db.SetOptions(hs[s], cfScope); err != nil {
-				return fmt.Errorf("shard %d: %w", s, err)
-			}
+		if err := db.SetOptionsByScope(hs[s], batch); err != nil {
+			return fmt.Errorf("shard %d: %w", s, err)
 		}
 	}
 	return nil
