@@ -14,10 +14,11 @@ vet:
 # The engine histograms and the tuning-loop trace are written from multiple
 # goroutines; keep them honest under the race detector. The core tuning
 # sessions run ~20x slower under -race, past go test's default 10m limit.
-# internal/server and internal/bench carry the pipelined kvserver tests
-# (including the 256-connection NetRunner run), which only mean anything
-# with -race on; internal/lsm's TestSetOptionsRace and internal/core's live
-# retuning tests hammer reads/writes/iterators while options flip mid-flight.
+# internal/server and internal/bench carry the kvserver connection tests
+# (burst coalescing, ordering, close mid-burst, the 256-connection NetRunner
+# run), which only mean anything with -race on; internal/lsm's
+# TestSetOptionsRace and internal/core's live retuning tests hammer
+# reads/writes/iterators while options flip mid-flight.
 race:
 	$(GO) test -race -timeout 30m ./internal/lsm ./internal/core ./internal/server ./internal/bench
 

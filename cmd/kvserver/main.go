@@ -2,8 +2,8 @@
 // protocol (Put/Get/Delete/MultiGet/Scan/WriteBatch/Stats, column-family
 // aware) in front of a shard router that hash-partitions the keyspace across
 // N embedded LSM instances, one per core by default. Connections are
-// pipelined: each runs decode, execute and encode stages concurrently, so a
-// client may keep many requests in flight.
+// pipelined: a client may keep many requests in flight, and the server answers
+// each burst in order with one socket write.
 //
 // Examples:
 //

@@ -33,7 +33,7 @@ func startKVServer(t *testing.T, shards int) string {
 
 // TestNetRunnerManyConnections drives a 2-shard server with 256 concurrent
 // pipelined connections to completion — the ISSUE's acceptance bar; under
-// -race this checks the whole client/server pipeline for data races.
+// -race this checks the whole client/server wire path for data races.
 func TestNetRunnerManyConnections(t *testing.T) {
 	addr := startKVServer(t, 2)
 	spec := ReadRandomWriteRandom(4096, 64, 1)

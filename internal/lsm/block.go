@@ -158,18 +158,28 @@ func (it *blockIter) decodeAt(off uint32) (uint32, bool) {
 		return off, false
 	}
 	data := it.data[off:it.dataLimit]
-	shared, n1 := binary.Uvarint(data)
-	if n1 <= 0 {
+	// Each length is decoded with a one-byte fast path: a value under 0x80 is
+	// its own varint encoding, which is what the shared and unshared key
+	// lengths (and short values) almost always are. Longer values, truncated
+	// and overlong input take binary.Uvarint and its corruption checks.
+	shared, n1 := uint64(data[0]), 1 // off < dataLimit, so data is not empty
+	if shared >= 0x80 {
+		if shared, n1 = binary.Uvarint(data); n1 <= 0 {
+			it.corrupt(off)
+			return off, false
+		}
+	}
+	var unshared, valLen uint64
+	n2, n3 := 1, 1
+	if rest := data[n1:]; len(rest) > 0 && rest[0] < 0x80 {
+		unshared = uint64(rest[0])
+	} else if unshared, n2 = binary.Uvarint(rest); n2 <= 0 {
 		it.corrupt(off)
 		return off, false
 	}
-	unshared, n2 := binary.Uvarint(data[n1:])
-	if n2 <= 0 {
-		it.corrupt(off)
-		return off, false
-	}
-	valLen, n3 := binary.Uvarint(data[n1+n2:])
-	if n3 <= 0 {
+	if rest := data[n1+n2:]; len(rest) > 0 && rest[0] < 0x80 {
+		valLen = uint64(rest[0])
+	} else if valLen, n3 = binary.Uvarint(rest); n3 <= 0 {
 		it.corrupt(off)
 		return off, false
 	}

@@ -347,13 +347,17 @@ func (db *DB) captureReadState(h *ColumnFamilyHandle, ro *ReadOptions) (readStat
 // PerfContext attributes the memtable phase and the SST phase separately
 // (get_from_memtable_time vs get_from_output_files_time).
 func (db *DB) lookupInState(st readState, key []byte) ([]byte, error) {
+	kp := lookupKeyPool.Get().(*internalKey)
+	lookup := makeInternalKey((*kp)[:0], key, st.seq, KindValue)
+	*kp = lookup
+	defer lookupKeyPool.Put(kp)
 	timed := db.perf.TimeEnabled()
 	var phaseStart time.Time
 	if timed {
 		phaseStart = time.Now()
 	}
 	db.perf.Add(PerfGetFromMemtableCount, 1)
-	if val, found, deleted := st.mem.get(key, st.seq); found {
+	if val, found, deleted := st.mem.get(lookup); found {
 		if timed {
 			db.perf.AddTime(PerfGetFromMemtableTime, time.Since(phaseStart))
 		}
@@ -368,7 +372,7 @@ func (db *DB) lookupInState(st readState, key []byte) ([]byte, error) {
 	}
 	for i := len(st.imms) - 1; i >= 0; i-- {
 		db.perf.Add(PerfGetFromMemtableCount, 1)
-		if val, found, deleted := st.imms[i].get(key, st.seq); found {
+		if val, found, deleted := st.imms[i].get(lookup); found {
 			if timed {
 				db.perf.AddTime(PerfGetFromMemtableTime, time.Since(phaseStart))
 			}
@@ -388,7 +392,7 @@ func (db *DB) lookupInState(st readState, key []byte) ([]byte, error) {
 		db.perf.AddTime(PerfGetFromMemtableTime, now.Sub(phaseStart))
 		phaseStart = now
 	}
-	val, err := db.lookupInTables(st, key)
+	val, err := db.lookupInTables(st, key, lookup)
 	if timed {
 		db.perf.AddTime(PerfGetFromOutputFilesTime, time.Since(phaseStart))
 	}
@@ -396,8 +400,8 @@ func (db *DB) lookupInState(st readState, key []byte) ([]byte, error) {
 }
 
 // lookupKeyPool recycles the internal-key buffer a point lookup probes
-// tables with; it never escapes lookupInTables (tableReader.get copies the
-// value out of the block before returning).
+// memtables and tables with; it never escapes lookupInState (memtable hits
+// and tableReader.get copy the value out before returning).
 var lookupKeyPool = sync.Pool{
 	New: func() any { return new(internalKey) },
 }
@@ -431,11 +435,7 @@ func (db *DB) probeTable(fm *FileMeta, lookup internalKey) (val []byte, done boo
 // walked directly (overlapping L0 files newest-first, then the at-most-one
 // candidate per disjoint level) rather than materializing filesForGet's
 // per-level slices.
-func (db *DB) lookupInTables(st readState, key []byte) ([]byte, error) {
-	kp := lookupKeyPool.Get().(*internalKey)
-	lookup := makeInternalKey((*kp)[:0], key, st.seq, KindValue)
-	*kp = lookup
-	defer lookupKeyPool.Put(kp)
+func (db *DB) lookupInTables(st readState, key []byte, lookup internalKey) ([]byte, error) {
 	for _, fm := range st.v.LevelFiles(0) {
 		if !overlapsRange(fm, key, key) {
 			continue

@@ -157,16 +157,16 @@ func TestMemtableGetVisibility(t *testing.T) {
 	m.add(9, KindDelete, []byte("k"), nil)
 
 	// Snapshot visibility by sequence.
-	if v, found, del := m.get([]byte("k"), 1); !found || del || string(v) != "v1" {
+	if v, found, del := m.get(makeInternalKey(nil, []byte("k"), 1, KindValue)); !found || del || string(v) != "v1" {
 		t.Fatalf("get@1 = %q %v %v", v, found, del)
 	}
-	if v, found, del := m.get([]byte("k"), 7); !found || del || string(v) != "v2" {
+	if v, found, del := m.get(makeInternalKey(nil, []byte("k"), 7, KindValue)); !found || del || string(v) != "v2" {
 		t.Fatalf("get@7 = %q %v %v", v, found, del)
 	}
-	if _, found, del := m.get([]byte("k"), 100); !found || !del {
+	if _, found, del := m.get(makeInternalKey(nil, []byte("k"), 100, KindValue)); !found || !del {
 		t.Fatalf("get@100: want tombstone, got found=%v del=%v", found, del)
 	}
-	if _, found, _ := m.get([]byte("other"), 100); found {
+	if _, found, _ := m.get(makeInternalKey(nil, []byte("other"), 100, KindValue)); found {
 		t.Fatal("get(other) should miss")
 	}
 	if m.count() != 3 || m.firstSeq.Load() != 1 || m.lastSeq.Load() != 9 {

@@ -53,18 +53,19 @@ func (m *memtable) add(seq uint64, kind ValueKind, key, value []byte) {
 	}
 }
 
-// get looks up key at snapshot seq. It returns:
+// get looks up the user key of lookup at lookup's snapshot sequence (the
+// caller builds the lookup key once per read and probes every memtable and
+// table with it). It returns:
 //   - value, true, false: found a live value
 //   - nil, true, true: found a tombstone (key deleted)
 //   - nil, false, false: key not in this memtable
-func (m *memtable) get(key []byte, seq uint64) (value []byte, found, deleted bool) {
-	lookup := makeInternalKey(nil, key, seq, KindValue)
+func (m *memtable) get(lookup internalKey) (value []byte, found, deleted bool) {
 	n := m.list.seek(lookup)
 	if n == nil {
 		return nil, false, false
 	}
 	ik := n.key
-	if !bytes.Equal(ik.userKey(), key) {
+	if !bytes.Equal(ik.userKey(), lookup.userKey()) {
 		return nil, false, false
 	}
 	if ik.kind() == KindDelete {

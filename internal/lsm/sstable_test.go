@@ -66,6 +66,77 @@ func TestBlockCorruption(t *testing.T) {
 	}
 }
 
+// TestBlockIterLengthEncodings drives decodeAt through both the one-byte fast
+// path and binary.Uvarint for each of an entry's three lengths, and checks
+// that a block cut anywhere inside an entry is still reported as corrupt.
+func TestBlockIterLengthEncodings(t *testing.T) {
+	type kv struct{ k, v []byte }
+	var entries []kv
+	for i, sizes := range [][2]int{{1, 0}, {127, 127}, {128, 128}, {300, 20000}, {300, 5}, {301, 127}, {131, 128}} {
+		k := bytes.Repeat([]byte{byte('a' + i)}, sizes[0])
+		if i >= 3 {
+			// Share a long prefix with the previous key: shared >= 0x80.
+			k = append(bytes.Repeat([]byte{'d'}, 200), k...)
+		}
+		entries = append(entries, kv{k, bytes.Repeat([]byte{byte(i)}, sizes[1])})
+	}
+	b := newBlockBuilder(16) // one restart: later entries carry shared lengths
+	for _, e := range entries {
+		b.add(e.k, e.v)
+	}
+	data := b.finish()
+	it, err := newBlockIter(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ends := []uint32{}
+	it.SeekToFirst()
+	for i, e := range entries {
+		if !it.Valid() || !bytes.Equal(it.Key(), e.k) || !bytes.Equal(it.Value(), e.v) {
+			t.Fatalf("entry %d: valid %v, key %d bytes, value %d bytes; want %d and %d",
+				i, it.Valid(), len(it.Key()), len(it.Value()), len(e.k), len(e.v))
+		}
+		ends = append(ends, it.off)
+		it.Next()
+	}
+	if it.Valid() || it.Err() != nil {
+		t.Fatalf("after the last entry: valid %v, err %v", it.Valid(), it.Err())
+	}
+
+	// Keep the entry region up to cut and re-attach a one-restart trailer.
+	trailer := []byte{0, 0, 0, 0, 1, 0, 0, 0}
+	boundary := map[uint32]bool{0: true}
+	for _, e := range ends {
+		boundary[e] = true
+	}
+	for cut := uint32(0); cut <= ends[len(ends)-1]; cut++ {
+		if cut > 700 && cut < ends[3]-4 && !boundary[cut] {
+			continue // the middle of the 20000-byte value adds nothing
+		}
+		it, err := newBlockIter(append(append([]byte(nil), data[:cut]...), trailer...))
+		if err != nil {
+			t.Fatalf("cut %d: %v", cut, err)
+		}
+		n := 0
+		for it.SeekToFirst(); it.Valid(); it.Next() {
+			n++
+		}
+		if clean := it.Err() == nil; clean != boundary[cut] {
+			t.Fatalf("cut %d (entry boundary %v): %d entries, err %v", cut, boundary[cut], n, it.Err())
+		}
+	}
+	// A length that never terminates, and one that overflows 64 bits.
+	for _, bad := range [][]byte{{0x80}, {0, 0x80}, {0, 1, 0x80}, bytes.Repeat([]byte{0xff}, 11)} {
+		it, err := newBlockIter(append(append([]byte(nil), bad...), trailer...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if it.SeekToFirst(); it.Valid() || it.Err() == nil {
+			t.Errorf("entry % x: valid %v, err %v; want corrupt", bad, it.Valid(), it.Err())
+		}
+	}
+}
+
 // buildTestTable writes numKeys sequential entries into an SSTable file and
 // opens a reader for it.
 func buildTestTable(t *testing.T, env Env, opts *Options, numKeys int) *tableReader {

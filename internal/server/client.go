@@ -4,8 +4,13 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 )
+
+// pipelineDepth bounds the calls a Client holds queued for the write loop and
+// in flight awaiting responses; callers beyond it block in Call.
+const pipelineDepth = 128
 
 // Client is a pipelined connection to a kvserver. It is safe for concurrent
 // use: calls from many goroutines are multiplexed onto the single
@@ -47,6 +52,11 @@ func Dial(addr string) (*Client, error) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetNoDelay(true)
 	}
+	return newClient(conn), nil
+}
+
+// newClient starts the write and read loops over an established connection.
+func newClient(conn net.Conn) *Client {
 	c := &Client{
 		conn:   conn,
 		sendCh: make(chan clientCall, pipelineDepth),
@@ -55,16 +65,20 @@ func Dial(addr string) (*Client, error) {
 	c.wg.Add(2)
 	go c.writeLoop(pending)
 	go c.readLoop(pending)
-	return c, nil
+	return c
 }
 
-// writeLoop streams requests onto the wire, flushing only when no further
-// request is immediately queued — back-to-back calls from concurrent
-// goroutines coalesce into one flush.
+// writeLoop streams requests onto the wire a burst at a time. It flushes only
+// when the send queue is still empty after yielding once to callers that are
+// already runnable: the first caller's channel send readies this loop ahead
+// of the other callers the same response burst woke, and without the yield it
+// would pay one syscall for that single frame. With nothing else runnable
+// Gosched returns at once, so a lone synchronous caller gets one flush per
+// call and no added wait.
 func (c *Client) writeLoop(pending chan<- clientCall) {
 	defer c.wg.Done()
 	defer close(pending)
-	bw := bufio.NewWriterSize(c.conn, 64<<10)
+	bw := bufio.NewWriterSize(c.conn, connBufSize)
 	for call := range c.sendCh {
 		// Enqueue before writing: the reader must know about the call even
 		// if the response races the local bookkeeping.
@@ -74,6 +88,9 @@ func (c *Client) writeLoop(pending chan<- clientCall) {
 		if err != nil {
 			c.fail(err)
 			return
+		}
+		if len(c.sendCh) == 0 {
+			runtime.Gosched()
 		}
 		if len(c.sendCh) == 0 {
 			if err := bw.Flush(); err != nil {
@@ -88,7 +105,7 @@ func (c *Client) writeLoop(pending chan<- clientCall) {
 // readLoop matches response frames to pending calls in FIFO order.
 func (c *Client) readLoop(pending <-chan clientCall) {
 	defer c.wg.Done()
-	br := bufio.NewReaderSize(c.conn, 64<<10)
+	br := bufio.NewReaderSize(c.conn, connBufSize)
 	for call := range pending {
 		// Fresh buffer per frame: the decoded response aliases it and is
 		// handed to the caller.

@@ -1,8 +1,8 @@
 // Package server is the networked front end of the engine: a length-prefixed
 // binary protocol over TCP (Put/Get/Delete/MultiGet/Scan/WriteBatch, all
 // column-family aware), a shard router that hash-partitions the keyspace
-// across N embedded lsm.DB instances, a per-connection pipelined server, and
-// the matching client. Everything is stdlib-only.
+// across N embedded lsm.DB instances, a server that answers each connection a
+// burst at a time, and the matching pipelined client. Everything is stdlib-only.
 //
 // Wire format: every message (request or response) travels as one frame,
 //
@@ -17,6 +17,7 @@
 package server
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -140,12 +141,10 @@ type Response struct {
 	Text   string
 }
 
-// frameBuf is a pooled frame body, shared by the server pipeline (request
-// frames stage 1→2, response frames stage 2→3) and the client's encode path.
-// Pooled by pointer so a put never allocates. Ownership is linear: exactly
-// one stage holds a frameBuf at a time, and whoever finishes with it puts it
-// back (safe because the engine's write path copies keys/values out of the
-// frame and responses never alias request memory).
+// frameBuf is a pooled request body on the client's encode path: a caller
+// encodes into it and the write loop puts it back once bufio holds the bytes.
+// Pooled by pointer so a put never allocates. (The server needs no pool: each
+// connection owns one scratch frame, see serveConn.)
 type frameBuf struct {
 	b []byte
 }
@@ -156,20 +155,6 @@ var framePool = sync.Pool{
 
 func getFrame() *frameBuf  { return framePool.Get().(*frameBuf) }
 func putFrame(f *frameBuf) { framePool.Put(f) }
-
-// requestPool recycles decoded Requests across frames; puts go through
-// putRequest, which zeroes retained references so a pooled Request doesn't
-// pin old frame buffers.
-var requestPool = sync.Pool{
-	New: func() any { return new(Request) },
-}
-
-func getRequest() *Request { return requestPool.Get().(*Request) }
-
-func putRequest(req *Request) {
-	req.reset()
-	requestPool.Put(req)
-}
 
 // reset clears the request for reuse, keeping Keys/Batch/Options capacity.
 func (req *Request) reset() {
@@ -554,28 +539,39 @@ func DecodeResponse(op byte, body []byte) (*Response, error) {
 	return resp, nil
 }
 
-// writeFrame writes one length-prefixed frame.
-func writeFrame(w io.Writer, body []byte) error {
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
+// writeFrame buffers one length-prefixed frame. The header is built in the
+// writer's own spare capacity, so nothing escapes to the heap.
+func writeFrame(w *bufio.Writer, body []byte) error {
+	if _, err := w.Write(binary.BigEndian.AppendUint32(w.AvailableBuffer(), uint32(len(body)))); err != nil {
 		return err
 	}
 	_, err := w.Write(body)
 	return err
 }
 
-// readFrame reads one length-prefixed frame body. Oversized lengths are a
-// protocol error; a clean EOF before the first header byte returns io.EOF.
-func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
+// frameBuffered reports whether r already holds one complete frame, that is,
+// whether the next readFrame returns without touching the socket.
+func frameBuffered(r *bufio.Reader) bool {
+	if r.Buffered() < 4 {
+		return false
+	}
+	hdr, _ := r.Peek(4)
+	return uint64(r.Buffered()-4) >= uint64(binary.BigEndian.Uint32(hdr))
+}
+
+// readFrame reads one length-prefixed frame body into buf (reallocated when
+// too small). Oversized lengths are a protocol error; a clean EOF before the
+// first header byte returns io.EOF.
+func readFrame(r *bufio.Reader, buf []byte) ([]byte, error) {
+	hdr, err := r.Peek(4)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
 			return nil, fmt.Errorf("%w: truncated frame header", ErrProtocol)
 		}
 		return nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
+	r.Discard(4)
 	if n > MaxFrameSize {
 		return nil, fmt.Errorf("%w: frame of %d bytes exceeds limit", ErrProtocol, n)
 	}

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -198,13 +199,23 @@ func TestResponseTruncationRejected(t *testing.T) {
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	bodies := [][]byte{[]byte("first"), {}, bytes.Repeat([]byte("z"), 100000)}
+	bw := bufio.NewWriter(&buf)
 	for _, b := range bodies {
-		if err := writeFrame(&buf, b); err != nil {
+		if err := writeFrame(bw, b); err != nil {
 			t.Fatal(err)
 		}
 	}
+	if err := bw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(&buf)
 	for i, want := range bodies {
-		got, err := readFrame(&buf, nil)
+		// The first two frames arrive whole in the first buffer fill; the
+		// third is larger than the reader's buffer and never fits.
+		if got, want := frameBuffered(br), i == 1; got != want {
+			t.Errorf("frame %d: frameBuffered = %v, want %v", i, got, want)
+		}
+		got, err := readFrame(br, nil)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -212,7 +223,7 @@ func TestFrameRoundTrip(t *testing.T) {
 			t.Errorf("frame %d: body mismatch", i)
 		}
 	}
-	if _, err := readFrame(&buf, nil); err != io.EOF {
+	if _, err := readFrame(br, nil); err != io.EOF {
 		t.Errorf("clean end of stream: got %v, want io.EOF", err)
 	}
 }
@@ -221,18 +232,18 @@ func TestFrameErrors(t *testing.T) {
 	// Oversized length prefix.
 	var huge [4]byte
 	binary.BigEndian.PutUint32(huge[:], MaxFrameSize+1)
-	if _, err := readFrame(bytes.NewReader(huge[:]), nil); !errors.Is(err, ErrProtocol) {
+	if _, err := readFrame(bufio.NewReader(bytes.NewReader(huge[:])), nil); !errors.Is(err, ErrProtocol) {
 		t.Errorf("oversized frame: got %v, want ErrProtocol", err)
 	}
 	// Truncated header.
-	if _, err := readFrame(bytes.NewReader([]byte{0, 0}), nil); !errors.Is(err, ErrProtocol) {
+	if _, err := readFrame(bufio.NewReader(bytes.NewReader([]byte{0, 0})), nil); !errors.Is(err, ErrProtocol) {
 		t.Errorf("truncated header: got %v, want ErrProtocol", err)
 	}
 	// Truncated body.
 	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], 10)
 	short := append(hdr[:], []byte("abc")...)
-	if _, err := readFrame(bytes.NewReader(short), nil); !errors.Is(err, ErrProtocol) {
+	if _, err := readFrame(bufio.NewReader(bytes.NewReader(short)), nil); !errors.Is(err, ErrProtocol) {
 		t.Errorf("truncated body: got %v, want ErrProtocol", err)
 	}
 }

@@ -28,6 +28,9 @@ import (
 type Router struct {
 	shards []*lsm.DB
 	stats  *lsm.Statistics
+	// defaultCF is the default family's per-shard handles: all nil, shared
+	// by every request that names no family, never written.
+	defaultCF []*lsm.ColumnFamilyHandle
 
 	// cfMu guards the name -> per-shard handle cache. Families are created
 	// on every shard on first use so a key can always reach its shard.
@@ -71,6 +74,7 @@ func OpenRouter(dir string, n int, cfg *lsm.ConfigSet) (*Router, error) {
 		}
 		r.shards = append(r.shards, db)
 	}
+	r.defaultCF = make([]*lsm.ColumnFamilyHandle, n)
 	return r, nil
 }
 
@@ -99,7 +103,7 @@ func (r *Router) shardFor(key []byte) int {
 // family (nil handles).
 func (r *Router) handles(cf string) ([]*lsm.ColumnFamilyHandle, error) {
 	if cf == "" || cf == lsm.DefaultColumnFamilyName {
-		return make([]*lsm.ColumnFamilyHandle, len(r.shards)), nil
+		return r.defaultCF, nil
 	}
 	r.cfMu.RLock()
 	hs := r.cfs[cf]

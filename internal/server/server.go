@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -14,15 +15,14 @@ import (
 	"repro/internal/lsm"
 )
 
-// pipelineDepth is how many decoded-but-unexecuted (and executed-but-
-// unwritten) requests a connection may hold in flight between its pipeline
-// stages. Deep enough that a bursty pipelined client keeps the executor fed;
-// shallow enough to bound per-connection memory.
-const pipelineDepth = 128
+// connBufSize is the read buffer of a connection (either end) and the size at
+// which buffered writes go to the socket without waiting for the burst to
+// end. Per-connection scratch that one large frame grew past it is dropped.
+const connBufSize = 64 << 10
 
 // Metrics is the server's own observability surface: connection gauges,
-// per-opcode request counters, byte counters and a request-latency
-// histogram. All fields are atomics; WritePrometheus renders them for the
+// per-opcode request counters, byte and socket-write counters and a
+// request-latency sum. All fields are atomics; WritePrometheus renders them for the
 // /metrics mux next to the engine's gauges.
 type Metrics struct {
 	ConnsActive  atomic.Int64
@@ -31,6 +31,7 @@ type Metrics struct {
 	OpErrors     atomic.Int64
 	BytesIn      atomic.Int64
 	BytesOut     atomic.Int64
+	Flushes      atomic.Int64 // socket writes; requests / flushes = responses per burst
 	requests     [opMax]atomic.Int64
 	requestMicro [opMax]atomic.Int64
 }
@@ -64,6 +65,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	counter("kvserver_op_errors_total", m.OpErrors.Load())
 	counter("kvserver_bytes_in_total", m.BytesIn.Load())
 	counter("kvserver_bytes_out_total", m.BytesOut.Load())
+	counter("kvserver_flushes_total", m.Flushes.Load())
 	fmt.Fprintf(w, "# TYPE kvserver_requests_total counter\n")
 	for op := byte(1); op < opMax; op++ {
 		fmt.Fprintf(w, "kvserver_requests_total{op=%q} %d\n", OpName(op), m.requests[op].Load())
@@ -75,12 +77,10 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 }
 
 // Server accepts TCP connections and serves the kvserver protocol against a
-// shard router. Each connection runs a three-stage pipeline — read/decode,
-// execute, encode/write — in separate goroutines, so a client may keep many
-// requests in flight on one connection: while one request executes, the next
-// is already decoded and the previous response is being written. Concurrent
-// in-flight writes across stages and connections land in the embedded
-// engines' group-commit write threads together.
+// shard router, one goroutine per connection (see serveConn). A client may
+// keep many requests in flight on one connection; they execute in order, one
+// burst at a time. Concurrent writes from different connections land in the
+// embedded engines' group-commit write threads together.
 type Server struct {
 	router  *Router
 	ln      net.Listener
@@ -137,17 +137,15 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// inflight carries one request between pipeline stages: the pooled decoded
-// request and the pooled frame its fields alias. Stage 2 releases both after
-// the response is encoded (the engine copies keys/values on its write path,
-// and responses never alias request memory).
-type inflight struct {
-	req   *Request
-	frame *frameBuf
-}
-
-// serveConn runs one connection's pipeline until EOF, protocol error, or
-// server shutdown.
+// serveConn runs one connection to completion on this goroutine: decode and
+// execute every complete request already in the read buffer, in order, append
+// each response to the write buffer, and hand the buffer to the socket exactly
+// when the next read would block (or the buffer is full). A burst of pipelined
+// requests that arrived in one segment therefore leaves in one segment, and
+// responses are in request order by construction. The request, its frame and
+// the response are per-connection scratch: request fields alias frame until
+// the next readFrame, which is safe because the engine copies keys and values
+// on its write path and Get returns a private copy.
 func (s *Server) serveConn(c net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -161,162 +159,115 @@ func (s *Server) serveConn(c net.Conn) {
 		tc.SetNoDelay(true)
 	}
 
-	reqCh := make(chan inflight, pipelineDepth)
-	respCh := make(chan *frameBuf, pipelineDepth)
-
-	// Stage 2: execute. Owns request order for the connection — responses
-	// are produced strictly in request order, which is the pipelining
-	// contract with the client. Encodes into a pooled frame and releases the
-	// request plus its frame once the response no longer needs them.
-	var execWG sync.WaitGroup
-	execWG.Add(1)
-	go func() {
-		defer execWG.Done()
-		defer close(respCh)
-		for f := range reqCh {
-			start := time.Now()
-			resp := s.exec(f.req)
-			s.metrics.book(f.req.Op, time.Since(start), resp.Status == StatusErr)
-			out := getFrame()
-			out.b = EncodeResponse(out.b[:0], f.req.Op, resp)
-			putRequest(f.req)
-			putFrame(f.frame)
-			respCh <- out
+	br := bufio.NewReaderSize(c, connBufSize)
+	var (
+		req   Request
+		resp  Response
+		frame []byte // current request body
+		out   []byte // length-prefixed responses not yet written
+	)
+	flush := func() bool {
+		if len(out) == 0 {
+			return true
 		}
-	}()
-
-	// Stage 3: encode/write. Flushes only when no further response is
-	// immediately ready, so bursts of pipelined responses coalesce into few
-	// syscalls. Frames return to the pool once written.
-	var writeWG sync.WaitGroup
-	writeWG.Add(1)
-	go func() {
-		defer writeWG.Done()
-		bw := bufio.NewWriterSize(c, 64<<10)
-		for fb := range respCh {
-			err := writeFrame(bw, fb.b)
-			n := len(fb.b)
-			putFrame(fb)
-			if err != nil {
-				// Sink the rest; the reader will notice the closed conn.
-				for fb := range respCh {
-					putFrame(fb)
-				}
+		s.metrics.Flushes.Add(1)
+		s.metrics.BytesOut.Add(int64(len(out)))
+		_, err := c.Write(out)
+		out = trimScratch(out)
+		return err == nil
+	}
+	// Responses to the requests ahead of an EOF or a protocol violation
+	// still go out before the connection closes.
+	defer flush()
+	for {
+		if len(out) >= connBufSize || !frameBuffered(br) {
+			if !flush() {
 				return
 			}
-			s.metrics.BytesOut.Add(int64(n + 4))
-			if len(respCh) == 0 {
-				if err := bw.Flush(); err != nil {
-					for fb := range respCh {
-						putFrame(fb)
-					}
-					return
-				}
-			}
 		}
-		bw.Flush()
-	}()
-
-	// Stage 1: read/decode, on this goroutine. Each frame reads into a
-	// pooled buffer; the decoded request aliases it, so both travel together
-	// through the pipeline and are released by stage 2.
-	br := bufio.NewReaderSize(c, 64<<10)
-	for {
-		fb := getFrame()
-		body, err := readFrame(br, fb.b[:0])
-		if err != nil {
-			putFrame(fb)
+		var err error
+		if frame, err = readFrame(br, trimScratch(frame)); err != nil {
 			if errors.Is(err, ErrProtocol) {
 				s.metrics.ProtoErrors.Add(1)
 			}
-			break // EOF, protocol violation, or closed connection
+			return // EOF, protocol violation, or closed connection
 		}
-		fb.b = body
-		s.metrics.BytesIn.Add(int64(len(body) + 4))
-		req := getRequest()
-		if err := DecodeRequestInto(body, req); err != nil {
+		s.metrics.BytesIn.Add(int64(len(frame) + 4))
+		req.reset()
+		if err := DecodeRequestInto(frame, &req); err != nil {
 			// Malformed body: the stream cannot be trusted past this point.
-			// Drop the connection (after the in-flight tail drains).
-			putRequest(req)
-			putFrame(fb)
 			s.metrics.ProtoErrors.Add(1)
-			break
+			return
 		}
-		reqCh <- inflight{req: req, frame: fb}
+		start := time.Now()
+		s.exec(&req, &resp)
+		s.metrics.book(req.Op, time.Since(start), resp.Status == StatusErr)
+		hdr := len(out)
+		out = EncodeResponse(append(out, 0, 0, 0, 0), req.Op, &resp)
+		binary.BigEndian.PutUint32(out[hdr:], uint32(len(out)-hdr-4))
 	}
-	close(reqCh)
-	execWG.Wait()
-	writeWG.Wait()
 }
 
-// exec runs one decoded request against the router.
-func (s *Server) exec(req *Request) *Response {
+// trimScratch empties a per-connection scratch buffer for reuse, dropping it
+// instead when one large frame grew it past the default capacity (a 32 MiB
+// request must not stay pinned for the life of the connection).
+func trimScratch(b []byte) []byte {
+	if cap(b) > connBufSize {
+		return nil
+	}
+	return b[:0]
+}
+
+// exec runs one decoded request against the router, filling resp.
+func (s *Server) exec(req *Request, resp *Response) {
+	*resp = Response{Status: StatusOK}
+	var err error
 	switch req.Op {
 	case OpPut:
-		if err := s.router.Put(req.CF, req.Key, req.Value); err != nil {
-			return &Response{Status: StatusErr, Err: err.Error()}
-		}
-		return &Response{Status: StatusOK}
+		err = s.router.Put(req.CF, req.Key, req.Value)
 	case OpGet:
-		v, err := s.router.Get(req.CF, req.Key)
-		switch {
-		case err == nil:
-			return &Response{Status: StatusOK, Value: v}
-		case errors.Is(err, lsm.ErrNotFound):
-			return &Response{Status: StatusNotFound}
-		default:
-			return &Response{Status: StatusErr, Err: err.Error()}
+		if resp.Value, err = s.router.Get(req.CF, req.Key); errors.Is(err, lsm.ErrNotFound) {
+			resp.Status, err = StatusNotFound, nil
 		}
 	case OpDelete:
-		if err := s.router.Delete(req.CF, req.Key); err != nil {
-			return &Response{Status: StatusErr, Err: err.Error()}
-		}
-		return &Response{Status: StatusOK}
+		err = s.router.Delete(req.CF, req.Key)
 	case OpMultiGet:
 		vals, errs := s.router.MultiGet(req.CF, req.Keys)
-		resp := &Response{Status: StatusOK, Found: make([]bool, len(req.Keys)), Values: make([][]byte, len(req.Keys))}
-		for i, err := range errs {
+		resp.Found, resp.Values = make([]bool, len(req.Keys)), vals
+		for i, e := range errs {
 			switch {
-			case err == nil:
+			case e == nil:
 				resp.Found[i] = true
-				resp.Values[i] = vals[i]
-			case errors.Is(err, lsm.ErrNotFound):
-			default:
-				return &Response{Status: StatusErr, Err: err.Error()}
+			case !errors.Is(e, lsm.ErrNotFound):
+				err = e
 			}
 		}
-		return resp
 	case OpScan:
-		pairs, err := s.router.Scan(req.CF, req.Key, req.Limit)
-		if err != nil {
-			return &Response{Status: StatusErr, Err: err.Error()}
-		}
-		return &Response{Status: StatusOK, Pairs: pairs}
+		resp.Pairs, err = s.router.Scan(req.CF, req.Key, req.Limit)
 	case OpBatch:
-		if err := s.router.ApplyBatch(req.Batch); err != nil {
-			return &Response{Status: StatusErr, Err: err.Error()}
-		}
-		return &Response{Status: StatusOK}
+		err = s.router.ApplyBatch(req.Batch)
 	case OpStats:
-		return &Response{Status: StatusOK, Text: s.router.StatsText()}
+		resp.Text = s.router.StatsText()
 	case OpSetOptions:
-		if err := s.router.SetOptions(req.CF, req.Options); err != nil {
-			return &Response{Status: StatusErr, Err: err.Error()}
+		if err = s.router.SetOptions(req.CF, req.Options); err != nil {
+			break
 		}
 		parts := make([]string, len(req.Options))
 		for i, kv := range req.Options {
 			parts[i] = kv.Name + "=" + kv.Value
 		}
-		return &Response{Status: StatusOK,
-			Text: fmt.Sprintf("applied %d option(s) to %d shard(s): %s",
-				len(req.Options), s.router.NumShards(), strings.Join(parts, " "))}
+		resp.Text = fmt.Sprintf("applied %d option(s) to %d shard(s): %s",
+			len(req.Options), s.router.NumShards(), strings.Join(parts, " "))
 	default:
-		return &Response{Status: StatusErr, Err: fmt.Sprintf("unknown opcode %d", req.Op)}
+		err = fmt.Errorf("unknown opcode %d", req.Op)
+	}
+	if err != nil {
+		*resp = Response{Status: StatusErr, Err: err.Error()}
 	}
 }
 
 // Close stops accepting, closes every live connection, and waits for the
-// per-connection pipelines to drain. The router (and its shard databases)
+// connection goroutines to return. The router (and its shard databases)
 // is NOT closed — the caller owns it.
 func (s *Server) Close() error {
 	s.mu.Lock()

@@ -1,30 +1,81 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
+
+// countConn counts the Write calls on a connection: over TCP each is one
+// syscall and, with TCP_NODELAY, one segment.
+type countConn struct {
+	net.Conn
+	writes atomic.Int64
+}
+
+func (c *countConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// countListener hands the server counting connections and sums their writes.
+type countListener struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []*countConn
+}
+
+func (l *countListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	cc := &countConn{Conn: c}
+	l.mu.Lock()
+	l.conns = append(l.conns, cc)
+	l.mu.Unlock()
+	return cc, nil
+}
+
+func (l *countListener) writes() (n int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, c := range l.conns {
+		n += c.writes.Load()
+	}
+	return n
+}
 
 // startServer opens an n-shard router over a temp dir and serves it on an
 // ephemeral port. Cleanup closes the server and the shards.
 func startServer(t *testing.T, shards int) (*Server, string) {
+	srv, _ := startCountingServer(t, shards)
+	return srv, srv.Addr().String()
+}
+
+// startCountingServer is startServer with the server's socket writes counted.
+func startCountingServer(t *testing.T, shards int) (*Server, *countListener) {
 	t.Helper()
 	router, err := OpenRouter(t.TempDir(), shards, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	tcp, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		router.Close()
 		t.Fatal(err)
 	}
+	ln := &countListener{Listener: tcp}
 	srv := Serve(ln, router)
 	t.Cleanup(func() {
 		srv.Close()
@@ -32,7 +83,195 @@ func startServer(t *testing.T, shards int) (*Server, string) {
 			t.Errorf("router close: %v", err)
 		}
 	})
-	return srv, srv.Addr().String()
+	return srv, ln
+}
+
+// dialCounting connects a Client whose socket writes are counted.
+func dialCounting(t *testing.T, addr string) (*Client, *countConn) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := &countConn{Conn: conn}
+	c := newClient(cc)
+	t.Cleanup(func() { c.Close() })
+	return c, cc
+}
+
+// TestBurstCoalescing is the batch-at-a-time contract under concurrency:
+// eight callers sharing one Client keep eight requests in flight, and both
+// ends must move them in bursts — at most one socket write per two frames in
+// each direction (no batching at all would be one per frame).
+func TestBurstCoalescing(t *testing.T) {
+	srv, ln := startCountingServer(t, 2)
+	c, cc := dialCounting(t, srv.Addr().String())
+	if err := c.Put("", []byte("k"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	const callers, perCaller = 8, 2000
+	clientBefore, serverBefore := cc.writes.Load(), ln.writes()
+	flushesBefore := srv.Metrics().Flushes.Load()
+	var wg sync.WaitGroup
+	errs := make([]error, callers)
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for j := 0; j < perCaller; j++ {
+				if v, err := c.Get("", []byte("k")); err != nil || string(v) != "v" {
+					errs[i] = fmt.Errorf("caller %d get %d: %q, %v", i, j, v, err)
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	const frames = callers * perCaller
+	clientWrites, serverWrites := cc.writes.Load()-clientBefore, ln.writes()-serverBefore
+	t.Logf("%d round trips: %d client writes, %d server writes", frames, clientWrites, serverWrites)
+	if clientWrites > frames/2 {
+		t.Errorf("client wrote %d times for %d requests, want at most %d", clientWrites, frames, frames/2)
+	}
+	if serverWrites > frames/2 {
+		t.Errorf("server wrote %d times for %d responses, want at most %d", serverWrites, frames, frames/2)
+	}
+	if got := srv.Metrics().Flushes.Load() - flushesBefore; got != serverWrites {
+		t.Errorf("kvserver_flushes_total advanced by %d, the socket saw %d writes", got, serverWrites)
+	}
+}
+
+// TestSynchronousCallerOneWritePerFrame is the other half of the contract: a
+// lone caller has nothing to batch with, so every request and every response
+// is exactly one socket write — the burst rule never holds a frame back
+// waiting for company.
+func TestSynchronousCallerOneWritePerFrame(t *testing.T) {
+	srv, ln := startCountingServer(t, 2)
+	c, cc := dialCounting(t, srv.Addr().String())
+	const calls = 500
+	for i := 0; i < calls; i++ {
+		if err := c.Put("", []byte("k"), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := cc.writes.Load(); got != calls {
+		t.Errorf("client wrote %d times for %d synchronous requests", got, calls)
+	}
+	if got := ln.writes(); got != calls {
+		t.Errorf("server wrote %d times for %d synchronous responses", got, calls)
+	}
+}
+
+// rawFrames encodes requests as back-to-back frames, the way a pipelined
+// client's write loop lays a burst on the wire.
+func rawFrames(t testing.TB, reqs ...*Request) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	bw := bufio.NewWriter(&buf)
+	for _, req := range reqs {
+		body, err := EncodeRequest(nil, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFrame(bw, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	bw.Flush()
+	return buf.Bytes()
+}
+
+// TestBurstOrderAndContents writes Put, Scan, Get as one segment: the three
+// responses must come back in that order, each seeing the one before it.
+func TestBurstOrderAndContents(t *testing.T) {
+	_, addr := startServer(t, 2)
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	burst := []*Request{
+		{Op: OpPut, Key: []byte("burst-key"), Value: []byte("burst-value")},
+		{Op: OpScan, Key: []byte("burst"), Limit: 10},
+		{Op: OpGet, Key: []byte("burst-key")},
+	}
+	if _, err := raw.Write(rawFrames(t, burst...)); err != nil {
+		t.Fatal(err)
+	}
+	br := bufio.NewReader(raw)
+	resps := make([]*Response, len(burst))
+	for i, req := range burst {
+		body, err := readFrame(br, nil)
+		if err != nil {
+			t.Fatalf("response %d: %v", i, err)
+		}
+		if resps[i], err = DecodeResponse(req.Op, body); err != nil {
+			t.Fatalf("response %d does not decode as a %s response: %v", i, OpName(req.Op), err)
+		}
+		if resps[i].Status != StatusOK {
+			t.Fatalf("%s: status %d (%s)", OpName(req.Op), resps[i].Status, resps[i].Err)
+		}
+	}
+	if p := resps[1].Pairs; len(p) != 1 || string(p[0].Key) != "burst-key" || string(p[0].Value) != "burst-value" {
+		t.Errorf("scan behind the put in the same burst returned %v", p)
+	}
+	if v := resps[2].Value; string(v) != "burst-value" {
+		t.Errorf("get behind the put in the same burst returned %q", v)
+	}
+}
+
+// TestServerCloseMidBurst closes the server while a connection is in the
+// middle of a burst whose responses nobody reads (so its goroutine is
+// executing or blocked in a socket write): Close must return, which it does
+// only after every connection goroutine has.
+func TestServerCloseMidBurst(t *testing.T) {
+	srv, addr := startServer(t, 2)
+	before := runtime.NumGoroutine() // accept loop and engine workers included
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	reqs := make([]*Request, 64)
+	for i := range reqs {
+		reqs[i] = &Request{Op: OpPut, Key: []byte(fmt.Sprintf("k%03d", i)), Value: bytes.Repeat([]byte("v"), 1024)}
+	}
+	burst := rawFrames(t, reqs...)
+	writerDone := make(chan struct{})
+	go func() {
+		defer close(writerDone)
+		for {
+			if _, err := raw.Write(burst); err != nil {
+				return
+			}
+		}
+	}()
+	for srv.Metrics().Requests(OpPut) < 256 {
+		time.Sleep(time.Millisecond)
+	}
+	closed := make(chan struct{})
+	go func() {
+		srv.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(30 * time.Second):
+		t.Fatal("Server.Close did not return with a burst in progress")
+	}
+	if n := srv.Metrics().ConnsActive.Load(); n != 0 {
+		t.Errorf("%d connections still active after Close", n)
+	}
+	<-writerDone
+	for i := 0; runtime.NumGoroutine() > before && i < 1000; i++ {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after Close, %d before the connection", n, before)
+	}
 }
 
 func TestServerBasicOps(t *testing.T) {
@@ -169,19 +408,30 @@ func TestServerGarbageFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Raw connection sending an all-zero body: opcode 0 is invalid.
+	// Raw connection sending, as one segment, a valid Get and then an
+	// all-zero body: opcode 0 is invalid.
 	raw, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	var frame [8]byte
-	binary.BigEndian.PutUint32(frame[:4], 4)
-	if _, err := raw.Write(frame[:]); err != nil {
+	var garbage [8]byte
+	binary.BigEndian.PutUint32(garbage[:4], 4)
+	burst := append(rawFrames(t, &Request{Op: OpGet, Key: []byte("k")}), garbage[:]...)
+	if _, err := raw.Write(burst); err != nil {
 		t.Fatal(err)
 	}
-	// The server must close the connection without replying.
-	if n, err := raw.Read(make([]byte, 1)); err == nil {
+	// The response buffered ahead of the garbage frame is still delivered...
+	br := bufio.NewReader(raw)
+	body, err := readFrame(br, nil)
+	if err != nil {
+		t.Fatalf("response ahead of the garbage frame was lost: %v", err)
+	}
+	if resp, err := DecodeResponse(OpGet, body); err != nil || string(resp.Value) != "v" {
+		t.Fatalf("response ahead of the garbage frame: %+v, %v", resp, err)
+	}
+	// ...and then the server closes the connection without another byte.
+	if n, err := br.Read(make([]byte, 1)); err == nil {
 		t.Fatalf("read after garbage frame returned %d bytes, want close", n)
 	}
 
@@ -196,9 +446,9 @@ func TestServerGarbageFrame(t *testing.T) {
 
 // TestServerConcurrentOracle hammers a 4-shard server from many pipelined
 // connections, each worker owning a disjoint key range it mirrors in a local
-// oracle map. Run under -race this exercises the full pipeline: concurrent
-// decode/execute/encode stages, cross-shard MultiGet and scans, shared
-// Statistics across shards.
+// oracle map. Run under -race this exercises the full wire path: shared
+// pipelined clients, per-connection bursts, cross-shard MultiGet and scans,
+// shared Statistics across shards.
 func TestServerConcurrentOracle(t *testing.T) {
 	_, addr := startServer(t, 4)
 

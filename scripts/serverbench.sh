@@ -3,7 +3,8 @@
 #
 # Builds kvserver and dbbench, starts a 2-shard server on an ephemeral port,
 # drives a short mixed workload over pipelined connections, asserts nonzero
-# throughput, then checks the server shuts down cleanly on SIGINT.
+# throughput, prints responses per socket write from /metrics, then checks the
+# server shuts down cleanly on SIGINT.
 set -eu
 
 GO=${GO:-go}
@@ -16,7 +17,7 @@ $GO build -o "$WORK/dbbench" ./cmd/dbbench
 
 echo "serverbench: starting kvserver"
 "$WORK/kvserver" -addr 127.0.0.1:0 -db "$WORK/db" -shards 2 \
-    -ready_file "$WORK/addr" >"$WORK/server.log" 2>&1 &
+    -metrics_addr 127.0.0.1:0 -ready_file "$WORK/addr" >"$WORK/server.log" 2>&1 &
 SRV_PID=$!
 
 # Wait for the ready file (the server writes its bound address atomically).
@@ -48,6 +49,16 @@ cat "$WORK/bench.out"
 if ! grep -Eq '[1-9][0-9,.]* *ops/sec' "$WORK/bench.out"; then
     echo "serverbench: FAIL: no nonzero ops/sec in report" >&2
     exit 1
+fi
+
+# Responses per socket write, read off /metrics (printed, not gated: it is
+# what the load's concurrency allows, 1.0 meaning no batching at all).
+METRICS=$(sed -n 's|.*serving Prometheus metrics on \(http://[^ ]*\).*|\1|p' "$WORK/server.log")
+if [ -n "$METRICS" ] && command -v curl >/dev/null 2>&1; then
+    curl -s "$METRICS" | awk '
+        /^kvserver_requests_total\{/ { req += $2 }
+        /^kvserver_flushes_total / { fl = $2 }
+        END { if (fl > 0) printf "serverbench: %d requests / %d flushes = %.2f responses per flush\n", req, fl, req / fl }'
 fi
 
 echo "serverbench: asking server to shut down"
