@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race crashtest equivalence serverbench liveretune allocgate loc verify clean
+.PHONY: build test vet race crashtest equivalence serverbench liveretune allocgate fuzz benchmodule loc verify clean
 
 build:
 	$(GO) build ./...
@@ -56,12 +56,26 @@ allocgate:
 liveretune:
 	./scripts/liveretune.sh
 
+# Native fuzzing of the option boundary — what an LLM's text passes through
+# on its way into the engine: any OPTIONS document is refused or renders to a
+# fixed point, any (name, value) is refused or leaves a value its own
+# validation accepts. go test takes one -fuzz target per run. Minimization is
+# off: minimizing one 9 KB "interesting" input would eat the whole budget.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzConfigSetFromINI$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/lsm
+	$(GO) test -run '^$$' -fuzz '^FuzzSetByName$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/lsm
+
+# benchmark/ is its own module, out of reach of `go test ./...`; every PR must
+# leave it untouched and still building and passing against the root module.
+benchmodule:
+	cd benchmark && $(GO) build ./... && $(GO) test ./...
+
 # Non-test, non-blank Go lines per package and in total: the counted number a
 # simplicity PR quotes (run it at the parent and at the change).
 loc:
 	./scripts/loc.sh
 
-verify: build vet test race equivalence allocgate serverbench liveretune
+verify: build vet test race equivalence allocgate fuzz benchmodule serverbench liveretune
 
 clean:
 	$(GO) clean ./...

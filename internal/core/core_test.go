@@ -338,7 +338,7 @@ func TestWriteOptionsFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, unknown, err := lsm.FromINI(doc)
+	loaded, unknown, err := lsm.ConfigSetFromINI(doc)
 	if err != nil {
 		t.Fatal(err)
 	}

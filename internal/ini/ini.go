@@ -122,7 +122,9 @@ func Parse(r io.Reader) (*File, error) {
 			continue
 		}
 		if line[0] == '[' {
-			end := strings.IndexByte(line, ']')
+			// The header ends at the line's last ']': a quoted column-family
+			// name may itself contain one.
+			end := strings.LastIndexByte(line, ']')
 			if end < 0 {
 				return nil, fmt.Errorf("ini: line %d: unterminated section header %q", lineNo, line)
 			}

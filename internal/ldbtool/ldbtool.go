@@ -287,7 +287,7 @@ func ListOptions(out io.Writer, filter string) {
 			continue
 		}
 		kind := "recorded"
-		if s.Honored {
+		if s.Honored() {
 			kind = "honored"
 		}
 		if s.Mutable {

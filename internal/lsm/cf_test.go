@@ -244,6 +244,9 @@ func TestConfigSetINIRoundTrip(t *testing.T) {
 	hot := cs.CF("hot")
 	hot.WriteBufferSize = 256 << 20
 	hot.BloomBitsPerKey = 14
+	// A name with everything the section header syntax itself uses.
+	const oddName = `a "quoted" ]bracket[ \back`
+	cs.CF(oddName).BlockSize = 8192
 
 	first := cs.ToINI().String()
 	doc, err := ini.ParseString(first)
@@ -266,6 +269,9 @@ func TestConfigSetINIRoundTrip(t *testing.T) {
 	}
 	if lhot.WriteBufferSize != 256<<20 || lhot.BloomBitsPerKey != 14 {
 		t.Fatalf("hot options = wbs %d bloom %d", lhot.WriteBufferSize, lhot.BloomBitsPerKey)
+	}
+	if odd := loaded.Lookup(oddName); odd == nil || odd.BlockSize != 8192 {
+		t.Fatalf("family %q lost in round trip; families = %q", oddName, loaded.Names())
 	}
 	second := loaded.ToINI().String()
 	if first != second {

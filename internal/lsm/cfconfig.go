@@ -3,6 +3,7 @@ package lsm
 import (
 	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"repro/internal/ini"
@@ -115,36 +116,28 @@ func (cs *ConfigSet) ToINI() *ini.File {
 	ver := f.Section("Version")
 	ver.Set("rocksdb_version", "8.8.1")
 	ver.Set("options_file_version", "1.1")
-	for _, s := range AllOptionSpecs() {
-		if s.Section != SectionDB {
-			continue
-		}
-		if v, err := cs.Default.GetByName(s.Name); err == nil {
-			f.Section(SectionDB).Set(s.Name, v)
+	emit := func(o *Options, from, to string) {
+		sec := f.Section(to)
+		for i := range optionSpecs {
+			if s := &optionSpecs[i]; s.Section == from {
+				sec.Set(s.Name, s.value(o))
+			}
 		}
 	}
 	emitCF := func(name string, o *Options) {
-		cfSec := f.Section(SectionCFName(name))
-		tblSec := f.Section(SectionTableName(name))
-		for _, s := range AllOptionSpecs() {
-			v, err := o.GetByName(s.Name)
-			if err != nil {
-				continue
-			}
-			switch s.Section {
-			case SectionCF:
-				cfSec.Set(s.Name, v)
-			case SectionTable:
-				tblSec.Set(s.Name, v)
-			}
-		}
+		emit(o, SectionCF, SectionCFName(name))
+		emit(o, SectionTable, SectionTableName(name))
 	}
+	emit(cs.Default, SectionDB, SectionDB)
 	emitCF(DefaultColumnFamilyName, cs.Default)
 	for _, c := range cs.Others {
 		emitCF(c.Name, c.Options)
 	}
 	return f
 }
+
+// ToINI renders a single-family configuration as an OPTIONS document.
+func (o *Options) ToINI() *ini.File { return NewConfigSet(o).ToINI() }
 
 // ConfigSetFromINI builds a ConfigSet from an OPTIONS document that may hold
 // any number of [CFOptions "<name>"] sections. DBOptions keys apply to every
@@ -211,14 +204,19 @@ func ConfigSetFromINI(f *ini.File) (cs *ConfigSet, unknown []string, err error) 
 
 // ParseSectionName splits an OPTIONS section header into its kind and the
 // quoted column-family name: `CFOptions "hot"` yields ("CFOptions", "hot"),
-// `DBOptions` yields ("DBOptions", ""). Unquoted trailing text is returned
-// verbatim as the name.
+// `DBOptions` yields ("DBOptions", ""). The name is unquoted the way
+// SectionCFName quotes it (a hand-written name with a stray backslash just
+// loses its quotes); unquoted trailing text is returned verbatim as the name.
 func ParseSectionName(sec string) (kind, cfName string) {
 	kind = sec
 	if i := strings.IndexByte(sec, ' '); i >= 0 {
 		kind, cfName = sec[:i], strings.TrimSpace(sec[i+1:])
 		if len(cfName) >= 2 && cfName[0] == '"' && cfName[len(cfName)-1] == '"' {
-			cfName = cfName[1 : len(cfName)-1]
+			if name, err := strconv.Unquote(cfName); err == nil {
+				cfName = name
+			} else {
+				cfName = cfName[1 : len(cfName)-1]
+			}
 		}
 	}
 	return kind, cfName

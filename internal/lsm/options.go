@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 )
@@ -152,17 +153,13 @@ type Options struct {
 	EnableWriteThreadAdaptiveYield bool
 	WriteThreadMaxYieldUsec        int
 	WriteThreadSlowYieldUsec       int
-	UseDirectReads                 bool
 	// UseDirectIOForFlushAndCompaction routes background I/O around the OS
 	// page cache, preventing compactions from evicting hot read pages.
 	UseDirectIOForFlushAndCompaction bool
-	MaxOpenFiles                     int // -1 = unlimited
-	TableCacheNumshardbits           int
+	MaxOpenFiles                     int   // -1 = unlimited
 	DelayedWriteRate                 int64 // bytes/s during slowdown; 0 = default 16MB/s
 	RateLimiterBytesPerSec           int64 // background I/O rate limit; 0 = off
 	MaxTotalWALSize                  int64 // 0 = derived
-	DBWriteBufferSize                int64 // global memtable budget; 0 = off
-	DumpMallocStats                  bool
 	StatsDumpPeriodSec               int
 	// StatsPersistPeriodSec is the interval between automatic snapshots of
 	// tickers+histograms into the in-memory stats history; 0 disables.
@@ -173,11 +170,8 @@ type Options struct {
 	// PerfLevel is the initial per-operation profiling level ("disable",
 	// "enable_count", "enable_time"); mutable at runtime via DB.SetPerfLevel.
 	PerfLevel                string
-	ManualWALFlush           bool
 	AvoidFlushDuringShutdown bool
-	WALDir                   string
 	DisableWAL               bool // blacklisted from tuning (durability)
-	UseFsync                 bool
 
 	// --- CFOptions ---
 	WriteBufferSize                  int64
@@ -198,21 +192,17 @@ type Options struct {
 	DisableAutoCompactions           bool
 	SoftPendingCompactionBytesLimit  int64
 	HardPendingCompactionBytesLimit  int64
-	MemtablePrefixBloomSizeRatio     float64
-	OptimizeFiltersForHits           bool
 	// ReportBgIOStats measures background (flush/compaction) read/write/fsync
 	// time per level, renders it in rocksdb.cfstats, and folds it into the
 	// DB's IOStatsContext totals.
 	ReportBgIOStats bool
 
 	// --- TableOptions/BlockBasedTable ---
-	BlockSize                 int
-	BlockRestartInterval      int
-	BlockCacheSize            int64
-	CacheIndexAndFilterBlocks bool
-	BloomBitsPerKey           int // filter_policy bloomfilter bits; 0 = none
-	WholeKeyFiltering         bool
-	NoBlockCache              bool
+	BlockSize            int
+	BlockRestartInterval int
+	BlockCacheSize       int64
+	BloomBitsPerKey      int // filter_policy bloomfilter bits; 0 = none
+	NoBlockCache         bool
 
 	// Extra holds recognized options the engine accepts but does not act
 	// on (the long tail of the RocksDB surface). They round-trip through
@@ -245,7 +235,6 @@ func DefaultOptions() *Options {
 		WriteThreadMaxYieldUsec:        100,
 		WriteThreadSlowYieldUsec:       3,
 		MaxOpenFiles:                   -1,
-		TableCacheNumshardbits:         6,
 		DelayedWriteRate:               0, // 16 MiB/s effective
 		MaxTotalWALSize:                0,
 		StatsDumpPeriodSec:             600,
@@ -274,7 +263,6 @@ func DefaultOptions() *Options {
 		BlockRestartInterval: 16,
 		BlockCacheSize:       32 << 20,
 		BloomBitsPerKey:      0,
-		WholeKeyFiltering:    true,
 
 		Extra: make(map[string]string),
 	}
@@ -386,8 +374,9 @@ func (o *Options) Validate() error {
 		return fmt.Errorf("lsm: max_bytes_for_level_base %d below target_file_size_base %d",
 			o.MaxBytesForLevelBase, o.TargetFileSizeBase)
 	}
-	if o.MaxBytesForLevelMultiplier < 1.001 {
-		return fmt.Errorf("lsm: max_bytes_for_level_multiplier %v must exceed 1", o.MaxBytesForLevelMultiplier)
+	// Written so that NaN, which compares false against any bound, fails.
+	if m := o.MaxBytesForLevelMultiplier; !(m >= 1.001) || math.IsInf(m, 0) {
+		return fmt.Errorf("lsm: max_bytes_for_level_multiplier %v must be a finite number above 1", m)
 	}
 	if o.BlockSize < 256 || o.BlockSize > 16<<20 {
 		return fmt.Errorf("lsm: block_size %d out of range [256, 16MiB]", o.BlockSize)

@@ -1,12 +1,10 @@
 package lsm
 
 import (
-	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
-
-	"repro/internal/ini"
 )
 
 // OptionType classifies an option's value syntax.
@@ -44,214 +42,280 @@ func SectionTableName(name string) string {
 	return fmt.Sprintf("TableOptions/BlockBasedTable %q", name)
 }
 
-// OptionSpec describes one named option: its syntax, bounds, and whether the
-// engine honors it mechanically (Honored) or merely records it (the long
-// tail RocksDB exposes — still valid to set, visible in OPTIONS files, and
-// therefore tunable surface for the LLM). Mutable marks the dynamic subset
-// that DB.SetOptions/SetDBOptions may change on a running database without a
-// reopen (RocksDB's dynamically-changeable options); everything else is
-// fixed at Open.
+// OptionSpec describes one named option: its syntax, bounds, and — through
+// its accessors — whether the engine acts on it (Honored) or merely records it
+// (the long tail RocksDB exposes — still valid to set, visible in OPTIONS
+// files, and therefore tunable surface for the LLM). Mutable marks the dynamic
+// subset that DB.SetOptions/SetDBOptions may change on a running database
+// without a reopen (RocksDB's dynamically-changeable options); everything
+// else is fixed at Open.
 type OptionSpec struct {
 	Name       string
 	Section    string
 	Type       OptionType
-	Default    string
+	Default    string  // of an honored option: rendered from DefaultOptions()
 	Min, Max   float64 // numeric bounds; both zero = unbounded
 	Enum       []string
-	Honored    bool
 	Mutable    bool
 	Deprecated bool
 	Help       string
+
+	// get and set bind the option to the Options field the engine reads; set
+	// receives a value checkValue has normalized. An option without them is
+	// recorded-only: its value lives in Options.Extra.
+	get func(*Options) string
+	set func(*Options, string) error
 }
+
+// Honored reports whether the engine acts on the option. It is not declared
+// but follows from the option having accessors onto an Options field (which
+// TestHonoredFieldsAreRead requires engine code to read).
+func (s OptionSpec) Honored() bool { return s.get != nil }
 
 // bounded reports whether numeric bounds apply.
 func (s OptionSpec) bounded() bool { return !(s.Min == 0 && s.Max == 0) }
 
-func spec(name, section string, t OptionType, def string, honored bool, help string) OptionSpec {
-	return OptionSpec{Name: name, Section: section, Type: t, Default: def, Honored: honored, Help: help}
+// mutable marks a row as changeable on a running database: every consumer of
+// such an option re-reads the current options snapshot, so a swap takes effect
+// at the next decision point (flush sizing, compaction pick, stall check,
+// cache insert, stats tick).
+func (s OptionSpec) mutable() OptionSpec {
+	s.Mutable = true
+	return s
 }
 
-func specB(name, section string, t OptionType, def string, min, max float64, honored bool, help string) OptionSpec {
-	return OptionSpec{Name: name, Section: section, Type: t, Default: def, Min: min, Max: max, Honored: honored, Help: help}
+// spec and specB declare recorded-only options.
+func spec(name, section string, t OptionType, def, help string) OptionSpec {
+	return OptionSpec{Name: name, Section: section, Type: t, Default: def, Help: help}
 }
 
-// optionSpecs is the full option registry, in OPTIONS-file order.
+func specB(name, section string, t OptionType, def string, min, max float64, help string) OptionSpec {
+	return OptionSpec{Name: name, Section: section, Type: t, Default: def, Min: min, Max: max, Help: help}
+}
+
+// bind makes s an honored option: field picks the Options field the engine
+// reads, which the string-keyed surface renders with format and assigns from
+// parse (leaving it alone on error).
+func bind[T any](s OptionSpec, field func(*Options) *T, format func(T) string, parse func(string) (T, error)) OptionSpec {
+	s.get = func(o *Options) string { return format(*field(o)) }
+	s.set = func(o *Options, v string) error {
+		x, err := parse(v)
+		if err == nil {
+			*field(o) = x
+		}
+		return err
+	}
+	return s
+}
+
+func boolOpt(name, section, help string, field func(*Options) *bool) OptionSpec {
+	return bind(OptionSpec{Name: name, Section: section, Type: TypeBool, Help: help},
+		field, strconv.FormatBool, parseBool)
+}
+
+func intOpt[T int | int64](name, section string, min, max float64, help string, field func(*Options) *T) OptionSpec {
+	return bind(OptionSpec{Name: name, Section: section, Type: TypeInt, Min: min, Max: max, Help: help}, field,
+		func(n T) string { return strconv.FormatInt(int64(n), 10) },
+		func(v string) (T, error) {
+			n, err := strconv.ParseInt(v, 10, 64)
+			return T(n), err
+		})
+}
+
+func floatOpt(name, section string, min, max float64, help string, field func(*Options) *float64) OptionSpec {
+	return bind(OptionSpec{Name: name, Section: section, Type: TypeFloat, Min: min, Max: max, Help: help}, field,
+		func(f float64) string { return strconv.FormatFloat(f, 'f', 6, 64) },
+		func(v string) (float64, error) { return strconv.ParseFloat(v, 64) })
+}
+
+func enumOpt[T fmt.Stringer](name, section string, enum []string, help string, parse func(string) (T, error), field func(*Options) *T) OptionSpec {
+	return bind(OptionSpec{Name: name, Section: section, Type: TypeEnum, Enum: enum, Help: help},
+		field, T.String, parse)
+}
+
+// optionSpecs is the option registry: one row per option, each declared
+// exactly once, in OPTIONS-file order (testdata/options_*.ini pin the order).
 var optionSpecs = []OptionSpec{
-	// --- DBOptions: honored ---
-	spec("create_if_missing", SectionDB, TypeBool, "true", true, "create the DB directory when absent"),
-	spec("error_if_exists", SectionDB, TypeBool, "false", true, "fail Open when the DB already exists"),
-	spec("paranoid_checks", SectionDB, TypeBool, "false", true, "verify checksums aggressively"),
-	specB("max_background_jobs", SectionDB, TypeInt, "2", 1, 64, true, "total background flush+compaction slots"),
-	specB("max_background_compactions", SectionDB, TypeInt, "-1", -1, 64, true, "compaction slots (-1 derives from max_background_jobs)"),
-	specB("max_background_flushes", SectionDB, TypeInt, "-1", -1, 64, true, "flush slots (-1 derives from max_background_jobs)"),
-	specB("max_subcompactions", SectionDB, TypeInt, "1", 1, 32, true, "parallel ranges per compaction"),
-	specB("bytes_per_sync", SectionDB, TypeInt, "0", 0, 1<<40, true, "incrementally sync SST writes every N bytes (0 off)"),
-	specB("wal_bytes_per_sync", SectionDB, TypeInt, "0", 0, 1<<40, true, "incrementally sync WAL every N bytes (0 off)"),
-	spec("strict_bytes_per_sync", SectionDB, TypeBool, "false", true, "block writes until pending sync completes"),
-	specB("compaction_readahead_size", SectionDB, TypeInt, "2097152", 0, 1<<32, true, "readahead for compaction input scans"),
-	spec("enable_pipelined_write", SectionDB, TypeBool, "false", true, "separate WAL and memtable write stages"),
-	spec("use_direct_reads", SectionDB, TypeBool, "false", true, "bypass OS page cache for user reads"),
-	spec("use_direct_io_for_flush_and_compaction", SectionDB, TypeBool, "false", true, "O_DIRECT for background IO (no page-cache pollution)"),
-	specB("max_open_files", SectionDB, TypeInt, "-1", -1, 1<<20, true, "table-cache capacity (-1 unlimited)"),
-	specB("table_cache_numshardbits", SectionDB, TypeInt, "6", 0, 19, true, "table cache shard bits"),
-	specB("delayed_write_rate", SectionDB, TypeInt, "0", 0, 1<<40, true, "write rate during slowdown (0 = 16MiB/s)"),
-	specB("rate_limiter_bytes_per_sec", SectionDB, TypeInt, "0", 0, 1<<40, true, "background I/O rate limit (0 off)"),
-	specB("max_total_wal_size", SectionDB, TypeInt, "0", 0, 1<<44, true, "force flush when WALs exceed this"),
-	specB("db_write_buffer_size", SectionDB, TypeInt, "0", 0, 1<<44, true, "global memtable budget across CFs (0 off)"),
-	spec("dump_malloc_stats", SectionDB, TypeBool, "false", true, "include allocator stats in LOG dumps"),
-	specB("stats_dump_period_sec", SectionDB, TypeInt, "600", 0, 1<<32, true, "period of stats dumps to LOG"),
-	specB("stats_persist_period_sec", SectionDB, TypeInt, "600", 0, 1<<32, true, "period of stats-history snapshots (0 off)"),
-	specB("stats_history_buffer_size", SectionDB, TypeInt, "1048576", 0, 1<<40, true, "memory bound for the stats history ring"),
-	{Name: "perf_level", Section: SectionDB, Type: TypeEnum, Default: "disable",
-		Enum:    []string{"disable", "enable_count", "enable_time", "kDisable", "kEnableCount", "kEnableTime", "kEnableTimeExceptForMutex"},
-		Honored: true, Help: "per-operation PerfContext/IOStatsContext collection level"},
-	spec("manual_wal_flush", SectionDB, TypeBool, "false", true, "only flush WAL on explicit request"),
-	spec("avoid_flush_during_shutdown", SectionDB, TypeBool, "false", true, "skip final flush on Close"),
-	spec("use_fsync", SectionDB, TypeBool, "false", true, "use fsync instead of fdatasync"),
-	spec("wal_dir", SectionDB, TypeString, "", true, "directory for WAL files (empty = DB dir)"),
+	// --- DBOptions ---
+	boolOpt("create_if_missing", SectionDB, "create the DB directory when absent", func(o *Options) *bool { return &o.CreateIfMissing }),
+	boolOpt("error_if_exists", SectionDB, "fail Open when the DB already exists", func(o *Options) *bool { return &o.ErrorIfExists }),
+	boolOpt("paranoid_checks", SectionDB, "verify checksums aggressively", func(o *Options) *bool { return &o.ParanoidChecks }),
+	intOpt("max_background_jobs", SectionDB, 1, 64, "total background flush+compaction slots", func(o *Options) *int { return &o.MaxBackgroundJobs }).mutable(),
+	intOpt("max_background_compactions", SectionDB, -1, 64, "compaction slots (-1 derives from max_background_jobs)", func(o *Options) *int { return &o.MaxBackgroundCompactions }).mutable(),
+	intOpt("max_background_flushes", SectionDB, -1, 64, "flush slots (-1 derives from max_background_jobs)", func(o *Options) *int { return &o.MaxBackgroundFlushes }).mutable(),
+	intOpt("max_subcompactions", SectionDB, 1, 32, "parallel ranges per compaction", func(o *Options) *int { return &o.MaxSubcompactions }).mutable(),
+	intOpt("bytes_per_sync", SectionDB, 0, 1<<40, "incrementally sync SST writes every N bytes (0 off)", func(o *Options) *int64 { return &o.BytesPerSync }).mutable(),
+	intOpt("wal_bytes_per_sync", SectionDB, 0, 1<<40, "incrementally sync WAL every N bytes (0 off)", func(o *Options) *int64 { return &o.WALBytesPerSync }).mutable(),
+	boolOpt("strict_bytes_per_sync", SectionDB, "block writes until pending sync completes", func(o *Options) *bool { return &o.StrictBytesPerSync }),
+	intOpt("compaction_readahead_size", SectionDB, 0, 1<<32, "readahead for compaction input scans", func(o *Options) *int64 { return &o.CompactionReadaheadSize }).mutable(),
+	boolOpt("enable_pipelined_write", SectionDB, "separate WAL and memtable write stages", func(o *Options) *bool { return &o.EnablePipelinedWrite }),
+	spec("use_direct_reads", SectionDB, TypeBool, "false", "bypass OS page cache for user reads"),
+	boolOpt("use_direct_io_for_flush_and_compaction", SectionDB, "O_DIRECT for background IO (no page-cache pollution)", func(o *Options) *bool { return &o.UseDirectIOForFlushAndCompaction }),
+	intOpt("max_open_files", SectionDB, -1, 1<<20, "table-cache capacity (-1 unlimited)", func(o *Options) *int { return &o.MaxOpenFiles }),
+	specB("table_cache_numshardbits", SectionDB, TypeInt, "6", 0, 19, "table cache shard bits"),
+	intOpt("delayed_write_rate", SectionDB, 0, 1<<40, "write rate during slowdown (0 = 16MiB/s)", func(o *Options) *int64 { return &o.DelayedWriteRate }).mutable(),
+	intOpt("rate_limiter_bytes_per_sec", SectionDB, 0, 1<<40, "background I/O rate limit (0 off)", func(o *Options) *int64 { return &o.RateLimiterBytesPerSec }).mutable(),
+	intOpt("max_total_wal_size", SectionDB, 0, 1<<44, "force flush when WALs exceed this", func(o *Options) *int64 { return &o.MaxTotalWALSize }).mutable(),
+	specB("db_write_buffer_size", SectionDB, TypeInt, "0", 0, 1<<44, "global memtable budget across CFs (0 off)"),
+	spec("dump_malloc_stats", SectionDB, TypeBool, "false", "include allocator stats in LOG dumps").mutable(),
+	intOpt("stats_dump_period_sec", SectionDB, 0, 1<<32, "period of stats dumps to LOG", func(o *Options) *int { return &o.StatsDumpPeriodSec }).mutable(),
+	intOpt("stats_persist_period_sec", SectionDB, 0, 1<<32, "period of stats-history snapshots (0 off)", func(o *Options) *int { return &o.StatsPersistPeriodSec }).mutable(),
+	intOpt("stats_history_buffer_size", SectionDB, 0, 1<<40, "memory bound for the stats history ring", func(o *Options) *int64 { return &o.StatsHistoryBufferSize }).mutable(),
+	{Name: "perf_level", Section: SectionDB, Type: TypeEnum, Mutable: true,
+		Enum: []string{"disable", "enable_count", "enable_time", "kDisable", "kEnableCount", "kEnableTime", "kEnableTimeExceptForMutex"},
+		Help: "per-operation PerfContext/IOStatsContext collection level",
+		get:  func(o *Options) string { return o.perfLevel().String() },
+		set: func(o *Options, v string) error {
+			l, err := ParsePerfLevel(v)
+			if err == nil {
+				o.PerfLevel = l.String()
+			}
+			return err
+		}},
+	spec("manual_wal_flush", SectionDB, TypeBool, "false", "only flush WAL on explicit request"),
+	boolOpt("avoid_flush_during_shutdown", SectionDB, "skip final flush on Close", func(o *Options) *bool { return &o.AvoidFlushDuringShutdown }),
+	spec("use_fsync", SectionDB, TypeBool, "false", "use fsync instead of fdatasync"),
+	spec("wal_dir", SectionDB, TypeString, "", "directory for WAL files (empty = DB dir)"),
 
-	// --- DBOptions: recorded (inert mechanically, valid surface) ---
-	spec("advise_random_on_open", SectionDB, TypeBool, "true", false, "fadvise random on file open"),
-	spec("allow_concurrent_memtable_write", SectionDB, TypeBool, "true", true, "write-group followers insert into the memtable concurrently"),
-	spec("allow_fallocate", SectionDB, TypeBool, "true", false, "preallocate file space"),
-	spec("allow_mmap_reads", SectionDB, TypeBool, "false", false, "mmap SST files for reads"),
-	spec("allow_mmap_writes", SectionDB, TypeBool, "false", false, "mmap files for writes"),
-	spec("atomic_flush", SectionDB, TypeBool, "false", false, "flush CFs atomically"),
-	spec("avoid_flush_during_recovery", SectionDB, TypeBool, "false", false, "skip flush while recovering"),
-	spec("avoid_unnecessary_blocking_io", SectionDB, TypeBool, "false", false, "defer blocking IO to background"),
-	specB("bgerror_resume_retry_interval", SectionDB, TypeInt, "1000000", 0, 1<<40, true, "microseconds between auto-resume retries"),
-	spec("best_efforts_recovery", SectionDB, TypeBool, "false", false, "recover as much data as possible"),
-	specB("compaction_job_stats_dump_period_sec", SectionDB, TypeInt, "0", 0, 1<<32, false, "compaction stats dump period"),
-	specB("delete_obsolete_files_period_micros", SectionDB, TypeInt, "21600000000", 0, 1<<50, false, "obsolete file GC period"),
-	spec("enable_thread_tracking", SectionDB, TypeBool, "false", false, "track thread status"),
-	spec("enable_write_thread_adaptive_yield", SectionDB, TypeBool, "true", true, "spin before blocking in write queue"),
-	spec("fail_if_options_file_error", SectionDB, TypeBool, "false", false, "fail Open on OPTIONS write error"),
-	spec("flush_verify_memtable_count", SectionDB, TypeBool, "true", false, "verify memtable count at flush"),
-	spec("is_fd_close_on_exec", SectionDB, TypeBool, "true", false, "set FD_CLOEXEC"),
-	specB("keep_log_file_num", SectionDB, TypeInt, "1000", 1, 1<<32, false, "info LOG files retained"),
-	specB("log_file_time_to_roll", SectionDB, TypeInt, "0", 0, 1<<40, false, "seconds before rolling LOG"),
-	specB("log_readahead_size", SectionDB, TypeInt, "0", 0, 1<<32, false, "readahead when replaying logs"),
-	spec("info_log_level", SectionDB, TypeEnum, "INFO_LEVEL", false, "LOG verbosity"),
-	specB("max_bgerror_resume_count", SectionDB, TypeInt, "2147483647", 0, 1<<40, true, "auto-resume attempts after bg error"),
-	specB("max_file_opening_threads", SectionDB, TypeInt, "16", 1, 512, false, "threads opening files at startup"),
-	specB("max_log_file_size", SectionDB, TypeInt, "0", 0, 1<<40, false, "info LOG size before rolling"),
-	specB("max_manifest_file_size", SectionDB, TypeInt, "1073741824", 1<<10, 1<<50, false, "MANIFEST rollover size"),
-	spec("paranoid_file_checks", SectionDB, TypeBool, "false", true, "read back and verify every SST after writing it"),
-	spec("persist_stats_to_disk", SectionDB, TypeBool, "false", false, "persist statistics"),
-	specB("random_access_max_buffer_size", SectionDB, TypeInt, "1048576", 0, 1<<32, false, "windows random buffer max"),
-	specB("recycle_log_file_num", SectionDB, TypeInt, "0", 0, 1<<20, false, "reuse WAL files"),
-	spec("skip_checking_sst_file_sizes_on_db_open", SectionDB, TypeBool, "false", false, "skip SST size checks at open"),
-	spec("skip_stats_update_on_db_open", SectionDB, TypeBool, "false", false, "skip stats update at open"),
-	spec("track_and_verify_wals_in_manifest", SectionDB, TypeBool, "false", false, "track WALs in MANIFEST"),
-	spec("two_write_queues", SectionDB, TypeBool, "false", false, "separate WAL write queue"),
-	spec("unordered_write", SectionDB, TypeBool, "false", false, "relax write ordering for throughput"),
-	spec("use_adaptive_mutex", SectionDB, TypeBool, "false", false, "adaptive mutexes"),
+	spec("advise_random_on_open", SectionDB, TypeBool, "true", "fadvise random on file open"),
+	boolOpt("allow_concurrent_memtable_write", SectionDB, "write-group followers insert into the memtable concurrently", func(o *Options) *bool { return &o.AllowConcurrentMemtableWrite }),
+	spec("allow_fallocate", SectionDB, TypeBool, "true", "preallocate file space"),
+	spec("allow_mmap_reads", SectionDB, TypeBool, "false", "mmap SST files for reads"),
+	spec("allow_mmap_writes", SectionDB, TypeBool, "false", "mmap files for writes"),
+	spec("atomic_flush", SectionDB, TypeBool, "false", "flush CFs atomically"),
+	spec("avoid_flush_during_recovery", SectionDB, TypeBool, "false", "skip flush while recovering"),
+	spec("avoid_unnecessary_blocking_io", SectionDB, TypeBool, "false", "defer blocking IO to background"),
+	intOpt("bgerror_resume_retry_interval", SectionDB, 0, 1<<40, "microseconds between auto-resume retries", func(o *Options) *int64 { return &o.BgErrorResumeRetryInterval }),
+	spec("best_efforts_recovery", SectionDB, TypeBool, "false", "recover as much data as possible"),
+	specB("compaction_job_stats_dump_period_sec", SectionDB, TypeInt, "0", 0, 1<<32, "compaction stats dump period"),
+	specB("delete_obsolete_files_period_micros", SectionDB, TypeInt, "21600000000", 0, 1<<50, "obsolete file GC period"),
+	spec("enable_thread_tracking", SectionDB, TypeBool, "false", "track thread status"),
+	boolOpt("enable_write_thread_adaptive_yield", SectionDB, "spin before blocking in write queue", func(o *Options) *bool { return &o.EnableWriteThreadAdaptiveYield }),
+	spec("fail_if_options_file_error", SectionDB, TypeBool, "false", "fail Open on OPTIONS write error"),
+	spec("flush_verify_memtable_count", SectionDB, TypeBool, "true", "verify memtable count at flush"),
+	spec("is_fd_close_on_exec", SectionDB, TypeBool, "true", "set FD_CLOEXEC"),
+	specB("keep_log_file_num", SectionDB, TypeInt, "1000", 1, 1<<32, "info LOG files retained"),
+	specB("log_file_time_to_roll", SectionDB, TypeInt, "0", 0, 1<<40, "seconds before rolling LOG"),
+	specB("log_readahead_size", SectionDB, TypeInt, "0", 0, 1<<32, "readahead when replaying logs"),
+	spec("info_log_level", SectionDB, TypeEnum, "INFO_LEVEL", "LOG verbosity"),
+	intOpt("max_bgerror_resume_count", SectionDB, 0, 1<<40, "auto-resume attempts after bg error", func(o *Options) *int { return &o.MaxBgErrorResumeCount }),
+	specB("max_file_opening_threads", SectionDB, TypeInt, "16", 1, 512, "threads opening files at startup"),
+	specB("max_log_file_size", SectionDB, TypeInt, "0", 0, 1<<40, "info LOG size before rolling"),
+	specB("max_manifest_file_size", SectionDB, TypeInt, "1073741824", 1<<10, 1<<50, "MANIFEST rollover size"),
+	boolOpt("paranoid_file_checks", SectionDB, "read back and verify every SST after writing it", func(o *Options) *bool { return &o.ParanoidFileChecks }).mutable(),
+	spec("persist_stats_to_disk", SectionDB, TypeBool, "false", "persist statistics"),
+	specB("random_access_max_buffer_size", SectionDB, TypeInt, "1048576", 0, 1<<32, "windows random buffer max"),
+	specB("recycle_log_file_num", SectionDB, TypeInt, "0", 0, 1<<20, "reuse WAL files"),
+	spec("skip_checking_sst_file_sizes_on_db_open", SectionDB, TypeBool, "false", "skip SST size checks at open"),
+	spec("skip_stats_update_on_db_open", SectionDB, TypeBool, "false", "skip stats update at open"),
+	spec("track_and_verify_wals_in_manifest", SectionDB, TypeBool, "false", "track WALs in MANIFEST"),
+	spec("two_write_queues", SectionDB, TypeBool, "false", "separate WAL write queue"),
+	spec("unordered_write", SectionDB, TypeBool, "false", "relax write ordering for throughput"),
+	spec("use_adaptive_mutex", SectionDB, TypeBool, "false", "adaptive mutexes"),
 
-	{Name: "wal_recovery_mode", Section: SectionDB, Type: TypeEnum, Default: "kTolerateCorruptedTailRecords",
-		Enum: []string{"kTolerateCorruptedTailRecords", "kAbsoluteConsistency", "kPointInTimeRecovery",
-			"tolerate_corrupted_tail_records", "absolute_consistency", "point_in_time"},
-		Honored: true, Help: "WAL recovery strictness"},
-	specB("wal_size_limit_mb", SectionDB, TypeInt, "0", 0, 1<<40, false, "archived WAL size limit"),
-	specB("wal_ttl_seconds", SectionDB, TypeInt, "0", 0, 1<<40, false, "archived WAL TTL"),
-	specB("writable_file_max_buffer_size", SectionDB, TypeInt, "1048576", 0, 1<<32, false, "write buffer for file appends"),
-	spec("write_dbid_to_manifest", SectionDB, TypeBool, "false", false, "record DB id in MANIFEST"),
-	specB("write_thread_max_yield_usec", SectionDB, TypeInt, "100", 0, 1<<32, true, "microseconds a queued writer spins before blocking"),
-	specB("write_thread_slow_yield_usec", SectionDB, TypeInt, "3", 0, 1<<32, true, "yield slower than this signals core oversubscription"),
-	spec("access_hint_on_compaction_start", SectionDB, TypeEnum, "NORMAL", false, "fadvise hint for compaction inputs"),
+	enumOpt("wal_recovery_mode", SectionDB, []string{"kTolerateCorruptedTailRecords", "kAbsoluteConsistency", "kPointInTimeRecovery",
+		"tolerate_corrupted_tail_records", "absolute_consistency", "point_in_time"},
+		"WAL recovery strictness", ParseWALRecoveryMode, func(o *Options) *WALRecoveryMode { return &o.WALRecoveryMode }),
+	specB("wal_size_limit_mb", SectionDB, TypeInt, "0", 0, 1<<40, "archived WAL size limit"),
+	specB("wal_ttl_seconds", SectionDB, TypeInt, "0", 0, 1<<40, "archived WAL TTL"),
+	specB("writable_file_max_buffer_size", SectionDB, TypeInt, "1048576", 0, 1<<32, "write buffer for file appends"),
+	spec("write_dbid_to_manifest", SectionDB, TypeBool, "false", "record DB id in MANIFEST"),
+	intOpt("write_thread_max_yield_usec", SectionDB, 0, 1<<32, "microseconds a queued writer spins before blocking", func(o *Options) *int { return &o.WriteThreadMaxYieldUsec }),
+	intOpt("write_thread_slow_yield_usec", SectionDB, 0, 1<<32, "yield slower than this signals core oversubscription", func(o *Options) *int { return &o.WriteThreadSlowYieldUsec }),
+	spec("access_hint_on_compaction_start", SectionDB, TypeEnum, "NORMAL", "fadvise hint for compaction inputs"),
 
-	// --- CFOptions: honored ---
-	specB("write_buffer_size", SectionCF, TypeInt, "67108864", 1<<16, 1<<40, true, "memtable size before flush"),
-	specB("max_write_buffer_number", SectionCF, TypeInt, "2", 1, 64, true, "memtables held in memory"),
-	specB("min_write_buffer_number_to_merge", SectionCF, TypeInt, "1", 1, 64, true, "memtables merged per flush"),
-	specB("level0_file_num_compaction_trigger", SectionCF, TypeInt, "4", 1, 256, true, "L0 files triggering compaction"),
-	specB("level0_slowdown_writes_trigger", SectionCF, TypeInt, "20", 1, 1024, true, "L0 files triggering write slowdown"),
-	specB("level0_stop_writes_trigger", SectionCF, TypeInt, "36", 1, 4096, true, "L0 files stopping writes"),
-	specB("num_levels", SectionCF, TypeInt, "7", 2, 12, true, "LSM tree depth"),
-	specB("target_file_size_base", SectionCF, TypeInt, "67108864", 1<<16, 1<<40, true, "L1 SST file size"),
-	specB("target_file_size_multiplier", SectionCF, TypeInt, "1", 1, 100, true, "per-level file size growth"),
-	specB("max_bytes_for_level_base", SectionCF, TypeInt, "268435456", 1<<20, 1<<44, true, "L1 capacity"),
-	specB("max_bytes_for_level_multiplier", SectionCF, TypeFloat, "10.000000", 1.001, 1000, true, "per-level capacity growth"),
-	spec("level_compaction_dynamic_level_bytes", SectionCF, TypeBool, "false", true, "size levels from last level up"),
-	{Name: "compaction_style", Section: SectionCF, Type: TypeEnum, Default: "level",
-		Enum:    []string{"level", "universal", "fifo", "kCompactionStyleLevel", "kCompactionStyleUniversal", "kCompactionStyleFIFO"},
-		Honored: true, Help: "compaction algorithm"},
-	{Name: "compression", Section: SectionCF, Type: TypeEnum, Default: "none",
-		Enum:    []string{"none", "no", "false", "disable", "snappy", "lz4", "zstd", "zlib", "kNoCompression", "kSnappyCompression", "kLZ4Compression", "kZSTD", "kZlibCompression"},
-		Honored: true, Help: "SST block compression"},
-	specB("max_compaction_bytes", SectionCF, TypeInt, "1677721600", 1<<20, 1<<44, true, "max bytes in one compaction"),
-	spec("disable_auto_compactions", SectionCF, TypeBool, "false", true, "disable background compaction"),
-	specB("soft_pending_compaction_bytes_limit", SectionCF, TypeInt, "68719476736", 0, 1<<50, true, "pending compaction bytes causing slowdown"),
-	specB("hard_pending_compaction_bytes_limit", SectionCF, TypeInt, "274877906944", 0, 1<<50, true, "pending compaction bytes stopping writes"),
-	specB("memtable_prefix_bloom_size_ratio", SectionCF, TypeFloat, "0.000000", 0, 0.25, true, "memtable bloom size ratio"),
-	spec("optimize_filters_for_hits", SectionCF, TypeBool, "false", true, "skip last-level filters"),
+	// --- CFOptions ---
+	intOpt("write_buffer_size", SectionCF, 1<<16, 1<<40, "memtable size before flush", func(o *Options) *int64 { return &o.WriteBufferSize }).mutable(),
+	intOpt("max_write_buffer_number", SectionCF, 1, 64, "memtables held in memory", func(o *Options) *int { return &o.MaxWriteBufferNumber }).mutable(),
+	intOpt("min_write_buffer_number_to_merge", SectionCF, 1, 64, "memtables merged per flush", func(o *Options) *int { return &o.MinWriteBufferNumberToMerge }).mutable(),
+	intOpt("level0_file_num_compaction_trigger", SectionCF, 1, 256, "L0 files triggering compaction", func(o *Options) *int { return &o.Level0FileNumCompactionTrigger }).mutable(),
+	intOpt("level0_slowdown_writes_trigger", SectionCF, 1, 1024, "L0 files triggering write slowdown", func(o *Options) *int { return &o.Level0SlowdownWritesTrigger }).mutable(),
+	intOpt("level0_stop_writes_trigger", SectionCF, 1, 4096, "L0 files stopping writes", func(o *Options) *int { return &o.Level0StopWritesTrigger }).mutable(),
+	intOpt("num_levels", SectionCF, 2, 12, "LSM tree depth", func(o *Options) *int { return &o.NumLevels }),
+	intOpt("target_file_size_base", SectionCF, 1<<16, 1<<40, "L1 SST file size", func(o *Options) *int64 { return &o.TargetFileSizeBase }).mutable(),
+	intOpt("target_file_size_multiplier", SectionCF, 1, 100, "per-level file size growth", func(o *Options) *int { return &o.TargetFileSizeMultiplier }).mutable(),
+	intOpt("max_bytes_for_level_base", SectionCF, 1<<20, 1<<44, "L1 capacity", func(o *Options) *int64 { return &o.MaxBytesForLevelBase }).mutable(),
+	floatOpt("max_bytes_for_level_multiplier", SectionCF, 1.001, 1000, "per-level capacity growth", func(o *Options) *float64 { return &o.MaxBytesForLevelMultiplier }).mutable(),
+	boolOpt("level_compaction_dynamic_level_bytes", SectionCF, "size levels from last level up", func(o *Options) *bool { return &o.LevelCompactionDynamicLevelBytes }).mutable(),
+	enumOpt("compaction_style", SectionCF, []string{"level", "universal", "fifo", "kCompactionStyleLevel", "kCompactionStyleUniversal", "kCompactionStyleFIFO"},
+		"compaction algorithm", ParseCompactionStyle, func(o *Options) *CompactionStyle { return &o.CompactionStyle }),
+	enumOpt("compression", SectionCF, []string{"none", "no", "false", "disable", "snappy", "lz4", "zstd", "zlib", "kNoCompression", "kSnappyCompression", "kLZ4Compression", "kZSTD", "kZlibCompression"},
+		"SST block compression", ParseCompression, func(o *Options) *Compression { return &o.Compression }).mutable(),
+	intOpt("max_compaction_bytes", SectionCF, 1<<20, 1<<44, "max bytes in one compaction", func(o *Options) *int64 { return &o.MaxCompactionBytes }).mutable(),
+	boolOpt("disable_auto_compactions", SectionCF, "disable background compaction", func(o *Options) *bool { return &o.DisableAutoCompactions }).mutable(),
+	intOpt("soft_pending_compaction_bytes_limit", SectionCF, 0, 1<<50, "pending compaction bytes causing slowdown", func(o *Options) *int64 { return &o.SoftPendingCompactionBytesLimit }).mutable(),
+	intOpt("hard_pending_compaction_bytes_limit", SectionCF, 0, 1<<50, "pending compaction bytes stopping writes", func(o *Options) *int64 { return &o.HardPendingCompactionBytesLimit }).mutable(),
+	specB("memtable_prefix_bloom_size_ratio", SectionCF, TypeFloat, "0.000000", 0, 0.25, "memtable bloom size ratio"),
+	spec("optimize_filters_for_hits", SectionCF, TypeBool, "false", "skip last-level filters"),
 
-	// --- CFOptions: recorded ---
-	specB("arena_block_size", SectionCF, TypeInt, "1048576", 0, 1<<32, false, "memtable arena block"),
-	specB("bloom_locality", SectionCF, TypeInt, "0", 0, 1, false, "cache-local bloom probes"),
-	spec("bottommost_compression", SectionCF, TypeEnum, "kDisableCompressionOption", false, "last level compression"),
-	spec("compaction_pri", SectionCF, TypeEnum, "kMinOverlappingRatio", false, "compaction input priority"),
-	specB("compression_opts_level", SectionCF, TypeInt, "32767", -1, 32767, false, "codec level"),
-	spec("force_consistency_checks", SectionCF, TypeBool, "true", false, "verify LSM invariants"),
-	specB("hard_rate_limit", SectionCF, TypeFloat, "0.000000", 0, 100, false, "deprecated write rate limit"),
-	spec("inplace_update_support", SectionCF, TypeBool, "false", false, "update values in place"),
-	specB("inplace_update_num_locks", SectionCF, TypeInt, "10000", 0, 1<<32, false, "locks for inplace updates"),
-	specB("max_sequential_skip_in_iterations", SectionCF, TypeInt, "8", 0, 1<<32, false, "iterator reseek threshold"),
-	specB("max_successive_merges", SectionCF, TypeInt, "0", 0, 1<<32, false, "merge operands folded at write"),
-	specB("max_write_buffer_size_to_maintain", SectionCF, TypeInt, "0", 0, 1<<44, false, "history memtable budget"),
-	specB("memtable_huge_page_size", SectionCF, TypeInt, "0", 0, 1<<40, false, "memtable hugepage size"),
-	spec("memtable_whole_key_filtering", SectionCF, TypeBool, "false", false, "whole-key memtable bloom"),
-	specB("min_partial_merge_operands", SectionCF, TypeInt, "2", 0, 1<<20, false, "deprecated merge threshold"),
-	spec("merge_operator", SectionCF, TypeString, "nullptr", false, "merge operator name"),
-	spec("prefix_extractor", SectionCF, TypeString, "nullptr", false, "prefix extractor for prefix seeks"),
-	specB("periodic_compaction_seconds", SectionCF, TypeInt, "0", 0, 1<<40, false, "age-triggered compaction"),
-	spec("report_bg_io_stats", SectionCF, TypeBool, "false", true, "measure flush/compaction read/write/fsync time per level"),
-	specB("soft_rate_limit", SectionCF, TypeFloat, "0.000000", 0, 100, false, "deprecated soft rate limit"),
-	specB("ttl", SectionCF, TypeInt, "2592000", 0, 1<<40, false, "data TTL seconds"),
-	spec("enable_blob_files", SectionCF, TypeBool, "false", false, "separate large values into blobs"),
-	specB("min_blob_size", SectionCF, TypeInt, "0", 0, 1<<40, false, "value size for blob separation"),
-	specB("blob_file_size", SectionCF, TypeInt, "268435456", 0, 1<<44, false, "blob file size"),
-	spec("blob_compression_type", SectionCF, TypeEnum, "kNoCompression", false, "blob compression"),
-	specB("sample_for_compression", SectionCF, TypeInt, "0", 0, 1<<32, false, "compression sampling rate"),
-	spec("disable_write_stall", SectionCF, TypeBool, "false", false, "ignore stall conditions (dangerous)"),
+	specB("arena_block_size", SectionCF, TypeInt, "1048576", 0, 1<<32, "memtable arena block"),
+	specB("bloom_locality", SectionCF, TypeInt, "0", 0, 1, "cache-local bloom probes"),
+	spec("bottommost_compression", SectionCF, TypeEnum, "kDisableCompressionOption", "last level compression"),
+	spec("compaction_pri", SectionCF, TypeEnum, "kMinOverlappingRatio", "compaction input priority"),
+	specB("compression_opts_level", SectionCF, TypeInt, "32767", -1, 32767, "codec level"),
+	spec("force_consistency_checks", SectionCF, TypeBool, "true", "verify LSM invariants"),
+	specB("hard_rate_limit", SectionCF, TypeFloat, "0.000000", 0, 100, "deprecated write rate limit"),
+	spec("inplace_update_support", SectionCF, TypeBool, "false", "update values in place"),
+	specB("inplace_update_num_locks", SectionCF, TypeInt, "10000", 0, 1<<32, "locks for inplace updates"),
+	specB("max_sequential_skip_in_iterations", SectionCF, TypeInt, "8", 0, 1<<32, "iterator reseek threshold"),
+	specB("max_successive_merges", SectionCF, TypeInt, "0", 0, 1<<32, "merge operands folded at write"),
+	specB("max_write_buffer_size_to_maintain", SectionCF, TypeInt, "0", 0, 1<<44, "history memtable budget"),
+	specB("memtable_huge_page_size", SectionCF, TypeInt, "0", 0, 1<<40, "memtable hugepage size"),
+	spec("memtable_whole_key_filtering", SectionCF, TypeBool, "false", "whole-key memtable bloom"),
+	specB("min_partial_merge_operands", SectionCF, TypeInt, "2", 0, 1<<20, "deprecated merge threshold"),
+	spec("merge_operator", SectionCF, TypeString, "nullptr", "merge operator name"),
+	spec("prefix_extractor", SectionCF, TypeString, "nullptr", "prefix extractor for prefix seeks"),
+	specB("periodic_compaction_seconds", SectionCF, TypeInt, "0", 0, 1<<40, "age-triggered compaction"),
+	boolOpt("report_bg_io_stats", SectionCF, "measure flush/compaction read/write/fsync time per level", func(o *Options) *bool { return &o.ReportBgIOStats }).mutable(),
+	specB("soft_rate_limit", SectionCF, TypeFloat, "0.000000", 0, 100, "deprecated soft rate limit"),
+	specB("ttl", SectionCF, TypeInt, "2592000", 0, 1<<40, "data TTL seconds"),
+	spec("enable_blob_files", SectionCF, TypeBool, "false", "separate large values into blobs"),
+	specB("min_blob_size", SectionCF, TypeInt, "0", 0, 1<<40, "value size for blob separation"),
+	specB("blob_file_size", SectionCF, TypeInt, "268435456", 0, 1<<44, "blob file size"),
+	spec("blob_compression_type", SectionCF, TypeEnum, "kNoCompression", "blob compression"),
+	specB("sample_for_compression", SectionCF, TypeInt, "0", 0, 1<<32, "compression sampling rate"),
+	spec("disable_write_stall", SectionCF, TypeBool, "false", "ignore stall conditions (dangerous)"),
 
 	// Deprecated options the paper notes LLMs fixate on (e.g. "Flush Job
 	// Count"): kept so suggestions against them parse and get flagged.
-	{Name: "max_mem_compaction_level", Section: SectionCF, Type: TypeInt, Default: "0", Honored: false, Deprecated: true, Help: "deprecated: push L0 output level"},
-	{Name: "purge_redundant_kvs_while_flush", Section: SectionCF, Type: TypeBool, Default: "true", Honored: false, Deprecated: true, Help: "deprecated flush dedup"},
-	{Name: "rate_limit_delay_max_milliseconds", Section: SectionCF, Type: TypeInt, Default: "100", Honored: false, Deprecated: true, Help: "deprecated rate limit delay"},
-	{Name: "skip_log_error_on_recovery", Section: SectionDB, Type: TypeBool, Default: "false", Honored: false, Deprecated: true, Help: "deprecated recovery flag"},
-	{Name: "db_stats_log_interval", Section: SectionDB, Type: TypeInt, Default: "1800", Honored: false, Deprecated: true, Help: "deprecated stats logging"},
+	{Name: "max_mem_compaction_level", Section: SectionCF, Type: TypeInt, Default: "0", Deprecated: true, Help: "deprecated: push L0 output level"},
+	{Name: "purge_redundant_kvs_while_flush", Section: SectionCF, Type: TypeBool, Default: "true", Deprecated: true, Help: "deprecated flush dedup"},
+	{Name: "rate_limit_delay_max_milliseconds", Section: SectionCF, Type: TypeInt, Default: "100", Deprecated: true, Help: "deprecated rate limit delay"},
+	{Name: "skip_log_error_on_recovery", Section: SectionDB, Type: TypeBool, Default: "false", Deprecated: true, Help: "deprecated recovery flag"},
+	{Name: "db_stats_log_interval", Section: SectionDB, Type: TypeInt, Default: "1800", Deprecated: true, Help: "deprecated stats logging"},
 
-	// --- TableOptions/BlockBasedTable: honored ---
-	specB("block_size", SectionTable, TypeInt, "4096", 256, 16<<20, true, "uncompressed data block size"),
-	specB("block_restart_interval", SectionTable, TypeInt, "16", 1, 256, true, "keys between restart points"),
-	specB("block_cache", SectionTable, TypeInt, "33554432", 0, 1<<44, true, "block cache bytes"),
-	spec("cache_index_and_filter_blocks", SectionTable, TypeBool, "false", true, "index/filter through block cache"),
-	spec("filter_policy", SectionTable, TypeString, "nullptr", true, "bloomfilter:<bits>:<block_based>"),
-	spec("whole_key_filtering", SectionTable, TypeBool, "true", true, "bloom over whole keys"),
-	spec("no_block_cache", SectionTable, TypeBool, "false", true, "disable the block cache"),
+	// --- TableOptions/BlockBasedTable ---
+	intOpt("block_size", SectionTable, 256, 16<<20, "uncompressed data block size", func(o *Options) *int { return &o.BlockSize }),
+	intOpt("block_restart_interval", SectionTable, 1, 256, "keys between restart points", func(o *Options) *int { return &o.BlockRestartInterval }),
+	intOpt("block_cache", SectionTable, 0, 1<<44, "block cache bytes", func(o *Options) *int64 { return &o.BlockCacheSize }).mutable(),
+	spec("cache_index_and_filter_blocks", SectionTable, TypeBool, "false", "index/filter through block cache"),
+	bind(OptionSpec{Name: "filter_policy", Section: SectionTable, Type: TypeString, Help: "bloomfilter:<bits>:<block_based>"},
+		func(o *Options) *int { return &o.BloomBitsPerKey }, formatFilterPolicy, parseFilterPolicy),
+	spec("whole_key_filtering", SectionTable, TypeBool, "true", "bloom over whole keys"),
+	boolOpt("no_block_cache", SectionTable, "disable the block cache", func(o *Options) *bool { return &o.NoBlockCache }),
 
-	// --- TableOptions: recorded ---
-	spec("block_align", SectionTable, TypeBool, "false", false, "align blocks to pages"),
-	specB("block_size_deviation", SectionTable, TypeInt, "10", 0, 100, false, "block size tolerance pct"),
-	spec("checksum", SectionTable, TypeEnum, "kCRC32c", false, "block checksum kind"),
-	spec("data_block_index_type", SectionTable, TypeEnum, "kDataBlockBinarySearch", false, "in-block index"),
-	specB("data_block_hash_table_util_ratio", SectionTable, TypeFloat, "0.750000", 0, 1, false, "hash index load factor"),
-	spec("enable_index_compression", SectionTable, TypeBool, "true", false, "compress index blocks"),
-	specB("format_version", SectionTable, TypeInt, "5", 0, 6, false, "table format version"),
-	spec("index_type", SectionTable, TypeEnum, "kBinarySearch", false, "index structure"),
-	specB("index_block_restart_interval", SectionTable, TypeInt, "1", 1, 256, false, "index restart interval"),
-	specB("metadata_block_size", SectionTable, TypeInt, "4096", 256, 1<<24, false, "partitioned meta block size"),
-	spec("partition_filters", SectionTable, TypeBool, "false", false, "partition filter blocks"),
-	spec("pin_l0_filter_and_index_blocks_in_cache", SectionTable, TypeBool, "false", false, "pin L0 meta blocks"),
-	spec("pin_top_level_index_and_filter", SectionTable, TypeBool, "true", false, "pin top-level meta"),
-	specB("read_amp_bytes_per_bit", SectionTable, TypeInt, "0", 0, 32, false, "read-amp bitmap granularity"),
-	spec("use_delta_encoding", SectionTable, TypeBool, "true", false, "delta-encode keys"),
-	spec("verify_compression", SectionTable, TypeBool, "false", false, "verify after compression"),
-	specB("cache_index_and_filter_blocks_with_high_priority", SectionTable, TypeBool, "true", 0, 0, false, "meta blocks high priority"),
+	spec("block_align", SectionTable, TypeBool, "false", "align blocks to pages"),
+	specB("block_size_deviation", SectionTable, TypeInt, "10", 0, 100, "block size tolerance pct"),
+	spec("checksum", SectionTable, TypeEnum, "kCRC32c", "block checksum kind"),
+	spec("data_block_index_type", SectionTable, TypeEnum, "kDataBlockBinarySearch", "in-block index"),
+	specB("data_block_hash_table_util_ratio", SectionTable, TypeFloat, "0.750000", 0, 1, "hash index load factor"),
+	spec("enable_index_compression", SectionTable, TypeBool, "true", "compress index blocks"),
+	specB("format_version", SectionTable, TypeInt, "5", 0, 6, "table format version"),
+	spec("index_type", SectionTable, TypeEnum, "kBinarySearch", "index structure"),
+	specB("index_block_restart_interval", SectionTable, TypeInt, "1", 1, 256, "index restart interval"),
+	specB("metadata_block_size", SectionTable, TypeInt, "4096", 256, 1<<24, "partitioned meta block size"),
+	spec("partition_filters", SectionTable, TypeBool, "false", "partition filter blocks"),
+	spec("pin_l0_filter_and_index_blocks_in_cache", SectionTable, TypeBool, "false", "pin L0 meta blocks"),
+	spec("pin_top_level_index_and_filter", SectionTable, TypeBool, "true", "pin top-level meta"),
+	specB("read_amp_bytes_per_bit", SectionTable, TypeInt, "0", 0, 32, "read-amp bitmap granularity"),
+	spec("use_delta_encoding", SectionTable, TypeBool, "true", "delta-encode keys"),
+	spec("verify_compression", SectionTable, TypeBool, "false", "verify after compression"),
+	spec("cache_index_and_filter_blocks_with_high_priority", SectionTable, TypeBool, "true", "meta blocks high priority"),
 }
 
 // optionAliases maps accepted alternate names to canonical registry names.
+// The filter_policy aliases take bare bit counts, which parseFilterPolicy
+// accepts.
 var optionAliases = map[string]string{
 	"bloom_bits_per_key":        "filter_policy",
 	"bloom_filter_bits_per_key": "filter_policy",
@@ -259,70 +323,37 @@ var optionAliases = map[string]string{
 	"max_background_jobs_total": "max_background_jobs",
 }
 
-// mutableOptionNames is the dynamic subset: options DB.SetOptions /
-// DB.SetDBOptions may change on a running database without a reopen. It
-// mirrors RocksDB's dynamically-changeable set restricted to knobs this
-// engine honors mechanically — every consumer of these re-reads the current
-// options snapshot, so a swap takes effect at the next decision point
-// (flush sizing, compaction pick, stall check, cache insert, stats tick).
-var mutableOptionNames = map[string]bool{
-	// DBOptions (SetDBOptions scope).
-	"max_background_jobs":        true,
-	"max_background_compactions": true,
-	"max_background_flushes":     true,
-	"max_subcompactions":         true,
-	"bytes_per_sync":             true,
-	"wal_bytes_per_sync":         true,
-	"compaction_readahead_size":  true,
-	"delayed_write_rate":         true,
-	"rate_limiter_bytes_per_sec": true,
-	"max_total_wal_size":         true,
-	"dump_malloc_stats":          true,
-	"stats_dump_period_sec":      true,
-	"stats_persist_period_sec":   true,
-	"stats_history_buffer_size":  true,
-	"perf_level":                 true,
-	// CFOptions (SetOptions scope).
-	"write_buffer_size":                    true,
-	"max_write_buffer_number":              true,
-	"min_write_buffer_number_to_merge":     true,
-	"level0_file_num_compaction_trigger":   true,
-	"level0_slowdown_writes_trigger":       true,
-	"level0_stop_writes_trigger":           true,
-	"target_file_size_base":                true,
-	"target_file_size_multiplier":          true,
-	"max_bytes_for_level_base":             true,
-	"max_bytes_for_level_multiplier":       true,
-	"max_compaction_bytes":                 true,
-	"disable_auto_compactions":             true,
-	"soft_pending_compaction_bytes_limit":  true,
-	"hard_pending_compaction_bytes_limit":  true,
-	"report_bg_io_stats":                   true,
-	"compression":                          true,
-	"level_compaction_dynamic_level_bytes": true,
-	"paranoid_file_checks":                 true,
-	// TableOptions: block-cache capacity resizes live with eviction.
-	"block_cache": true,
-}
-
+// specIndex resolves canonical names to rows, and fills every honored row's
+// Default from DefaultOptions through the row's own getter.
 var specIndex = func() map[string]*OptionSpec {
+	def := DefaultOptions()
 	m := make(map[string]*OptionSpec, len(optionSpecs))
 	for i := range optionSpecs {
-		if mutableOptionNames[optionSpecs[i].Name] {
-			optionSpecs[i].Mutable = true
+		s := &optionSpecs[i]
+		if s.get != nil {
+			s.Default = s.get(def)
 		}
-		m[optionSpecs[i].Name] = &optionSpecs[i]
+		m[s.Name] = s
 	}
 	return m
 }()
 
-// LookupOption resolves an option name (or alias) to its spec.
-func LookupOption(name string) (OptionSpec, bool) {
+// lookupSpec resolves an option name (or alias) to its registry row.
+func lookupSpec(name string) (*OptionSpec, error) {
 	if canonical, ok := optionAliases[name]; ok {
 		name = canonical
 	}
 	s, ok := specIndex[name]
 	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownOption, name)
+	}
+	return s, nil
+}
+
+// LookupOption resolves an option name (or alias) to its spec.
+func LookupOption(name string) (OptionSpec, bool) {
+	s, err := lookupSpec(name)
+	if err != nil {
 		return OptionSpec{}, false
 	}
 	return *s, true
@@ -335,37 +366,35 @@ func AllOptionSpecs() []OptionSpec {
 	return out
 }
 
-// HonoredOptionNames returns the honored option names, sorted.
-func HonoredOptionNames() []string {
+// optionNames returns the sorted names of the rows keep selects.
+func optionNames(keep func(*OptionSpec) bool) []string {
 	var out []string
-	for _, s := range optionSpecs {
-		if s.Honored {
-			out = append(out, s.Name)
+	for i := range optionSpecs {
+		if keep(&optionSpecs[i]) {
+			out = append(out, optionSpecs[i].Name)
 		}
 	}
 	sort.Strings(out)
 	return out
 }
 
+// HonoredOptionNames returns the honored option names, sorted.
+func HonoredOptionNames() []string {
+	return optionNames(func(s *OptionSpec) bool { return s.Honored() })
+}
+
 // MutableOptionNames returns the names of the dynamically-changeable
 // options, sorted.
 func MutableOptionNames() []string {
-	var out []string
-	for _, s := range optionSpecs {
-		if s.Mutable {
-			out = append(out, s.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
+	return optionNames(func(s *OptionSpec) bool { return s.Mutable })
 }
 
 // IsMutableOption reports whether the named option (or alias) may be changed
 // on a running database via SetOptions/SetDBOptions. Unknown names are not
 // mutable.
 func IsMutableOption(name string) bool {
-	s, ok := LookupOption(name)
-	return ok && s.Mutable
+	s, err := lookupSpec(name)
+	return err == nil && s.Mutable
 }
 
 func parseBool(v string) (bool, error) {
@@ -381,7 +410,7 @@ func parseBool(v string) (bool, error) {
 
 // checkValue validates v against the spec's type, bounds and enum. It
 // returns a normalized value.
-func checkValue(s OptionSpec, v string) (string, error) {
+func checkValue(s *OptionSpec, v string) (string, error) {
 	switch s.Type {
 	case TypeBool:
 		b, err := parseBool(v)
@@ -400,7 +429,8 @@ func checkValue(s OptionSpec, v string) (string, error) {
 		return strconv.FormatInt(n, 10), nil
 	case TypeFloat:
 		f, err := strconv.ParseFloat(v, 64)
-		if err != nil {
+		// NaN compares false against any bound, so it must be named.
+		if err != nil || math.IsNaN(f) || math.IsInf(f, 0) {
 			return "", fmt.Errorf("option %s: bad number %q", s.Name, v)
 		}
 		if s.bounded() && (f < s.Min || f > s.Max) {
@@ -435,201 +465,21 @@ var ErrImmutableOption = fmt.Errorf("option is immutable at runtime")
 // syntax and bounds. Unknown names return an error wrapping
 // ErrUnknownOption. Recorded-only options land in Extra.
 func (o *Options) SetByName(name, value string) error {
-	if canonical, ok := optionAliases[name]; ok {
-		// filter_policy aliases take bare bit counts.
-		if canonical == "filter_policy" {
-			if _, err := strconv.Atoi(value); err == nil {
-				value = "bloomfilter:" + value + ":false"
-			}
-		}
-		name = canonical
-	}
-	s, ok := specIndex[name]
-	if !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownOption, name)
-	}
-	norm, err := checkValue(*s, value)
+	s, err := lookupSpec(name)
 	if err != nil {
 		return err
 	}
-	if !s.Honored {
-		if o.Extra == nil {
-			o.Extra = make(map[string]string)
-		}
-		o.Extra[name] = norm
-		return nil
+	norm, err := checkValue(s, value)
+	if err != nil {
+		return err
 	}
-	return o.applyHonored(name, norm)
-}
-
-// atoi64 parses a validated integer.
-func atoi64(v string) int64 {
-	n, _ := strconv.ParseInt(v, 10, 64)
-	return n
-}
-
-func atoiInt(v string) int { return int(atoi64(v)) }
-
-func atob(v string) bool { return v == "true" }
-
-// applyHonored maps a validated value onto the typed field.
-func (o *Options) applyHonored(name, v string) error {
-	switch name {
-	case "create_if_missing":
-		o.CreateIfMissing = atob(v)
-	case "error_if_exists":
-		o.ErrorIfExists = atob(v)
-	case "paranoid_checks":
-		o.ParanoidChecks = atob(v)
-	case "paranoid_file_checks":
-		o.ParanoidFileChecks = atob(v)
-	case "wal_recovery_mode":
-		m, err := ParseWALRecoveryMode(v)
-		if err != nil {
-			return err
-		}
-		o.WALRecoveryMode = m
-	case "max_bgerror_resume_count":
-		o.MaxBgErrorResumeCount = atoiInt(v)
-	case "bgerror_resume_retry_interval":
-		o.BgErrorResumeRetryInterval = atoi64(v)
-	case "max_background_jobs":
-		o.MaxBackgroundJobs = atoiInt(v)
-	case "max_background_compactions":
-		o.MaxBackgroundCompactions = atoiInt(v)
-	case "max_background_flushes":
-		o.MaxBackgroundFlushes = atoiInt(v)
-	case "max_subcompactions":
-		o.MaxSubcompactions = atoiInt(v)
-	case "bytes_per_sync":
-		o.BytesPerSync = atoi64(v)
-	case "wal_bytes_per_sync":
-		o.WALBytesPerSync = atoi64(v)
-	case "strict_bytes_per_sync":
-		o.StrictBytesPerSync = atob(v)
-	case "compaction_readahead_size":
-		o.CompactionReadaheadSize = atoi64(v)
-	case "enable_pipelined_write":
-		o.EnablePipelinedWrite = atob(v)
-	case "allow_concurrent_memtable_write":
-		o.AllowConcurrentMemtableWrite = atob(v)
-	case "enable_write_thread_adaptive_yield":
-		o.EnableWriteThreadAdaptiveYield = atob(v)
-	case "write_thread_max_yield_usec":
-		o.WriteThreadMaxYieldUsec = atoiInt(v)
-	case "write_thread_slow_yield_usec":
-		o.WriteThreadSlowYieldUsec = atoiInt(v)
-	case "use_direct_reads":
-		o.UseDirectReads = atob(v)
-	case "use_direct_io_for_flush_and_compaction":
-		o.UseDirectIOForFlushAndCompaction = atob(v)
-	case "max_open_files":
-		o.MaxOpenFiles = atoiInt(v)
-	case "table_cache_numshardbits":
-		o.TableCacheNumshardbits = atoiInt(v)
-	case "delayed_write_rate":
-		o.DelayedWriteRate = atoi64(v)
-	case "rate_limiter_bytes_per_sec":
-		o.RateLimiterBytesPerSec = atoi64(v)
-	case "max_total_wal_size":
-		o.MaxTotalWALSize = atoi64(v)
-	case "db_write_buffer_size":
-		o.DBWriteBufferSize = atoi64(v)
-	case "dump_malloc_stats":
-		o.DumpMallocStats = atob(v)
-	case "stats_dump_period_sec":
-		o.StatsDumpPeriodSec = atoiInt(v)
-	case "stats_persist_period_sec":
-		o.StatsPersistPeriodSec = atoiInt(v)
-	case "stats_history_buffer_size":
-		o.StatsHistoryBufferSize = atoi64(v)
-	case "perf_level":
-		l, err := ParsePerfLevel(v)
-		if err != nil {
-			return err
-		}
-		o.PerfLevel = l.String()
-	case "manual_wal_flush":
-		o.ManualWALFlush = atob(v)
-	case "avoid_flush_during_shutdown":
-		o.AvoidFlushDuringShutdown = atob(v)
-	case "use_fsync":
-		o.UseFsync = atob(v)
-	case "wal_dir":
-		o.WALDir = v
-	case "write_buffer_size":
-		o.WriteBufferSize = atoi64(v)
-	case "max_write_buffer_number":
-		o.MaxWriteBufferNumber = atoiInt(v)
-	case "min_write_buffer_number_to_merge":
-		o.MinWriteBufferNumberToMerge = atoiInt(v)
-	case "level0_file_num_compaction_trigger":
-		o.Level0FileNumCompactionTrigger = atoiInt(v)
-	case "level0_slowdown_writes_trigger":
-		o.Level0SlowdownWritesTrigger = atoiInt(v)
-	case "level0_stop_writes_trigger":
-		o.Level0StopWritesTrigger = atoiInt(v)
-	case "num_levels":
-		o.NumLevels = atoiInt(v)
-	case "target_file_size_base":
-		o.TargetFileSizeBase = atoi64(v)
-	case "target_file_size_multiplier":
-		o.TargetFileSizeMultiplier = atoiInt(v)
-	case "max_bytes_for_level_base":
-		o.MaxBytesForLevelBase = atoi64(v)
-	case "max_bytes_for_level_multiplier":
-		f, _ := strconv.ParseFloat(v, 64)
-		o.MaxBytesForLevelMultiplier = f
-	case "level_compaction_dynamic_level_bytes":
-		o.LevelCompactionDynamicLevelBytes = atob(v)
-	case "compaction_style":
-		cs, err := ParseCompactionStyle(v)
-		if err != nil {
-			return err
-		}
-		o.CompactionStyle = cs
-	case "compression":
-		c, err := ParseCompression(v)
-		if err != nil {
-			return err
-		}
-		o.Compression = c
-	case "max_compaction_bytes":
-		o.MaxCompactionBytes = atoi64(v)
-	case "disable_auto_compactions":
-		o.DisableAutoCompactions = atob(v)
-	case "soft_pending_compaction_bytes_limit":
-		o.SoftPendingCompactionBytesLimit = atoi64(v)
-	case "hard_pending_compaction_bytes_limit":
-		o.HardPendingCompactionBytesLimit = atoi64(v)
-	case "memtable_prefix_bloom_size_ratio":
-		f, _ := strconv.ParseFloat(v, 64)
-		o.MemtablePrefixBloomSizeRatio = f
-	case "optimize_filters_for_hits":
-		o.OptimizeFiltersForHits = atob(v)
-	case "report_bg_io_stats":
-		o.ReportBgIOStats = atob(v)
-	case "block_size":
-		o.BlockSize = atoiInt(v)
-	case "block_restart_interval":
-		o.BlockRestartInterval = atoiInt(v)
-	case "block_cache":
-		o.BlockCacheSize = atoi64(v)
-	case "cache_index_and_filter_blocks":
-		o.CacheIndexAndFilterBlocks = atob(v)
-	case "whole_key_filtering":
-		o.WholeKeyFiltering = atob(v)
-	case "no_block_cache":
-		o.NoBlockCache = atob(v)
-	case "filter_policy":
-		bits, err := parseFilterPolicy(v)
-		if err != nil {
-			return err
-		}
-		o.BloomBitsPerKey = bits
-	default:
-		return fmt.Errorf("lsm: honored option %q has no setter (registry bug)", name)
+	if s.set != nil {
+		return s.set(o, norm)
 	}
+	if o.Extra == nil {
+		o.Extra = make(map[string]string)
+	}
+	o.Extra[s.Name] = norm
 	return nil
 }
 
@@ -653,196 +503,31 @@ func parseFilterPolicy(v string) (int, error) {
 	return 0, fmt.Errorf("lsm: bad filter_policy %q", v)
 }
 
+// formatFilterPolicy renders a bloom bit count the way parseFilterPolicy
+// reads it.
+func formatFilterPolicy(bits int) string {
+	if bits <= 0 {
+		return "nullptr"
+	}
+	return fmt.Sprintf("bloomfilter:%d:false", bits)
+}
+
 // GetByName returns the current value of a named option as a string.
 func (o *Options) GetByName(name string) (string, error) {
-	if canonical, ok := optionAliases[name]; ok {
-		name = canonical
+	s, err := lookupSpec(name)
+	if err != nil {
+		return "", err
 	}
-	s, ok := specIndex[name]
-	if !ok {
-		return "", fmt.Errorf("%w: %q", ErrUnknownOption, name)
-	}
-	if !s.Honored {
-		if v, ok := o.Extra[name]; ok {
-			return v, nil
-		}
-		return s.Default, nil
-	}
-	switch name {
-	case "create_if_missing":
-		return strconv.FormatBool(o.CreateIfMissing), nil
-	case "error_if_exists":
-		return strconv.FormatBool(o.ErrorIfExists), nil
-	case "paranoid_checks":
-		return strconv.FormatBool(o.ParanoidChecks), nil
-	case "paranoid_file_checks":
-		return strconv.FormatBool(o.ParanoidFileChecks), nil
-	case "wal_recovery_mode":
-		return o.WALRecoveryMode.String(), nil
-	case "max_bgerror_resume_count":
-		return strconv.Itoa(o.MaxBgErrorResumeCount), nil
-	case "bgerror_resume_retry_interval":
-		return strconv.FormatInt(o.BgErrorResumeRetryInterval, 10), nil
-	case "max_background_jobs":
-		return strconv.Itoa(o.MaxBackgroundJobs), nil
-	case "max_background_compactions":
-		return strconv.Itoa(o.MaxBackgroundCompactions), nil
-	case "max_background_flushes":
-		return strconv.Itoa(o.MaxBackgroundFlushes), nil
-	case "max_subcompactions":
-		return strconv.Itoa(o.MaxSubcompactions), nil
-	case "bytes_per_sync":
-		return strconv.FormatInt(o.BytesPerSync, 10), nil
-	case "wal_bytes_per_sync":
-		return strconv.FormatInt(o.WALBytesPerSync, 10), nil
-	case "strict_bytes_per_sync":
-		return strconv.FormatBool(o.StrictBytesPerSync), nil
-	case "compaction_readahead_size":
-		return strconv.FormatInt(o.CompactionReadaheadSize, 10), nil
-	case "enable_pipelined_write":
-		return strconv.FormatBool(o.EnablePipelinedWrite), nil
-	case "allow_concurrent_memtable_write":
-		return strconv.FormatBool(o.AllowConcurrentMemtableWrite), nil
-	case "enable_write_thread_adaptive_yield":
-		return strconv.FormatBool(o.EnableWriteThreadAdaptiveYield), nil
-	case "write_thread_max_yield_usec":
-		return strconv.Itoa(o.WriteThreadMaxYieldUsec), nil
-	case "write_thread_slow_yield_usec":
-		return strconv.Itoa(o.WriteThreadSlowYieldUsec), nil
-	case "use_direct_reads":
-		return strconv.FormatBool(o.UseDirectReads), nil
-	case "use_direct_io_for_flush_and_compaction":
-		return strconv.FormatBool(o.UseDirectIOForFlushAndCompaction), nil
-	case "max_open_files":
-		return strconv.Itoa(o.MaxOpenFiles), nil
-	case "table_cache_numshardbits":
-		return strconv.Itoa(o.TableCacheNumshardbits), nil
-	case "delayed_write_rate":
-		return strconv.FormatInt(o.DelayedWriteRate, 10), nil
-	case "rate_limiter_bytes_per_sec":
-		return strconv.FormatInt(o.RateLimiterBytesPerSec, 10), nil
-	case "max_total_wal_size":
-		return strconv.FormatInt(o.MaxTotalWALSize, 10), nil
-	case "db_write_buffer_size":
-		return strconv.FormatInt(o.DBWriteBufferSize, 10), nil
-	case "dump_malloc_stats":
-		return strconv.FormatBool(o.DumpMallocStats), nil
-	case "stats_dump_period_sec":
-		return strconv.Itoa(o.StatsDumpPeriodSec), nil
-	case "stats_persist_period_sec":
-		return strconv.Itoa(o.StatsPersistPeriodSec), nil
-	case "stats_history_buffer_size":
-		return strconv.FormatInt(o.StatsHistoryBufferSize, 10), nil
-	case "perf_level":
-		return o.perfLevel().String(), nil
-	case "manual_wal_flush":
-		return strconv.FormatBool(o.ManualWALFlush), nil
-	case "avoid_flush_during_shutdown":
-		return strconv.FormatBool(o.AvoidFlushDuringShutdown), nil
-	case "use_fsync":
-		return strconv.FormatBool(o.UseFsync), nil
-	case "wal_dir":
-		return o.WALDir, nil
-	case "write_buffer_size":
-		return strconv.FormatInt(o.WriteBufferSize, 10), nil
-	case "max_write_buffer_number":
-		return strconv.Itoa(o.MaxWriteBufferNumber), nil
-	case "min_write_buffer_number_to_merge":
-		return strconv.Itoa(o.MinWriteBufferNumberToMerge), nil
-	case "level0_file_num_compaction_trigger":
-		return strconv.Itoa(o.Level0FileNumCompactionTrigger), nil
-	case "level0_slowdown_writes_trigger":
-		return strconv.Itoa(o.Level0SlowdownWritesTrigger), nil
-	case "level0_stop_writes_trigger":
-		return strconv.Itoa(o.Level0StopWritesTrigger), nil
-	case "num_levels":
-		return strconv.Itoa(o.NumLevels), nil
-	case "target_file_size_base":
-		return strconv.FormatInt(o.TargetFileSizeBase, 10), nil
-	case "target_file_size_multiplier":
-		return strconv.Itoa(o.TargetFileSizeMultiplier), nil
-	case "max_bytes_for_level_base":
-		return strconv.FormatInt(o.MaxBytesForLevelBase, 10), nil
-	case "max_bytes_for_level_multiplier":
-		return strconv.FormatFloat(o.MaxBytesForLevelMultiplier, 'f', 6, 64), nil
-	case "level_compaction_dynamic_level_bytes":
-		return strconv.FormatBool(o.LevelCompactionDynamicLevelBytes), nil
-	case "compaction_style":
-		return o.CompactionStyle.String(), nil
-	case "compression":
-		return o.Compression.String(), nil
-	case "max_compaction_bytes":
-		return strconv.FormatInt(o.MaxCompactionBytes, 10), nil
-	case "disable_auto_compactions":
-		return strconv.FormatBool(o.DisableAutoCompactions), nil
-	case "soft_pending_compaction_bytes_limit":
-		return strconv.FormatInt(o.SoftPendingCompactionBytesLimit, 10), nil
-	case "hard_pending_compaction_bytes_limit":
-		return strconv.FormatInt(o.HardPendingCompactionBytesLimit, 10), nil
-	case "memtable_prefix_bloom_size_ratio":
-		return strconv.FormatFloat(o.MemtablePrefixBloomSizeRatio, 'f', 6, 64), nil
-	case "optimize_filters_for_hits":
-		return strconv.FormatBool(o.OptimizeFiltersForHits), nil
-	case "report_bg_io_stats":
-		return strconv.FormatBool(o.ReportBgIOStats), nil
-	case "block_size":
-		return strconv.Itoa(o.BlockSize), nil
-	case "block_restart_interval":
-		return strconv.Itoa(o.BlockRestartInterval), nil
-	case "block_cache":
-		return strconv.FormatInt(o.BlockCacheSize, 10), nil
-	case "cache_index_and_filter_blocks":
-		return strconv.FormatBool(o.CacheIndexAndFilterBlocks), nil
-	case "whole_key_filtering":
-		return strconv.FormatBool(o.WholeKeyFiltering), nil
-	case "no_block_cache":
-		return strconv.FormatBool(o.NoBlockCache), nil
-	case "filter_policy":
-		if o.BloomBitsPerKey <= 0 {
-			return "nullptr", nil
-		}
-		return fmt.Sprintf("bloomfilter:%d:false", o.BloomBitsPerKey), nil
-	default:
-		return "", fmt.Errorf("lsm: honored option %q has no getter (registry bug)", name)
-	}
+	return s.value(o), nil
 }
 
-// ToINI renders the full option surface as a RocksDB-style OPTIONS document.
-func (o *Options) ToINI() *ini.File {
-	f := ini.NewFile()
-	ver := f.Section("Version")
-	ver.Set("rocksdb_version", "8.8.1")
-	ver.Set("options_file_version", "1.1")
-	for _, s := range optionSpecs {
-		v, err := o.GetByName(s.Name)
-		if err != nil {
-			continue
-		}
-		f.Section(s.Section).Set(s.Name, v)
+// value renders the option's current value in o.
+func (s *OptionSpec) value(o *Options) string {
+	if s.get != nil {
+		return s.get(o)
 	}
-	return f
-}
-
-// FromINI builds Options from an OPTIONS document, starting from defaults.
-// Unknown keys are returned in unknown (not an error: real RocksDB files may
-// carry options outside this registry).
-func FromINI(f *ini.File) (o *Options, unknown []string, err error) {
-	o = DefaultOptions()
-	for _, secName := range f.SectionNames() {
-		if secName == "Version" || secName == "" {
-			continue
-		}
-		sec := f.Section(secName)
-		for _, k := range sec.Keys() {
-			v, _ := sec.Get(k)
-			if setErr := o.SetByName(k, v); setErr != nil {
-				if errors.Is(setErr, ErrUnknownOption) {
-					unknown = append(unknown, k)
-					continue
-				}
-				return nil, unknown, setErr
-			}
-		}
+	if v, ok := o.Extra[s.Name]; ok {
+		return v
 	}
-	return o, unknown, nil
+	return s.Default
 }

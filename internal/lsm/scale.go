@@ -29,7 +29,6 @@ func (o *Options) Scaled(scale int64) *Options {
 		return v
 	}
 	c.WriteBufferSize = div(c.WriteBufferSize, 64<<10)
-	c.DBWriteBufferSize = div(c.DBWriteBufferSize, 64<<10)
 	c.MaxTotalWALSize = div(c.MaxTotalWALSize, 64<<10)
 	c.TargetFileSizeBase = div(c.TargetFileSizeBase, 64<<10)
 	c.MaxBytesForLevelBase = div(c.MaxBytesForLevelBase, c.TargetFileSizeBase)

@@ -25,9 +25,9 @@ func TestScaledOptions(t *testing.T) {
 	if s.MaxBackgroundJobs != o.MaxBackgroundJobs || s.Level0FileNumCompactionTrigger != o.Level0FileNumCompactionTrigger {
 		t.Fatal("non-byte options scaled")
 	}
-	// Zero/-1 sentinels keep their meaning.
-	if s.MaxTotalWALSize != 0 || s.DBWriteBufferSize != 0 {
-		t.Fatal("sentinels scaled")
+	// Zero sentinels keep their meaning.
+	if s.MaxTotalWALSize != 0 {
+		t.Fatal("sentinel scaled")
 	}
 	// Scale 1 is a plain clone.
 	c := o.Scaled(1)
