@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race crashtest equivalence serverbench liveretune allocgate fuzz benchmodule loc verify clean
+.PHONY: build test vet race crashtest equivalence serverbench liveretune allocgate fuzz benchmodule loc simfork simdiff verify clean
 
 build:
 	$(GO) build ./...
@@ -75,7 +75,20 @@ benchmodule:
 loc:
 	./scripts/loc.sh
 
-verify: build vet test race equivalence allocgate fuzz benchmodule serverbench liveretune
+# The engine is one engine behind the runtime seam (DESIGN §5.1): db.sim may be
+# read only where the seam is chosen (OpenConfig), where Write dispatches to
+# writeSim, inside writeSim, and in the auto-resume guard of bgerror.go.
+simfork:
+	./scripts/simfork.sh
+
+# The refactor oracle for the simulated side (EXPERIMENTS.md): the paper's
+# tables and figures regenerated at PARENT and at the working tree must be
+# byte-identical. ~2 minutes; not part of verify (it needs a parent to name).
+simdiff:
+	@test -n "$(PARENT)" || { echo "usage: make simdiff PARENT=<ref>" >&2; exit 2; }
+	./scripts/simdiff.sh $(PARENT)
+
+verify: build vet simfork test race equivalence allocgate fuzz benchmodule serverbench liveretune
 
 clean:
 	$(GO) clean ./...

@@ -9,7 +9,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"regexp"
 	"testing"
 
 	"repro/internal/core"
@@ -21,24 +20,8 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite internal/core/testdata golden files")
 
-// The engine times its own operations with the wall clock even under SimEnv,
-// so two families of numbers in the telemetry text differ run to run while
-// everything the sim clock drives does not: the P50/P95/P99/SUM of every
-// "*.micros" histogram line (COUNT is deterministic) and the Comp(sec) column
-// of the per-level compaction table. maskWallClock blanks exactly those, in
-// prompts before hashing and in trace records before comparing.
-var (
-	microsHistogramLine = regexp.MustCompile(`(?m)^(rocksdb\.\S+\.micros) P50 : \S+ P95 : \S+ P99 : \S+ (COUNT : \d+) SUM : \d+$`)
-	compactionStatsRow  = regexp.MustCompile(`(?m)^(\s+(?:L\d+|Sum)(?:\s+[\d.]+){5})\s+[\d.]+$`)
-)
-
-func maskWallClock(text string) string {
-	text = microsHistogramLine.ReplaceAllString(text, "$1 P50 : _ P95 : _ P99 : _ $2 SUM : _")
-	return compactionStatsRow.ReplaceAllString(text, "$1 _")
-}
-
-// hashingClient records the SHA-256 of every prompt (all messages, in order,
-// wall-clock telemetry masked) before handing it to the wrapped client.
+// hashingClient records the SHA-256 of every prompt (all messages, in order)
+// before handing it to the wrapped client.
 type hashingClient struct {
 	llm.Client
 	sums []string
@@ -49,7 +32,7 @@ func (h *hashingClient) Complete(ctx context.Context, msgs []llm.Message) (strin
 	for _, m := range msgs {
 		sum.Write([]byte(m.Role))
 		sum.Write([]byte{0})
-		sum.Write([]byte(maskWallClock(m.Content)))
+		sum.Write([]byte(m.Content))
 		sum.Write([]byte{0})
 	}
 	h.sums = append(h.sums, hex.EncodeToString(sum.Sum(nil)))
@@ -73,10 +56,10 @@ type goldenSession struct {
 
 // TestGoldenOfflineSession pins one short deterministic offline session byte
 // for byte: what every iteration measured and decided, the hash of every
-// prompt the model saw, and the JSONL trace (wall-clock fields zeroed or
-// masked, see maskWallClock). The golden was recorded before core.Run and
-// core.RunLive were put on one round engine; any drift in prompts, decisions
-// or trace records fails here.
+// prompt the model saw, and the JSONL trace. Under SimEnv the engine times
+// itself on the virtual clock, so the only wall-clock fields are the two the
+// tuning loop measures around the LLM call and the apply, zeroed below. Any
+// drift in prompts, decisions or trace records fails here.
 // Regenerate with `go test ./internal/core -run TestGoldenOfflineSession -update`
 // only for a change that is meant to alter offline behaviour.
 func TestGoldenOfflineSession(t *testing.T) {
@@ -109,7 +92,7 @@ func TestGoldenOfflineSession(t *testing.T) {
 	}
 	session = append(session, '\n')
 
-	// Zero the wall-clock fields, keep every other byte of every record.
+	// Zero the two wall-clock fields, keep every other byte of every record.
 	var records bytes.Buffer
 	enc := json.NewEncoder(&records)
 	dec := json.NewDecoder(&trace)
@@ -119,7 +102,6 @@ func TestGoldenOfflineSession(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec.LLMMillis, rec.ApplyDowntimeMillis = 0, 0
-		rec.StatsDump, rec.Histograms = maskWallClock(rec.StatsDump), maskWallClock(rec.Histograms)
 		if err := enc.Encode(rec); err != nil {
 			t.Fatal(err)
 		}

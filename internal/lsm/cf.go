@@ -248,7 +248,7 @@ func (db *DB) DropColumnFamily(h *ColumnFamilyHandle) error {
 	}
 	// Wait out in-flight background work so no flush/compaction installs an
 	// edit for the family after the drop.
-	for db.flushActive > 0 || db.compactActive > 0 || len(db.simJobs) > 0 {
+	for db.rt.inFlight() > 0 {
 		if err := db.waitForBackgroundLocked(); err != nil {
 			return err
 		}
@@ -318,7 +318,7 @@ func (db *DB) captureReadState(h *ColumnFamilyHandle, ro *ReadOptions) (readStat
 	if db.closed {
 		return readState{}, ErrClosed
 	}
-	db.drainSimLocked()
+	db.rt.poll()
 	cf, err := db.resolveCFLocked(h)
 	if err != nil {
 		return readState{}, err
@@ -462,9 +462,7 @@ func (db *DB) GetCF(ro *ReadOptions, h *ColumnFamilyHandle, key []byte) ([]byte,
 	if ro == nil {
 		ro = defaultReadOptions
 	}
-	defer func(start time.Time) {
-		db.hists.Record(HistGetMicros, time.Since(start))
-	}(time.Now())
+	defer db.recordSince(HistGetMicros, db.rt.stopwatch())
 	db.env.ChargeCPU(1300 * time.Nanosecond)
 	st, err := db.captureReadState(h, ro)
 	if err != nil {

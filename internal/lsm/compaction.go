@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 )
 
@@ -375,7 +374,7 @@ func (db *DB) planSubcompactionBoundaries(c *compaction, outSize int64) [][]byte
 // Runs without the DB mutex; inputs are immutable files.
 func (db *DB) runCompaction(c *compaction, v *Version) (*compactionResult, error) {
 	res := &compactionResult{edit: &versionEdit{}}
-	defer func(start time.Time) { res.dur = time.Since(start) }(time.Now())
+	defer func(start time.Duration) { res.dur = db.rt.stopwatch() - start }(db.rt.stopwatch())
 	for _, f := range c.inputs[0] {
 		res.edit.deletedFiles = append(res.edit.deletedFiles, deletedFile{c.level, f.Number})
 		res.readBytes += f.Size
@@ -410,25 +409,9 @@ func (db *DB) runCompaction(c *compaction, v *Version) (*compactionResult, error
 	res.slices = len(slices)
 
 	results := make([]sliceResult, len(slices))
-	if len(slices) == 1 || db.sim != nil {
-		// Serial execution: single slice, or simulation mode — the sim is
-		// single-threaded on a virtual clock, so slices run back to back
-		// here and the parallel service time is modeled by SimEnv instead
-		// (ScheduleBackgroundIO's parallelism argument).
-		for i, s := range slices {
-			results[i] = db.runCompactionSlice(c, v, cfOpts, s, smallestSnapshot, outSize, res.ios)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i, s := range slices {
-			wg.Add(1)
-			go func(i int, s subSlice) {
-				defer wg.Done()
-				results[i] = db.runCompactionSlice(c, v, cfOpts, s, smallestSnapshot, outSize, res.ios)
-			}(i, s)
-		}
-		wg.Wait()
-	}
+	db.rt.fanOut(len(slices), func(i int) {
+		results[i] = db.runCompactionSlice(c, v, cfOpts, slices[i], smallestSnapshot, outSize, res.ios)
+	})
 	// Stitch: slices cover ascending disjoint key ranges, so appending
 	// their outputs in slice order preserves global key order, and summing
 	// their accounting reproduces exactly what one serial pass would have
@@ -462,7 +445,7 @@ func (db *DB) runCompaction(c *compaction, v *Version) (*compactionResult, error
 // builders and shadow/tombstone state, so concurrent slices share nothing
 // but the immutable input files and the atomic file-number allocator.
 func (db *DB) runCompactionSlice(c *compaction, v *Version, cfOpts *Options, s subSlice, smallestSnapshot uint64, outSize int64, ios *IOStatsContext) (sr sliceResult) {
-	defer func(start time.Time) { sr.dur = time.Since(start) }(time.Now())
+	defer func(start time.Duration) { sr.dur = db.rt.stopwatch() - start }(db.rt.stopwatch())
 
 	// Build the merged input stream. Inputs are opened directly with
 	// background IO class so foreground ops are not charged.

@@ -45,13 +45,6 @@ func DefaultReadOptions() *ReadOptions { return &ReadOptions{FillCache: true} }
 // so the per-op paths don't allocate one. Never mutated.
 var defaultReadOptions = &ReadOptions{FillCache: true}
 
-// simJob is a background completion scheduled on the virtual clock.
-type simJob struct {
-	end time.Duration
-	seq uint64
-	run func()
-}
-
 // levelIOStats accumulates cumulative background I/O per level (flush
 // writes land on L0; compaction reads/writes land on the output level).
 // Guarded by db.mu.
@@ -74,7 +67,8 @@ type levelIOStats struct {
 // and the manifest.
 type DB struct {
 	env       Env
-	sim       *SimEnv // non-nil when env is a simulation
+	rt        engineRuntime // how jobs run, waits pass and time is read (runtime.go)
+	sim       *SimEnv       // non-nil when env is a simulation: selects writeSim
 	dir       string
 	stats     *Statistics
 	hists     *HistogramStats
@@ -120,21 +114,11 @@ type DB struct {
 	// iterator) may still be scanning. deleteObsoleteFilesLocked treats
 	// their files as live and prunes entries whose refcount has drained.
 	refVersions map[*Version]struct{}
-	simJobs     []simJob
-	simJobSeq   uint64
 	bgErr       error
 	recovering  bool // auto-resume goroutine active
 	closed      bool
 	snapMu      sync.Mutex
 	snapshots   *list.List // live *Snapshot, oldest first
-
-	// Sim-mode write pipeline state (guarded by mu): the virtual times the
-	// WAL and memtable stages free up, the write position (for leader
-	// rotation) and the outstanding sync-amortization debt.
-	simWALFreeAt time.Duration
-	simMemFreeAt time.Duration
-	simWritePos  uint64
-	simSyncDebt  int
 
 	manualWaiters int
 
@@ -144,13 +128,10 @@ type DB struct {
 	iostats *IOStatsContext
 
 	// Persistent stats history and periodic LOG dumps (statshistory.go).
-	// The deadlines are env-clock times guarded by mu; statsStop tears down
-	// the OS-mode pump goroutine (nil in sim mode, where drainSimLocked
-	// checks the deadlines on the virtual clock).
+	// The deadlines are env-clock times guarded by mu; the runtime fires them.
 	history          *statsHistory
 	nextStatsDump    time.Duration
 	nextStatsPersist time.Duration
-	statsStop        chan struct{}
 
 	// wl holds the workload-characterization window state.
 	wl workloadState
@@ -215,6 +196,9 @@ func OpenConfig(dir string, cfg *ConfigSet) (*DB, error) {
 	}
 	if se, ok := env.(*SimEnv); ok {
 		db.sim = se
+		db.rt = &simRuntime{db: db, env: se}
+	} else {
+		db.rt = newOSRuntime(db)
 	}
 	db.perf = &PerfContext{}
 	db.iostats = &IOStatsContext{}
@@ -307,37 +291,16 @@ func OpenConfig(dir string, cfg *ConfigSet) (*DB, error) {
 			}
 		}
 	}
-	if db.sim != nil {
-		db.sim.SetEngineMemCallback(db.engineMemory)
-	}
 	db.publishedSeq.Store(db.vs.lastSeq)
 	// Persist the effective options, RocksDB-style: one CFOptions section per
-	// family.
-	optNum := db.vs.newFileNumber()
-	f := db.cfg.ToINI()
-	if w, err := env.NewWritableFile(optionsFileName(dir, optNum), IOBackground); err == nil {
-		data := f.String()
-		if err := w.Append([]byte(data)); err == nil {
-			w.Close()
-		} else {
-			w.Close()
-		}
+	// family. Best effort: the file is a record, nothing reads it back.
+	if w, err := env.NewWritableFile(optionsFileName(dir, db.vs.newFileNumber()), IOBackground); err == nil {
+		_ = w.Append([]byte(db.cfg.ToINI().String()))
+		w.Close()
 	}
 	db.deleteObsoleteFilesLocked()
-	// Arm the periodic stats timers on the env clock. In simulation the
-	// deadlines are checked from drainSimLocked; on the OS a pump goroutine
-	// polls them so dumps happen even while the DB is idle.
-	now := env.Now()
-	if d := opts.statsDumpEvery(); d > 0 {
-		db.nextStatsDump = now + d
-	}
-	if d := opts.statsPersistEvery(); d > 0 {
-		db.nextStatsPersist = now + d
-	}
-	if db.sim == nil && (db.nextStatsDump > 0 || db.nextStatsPersist > 0) {
-		db.statsStop = make(chan struct{})
-		go db.statsPump()
-	}
+	now := db.armStatsTimersLocked(opts)
+	db.rt.start()
 	db.wl.base = db.readWorkloadCounters(now)
 	db.infoLog.logf("[db] open %s (families=%d write_buffer_size=%d block_cache_size=%d compaction_style=%s num_levels=%d)",
 		dir, len(db.cfOrder), opts.WriteBufferSize, cacheSize, opts.CompactionStyle, opts.NumLevels)
@@ -379,7 +342,7 @@ func (db *DB) rotateWALLocked() error {
 		return err
 	}
 	db.wal = newWALWriter(wrapWritableFile(f, db.iostats), db.options())
-	db.wal.onSync = db.notifyWALSync
+	db.wal.onSync, db.wal.stopwatch = db.notifyWALSync, db.rt.stopwatch
 	db.walNum = logNum
 	return nil
 }
@@ -509,9 +472,7 @@ func (db *DB) Write(wo *WriteOptions, batch *WriteBatch) error {
 	if batch.Count() == 0 {
 		return nil
 	}
-	defer func(start time.Time) {
-		db.hists.Record(HistWriteMicros, time.Since(start))
-	}(time.Now())
+	defer db.recordSince(HistWriteMicros, db.rt.stopwatch())
 	var err error
 	if db.sim != nil {
 		err = db.writeSim(wo, batch)
@@ -522,6 +483,12 @@ func (db *DB) Write(wo *WriteOptions, batch *WriteBatch) error {
 		db.bookWriteTraffic(batch)
 	}
 	return err
+}
+
+// recordSince books the time since a stopwatch reading into a latency
+// histogram; `defer db.recordSince(h, db.rt.stopwatch())` times a function.
+func (db *DB) recordSince(h HistogramType, start time.Duration) {
+	db.hists.Record(h, db.rt.stopwatch()-start)
 }
 
 // bookWriteTraffic attributes a committed batch's entries to the touched
@@ -558,7 +525,7 @@ func (db *DB) Get(ro *ReadOptions, key []byte) ([]byte, error) {
 func (db *DB) makeRoomForWriteLocked(cf *columnFamily, batchBytes int64) error {
 	delayed := false
 	for {
-		db.drainSimLocked()
+		db.rt.poll()
 		if db.bgErr != nil {
 			return db.bgErr
 		}
@@ -592,7 +559,7 @@ func (db *DB) makeRoomForWriteLocked(cf *columnFamily, batchBytes int64) error {
 			if delay < 50*time.Microsecond {
 				delay = 50 * time.Microsecond
 			}
-			db.chargeStall(delay)
+			db.env.ChargeStall(delay)
 			db.perf.AddTime(PerfWriteDelayTime, delay)
 			db.stats.Add(TickerSlowdownWrites, 1)
 			db.stats.Add(TickerStallMicros, int64(delay/time.Microsecond))
@@ -619,11 +586,6 @@ func (db *DB) makeRoomForWriteLocked(cf *columnFamily, batchBytes int64) error {
 		}
 		db.maybeScheduleFlushLocked(false)
 	}
-}
-
-// chargeStall accounts a write-controller delay.
-func (db *DB) chargeStall(d time.Duration) {
-	db.env.ChargeStall(d)
 }
 
 // switchMemtableLocked freezes the family's active memtable, rotates the
@@ -675,27 +637,10 @@ func (db *DB) maybeScheduleFlushLocked(force bool) {
 		mems := cf.imm[cf.flushingCount : cf.flushingCount+avail]
 		cf.flushingCount += avail
 		db.flushActive++
-		if db.sim != nil {
-			db.runFlushSimLocked(cf, mems)
-		} else {
-			go db.flushWorker(cf, mems)
-		}
+		db.rt.run(
+			func() (*compactionResult, error) { return db.runFlush(cf, mems) },
+			func(res *compactionResult, err error) { db.installFlushLocked(cf, mems, res, err) })
 	}
-}
-
-// runFlushSimLocked executes the flush now and schedules its completion on
-// the virtual clock.
-func (db *DB) runFlushSimLocked(cf *columnFamily, mems []*memtable) {
-	res, err := db.runFlush(cf, mems)
-	var end time.Duration
-	if err == nil {
-		end = db.sim.ScheduleBackgroundIO(0, res.writeBytes, 0,
-			db.options().BytesPerSync > 0, db.options().UseDirectIOForFlushAndCompaction,
-			res.cpu, db.rateFloor(res.writeBytes), 1)
-	} else {
-		end = db.env.Now()
-	}
-	db.pushSimJobLocked(end, func() { db.installFlushLocked(cf, mems, res, err) })
 }
 
 // rateFloor returns the minimum job duration under the background rate
@@ -707,19 +652,10 @@ func (db *DB) rateFloor(bytes int64) time.Duration {
 	return time.Duration(float64(bytes) / float64(db.options().RateLimiterBytesPerSec) * 1e9)
 }
 
-// flushWorker is the OS-mode background flush goroutine.
-func (db *DB) flushWorker(cf *columnFamily, mems []*memtable) {
-	res, err := db.runFlush(cf, mems)
-	db.mu.Lock()
-	db.installFlushLocked(cf, mems, res, err)
-	db.mu.Unlock()
-}
-
 // installFlushLocked applies a completed flush: version edit, WAL-floor
 // advance, memtable release, follow-up scheduling.
 func (db *DB) installFlushLocked(cf *columnFamily, mems []*memtable, res *compactionResult, err error) {
 	db.flushActive--
-	defer db.bgCond.Broadcast()
 	if err == nil {
 		// Advance the family's WAL floor to the oldest surviving memtable.
 		oldest := cf.mem.logNum
@@ -868,44 +804,15 @@ func (db *DB) maybeScheduleCompactionLocked() {
 			c.maxParallel = grant
 			db.compactActive += grant
 			progress = true
-			if db.sim != nil {
-				db.runCompactionSimLocked(c)
-			} else {
-				go db.compactionWorker(c)
-			}
+			v := db.vs.head(cf.id)
+			db.rt.run(
+				func() (*compactionResult, error) { return db.runCompaction(c, v) },
+				func(res *compactionResult, err error) { db.installCompactionLocked(c, res, err) })
 		}
 		if !progress {
 			return
 		}
 	}
-}
-
-// runCompactionSimLocked executes a compaction now and schedules its
-// completion on the virtual clock.
-func (db *DB) runCompactionSimLocked(c *compaction) {
-	v := db.vs.head(c.cf.id)
-	res, err := db.runCompaction(c, v)
-	var end time.Duration
-	if err == nil {
-		end = db.sim.ScheduleBackgroundIO(res.readBytes, res.writeBytes,
-			db.options().CompactionReadaheadSize, db.options().BytesPerSync > 0,
-			db.options().UseDirectIOForFlushAndCompaction, res.cpu,
-			db.rateFloor(res.readBytes+res.writeBytes), res.slices)
-	} else {
-		end = db.env.Now()
-	}
-	db.pushSimJobLocked(end, func() { db.installCompactionLocked(c, res, err) })
-}
-
-// compactionWorker is the OS-mode background compaction goroutine.
-func (db *DB) compactionWorker(c *compaction) {
-	db.mu.Lock()
-	v := db.vs.head(c.cf.id)
-	db.mu.Unlock()
-	res, err := db.runCompaction(c, v)
-	db.mu.Lock()
-	db.installCompactionLocked(c, res, err)
-	db.mu.Unlock()
 }
 
 // installCompactionLocked applies a completed compaction.
@@ -919,7 +826,6 @@ func (db *DB) installCompactionLocked(c *compaction, res *compactionResult, err 
 	for _, f := range c.allInputs() {
 		delete(db.busyFiles, f.Number)
 	}
-	defer db.bgCond.Broadcast()
 	if err == nil {
 		res.edit.cfID = c.cf.id
 		err = db.vs.logAndApply(res.edit)
@@ -941,65 +847,17 @@ func (db *DB) installCompactionLocked(c *compaction, res *compactionResult, err 
 	db.maybeScheduleCompactionLocked()
 }
 
-// pushSimJobLocked queues a virtual-time completion.
-func (db *DB) pushSimJobLocked(end time.Duration, run func()) {
-	db.simJobSeq++
-	db.simJobs = append(db.simJobs, simJob{end: end, seq: db.simJobSeq, run: run})
-	sort.Slice(db.simJobs, func(i, j int) bool {
-		if db.simJobs[i].end != db.simJobs[j].end {
-			return db.simJobs[i].end < db.simJobs[j].end
-		}
-		return db.simJobs[i].seq < db.simJobs[j].seq
-	})
-}
-
-// drainSimLocked applies all virtual-time completions due at the current
-// clock.
-func (db *DB) drainSimLocked() {
-	if db.sim == nil {
-		return
-	}
-	now := db.env.Now()
-	for len(db.simJobs) > 0 && db.simJobs[0].end <= now {
-		job := db.simJobs[0]
-		db.simJobs = db.simJobs[1:]
-		job.run()
-	}
-	db.maybePeriodicStatsLocked(now)
-	// Completions may have unblocked new work.
-	db.maybeScheduleFlushLocked(false)
-	db.maybeScheduleCompactionLocked()
-}
-
-// waitForBackgroundLocked blocks (really or virtually) until one background
-// job completes.
+// waitForBackgroundLocked waits until one background job has installed,
+// first scheduling whatever can run if nothing is in flight.
 func (db *DB) waitForBackgroundLocked() error {
-	if db.sim == nil {
-		if db.flushActive == 0 && db.compactActive == 0 {
-			db.maybeScheduleFlushLocked(true)
-			db.maybeScheduleCompactionLocked()
-			if db.flushActive == 0 && db.compactActive == 0 {
-				return fmt.Errorf("lsm: write stalled with no background work (bgErr=%v)", db.bgErr)
-			}
-		}
-		db.bgCond.Wait()
-		return db.bgErr
-	}
-	if len(db.simJobs) == 0 {
+	if db.rt.inFlight() == 0 {
 		db.maybeScheduleFlushLocked(true)
 		db.maybeScheduleCompactionLocked()
-		if len(db.simJobs) == 0 {
+		if db.rt.inFlight() == 0 {
 			return fmt.Errorf("lsm: write stalled with no background work (bgErr=%v)", db.bgErr)
 		}
 	}
-	end := db.simJobs[0].end
-	now := db.env.Now()
-	if end > now {
-		db.sim.Clock().AdvanceTo(end)
-		db.chargeStall(end - now)
-		db.stats.Add(TickerStallMicros, int64((end-now)/time.Microsecond))
-	}
-	db.drainSimLocked()
+	db.rt.wait()
 	return db.bgErr
 }
 
@@ -1029,11 +887,13 @@ func (db *DB) deleteObsoleteFilesLocked() {
 		kind, num := parseFileName(name)
 		switch kind {
 		case fileKindTable:
-			// pendingOutputLocked is conservative: while any background job is
-			// in flight nothing unreferenced is deleted, so in-construction
-			// outputs are safe. Once quiescent, every non-live table —
-			// including a dropped family's — is reclaimable.
-			if !live[num] && !db.busyFiles[num] && !db.pendingOutputLocked(num) {
+			// Conservative: while any background job is in flight nothing
+			// unreferenced is deleted, so in-construction outputs are safe
+			// (results install in the same critical section as the next scan,
+			// so with no job in flight no uninstalled output exists). Once
+			// quiescent, every non-live table — including a dropped family's
+			// — is reclaimable.
+			if !live[num] && !db.busyFiles[num] && db.rt.inFlight() == 0 {
 				db.tcache.evict(num)
 				db.env.Remove(tableFileName(db.dir, num))
 			}
@@ -1059,17 +919,6 @@ func (db *DB) refVersionLocked(v *Version) {
 	db.refVersions[v] = struct{}{}
 }
 
-// pendingOutputLocked reports whether a table number may belong to a
-// scheduled but uninstalled background job's output.
-func (db *DB) pendingOutputLocked(num uint64) bool {
-	// Jobs carry closures, not metadata; conservatively treat any in-flight
-	// background work as pinning unknown numbers. Flush and compaction
-	// results install atomically before the next obsolete scan in the same
-	// critical section, so with no job in flight no uninstalled output
-	// exists.
-	return len(db.simJobs) > 0 || db.flushActive > 0 || db.compactActive > 0
-}
-
 // Flush forces every family's active memtable to disk and waits. The
 // memtable switches take commitMu so they cannot race a write group's WAL
 // stage.
@@ -1090,7 +939,7 @@ func (db *DB) flush(h *ColumnFamilyHandle) error {
 		db.commitMu.Unlock()
 		return ErrClosed
 	}
-	db.drainSimLocked()
+	db.rt.poll()
 	targets, err := db.flushTargetsLocked(h)
 	if err != nil {
 		db.mu.Unlock()
@@ -1201,22 +1050,16 @@ func (db *DB) CompactRangeCF(h *ColumnFamilyHandle, start, end []byte) error {
 }
 
 // WaitForBackgroundIdle blocks until no flush or compaction is running or
-// pending (sim mode: fast-forwards the virtual clock).
+// pending (in simulation the wait fast-forwards the virtual clock).
 func (db *DB) WaitForBackgroundIdle() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	for {
-		db.drainSimLocked()
-		if db.bgErr != nil {
+		db.rt.poll()
+		if db.bgErr != nil || db.rt.inFlight() == 0 {
 			return db.bgErr
 		}
-		idle := db.flushActive == 0 && db.compactActive == 0 && len(db.simJobs) == 0
-		if idle {
-			return nil
-		}
-		if err := db.waitForBackgroundLocked(); err != nil {
-			return err
-		}
+		db.rt.wait()
 	}
 }
 
@@ -1242,14 +1085,11 @@ func (db *DB) Close() error {
 		return firstErr
 	}
 	db.closed = true
-	if db.statsStop != nil {
-		close(db.statsStop)
-	}
-	// Background workers always decrement their active counters and
-	// broadcast, even on failure; wait them out so teardown cannot race a
-	// running flush or compaction.
-	for db.flushActive > 0 || db.compactActive > 0 {
-		db.bgCond.Wait()
+	db.rt.stop()
+	// Every job handed to the runtime installs, even on failure; wait them
+	// out so teardown cannot race a running flush or compaction.
+	for db.rt.inFlight() > 0 {
+		db.rt.wait()
 	}
 	// Periodic dumps run on the stats_dump_period_sec timer (statshistory.go);
 	// one final dump here captures the tail of the run.

@@ -100,8 +100,6 @@ type Env interface {
 
 	// Now returns the environment's notion of elapsed time since start.
 	Now() time.Duration
-	// IsSim reports whether this is a virtual-time simulation environment.
-	IsSim() bool
 	// ChargeCPU accounts d of compute time to the current operation. In
 	// OSEnv it is a no-op (real CPU time passes by itself).
 	ChargeCPU(d time.Duration)
@@ -219,9 +217,6 @@ func (e *OSEnv) SyncDir(dir string) error {
 
 // Now implements Env (wall-clock time since construction).
 func (e *OSEnv) Now() time.Duration { return time.Since(e.start) }
-
-// IsSim implements Env.
-func (e *OSEnv) IsSim() bool { return false }
 
 // ChargeCPU implements Env (no-op: real time passes on its own).
 func (e *OSEnv) ChargeCPU(time.Duration) {}

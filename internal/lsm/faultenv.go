@@ -107,7 +107,9 @@ type faultFileState struct {
 // injection in the spirit of RocksDB's FaultInjectionTestFS: it tracks the
 // unsynced suffix of every file written through it, can drop those bytes to
 // simulate power loss (DropUnsyncedData / Crash), and can fail individual
-// operations according to FaultRules.
+// operations according to FaultRules. A DB opened on one always runs on real
+// goroutines and wall time, even over a SimEnv: OpenConfig engages the
+// virtual-time runtime only when its Env is literally a *SimEnv.
 type FaultInjectionEnv struct {
 	base Env
 
@@ -425,11 +427,6 @@ func (e *FaultInjectionEnv) SyncDir(dir string) error {
 
 // Now implements Env.
 func (e *FaultInjectionEnv) Now() time.Duration { return e.base.Now() }
-
-// IsSim implements Env. A fault-wrapped env always runs the engine in OS
-// mode (real goroutines, real time): the DB only engages virtual-time
-// scheduling when its Env is literally a *SimEnv.
-func (e *FaultInjectionEnv) IsSim() bool { return false }
 
 // ChargeCPU implements Env.
 func (e *FaultInjectionEnv) ChargeCPU(d time.Duration) { e.base.ChargeCPU(d) }

@@ -10,7 +10,7 @@ import (
 // returned edit.
 func (db *DB) runFlush(cf *columnFamily, mems []*memtable) (*compactionResult, error) {
 	res := &compactionResult{edit: &versionEdit{}, ios: db.newBGIOStats(cf.options())}
-	defer func(start time.Time) { res.dur = time.Since(start) }(time.Now())
+	defer func(start time.Duration) { res.dur = db.rt.stopwatch() - start }(db.rt.stopwatch())
 	iters := make([]internalIterator, 0, len(mems))
 	var inputBytes int64
 	for _, m := range mems {

@@ -42,7 +42,7 @@ func (db *DB) NewIteratorCF(ro *ReadOptions, h *ColumnFamilyHandle) *Iterator {
 		ro = defaultReadOptions
 	}
 	db.mu.Lock()
-	db.drainSimLocked()
+	db.rt.poll()
 	seq := db.publishedSeq.Load()
 	if ro.Snapshot != nil {
 		seq = ro.Snapshot.seq
@@ -174,9 +174,7 @@ func (it *Iterator) bookSeek() {
 
 // SeekToFirst positions at the first visible key.
 func (it *Iterator) SeekToFirst() {
-	defer func(start time.Time) {
-		it.db.hists.Record(HistSeekMicros, time.Since(start))
-	}(time.Now())
+	defer it.db.recordSince(HistSeekMicros, it.db.rt.stopwatch())
 	it.db.env.ChargeCPU(2 * time.Microsecond)
 	it.bookSeek()
 	timed := it.db.perf.TimeEnabled()
@@ -193,9 +191,7 @@ func (it *Iterator) SeekToFirst() {
 
 // Seek positions at the first visible key >= target.
 func (it *Iterator) Seek(target []byte) {
-	defer func(start time.Time) {
-		it.db.hists.Record(HistSeekMicros, time.Since(start))
-	}(time.Now())
+	defer it.db.recordSince(HistSeekMicros, it.db.rt.stopwatch())
 	it.db.env.ChargeCPU(2 * time.Microsecond)
 	it.bookSeek()
 	timed := it.db.perf.TimeEnabled()
@@ -215,9 +211,7 @@ func (it *Iterator) Next() {
 	if !it.valid {
 		return
 	}
-	defer func(start time.Time) {
-		it.db.hists.Record(HistNextMicros, time.Since(start))
-	}(time.Now())
+	defer it.db.recordSince(HistNextMicros, it.db.rt.stopwatch())
 	it.db.env.ChargeCPU(300 * time.Nanosecond)
 	it.db.stats.Add(TickerNextCount, 1)
 	it.skip = append(it.skip[:0], it.key...)

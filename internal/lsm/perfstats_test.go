@@ -82,7 +82,7 @@ func TestStatsDumpPeriodic(t *testing.T) {
 	wo := DefaultWriteOptions()
 	for round := 0; round < 3; round++ {
 		env.Clock().Advance(1200 * time.Millisecond)
-		// Any foreground op reaches drainSimLocked, which checks the timer.
+		// Any foreground op polls the runtime, which checks the timer.
 		if err := db.Put(wo, []byte(fmt.Sprintf("r%d", round)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}

@@ -184,22 +184,7 @@ func (db *DB) applyOptionSideEffectsLocked(cf *columnFamily, old, next *Options)
 		}
 		if next.StatsDumpPeriodSec != old.StatsDumpPeriodSec ||
 			next.StatsPersistPeriodSec != old.StatsPersistPeriodSec {
-			now := db.env.Now()
-			db.nextStatsDump = 0
-			if d := next.statsDumpEvery(); d > 0 {
-				db.nextStatsDump = now + d
-			}
-			db.nextStatsPersist = 0
-			if d := next.statsPersistEvery(); d > 0 {
-				db.nextStatsPersist = now + d
-			}
-			// A DB opened with both periods off never started the OS-mode
-			// pump; enabling a period now needs one.
-			if db.sim == nil && db.statsStop == nil &&
-				(db.nextStatsDump > 0 || db.nextStatsPersist > 0) {
-				db.statsStop = make(chan struct{})
-				go db.statsPump()
-			}
+			db.armStatsTimersLocked(next)
 		}
 	}
 	// New triggers, buffer sizes or slot counts may make work schedulable

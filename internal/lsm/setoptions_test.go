@@ -242,7 +242,7 @@ func TestSetDBOptionsStatsTimers(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.Clock().Advance(5 * time.Second)
-	if err := db.Put(wo, []byte("k"), []byte("v")); err != nil { // drives drainSimLocked
+	if err := db.Put(wo, []byte("k"), []byte("v")); err != nil { // polls the runtime
 		t.Fatal(err)
 	}
 	if n, _ := db.history.footprint(); n == 0 {

@@ -205,9 +205,6 @@ func TestSimEnvForegroundDirtyBurst(t *testing.T) {
 func TestOSEnvBasics(t *testing.T) {
 	env := NewOSEnv()
 	dir := t.TempDir()
-	if env.IsSim() {
-		t.Fatal("OSEnv claims to be sim")
-	}
 	if err := env.MkdirAll(dir + "/sub"); err != nil {
 		t.Fatal(err)
 	}

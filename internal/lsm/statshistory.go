@@ -14,10 +14,8 @@ import (
 // (stats_history_buffer_size bytes), retrievable via DB.GetStatsHistory,
 // the rocksdb.stats.history property and `ldb statshistory`. The same
 // env-clock timer machinery drives the periodic rocksdb.stats dumps to LOG
-// (stats_dump_period_sec). Both timers run off the env clock: under SimEnv
-// the deadlines are checked deterministically from drainSimLocked as the
-// virtual clock advances; on the OS a small pump goroutine polls them so
-// dumps happen even while the DB is idle.
+// (stats_dump_period_sec). Both timers are deadlines on the env clock, fired
+// by the runtime (runtime.go).
 
 // StatsSnapshot is one timestamped entry of the stats history: the full
 // ticker set (non-zero values) and every latency histogram, stamped with
@@ -134,6 +132,20 @@ func (db *DB) GetStatsHistory(start, end time.Duration) []StatsSnapshot {
 	return db.history.between(start, end)
 }
 
+// armStatsTimersLocked (re)arms both stats deadlines from o, one period from
+// now, and returns now. A period of zero disarms its timer.
+func (db *DB) armStatsTimersLocked(o *Options) time.Duration {
+	now := db.env.Now()
+	db.nextStatsDump, db.nextStatsPersist = 0, 0
+	if d := o.statsDumpEvery(); d > 0 {
+		db.nextStatsDump = now + d
+	}
+	if d := o.statsPersistEvery(); d > 0 {
+		db.nextStatsPersist = now + d
+	}
+	return now
+}
+
 // maybePeriodicStatsLocked fires whichever of the stats_dump_period_sec /
 // stats_persist_period_sec timers are due at now and rearms them. A clock
 // jump spanning several periods coalesces into one firing (the timers
@@ -167,51 +179,6 @@ func (db *DB) statsSnapshot(now time.Duration) StatsSnapshot {
 		Time:       now,
 		Tickers:    db.stats.Snapshot(),
 		Histograms: db.hists.Snapshot(),
-	}
-}
-
-// statsPumpInterval derives the poll interval from the current option
-// snapshot: a fraction of the smallest configured period, clamped to
-// [10ms, 1s]. Both periods off yields the 1s idle poll — cheap, and it lets
-// a later SetDBOptions enable stats timers without spawning anything.
-func statsPumpInterval(o *Options) time.Duration {
-	interval := o.statsDumpEvery()
-	if p := o.statsPersistEvery(); p > 0 && (interval == 0 || p < interval) {
-		interval = p
-	}
-	interval /= 4
-	if interval < 10*time.Millisecond {
-		interval = 10 * time.Millisecond
-	}
-	if interval > time.Second {
-		interval = time.Second
-	}
-	return interval
-}
-
-// statsPump is the OS-mode timer goroutine: it polls the shared deadlines
-// at a fraction of the smallest configured period until Close signals stop.
-// The interval is re-derived from the current options snapshot every tick,
-// so a live stats_dump_period_sec / stats_persist_period_sec change adjusts
-// the cadence without restarting the goroutine. Sim-mode DBs never start it
-// (drainSimLocked checks the deadlines).
-func (db *DB) statsPump() {
-	t := time.NewTimer(statsPumpInterval(db.options()))
-	defer t.Stop()
-	for {
-		select {
-		case <-db.statsStop:
-			return
-		case <-t.C:
-			db.mu.Lock()
-			if db.closed {
-				db.mu.Unlock()
-				return
-			}
-			db.maybePeriodicStatsLocked(db.env.Now())
-			db.mu.Unlock()
-			t.Reset(statsPumpInterval(db.options()))
-		}
 	}
 }
 

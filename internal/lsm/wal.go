@@ -23,12 +23,14 @@ type walWriter struct {
 	unsynced     int64 // bytes appended since the last durability sync
 	stats        *Statistics
 	// onSync, when set, receives one event per durability sync (periodic
-	// bytes-per-sync syncs and explicit WriteOptions.Sync syncs).
-	onSync func(WALSyncInfo)
+	// bytes-per-sync syncs and explicit WriteOptions.Sync syncs), timed on
+	// stopwatch (the owner's engineRuntime.stopwatch).
+	onSync    func(WALSyncInfo)
+	stopwatch func() time.Duration
 }
 
 func newWALWriter(f WritableFile, opts *Options) *walWriter {
-	return &walWriter{f: f, opts: opts, stats: opts.Stats}
+	return &walWriter{f: f, opts: opts, stats: opts.Stats, stopwatch: func() time.Duration { return 0 }}
 }
 
 // addRecord appends one record, honoring the periodic-sync options.
@@ -42,32 +44,7 @@ func (w *walWriter) addRecord(payload []byte) error {
 	if err := w.f.Append(payload); err != nil {
 		return err
 	}
-	n := int64(len(payload)) + walHeaderSize
-	w.bytesWritten += n
-	w.unsynced += n
-	w.stats.Add(TickerWALBytes, n)
-	if w.opts.WALBytesPerSync > 0 {
-		w.sinceSync += n
-		if w.sinceSync >= w.opts.WALBytesPerSync {
-			// Non-strict mode queues writeback asynchronously
-			// (sync_file_range); strict blocks the writer until the range
-			// is durable (steadier tail, higher average).
-			start := time.Now()
-			var err error
-			if w.opts.StrictBytesPerSync {
-				err = w.f.Sync()
-			} else {
-				err = syncMaybeAsync(w.f)
-			}
-			if err != nil {
-				return err
-			}
-			w.stats.Add(TickerWALSyncs, 1)
-			w.notifySync(time.Since(start))
-			w.sinceSync = 0
-		}
-	}
-	return nil
+	return w.appended(int64(len(payload)) + walHeaderSize)
 }
 
 // addRecords appends several records as one contiguous run: a write group's
@@ -93,27 +70,38 @@ func (w *walWriter) addRecords(payloads [][]byte) error {
 	if err := w.f.Append(buf); err != nil {
 		return err
 	}
-	w.bytesWritten += total
-	w.unsynced += total
-	w.stats.Add(TickerWALBytes, total)
-	if w.opts.WALBytesPerSync > 0 {
-		w.sinceSync += total
-		if w.sinceSync >= w.opts.WALBytesPerSync {
-			start := time.Now()
-			var err error
-			if w.opts.StrictBytesPerSync {
-				err = w.f.Sync()
-			} else {
-				err = syncMaybeAsync(w.f)
-			}
-			if err != nil {
-				return err
-			}
-			w.stats.Add(TickerWALSyncs, 1)
-			w.notifySync(time.Since(start))
-			w.sinceSync = 0
-		}
+	return w.appended(total)
+}
+
+// appended books n freshly appended bytes and issues the periodic sync once
+// wal_bytes_per_sync of them have accumulated.
+func (w *walWriter) appended(n int64) error {
+	w.bytesWritten += n
+	w.unsynced += n
+	w.stats.Add(TickerWALBytes, n)
+	if w.opts.WALBytesPerSync <= 0 {
+		return nil
 	}
+	w.sinceSync += n
+	if w.sinceSync < w.opts.WALBytesPerSync {
+		return nil
+	}
+	// Non-strict mode queues writeback asynchronously (sync_file_range);
+	// strict blocks the writer until the range is durable (steadier tail,
+	// higher average).
+	start := w.stopwatch()
+	var err error
+	if w.opts.StrictBytesPerSync {
+		err = w.f.Sync()
+	} else {
+		err = syncMaybeAsync(w.f)
+	}
+	if err != nil {
+		return err
+	}
+	w.stats.Add(TickerWALSyncs, 1)
+	w.notifySync(w.stopwatch() - start)
+	w.sinceSync = 0
 	return nil
 }
 
@@ -121,9 +109,9 @@ func (w *walWriter) addRecords(payloads [][]byte) error {
 func (w *walWriter) sync() error {
 	w.stats.Add(TickerWALSyncs, 1)
 	w.sinceSync = 0
-	start := time.Now()
+	start := w.stopwatch()
 	err := w.f.Sync()
-	w.notifySync(time.Since(start))
+	w.notifySync(w.stopwatch() - start)
 	return err
 }
 

@@ -1,8 +1,10 @@
 package lsm
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -19,13 +21,8 @@ import (
 // only after every insert has landed, in group order.
 //
 // Sim mode (db.writeSim): the virtual-thread event loop serializes
-// foreground ops, so groups cannot form from real races. Instead the model
-// derives the group size from the number of foreground vthreads and tracks a
-// virtual write-lock timeline: each write occupies the WAL (and, unless
-// concurrent, the memtable) stage for its measured serialized cost, and a
-// writer arriving while a stage is busy is charged the queue wait plus a
-// handoff overhead governed by the write-thread yield knobs. Identical specs
-// therefore produce identical timings.
+// foreground ops, so groups cannot form from real races; SimEnv.pipelineWrite
+// (simenv.go) models the same pipeline on the virtual clock instead.
 
 // Writer states. Monotonically increasing; each transition sends one token
 // on the writer's wake channel.
@@ -195,9 +192,9 @@ func (db *DB) writeOS(wo *WriteOptions, batch *WriteBatch) error {
 		wake:       make(chan struct{}, 2),
 	}
 	if !db.wt.enqueue(w) {
-		enqueuedAt := time.Now()
+		enqueuedAt := db.rt.stopwatch()
 		st := db.awaitStateChange(w)
-		db.hists.Record(HistWriteJoinMicros, time.Since(enqueuedAt))
+		db.recordSince(HistWriteJoinMicros, enqueuedAt)
 		if st == writerParallel {
 			w.insertErr = insertBatch(w.mems, w.batch)
 			w.wg.Done()
@@ -232,7 +229,10 @@ func (db *DB) leadGroup(leader *writeRequest) error {
 	// Writers naming an unknown (dropped) family fail individually; the rest
 	// of the group commits. commit holds the surviving writers.
 	var commit []*writeRequest
-	touched := make(map[uint32]*columnFamily)
+	// touched holds the families the group writes to, in db.cfOrder order so
+	// a multi-family group meets the write controller in the same order on
+	// every run.
+	touched := make([]*columnFamily, 0, 4) // constant cap: stays on the stack
 	if db.closed {
 		err = ErrClosed
 	} else {
@@ -253,9 +253,12 @@ func (db *DB) leadGroup(leader *writeRequest) error {
 			}
 			commit = append(commit, w)
 			for _, cf := range wcfs {
-				touched[cf.id] = cf
+				if !slices.Contains(touched, cf) {
+					touched = append(touched, cf)
+				}
 			}
 		}
+		slices.SortFunc(touched, func(a, b *columnFamily) int { return cmp.Compare(a.id, b.id) })
 		for _, cf := range touched {
 			if err = db.makeRoomForWriteLocked(cf, totalBytes); err != nil {
 				break
@@ -286,8 +289,8 @@ func (db *DB) leadGroup(leader *writeRequest) error {
 	// insert; makeRoomForWriteLocked re-reads cf.mem, so capture after it).
 	mems := make(memSet, len(touched))
 	pinned := make([]*memtable, 0, len(touched))
-	for id, cf := range touched {
-		mems[id] = cf.mem
+	for _, cf := range touched {
+		mems[cf.id] = cf.mem
 		cf.mem.writers.Add(1)
 		pinned = append(pinned, cf.mem)
 	}
@@ -409,38 +412,18 @@ func (db *DB) publishSequence(prev, last uint64) {
 
 // finishGroup delivers the group outcome to the followers. Writers that
 // already failed individually (unknown column family) keep their own error.
-func (db *DB) finishGroup(group []*writeRequest, err error) error {
+func (db *DB) finishGroup(group []*writeRequest, err error) {
 	for _, w := range group[1:] {
 		if w.err == nil {
 			w.err = err
 		}
 		w.to(writerDone)
 	}
-	return err
-}
-
-// --- simulation model ---
-
-const (
-	// maxSimWriteGroup caps the modeled group size: queue depth cannot
-	// exceed the number of foreground vthreads, and RocksDB groups rarely
-	// grow past a handful of batches at db_bench batch sizes.
-	maxSimWriteGroup = 8
-	// simWriteWakeLatency is the modeled futex wake + scheduler delay paid
-	// by a queued writer that blocked instead of spinning.
-	simWriteWakeLatency = 5 * time.Microsecond
-)
-
-func maxDuration(a, b time.Duration) time.Duration {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // writeSim is the sim-mode write path. It runs under db.mu (the event loop
-// serializes foreground ops) and models the group-commit pipeline on the
-// virtual clock; see the file comment for the model.
+// serializes foreground ops); SimEnv.pipelineWrite models the group-commit
+// pipeline around its serialized section on the virtual clock.
 func (db *DB) writeSim(wo *WriteOptions, batch *WriteBatch) error {
 	// Stage CPU costs. Their sum matches the pre-pipeline write-path cost
 	// formula (calibrated against db_bench fillrandom on a warmed NVMe box,
@@ -454,149 +437,65 @@ func (db *DB) writeSim(wo *WriteOptions, batch *WriteBatch) error {
 	if db.closed {
 		return ErrClosed
 	}
-	// The writer joins the queue now; everything from here until the WAL
-	// stage completes holds the serialized write slot. That includes the
-	// write controller (slowdown stalls block the whole queue, exactly as
-	// RocksDB's delayed writer does) and memtable switches.
-	arrival := db.sim.Now() + db.sim.AccruedOpCost()
-	serialStart := db.sim.AccruedOpCost()
+	o := db.options()
+	disableWAL := wo.DisableWAL || o.DisableWAL
 	mems := make(memSet, len(batch.cfIDs))
-	for _, id := range batch.cfIDs {
-		cf := db.cfs[id]
-		if cf == nil {
-			return fmt.Errorf("%w: id %d (write)", ErrColumnFamilyNotFound, id)
+	// The serialized window: write-controller stalls (slowdown stalls block
+	// the whole queue, exactly as RocksDB's delayed writer does), memtable
+	// switches, WAL framing + append (+ the group's amortized sync) and,
+	// unless concurrent, the memtable insert. The deterministic stage costs
+	// are booked as the perf timings so enable_time runs stay reproducible.
+	slot, err := db.sim.pipelineWrite(o, wo.Sync && !disableWAL, memCPU, func(concurrent, syncNow bool) error {
+		for _, id := range batch.cfIDs {
+			cf := db.cfs[id]
+			if cf == nil {
+				return fmt.Errorf("%w: id %d (write)", ErrColumnFamilyNotFound, id)
+			}
+			if err := db.makeRoomForWriteLocked(cf, batch.ApproximateSize()); err != nil {
+				return err
+			}
+			mems[id] = cf.mem
 		}
-		if err := db.makeRoomForWriteLocked(cf, batch.ApproximateSize()); err != nil {
-			return err
-		}
-		mems[id] = cf.mem
-	}
-	seq := db.vs.lastSeq + 1
-	batch.setSequence(seq)
-	db.vs.lastSeq += uint64(batch.Count())
-
-	// Group size: how many writers commit per leader pass. Derived from the
-	// vthread count, not wall-clock races, so runs are deterministic.
-	group := db.sim.ForegroundThreads()
-	if group > maxSimWriteGroup {
-		group = maxSimWriteGroup
-	}
-	if group < 1 {
-		group = 1
-	}
-	concurrent := db.options().AllowConcurrentMemtableWrite && group > 1
-
-	pos := db.simWritePos
-	db.simWritePos++
-	isLeader := pos%uint64(group) == 0
-
-	// Serialized window: write-controller stalls, WAL framing + append
-	// (+ the leader's amortized sync) and, unless concurrent, the memtable
-	// insert. Measured from op-cost deltas so device latencies, stalls and
-	// CPU contention all flow into the virtual lock timeline.
-	// Sim mode books the deterministic stage costs as the perf timings so
-	// enable_time runs stay reproducible on the virtual clock.
-	db.sim.ChargeCPU(walCPU)
-	db.perf.AddTime(PerfWriteWALTime, walCPU)
-	disableWAL := wo.DisableWAL || db.options().DisableWAL
-	if !disableWAL {
-		if err := db.wal.addRecord(batch.rep); err != nil {
-			db.setBGErrorLocked(err, "wal")
-			return err
-		}
-		if wo.Sync {
-			// The leader issues one sync on behalf of the whole group.
-			db.simSyncDebt++
-			if db.simSyncDebt >= group {
-				db.simSyncDebt = 0
-				if err := db.wal.sync(); err != nil {
-					db.setBGErrorLocked(err, "wal")
-					return err
-				}
+		batch.setSequence(db.vs.lastSeq + 1)
+		db.vs.lastSeq += uint64(batch.Count())
+		db.sim.ChargeCPU(walCPU)
+		db.perf.AddTime(PerfWriteWALTime, walCPU)
+		if !disableWAL {
+			err := db.wal.addRecord(batch.rep)
+			if err == nil && syncNow {
+				err = db.wal.sync()
+			}
+			if err != nil {
+				db.setBGErrorLocked(err, "wal")
+				return err
 			}
 		}
+		if !concurrent {
+			db.sim.ChargeCPU(memCPU)
+			db.perf.AddTime(PerfWriteMemtableTime, memCPU)
+		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	if !concurrent {
-		db.sim.ChargeCPU(memCPU)
-		db.perf.AddTime(PerfWriteMemtableTime, memCPU)
-	}
-	serialCost := db.sim.AccruedOpCost() - serialStart
-
 	if err := insertBatch(mems, batch); err != nil {
 		return err
 	}
 	db.publishedSeq.Store(db.vs.lastSeq)
-
-	if concurrent {
+	if slot.concurrent {
 		// The insert runs outside the serialized window, in parallel with
 		// the rest of the group; CAS retries and cache-line traffic make it
 		// slightly dearer than the exclusive path.
 		db.sim.ChargeCPU(memCPU * 115 / 100)
 		db.perf.AddTime(PerfWriteMemtableTime, memCPU)
 	}
-
-	// Virtual write-lock timeline: writes occupy the pipeline stages for
-	// their serialized cost; arriving while a stage is busy costs the queue
-	// wait plus a handoff overhead set by the yield knobs.
-	var queueWait time.Duration
-	if db.options().EnablePipelinedWrite {
-		// Two stages: this write's memtable stage overlaps the next write's
-		// WAL stage. With concurrent inserts the memtable stage leaves the
-		// serialized timeline entirely.
-		walShare := serialCost
-		var memShare time.Duration
-		if !concurrent {
-			walShare = serialCost / 2
-			memShare = serialCost - walShare
-		}
-		walStart := maxDuration(arrival, db.simWALFreeAt)
-		walEnd := walStart + walShare
-		db.simWALFreeAt = walEnd
-		queueWait = walStart - arrival
-		if !concurrent {
-			memStart := maxDuration(walEnd, db.simMemFreeAt)
-			db.simMemFreeAt = memStart + memShare
-			queueWait += memStart - walEnd
-		}
-	} else {
-		startAt := maxDuration(arrival, db.simWALFreeAt)
-		occupancy := serialCost
-		if concurrent {
-			// The leader holds the group open while G parallel inserts
-			// land; the critical path grows by about one slice.
-			occupancy += memCPU / time.Duration(group)
-		}
-		db.simWALFreeAt = startAt + occupancy
-		db.simMemFreeAt = db.simWALFreeAt
-		queueWait = startAt - arrival
+	if slot.queued > 0 {
+		db.hists.Record(HistWriteJoinMicros, slot.queued)
 	}
-	if queueWait > 0 {
-		overhead := simWriteWakeLatency
-		if db.options().EnableWriteThreadAdaptiveYield &&
-			queueWait <= time.Duration(db.options().WriteThreadMaxYieldUsec)*time.Microsecond &&
-			!db.sim.Oversubscribed() {
-			// Spinning caught the handoff: cheaper than a block + wake.
-			// When background jobs oversubscribe the cores the yields come
-			// back slower than write_thread_slow_yield_usec and the writer
-			// gives up spinning and blocks (RocksDB's adaptive-yield abort),
-			// so compaction-heavy phases pay the full wake latency.
-			overhead = time.Duration(db.options().WriteThreadSlowYieldUsec) * time.Microsecond
-		}
-		db.sim.ChargeLatency(queueWait + overhead)
-		db.hists.Record(HistWriteJoinMicros, queueWait+overhead)
-		// The handoff also delays the successor: the next writer cannot
-		// start its window until this one has been woken, so the overhead
-		// occupies the pipeline too (this is what makes the yield knobs an
-		// aggregate-throughput effect, not just a latency one).
-		db.simWALFreeAt += overhead
-		if !db.options().EnablePipelinedWrite {
-			db.simMemFreeAt = db.simWALFreeAt
-		}
-	}
-
-	if isLeader {
+	if slot.leader {
 		db.stats.Add(TickerWriteDoneBySelf, 1)
-		db.hists.RecordValue(HistWriteGroupSize, int64(group))
+		db.hists.RecordValue(HistWriteGroupSize, int64(slot.group))
 	} else {
 		db.stats.Add(TickerWriteDoneByOther, 1)
 	}
