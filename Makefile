@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race crashtest equivalence serverbench liveretune allocgate fuzz benchmodule loc simfork simdiff verify clean
+.PHONY: build test vet race crashtest equivalence serverbench liveretune allocgate fuzz benchmodule loc simfork onestream simdiff verify clean
 
 build:
 	$(GO) build ./...
@@ -81,6 +81,12 @@ loc:
 simfork:
 	./scripts/simfork.sh
 
+# The workload is one op source behind two targets and two clocks (DESIGN
+# §1.2): only internal/bench/op.go may decide the op mix (read
+# Spec.ReadFraction / ScanFraction) or draw a Pareto value size.
+onestream:
+	./scripts/onestream.sh
+
 # The refactor oracle for the simulated side (EXPERIMENTS.md): the paper's
 # tables and figures regenerated at PARENT and at the working tree must be
 # byte-identical. ~2 minutes; not part of verify (it needs a parent to name).
@@ -88,7 +94,7 @@ simdiff:
 	@test -n "$(PARENT)" || { echo "usage: make simdiff PARENT=<ref>" >&2; exit 2; }
 	./scripts/simdiff.sh $(PARENT)
 
-verify: build vet simfork test race equivalence allocgate fuzz benchmodule serverbench liveretune
+verify: build vet simfork onestream test race equivalence allocgate fuzz benchmodule serverbench liveretune
 
 clean:
 	$(GO) clean ./...

@@ -127,6 +127,7 @@ func main() {
 			fmt.Print(rep.StatsDump)
 		}
 		writeTraceRecord(traceFile, rep, *jsonTrace)
+		failOnErrors(rep)
 		return
 	}
 
@@ -226,6 +227,15 @@ func main() {
 		fmt.Println(rep.WorkloadSnap.String())
 	}
 	writeTraceRecord(traceFile, rep, *jsonTrace)
+	failOnErrors(rep)
+}
+
+// failOnErrors exits non-zero when the store failed operations: the report
+// above is printed either way, but its throughput is not a measurement.
+func failOnErrors(rep *bench.Report) {
+	if rep.Errors > 0 {
+		fatal(fmt.Errorf("%d of %d operations failed", rep.Errors, rep.Ops))
+	}
 }
 
 // writeTraceRecord appends the report as a JSON benchmark record when -trace

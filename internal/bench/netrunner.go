@@ -2,9 +2,7 @@ package bench
 
 import (
 	"fmt"
-	"math/rand"
 	"sync"
-	"time"
 
 	"repro/internal/server"
 )
@@ -14,8 +12,8 @@ import (
 // client connections and multiplexes Pipeline worker goroutines onto each,
 // so with C connections and depth D there are C*D concurrent requests in
 // flight and every connection stays D-deep pipelined. Keys route to server
-// shards by hash; the same Spec fields (read fraction, scans, multiget
-// batches, column families) drive the op mix.
+// shards by hash; the workers, their op streams and the driver are the
+// embedded Runner's, laid out over C*D workers instead of Spec.Threads.
 type NetRunner struct {
 	Addr        string
 	Connections int
@@ -26,45 +24,14 @@ type NetRunner struct {
 	Monitor  func(Progress) bool
 }
 
-// netWorker is one workload goroutine bound to a shared client connection.
-type netWorker struct {
-	c         *server.Client
-	rng       *rand.Rand
-	keys      *KeyGen
-	values    *ValueGen
-	dist      KeyDist
-	ops       int64
-	opsDone   int64
-	readHist  *Histogram
-	writeHist *Histogram
-	readMiss  int64
-	bytes     int64
-}
-
-// cfName maps a key id onto the Spec's column-family list ("" = default).
-func (r *NetRunner) cfName(id uint64) string {
-	cfs := r.Spec.ColumnFamilies
-	if len(cfs) == 0 {
-		return ""
-	}
-	return cfs[id%uint64(len(cfs))]
-}
-
 // Run connects, preloads (unmeasured), executes the measured phase and
 // returns a report whose StatsDump is the server's aggregated stats text.
 func (r *NetRunner) Run() (*Report, error) {
 	if err := r.Spec.Validate(); err != nil {
 		return nil, err
 	}
-	conns := r.Connections
-	if conns < 1 {
-		conns = 1
-	}
-	depth := r.Pipeline
-	if depth < 1 {
-		depth = 4
-	}
-	clients := make([]*server.Client, conns)
+	clients := make([]*server.Client, max(r.Connections, 1))
+	conns := make([]target, len(clients))
 	for i := range clients {
 		c, err := server.Dial(r.Addr)
 		if err != nil {
@@ -74,68 +41,16 @@ func (r *NetRunner) Run() (*Report, error) {
 			return nil, fmt.Errorf("bench: dial %s: %w", r.Addr, err)
 		}
 		clients[i] = c
+		conns[i] = &wireTarget{c: c, cfs: r.Spec.families()}
 	}
 	defer func() {
 		for _, c := range clients {
 			c.Close()
 		}
 	}()
-
-	if r.Spec.Preload > 0 {
-		if err := r.preload(clients); err != nil {
-			return nil, err
-		}
-	}
-
-	workers := make([]*netWorker, conns*depth)
-	total := r.Spec.TotalOps()
-	per := total / int64(len(workers))
-	rem := total % int64(len(workers))
-	for i := range workers {
-		seed := r.Spec.Seed*7919 + int64(i)*104729 + 1
-		rng := rand.New(rand.NewSource(seed))
-		dist := r.Spec.dist()
-		if r.Spec.Sequential {
-			dist = &SequentialDist{next: uint64(i) * uint64(per+1)}
-		}
-		ops := per
-		if int64(i) < rem {
-			ops++
-		}
-		workers[i] = &netWorker{
-			c:         clients[i%conns],
-			rng:       rng,
-			keys:      NewKeyGen(r.Spec.KeySize),
-			values:    NewValueGen(rng, 0.5),
-			dist:      dist,
-			ops:       ops,
-			readHist:  NewHistogram(),
-			writeHist: NewHistogram(),
-		}
-	}
-
-	start := time.Now()
-	aborted := r.drive(workers)
-	elapsed := time.Since(start)
-
-	rep := &Report{
-		Workload:  r.Spec.Name + "/net",
-		Threads:   len(workers),
-		Read:      NewHistogram(),
-		Write:     NewHistogram(),
-		Aborted:   aborted,
-		ValueSize: r.Spec.ValueSize,
-		Elapsed:   elapsed,
-	}
-	for _, w := range workers {
-		rep.Ops += w.opsDone
-		rep.Read.Merge(w.readHist)
-		rep.Write.Merge(w.writeHist)
-		rep.ReadMisses += w.readMiss
-		rep.Bytes += w.bytes
-	}
-	if rep.Elapsed > 0 {
-		rep.Throughput = float64(rep.Ops) / rep.Elapsed.Seconds()
+	rep, err := r.run(conns)
+	if err != nil {
+		return nil, err
 	}
 	if text, err := clients[0].Stats(); err == nil {
 		rep.StatsDump = text
@@ -143,161 +58,39 @@ func (r *NetRunner) Run() (*Report, error) {
 	return rep, nil
 }
 
-// preload bulk-loads the key space through Batch frames, split round-robin
-// across every connection so the load phase is parallel too.
-func (r *NetRunner) preload(clients []*server.Client) error {
-	const batchSize = 512
-	var wg sync.WaitGroup
-	errc := make(chan error, len(clients))
-	perClient := r.Spec.Preload / uint64(len(clients))
-	for ci, c := range clients {
-		lo := uint64(ci) * perClient
-		hi := lo + perClient
-		if ci == len(clients)-1 {
-			hi = r.Spec.Preload
+// run preloads through every connection in parallel, then measures the
+// workload with Pipeline workers per connection.
+func (r *NetRunner) run(conns []target) (*Report, error) {
+	if r.Spec.Preload > 0 {
+		var wg sync.WaitGroup
+		errs := make([]error, len(conns))
+		share := r.Spec.Preload / uint64(len(conns))
+		for i, t := range conns {
+			lo, hi := uint64(i)*share, uint64(i+1)*share
+			if i == len(conns)-1 {
+				hi = r.Spec.Preload
+			}
+			wg.Add(1)
+			go func(i int, t target) {
+				defer wg.Done()
+				errs[i] = preload(t, r.Spec, r.Spec.Seed*31337+int64(i), lo, hi)
+			}(i, t)
 		}
-		wg.Add(1)
-		go func(ci int, c *server.Client, lo, hi uint64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(r.Spec.Seed*31337 + int64(ci)))
-			values := NewValueGen(rng, 0.5)
-			keys := NewKeyGen(r.Spec.KeySize)
-			// Per-slot key/value buffers reused across batches: the key and
-			// value generators recycle their own buffers, so each entry
-			// needs a private copy, but Batch encodes the frame before
-			// returning, after which the slot buffers are free again.
-			keyBufs := make([][]byte, batchSize)
-			valBufs := make([][]byte, batchSize)
-			entries := make([]server.BatchEntry, 0, batchSize)
-			for id := lo; id < hi; id++ {
-				slot := len(entries)
-				keyBufs[slot] = append(keyBufs[slot][:0], keys.Key(id)...)
-				valBufs[slot] = append(valBufs[slot][:0], values.Value(r.Spec.ValueSize)...)
-				entries = append(entries, server.BatchEntry{
-					CF:    r.cfName(id),
-					Key:   keyBufs[slot],
-					Value: valBufs[slot],
-				})
-				if len(entries) >= batchSize || id == hi-1 {
-					if err := c.Batch(entries); err != nil {
-						errc <- err
-						return
-					}
-					entries = entries[:0]
-				}
-			}
-		}(ci, c, lo, hi)
-	}
-	wg.Wait()
-	select {
-	case err := <-errc:
-		return fmt.Errorf("bench: preload: %w", err)
-	default:
-		return nil
-	}
-}
-
-// drive runs every worker goroutine to completion, sampling progress for the
-// monitor. Returns true if the monitor aborted the run.
-func (r *NetRunner) drive(workers []*netWorker) bool {
-	start := time.Now()
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	abort := func() { stopOnce.Do(func() { close(stop) }) }
-	var monMu sync.Mutex
-	var doneOps int64
-	aborted := false
-	for _, w := range workers {
-		wg.Add(1)
-		go func(w *netWorker) {
-			defer wg.Done()
-			for w.opsDone < w.ops {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				opStart := time.Now()
-				isRead := r.execOp(w)
-				cost := time.Since(opStart)
-				if isRead {
-					w.readHist.Add(cost)
-				} else {
-					w.writeHist.Add(cost)
-				}
-				w.opsDone++
-				monMu.Lock()
-				doneOps++
-				d := doneOps
-				monMu.Unlock()
-				if r.Monitor != nil && d%4096 == 0 {
-					el := time.Since(start)
-					if !r.Monitor(Progress{Elapsed: el, OpsDone: d, Throughput: float64(d) / el.Seconds()}) {
-						monMu.Lock()
-						aborted = true
-						monMu.Unlock()
-						abort()
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return aborted
-}
-
-// execOp issues one operation over the worker's connection; reports whether
-// it counted as a read.
-func (r *NetRunner) execOp(w *netWorker) bool {
-	roll := w.rng.Float64()
-	isRead := roll < r.Spec.ReadFraction
-	isScan := !isRead && roll < r.Spec.ReadFraction+r.Spec.ScanFraction
-	id := w.dist.Next(w.rng)
-	key := w.keys.Key(id)
-	cf := r.cfName(id)
-	switch {
-	case isScan:
-		pairs, err := w.c.Scan(cf, key, r.Spec.ScanLength)
-		if err == nil {
-			for _, kv := range pairs {
-				w.bytes += int64(len(kv.Key) + len(kv.Value))
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return nil, fmt.Errorf("bench: preload: %w", err)
 			}
 		}
-		return true
-	case isRead && r.Spec.MultiGetBatch > 0:
-		// One MultiGet frame of K keys; the server fans it out across its
-		// shards and gathers positionally.
-		keys := make([][]byte, r.Spec.MultiGetBatch)
-		keys[0] = append([]byte(nil), key...)
-		for i := 1; i < len(keys); i++ {
-			keys[i] = append([]byte(nil), w.keys.Key(w.dist.Next(w.rng))...)
-		}
-		vals, errs := w.c.MultiGet(cf, keys)
-		for i := range keys {
-			if errs[i] != nil {
-				w.readMiss++
-			}
-			w.bytes += int64(len(keys[i]) + len(vals[i]))
-		}
-		return true
-	case isRead:
-		v, err := w.c.Get(cf, key)
-		if err != nil {
-			w.readMiss++
-		}
-		w.bytes += int64(len(key) + len(v))
-		return true
-	default:
-		n := r.Spec.ValueSize
-		if r.Spec.ParetoValues {
-			n = paretoValueSize(w.rng, r.Spec.ValueSize)
-		}
-		val := w.values.Value(n)
-		if err := w.c.Put(cf, key, val); err == nil {
-			w.bytes += int64(len(key) + len(val))
-		}
-		return false
 	}
+	depth := r.Pipeline
+	if depth < 1 {
+		depth = 4
+	}
+	workers := newWorkers(r.Spec, len(conns)*depth, func(i int) target { return conns[i%len(conns)] })
+	elapsed, aborted, err := runWall(workers, r.Monitor)
+	if err != nil {
+		return nil, err
+	}
+	return newReport(r.Spec.Name+"/net", r.Spec.ValueSize, workers, elapsed, aborted), nil
 }

@@ -12,6 +12,14 @@ import (
 // duration of the test.
 func startKVServer(t *testing.T, shards int) string {
 	t.Helper()
+	addr, _ := startStoppableKVServer(t, shards)
+	return addr
+}
+
+// startStoppableKVServer is startKVServer plus a function that stops the
+// server early, dropping every connection.
+func startStoppableKVServer(t *testing.T, shards int) (addr string, stop func()) {
+	t.Helper()
 	router, err := server.OpenRouter(t.TempDir(), shards, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -28,7 +36,7 @@ func startKVServer(t *testing.T, shards int) string {
 			t.Errorf("router close: %v", err)
 		}
 	})
-	return srv.Addr().String()
+	return srv.Addr().String(), func() { srv.Close() }
 }
 
 // TestNetRunnerManyConnections drives a 2-shard server with 256 concurrent
@@ -97,5 +105,27 @@ func TestNetRunnerScans(t *testing.T) {
 	}
 	if rep.Bytes == 0 {
 		t.Error("scans moved no bytes")
+	}
+}
+
+// TestNetRunnerReadWhileWriting: the spec's dedicated writer share holds over
+// the network too — one writer thread of three becomes a third of the
+// connection workers, so a third of the operations are writes.
+func TestNetRunnerReadWhileWriting(t *testing.T) {
+	addr := startKVServer(t, 2)
+	spec := ReadWhileWriting(3000, 64, 3)
+	rep, err := (&NetRunner{Addr: addr, Connections: 3, Pipeline: 2, Spec: spec}).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Ops != spec.TotalOps() || rep.Errors != 0 {
+		t.Fatalf("ops=%d errors=%d, want %d/0", rep.Ops, rep.Errors, spec.TotalOps())
+	}
+	wfrac := float64(rep.Write.Count()) / float64(rep.Ops)
+	if wfrac < 0.30 || wfrac > 0.37 {
+		t.Fatalf("write fraction = %v, want ~1/3", wfrac)
+	}
+	if rep.ReadMisses > rep.Read.Count()/10 {
+		t.Fatalf("too many read misses (%d/%d) against a preloaded space", rep.ReadMisses, rep.Read.Count())
 	}
 }

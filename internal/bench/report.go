@@ -21,6 +21,7 @@ type Report struct {
 	Read       *Histogram
 	Write      *Histogram
 	ReadMisses int64
+	Errors     int64 // operations the store failed (a miss is not a failure)
 	Aborted    bool
 	ValueSize  int
 
@@ -78,6 +79,9 @@ func (r *Report) Format() string {
 		b.WriteString(" [ABORTED EARLY]")
 	}
 	b.WriteString("\n")
+	if r.Errors > 0 {
+		fmt.Fprintf(&b, "errors: %d of %d operations failed\n", r.Errors, r.Ops)
+	}
 	if r.Write.Count() > 0 {
 		fmt.Fprintf(&b, "Microseconds per write:\n%s", r.Write.String())
 	}

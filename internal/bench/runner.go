@@ -1,8 +1,10 @@
 package bench
 
 import (
+	"io"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/lsm"
@@ -26,65 +28,9 @@ type Runner struct {
 	Spec *Spec
 	// Monitor, when set, receives periodic progress and may return false
 	// to stop the run early (the framework's Benchmark Monitor uses this
-	// for the first-30-seconds check and 'redo' on performance drops).
+	// for the first-30-seconds check and 'redo' on performance drops). It is
+	// never called from two goroutines at once.
 	Monitor func(Progress) bool
-
-	realElapsed time.Duration // wall duration of an OS-mode run
-	// cfs are the resolved column-family handles traffic is split across
-	// (nil entry = default family). Populated from Spec.ColumnFamilies at
-	// Run start; len 1 with a nil handle for single-family workloads.
-	cfs []*lsm.ColumnFamilyHandle
-}
-
-// resolveCFs maps Spec.ColumnFamilies onto handles, creating families the
-// database does not have yet (matching db_bench, which creates its
-// -num_column_families on first use).
-func (r *Runner) resolveCFs() error {
-	names := r.Spec.ColumnFamilies
-	if len(names) == 0 {
-		r.cfs = []*lsm.ColumnFamilyHandle{nil}
-		return nil
-	}
-	r.cfs = make([]*lsm.ColumnFamilyHandle, 0, len(names))
-	for _, name := range names {
-		if name == "" || name == lsm.DefaultColumnFamilyName {
-			r.cfs = append(r.cfs, nil)
-			continue
-		}
-		h, err := r.DB.GetColumnFamily(name)
-		if err != nil {
-			if h, err = r.DB.CreateColumnFamily(name, nil); err != nil {
-				return err
-			}
-		}
-		r.cfs = append(r.cfs, h)
-	}
-	return nil
-}
-
-// handleFor picks the family a key id belongs to.
-func (r *Runner) handleFor(id uint64) *lsm.ColumnFamilyHandle {
-	return r.cfs[id%uint64(len(r.cfs))]
-}
-
-// vthread is one virtual workload thread.
-type vthread struct {
-	id        int
-	now       time.Duration
-	rng       *rand.Rand
-	keys      *KeyGen
-	values    *ValueGen
-	dist      KeyDist
-	opsDone   int64
-	readHist  *Histogram
-	writeHist *Histogram
-	readMiss  int64
-	bytes     int64
-	// pendingRead records whether the op just executed was a read, so the
-	// measured cost lands in the right histogram.
-	pendingRead bool
-	// writer marks a dedicated write thread (readwhilewriting).
-	writer bool
 }
 
 // Run executes the workload and returns its report.
@@ -92,286 +38,205 @@ func (r *Runner) Run() (*Report, error) {
 	if err := r.Spec.Validate(); err != nil {
 		return nil, err
 	}
-	sim, _ := r.DB.Env().(*lsm.SimEnv)
-	if sim != nil {
+	if sim, _ := r.DB.Env().(*lsm.SimEnv); sim != nil {
 		sim.SetForegroundThreads(r.Spec.Threads)
 		defer sim.SetForegroundThreads(1)
 	}
-	if err := r.resolveCFs(); err != nil {
+	t, err := newDBTarget(r.DB, r.Spec.families())
+	if err != nil {
 		return nil, err
 	}
+	return r.run(t)
+}
+
+// run preloads and measures the workload on t.
+func (r *Runner) run(t target) (*Report, error) {
 	if r.Spec.Preload > 0 {
-		if err := r.preload(sim); err != nil {
+		if err := preload(t, r.Spec, r.Spec.Seed*31337, 0, r.Spec.Preload); err != nil {
+			return nil, err
+		}
+		if err := r.DB.Flush(); err != nil {
+			return nil, err
+		}
+		// Settle compactions: the paper's read/mixed workloads run against a
+		// database preloaded beforehand (and therefore leveled), not against a
+		// freshly-written L0 pileup. Without settling, every measured run
+		// starts inside a compaction storm and the 30-second monitor cannot
+		// compare configurations fairly.
+		if err := r.DB.WaitForBackgroundIdle(); err != nil {
 			return nil, err
 		}
 	}
 	// Characterize only the measured phase: preload writes would otherwise
 	// swamp the ops mix of read-heavy workloads.
 	r.DB.ResetWorkloadWindow()
-	threads := make([]*vthread, r.Spec.Threads)
-	for i := range threads {
-		seed := r.Spec.Seed*7919 + int64(i)*104729 + 1
-		rng := rand.New(rand.NewSource(seed))
-		dist := r.Spec.dist()
-		if r.Spec.Sequential {
-			// Each thread owns a contiguous shard of the ascending key
-			// sequence.
-			dist = &SequentialDist{next: uint64(i) * uint64(r.Spec.OpsPerThread)}
-		}
-		threads[i] = &vthread{
-			id:        i,
-			rng:       rng,
-			keys:      NewKeyGen(r.Spec.KeySize),
-			values:    NewValueGen(rng, 0.5),
-			dist:      dist,
-			writer:    i < r.Spec.WriterThreads,
-			readHist:  NewHistogram(),
-			writeHist: NewHistogram(),
-		}
+	workers := newWorkers(r.Spec, r.Spec.Threads, func(int) target { return t })
+	return measure(r.DB, r.Spec.Name, r.Spec.ValueSize, workers, r.Monitor)
+}
+
+// Replay executes the operations of src against db on one thread and reports
+// them like a workload run (trace.Replay). seed drives the put values.
+func Replay(db *lsm.DB, src OpSource, seed int64) (*Report, error) {
+	t, err := newDBTarget(db, []string{lsm.DefaultColumnFamilyName})
+	if err != nil {
+		return nil, err
 	}
-	var aborted bool
-	var start time.Duration
+	w := newWorker(src, t, rand.New(rand.NewSource(seed)))
+	return measure(db, "replay", 0, []*worker{w}, nil)
+}
+
+// measure drives workers to completion on db's clock (virtual time on a
+// SimEnv, the wall clock otherwise) and assembles the report with the
+// engine's view of the run.
+func measure(db *lsm.DB, name string, valueSize int, workers []*worker, monitor func(Progress) bool) (*Report, error) {
+	sim, _ := db.Env().(*lsm.SimEnv)
+	var (
+		elapsed time.Duration
+		aborted bool
+		err     error
+	)
 	if sim != nil {
-		start = sim.Now()
-		aborted = r.runSim(sim, threads)
+		elapsed, aborted, err = runSim(sim, workers, monitor)
 	} else {
-		aborted = r.runReal(threads)
+		elapsed, aborted, err = runWall(workers, monitor)
 	}
-	rep := &Report{
-		Workload:  r.Spec.Name,
-		Threads:   r.Spec.Threads,
-		Read:      NewHistogram(),
-		Write:     NewHistogram(),
-		Aborted:   aborted,
-		Metrics:   r.DB.GetMetrics(),
-		ValueSize: r.Spec.ValueSize,
+	if err != nil {
+		return nil, err
 	}
-	var maxNow time.Duration
-	for _, t := range threads {
-		rep.Ops += t.opsDone
-		rep.Read.Merge(t.readHist)
-		rep.Write.Merge(t.writeHist)
-		rep.ReadMisses += t.readMiss
-		rep.Bytes += t.bytes
-		if t.now > maxNow {
-			maxNow = t.now
-		}
-	}
+	rep := newReport(name, valueSize, workers, elapsed, aborted)
+	rep.Metrics = db.GetMetrics()
 	if sim != nil {
-		rep.Elapsed = maxNow - start
 		rep.SimStats = sim.Stats()
-	} else {
-		rep.Elapsed = r.realElapsed
 	}
-	if rep.Elapsed > 0 {
-		rep.Throughput = float64(rep.Ops) / rep.Elapsed.Seconds()
-	}
-	rep.Stats = r.DB.Statistics().Snapshot()
-	rep.StatsDump, _ = r.DB.GetProperty("rocksdb.stats")
-	rep.HistogramDump = r.DB.Histograms().String()
-	ws := r.DB.CaptureWorkloadSnapshot()
+	rep.Stats = db.Statistics().Snapshot()
+	rep.StatsDump, _ = db.GetProperty("rocksdb.stats")
+	rep.HistogramDump = db.Histograms().String()
+	ws := db.CaptureWorkloadSnapshot()
 	rep.WorkloadSnap = &ws
 	return rep, nil
 }
 
-// preload bulk-loads Spec.Preload keys (unmeasured) and settles compaction.
-func (r *Runner) preload(sim *lsm.SimEnv) error {
-	rng := rand.New(rand.NewSource(r.Spec.Seed * 31337))
-	values := NewValueGen(rng, 0.5)
-	keys := NewKeyGen(r.Spec.KeySize)
-	wo := lsm.DefaultWriteOptions()
-	batch := lsm.NewWriteBatch()
-	const batchSize = 512
-	// Random order, like db_bench -use_existing_db preparation via
-	// fillrandom.
-	perm := rng.Perm(int(r.Spec.Preload))
-	for i, id := range perm {
-		batch.PutCF(r.handleFor(uint64(id)), keys.Key(uint64(id)), values.Value(r.Spec.ValueSize))
-		if batch.Count() >= batchSize || i == len(perm)-1 {
-			if err := r.DB.Write(wo, batch); err != nil {
-				return err
-			}
-			batch.Clear()
-			if sim != nil {
-				// Preload time passes on the virtual clock too.
-				sim.Clock().Advance(sim.TakeOpCost())
-			}
-		}
+// newReport sums the workers' counters into a report.
+func newReport(name string, valueSize int, workers []*worker, elapsed time.Duration, aborted bool) *Report {
+	rep := &Report{
+		Workload:  name,
+		Threads:   len(workers),
+		Read:      NewHistogram(),
+		Write:     NewHistogram(),
+		Elapsed:   elapsed,
+		Aborted:   aborted,
+		ValueSize: valueSize,
 	}
-	if err := r.DB.Flush(); err != nil {
-		return err
+	for _, w := range workers {
+		rep.Ops += w.ops
+		rep.Errors += w.errs
+		rep.Read.Merge(w.readHist)
+		rep.Write.Merge(w.writeHist)
+		rep.ReadMisses += w.readMiss
+		rep.Bytes += w.bytes
 	}
-	// Settle compactions: the paper's read/mixed workloads run against a
-	// database preloaded beforehand (and therefore leveled), not against a
-	// freshly-written L0 pileup. Without settling, every measured run
-	// starts inside a compaction storm and the 30-second monitor cannot
-	// compare configurations fairly.
-	return r.DB.WaitForBackgroundIdle()
+	if elapsed > 0 {
+		rep.Throughput = float64(rep.Ops) / elapsed.Seconds()
+	}
+	return rep
 }
 
-// runSim drives virtual threads deterministically. Returns true if the
-// monitor aborted the run.
-func (r *Runner) runSim(sim *lsm.SimEnv, threads []*vthread) bool {
+// runSim drives workers deterministically in virtual time: the worker with
+// the smallest local clock issues the next operation and advances by what the
+// engine charged for it. It stays apart from runWall because there is no
+// concurrency to drive: one goroutine owns every worker and the clock.
+func runSim(sim *lsm.SimEnv, workers []*worker, monitor func(Progress) bool) (elapsed time.Duration, aborted bool, err error) {
 	clock := sim.Clock()
 	base := sim.Now()
-	for i := range threads {
-		threads[i].now = base
+	for _, w := range workers {
+		w.now = base
 	}
 	sim.TakeOpCost()
-	total := r.Spec.TotalOps()
 	var done int64
 	nextTick := base + time.Second
 	const perOpOverhead = 150 * time.Nanosecond // harness-side cost
-	for done < total {
-		// Pick the thread with the smallest virtual time that still has
-		// work.
-		var t *vthread
-		for _, c := range threads {
-			if c.opsDone >= r.Spec.OpsPerThread {
-				continue
-			}
-			if t == nil || c.now < t.now {
-				t = c
+	for !aborted {
+		// Pick the worker with the smallest virtual time that still has work.
+		var w *worker
+		for _, c := range workers {
+			if !c.done && (w == nil || c.now < w.now) {
+				w = c
 			}
 		}
-		if t == nil {
+		if w == nil {
 			break
 		}
-		clock.AdvanceTo(t.now)
-		r.execOp(t)
+		if err := w.src.Next(&w.op); err != nil {
+			if err != io.EOF {
+				return 0, false, err
+			}
+			w.done = true
+			continue
+		}
+		clock.AdvanceTo(w.now)
+		isRead := w.exec()
 		cost := sim.TakeOpCost() + perOpOverhead
-		t.now += cost
-		r.observe(t, cost)
+		w.now += cost
+		w.observe(isRead, cost)
 		done++
-		if t.now >= nextTick {
-			nextTick = t.now + time.Second
-			if r.Monitor != nil {
-				el := t.now - base
-				if !r.Monitor(Progress{Elapsed: el, OpsDone: done, Throughput: float64(done) / el.Seconds()}) {
-					return true
-				}
+		if w.now >= nextTick {
+			nextTick = w.now + time.Second
+			if monitor != nil {
+				el := w.now - base
+				aborted = !monitor(Progress{Elapsed: el, OpsDone: done, Throughput: float64(done) / el.Seconds()})
 			}
 		}
 	}
-	return false
+	for _, w := range workers {
+		elapsed = max(elapsed, w.now-base)
+	}
+	return elapsed, aborted, nil
 }
 
-// execOp issues one operation; its kind was decided by the thread's rng.
-func (r *Runner) execOp(t *vthread) {
-	roll := t.rng.Float64()
-	isRead := roll < r.Spec.ReadFraction
-	isScan := !isRead && roll < r.Spec.ReadFraction+r.Spec.ScanFraction
-	if t.writer {
-		isRead, isScan = false, false
-	}
-	id := t.dist.Next(t.rng)
-	key := t.keys.Key(id)
-	cf := r.handleFor(id)
-	if isScan {
-		it := r.DB.NewIteratorCF(nil, cf)
-		it.Seek(key)
-		for n := 0; n < r.Spec.ScanLength && it.Valid(); n++ {
-			t.bytes += int64(len(it.Key()) + len(it.Value()))
-			it.Next()
-		}
-		it.Close()
-		t.pendingRead = true
-		return
-	}
-	if isRead && r.Spec.MultiGetBatch > 0 {
-		// readmulti: one MultiGet of K keys, grouped per column family (each
-		// key id maps onto its own family, like single reads).
-		perCF := make(map[int][][]byte, len(r.cfs))
-		perCF[int(id%uint64(len(r.cfs)))] = [][]byte{append([]byte(nil), key...)}
-		for n := 1; n < r.Spec.MultiGetBatch; n++ {
-			kid := t.dist.Next(t.rng)
-			perCF[int(kid%uint64(len(r.cfs)))] = append(perCF[int(kid%uint64(len(r.cfs)))],
-				append([]byte(nil), t.keys.Key(kid)...))
-		}
-		for ci, keys := range perCF {
-			vals, errs := r.DB.MultiGetCF(nil, r.cfs[ci], keys)
-			for i := range keys {
-				if errs[i] == lsm.ErrNotFound {
-					t.readMiss++
-				}
-				t.bytes += int64(len(keys[i]) + len(vals[i]))
-			}
-		}
-		t.pendingRead = true
-		return
-	}
-	if isRead {
-		_, err := r.DB.GetCF(nil, cf, key)
-		if err == lsm.ErrNotFound {
-			t.readMiss++
-		}
-		t.pendingRead = true
-		t.bytes += int64(len(key))
-	} else {
-		n := r.Spec.ValueSize
-		if r.Spec.ParetoValues {
-			n = paretoValueSize(t.rng, r.Spec.ValueSize)
-		}
-		val := t.values.Value(n)
-		_ = r.DB.PutCF(nil, cf, key, val)
-		t.pendingRead = false
-		t.bytes += int64(len(key) + len(val))
-	}
-}
-
-// observe books the measured cost against the right histogram.
-func (r *Runner) observe(t *vthread, cost time.Duration) {
-	if t.pendingRead {
-		t.readHist.Add(cost)
-	} else {
-		t.writeHist.Add(cost)
-	}
-	t.opsDone++
-}
-
-// runReal drives OS-mode threads with goroutines and wall-clock timing.
-func (r *Runner) runReal(threads []*vthread) bool {
+// runWall drives each worker on its own goroutine under the wall clock:
+// Runner in OS mode, NetRunner and trace replay all end up here.
+func runWall(workers []*worker, monitor func(Progress) bool) (elapsed time.Duration, aborted bool, err error) {
 	start := time.Now()
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	abort := func() { stopOnce.Do(func() { close(stop) }) }
-	var monMu sync.Mutex
-	var doneOps int64
-	aborted := false
-	for _, t := range threads {
+	var (
+		wg         sync.WaitGroup
+		done       atomic.Int64
+		stop       atomic.Bool // monitor abort or source failure: every worker winds down
+		abort      atomic.Bool
+		monitoring atomic.Bool // a worker is inside monitor; others skip their tick
+	)
+	for _, w := range workers {
 		wg.Add(1)
-		go func(t *vthread) {
+		go func(w *worker) {
 			defer wg.Done()
-			for t.opsDone < r.Spec.OpsPerThread {
-				select {
-				case <-stop:
-					return
-				default:
-				}
+			for !stop.Load() {
 				opStart := time.Now()
-				r.execOp(t)
-				cost := time.Since(opStart)
-				t.now = time.Since(start)
-				r.observe(t, cost)
-				monMu.Lock()
-				doneOps++
-				d := doneOps
-				monMu.Unlock()
-				if r.Monitor != nil && d%4096 == 0 {
-					el := time.Since(start)
-					if !r.Monitor(Progress{Elapsed: el, OpsDone: d, Throughput: float64(d) / el.Seconds()}) {
-						monMu.Lock()
-						aborted = true
-						monMu.Unlock()
-						abort()
-						return
+				if err := w.src.Next(&w.op); err != nil {
+					if err != io.EOF {
+						w.err = err
+						stop.Store(true)
 					}
+					return
+				}
+				isRead := w.exec()
+				w.observe(isRead, time.Since(opStart))
+				d := done.Add(1)
+				if monitor != nil && d%4096 == 0 && monitoring.CompareAndSwap(false, true) {
+					el := time.Since(start)
+					if !monitor(Progress{Elapsed: el, OpsDone: d, Throughput: float64(d) / el.Seconds()}) {
+						abort.Store(true)
+						stop.Store(true)
+					}
+					monitoring.Store(false)
 				}
 			}
-		}(t)
+		}(w)
 	}
 	wg.Wait()
-	r.realElapsed = time.Since(start)
-	return aborted
+	elapsed = time.Since(start)
+	for _, w := range workers {
+		if w.err != nil {
+			return 0, false, w.err
+		}
+	}
+	return elapsed, abort.Load(), nil
 }

@@ -85,13 +85,12 @@ func (s *Spec) Validate() error {
 // TotalOps returns the op count across threads.
 func (s *Spec) TotalOps() int64 { return int64(s.Threads) * s.OpsPerThread }
 
-// DistFor exposes the spec's key distribution (trace generation reuses the
-// exact stream the live runner would issue).
-func DistFor(s *Spec) KeyDist {
-	if s.Sequential {
-		return &SequentialDist{}
+// families is the column-family list traffic is split across ("" = default).
+func (s *Spec) families() []string {
+	if len(s.ColumnFamilies) == 0 {
+		return []string{""}
 	}
-	return s.dist()
+	return s.ColumnFamilies
 }
 
 // dist builds the key distribution for one thread.

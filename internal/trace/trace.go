@@ -7,32 +7,24 @@
 //	G <key>                 get
 //	D <key>                 delete
 //	S <key> <scan_length>   seek + iterate
+//	M <key> <key>...        multiget
 //
-// Traces can be synthesized from any bench.Spec (Generate) or captured by
-// wrapping a workload, then replayed against any database (Replay), which
-// reports the same db_bench-style Report the live workloads produce.
+// A record is a bench.Op written out. Generate serialises the op streams the
+// live runner would execute for a bench.Spec; Replay parses lines back into
+// ops and hands them to the runner's own driver, so a replay is measured and
+// reported exactly like a live workload.
 package trace
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"math/rand"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/lsm"
 )
-
-// Op is one trace record.
-type Op struct {
-	Kind      byte // 'P', 'G', 'D', 'S'
-	Key       string
-	ValueSize int // P
-	ScanLen   int // S
-}
 
 // Writer emits trace lines.
 type Writer struct {
@@ -64,6 +56,29 @@ func (t *Writer) Delete(key string) { t.line("D %s\n", key) }
 // Scan records a seek + iterate.
 func (t *Writer) Scan(key string, n int) { t.line("S %s %d\n", key, n) }
 
+// op records one operation of a workload's op stream.
+func (t *Writer) op(op *bench.Op) {
+	switch op.Kind {
+	case 'P':
+		t.Put(string(op.Key), op.ValueLen)
+	case 'G':
+		t.Get(string(op.Key))
+	case 'D':
+		t.Delete(string(op.Key))
+	case 'S':
+		t.Scan(string(op.Key), op.ScanLen)
+	case 'M':
+		var b strings.Builder
+		for _, keys := range op.Keys {
+			for _, k := range keys {
+				b.WriteByte(' ')
+				b.Write(k)
+			}
+		}
+		t.line("M%s\n", b.String())
+	}
+}
+
 // Flush finishes the trace. It returns the first write error.
 func (t *Writer) Flush() error {
 	if t.err != nil {
@@ -75,170 +90,106 @@ func (t *Writer) Flush() error {
 // Ops returns the number of records written.
 func (t *Writer) Ops() int64 { return t.n }
 
-// Generate synthesizes a trace from a workload spec: the same operation
-// stream the live runner would issue (single-threaded interleaving for
-// multi-thread specs).
+// Generate synthesizes a trace from a workload spec: the operation streams
+// the live runner's threads would execute, interleaved round-robin.
 func Generate(spec *bench.Spec, w io.Writer) (int64, error) {
 	if err := spec.Validate(); err != nil {
 		return 0, err
 	}
 	tw := NewWriter(w)
-	rng := rand.New(rand.NewSource(spec.Seed*7919 + 1))
-	keys := bench.NewKeyGen(spec.KeySize)
-	dist := bench.DistFor(spec)
-	total := spec.TotalOps()
-	for i := int64(0); i < total; i++ {
-		roll := rng.Float64()
-		id := dist.Next(rng)
-		key := string(keys.Key(id))
-		switch {
-		case roll < spec.ReadFraction:
-			tw.Get(key)
-		case roll < spec.ReadFraction+spec.ScanFraction:
-			tw.Scan(key, spec.ScanLength)
-		default:
-			tw.Put(key, spec.ValueSize)
+	srcs := spec.Sources()
+	var op bench.Op
+	for live := true; live; {
+		live = false
+		for _, src := range srcs {
+			if src.Next(&op) == nil {
+				tw.op(&op)
+				live = true
+			}
 		}
 	}
 	return tw.Ops(), tw.Flush()
 }
 
-// Parse reads one trace line ("" and # lines are skipped, returning ok=false).
-func parseLine(line string) (Op, bool, error) {
+// parseLine parses one trace line into op ("" and # lines are skipped,
+// returning ok=false).
+func parseLine(line string, op *bench.Op) (ok bool, err error) {
 	line = strings.TrimSpace(line)
 	if line == "" || strings.HasPrefix(line, "#") {
-		return Op{}, false, nil
+		return false, nil
+	}
+	bad := func() (bool, error) {
+		return false, fmt.Errorf("trace: malformed line %q", line)
 	}
 	fields := strings.Fields(line)
-	op := Op{Kind: line[0]}
-	bad := func() (Op, bool, error) {
-		return Op{}, false, fmt.Errorf("trace: malformed line %q", line)
+	if len(fields[0]) != 1 || len(fields) < 2 {
+		return bad()
 	}
+	*op = bench.Op{Kind: line[0], Key: append(op.Key[:0], fields[1]...)}
 	switch op.Kind {
 	case 'P':
 		if len(fields) != 3 {
 			return bad()
 		}
-		op.Key = fields[1]
 		n, err := strconv.Atoi(fields[2])
 		if err != nil || n < 0 {
 			return bad()
 		}
-		op.ValueSize = n
+		op.ValueLen = n
 	case 'G', 'D':
 		if len(fields) != 2 {
 			return bad()
 		}
-		op.Key = fields[1]
 	case 'S':
 		if len(fields) != 3 {
 			return bad()
 		}
-		op.Key = fields[1]
 		n, err := strconv.Atoi(fields[2])
 		if err != nil || n < 1 {
 			return bad()
 		}
 		op.ScanLen = n
+	case 'M':
+		keys := make([][]byte, len(fields)-1)
+		for i, k := range fields[1:] {
+			keys[i] = []byte(k)
+		}
+		op.Key, op.Keys = nil, [][][]byte{keys}
 	default:
 		return bad()
 	}
-	return op, true, nil
+	return true, nil
+}
+
+// lineSource is the op stream of a trace being read.
+type lineSource struct {
+	sc   *bufio.Scanner
+	line int
+}
+
+// Next implements bench.OpSource.
+func (s *lineSource) Next(op *bench.Op) error {
+	for s.sc.Scan() {
+		s.line++
+		ok, err := parseLine(s.sc.Text(), op)
+		if err != nil {
+			return fmt.Errorf("%w (line %d)", err, s.line)
+		}
+		if ok {
+			return nil
+		}
+	}
+	if err := s.sc.Err(); err != nil {
+		return err
+	}
+	return io.EOF
 }
 
 // Replay executes a trace against db and reports db_bench-style metrics.
-// In a simulation environment latencies come from the virtual clock.
+// In a simulation environment latencies come from the virtual clock. seed
+// drives the bytes of the values put.
 func Replay(db *lsm.DB, r io.Reader, seed int64) (*bench.Report, error) {
-	sim, _ := db.Env().(*lsm.SimEnv)
-	rng := rand.New(rand.NewSource(seed))
-	values := bench.NewValueGen(rng, 0.5)
-	rep := &bench.Report{
-		Workload: "replay",
-		Threads:  1,
-		Read:     bench.NewHistogram(),
-		Write:    bench.NewHistogram(),
-	}
-	var vnow time.Duration
-	if sim != nil {
-		vnow = sim.Now()
-		sim.TakeOpCost()
-	}
-	start := vnow
-	wallStart := time.Now()
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	lineNo := 0
-	for sc.Scan() {
-		lineNo++
-		op, ok, err := parseLine(sc.Text())
-		if err != nil {
-			return nil, fmt.Errorf("%w (line %d)", err, lineNo)
-		}
-		if !ok {
-			continue
-		}
-		var wallOp time.Time
-		if sim == nil {
-			wallOp = time.Now()
-		}
-		isRead := false
-		switch op.Kind {
-		case 'P':
-			if err := db.Put(nil, []byte(op.Key), values.Value(op.ValueSize)); err != nil {
-				return nil, err
-			}
-			rep.Bytes += int64(len(op.Key) + op.ValueSize)
-		case 'D':
-			if err := db.Delete(nil, []byte(op.Key)); err != nil {
-				return nil, err
-			}
-		case 'G':
-			isRead = true
-			if _, err := db.Get(nil, []byte(op.Key)); err == lsm.ErrNotFound {
-				rep.ReadMisses++
-			} else if err != nil {
-				return nil, err
-			}
-			rep.Bytes += int64(len(op.Key))
-		case 'S':
-			isRead = true
-			it := db.NewIterator(nil)
-			it.Seek([]byte(op.Key))
-			for n := 0; n < op.ScanLen && it.Valid(); n++ {
-				rep.Bytes += int64(len(it.Key()) + len(it.Value()))
-				it.Next()
-			}
-			it.Close()
-		}
-		var cost time.Duration
-		if sim != nil {
-			cost = sim.TakeOpCost()
-			vnow += cost
-			sim.Clock().AdvanceTo(vnow)
-		} else {
-			cost = time.Since(wallOp)
-		}
-		if isRead {
-			rep.Read.Add(cost)
-		} else {
-			rep.Write.Add(cost)
-		}
-		rep.Ops++
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if sim != nil {
-		rep.Elapsed = vnow - start
-	} else {
-		rep.Elapsed = time.Since(wallStart)
-	}
-	if rep.Elapsed > 0 {
-		rep.Throughput = float64(rep.Ops) / rep.Elapsed.Seconds()
-	}
-	rep.Metrics = db.GetMetrics()
-	rep.Stats = db.Statistics().Snapshot()
-	ws := db.CaptureWorkloadSnapshot()
-	rep.WorkloadSnap = &ws
-	return rep, nil
+	return bench.Replay(db, &lineSource{sc: sc}, seed)
 }

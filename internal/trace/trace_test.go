@@ -3,6 +3,7 @@ package trace
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
 	"repro/internal/device"
@@ -121,7 +122,7 @@ S key-a 5
 
 func TestReplayMalformed(t *testing.T) {
 	db := simDB(t)
-	for _, bad := range []string{"X key", "P key", "P key notanum", "S key 0", "G"} {
+	for _, bad := range []string{"X key", "P key", "P key notanum", "S key 0", "G", "M", "PUT key 5"} {
 		if _, err := Replay(db, strings.NewReader(bad+"\n"), 1); err == nil {
 			t.Errorf("malformed line %q accepted", bad)
 		}
@@ -144,5 +145,75 @@ func TestReplayDeterministicInSim(t *testing.T) {
 	}
 	if a, c := run(), run(); a != c {
 		t.Fatalf("replay not deterministic: %v vs %v", a, c)
+	}
+}
+
+// TestReplayMultiGet: an M record is one read operation over all its keys.
+func TestReplayMultiGet(t *testing.T) {
+	db := simDB(t)
+	rep, err := Replay(db, strings.NewReader("P key-a 64\nM key-a key-b key-c\n"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Ops != 2 || rep.Read.Count() != 1 || rep.ReadMisses != 2 {
+		t.Fatalf("ops=%d reads=%d misses=%d, want 2/1/2", rep.Ops, rep.Read.Count(), rep.ReadMisses)
+	}
+}
+
+// TestReplayReproducesRunner: Generate writes down the stream the live runner
+// executes and Replay feeds it to the same driver, so on identical simulated
+// databases a one-thread workload and the replay of its trace are the same
+// run — operations, bytes, misses and virtual time. (Preload is not part of a
+// trace, so it is off; the replay seed is the one the runner's first thread
+// draws its values from.)
+func TestReplayReproducesRunner(t *testing.T) {
+	for _, name := range []string{"fillrandom", "fillseq", "overwrite", "readrandom", "readrandomwriterandom",
+		"mixgraph", "seekrandom", "readmulti", "readwhilewriting"} {
+		t.Run(name, func(t *testing.T) {
+			spec, err := bench.WorkloadByName(name, 3000, 100, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.OpsPerThread, spec.Threads, spec.Preload = spec.TotalOps(), 1, 0
+			if name == "readwhilewriting" {
+				spec.ReadFraction, spec.WriterThreads = 0.5, 0 // one thread: keep both sides of the mix
+			}
+			live, err := (&bench.Runner{DB: simDB(t), Spec: spec}).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var b strings.Builder
+			if _, err := Generate(spec, &b); err != nil {
+				t.Fatal(err)
+			}
+			replayed, err := Replay(simDB(t), strings.NewReader(b.String()), spec.Seed*7919+1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			type outcome struct {
+				ops, bytes, misses, reads, writes int64
+				elapsed                           time.Duration
+			}
+			of := func(r *bench.Report) outcome {
+				return outcome{r.Ops, r.Bytes, r.ReadMisses, r.Read.Count(), r.Write.Count(), r.Elapsed}
+			}
+			if of(live) != of(replayed) {
+				t.Fatalf("replay diverged from the live run:\nlive   %+v\nreplay %+v", of(live), of(replayed))
+			}
+		})
+	}
+}
+
+// TestGenerateInterleavesThreads: a multi-thread spec's trace carries every
+// thread's stream, dedicated writers included.
+func TestGenerateInterleavesThreads(t *testing.T) {
+	spec := bench.ReadWhileWriting(3000, 100, 7) // one writer thread of three
+	var b strings.Builder
+	n, err := Generate(spec, &b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if puts := int64(strings.Count(b.String(), "P ")); n != spec.TotalOps() || puts != n/3 {
+		t.Fatalf("%d records, %d puts; want %d records, a third of them puts", n, puts, spec.TotalOps())
 	}
 }

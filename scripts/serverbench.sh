@@ -3,8 +3,8 @@
 #
 # Builds kvserver and dbbench, starts a 2-shard server on an ephemeral port,
 # drives a short mixed workload over pipelined connections, asserts nonzero
-# throughput, prints responses per socket write from /metrics, then checks the
-# server shuts down cleanly on SIGINT.
+# throughput and no failed operations, prints responses per socket write from
+# /metrics, then checks the server shuts down cleanly on SIGINT.
 set -eu
 
 GO=${GO:-go}
@@ -48,6 +48,13 @@ cat "$WORK/bench.out"
 # The report prints "<workload> : ... ops/sec". Reject a zero rate.
 if ! grep -Eq '[1-9][0-9,.]* *ops/sec' "$WORK/bench.out"; then
     echo "serverbench: FAIL: no nonzero ops/sec in report" >&2
+    exit 1
+fi
+
+# The one driver counts failed requests; a healthy server fails none (dbbench
+# also exits non-zero on them, which set -e above already turns into a FAIL).
+if grep -q '^errors:' "$WORK/bench.out"; then
+    echo "serverbench: FAIL: the report counts failed operations" >&2
     exit 1
 fi
 
