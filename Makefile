@@ -42,7 +42,8 @@ serverbench:
 	./scripts/serverbench.sh
 
 # Allocation regression gates: testing.AllocsPerRun bounds on the cache-hit
-# Get path, reused block iteration, and the per-frame server/client paths.
+# Get path, the single-writer commit path (both runtimes), reused block
+# iteration, and the per-frame server/client paths.
 # The limits are measured steady-state values plus noise headroom — a pooled
 # codec, buffer, or iterator falling out of reuse trips them immediately.
 # -count=1 defeats the test cache so verify always re-measures.
@@ -75,9 +76,9 @@ benchmodule:
 loc:
 	./scripts/loc.sh
 
-# The engine is one engine behind the runtime seam (DESIGN §5.1): db.sim may be
-# read only where the seam is chosen (OpenConfig), where Write dispatches to
-# writeSim, inside writeSim, and in the auto-resume guard of bgerror.go.
+# The engine is one engine behind the runtime seam (DESIGN §5.1): non-test
+# internal/lsm code never mentions db.sim, and asserts env.(*SimEnv) exactly
+# once, where the seam is chosen (OpenConfig).
 simfork:
 	./scripts/simfork.sh
 

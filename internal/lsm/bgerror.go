@@ -93,9 +93,9 @@ func classifyBGError(err error) (ErrorSeverity, bool) {
 // setBGErrorLocked records a background failure: the DB becomes read-only
 // (writes fail with ErrBackgroundError) until Resume clears it. Higher
 // severities replace lower ones; otherwise the first error wins. For
-// recoverable errors an automatic resume loop is started (OS mode only: the
-// simulation has no real timers and recovers via explicit Resume). Caller
-// holds db.mu.
+// recoverable errors the runtime may resume automatically (the OS runs a
+// retry loop; the simulation has no real timers and recovers via explicit
+// Resume). Caller holds db.mu.
 func (db *DB) setBGErrorLocked(cause error, reason string) {
 	sev, recoverable := classifyBGError(cause)
 	if prev, ok := db.bgErr.(*BGError); ok && prev.Severity >= sev {
@@ -104,10 +104,8 @@ func (db *DB) setBGErrorLocked(cause error, reason string) {
 	db.bgErr = &BGError{Reason: reason, Severity: sev, Cause: cause}
 	db.stats.Add(TickerBgError, 1)
 	db.notifyBackgroundError(BackgroundErrorInfo{Reason: reason, Severity: sev, Err: cause})
-	if recoverable && db.sim == nil && !db.recovering && !db.closed &&
-		db.options().MaxBgErrorResumeCount > 0 {
-		db.recovering = true
-		go db.autoRecoverLoop()
+	if recoverable && !db.recovering && !db.closed && db.options().MaxBgErrorResumeCount > 0 {
+		db.rt.autoResume()
 	}
 }
 
@@ -183,7 +181,8 @@ func (db *DB) bgErrSnapshot() error {
 
 // autoRecoverLoop retries Resume with capped exponential backoff until the
 // error clears, turns fatal, the DB closes, or MaxBgErrorResumeCount attempts
-// are spent. Runs in its own goroutine; db.recovering guards re-entry.
+// are spent. Runs in its own goroutine (osRuntime.autoResume); db.recovering
+// guards re-entry.
 func (db *DB) autoRecoverLoop() {
 	base := time.Duration(db.options().BgErrorResumeRetryInterval) * time.Microsecond
 	if base <= 0 {

@@ -67,8 +67,7 @@ type levelIOStats struct {
 // and the manifest.
 type DB struct {
 	env       Env
-	rt        engineRuntime // how jobs run, waits pass and time is read (runtime.go)
-	sim       *SimEnv       // non-nil when env is a simulation: selects writeSim
+	rt        engineRuntime // how jobs run, waits pass, groups form and time is read (runtime.go)
 	dir       string
 	stats     *Statistics
 	hists     *HistogramStats
@@ -79,8 +78,6 @@ type DB struct {
 	// db.mu) against memtable/WAL switches from Flush and Close. Lock order:
 	// commitMu before mu.
 	commitMu sync.Mutex
-	// wt is the OS-mode write queue (leader election + group claim).
-	wt writeThread
 	// publishedSeq is the last sequence visible to reads. Write groups
 	// allocate sequences under mu but publish them in order, after their
 	// memtable inserts land, via publishMu/publishCond.
@@ -195,7 +192,6 @@ func OpenConfig(dir string, cfg *ConfigSet) (*DB, error) {
 		cfNames:     make(map[string]*columnFamily),
 	}
 	if se, ok := env.(*SimEnv); ok {
-		db.sim = se
 		db.rt = &simRuntime{db: db, env: se}
 	} else {
 		db.rt = newOSRuntime(db)
@@ -461,10 +457,10 @@ func (db *DB) Delete(wo *WriteOptions, key []byte) error {
 }
 
 // Write applies a batch atomically through the group-commit write pipeline
-// (writethread.go): in OS mode concurrent writers form groups behind a
-// leader; in simulation the same pipeline is modeled deterministically on
-// the virtual clock. A batch may span column families; the whole batch
-// commits atomically through the shared WAL.
+// (writethread.go): on the OS concurrent writers form groups behind a
+// leader; in simulation the groups are modeled deterministically on the
+// virtual clock. A batch may span column families; the whole batch commits
+// atomically through the shared WAL.
 func (db *DB) Write(wo *WriteOptions, batch *WriteBatch) error {
 	if wo == nil {
 		wo = DefaultWriteOptions()
@@ -473,12 +469,7 @@ func (db *DB) Write(wo *WriteOptions, batch *WriteBatch) error {
 		return nil
 	}
 	defer db.recordSince(HistWriteMicros, db.rt.stopwatch())
-	var err error
-	if db.sim != nil {
-		err = db.writeSim(wo, batch)
-	} else {
-		err = db.writeOS(wo, batch)
-	}
+	err := db.commit(wo, batch)
 	if err == nil {
 		db.bookWriteTraffic(batch)
 	}

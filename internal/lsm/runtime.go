@@ -9,9 +9,9 @@ import (
 
 // engineRuntime is the one seam between the engine and how time passes under
 // it (DESIGN §5.1). OpenConfig picks an implementation once; flush,
-// compaction, stall waits, the stats timers and every latency histogram are
-// written once against it. Methods other than fanOut and stopwatch are called
-// with db.mu held.
+// compaction, stall waits, the commit path, the stats timers and every
+// latency histogram are written once against it. Methods other than fanOut,
+// stopwatch and the write-queue methods are called with db.mu held.
 type engineRuntime interface {
 	// start begins what the runtime does on its own; called once Open can no
 	// longer fail. stop ends it at Close.
@@ -32,6 +32,21 @@ type engineRuntime interface {
 	// stopwatch returns a monotonic reading; the difference of two readings
 	// is the time the work between them took.
 	stopwatch() time.Duration
+	// autoResume starts recovering from a recoverable background error on
+	// the runtime's own timers; called with db.recovering unset.
+	autoResume()
+
+	// The write queue (writethread.go): how a group forms and what waiting
+	// costs. joinWrite returns false when w must lead a group and true when
+	// another leader committed it. formGroup sets the leader's group: its
+	// members and shape. The commit path calls handoff once per group to pass
+	// leadership on, and queueWait once it has published, with the stopwatch
+	// reading at the end of the group's serialized section and the group's
+	// memtable insert price.
+	joinWrite(w *writeRequest) bool
+	formGroup(leader *writeRequest)
+	handoff()
+	queueWait(leader *writeRequest, serialEnd, insertCPU time.Duration)
 }
 
 // osRuntime runs jobs on goroutines and reads the wall clock.
@@ -40,6 +55,7 @@ type osRuntime struct {
 	base    time.Time
 	running int
 	quit    chan struct{}
+	wt      writeThread
 }
 
 func newOSRuntime(db *DB) *osRuntime {
@@ -82,6 +98,11 @@ func (r *osRuntime) fanOut(n int, slice func(i int)) {
 }
 
 func (r *osRuntime) stopwatch() time.Duration { return time.Since(r.base) }
+
+func (r *osRuntime) autoResume() {
+	r.db.recovering = true
+	go r.db.autoRecoverLoop()
+}
 
 // statsPumpInterval is a quarter of the smallest configured stats period,
 // clamped to [10ms, 1s]; 1s when both are off.
@@ -126,15 +147,20 @@ type simCompletion struct {
 
 // simRuntime is single-threaded on SimEnv's virtual clock: work runs inline,
 // SimEnv prices it, and install is queued until the clock reaches the priced
-// completion time. Waiting moves the clock instead of blocking.
+// completion time. Waiting moves the clock instead of blocking. What belongs
+// to one DB — its completions, its write timeline, its share of the host's
+// memory — lives here, not in the SimEnv other DBs may share.
 type simRuntime struct {
-	db   *DB
-	env  *SimEnv
-	done []simCompletion // ascending end; equal ends in submission order
+	db      *DB
+	env     *SimEnv
+	done    []simCompletion // ascending end; equal ends in submission order
+	pipe    writePipeline
+	dropMem func() // removes the DB's engine memory from the page-cache budget
 }
 
-func (r *simRuntime) start() { r.env.SetEngineMemCallback(r.db.engineMemory) }
-func (r *simRuntime) stop()  {}
+func (r *simRuntime) start()      { r.dropMem = r.env.AddEngineMemory(r.db.engineMemory) }
+func (r *simRuntime) stop()       { r.dropMem() }
+func (r *simRuntime) autoResume() {}
 
 func (r *simRuntime) run(work func() (*compactionResult, error), install func(*compactionResult, error)) {
 	res, err := work()

@@ -13,11 +13,14 @@ import (
 )
 
 // twoClocksScript drives one seeded single-threaded workload — overwrites,
-// deletes, multi-family batches, Flush, CompactRange, with background
-// flushes and compactions running and the stats-history timer armed — and
-// returns the full iterator dump of both families. Nothing in it depends on
-// how time passes, so every runtime must produce the same bytes.
-func twoClocksScript(t *testing.T, env Env, dir string, subs int) string {
+// deletes, multi-family batches, Sync writes, WAL-less batches, writes
+// naming a dropped family, Flush, CompactRange, with background flushes and
+// compactions running and the stats-history timer armed — and returns the
+// full iterator dump of both live families. grouped turns on
+// enable_pipelined_write and allow_concurrent_memtable_write and makes the
+// sim model four-writer groups. Nothing in it depends on how time passes or
+// how groups form, so every runtime must produce the same bytes.
+func twoClocksScript(t *testing.T, env Env, dir string, subs int, grouped bool) string {
 	opts := DefaultOptions()
 	opts.Env = env
 	opts.WriteBufferSize = 64 << 10
@@ -26,6 +29,11 @@ func twoClocksScript(t *testing.T, env Env, dir string, subs int) string {
 	opts.MaxSubcompactions = subs
 	opts.MaxBackgroundJobs = 4
 	opts.StatsPersistPeriodSec = 1
+	opts.EnablePipelinedWrite = grouped
+	opts.AllowConcurrentMemtableWrite = grouped
+	if sim, ok := env.(*SimEnv); ok && grouped {
+		sim.SetForegroundThreads(4)
+	}
 	db, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -34,20 +42,43 @@ func twoClocksScript(t *testing.T, env Env, dir string, subs int) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	gone, err := db.CreateColumnFamily("gone", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.DropColumnFamily(gone); err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(7))
 	wo := DefaultWriteOptions()
 	for i := 0; i < 8000; i++ {
 		key := []byte(fmt.Sprintf("key%05d", rng.Intn(2500)))
 		val := []byte(strings.Repeat(string(rune('a'+rng.Intn(26))), 40+rng.Intn(200)))
-		switch rng.Intn(6) {
-		case 0:
+		switch op := rng.Intn(24); {
+		case op < 4:
 			err = db.Delete(wo, key)
-		case 1:
+		case op < 8:
 			b := NewWriteBatch()
 			b.Put(key, val)
 			b.PutCF(aux, []byte(fmt.Sprintf("aux%04d", rng.Intn(400))), val[:20])
 			b.DeleteCF(aux, []byte(fmt.Sprintf("aux%04d", rng.Intn(400))))
 			err = db.Write(wo, b)
+		case op == 8:
+			err = db.Put(&WriteOptions{Sync: true}, key, val)
+		case op < 11:
+			b := NewWriteBatch()
+			b.Put(key, val)
+			b.PutCF(aux, []byte(fmt.Sprintf("aux%04d", rng.Intn(400))), val[:30])
+			err = db.Write(&WriteOptions{DisableWAL: true}, b)
+		case op == 11:
+			// The whole batch fails, its live-family half included.
+			b := NewWriteBatch()
+			b.Put([]byte(fmt.Sprintf("lost%05d", i)), val)
+			b.PutCF(gone, key, val)
+			if err = db.Write(wo, b); !errors.Is(err, ErrColumnFamilyNotFound) {
+				t.Fatalf("write naming a dropped family = %v, want ErrColumnFamilyNotFound", err)
+			}
+			err = nil
 		default:
 			err = db.Put(wo, key, val)
 		}
@@ -82,6 +113,9 @@ func twoClocksScript(t *testing.T, env Env, dir string, subs int) string {
 		}
 	}
 	dump := dumpAll(t, db, nil, nil) + "--aux--\n" + dumpAll(t, db, nil, aux)
+	if strings.Contains(dump, "lost") {
+		t.Fatal("a batch that failed on a dropped family was partly applied")
+	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -96,9 +130,10 @@ func twoClocksScript(t *testing.T, env Env, dir string, subs int) string {
 }
 
 // TestOneEngineTwoClocks runs the same script on the virtual clock and on
-// the OS, serial and with four subcompaction slices: the engine is one
-// engine, so all four must end with identical contents, a clean CheckDB and
-// a stats history the runtime's timer filled.
+// the OS, serial and with four subcompaction slices — the latter with
+// pipelined writes and concurrent inserts on: the engine is one engine with
+// one commit path, so all four must end with identical contents, a clean
+// CheckDB and a stats history the runtime's timer filled.
 func TestOneEngineTwoClocks(t *testing.T) {
 	var want string
 	for _, subs := range []int{1, 4} {
@@ -108,7 +143,7 @@ func TestOneEngineTwoClocks(t *testing.T) {
 			if mode == "sim" {
 				env, dir = NewSimEnv(device.NVMe(), device.Profile4C8G(), 42), "/db"
 			}
-			got := twoClocksScript(t, env, dir, subs)
+			got := twoClocksScript(t, env, dir, subs, subs > 1)
 			if len(got) < 1000 {
 				t.Fatalf("%s/subs=%d: implausibly small dump (%d bytes)", mode, subs, len(got))
 			}

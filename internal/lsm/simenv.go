@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -72,12 +73,9 @@ type SimEnv struct {
 	fgThreads  int
 	dirtyBytes int64 // unsynced foreground write-buffer bytes (OS dirty pages)
 
-	// pipe is the modeled group-commit pipeline (pipelineWrite).
-	pipe writePipeline
-
-	// engineMem reports the engine's resident memory so the page cache can
-	// shrink under memory pressure; set via SetEngineMemCallback.
-	engineMem func() int64
+	// engineMem reports each open engine's resident memory so the page cache
+	// can shrink under memory pressure; see AddEngineMemory.
+	engineMem []*func() int64
 
 	// Statistics.
 	devReads, devWrites  int64
@@ -107,13 +105,20 @@ func NewSimEnv(dev *device.Model, prof device.Profile, seed int64) *SimEnv {
 	return e
 }
 
-// SetEngineMemCallback registers a function reporting the engine's memory
+// AddEngineMemory registers a function reporting one engine's memory
 // footprint (write buffers + caches); the page-cache budget is what remains
-// of the host profile's memory.
-func (e *SimEnv) SetEngineMemCallback(f func() int64) {
+// of the host profile's memory after every registered engine. Each open DB
+// registers once; the returned function removes the registration.
+func (e *SimEnv) AddEngineMemory(f func() int64) (remove func()) {
+	src := &f
 	e.mu.Lock()
-	e.engineMem = f
+	e.engineMem = append(e.engineMem, src)
 	e.mu.Unlock()
+	return func() {
+		e.mu.Lock()
+		e.engineMem = slices.DeleteFunc(e.engineMem, func(s *func() int64) bool { return s == src })
+		e.mu.Unlock()
+	}
 }
 
 // SetForegroundThreads tells the CPU model how many foreground workload
@@ -153,8 +158,7 @@ func (e *SimEnv) TakeOpCost() time.Duration {
 }
 
 // AccruedOpCost returns the cost accumulated so far for the current
-// operation without resetting it. The write pipeline uses deltas around its
-// serialized section to drive the virtual write-lock timeline.
+// operation without resetting it: the simulated engine's stopwatch.
 func (e *SimEnv) AccruedOpCost() time.Duration {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -171,123 +175,6 @@ func (e *SimEnv) ChargeLatency(d time.Duration) {
 	e.mu.Lock()
 	e.opCost += d
 	e.mu.Unlock()
-}
-
-const (
-	// maxSimWriteGroup caps the modeled group size: queue depth cannot
-	// exceed the number of foreground vthreads, and RocksDB groups rarely
-	// grow past a handful of batches at db_bench batch sizes.
-	maxSimWriteGroup = 8
-	// simWriteWakeLatency is the modeled futex wake + scheduler delay paid
-	// by a queued writer that blocked instead of spinning.
-	simWriteWakeLatency = 5 * time.Microsecond
-)
-
-// writePipeline is the virtual write-lock timeline of the engine's
-// group-commit pipeline: the virtual times the WAL and memtable stages free
-// up, the write position (for leader rotation) and the outstanding
-// sync-amortization debt. Touched only by pipelineWrite, which the engine
-// calls under its own mutex.
-type writePipeline struct {
-	walFreeAt, memFreeAt time.Duration
-	pos                  uint64
-	syncDebt             int
-}
-
-// simWriteSlot is one write's place in the modeled pipeline.
-type simWriteSlot struct {
-	group      int           // writers committing per leader pass
-	leader     bool          // this write leads its group
-	concurrent bool          // the memtable insert runs outside the serialized window
-	queued     time.Duration // queue wait plus handoff overhead charged to the write
-}
-
-// pipelineWrite models one write's trip through the group-commit pipeline.
-// Groups cannot form from real races on a single-threaded event loop, so the
-// group size is derived from the number of foreground vthreads. serial is the
-// write's serialized section; it is told whether the memtable insert is
-// concurrent (and so not part of the section) and whether this write issues
-// the group's one sync. Each write occupies the WAL (and, unless concurrent,
-// the memtable) stage for serial's measured cost — device latencies, stalls
-// and CPU contention all flow in through op-cost deltas — and a writer
-// arriving while a stage is busy is charged the queue wait plus a handoff
-// overhead governed by the write-thread yield knobs. Identical specs
-// therefore produce identical timings.
-func (e *SimEnv) pipelineWrite(o *Options, wantSync bool, memCPU time.Duration, serial func(concurrent, syncNow bool) error) (simWriteSlot, error) {
-	p := &e.pipe
-	serialStart := e.AccruedOpCost()
-	arrival := e.Now() + serialStart
-	slot := simWriteSlot{group: min(max(e.ForegroundThreads(), 1), maxSimWriteGroup)}
-	slot.concurrent = o.AllowConcurrentMemtableWrite && slot.group > 1
-	slot.leader = p.pos%uint64(slot.group) == 0
-	p.pos++
-	syncNow := false
-	if wantSync {
-		// The leader issues one sync on behalf of the whole group.
-		p.syncDebt++
-		if p.syncDebt >= slot.group {
-			p.syncDebt, syncNow = 0, true
-		}
-	}
-	if err := serial(slot.concurrent, syncNow); err != nil {
-		return slot, err
-	}
-	serialCost := e.AccruedOpCost() - serialStart
-
-	var queueWait time.Duration
-	if o.EnablePipelinedWrite {
-		// Two stages: this write's memtable stage overlaps the next write's
-		// WAL stage. With concurrent inserts the memtable stage leaves the
-		// serialized timeline entirely.
-		walShare := serialCost
-		if !slot.concurrent {
-			walShare = serialCost / 2
-		}
-		walStart := max(arrival, p.walFreeAt)
-		walEnd := walStart + walShare
-		p.walFreeAt = walEnd
-		queueWait = walStart - arrival
-		if !slot.concurrent {
-			memStart := max(walEnd, p.memFreeAt)
-			p.memFreeAt = memStart + serialCost - walShare
-			queueWait += memStart - walEnd
-		}
-	} else {
-		startAt := max(arrival, p.walFreeAt)
-		occupancy := serialCost
-		if slot.concurrent {
-			// The leader holds the group open while G parallel inserts
-			// land; the critical path grows by about one slice.
-			occupancy += memCPU / time.Duration(slot.group)
-		}
-		p.walFreeAt = startAt + occupancy
-		p.memFreeAt = p.walFreeAt
-		queueWait = startAt - arrival
-	}
-	if queueWait > 0 {
-		overhead := simWriteWakeLatency
-		if o.EnableWriteThreadAdaptiveYield &&
-			queueWait <= time.Duration(o.WriteThreadMaxYieldUsec)*time.Microsecond &&
-			!e.Oversubscribed() {
-			// Spinning caught the handoff: cheaper than a block + wake.
-			// When background jobs oversubscribe the cores the yields come
-			// back slower than write_thread_slow_yield_usec and the writer
-			// gives up spinning and blocks (RocksDB's adaptive-yield abort),
-			// so compaction-heavy phases pay the full wake latency.
-			overhead = time.Duration(o.WriteThreadSlowYieldUsec) * time.Microsecond
-		}
-		slot.queued = queueWait + overhead
-		e.ChargeLatency(slot.queued)
-		// The handoff also delays the successor: the next writer cannot
-		// start its window until this one has been woken, so the overhead
-		// occupies the pipeline too (this is what makes the yield knobs an
-		// aggregate-throughput effect, not just a latency one).
-		p.walFreeAt += overhead
-		if !o.EnablePipelinedWrite {
-			p.memFreeAt = p.walFreeAt
-		}
-	}
-	return slot, nil
 }
 
 // jitter perturbs d by ±8% deterministically.
@@ -427,8 +314,8 @@ func (e *SimEnv) chargeMemCopy(n int64) {
 // pageBudgetLocked computes the current effective page-cache capacity.
 func (e *SimEnv) pageBudgetLocked() int64 {
 	budget := e.Profile.MemoryBytes - e.OSReserve
-	if e.engineMem != nil {
-		budget -= e.engineMem()
+	for _, f := range e.engineMem {
+		budget -= (*f)()
 	}
 	if budget < 0 {
 		budget = 0

@@ -94,7 +94,7 @@ func TestSimEnvPageCacheHitVsMiss(t *testing.T) {
 	}
 	// Evict by collapsing the page-cache budget (engine claims all memory)
 	// and inserting one more chunk.
-	env.SetEngineMemCallback(func() int64 { return device.Profile4C8G().MemoryBytes })
+	env.AddEngineMemory(func() int64 { return device.Profile4C8G().MemoryBytes })
 	spill, _ := env.NewWritableFile("/spill", IOForeground)
 	spill.Append(make([]byte, simPageChunk))
 	spill.Close()
@@ -113,7 +113,7 @@ func TestSimEnvPageCacheHitVsMiss(t *testing.T) {
 func TestSimEnvMemoryPressureShrinksPageCache(t *testing.T) {
 	small := NewSimEnv(device.NVMe(), device.Profile2C4G(), 1)
 	// Engine claims nearly all memory: page cache budget collapses.
-	small.SetEngineMemCallback(func() int64 { return 3 * device.GiB })
+	small.AddEngineMemory(func() int64 { return 3 * device.GiB })
 	w, _ := small.NewWritableFile("/f", IOBackground)
 	w.Append(make([]byte, 4<<20))
 	w.Close()
@@ -122,9 +122,51 @@ func TestSimEnvMemoryPressureShrinksPageCache(t *testing.T) {
 		t.Fatalf("page budget %d too large under memory pressure", budget)
 	}
 	big := NewSimEnv(device.NVMe(), device.Profile4C8G(), 1)
-	big.SetEngineMemCallback(func() int64 { return 128 << 20 })
+	big.AddEngineMemory(func() int64 { return 128 << 20 })
 	if big.pageBudgetLocked() <= budget {
 		t.Fatal("more host memory should mean more page cache")
+	}
+}
+
+// TestSimEnvEngineMemoryPerDB: every DB open on a shared SimEnv takes its
+// memory out of the page-cache budget, and a closed one gives it back.
+func TestSimEnvEngineMemoryPerDB(t *testing.T) {
+	env := NewSimEnv(device.NVMe(), device.Profile4C8G(), 1)
+	open := func(dir string) *DB {
+		opts := DefaultOptions()
+		opts.Env = env
+		opts.WriteBufferSize = 64 << 20
+		opts.BlockCacheSize = 256 << 20
+		db, err := Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db
+	}
+	budget := func() int64 {
+		env.mu.Lock()
+		defer env.mu.Unlock()
+		return env.pageBudgetLocked()
+	}
+	idle := budget()
+	a := open("/a")
+	withA := budget()
+	b := open("/b")
+	withBoth := budget()
+	if !(withBoth < withA && withA < idle) {
+		t.Fatalf("page budget idle=%d, A open=%d, A+B open=%d: each open DB must shrink it", idle, withA, withBoth)
+	}
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := budget(); got != withA {
+		t.Fatalf("page budget after closing B = %d, want %d (A alone)", got, withA)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := budget(); got != idle {
+		t.Fatalf("page budget with every DB closed = %d, want %d", got, idle)
 	}
 }
 

@@ -168,6 +168,39 @@ func TestSimWritePipelineDeterministic(t *testing.T) {
 	}
 }
 
+// TestSimWriteTimelinePerDB: two DBs on one SimEnv share the host, not a
+// write lock. B's write arrives at the same virtual instant as A's and must
+// not queue behind A's WAL stage.
+func TestSimWriteTimelinePerDB(t *testing.T) {
+	env := NewSimEnv(device.NVMe(), device.Profile4C8G(), 5)
+	env.SetForegroundThreads(4)
+	var dbs [2]*DB
+	for i, dir := range []string{"/a", "/b"} {
+		opts := DefaultOptions()
+		opts.Env = env
+		db, err := Open(dir, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		dbs[i] = db
+	}
+	var cost [2]time.Duration
+	env.TakeOpCost()
+	for i, db := range dbs {
+		if err := db.Put(nil, []byte("k"), make([]byte, 128)); err != nil {
+			t.Fatal(err)
+		}
+		cost[i] = env.TakeOpCost() // the clock does not move
+	}
+	if n := dbs[1].hists.Data(HistWriteJoinMicros).Count; n != 0 {
+		t.Fatalf("B's write queued %d time(s) behind A's", n)
+	}
+	if cost[1] > cost[0]*3/2 {
+		t.Fatalf("B's write cost %v against A's %v: it paid for A's stages", cost[1], cost[0])
+	}
+}
+
 // openOSTestDB opens a DB on the real filesystem for concurrency tests.
 func openOSTestDB(t *testing.T, tweak func(*Options)) *DB {
 	t.Helper()
