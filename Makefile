@@ -43,7 +43,8 @@ serverbench:
 
 # Allocation regression gates: testing.AllocsPerRun bounds on the cache-hit
 # Get path, the single-writer commit path (both runtimes), reused block
-# iteration, and the per-frame server/client paths.
+# iteration, snappy block compression and reads (scratch and cache-bound),
+# and the per-frame server/client paths.
 # The limits are measured steady-state values plus noise headroom — a pooled
 # codec, buffer, or iterator falling out of reuse trips them immediately.
 # -count=1 defeats the test cache so verify always re-measures.
@@ -60,11 +61,16 @@ liveretune:
 # Native fuzzing of the option boundary — what an LLM's text passes through
 # on its way into the engine: any OPTIONS document is refused or renders to a
 # fixed point, any (name, value) is refused or leaves a value its own
-# validation accepts. go test takes one -fuzz target per run. Minimization is
-# off: minimizing one 9 KB "interesting" input would eat the whole budget.
+# validation accepts — and of the snappy block codec: any input round-trips
+# or is stored raw, any payload decodes to an error or a block exactly as
+# long as its prefix declares. go test takes one -fuzz target per run.
+# Minimization is off: minimizing one 9 KB "interesting" input would eat the
+# whole budget.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzConfigSetFromINI$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/lsm
 	$(GO) test -run '^$$' -fuzz '^FuzzSetByName$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/lsm
+	$(GO) test -run '^$$' -fuzz '^FuzzBlockCodecRoundTrip$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/lsm
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlock$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/lsm
 
 # benchmark/ is its own module, out of reach of `go test ./...`; every PR must
 # leave it untouched and still building and passing against the root module.

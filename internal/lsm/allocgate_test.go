@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -191,67 +192,137 @@ func BenchmarkBlockIterFull(b *testing.B) {
 	}
 }
 
-// BenchmarkWriteBlockCompressed measures the block-compression path of the
-// table builder (flush and compaction CPU): one block compressed per op.
-func BenchmarkWriteBlockCompressed(b *testing.B) {
-	env := testSimEnv()
+// valueShapedBlock is one ~4 KiB data block of 16-byte keys and 400-byte
+// values whose bodies are half random bytes, half zeros: the shape of the
+// repository benchmark's values. A repeated string would flatter any codec.
+func valueShapedBlock() []byte {
+	rng := rand.New(rand.NewSource(1))
 	bb := newBlockBuilder(16)
-	for i := 0; i < 128; i++ {
-		bb.add([]byte(fmt.Sprintf("key%06d", i)), []byte("value-payload-value-payload-value-payload"))
+	val := make([]byte, 400)
+	for i := 0; bb.estimatedSize() < 4096; i++ {
+		rng.Read(val[:200])
+		clear(val[200:])
+		key := makeInternalKey(nil, []byte(fmt.Sprintf("k%015d", i*7919)), uint64(i+1), KindValue)
+		bb.add(key, val)
 	}
-	raw := bb.finish()
-	w, err := env.NewWritableFile("/bench.sst", IOBackground)
+	return append([]byte(nil), bb.finish()...)
+}
+
+// discardFile is a WritableFile that keeps nothing, so a measurement of
+// writeBlock sees the codec and not the file.
+type discardFile struct{}
+
+func (discardFile) Append([]byte) error { return nil }
+func (discardFile) Sync() error         { return nil }
+func (discardFile) Close() error        { return nil }
+
+// compressedBlockReader writes raw as one block compressed with comp into a
+// fresh simulated file and returns a reader over it and the block's handle.
+func compressedBlockReader(tb testing.TB, raw []byte, comp Compression) (*tableReader, blockHandle) {
+	tb.Helper()
+	env := testSimEnv()
+	w, err := env.NewWritableFile("/block.sst", IOBackground)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	opts := DefaultOptions()
-	opts.Compression = ZstdCompression
-	tb := newTableBuilder(w, opts)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tb.writeBlock(raw, opts.Compression); err != nil {
-			b.Fatal(err)
+	h, err := (&tableBuilder{w: w, opts: DefaultOptions()}).writeBlock(raw, comp)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	f, err := env.NewRandomAccessFile("/block.sst", IOBackground)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { f.Close() })
+	return &tableReader{f: f, env: env}, h
+}
+
+// TestAllocGateBlockCodec gates the snappy block paths: compressing a block
+// into the pooled staging buffer allocates nothing, a compaction-style read
+// into caller scratch allocates nothing, and a cache-bound read (nil
+// scratch) allocates once, the block itself.
+func TestAllocGateBlockCodec(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled buffers under -race")
+	}
+	raw := valueShapedBlock()
+	tb := &tableBuilder{w: discardFile{}, opts: DefaultOptions()}
+	if avg := testing.AllocsPerRun(200, func() {
+		if _, err := tb.writeBlock(raw, SnappyCompression); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("snappy writeBlock allocates %.1f/op, want 0", avg)
+	}
+	r, h := compressedBlockReader(t, raw, SnappyCompression)
+	scratch := make([]byte, 0, len(raw))
+	for _, tc := range []struct {
+		name    string
+		scratch []byte
+		want    float64
+	}{{"scratch", scratch, 0}, {"cache-bound", nil, 1}} {
+		avg := testing.AllocsPerRun(200, func() {
+			out, err := r.readBlockRaw(h, HintSequential, tc.scratch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(out) != len(raw) {
+				t.Fatalf("read %d bytes, want %d", len(out), len(raw))
+			}
+		})
+		if avg != tc.want {
+			t.Errorf("%s readBlockRaw of a snappy block allocates %.1f/op, want %v", tc.name, avg, tc.want)
 		}
 	}
 }
 
-// BenchmarkReadBlockCompressed measures the decompress-on-read path
-// (compaction inputs, cache misses): one compressed block decoded per op.
+// BenchmarkWriteBlockCompressed measures the block-compression path of the
+// table builder (flush and compaction CPU): one value-shaped block
+// compressed per op. B/block is the payload written.
+func BenchmarkWriteBlockCompressed(b *testing.B) {
+	raw := valueShapedBlock()
+	for _, comp := range []Compression{SnappyCompression, ZstdCompression} {
+		b.Run(comp.String(), func(b *testing.B) {
+			tb := &tableBuilder{w: discardFile{}, opts: DefaultOptions()}
+			h, err := tb.writeBlock(raw, comp)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.SetBytes(int64(len(raw)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := tb.writeBlock(raw, comp); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(h.length), "B/block")
+		})
+	}
+}
+
+// BenchmarkReadBlockCompressed measures the decompress-on-read path of
+// compaction inputs: one value-shaped block read and decoded into recycled
+// scratch per op.
 func BenchmarkReadBlockCompressed(b *testing.B) {
-	env := testSimEnv()
-	bb := newBlockBuilder(16)
-	for i := 0; i < 128; i++ {
-		bb.add([]byte(fmt.Sprintf("key%06d", i)), []byte("value-payload-value-payload-value-payload"))
-	}
-	raw := bb.finish()
-	w, err := env.NewWritableFile("/bench.sst", IOBackground)
-	if err != nil {
-		b.Fatal(err)
-	}
-	opts := DefaultOptions()
-	opts.Compression = ZstdCompression
-	tb := newTableBuilder(w, opts)
-	h, err := tb.writeBlock(raw, opts.Compression)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		b.Fatal(err)
-	}
-	f, err := env.NewRandomAccessFile("/bench.sst", IOBackground)
-	if err != nil {
-		b.Fatal(err)
-	}
-	r := &tableReader{f: f, env: env}
-	var scratch []byte
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		out, err := r.readBlockRaw(h, HintSequential, scratch)
-		if err != nil {
-			b.Fatal(err)
-		}
-		scratch = out
+	raw := valueShapedBlock()
+	for _, comp := range []Compression{SnappyCompression, ZstdCompression} {
+		b.Run(comp.String(), func(b *testing.B) {
+			r, h := compressedBlockReader(b, raw, comp)
+			var scratch []byte
+			b.SetBytes(int64(len(raw)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				out, err := r.readBlockRaw(h, HintSequential, scratch)
+				if err != nil {
+					b.Fatal(err)
+				}
+				scratch = out
+			}
+		})
 	}
 }

@@ -3,59 +3,109 @@ package lsm
 import (
 	"bytes"
 	"compress/flate"
+	"fmt"
 	"io"
 	"sync"
+	"time"
 )
 
-// Pooled codec state for the block compress/decompress hot paths.
+// Block codecs and their pooled state.
 //
-// A flate.Writer carries ~600 KB of window and hash-chain state and a
-// flate.Reader ~40 KB of history; constructing either per block makes codec
-// setup the dominant compaction CPU line. Both types support Reset, so the
-// pools below recycle them across blocks, flushes, compactions, and tables.
+// A block's trailer names its type: blockRaw, blockFlate (DEFLATE, level
+// flateLevel; zstd and zlib, and snappy/lz4 tables written before block type
+// 2 existed) or blockSnappy (snappy.go; snappy and lz4 — one codec under two
+// names). The snappy codec keeps no state between calls: its hash table lives
+// on the encoder's stack and its decoder writes straight into the block's
+// final storage. DEFLATE does keep state — a flate.Writer carries ~600 KB of
+// window and hash chains, a flate.Reader ~40 KB of history — so both are
+// pooled, as are the staging buffers every codec path reads and encodes into.
 //
 // Ownership rules (see DESIGN §13):
+//   - getBlockBuf/putBlockBuf pair around one block's encode or one block
+//     read; nothing returned from the call may alias the buffer.
 //   - getFlateWriter/putFlateWriter pair around one block's compression; the
 //     writer must be Closed before it is put back.
 //   - getFlateReader/putFlateReader pair around one block's decompression;
 //     put is safe after a decode error because Reset discards all state.
-//   - codecScratch is private to one readBlockRaw call; nothing it holds may
-//     escape the call (the decompressed output is copied out before put).
+//   - flateScratch is private to one inflateBlock call; the plaintext is
+//     copied out before it is put back.
 
-// flateWriterPools holds one pool per flate level (1..9); level 0 is unused
-// because NoCompression never constructs a writer.
-var flateWriterPools [10]sync.Pool
+// Block types, the first byte of every block trailer.
+const (
+	blockRaw    = 0
+	blockFlate  = 1
+	blockSnappy = 2
+)
 
-// clampFlateLevel keeps pool indexing in range for any Compression value.
-func clampFlateLevel(level int) int {
-	if level < 1 {
-		return 1
+// flateLevel is the DEFLATE level behind ZstdCompression.
+const flateLevel = 6
+
+// blockType is the block type comp writes.
+func (c Compression) blockType() byte {
+	switch c {
+	case SnappyCompression, LZ4Compression:
+		return blockSnappy
+	case ZstdCompression:
+		return blockFlate
+	default:
+		return blockRaw
 	}
-	if level > 9 {
-		return 9
-	}
-	return level
 }
 
+// codecPrice is what the simulator charges for a codec's CPU work. zstd
+// keeps the DEFLATE prices the cost model has always charged every codec;
+// snappy's are those prices scaled by what BenchmarkWriteBlockCompressed and
+// BenchmarkReadBlockCompressed measure for it against the DEFLATE level 1 it
+// replaced, on value-shaped blocks: 11.5x faster to encode, 13x to decode.
+type codecPrice struct {
+	perEntry       time.Duration // compressing, per entry a flush or compaction writes
+	decodePSPerOut int64         // decompressing, picoseconds per output byte
+}
+
+var codecPrices = [...]codecPrice{
+	NoCompression:     {},
+	SnappyCompression: {perEntry: 26 * time.Nanosecond, decodePSPerOut: 154},
+	LZ4Compression:    {perEntry: 26 * time.Nanosecond, decodePSPerOut: 154},
+	ZstdCompression:   {perEntry: 300 * time.Nanosecond, decodePSPerOut: 2000},
+}
+
+// price is c's entry in codecPrices (free for an out-of-range value).
+func (c Compression) price() codecPrice {
+	if c < 0 || int(c) >= len(codecPrices) {
+		return codecPrice{}
+	}
+	return codecPrices[c]
+}
+
+// decodeCPU is the simulated cost of decoding n bytes of block type ctype.
+func decodeCPU(ctype byte, n int) time.Duration {
+	var p codecPrice
+	switch ctype {
+	case blockFlate:
+		p = ZstdCompression.price()
+	case blockSnappy:
+		p = SnappyCompression.price()
+	}
+	return time.Duration(int64(n) * p.decodePSPerOut / 1000)
+}
+
+var flateWriterPool sync.Pool
+
 // getFlateWriter returns a pooled flate.Writer reset to write to dst.
-func getFlateWriter(dst io.Writer, level int) *flate.Writer {
-	level = clampFlateLevel(level)
-	if fw, ok := flateWriterPools[level].Get().(*flate.Writer); ok {
+func getFlateWriter(dst io.Writer) *flate.Writer {
+	if fw, ok := flateWriterPool.Get().(*flate.Writer); ok {
 		fw.Reset(dst)
 		return fw
 	}
-	fw, err := flate.NewWriter(dst, level)
+	fw, err := flate.NewWriter(dst, flateLevel)
 	if err != nil {
-		// Unreachable: level is clamped to a valid range.
+		// Unreachable: flateLevel is a valid level.
 		panic(err)
 	}
 	return fw
 }
 
-// putFlateWriter recycles a writer obtained at the same level.
-func putFlateWriter(fw *flate.Writer, level int) {
-	flateWriterPools[clampFlateLevel(level)].Put(fw)
-}
+func putFlateWriter(fw *flate.Writer) { flateWriterPool.Put(fw) }
 
 // flateReaderPool recycles flate.Readers; every reader the stdlib returns
 // implements flate.Resetter.
@@ -74,58 +124,113 @@ func putFlateReader(fr io.ReadCloser) {
 	flateReaderPool.Put(fr)
 }
 
-// compressBufPool recycles the staging buffers writeBlock compresses into;
-// the payload is appended to the file (which copies) before the buffer is
-// returned.
-var compressBufPool = sync.Pool{
+// blockBufPool recycles the staging buffers blocks are encoded into before
+// they are appended to a file, and read into before they are decoded.
+var blockBufPool = sync.Pool{
 	New: func() any { return new(bytes.Buffer) },
 }
 
-func getCompressBuf() *bytes.Buffer {
-	return compressBufPool.Get().(*bytes.Buffer)
+func getBlockBuf() *bytes.Buffer {
+	return blockBufPool.Get().(*bytes.Buffer)
 }
 
-func putCompressBuf(b *bytes.Buffer) {
+func putBlockBuf(b *bytes.Buffer) {
 	b.Reset()
-	compressBufPool.Put(b)
+	blockBufPool.Put(b)
 }
 
-// codecScratch is the per-call scratch for readBlockRaw's decompress path:
-// a reusable source reader over the compressed payload and a staging buffer
-// the plaintext inflates into before being copied to its final destination.
-type codecScratch struct {
+// compressBlock encodes raw with comp's codec into buf and returns the
+// payload and its block type. It returns raw itself as blockRaw when comp is
+// NoCompression or the codec saves less than 12.5 %.
+func compressBlock(buf *bytes.Buffer, raw []byte, comp Compression) ([]byte, byte, error) {
+	limit := len(raw) - len(raw)/8
+	switch ctype := comp.blockType(); ctype {
+	case blockSnappy:
+		buf.Grow(snappyMaxEncodedLen(len(raw)))
+		if enc, ok := snappyEncode(buf.AvailableBuffer(), raw, limit); ok {
+			return enc, ctype, nil
+		}
+	case blockFlate:
+		fw := getFlateWriter(buf)
+		_, werr := fw.Write(raw)
+		cerr := fw.Close()
+		putFlateWriter(fw)
+		if werr != nil {
+			return nil, 0, werr
+		}
+		if cerr != nil {
+			return nil, 0, cerr
+		}
+		if buf.Len() < limit {
+			return buf.Bytes(), ctype, nil
+		}
+	}
+	return raw, blockRaw, nil
+}
+
+// decodeBlock turns a verified payload of block type ctype into the block,
+// in dst's storage when its capacity suffices and in one exactly-sized
+// allocation otherwise. payload must not alias dst.
+func decodeBlock(dst, payload []byte, ctype byte) ([]byte, error) {
+	switch ctype {
+	case blockRaw:
+		dst = sized(dst, len(payload))
+		copy(dst, payload)
+		return dst, nil
+	case blockFlate:
+		return inflateBlock(dst, payload)
+	case blockSnappy:
+		n, prefix, err := snappyDecodedLen(payload)
+		if err != nil {
+			return nil, err
+		}
+		dst = sized(dst, n)
+		if err := snappyDecode(dst, payload[prefix:]); err != nil {
+			return nil, err
+		}
+		return dst, nil
+	default:
+		return nil, fmt.Errorf("lsm: unknown block compression %d", ctype)
+	}
+}
+
+// sized returns b resliced to n bytes when its capacity allows, else new
+// storage of exactly n bytes.
+func sized(b []byte, n int) []byte {
+	if cap(b) >= n {
+		return b[:n]
+	}
+	return make([]byte, n)
+}
+
+// flateScratch is inflateBlock's pooled state: a reader over the payload and
+// a staging buffer, because a DEFLATE stream does not say how long its
+// plaintext is.
+type flateScratch struct {
 	src bytes.Reader
 	buf bytes.Buffer
 }
 
-var codecScratchPool = sync.Pool{
-	New: func() any { return new(codecScratch) },
+var flateScratchPool = sync.Pool{
+	New: func() any { return new(flateScratch) },
 }
 
-// decompressBlock inflates payload into dst (reusing its capacity when it
-// fits, allocating exactly-sized storage otherwise) and returns the result.
-// payload may alias dst's backing array: the plaintext is staged in pooled
-// scratch and only copied out after the decode fully completes.
-func decompressBlock(dst, payload []byte) ([]byte, error) {
-	scr := codecScratchPool.Get().(*codecScratch)
+// inflateBlock inflates a DEFLATE payload into dst's storage (see
+// decodeBlock).
+func inflateBlock(dst, payload []byte) ([]byte, error) {
+	scr := flateScratchPool.Get().(*flateScratch)
+	defer func() {
+		scr.buf.Reset()
+		flateScratchPool.Put(scr)
+	}()
 	scr.src.Reset(payload)
 	fr := getFlateReader(&scr.src)
-	scr.buf.Reset()
 	_, err := scr.buf.ReadFrom(fr)
 	putFlateReader(fr)
 	if err != nil {
-		scr.buf.Reset()
-		codecScratchPool.Put(scr)
 		return nil, err
 	}
-	n := scr.buf.Len()
-	if cap(dst) >= n {
-		dst = dst[:n]
-	} else {
-		dst = make([]byte, n)
-	}
+	dst = sized(dst, scr.buf.Len())
 	copy(dst, scr.buf.Bytes())
-	scr.buf.Reset()
-	codecScratchPool.Put(scr)
 	return dst, nil
 }

@@ -3,6 +3,7 @@ package lsm
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"strings"
@@ -10,12 +11,13 @@ import (
 	"testing"
 )
 
-// TestCodecPoolConcurrentRoundTrip hammers the pooled flate writers and
-// readers from many goroutines across every Compression setting at once:
-// each goroutine builds blocks, writes them through writeBlock (pooled
-// compressor) and reads them back through readBlockRaw (pooled reader and
-// scratch), verifying byte equality. Run under -race this is the lifetime
-// guard for every pooled codec object.
+// TestCodecPoolConcurrentRoundTrip hammers the pooled block buffers and
+// flate writers and readers from many goroutines across every Compression
+// setting at once: each goroutine builds blocks, writes them through
+// writeBlock (pooled staging buffer and compressor) and reads them back
+// through readBlockRaw (pooled read buffer, reader and scratch), verifying
+// byte equality. Run under -race this is the lifetime guard for every pooled
+// codec object.
 func TestCodecPoolConcurrentRoundTrip(t *testing.T) {
 	comps := []Compression{NoCompression, SnappyCompression, LZ4Compression, ZstdCompression}
 	const workers = 4
@@ -113,42 +115,47 @@ func writeRawBlock(t *testing.T, env Env, name string, payload []byte, ctype byt
 	return blockHandle{offset: 0, length: uint64(len(payload))}
 }
 
-// TestCorruptCtypePooledBufferSafety drives readBlockRaw down its two error
-// branches — unknown ctype and an undecodable flate stream — with a pooled
-// caller scratch in play, then proves the pools are unharmed by running a
-// real round trip afterward. A pooled buffer or codec leaking out of the
-// error path would corrupt the follow-up read.
+// TestCorruptCtypePooledBufferSafety drives readBlockRaw down its error
+// branches — unknown ctype, an undecodable DEFLATE stream, and malformed
+// snappy blocks — with a pooled caller scratch in play, then proves the pools
+// are unharmed by running real round trips afterward. A pooled buffer or
+// codec leaking out of an error path would corrupt the follow-up reads.
 func TestCorruptCtypePooledBufferSafety(t *testing.T) {
 	env := testSimEnv()
-
-	// Unknown ctype (7) with a valid checksum.
-	payload := []byte("not-a-real-compressed-block")
-	h := writeRawBlock(t, env, "/badctype.blk", payload, 7)
-	f, err := env.NewRandomAccessFile("/badctype.blk", IOBackground)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd := &tableReader{f: f, env: env}
 	scratch := make([]byte, 0, 256)
-	if _, err := rd.readBlockRaw(h, HintRandom, scratch); err == nil ||
-		!strings.Contains(err.Error(), "unknown block compression") {
-		t.Fatalf("want unknown-compression error, got %v", err)
+	for i, tc := range []struct {
+		name    string
+		payload []byte
+		ctype   byte
+		want    string
+	}{
+		{"unknown ctype", []byte("not-a-real-compressed-block"), 7, "unknown block compression"},
+		// The pooled flate reader fails mid-decode and must still return to
+		// the pool safely.
+		{"bad deflate", []byte{0xff, 0xff, 0x00, 0x13, 0x37}, blockFlate, "decompress block"},
+		{"snappy truncated tag", []byte{0x0a, 0x00, 'a', 8<<2 | snappyTagCopy2}, blockSnappy, "truncated"},
+		{"snappy offset 0", []byte{0x05, 0x00, 'a', snappyTagCopy1, 0x00}, blockSnappy, "offset"},
+		{"snappy offset past output", []byte{0x05, 0x00, 'a', snappyTagCopy1, 0x02}, blockSnappy, "offset"},
+		{"snappy prefix too long", []byte{0x05, 2 << 2, 'a', 'b', 'c'}, blockSnappy, "length"},
+		{"snappy prefix too short", []byte{0x02, 2 << 2, 'a', 'b', 'c'}, blockSnappy, "length"},
+		{"snappy prefix past expansion", []byte{0xff, 0xff, 0xff, 0x7f, 0x00, 'a'}, blockSnappy, "length"},
+	} {
+		name := fmt.Sprintf("/bad-%d.blk", i)
+		h := writeRawBlock(t, env, name, tc.payload, tc.ctype)
+		f, err := env.NewRandomAccessFile(name, IOBackground)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd := &tableReader{f: f, env: env}
+		_, err = rd.readBlockRaw(h, HintRandom, scratch)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: want %q error, got %v", tc.name, tc.want, err)
+		}
+		if tc.ctype == blockSnappy && !errors.Is(err, ErrCorruption) {
+			t.Fatalf("%s: %v does not wrap ErrCorruption", tc.name, err)
+		}
+		f.Close()
 	}
-	f.Close()
-
-	// ctype=1 with a valid checksum over garbage: the pooled flate reader
-	// fails mid-decode and must still return to the pool safely.
-	h = writeRawBlock(t, env, "/badflate.blk", []byte{0xff, 0xff, 0x00, 0x13, 0x37}, 1)
-	f, err = env.NewRandomAccessFile("/badflate.blk", IOBackground)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rd = &tableReader{f: f, env: env}
-	if _, err := rd.readBlockRaw(h, HintRandom, scratch); err == nil ||
-		!strings.Contains(err.Error(), "decompress block") {
-		t.Fatalf("want decompress error, got %v", err)
-	}
-	f.Close()
 
 	// The pools must still hand out working codecs and clean buffers.
 	bb := newBlockBuilder(16)
@@ -156,29 +163,81 @@ func TestCorruptCtypePooledBufferSafety(t *testing.T) {
 		bb.add([]byte(fmt.Sprintf("key%06d", i)), []byte(strings.Repeat("v", 32)))
 	}
 	raw := append([]byte(nil), bb.finish()...)
-	wf, err := env.NewWritableFile("/good.sst", IOBackground)
+	for _, comp := range []Compression{ZstdCompression, SnappyCompression} {
+		rd, gh := compressedBlockReader(t, raw, comp)
+		got, err := rd.readBlockRaw(gh, HintRandom, scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, raw) {
+			t.Fatalf("%v round trip after error paths: mismatch", comp)
+		}
+	}
+}
+
+// TestReadBlockRawMixedTypes reads one table's blocks of every type, in
+// orders that flip readBlockRaw's raw-or-compressed prediction both ways,
+// from goroutines sharing the reader, into caller scratch and into fresh
+// storage: every block must come back intact whichever way it was read.
+func TestReadBlockRawMixedTypes(t *testing.T) {
+	env := testSimEnv()
+	w, err := env.NewWritableFile("/mixed.sst", IOBackground)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb := &tableBuilder{w: wf, opts: DefaultOptions()}
-	gh, err := tb.writeBlock(raw, ZstdCompression)
+	tb := &tableBuilder{w: w, opts: DefaultOptions()}
+	comps := []Compression{NoCompression, SnappyCompression, NoCompression, ZstdCompression, SnappyCompression, SnappyCompression, NoCompression}
+	var handles []blockHandle
+	var raws [][]byte
+	for i, comp := range comps {
+		bb := newBlockBuilder(16)
+		for j := 0; j < 32; j++ {
+			bb.add([]byte(fmt.Sprintf("key-%d-%04d", i, j)), []byte(strings.Repeat("payload", 1+i)))
+		}
+		raw := append([]byte(nil), bb.finish()...)
+		h, err := tb.writeBlock(raw, comp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles, raws = append(handles, h), append(raws, raw)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := env.NewRandomAccessFile("/mixed.sst", IOBackground)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := wf.Close(); err != nil {
-		t.Fatal(err)
+	defer f.Close()
+	rd := &tableReader{f: f, env: env}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var scratch []byte
+			for r := 0; r < 20; r++ {
+				for k := range handles {
+					i := (k*(g+1) + r) % len(handles)
+					var dst []byte
+					if (r+g)%2 == 0 {
+						dst = scratch
+					}
+					got, err := rd.readBlockRaw(handles[i], HintRandom, dst)
+					if err != nil {
+						t.Errorf("block %d (%v): %v", i, comps[i], err)
+						return
+					}
+					if !bytes.Equal(got, raws[i]) {
+						t.Errorf("block %d (%v): mismatch", i, comps[i])
+						return
+					}
+					if dst != nil {
+						scratch = got
+					}
+				}
+			}
+		}(g)
 	}
-	gf, err := env.NewRandomAccessFile("/good.sst", IOBackground)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gf.Close()
-	rd = &tableReader{f: gf, env: env}
-	got, err := rd.readBlockRaw(gh, HintRandom, scratch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, raw) {
-		t.Fatal("round trip after error paths: mismatch")
-	}
+	wg.Wait()
 }

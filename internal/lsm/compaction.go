@@ -429,13 +429,7 @@ func (db *DB) runCompaction(c *compaction, v *Version) (*compactionResult, error
 		res.sliceDurs = append(res.sliceDurs, sr.dur)
 	}
 	// CPU cost model: comparisons + copies per entry, plus compression.
-	// The compression adder covers deflate work only: codec setup is
-	// amortized away by the pooled flate writers (codec.go), no longer
-	// paid per block.
-	perEntry := 350 * time.Nanosecond
-	if cfOpts.Compression != NoCompression {
-		perEntry += 300 * time.Nanosecond
-	}
+	perEntry := 350*time.Nanosecond + cfOpts.Compression.price().perEntry
 	res.cpu = time.Duration(entries) * perEntry
 	return res, nil
 }

@@ -87,12 +87,7 @@ func (db *DB) runFlush(cf *columnFamily, mems []*memtable) (*compactionResult, e
 	}
 	res.edit.newFiles = append(res.edit.newFiles, newFile{0, meta})
 	res.writeBytes = props.FileSize
-	perEntry := 300 * time.Nanosecond
-	if cf.options().Compression != NoCompression {
-		// Deflate work only: codec setup is amortized away by the pooled
-		// flate writers (codec.go), no longer paid per block.
-		perEntry += 300 * time.Nanosecond
-	}
+	perEntry := 300*time.Nanosecond + cf.options().Compression.price().perEntry
 	res.cpu = time.Duration(entries) * perEntry
 	return res, nil
 }

@@ -240,7 +240,7 @@ var optionSpecs = []OptionSpec{
 	enumOpt("compaction_style", SectionCF, []string{"level", "universal", "fifo", "kCompactionStyleLevel", "kCompactionStyleUniversal", "kCompactionStyleFIFO"},
 		"compaction algorithm", ParseCompactionStyle, func(o *Options) *CompactionStyle { return &o.CompactionStyle }),
 	enumOpt("compression", SectionCF, []string{"none", "no", "false", "disable", "snappy", "lz4", "zstd", "zlib", "kNoCompression", "kSnappyCompression", "kLZ4Compression", "kZSTD", "kZlibCompression"},
-		"SST block compression", ParseCompression, func(o *Options) *Compression { return &o.Compression }).mutable(),
+		"SST block compression: snappy and lz4 are one codec (a from-scratch snappy, no entropy stage), zstd and zlib are DEFLATE level 6", ParseCompression, func(o *Options) *Compression { return &o.Compression }).mutable(),
 	intOpt("max_compaction_bytes", SectionCF, 1<<20, 1<<44, "max bytes in one compaction", func(o *Options) *int64 { return &o.MaxCompactionBytes }).mutable(),
 	boolOpt("disable_auto_compactions", SectionCF, "disable background compaction", func(o *Options) *bool { return &o.DisableAutoCompactions }).mutable(),
 	intOpt("soft_pending_compaction_bytes_limit", SectionCF, 0, 1<<50, "pending compaction bytes causing slowdown", func(o *Options) *int64 { return &o.SoftPendingCompactionBytesLimit }).mutable(),

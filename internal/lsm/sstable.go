@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -16,25 +17,29 @@ import (
 //	[index block]            lastInternalKey -> blockHandle
 //	[footer]                 handles + entry count + magic, fixed size
 //
-// blockHandle = varint(offset) varint(payloadLen). ctype: 0 none, 1 flate.
+// blockHandle = varint(offset) varint(payloadLen). ctype: 0 none, 1 DEFLATE,
+// 2 snappy (codec.go).
 const (
 	tableMagic       = 0x6d696e69726f636b // "minirock"
 	blockTrailerSize = 5
 	footerSize       = 4*binary.MaxVarintLen64 + 8
 )
 
-// Compression identifies a block compression codec. Snappy/LZ4/Zstd names
-// from RocksDB map onto flate levels (stdlib-only substitution).
+// Compression identifies a block compression codec. There are two codecs
+// behind RocksDB's four names, both written on the standard library:
+// snappy and lz4 are one codec under two names, a from-scratch snappy
+// (cheap: no entropy stage), and zstd and zlib are DEFLATE level 6 (denser,
+// several times the CPU).
 type Compression int
 
 const (
 	// NoCompression stores blocks raw.
 	NoCompression Compression = iota
-	// SnappyCompression approximates snappy with flate level 1.
+	// SnappyCompression encodes blocks with the snappy block format.
 	SnappyCompression
-	// LZ4Compression approximates lz4 with flate level 1.
+	// LZ4Compression is the same snappy codec as SnappyCompression.
 	LZ4Compression
-	// ZstdCompression approximates zstd with flate level 6.
+	// ZstdCompression stands in for zstd (and zlib) with DEFLATE level 6.
 	ZstdCompression
 )
 
@@ -67,17 +72,6 @@ func (c Compression) String() string {
 		return "zstd"
 	default:
 		return fmt.Sprintf("Compression(%d)", int(c))
-	}
-}
-
-func (c Compression) flateLevel() int {
-	switch c {
-	case SnappyCompression, LZ4Compression:
-		return 1
-	case ZstdCompression:
-		return 6
-	default:
-		return 0
 	}
 }
 
@@ -131,6 +125,7 @@ type tableBuilder struct {
 	pendingIdx  bool   // an index entry awaits the next key (or finish)
 	pendingKey  []byte // last key of the completed data block
 	pendingHndl blockHandle
+	trailer     [blockTrailerSize]byte // writeBlock's, here so it does not escape per block
 	err         error
 }
 
@@ -205,32 +200,17 @@ func (b *tableBuilder) flushDataBlock() {
 }
 
 // writeBlock compresses (maybe), appends payload+trailer, returns its handle.
-// The compressor and its staging buffer come from pools; both are released
-// before returning (Append copies the payload into the file).
+// The staging buffer comes from a pool and is released before returning
+// (Append copies the payload into the file).
 func (b *tableBuilder) writeBlock(raw []byte, comp Compression) (blockHandle, error) {
-	payload := raw
-	ctype := byte(0)
-	if comp != NoCompression {
-		level := comp.flateLevel()
-		buf := getCompressBuf()
-		defer putCompressBuf(buf)
-		fw := getFlateWriter(buf, level)
-		_, werr := fw.Write(raw)
-		cerr := fw.Close()
-		putFlateWriter(fw, level)
-		if werr != nil {
-			return blockHandle{}, werr
-		}
-		if cerr != nil {
-			return blockHandle{}, cerr
-		}
-		if buf.Len() < len(raw)-len(raw)/8 { // keep only if ≥12.5% saved
-			payload = buf.Bytes()
-			ctype = 1
-		}
+	buf := getBlockBuf()
+	defer putBlockBuf(buf)
+	payload, ctype, err := compressBlock(buf, raw, comp)
+	if err != nil {
+		return blockHandle{}, err
 	}
 	h := blockHandle{offset: b.offset, length: uint64(len(payload))}
-	var trailer [blockTrailerSize]byte
+	trailer := b.trailer[:]
 	trailer[0] = ctype
 	crc := crc32.ChecksumIEEE(payload)
 	crc = crc32.Update(crc, crc32.IEEETable, trailer[:1])
@@ -238,7 +218,7 @@ func (b *tableBuilder) writeBlock(raw []byte, comp Compression) (blockHandle, er
 	if err := b.w.Append(payload); err != nil {
 		return blockHandle{}, err
 	}
-	if err := b.w.Append(trailer[:]); err != nil {
+	if err := b.w.Append(trailer); err != nil {
 		return blockHandle{}, err
 	}
 	b.offset += uint64(len(payload)) + blockTrailerSize
@@ -312,6 +292,11 @@ type tableReader struct {
 	size     int64
 	stats    *Statistics
 	perf     *PerfContext // per-op attribution (nil for background readers)
+	// direct is set while the blocks read are stored raw. A table is written
+	// with one codec, so the next block is most likely stored like the last:
+	// a raw block is read straight into its destination, and only
+	// compressed ones go through the pooled buffer they are decoded out of.
+	direct atomic.Bool
 }
 
 // openTable reads the footer, index and filter blocks of an SSTable. perf
@@ -384,18 +369,23 @@ func openTable(env Env, name string, fileNum uint64, cache *blockCache, stats *S
 // readBlockRaw reads and verifies one block payload, decompressing if needed.
 //
 // scratch is an optional caller-owned buffer: when its capacity suffices the
-// returned block aliases it, letting iterator-style callers recycle one
-// buffer across blocks. Callers that retain the result indefinitely (the
-// block cache, openTable's index/filter) must pass nil so the block gets
-// private, exactly-sized storage. Decompression runs through pooled codec
-// state either way (see codec.go).
+// returned block lives in it, letting iterator-style callers recycle one
+// buffer across blocks with no allocation. Callers that retain the result
+// indefinitely (the block cache, openTable's index/filter) must pass nil so
+// the block gets private, exactly-sized storage: its one allocation. A
+// compressed block is read into a pooled buffer and decoded out of it, so
+// its payload never aliases the destination (see t.direct).
 func (t *tableReader) readBlockRaw(h blockHandle, hint AccessHint, scratch []byte) ([]byte, error) {
 	need := int(h.length) + blockTrailerSize
-	buf := scratch
-	if cap(buf) >= need {
-		buf = buf[:need]
+	direct := t.direct.Load()
+	var buf []byte
+	if direct {
+		buf = sized(scratch, need)
 	} else {
-		buf = make([]byte, need)
+		rb := getBlockBuf()
+		defer putBlockBuf(rb)
+		rb.Grow(need)
+		buf = rb.AvailableBuffer()[:need]
 	}
 	var start time.Time
 	timed := t.perf.TimeEnabled()
@@ -418,24 +408,25 @@ func (t *tableReader) readBlockRaw(h blockHandle, hint AccessHint, scratch []byt
 	if crc != wantCRC {
 		return nil, fmt.Errorf("%w: block checksum mismatch at offset %d (file %d)", ErrCorruption, h.offset, t.fileNum)
 	}
-	switch ctype {
-	case 0:
-		return payload, nil
-	case 1:
-		// The plaintext is staged in pooled scratch and copied into buf
-		// (which payload aliases) only after the decode completes, so
-		// reusing the read buffer as the destination is safe.
-		out, err := decompressBlock(buf[:0], payload)
-		if err != nil {
-			return nil, fmt.Errorf("lsm: decompress block at %d: %w", h.offset, err)
-		}
-		if t.env != nil {
-			t.env.ChargeCPU(time.Duration(len(out)) * 2 * time.Nanosecond)
-		}
-		return out, nil
-	default:
-		return nil, fmt.Errorf("lsm: unknown block compression %d", ctype)
+	if raw := ctype == blockRaw; raw != direct {
+		t.direct.Store(raw)
 	}
+	if direct {
+		if ctype == blockRaw {
+			return payload, nil
+		}
+		// Mispredicted: the payload sits where the block would go, so the
+		// block decodes into new storage.
+		scratch = nil
+	}
+	out, err := decodeBlock(scratch, payload, ctype)
+	if err != nil {
+		return nil, fmt.Errorf("lsm: decompress block at %d: %w", h.offset, err)
+	}
+	if t.env != nil {
+		t.env.ChargeCPU(decodeCPU(ctype, len(out)))
+	}
+	return out, nil
 }
 
 // readBlock returns a decoded block, consulting the block cache when one is
