@@ -44,7 +44,8 @@ serverbench:
 # Allocation regression gates: testing.AllocsPerRun bounds on the cache-hit
 # Get path, the single-writer commit path (both runtimes), reused block
 # iteration, snappy block compression and reads (scratch and cache-bound),
-# and the per-frame server/client paths.
+# the per-frame server/client paths, and a burst of Puts committed as one
+# write group.
 # The limits are measured steady-state values plus noise headroom — a pooled
 # codec, buffer, or iterator falling out of reuse trips them immediately.
 # -count=1 defeats the test cache so verify always re-measures.

@@ -3,23 +3,41 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"fmt"
 	"io"
 	"net"
 	"testing"
+
+	"repro/internal/lsm"
 )
 
 // streamConn is a connection whose peer has already sent everything it will
 // send: reads drain a prepared byte stream and then hit EOF, writes are
-// counted and dropped.
+// counted and dropped unless out collects them.
 type streamConn struct {
 	net.Conn // nil: serveConn uses nothing below
 	in       bytes.Reader
+	burst    int           // when > 0, one Read returns at most this many bytes
+	out      *bytes.Buffer // when non-nil, receives every write
 	writes   int
 }
 
-func (c *streamConn) Read(p []byte) (int, error)  { return c.in.Read(p) }
-func (c *streamConn) Write(p []byte) (int, error) { c.writes++; return len(p), nil }
-func (c *streamConn) Close() error                { return nil }
+func (c *streamConn) Read(p []byte) (int, error) {
+	if c.burst > 0 && len(p) > c.burst {
+		p = p[:c.burst]
+	}
+	return c.in.Read(p)
+}
+
+func (c *streamConn) Write(p []byte) (int, error) {
+	c.writes++
+	if c.out != nil {
+		c.out.Write(p)
+	}
+	return len(p), nil
+}
+
+func (c *streamConn) Close() error { return nil }
 
 // serveStream runs the real per-connection loop over stream, to completion.
 func serveStream(s *Server, c *streamConn, stream []byte) {
@@ -33,8 +51,10 @@ func serveStream(s *Server, c *streamConn, stream []byte) {
 // path alone: read, decode, dispatch, encode, flush.
 var frameGateRequest = &Request{Op: OpScan, Key: []byte("key00000001")}
 
-func newFrameGateServer(tb testing.TB) *Server {
-	router, err := OpenRouter(tb.TempDir(), 1, nil)
+// newStreamServer is a Server over an n-shard router with no listener, for
+// driving serveConn directly with serveStream.
+func newStreamServer(tb testing.TB, shards int) *Server {
+	router, err := OpenRouter(tb.TempDir(), shards, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -48,7 +68,7 @@ func newFrameGateServer(tb testing.TB) *Server {
 // 512-frame connection, and any per-frame allocation puts it at 1 or more.
 func TestAllocGateFrame(t *testing.T) {
 	const frames = 512
-	s := newFrameGateServer(t)
+	s := newStreamServer(t, 1)
 	stream := bytes.Repeat(rawFrames(t, frameGateRequest), frames)
 	var c streamConn
 	avg := testing.AllocsPerRun(20, func() { serveStream(s, &c, stream) }) / frames
@@ -62,6 +82,33 @@ func TestAllocGateFrame(t *testing.T) {
 	}
 }
 
+// TestAllocGateWriteBurst gates the write path behind the wire: the real
+// serveConn over bursts of eight 400-byte Puts, one burst per read. A burst
+// commits as one engine write, so what a Put frame still allocates is the
+// memtable's own entry and node; committing each Put by itself costs ~10.
+func TestAllocGateWriteBurst(t *testing.T) {
+	const bursts, perBurst = 64, 8
+	s := newStreamServer(t, 1)
+	reqs := make([]*Request, perBurst)
+	for i := range reqs {
+		reqs[i] = &Request{Op: OpPut, Key: []byte(fmt.Sprintf("key%08d", i)), Value: bytes.Repeat([]byte{'v'}, 400)}
+	}
+	burst := rawFrames(t, reqs...)
+	stream := bytes.Repeat(burst, bursts)
+	c := streamConn{burst: len(burst)}
+	commits0 := s.router.Statistics().Get(lsm.TickerWriteDoneBySelf)
+	avg := testing.AllocsPerRun(20, func() { serveStream(s, &c, stream) }) / (bursts * perBurst)
+	puts := s.metrics.Requests(OpPut)
+	if commits := s.router.Statistics().Get(lsm.TickerWriteDoneBySelf) - commits0; commits*perBurst != puts {
+		t.Fatalf("%d Puts took %d engine commits, want one per %d-Put burst", puts, commits, perBurst)
+	}
+	t.Logf("%.3f allocations per Put frame", avg)
+	const limit = 4
+	if avg > limit {
+		t.Fatalf("write burst path allocates %.2f per Put frame, gate is %d", avg, limit)
+	}
+}
+
 // TestConnScratchNotPinned checks that one oversized frame does not stay
 // attached to the connection's scratch buffers.
 func TestConnScratchNotPinned(t *testing.T) {
@@ -70,6 +117,29 @@ func TestConnScratchNotPinned(t *testing.T) {
 	}
 	if b := trimScratch(make([]byte, 10, connBufSize+1)); b != nil {
 		t.Errorf("scratch of capacity %d kept", cap(b))
+	}
+}
+
+// TestWriteGroupScratchNotPinned checks that a shard batch one large request
+// grew past connBufSize is dropped after its commit, and a small one kept.
+func TestWriteGroupScratchNotPinned(t *testing.T) {
+	s := newStreamServer(t, 1)
+	g := s.router.newWriteGroup()
+	commit := func(entries ...BatchEntry) {
+		g.add(entries)
+		g.commit(func(_ int, err error) {
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	commit(BatchEntry{Key: []byte("big"), Value: make([]byte, connBufSize)})
+	if g.batches[0] != nil {
+		t.Errorf("batch of %d bytes kept after its commit", g.batches[0].ApproximateSize())
+	}
+	commit(BatchEntry{Key: []byte("small"), Value: []byte("v")})
+	if b := g.batches[0]; b == nil || b.Count() != 0 {
+		t.Errorf("small batch dropped or not cleared after its commit: %v", b)
 	}
 }
 
@@ -101,7 +171,7 @@ func TestAllocGateClientEncode(t *testing.T) {
 // frames, one op per frame.
 func BenchmarkServerFrame(b *testing.B) {
 	const frames = 1024
-	s := newFrameGateServer(b)
+	s := newStreamServer(b, 1)
 	stream := bytes.Repeat(rawFrames(b, frameGateRequest), frames)
 	var c streamConn
 	b.ReportAllocs()

@@ -74,7 +74,8 @@ func newClient(conn net.Conn) *Client {
 // of the other callers the same response burst woke, and without the yield it
 // would pay one syscall for that single frame. With nothing else runnable
 // Gosched returns at once, so a lone synchronous caller gets one flush per
-// call and no added wait.
+// call and no added wait. After a transport error it stops writing and fails
+// every queued and later call until Close closes the send queue.
 func (c *Client) writeLoop(pending chan<- clientCall) {
 	defer c.wg.Done()
 	defer close(pending)
@@ -85,21 +86,31 @@ func (c *Client) writeLoop(pending chan<- clientCall) {
 		pending <- call
 		err := writeFrame(bw, call.frame.b)
 		putFrame(call.frame) // bufio copied (or rejected) the bytes
-		if err != nil {
-			c.fail(err)
-			return
-		}
-		if len(c.sendCh) == 0 {
+		if err == nil && len(c.sendCh) == 0 {
 			runtime.Gosched()
 		}
-		if len(c.sendCh) == 0 {
-			if err := bw.Flush(); err != nil {
-				c.fail(err)
-				return
-			}
+		if err == nil && len(c.sendCh) == 0 {
+			err = bw.Flush()
+		}
+		if err != nil {
+			c.fail(err)
+			c.failQueued()
+			return
 		}
 	}
 	bw.Flush()
+}
+
+// failQueued answers every call still in, or later sent to, the send queue
+// with the sticky transport error, until Close closes the queue.
+func (c *Client) failQueued() {
+	c.mu.Lock()
+	err := c.err
+	c.mu.Unlock()
+	for call := range c.sendCh {
+		putFrame(call.frame)
+		call.slot <- clientResult{err: err}
+	}
 }
 
 // readLoop matches response frames to pending calls in FIFO order.

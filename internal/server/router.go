@@ -3,6 +3,7 @@ package server
 import (
 	"fmt"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -13,13 +14,15 @@ import (
 // Router hash-partitions the user keyspace across N embedded lsm.DB
 // instances ("shards"), each with its own write thread, memtables and
 // compaction scheduler, so foreground traffic parallelizes across cores.
-// Every operation routes by key; cross-shard operations (MultiGet, batches,
+// Every operation routes by key; cross-shard operations (MultiGet, writes,
 // scans) fan out and preserve per-operation semantics:
 //
 //   - MultiGet groups keys by shard, executes per-shard MultiGets (one read
 //     state capture per shard) concurrently, and gathers results positionally.
-//   - Batches split by shard and commit concurrently: atomic per shard, not
-//     across shards (documented protocol semantics).
+//   - Writes (Put, Delete, batches) stage into one WriteBatch per shard (a
+//     writeGroup) and commit shard after shard on the caller's goroutine:
+//     atomic per shard, not across shards (documented protocol semantics).
+//     The server stages a whole burst of write requests as one group.
 //   - Scans merge the per-shard iterators by user key; shards hold disjoint
 //     keyspaces, so the merge is a plain k-way minimum with no dedup.
 //
@@ -36,6 +39,9 @@ type Router struct {
 	// on every shard on first use so a key can always reach its shard.
 	cfMu sync.RWMutex
 	cfs  map[string][]*lsm.ColumnFamilyHandle
+
+	// groups recycles the write groups of Put, Delete and ApplyBatch.
+	groups sync.Pool
 }
 
 // shardDir names one shard's database directory.
@@ -75,6 +81,7 @@ func OpenRouter(dir string, n int, cfg *lsm.ConfigSet) (*Router, error) {
 		r.shards = append(r.shards, db)
 	}
 	r.defaultCF = make([]*lsm.ColumnFamilyHandle, n)
+	r.groups.New = func() any { return r.newWriteGroup() }
 	return r, nil
 }
 
@@ -132,12 +139,7 @@ func (r *Router) handles(cf string) ([]*lsm.ColumnFamilyHandle, error) {
 
 // Put routes a single-key write to its shard.
 func (r *Router) Put(cf string, key, value []byte) error {
-	hs, err := r.handles(cf)
-	if err != nil {
-		return err
-	}
-	s := r.shardFor(key)
-	return r.shards[s].PutCF(nil, hs[s], key, value)
+	return r.ApplyBatch([]BatchEntry{{CF: cf, Key: key, Value: value}})
 }
 
 // Get routes a point lookup to its shard.
@@ -152,12 +154,7 @@ func (r *Router) Get(cf string, key []byte) ([]byte, error) {
 
 // Delete routes a single-key tombstone to its shard.
 func (r *Router) Delete(cf string, key []byte) error {
-	hs, err := r.handles(cf)
-	if err != nil {
-		return err
-	}
-	s := r.shardFor(key)
-	return r.shards[s].DeleteCF(nil, hs[s], key)
+	return r.ApplyBatch([]BatchEntry{{IsDelete: true, CF: cf, Key: key}})
 }
 
 // MultiGet fans a key batch out across shards and gathers the results back
@@ -200,64 +197,112 @@ func (r *Router) MultiGet(cf string, keys [][]byte) ([][]byte, []error) {
 	return vals, errs
 }
 
-// writeBatchPool recycles per-shard WriteBatches across ApplyBatch calls;
-// WriteBatch.Put copies keys/values into its rep, and Clear keeps the rep's
-// capacity, so a pooled batch carries no references to caller memory.
-var writeBatchPool = sync.Pool{
-	New: func() any { return lsm.NewWriteBatch() },
+// ApplyBatch splits a batch's entries by shard and commits each shard's part
+// as one engine write, shard after shard. Atomicity holds per shard; the
+// first error is returned.
+func (r *Router) ApplyBatch(entries []BatchEntry) (err error) {
+	g := r.groups.Get().(*writeGroup)
+	g.add(entries)
+	g.commit(func(_ int, e error) { err = e })
+	r.groups.Put(g)
+	return err
 }
 
-// ApplyBatch splits a batch's entries by shard and commits the per-shard
-// sub-batches concurrently through each shard's group-commit write thread.
-// Atomicity holds per shard; the first error is returned.
-func (r *Router) ApplyBatch(entries []BatchEntry) error {
-	batches := make([]*lsm.WriteBatch, len(r.shards))
-	release := func() {
-		for _, b := range batches {
-			if b != nil {
-				b.Clear()
-				writeBatchPool.Put(b)
-			}
-		}
+// writeGroup stages write requests (its members) into one WriteBatch per
+// shard, commits each touched shard's batch exactly once, and gives every
+// member the outcome of the shards it staged entries on. Batches and lists
+// are scratch, reused from one group to the next; WriteBatch copies keys and
+// values, so nothing staged aliases the caller's memory.
+type writeGroup struct {
+	r       *Router
+	batches []*lsm.WriteBatch // per shard; nil until first staged on
+	errs    []error           // per shard: outcome of the current commit
+	touched []int             // shards with staged entries, in first-touch order
+	members []groupMember
+	spans   []int // member m staged entries on shards spans[m.lo:m.hi]
+	size    int   // staged key and value bytes
+}
+
+// groupMember is one staged request.
+type groupMember struct {
+	lo, hi int
+	err    error // set at staging when the request's family cannot be resolved
+}
+
+func (r *Router) newWriteGroup() *writeGroup {
+	return &writeGroup{
+		r:       r,
+		batches: make([]*lsm.WriteBatch, len(r.shards)),
+		errs:    make([]error, len(r.shards)),
 	}
-	defer release()
+}
+
+// add stages one request's entries as the group's next member. A request
+// naming a family that cannot be resolved fails alone, with none of its
+// entries staged.
+func (g *writeGroup) add(entries []BatchEntry) {
+	m := groupMember{lo: len(g.spans)}
 	for i := range entries {
-		e := &entries[i]
-		hs, err := r.handles(e.CF)
-		if err != nil {
-			return err
-		}
-		s := r.shardFor(e.Key)
-		if batches[s] == nil {
-			batches[s] = writeBatchPool.Get().(*lsm.WriteBatch)
-		}
-		if e.IsDelete {
-			batches[s].DeleteCF(hs[s], e.Key)
-		} else {
-			batches[s].PutCF(hs[s], e.Key, e.Value)
+		if _, m.err = g.r.handles(entries[i].CF); m.err != nil {
+			break
 		}
 	}
-	var wg sync.WaitGroup
-	errc := make(chan error, len(r.shards))
-	for s, b := range batches {
-		if b == nil {
-			continue
-		}
-		wg.Add(1)
-		go func(s int, b *lsm.WriteBatch) {
-			defer wg.Done()
-			if err := r.shards[s].Write(nil, b); err != nil {
-				errc <- err
+	if m.err == nil {
+		for i := range entries {
+			e := &entries[i]
+			hs, _ := g.r.handles(e.CF) // resolved above
+			s := g.r.shardFor(e.Key)
+			b := g.batches[s]
+			if b == nil {
+				b = lsm.NewWriteBatch()
+				g.batches[s] = b
 			}
-		}(s, b)
+			if b.Count() == 0 {
+				g.touched = append(g.touched, s)
+			}
+			if e.IsDelete {
+				b.DeleteCF(hs[s], e.Key)
+			} else {
+				b.PutCF(hs[s], e.Key, e.Value)
+			}
+			g.size += len(e.Key) + len(e.Value)
+			if !slices.Contains(g.spans[m.lo:], s) {
+				g.spans = append(g.spans, s)
+			}
+		}
 	}
-	wg.Wait()
-	select {
-	case err := <-errc:
-		return err
-	default:
-		return nil
+	m.hi = len(g.spans)
+	g.members = append(g.members, m)
+}
+
+// commit writes each touched shard's batch, shard after shard on the calling
+// goroutine, then reports every member's outcome to done in staging order:
+// its resolution error, else the first failure among the shards it staged
+// on, else nil. It returns the number of engine commits issued and leaves the
+// group empty. A batch that one large request grew past connBufSize is
+// dropped rather than kept as scratch.
+func (g *writeGroup) commit(done func(member int, err error)) int {
+	for _, s := range g.touched {
+		b := g.batches[s]
+		g.errs[s] = g.r.shards[s].Write(nil, b)
+		if b.ApproximateSize() > connBufSize {
+			g.batches[s] = nil
+		} else {
+			b.Clear()
+		}
 	}
+	for i, m := range g.members {
+		for _, s := range g.spans[m.lo:m.hi] {
+			if m.err != nil {
+				break
+			}
+			m.err = g.errs[s]
+		}
+		done(i, m.err)
+	}
+	commits := len(g.touched)
+	g.touched, g.members, g.spans, g.size = g.touched[:0], g.members[:0], g.spans[:0], 0
+	return commits
 }
 
 // Scan returns up to limit visible pairs with key >= start, in ascending key

@@ -21,9 +21,12 @@ import (
 const connBufSize = 64 << 10
 
 // Metrics is the server's own observability surface: connection gauges,
-// per-opcode request counters, byte and socket-write counters and a
-// request-latency sum. All fields are atomics; WritePrometheus renders them for the
-// /metrics mux next to the engine's gauges.
+// per-opcode request counters, byte, socket-write and engine-commit counters
+// and a request-latency sum. All fields are atomics; WritePrometheus renders
+// them for the /metrics mux next to the engine's gauges. Write requests per
+// WriteCommits is how many writes an engine commit carries; the engine's own
+// write-group size counts batches per group and stays near 1 however large
+// the server's batches are.
 type Metrics struct {
 	ConnsActive  atomic.Int64
 	ConnsTotal   atomic.Int64
@@ -32,6 +35,7 @@ type Metrics struct {
 	BytesIn      atomic.Int64
 	BytesOut     atomic.Int64
 	Flushes      atomic.Int64 // socket writes; requests / flushes = responses per burst
+	WriteCommits atomic.Int64 // engine writes: one per shard a write group touches
 	requests     [opMax]atomic.Int64
 	requestMicro [opMax]atomic.Int64
 }
@@ -66,6 +70,7 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 	counter("kvserver_bytes_in_total", m.BytesIn.Load())
 	counter("kvserver_bytes_out_total", m.BytesOut.Load())
 	counter("kvserver_flushes_total", m.Flushes.Load())
+	counter("kvserver_write_commits_total", m.WriteCommits.Load())
 	fmt.Fprintf(w, "# TYPE kvserver_requests_total counter\n")
 	for op := byte(1); op < opMax; op++ {
 		fmt.Fprintf(w, "kvserver_requests_total{op=%q} %d\n", OpName(op), m.requests[op].Load())
@@ -79,8 +84,8 @@ func (m *Metrics) WritePrometheus(w io.Writer) {
 // Server accepts TCP connections and serves the kvserver protocol against a
 // shard router, one goroutine per connection (see serveConn). A client may
 // keep many requests in flight on one connection; they execute in order, one
-// burst at a time. Concurrent writes from different connections land in the
-// embedded engines' group-commit write threads together.
+// burst at a time, and a burst's consecutive write requests commit together
+// as one engine write per shard they touch.
 type Server struct {
 	router  *Router
 	ln      net.Listener
@@ -142,10 +147,19 @@ func (s *Server) acceptLoop() {
 // each response to the write buffer, and hand the buffer to the socket exactly
 // when the next read would block (or the buffer is full). A burst of pipelined
 // requests that arrived in one segment therefore leaves in one segment, and
-// responses are in request order by construction. The request, its frame and
-// the response are per-connection scratch: request fields alias frame until
-// the next readFrame, which is safe because the engine copies keys and values
-// on its write path and Get returns a private copy.
+// responses are in request order by construction.
+//
+// The burst is also the write group: consecutive Put, Delete and Batch
+// requests stage into one writeGroup and commit as one engine write per shard
+// they touch. The group commits before any other request executes, so a read
+// sees every write ahead of it; when no complete frame is buffered (the end of
+// the burst); and when its staged bytes reach connBufSize. Its members'
+// responses are appended at the commit, in request order, so none leaves
+// before its write has committed.
+//
+// The request, its frame and the response are per-connection scratch: request
+// fields alias frame until the next readFrame, which is safe because staging
+// copies keys and values and Get returns a private copy.
 func (s *Server) serveConn(c net.Conn) {
 	defer s.wg.Done()
 	defer func() {
@@ -161,11 +175,28 @@ func (s *Server) serveConn(c net.Conn) {
 
 	br := bufio.NewReaderSize(c, connBufSize)
 	var (
-		req   Request
-		resp  Response
-		frame []byte // current request body
-		out   []byte // length-prefixed responses not yet written
+		req    Request
+		resp   Response
+		frame  []byte // current request body
+		out    []byte // length-prefixed responses not yet written
+		group  = s.router.newWriteGroup()
+		staged []stagedWrite // the group's members, in request order
+		one    [1]BatchEntry // a Put or Delete, staged as a batch of one
 	)
+	written := func(i int, err error) {
+		resp = Response{Status: StatusOK}
+		if err != nil {
+			resp = Response{Status: StatusErr, Err: err.Error()}
+		}
+		s.metrics.book(staged[i].op, time.Since(staged[i].start), err != nil)
+		out = appendResponse(out, staged[i].op, &resp)
+	}
+	commit := func() {
+		if len(staged) > 0 {
+			s.metrics.WriteCommits.Add(int64(group.commit(written)))
+			staged = staged[:0]
+		}
+	}
 	flush := func() bool {
 		if len(out) == 0 {
 			return true
@@ -177,10 +208,16 @@ func (s *Server) serveConn(c net.Conn) {
 		return err == nil
 	}
 	// Responses to the requests ahead of an EOF or a protocol violation
-	// still go out before the connection closes.
+	// still go out before the connection closes, staged writes committed
+	// first.
 	defer flush()
+	defer commit()
 	for {
-		if len(out) >= connBufSize || !frameBuffered(br) {
+		burst := frameBuffered(br)
+		if !burst {
+			commit()
+		}
+		if !burst || len(out) >= connBufSize {
 			if !flush() {
 				return
 			}
@@ -199,13 +236,40 @@ func (s *Server) serveConn(c net.Conn) {
 			s.metrics.ProtoErrors.Add(1)
 			return
 		}
+		switch req.Op {
+		case OpPut, OpDelete, OpBatch:
+			entries := req.Batch
+			if req.Op != OpBatch {
+				one[0] = BatchEntry{IsDelete: req.Op == OpDelete, CF: req.CF, Key: req.Key, Value: req.Value}
+				entries = one[:]
+			}
+			staged = append(staged, stagedWrite{op: req.Op, start: time.Now()})
+			group.add(entries)
+			if group.size >= connBufSize {
+				commit()
+			}
+			continue
+		}
+		commit()
 		start := time.Now()
 		s.exec(&req, &resp)
 		s.metrics.book(req.Op, time.Since(start), resp.Status == StatusErr)
-		hdr := len(out)
-		out = EncodeResponse(append(out, 0, 0, 0, 0), req.Op, &resp)
-		binary.BigEndian.PutUint32(out[hdr:], uint32(len(out)-hdr-4))
+		out = appendResponse(out, req.Op, &resp)
 	}
+}
+
+// stagedWrite is a write request waiting in its connection's write group.
+type stagedWrite struct {
+	op    byte
+	start time.Time
+}
+
+// appendResponse appends resp to out as one length-prefixed frame.
+func appendResponse(out []byte, op byte, resp *Response) []byte {
+	hdr := len(out)
+	out = EncodeResponse(append(out, 0, 0, 0, 0), op, resp)
+	binary.BigEndian.PutUint32(out[hdr:], uint32(len(out)-hdr-4))
+	return out
 }
 
 // trimScratch empties a per-connection scratch buffer for reuse, dropping it
@@ -218,19 +282,16 @@ func trimScratch(b []byte) []byte {
 	return b[:0]
 }
 
-// exec runs one decoded request against the router, filling resp.
+// exec runs one decoded request other than a write (serveConn stages those)
+// against the router, filling resp.
 func (s *Server) exec(req *Request, resp *Response) {
 	*resp = Response{Status: StatusOK}
 	var err error
 	switch req.Op {
-	case OpPut:
-		err = s.router.Put(req.CF, req.Key, req.Value)
 	case OpGet:
 		if resp.Value, err = s.router.Get(req.CF, req.Key); errors.Is(err, lsm.ErrNotFound) {
 			resp.Status, err = StatusNotFound, nil
 		}
-	case OpDelete:
-		err = s.router.Delete(req.CF, req.Key)
 	case OpMultiGet:
 		vals, errs := s.router.MultiGet(req.CF, req.Keys)
 		resp.Found, resp.Values = make([]bool, len(req.Keys)), vals
@@ -244,8 +305,6 @@ func (s *Server) exec(req *Request, resp *Response) {
 		}
 	case OpScan:
 		resp.Pairs, err = s.router.Scan(req.CF, req.Key, req.Limit)
-	case OpBatch:
-		err = s.router.ApplyBatch(req.Batch)
 	case OpStats:
 		resp.Text = s.router.StatsText()
 	case OpSetOptions:

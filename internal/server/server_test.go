@@ -14,6 +14,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/lsm"
 )
 
 // countConn counts the Write calls on a connection: over TCP each is one
@@ -220,6 +222,276 @@ func TestBurstOrderAndContents(t *testing.T) {
 	}
 	if v := resps[2].Value; string(v) != "burst-value" {
 		t.Errorf("get behind the put in the same burst returned %q", v)
+	}
+}
+
+// serveBurst runs the real per-connection loop over reqs, sent as one burst,
+// and returns their responses in order.
+func serveBurst(t *testing.T, s *Server, reqs ...*Request) []*Response {
+	t.Helper()
+	var out bytes.Buffer
+	serveStream(s, &streamConn{out: &out}, rawFrames(t, reqs...))
+	br := bufio.NewReader(&out)
+	resps := make([]*Response, len(reqs))
+	for i, req := range reqs {
+		body, err := readFrame(br, nil)
+		if err != nil {
+			t.Fatalf("response %d of %d: %v", i, len(reqs), err)
+		}
+		if resps[i], err = DecodeResponse(req.Op, body); err != nil {
+			t.Fatalf("response %d does not decode as a %s response: %v", i, OpName(req.Op), err)
+		}
+	}
+	if n := br.Buffered() + out.Len(); n != 0 {
+		t.Fatalf("%d bytes after the %d responses", n, len(reqs))
+	}
+	return resps
+}
+
+// keysOnShard returns n distinct keys that the router places on shard.
+func keysOnShard(r *Router, shard, n int) [][]byte {
+	var keys [][]byte
+	for i := 0; len(keys) < n; i++ {
+		if k := []byte(fmt.Sprintf("s%d-%04d", shard, i)); r.shardFor(k) == shard {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+func putReq(key, value string) *Request {
+	return &Request{Op: OpPut, Key: []byte(key), Value: []byte(value)}
+}
+
+// TestWriteGroupBurstSemantics sends bursts in which reads follow the writes
+// they must see: each read sees every write ahead of it in its burst, applied
+// in request order.
+func TestWriteGroupBurstSemantics(t *testing.T) {
+	s := newStreamServer(t, 2)
+	t.Run("put-delete-put-get", func(t *testing.T) {
+		resps := serveBurst(t, s,
+			putReq("k", "v1"),
+			&Request{Op: OpDelete, Key: []byte("k")},
+			putReq("k", "v2"),
+			&Request{Op: OpGet, Key: []byte("k")})
+		for i, resp := range resps {
+			if resp.Status != StatusOK {
+				t.Fatalf("request %d: status %d (%s)", i, resp.Status, resp.Err)
+			}
+		}
+		if v := resps[3].Value; string(v) != "v2" {
+			t.Errorf("get behind put, delete, put of one key returned %q, want the last put", v)
+		}
+	})
+	t.Run("puts-over-both-shards-then-scan", func(t *testing.T) {
+		var reqs []*Request
+		shards := map[int]bool{}
+		for i := 0; i < 16; i++ {
+			k := fmt.Sprintf("scan-%02d", i)
+			reqs = append(reqs, putReq(k, "v-"+k))
+			shards[s.router.shardFor([]byte(k))] = true
+		}
+		if len(shards) != 2 {
+			t.Fatalf("the puts touch %d shards, want both", len(shards))
+		}
+		reqs = append(reqs, &Request{Op: OpScan, Key: []byte("scan-"), Limit: 100})
+		resps := serveBurst(t, s, reqs...)
+		pairs := resps[16].Pairs
+		if resps[16].Status != StatusOK || len(pairs) != 16 {
+			t.Fatalf("scan behind 16 puts: status %d, %d pairs", resps[16].Status, len(pairs))
+		}
+		for i, kv := range pairs {
+			if k := fmt.Sprintf("scan-%02d", i); string(kv.Key) != k || string(kv.Value) != "v-"+k {
+				t.Errorf("scan pair %d is %q=%q, want %q", i, kv.Key, kv.Value, k)
+			}
+		}
+	})
+	t.Run("batch-between-puts", func(t *testing.T) {
+		resps := serveBurst(t, s,
+			putReq("bx", "1"),
+			&Request{Op: OpBatch, Batch: []BatchEntry{
+				{Key: []byte("by"), Value: []byte("2")},
+				{IsDelete: true, Key: []byte("bx")},
+				{Key: []byte("bz"), Value: []byte("3")},
+			}},
+			putReq("bx", "4"),
+			&Request{Op: OpMultiGet, Keys: [][]byte{[]byte("bx"), []byte("by"), []byte("bz")}})
+		mg := resps[3]
+		if mg.Status != StatusOK || len(mg.Found) != 3 {
+			t.Fatalf("multiget: status %d, %d results", mg.Status, len(mg.Found))
+		}
+		for i, want := range []string{"4", "2", "3"} {
+			if !mg.Found[i] || string(mg.Values[i]) != want {
+				t.Errorf("multiget[%d] = %q (found %v), want %q", i, mg.Values[i], mg.Found[i], want)
+			}
+		}
+	})
+}
+
+// TestWriteGroupFailureScope closes one shard under a burst of writes:
+// exactly the requests that staged entries on it fail, in order, while the
+// rest of the group commits; a request whose family cannot be created fails
+// alone, with nothing of it written.
+func TestWriteGroupFailureScope(t *testing.T) {
+	s := newStreamServer(t, 2)
+	r := s.router
+	k0, k1 := keysOnShard(r, 0, 3), keysOnShard(r, 1, 2)
+	if err := r.Shard(1).Close(); err != nil {
+		t.Fatal(err)
+	}
+	v := []byte("v")
+	reqs := []*Request{
+		{Op: OpPut, Key: k0[0], Value: v},
+		{Op: OpPut, Key: k1[0], Value: v},
+		{Op: OpBatch, Batch: []BatchEntry{{Key: k0[1], Value: v}, {Key: k1[1], Value: v}}},
+		{Op: OpDelete, Key: k1[0]},
+		// The family is created on every shard on first use; shard 1 cannot.
+		{Op: OpBatch, Batch: []BatchEntry{{Key: k0[2], Value: v}, {CF: "fresh", Key: k0[0], Value: v}}},
+		{Op: OpPut, Key: k0[0], Value: []byte("last")},
+	}
+	want := []byte{StatusOK, StatusErr, StatusErr, StatusErr, StatusErr, StatusOK}
+	for i, resp := range serveBurst(t, s, reqs...) {
+		if resp.Status != want[i] {
+			t.Errorf("request %d (%s): status %d (%s), want %d", i, OpName(reqs[i].Op), resp.Status, resp.Err, want[i])
+		}
+	}
+	// The batch split over both shards kept its shard-0 part (atomic per
+	// shard, not across shards); the unresolvable one staged nothing.
+	for _, c := range []struct {
+		key  []byte
+		want string
+	}{{k0[0], "last"}, {k0[1], "v"}, {k0[2], ""}} {
+		got, err := r.Get("", c.key)
+		if c.want == "" {
+			if !errors.Is(err, lsm.ErrNotFound) {
+				t.Errorf("%s: %q, %v; want not found", c.key, got, err)
+			}
+		} else if err != nil || string(got) != c.want {
+			t.Errorf("%s: %q, %v; want %q", c.key, got, err, c.want)
+		}
+	}
+}
+
+// TestWriteGroupCommitsOncePerShard counts engine commits: a burst of writes
+// costs one per shard it touches however many writes it holds, and the
+// server's write-commit counter agrees with the engine.
+func TestWriteGroupCommitsOncePerShard(t *testing.T) {
+	s := newStreamServer(t, 2)
+	k0, k1 := keysOnShard(s.router, 0, 8), keysOnShard(s.router, 1, 8)
+	writes := func(keys ...[]byte) []*Request {
+		reqs := []*Request{{Op: OpBatch, Batch: []BatchEntry{{Key: keys[0], Value: []byte("b")}}}}
+		for _, k := range keys[1:] {
+			reqs = append(reqs, &Request{Op: OpPut, Key: k, Value: []byte("v")}, &Request{Op: OpDelete, Key: k})
+		}
+		return reqs
+	}
+	for _, tc := range []struct {
+		name   string
+		reqs   []*Request
+		shards int64
+	}{
+		{"one shard", writes(k0...), 1},
+		{"both shards", writes(append(k0[:4:4], k1[:4]...)...), 2},
+	} {
+		self0, commits0 := s.router.Statistics().Get(lsm.TickerWriteDoneBySelf), s.metrics.WriteCommits.Load()
+		for i, resp := range serveBurst(t, s, tc.reqs...) {
+			if resp.Status != StatusOK {
+				t.Fatalf("%s: request %d: status %d (%s)", tc.name, i, resp.Status, resp.Err)
+			}
+		}
+		if got := s.router.Statistics().Get(lsm.TickerWriteDoneBySelf) - self0; got != tc.shards {
+			t.Errorf("%s: a burst of %d writes took %d engine commits, want %d", tc.name, len(tc.reqs), got, tc.shards)
+		}
+		if got := s.metrics.WriteCommits.Load() - commits0; got != tc.shards {
+			t.Errorf("%s: kvserver_write_commits_total advanced by %d, want %d", tc.name, got, tc.shards)
+		}
+	}
+	var prom bytes.Buffer
+	s.metrics.WritePrometheus(&prom)
+	if want := fmt.Sprintf("kvserver_write_commits_total %d\n", s.metrics.WriteCommits.Load()); !strings.Contains(prom.String(), want) {
+		t.Errorf("/metrics lacks %q", want)
+	}
+}
+
+// TestWriteGroupSplitsPastConnBufSize sends one burst of writes staging more
+// than connBufSize bytes: it commits as more than one group, and the responses
+// still come back complete and in order, the last write to each key winning.
+func TestWriteGroupSplitsPastConnBufSize(t *testing.T) {
+	s := newStreamServer(t, 2)
+	const keys, writes = 5, 40
+	value := func(i int) string { return strings.Repeat(string(rune('a'+i%26)), 4<<10) }
+	var reqs []*Request
+	for i := 0; i < writes; i++ {
+		reqs = append(reqs, putReq(fmt.Sprintf("key-%d", i%keys), value(i)))
+	}
+	if staged := writes * len(value(0)); staged <= connBufSize {
+		t.Fatalf("burst stages %d bytes, not past connBufSize", staged)
+	}
+	for k := 0; k < keys; k++ {
+		reqs = append(reqs, &Request{Op: OpGet, Key: []byte(fmt.Sprintf("key-%d", k))})
+	}
+	self0 := s.router.Statistics().Get(lsm.TickerWriteDoneBySelf)
+	resps := serveBurst(t, s, reqs...)
+	for i, resp := range resps[:writes] {
+		if resp.Status != StatusOK {
+			t.Fatalf("put %d: status %d (%s)", i, resp.Status, resp.Err)
+		}
+	}
+	for k, resp := range resps[writes:] {
+		if want := value(writes - keys + k); resp.Status != StatusOK || string(resp.Value) != want {
+			t.Errorf("key-%d: status %d, value %.8q..., want %.8q...", k, resp.Status, resp.Value, want)
+		}
+	}
+	if commits := s.router.Statistics().Get(lsm.TickerWriteDoneBySelf) - self0; commits <= int64(s.router.NumShards()) {
+		t.Errorf("%d bytes of writes took %d engine commits: one group", writes*len(value(0)), commits)
+	}
+}
+
+// deadConn is a connection whose reads and writes block until it is closed,
+// and then fail.
+type deadConn struct {
+	net.Conn // nil: the client uses nothing below
+	broken   chan struct{}
+	once     sync.Once
+}
+
+func (c *deadConn) Read([]byte) (int, error)  { <-c.broken; return 0, net.ErrClosed }
+func (c *deadConn) Write([]byte) (int, error) { <-c.broken; return 0, net.ErrClosed }
+func (c *deadConn) Close() error              { c.once.Do(func() { close(c.broken) }); return nil }
+
+// TestClientFailsQueuedCallsOnDeadConn breaks a connection while the write
+// loop is stuck in it with a full send queue and more callers waiting to
+// join the queue: every call must fail promptly, including those the write
+// loop never took off the queue.
+func TestClientFailsQueuedCallsOnDeadConn(t *testing.T) {
+	conn := &deadConn{broken: make(chan struct{})}
+	c := newClient(conn)
+	const calls = 3 * pipelineDepth
+	// Larger than the write loop's buffer, so the first frame reaches the
+	// connection and blocks there.
+	value := make([]byte, connBufSize)
+	errs := make(chan error, calls)
+	for i := 0; i < calls; i++ {
+		go func() { errs <- c.Put("", []byte("k"), value) }()
+	}
+	for len(c.sendCh) < cap(c.sendCh) {
+		time.Sleep(time.Millisecond)
+	}
+	conn.Close()
+	deadline := time.After(5 * time.Second)
+	for i := 0; i < calls; i++ {
+		select {
+		case err := <-errs:
+			if err == nil {
+				t.Error("a call on a dead connection succeeded")
+			}
+		case <-deadline:
+			c.Close()
+			t.Fatalf("%d of %d calls still blocked 5 s after the connection broke", calls-i, calls)
+		}
+	}
+	if err := c.Close(); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -58,14 +58,20 @@ if grep -q '^errors:' "$WORK/bench.out"; then
     exit 1
 fi
 
-# Responses per socket write, read off /metrics (printed, not gated: it is
-# what the load's concurrency allows, 1.0 meaning no batching at all).
+# Responses per socket write and write requests per engine commit, read off
+# /metrics (printed, not gated: both are what the load's concurrency allows,
+# 1.0 meaning no batching at all).
 METRICS=$(sed -n 's|.*serving Prometheus metrics on \(http://[^ ]*\).*|\1|p' "$WORK/server.log")
 if [ -n "$METRICS" ] && command -v curl >/dev/null 2>&1; then
     curl -s "$METRICS" | awk '
         /^kvserver_requests_total\{/ { req += $2 }
+        /^kvserver_requests_total\{op="(put|delete|batch)"\}/ { wr += $2 }
         /^kvserver_flushes_total / { fl = $2 }
-        END { if (fl > 0) printf "serverbench: %d requests / %d flushes = %.2f responses per flush\n", req, fl, req / fl }'
+        /^kvserver_write_commits_total / { wc = $2 }
+        END {
+            if (fl > 0) printf "serverbench: %d requests / %d flushes = %.2f responses per flush\n", req, fl, req / fl
+            if (wc > 0) printf "serverbench: %d writes / %d commits = %.2f writes per commit\n", wr, wc, wr / wc
+        }'
 fi
 
 echo "serverbench: asking server to shut down"
