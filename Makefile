@@ -31,9 +31,11 @@ crashtest:
 # Serial-vs-parallel subcompaction equivalence: the same randomized workload
 # (overwrites, deletes, snapshot held across the compaction, multi-CF)
 # compacted at max_subcompactions=1 and =4 must produce byte-identical
-# iterator dumps. -count=1 defeats the test cache so verify always re-runs it.
+# iterator dumps. TestTableBytesGolden: a fixed SimEnv script's tables must
+# hash to the pinned SHA-256, byte for byte. -count=1 defeats the test cache
+# so verify always re-runs both.
 equivalence:
-	$(GO) test -race -count=1 -run TestSubcompactionEquivalence ./internal/lsm
+	$(GO) test -race -count=1 -run '^(TestSubcompactionEquivalence|TestTableBytesGolden)$$' ./internal/lsm
 
 # End-to-end smoke of the networked service: start kvserver, drive a short
 # mixed workload through dbbench -server, assert nonzero throughput and a

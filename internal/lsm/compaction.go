@@ -10,7 +10,7 @@ import (
 // compaction describes one unit of background merging work within one
 // column family.
 type compaction struct {
-	cf          *columnFamily // owning family (set by the scheduler)
+	cf          *columnFamily // owning family
 	level       int           // input level
 	outputLevel int
 	inputs      [2][]*FileMeta // [0]=level inputs, [1]=outputLevel inputs
@@ -230,13 +230,12 @@ func pickFIFO(v *Version, opts *Options, busy map[uint64]bool) *compaction {
 	return &compaction{level: 0, outputLevel: 0, inputs: [2][]*FileMeta{drop, nil}, fifoDrop: true}
 }
 
-// compactionResult carries the outcome of executing a compaction.
+// compactionResult carries the outcome of a flush or compaction job.
 type compactionResult struct {
 	edit       *versionEdit
 	readBytes  int64
 	writeBytes int64
 	cpu        time.Duration
-	outputs    int
 	// dur is the job's wall-clock execution time, for histograms, the
 	// per-level compaction-stats table and event listeners.
 	dur time.Duration
@@ -273,7 +272,7 @@ type subSlice struct {
 	start, limit []byte
 }
 
-// sliceResult is the outcome of executing one subcompaction slice.
+// sliceResult is what writeTables produced for one flush or compaction slice.
 type sliceResult struct {
 	files      []newFile
 	writeBytes int64
@@ -388,10 +387,7 @@ func (db *DB) runCompaction(c *compaction, v *Version) (*compactionResult, error
 		return res, nil
 	}
 
-	cfOpts := db.options()
-	if c.cf != nil {
-		cfOpts = c.cf.options()
-	}
+	cfOpts := c.cf.options()
 	res.ios = db.newBGIOStats(cfOpts)
 	// Snapshot-drop decisions are taken once, before slicing, so every
 	// slice applies an identical retention rule.
@@ -424,7 +420,6 @@ func (db *DB) runCompaction(c *compaction, v *Version) (*compactionResult, error
 		}
 		res.edit.newFiles = append(res.edit.newFiles, sr.files...)
 		res.writeBytes += sr.writeBytes
-		res.outputs += len(sr.files)
 		entries += sr.entries
 		res.sliceDurs = append(res.sliceDurs, sr.dur)
 	}
@@ -435,9 +430,10 @@ func (db *DB) runCompaction(c *compaction, v *Version) (*compactionResult, error
 }
 
 // runCompactionSlice merges one key-range slice of a compaction's inputs
-// and writes its output tables. Each slice owns its readers, iterators,
-// builders and shadow/tombstone state, so concurrent slices share nothing
-// but the immutable input files and the atomic file-number allocator.
+// and writes its output tables with writeTables. Each slice owns its
+// readers, iterators, builders and shadow/tombstone state, so concurrent
+// slices share nothing but the immutable input files and the atomic
+// file-number allocator.
 func (db *DB) runCompactionSlice(c *compaction, v *Version, cfOpts *Options, s subSlice, smallestSnapshot uint64, outSize int64, ios *IOStatsContext) (sr sliceResult) {
 	defer func(start time.Duration) { sr.dur = db.rt.stopwatch() - start }(db.rt.stopwatch())
 
@@ -484,10 +480,26 @@ func (db *DB) runCompactionSlice(c *compaction, v *Version, cfOpts *Options, s s
 		// key at or above start.
 		merged.Seek(makeInternalKey(nil, s.start, maxSequence, KindValue))
 	}
+	return db.writeTables(merged, cfOpts, c.outputLevel, v, smallestSnapshot, outSize, ios)
+}
 
+// writeTables drains merged (already positioned) into tables at outputLevel:
+// the one per-entry loop flush and compaction share. An older version of a
+// user key is dropped once the next-newer version is at or below
+// smallestSnapshot (LevelDB's rule); with v set — a compaction — a tombstone
+// no snapshot can see and no level below outputLevel may hold a key for is
+// dropped too. A table is cut once its estimated size reaches outSize, then
+// synced, closed and, under paranoid_file_checks, read back. A table left
+// unfinished by a failure is closed. sr.entries counts the entries read.
+func (db *DB) writeTables(merged internalIterator, cfOpts *Options, outputLevel int, v *Version, smallestSnapshot uint64, outSize int64, ios *IOStatsContext) (sr sliceResult) {
 	var builder *tableBuilder
 	var outFile WritableFile
 	var outNum uint64
+	defer func() {
+		if outFile != nil {
+			outFile.Close()
+		}
+	}()
 	var lastUserKey []byte
 	haveLast := false
 	lastSeqForKey := maxSequence
@@ -503,7 +515,9 @@ func (db *DB) runCompactionSlice(c *compaction, v *Version, cfOpts *Options, s s
 		if err := outFile.Sync(); err != nil {
 			return err
 		}
-		if err := outFile.Close(); err != nil {
+		f := outFile
+		outFile = nil // closed here, failed or not
+		if err := f.Close(); err != nil {
 			return err
 		}
 		meta := &FileMeta{
@@ -518,9 +532,9 @@ func (db *DB) runCompactionSlice(c *compaction, v *Version, cfOpts *Options, s s
 				return err
 			}
 		}
-		sr.files = append(sr.files, newFile{c.outputLevel, meta})
+		sr.files = append(sr.files, newFile{outputLevel, meta})
 		sr.writeBytes += props.FileSize
-		builder, outFile = nil, nil
+		builder = nil
 		return nil
 	}
 
@@ -528,9 +542,8 @@ func (db *DB) runCompactionSlice(c *compaction, v *Version, cfOpts *Options, s s
 		ik := merged.Key()
 		uk := ik.userKey()
 		sr.entries++
-		// Version retention (LevelDB's smallest-snapshot rule): an older
-		// version is droppable only when the next-newer version of the
-		// same key is already at or below the smallest live snapshot.
+		// An older version is droppable only when the next-newer version of
+		// the same key is already at or below the smallest live snapshot.
 		if haveLast && bytes.Equal(uk, lastUserKey) {
 			if lastSeqForKey <= smallestSnapshot {
 				continue // shadowed and invisible to every snapshot
@@ -541,12 +554,8 @@ func (db *DB) runCompactionSlice(c *compaction, v *Version, cfOpts *Options, s s
 			haveLast = true
 			lastSeqForKey = maxSequence
 		}
-		drop := false
-		if ik.kind() == KindDelete && ik.seq() <= smallestSnapshot &&
-			lastSeqForKey == maxSequence && isBaseLevelForKey(v, c.outputLevel, uk) {
-			// A tombstone nobody can see, with nothing underneath.
-			drop = true
-		}
+		drop := v != nil && ik.kind() == KindDelete && ik.seq() <= smallestSnapshot &&
+			lastSeqForKey == maxSequence && isBaseLevelForKey(v, outputLevel, uk)
 		lastSeqForKey = ik.seq()
 		if drop {
 			continue
@@ -566,14 +575,12 @@ func (db *DB) runCompactionSlice(c *compaction, v *Version, cfOpts *Options, s s
 			return sr
 		}
 		if builder.estimatedSize() >= outSize {
-			if err := finishOutput(); err != nil {
-				sr.err = err
+			if sr.err = finishOutput(); sr.err != nil {
 				return sr
 			}
 		}
 	}
-	if err := merged.Err(); err != nil {
-		sr.err = err
+	if sr.err = merged.Err(); sr.err != nil {
 		return sr
 	}
 	sr.err = finishOutput()

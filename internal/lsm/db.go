@@ -420,15 +420,9 @@ func (db *DB) replayWALsLocked() error {
 			if err != nil {
 				return err
 			}
-			res.edit.cfID = cf.id
-			res.edit.hasLogNumber = true
-			res.edit.logNumber = db.walNum
-			if err := db.vs.logAndApply(res.edit); err != nil {
+			if err := db.applyFlushLocked(cf, res, db.walNum, mems); err != nil {
 				return err
 			}
-			db.stats.Add(TickerFlushCount, 1)
-			db.stats.Add(TickerFlushBytes, res.writeBytes)
-			db.recordFlushLocked(cf, res, 1)
 			db.newMemtableLocked(cf)
 		} else if db.vs.cfs[cf.id] != nil && db.vs.cfs[cf.id].logNumber < db.walNum {
 			// Nothing to replay for this family: advance its floor so the old
@@ -643,73 +637,82 @@ func (db *DB) rateFloor(bytes int64) time.Duration {
 	return time.Duration(float64(bytes) / float64(db.options().RateLimiterBytesPerSec) * 1e9)
 }
 
-// installFlushLocked applies a completed flush: version edit, WAL-floor
-// advance, memtable release, follow-up scheduling.
+// installFlushLocked applies a completed flush, releases its memtables and
+// schedules follow-up work. The family's WAL floor rises to its oldest
+// surviving memtable.
 func (db *DB) installFlushLocked(cf *columnFamily, mems []*memtable, res *compactionResult, err error) {
 	db.flushActive--
 	if err == nil {
-		// Advance the family's WAL floor to the oldest surviving memtable.
 		oldest := cf.mem.logNum
 		if len(cf.imm) > len(mems) {
 			oldest = cf.imm[len(mems)].logNum
 		}
-		res.edit.cfID = cf.id
-		res.edit.hasLogNumber = true
-		res.edit.logNumber = oldest
-		err = db.vs.logAndApply(res.edit)
+		err = db.applyFlushLocked(cf, res, oldest, mems)
 	}
+	cf.flushingCount -= len(mems)
 	if err != nil {
 		// The memtables stay on cf.imm: Resume re-schedules the flush.
 		db.setBGErrorLocked(err, "flush")
-		cf.flushingCount -= len(mems)
 		db.notifyFlush(FlushInfo{ColumnFamily: cf.name, MemtablesMerged: len(mems), Err: err})
 		return
 	}
 	cf.imm = cf.imm[len(mems):]
-	cf.flushingCount -= len(mems)
-	db.stats.Add(TickerFlushCount, 1)
-	db.stats.Add(TickerFlushBytes, res.writeBytes)
-	db.recordFlushLocked(cf, res, len(mems))
 	db.deleteObsoleteFilesLocked()
 	db.maybeScheduleFlushLocked(false)
 	db.maybeScheduleCompactionLocked()
 }
 
-// recordFlushLocked books a successful flush into the family's per-level I/O
-// stats, the flush histogram and the event listeners.
-func (db *DB) recordFlushLocked(cf *columnFamily, res *compactionResult, memsMerged int) {
-	cf.levelIO[0].writeBytes += res.writeBytes
-	cf.levelIO[0].count++
-	cf.levelIO[0].duration += res.dur
-	db.recordBgIOLocked(cf, 0, res)
+// applyFlushLocked installs the edit of a flush of mems, raising the
+// family's WAL floor to logNum, and books it: the flush tickers, the L0
+// cfstats row, the flush histogram and the listeners. Both the background
+// flush and the recovery flush at open install through it.
+func (db *DB) applyFlushLocked(cf *columnFamily, res *compactionResult, logNum uint64, mems []*memtable) error {
+	res.edit.cfID = cf.id
+	res.edit.hasLogNumber = true
+	res.edit.logNumber = logNum
+	if err := db.vs.logAndApply(res.edit); err != nil {
+		return err
+	}
+	db.stats.Add(TickerFlushCount, 1)
+	db.stats.Add(TickerFlushBytes, res.writeBytes)
+	db.recordLevelIOLocked(cf, 0, res)
 	db.hists.Record(HistFlushMicros, res.dur)
-	info := FlushInfo{ColumnFamily: cf.name, Bytes: res.writeBytes, MemtablesMerged: memsMerged, Duration: res.dur}
+	info := FlushInfo{ColumnFamily: cf.name, Bytes: res.writeBytes, MemtablesMerged: len(mems), Duration: res.dur}
 	if len(res.edit.newFiles) > 0 {
 		info.OutputFileNumber = res.edit.newFiles[0].meta.Number
 	}
 	db.notifyFlush(info)
+	return nil
 }
 
-// recordBgIOLocked publishes a background job's I/O attribution: the job's
-// totals always fold into the DB-wide IOStatsContext, and under
-// report_bg_io_stats the call timings also land in the level's cfstats
-// columns.
-func (db *DB) recordBgIOLocked(cf *columnFamily, level int, res *compactionResult) {
-	if res == nil || res.ios == nil {
+// recordLevelIOLocked books a finished job into its output level's cfstats
+// row (bytes, count, duration) and folds its I/O attribution into the
+// DB-wide IOStatsContext; under report_bg_io_stats the call timings also
+// land in the level's row.
+func (db *DB) recordLevelIOLocked(cf *columnFamily, level int, res *compactionResult) {
+	var lio *levelIOStats
+	if level >= 0 && level < len(cf.levelIO) {
+		lio = &cf.levelIO[level]
+		lio.readBytes += res.readBytes
+		lio.writeBytes += res.writeBytes
+		lio.count++
+		lio.duration += res.dur
+	}
+	if res.ios == nil {
 		return
 	}
 	db.iostats.merge(res.ios)
-	if !cf.options().ReportBgIOStats || level < 0 || level >= len(cf.levelIO) {
+	if lio == nil || !cf.options().ReportBgIOStats {
 		return
 	}
-	cf.levelIO[level].bgReadNanos += res.ios.readNanos.Load()
-	cf.levelIO[level].bgWriteNanos += res.ios.writeNanos.Load()
-	cf.levelIO[level].bgFsyncNanos += res.ios.fsyncNanos.Load()
+	lio.bgReadNanos += res.ios.readNanos.Load()
+	lio.bgWriteNanos += res.ios.writeNanos.Load()
+	lio.bgFsyncNanos += res.ios.fsyncNanos.Load()
 }
 
-// recordCompactionLocked books a completed compaction (auto, manual or
-// fifo) into the family's per-level I/O stats, the compaction histogram and
-// the event listeners.
+// recordCompactionLocked books a finished compaction (auto, manual or fifo):
+// on success the compaction tickers, the output level's cfstats row and the
+// compaction histograms; always the listeners.
 func (db *DB) recordCompactionLocked(cf *columnFamily, c *compaction, res *compactionResult, reason string, err error) {
 	if err != nil {
 		db.notifyCompaction(CompactionInfo{
@@ -722,14 +725,10 @@ func (db *DB) recordCompactionLocked(cf *columnFamily, c *compaction, res *compa
 		})
 		return
 	}
-	out := c.outputLevel
-	if out >= 0 && out < len(cf.levelIO) {
-		cf.levelIO[out].readBytes += res.readBytes
-		cf.levelIO[out].writeBytes += res.writeBytes
-		cf.levelIO[out].count++
-		cf.levelIO[out].duration += res.dur
-	}
-	db.recordBgIOLocked(cf, out, res)
+	db.stats.Add(TickerCompactCount, 1)
+	db.stats.Add(TickerCompactReadBytes, res.readBytes)
+	db.stats.Add(TickerCompactWriteBytes, res.writeBytes)
+	db.recordLevelIOLocked(cf, c.outputLevel, res)
 	db.hists.Record(HistCompactionMicros, res.dur)
 	// Subcompaction accounting: the ticker counts range slices (an unsplit
 	// job counts 1, so ticker == compaction count means the knob never
@@ -748,7 +747,7 @@ func (db *DB) recordCompactionLocked(cf *columnFamily, c *compaction, res *compa
 		InputLevel:     c.level,
 		OutputLevel:    c.outputLevel,
 		InputFiles:     len(c.allInputs()),
-		OutputFiles:    res.outputs,
+		OutputFiles:    len(res.edit.newFiles),
 		ReadBytes:      res.readBytes,
 		WriteBytes:     res.writeBytes,
 		Duration:       res.dur,
@@ -778,27 +777,17 @@ func (db *DB) maybeScheduleCompactionLocked() {
 				continue
 			}
 			c.cf = cf
-			for _, f := range c.allInputs() {
-				db.busyFiles[f.Number] = true
-			}
 			// Subcompactions share the compaction-slot budget: the job is
 			// granted up to max_subcompactions slots, capped by whatever is
-			// free, and holds them all until it installs. The loop guard
-			// guarantees at least one free slot here.
-			grant := db.options().MaxSubcompactions
-			if grant < 1 {
-				grant = 1
+			// free. The loop guard guarantees at least one free slot here.
+			free := db.options().backgroundCompactionSlots() - db.compactActive
+			c.maxParallel = min(max(db.options().MaxSubcompactions, 1), free)
+			reason := "auto"
+			if c.fifoDrop {
+				reason = "fifo"
 			}
-			if free := db.options().backgroundCompactionSlots() - db.compactActive; grant > free {
-				grant = free
-			}
-			c.maxParallel = grant
-			db.compactActive += grant
+			db.startCompactionLocked(c, reason, nil)
 			progress = true
-			v := db.vs.head(cf.id)
-			db.rt.run(
-				func() (*compactionResult, error) { return db.runCompaction(c, v) },
-				func(res *compactionResult, err error) { db.installCompactionLocked(c, res, err) })
 		}
 		if !progress {
 			return
@@ -806,14 +795,31 @@ func (db *DB) maybeScheduleCompactionLocked() {
 	}
 }
 
-// installCompactionLocked applies a completed compaction.
-func (db *DB) installCompactionLocked(c *compaction, res *compactionResult, err error) {
-	// Release every slot the scheduler granted, not just one.
-	grant := c.maxParallel
-	if grant < 1 {
-		grant = 1
+// startCompactionLocked hands c to the runtime: it marks the inputs busy,
+// takes c.maxParallel compaction slots until the job installs and runs it
+// against the family's current version. Automatic and manual compactions
+// both start here. installed, when set, becomes true once the job has
+// installed, whether or not it succeeded.
+func (db *DB) startCompactionLocked(c *compaction, reason string, installed *bool) {
+	for _, f := range c.allInputs() {
+		db.busyFiles[f.Number] = true
 	}
-	db.compactActive -= grant
+	db.compactActive += c.maxParallel
+	v := db.vs.head(c.cf.id)
+	db.rt.run(
+		func() (*compactionResult, error) { return db.runCompaction(c, v) },
+		func(res *compactionResult, err error) {
+			db.installCompactionLocked(c, res, reason, err)
+			if installed != nil {
+				*installed = true
+			}
+		})
+}
+
+// installCompactionLocked applies a finished compaction, releases its slots
+// and inputs, and schedules follow-up work. A failure is a background error.
+func (db *DB) installCompactionLocked(c *compaction, res *compactionResult, reason string, err error) {
+	db.compactActive -= c.maxParallel
 	for _, f := range c.allInputs() {
 		delete(db.busyFiles, f.Number)
 	}
@@ -821,18 +827,11 @@ func (db *DB) installCompactionLocked(c *compaction, res *compactionResult, err 
 		res.edit.cfID = c.cf.id
 		err = db.vs.logAndApply(res.edit)
 	}
-	reason := "auto"
-	if c.fifoDrop {
-		reason = "fifo"
-	}
 	if err != nil {
 		db.setBGErrorLocked(err, "compaction")
 		db.recordCompactionLocked(c.cf, c, res, reason, err)
 		return
 	}
-	db.stats.Add(TickerCompactCount, 1)
-	db.stats.Add(TickerCompactReadBytes, res.readBytes)
-	db.stats.Add(TickerCompactWriteBytes, res.writeBytes)
 	db.recordCompactionLocked(c.cf, c, res, reason, nil)
 	db.deleteObsoleteFilesLocked()
 	db.maybeScheduleCompactionLocked()
@@ -989,7 +988,10 @@ func (db *DB) CompactRange(start, end []byte) error {
 	return db.CompactRangeCF(nil, start, end)
 }
 
-// CompactRangeCF compacts the key range of one family.
+// CompactRangeCF compacts the key range of one family. Each level's job goes
+// through the scheduler like an automatic compaction, with the full
+// max_subcompactions width, and is waited for: the DB mutex is free while it
+// runs, and a failure is a background error (clear it with Resume).
 func (db *DB) CompactRangeCF(h *ColumnFamilyHandle, start, end []byte) error {
 	if err := db.flush(h); err != nil {
 		return err
@@ -1001,11 +1003,9 @@ func (db *DB) CompactRangeCF(h *ColumnFamilyHandle, start, end []byte) error {
 		return err
 	}
 	for level := 0; level < cf.options().NumLevels-1; level++ {
-		for len(db.vs.head(cf.id).overlappingFiles(level, start, end)) > 0 && db.bgErr == nil {
+		for len(db.vs.head(cf.id).overlappingFiles(level, start, end)) > 0 && db.bgErr == nil && !db.closed {
 			v := db.vs.head(cf.id)
-			// Manual compactions run inline and hold no background slots,
-			// so they get the full configured subcompaction width.
-			c := &compaction{cf: cf, level: level, outputLevel: level + 1, maxParallel: db.options().MaxSubcompactions}
+			c := &compaction{cf: cf, level: level, outputLevel: level + 1, maxParallel: max(db.options().MaxSubcompactions, 1)}
 			c.inputs[0] = append([]*FileMeta(nil), v.overlappingFiles(level, start, end)...)
 			if level == 0 {
 				// L0 files overlap each other: widen to every L0 file
@@ -1022,20 +1022,15 @@ func (db *DB) CompactRangeCF(h *ColumnFamilyHandle, start, end []byte) error {
 				}
 				continue
 			}
-			res, err := db.runCompaction(c, v)
-			if err != nil {
-				return err
+			installed := false
+			db.startCompactionLocked(c, "manual", &installed)
+			for !installed {
+				db.rt.wait()
 			}
-			res.edit.cfID = cf.id
-			if err := db.vs.logAndApply(res.edit); err != nil {
-				return err
-			}
-			db.stats.Add(TickerCompactCount, 1)
-			db.stats.Add(TickerCompactReadBytes, res.readBytes)
-			db.stats.Add(TickerCompactWriteBytes, res.writeBytes)
-			db.recordCompactionLocked(cf, c, res, "manual", nil)
-			db.deleteObsoleteFilesLocked()
 		}
+	}
+	if db.closed {
+		return ErrClosed
 	}
 	return db.bgErr
 }
