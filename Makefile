@@ -44,12 +44,13 @@ serverbench:
 	./scripts/serverbench.sh
 
 # Allocation regression gates: testing.AllocsPerRun bounds on the cache-hit
-# Get path, the single-writer commit path (both runtimes), reused block
-# iteration, snappy block compression and reads (scratch and cache-bound),
-# the per-frame server/client paths, and a burst of Puts committed as one
-# write group.
+# Get path, the single-writer commit path (both runtimes), memtable inserts
+# carved from the arena, reused block iteration, snappy block compression and
+# reads (scratch and cache-bound), the per-frame server/client paths, and a
+# burst of Puts committed as one write group.
 # The limits are measured steady-state values plus noise headroom — a pooled
-# codec, buffer, or iterator falling out of reuse trips them immediately.
+# codec, buffer, or iterator falling out of reuse, or a memtable entry
+# allocated per Put, trips them immediately.
 # -count=1 defeats the test cache so verify always re-measures.
 allocgate:
 	$(GO) test -count=1 -run TestAllocGate ./internal/lsm ./internal/server

@@ -1,6 +1,8 @@
 package lsm
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -79,12 +81,13 @@ func TestAllocGateGetCacheHit(t *testing.T) {
 }
 
 // TestAllocGateWrite gates the commit path for a single writer reusing a
-// one-Put batch, on both runtimes. Steady state measures 4 allocs/op on the
-// OS and 5 in simulation, none of them the write group's: the memtable entry,
-// its skiplist node, the WAL append, and in simulation the level capacities
-// of the compaction pick simRuntime.poll runs per op. The write group itself
-// — request, wake channel, member list, family set, WAL payload list — is
-// pooled: falling out of the pool adds 5.
+// one-Put batch, on both runtimes. Steady state measures 1 alloc/op on both,
+// the WAL append: the memtable entry, its skiplist node and tower come from
+// the memtable's arena (TestAllocGateMemtableAdd), and the compaction pick
+// simRuntime.poll runs per simulated op keeps its level capacities on the
+// stack. The write group itself — request, wake channel, member list, family
+// set, WAL payload list — is pooled: falling out of the pool adds 5, and the
+// arena falling back to per-entry allocation adds 3.
 func TestAllocGateWrite(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled requests under -race")
@@ -111,11 +114,35 @@ func TestAllocGateWrite(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			const limit = 5
+			const limit = 2
 			if avg > limit {
 				t.Fatalf("single-writer Write allocates %.1f/op, gate is %d", avg, limit)
 			}
 		})
+	}
+}
+
+// TestAllocGateMemtableAdd gates the memtable insert: 10 000 adds of 400-byte
+// values average one allocation per ~100 entries (a 64 KiB chunk holds ~150
+// of them, a node slab 512, a tower slab ~770). Allocating the entry, its
+// skiplist node or its tower per add would cost 1 to 3 per add.
+func TestAllocGateMemtableAdd(t *testing.T) {
+	const adds = 10000
+	m := newMemtable(1, 0)
+	key := make([]byte, 16)
+	val := bytes.Repeat([]byte{'v'}, 400)
+	seq := uint64(0)
+	avg := testing.AllocsPerRun(1, func() {
+		for i := 0; i < adds; i++ {
+			seq++
+			binary.BigEndian.PutUint64(key[8:], seq*7919%adds)
+			m.add(seq, KindValue, key, val)
+		}
+	}) / adds
+	t.Logf("%.4f allocations per add", avg)
+	const limit = 0.05
+	if avg > limit {
+		t.Fatalf("memtable.add allocates %.3f per add, gate is %.2f", avg, limit)
 	}
 }
 

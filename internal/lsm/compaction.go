@@ -44,11 +44,13 @@ func (c *compaction) String() string {
 		c.level, len(c.inputs[0]), c.outputLevel, len(c.inputs[1]), c.inputBytes())
 }
 
-// capacities returns per-level byte targets honoring
-// level_compaction_dynamic_level_bytes.
-func levelCapacities(v *Version, opts *Options) []int64 {
+// levelCapacities returns per-level byte targets honoring
+// level_compaction_dynamic_level_bytes, indexed by level below
+// v.NumLevels(). An array, so the pick simRuntime.poll runs per simulated op
+// does not allocate.
+func levelCapacities(v *Version, opts *Options) [maxNumLevels]int64 {
 	n := v.NumLevels()
-	caps := make([]int64, n)
+	var caps [maxNumLevels]int64
 	if !opts.LevelCompactionDynamicLevelBytes {
 		for l := 1; l < n; l++ {
 			caps[l] = levelCapacity(opts, l)
@@ -102,7 +104,8 @@ func pickLeveled(v *Version, opts *Options, busy map[uint64]bool) *compaction {
 		level int
 		score float64
 	}
-	var cands []cand
+	var buf [maxNumLevels]cand
+	cands := buf[:0]
 	if n := v.NumLevelFiles(0); n >= opts.Level0FileNumCompactionTrigger {
 		cands = append(cands, cand{0, float64(n) / float64(opts.Level0FileNumCompactionTrigger)})
 	}

@@ -78,11 +78,19 @@ func TestQuickInternalKey(t *testing.T) {
 	}
 }
 
+// insertKV copies key and val into a node carved from sl's arena and links it.
+func insertKV(sl *skiplist, key internalKey, val []byte) {
+	n := sl.newNode(len(key), len(val))
+	copy(n.key, key)
+	copy(n.val, val)
+	sl.insert(n)
+}
+
 func TestSkiplistBasic(t *testing.T) {
 	sl := newSkiplist(1)
 	keys := []string{"delta", "alpha", "charlie", "bravo"}
 	for i, k := range keys {
-		sl.insert(makeInternalKey(nil, []byte(k), uint64(i+1), KindValue), []byte("v"+k))
+		insertKV(sl, makeInternalKey(nil, []byte(k), uint64(i+1), KindValue), []byte("v"+k))
 	}
 	if sl.count() != 4 {
 		t.Fatalf("count = %d", sl.count())
@@ -110,13 +118,13 @@ func TestSkiplistBasic(t *testing.T) {
 func TestSkiplistDuplicatePanics(t *testing.T) {
 	sl := newSkiplist(1)
 	k := makeInternalKey(nil, []byte("x"), 1, KindValue)
-	sl.insert(k, nil)
+	insertKV(sl, k, nil)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on duplicate internal key")
 		}
 	}()
-	sl.insert(k, nil)
+	insertKV(sl, k, nil)
 }
 
 // TestQuickSkiplistSorted inserts random keys and checks iteration order and
@@ -129,7 +137,7 @@ func TestQuickSkiplistSorted(t *testing.T) {
 		for i := 0; i < n; i++ {
 			key := make([]byte, 1+r.Intn(12))
 			r.Read(key)
-			sl.insert(makeInternalKey(nil, key, uint64(i+1), KindValue), nil)
+			insertKV(sl, makeInternalKey(nil, key, uint64(i+1), KindValue), nil)
 		}
 		it := sl.iterator()
 		it.SeekToFirst()

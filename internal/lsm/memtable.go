@@ -28,17 +28,12 @@ func newMemtable(seed int64, logNum uint64) *memtable {
 	return &memtable{list: newSkiplist(seed), logNum: logNum}
 }
 
-// add inserts an entry, copying key and value into one allocation.
+// add inserts an entry, copying key and value into the skiplist's arena.
 func (m *memtable) add(seq uint64, kind ValueKind, key, value []byte) {
-	buf := make([]byte, 0, len(key)+8+len(value))
-	ik := makeInternalKey(buf, key, seq, kind)
-	var val []byte
-	if len(value) > 0 {
-		full := append(ik, value...)
-		ik = full[:len(ik):len(ik)]
-		val = full[len(ik):]
-	}
-	m.list.insert(ik, val)
+	n := m.list.newNode(len(key)+8, len(value))
+	makeInternalKey(n.key[:0], key, seq, kind)
+	copy(n.val, value)
+	m.list.insert(n)
 	for {
 		cur := m.firstSeq.Load()
 		if (cur != 0 && seq >= cur) || m.firstSeq.CompareAndSwap(cur, seq) {

@@ -341,6 +341,9 @@ func (o *Options) engineMemoryBytes(liveMemtables int) int64 {
 	return m
 }
 
+// maxNumLevels is the largest num_levels the engine accepts.
+const maxNumLevels = 12
+
 // Validate checks cross-field invariants the engine depends on.
 func (o *Options) Validate() error {
 	if o.WriteBufferSize < 1<<16 {
@@ -353,8 +356,8 @@ func (o *Options) Validate() error {
 		return fmt.Errorf("lsm: min_write_buffer_number_to_merge %d out of range [1,%d]",
 			o.MinWriteBufferNumberToMerge, o.MaxWriteBufferNumber)
 	}
-	if o.NumLevels < 2 || o.NumLevels > 12 {
-		return fmt.Errorf("lsm: num_levels %d out of range [2,12]", o.NumLevels)
+	if o.NumLevels < 2 || o.NumLevels > maxNumLevels {
+		return fmt.Errorf("lsm: num_levels %d out of range [2,%d]", o.NumLevels, maxNumLevels)
 	}
 	if o.Level0FileNumCompactionTrigger < 1 {
 		return fmt.Errorf("lsm: level0_file_num_compaction_trigger must be >= 1")

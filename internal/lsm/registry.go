@@ -231,7 +231,7 @@ var optionSpecs = []OptionSpec{
 	intOpt("level0_file_num_compaction_trigger", SectionCF, 1, 256, "L0 files triggering compaction", func(o *Options) *int { return &o.Level0FileNumCompactionTrigger }).mutable(),
 	intOpt("level0_slowdown_writes_trigger", SectionCF, 1, 1024, "L0 files triggering write slowdown", func(o *Options) *int { return &o.Level0SlowdownWritesTrigger }).mutable(),
 	intOpt("level0_stop_writes_trigger", SectionCF, 1, 4096, "L0 files stopping writes", func(o *Options) *int { return &o.Level0StopWritesTrigger }).mutable(),
-	intOpt("num_levels", SectionCF, 2, 12, "LSM tree depth", func(o *Options) *int { return &o.NumLevels }),
+	intOpt("num_levels", SectionCF, 2, maxNumLevels, "LSM tree depth", func(o *Options) *int { return &o.NumLevels }),
 	intOpt("target_file_size_base", SectionCF, 1<<16, 1<<40, "L1 SST file size", func(o *Options) *int64 { return &o.TargetFileSizeBase }).mutable(),
 	intOpt("target_file_size_multiplier", SectionCF, 1, 100, "per-level file size growth", func(o *Options) *int { return &o.TargetFileSizeMultiplier }).mutable(),
 	intOpt("max_bytes_for_level_base", SectionCF, 1<<20, 1<<44, "L1 capacity", func(o *Options) *int64 { return &o.MaxBytesForLevelBase }).mutable(),

@@ -14,7 +14,8 @@ const (
 // skipNode is one tower of the skiplist. key is an internal key; val is the
 // stored value (nil for tombstones, distinguished by key kind). Forward
 // pointers are atomic so concurrent inserts (write-group followers) and
-// readers need no lock.
+// readers need no lock. The node, its tower and its key+value bytes are
+// carved from the list's arena.
 type skipNode struct {
 	key  internalKey
 	val  []byte
@@ -31,8 +32,9 @@ type skiplist struct {
 	head   *skipNode
 	height atomic.Int32
 
-	rngMu sync.Mutex
+	mu    sync.Mutex // guards rnd and arena
 	rnd   *rand.Rand
+	arena arena
 
 	n     atomic.Int64
 	bytes atomic.Int64
@@ -48,17 +50,26 @@ func newSkiplist(seed int64) *skiplist {
 	return s
 }
 
-// randomHeight draws a tower height. The rng is shared across concurrent
-// inserters; in simulation the write path is serialized, so the draw sequence
-// (and therefore the list shape) stays deterministic.
-func (s *skiplist) randomHeight() int {
-	s.rngMu.Lock()
+// newNode draws a tower height and carves, under one lock, a node with that
+// tower and room for a keyLen-byte key and a valLen-byte value from the
+// arena. The caller fills n.key and n.val (nil when valLen is 0), then links
+// the node with insert. The rng is shared across concurrent inserters; in
+// simulation the write path is serialized, so the draw sequence (and
+// therefore the list shape) stays deterministic.
+func (s *skiplist) newNode(keyLen, valLen int) *skipNode {
+	s.mu.Lock()
 	h := 1
 	for h < skiplistMaxHeight && s.rnd.Intn(skiplistBranching) == 0 {
 		h++
 	}
-	s.rngMu.Unlock()
-	return h
+	n := s.arena.node(h)
+	e := s.arena.bytes(keyLen + valLen)
+	s.mu.Unlock()
+	n.key = e[:keyLen:keyLen]
+	if valLen > 0 {
+		n.val = e[keyLen:]
+	}
+	return n
 }
 
 // findSpliceForLevel walks level from start and returns the insertion point
@@ -74,11 +85,11 @@ func (s *skiplist) findSpliceForLevel(k internalKey, start *skipNode, level int)
 	}
 }
 
-// insert adds key→val. Keys are unique by construction (each write gets a
-// fresh sequence number), so duplicates are a programming error. Safe for
-// concurrent use with other inserts and with readers.
-func (s *skiplist) insert(key internalKey, val []byte) {
-	h := s.randomHeight()
+// insert links a node from newNode. Keys are unique by construction (each
+// write gets a fresh sequence number), so duplicates are a programming error.
+// Safe for concurrent use with other inserts and with readers.
+func (s *skiplist) insert(n *skipNode) {
+	key, h := n.key, len(n.next)
 	for {
 		listHeight := s.height.Load()
 		if int(listHeight) >= h || s.height.CompareAndSwap(listHeight, int32(h)) {
@@ -100,7 +111,6 @@ func (s *skiplist) insert(key internalKey, val []byte) {
 			panic("lsm: duplicate internal key inserted into skiplist")
 		}
 	}
-	n := &skipNode{key: key, val: val, next: make([]atomic.Pointer[skipNode], h)}
 	for i := 0; i < h; i++ {
 		for {
 			n.next[i].Store(next[i])
@@ -114,7 +124,7 @@ func (s *skiplist) insert(key internalKey, val []byte) {
 		}
 	}
 	s.n.Add(1)
-	s.bytes.Add(int64(len(key)) + int64(len(val)) + 48) // node overhead estimate
+	s.bytes.Add(int64(len(key)) + int64(len(n.val)) + 48) // node overhead estimate
 }
 
 // findGreaterOrEqual returns the first node with key >= k.

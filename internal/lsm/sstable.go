@@ -125,7 +125,8 @@ type tableBuilder struct {
 	pendingIdx  bool   // an index entry awaits the next key (or finish)
 	pendingKey  []byte // last key of the completed data block
 	pendingHndl blockHandle
-	trailer     [blockTrailerSize]byte // writeBlock's, here so it does not escape per block
+	hndlBuf     [2 * binary.MaxVarintLen64]byte // pendingHndl's encoding, so no block allocates it
+	trailer     [blockTrailerSize]byte          // writeBlock's, here so it does not escape per block
 	err         error
 }
 
@@ -152,7 +153,7 @@ func (b *tableBuilder) add(ikey internalKey, value []byte) error {
 	if b.pendingIdx {
 		// Index key: the completed block's last key (no shortening —
 		// correctness over the last byte of space).
-		b.indexBlock.add(b.pendingKey, b.pendingHndl.encode(nil))
+		b.indexBlock.add(b.pendingKey, b.pendingHndl.encode(b.hndlBuf[:0]))
 		b.pendingIdx = false
 	}
 	if b.firstKey == nil {
@@ -233,7 +234,7 @@ func (b *tableBuilder) finish() (TableProps, error) {
 	}
 	b.flushDataBlock()
 	if b.pendingIdx {
-		b.indexBlock.add(b.pendingKey, b.pendingHndl.encode(nil))
+		b.indexBlock.add(b.pendingKey, b.pendingHndl.encode(b.hndlBuf[:0]))
 		b.pendingIdx = false
 	}
 	var filterHandle blockHandle

@@ -84,8 +84,10 @@ func TestAllocGateFrame(t *testing.T) {
 
 // TestAllocGateWriteBurst gates the write path behind the wire: the real
 // serveConn over bursts of eight 400-byte Puts, one burst per read. A burst
-// commits as one engine write, so what a Put frame still allocates is the
-// memtable's own entry and node; committing each Put by itself costs ~10.
+// commits as one engine write and the memtable carves its entries from an
+// arena, so a Put frame measures ~0.2 allocations: its share of the burst's
+// WAL append and of the arena's chunks. Allocating each memtable entry, node
+// and tower again costs 3 more per Put (3.19 measured before the arena).
 func TestAllocGateWriteBurst(t *testing.T) {
 	const bursts, perBurst = 64, 8
 	s := newStreamServer(t, 1)
@@ -103,7 +105,7 @@ func TestAllocGateWriteBurst(t *testing.T) {
 		t.Fatalf("%d Puts took %d engine commits, want one per %d-Put burst", puts, commits, perBurst)
 	}
 	t.Logf("%.3f allocations per Put frame", avg)
-	const limit = 4
+	const limit = 1
 	if avg > limit {
 		t.Fatalf("write burst path allocates %.2f per Put frame, gate is %d", avg, limit)
 	}
