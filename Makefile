@@ -88,7 +88,10 @@ loc:
 
 # The engine is one engine behind the runtime seam (DESIGN §5.1): non-test
 # internal/lsm code never mentions db.sim, and asserts env.(*SimEnv) exactly
-# once, where the seam is chosen (OpenConfig).
+# once, where the seam is chosen (OpenConfig). Every simulated price is a row
+# of simPrices (internal/lsm/simprices.go): no ChargeCPU/ChargeLatency/
+# opCost +=/TakeOpCost() line elsewhere in non-test internal/lsm or
+# internal/bench code holds a time.Nanosecond/Microsecond literal.
 simfork:
 	./scripts/simfork.sh
 

@@ -154,7 +154,6 @@ func runSim(sim *lsm.SimEnv, workers []*worker, monitor func(Progress) bool) (el
 	sim.TakeOpCost()
 	var done int64
 	nextTick := base + time.Second
-	const perOpOverhead = 150 * time.Nanosecond // harness-side cost
 	for !aborted {
 		// Pick the worker with the smallest virtual time that still has work.
 		var w *worker
@@ -175,7 +174,7 @@ func runSim(sim *lsm.SimEnv, workers []*worker, monitor func(Progress) bool) (el
 		}
 		clock.AdvanceTo(w.now)
 		isRead := w.exec()
-		cost := sim.TakeOpCost() + perOpOverhead
+		cost := sim.TakeOpCost() + lsm.SimHarnessOpPrice()
 		w.now += cost
 		w.observe(isRead, cost)
 		done++

@@ -463,7 +463,7 @@ func (db *DB) GetCF(ro *ReadOptions, h *ColumnFamilyHandle, key []byte) ([]byte,
 		ro = defaultReadOptions
 	}
 	defer db.recordSince(HistGetMicros, db.rt.stopwatch())
-	db.env.ChargeCPU(1300 * time.Nanosecond)
+	db.env.ChargeCPU(simPrices.get.d)
 	st, err := db.captureReadState(h, ro)
 	if err != nil {
 		return nil, err
@@ -494,7 +494,7 @@ func (db *DB) MultiGetCF(ro *ReadOptions, h *ColumnFamilyHandle, keys [][]byte) 
 	if len(keys) == 0 {
 		return vals, errs
 	}
-	db.env.ChargeCPU(time.Duration(len(keys)) * 1100 * time.Nanosecond)
+	db.env.ChargeCPU(time.Duration(len(keys)) * simPrices.multiGetKey.d)
 	st, err := db.captureReadState(h, ro)
 	if err != nil {
 		for i := range errs {

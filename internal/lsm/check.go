@@ -69,15 +69,7 @@ func CheckDBColumnFamily(dir string, opts *Options, cfName string) (*CheckReport
 	rep.ManifestName = cur
 
 	// Replay the manifest (all column families).
-	err = walReplay(env, filepath.Join(dir, cur), func(payload []byte) error {
-		e, err := decodeVersionEdit(payload)
-		if err != nil {
-			return err
-		}
-		_, err = vs.apply(e)
-		return err
-	})
-	if err != nil {
+	if err := vs.replay(cur); err != nil {
 		rep.Issues = append(rep.Issues, CheckIssue{cur, err})
 		return rep, nil
 	}

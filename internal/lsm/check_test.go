@@ -3,6 +3,7 @@ package lsm
 import (
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -89,6 +90,27 @@ func TestCheckDBCleanAndCorrupt(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("issues = %v, want corruption in %s", rep.Issues, filepath.Base(sst))
+	}
+}
+
+// TestCURRENTNamingNonManifestIsCorruption: Open and CheckDB read CURRENT
+// through one reader, so a CURRENT that names a WAL is ErrCorruption from
+// both.
+func TestCURRENTNamingNonManifestIsCorruption(t *testing.T) {
+	dir := buildCheckDB(t)
+	if err := os.WriteFile(currentFileName(dir), []byte("000001.log\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Env = NewOSEnv()
+	if db, err := Open(dir, opts); !errors.Is(err, ErrCorruption) {
+		if err == nil {
+			db.Close()
+		}
+		t.Fatalf("Open with CURRENT naming a WAL: err = %v, want ErrCorruption", err)
+	}
+	if _, err := CheckDB(dir, nil); !errors.Is(err, ErrCorruption) {
+		t.Fatalf("CheckDB with CURRENT naming a WAL: err = %v, want ErrCorruption", err)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"time"
 )
 
 // Block codecs and their pooled state.
@@ -50,43 +49,6 @@ func (c Compression) blockType() byte {
 	default:
 		return blockRaw
 	}
-}
-
-// codecPrice is what the simulator charges for a codec's CPU work. zstd
-// keeps the DEFLATE prices the cost model has always charged every codec;
-// snappy's are those prices scaled by what BenchmarkWriteBlockCompressed and
-// BenchmarkReadBlockCompressed measure for it against the DEFLATE level 1 it
-// replaced, on value-shaped blocks: 11.5x faster to encode, 13x to decode.
-type codecPrice struct {
-	perEntry       time.Duration // compressing, per entry a flush or compaction writes
-	decodePSPerOut int64         // decompressing, picoseconds per output byte
-}
-
-var codecPrices = [...]codecPrice{
-	NoCompression:     {},
-	SnappyCompression: {perEntry: 26 * time.Nanosecond, decodePSPerOut: 154},
-	LZ4Compression:    {perEntry: 26 * time.Nanosecond, decodePSPerOut: 154},
-	ZstdCompression:   {perEntry: 300 * time.Nanosecond, decodePSPerOut: 2000},
-}
-
-// price is c's entry in codecPrices (free for an out-of-range value).
-func (c Compression) price() codecPrice {
-	if c < 0 || int(c) >= len(codecPrices) {
-		return codecPrice{}
-	}
-	return codecPrices[c]
-}
-
-// decodeCPU is the simulated cost of decoding n bytes of block type ctype.
-func decodeCPU(ctype byte, n int) time.Duration {
-	var p codecPrice
-	switch ctype {
-	case blockFlate:
-		p = ZstdCompression.price()
-	case blockSnappy:
-		p = SnappyCompression.price()
-	}
-	return time.Duration(int64(n) * p.decodePSPerOut / 1000)
 }
 
 var flateWriterPool sync.Pool

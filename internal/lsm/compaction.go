@@ -426,9 +426,7 @@ func (db *DB) runCompaction(c *compaction, v *Version) (*compactionResult, error
 		entries += sr.entries
 		res.sliceDurs = append(res.sliceDurs, sr.dur)
 	}
-	// CPU cost model: comparisons + copies per entry, plus compression.
-	perEntry := 350*time.Nanosecond + cfOpts.Compression.price().perEntry
-	res.cpu = time.Duration(entries) * perEntry
+	res.cpu = time.Duration(entries) * (simPrices.compactEntry.d + simPrices.encodeEntry(cfOpts.Compression))
 	return res, nil
 }
 

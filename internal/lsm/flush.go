@@ -34,6 +34,6 @@ func (db *DB) runFlush(cf *columnFamily, mems []*memtable) (*compactionResult, e
 	for _, f := range sr.files {
 		written += f.meta.Entries
 	}
-	res.cpu = time.Duration(written) * (300*time.Nanosecond + cfOpts.Compression.price().perEntry)
+	res.cpu = time.Duration(written) * (simPrices.flushEntry.d + simPrices.encodeEntry(cfOpts.Compression))
 	return res, nil
 }

@@ -175,7 +175,7 @@ func (it *Iterator) bookSeek() {
 // SeekToFirst positions at the first visible key.
 func (it *Iterator) SeekToFirst() {
 	defer it.db.recordSince(HistSeekMicros, it.db.rt.stopwatch())
-	it.db.env.ChargeCPU(2 * time.Microsecond)
+	it.db.env.ChargeCPU(simPrices.iterSeek.d)
 	it.bookSeek()
 	timed := it.db.perf.TimeEnabled()
 	var start time.Time
@@ -192,7 +192,7 @@ func (it *Iterator) SeekToFirst() {
 // Seek positions at the first visible key >= target.
 func (it *Iterator) Seek(target []byte) {
 	defer it.db.recordSince(HistSeekMicros, it.db.rt.stopwatch())
-	it.db.env.ChargeCPU(2 * time.Microsecond)
+	it.db.env.ChargeCPU(simPrices.iterSeek.d)
 	it.bookSeek()
 	timed := it.db.perf.TimeEnabled()
 	var start time.Time
@@ -212,7 +212,7 @@ func (it *Iterator) Next() {
 		return
 	}
 	defer it.db.recordSince(HistNextMicros, it.db.rt.stopwatch())
-	it.db.env.ChargeCPU(300 * time.Nanosecond)
+	it.db.env.ChargeCPU(simPrices.iterNext.d)
 	it.db.stats.Add(TickerNextCount, 1)
 	it.skip = append(it.skip[:0], it.key...)
 	it.merge.Next()

@@ -546,34 +546,9 @@ func (vs *versionSet) setCurrent() error {
 	return vs.env.SyncDir(vs.dir)
 }
 
-// recover loads the version state named by CURRENT.
-func (vs *versionSet) recover() error {
-	f, err := vs.env.NewRandomAccessFile(currentFileName(vs.dir), IOBackground)
-	if err != nil {
-		return err
-	}
-	size, err := f.Size()
-	if err != nil {
-		f.Close()
-		return err
-	}
-	buf := make([]byte, size)
-	if err := f.ReadAt(buf, 0, HintSequential); err != nil {
-		f.Close()
-		return err
-	}
-	f.Close()
-	name := strings.TrimSpace(string(buf))
-	kind, num := parseFileName(name)
-	if kind != fileKindManifest {
-		return fmt.Errorf("lsm: CURRENT names %q, not a manifest", name)
-	}
-	vs.cfs = map[uint32]*cfState{
-		0: {id: 0, name: DefaultColumnFamilyName, current: newVersion(vs.opts.NumLevels)},
-	}
-	vs.maxCF = 0
-	vs.nextFileNum.Store(num + 1)
-	err = walReplay(vs.env, filepath.Join(vs.dir, name), func(payload []byte) error {
+// replay applies every edit of manifest name, a file in vs.dir, in order.
+func (vs *versionSet) replay(name string) error {
+	return walReplay(vs.env, filepath.Join(vs.dir, name), func(payload []byte) error {
 		e, err := decodeVersionEdit(payload)
 		if err != nil {
 			return err
@@ -581,7 +556,21 @@ func (vs *versionSet) recover() error {
 		_, err = vs.apply(e)
 		return err
 	})
+}
+
+// recover loads the version state named by CURRENT.
+func (vs *versionSet) recover() error {
+	name, err := readCurrentFile(vs.env, vs.dir)
 	if err != nil {
+		return err
+	}
+	_, num := parseFileName(name)
+	vs.cfs = map[uint32]*cfState{
+		0: {id: 0, name: DefaultColumnFamilyName, current: newVersion(vs.opts.NumLevels)},
+	}
+	vs.maxCF = 0
+	vs.nextFileNum.Store(num + 1)
+	if err := vs.replay(name); err != nil {
 		return err
 	}
 	// Continue appending to a fresh manifest (simpler than re-opening the

@@ -14,15 +14,14 @@ import (
 	"repro/internal/device"
 )
 
-// Simulation constants. These are host-model parameters, not device ones.
+// Simulation constants. These are host-model parameters, not device ones;
+// what the host charges for work is a row of simPrices (simprices.go).
 const (
 	// simPageChunk is the page-cache granularity: 8 KiB approximates 4 KiB
 	// kernel pages plus modest readahead. Coarser values over-cache random
 	// reads (one cached chunk would serve dozens of neighbouring keys).
-	simPageChunk    = 8 << 10
-	simOSReserve    = 512 << 20            // memory the OS keeps for itself
-	simMemCopyPerKB = 80 * time.Nanosecond // DRAM copy cost per KiB
-	simMemCopyBase  = 250 * time.Nanosecond
+	simPageChunk = 8 << 10
+	simOSReserve = 512 << 20 // memory the OS keeps for itself
 	// simDirtyBurst is the modeled OS writeback watermark: when unsynced
 	// dirty bytes exceed it, the kernel issues a blocking writeback burst.
 	// Periodic syncing (bytes_per_sync / wal_bytes_per_sync) avoids the
@@ -307,7 +306,7 @@ func (e *SimEnv) chargeDeviceRead(n int64, hint AccessHint) {
 // chargeMemCopy prices a page-cache hit.
 func (e *SimEnv) chargeMemCopy(n int64) {
 	e.mu.Lock()
-	e.opCost += simMemCopyBase + time.Duration(n>>10)*simMemCopyPerKB
+	e.opCost += simPrices.copyMem(n)
 	e.mu.Unlock()
 }
 
@@ -535,7 +534,7 @@ func (w *simWritableFile) Append(p []byte) error {
 	w.f.data = append(w.f.data, p...)
 	if w.class == IOForeground {
 		w.env.mu.Lock()
-		w.env.opCost += simMemCopyBase + time.Duration(len(p)>>10)*simMemCopyPerKB
+		w.env.opCost += simPrices.copyMem(int64(len(p)))
 		w.dirty += int64(len(p))
 		w.env.addDirtyLocked(int64(len(p)))
 		w.env.mu.Unlock()
@@ -573,7 +572,7 @@ func (w *simWritableFile) SyncAsync() error {
 	now := w.env.clock.Now()
 	dur := w.env.Device.WriteLatency(w.dirty, true, 0)
 	w.env.bg = append(w.env.bg, bgInterval{start: now, end: now + dur, frac: 0.08})
-	w.env.opCost += 2 * time.Microsecond
+	w.env.opCost += simPrices.syncAsync.d
 	w.env.devWrites++
 	w.env.devWriteB += w.dirty
 	if w.env.dirtyBytes >= w.dirty {

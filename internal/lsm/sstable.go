@@ -425,7 +425,7 @@ func (t *tableReader) readBlockRaw(h blockHandle, hint AccessHint, scratch []byt
 		return nil, fmt.Errorf("lsm: decompress block at %d: %w", h.offset, err)
 	}
 	if t.env != nil {
-		t.env.ChargeCPU(decodeCPU(ctype, len(out)))
+		t.env.ChargeCPU(simPrices.decode(ctype, len(out)))
 	}
 	return out, nil
 }
@@ -444,7 +444,7 @@ func (t *tableReader) readBlock(h blockHandle, hint AccessHint, scratch []byte) 
 			}
 			t.perf.Add(PerfBlockCacheHitCount, 1)
 			if t.env != nil {
-				t.env.ChargeCPU(200 * time.Nanosecond)
+				t.env.ChargeCPU(simPrices.blockCacheHit.d)
 			}
 			return v, nil
 		}
@@ -468,7 +468,7 @@ func (t *tableReader) mayContain(userKey []byte) bool {
 		return true
 	}
 	if t.env != nil {
-		t.env.ChargeCPU(120 * time.Nanosecond)
+		t.env.ChargeCPU(simPrices.bloomProbe.d)
 	}
 	ok := bloomMayContain(t.filter, userKey)
 	if t.stats != nil {
@@ -537,7 +537,7 @@ func (t *tableReader) get(ikey internalKey) (value []byte, found, deleted bool, 
 		return nil, false, false, err
 	}
 	if t.env != nil {
-		t.env.ChargeCPU(400 * time.Nanosecond)
+		t.env.ChargeCPU(simPrices.blockSeek.d)
 	}
 	it.Seek(ikey, icmp)
 	if !it.Valid() {

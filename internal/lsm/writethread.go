@@ -14,8 +14,9 @@ import (
 // with at most one sync, then inserts the batches itself or (concurrent
 // inserts) lets the followers insert their own through the lock-free
 // skiplist, and publishes the group's last sequence after every insert has
-// landed, in group order. The simulation's stage prices are ChargeCPU calls
-// on this path (no-ops on the OS).
+// landed, in group order. The simulation's stage prices are rows of
+// simPrices (simprices.go), charged by ChargeCPU calls on this path (no-ops
+// on the OS).
 //
 // The runtime decides only how a group forms and what waiting costs. The OS
 // runs a real queue: the head leads the writers queued behind it, the rest
@@ -201,10 +202,8 @@ func (db *DB) leadGroup(leader *writeRequest) {
 		db.finishGroup(leader, err)
 		return
 	}
-	// Sequence allocation, and the simulation's stage CPU prices: their sum
-	// matches the calibrated write-path cost (db_bench fillrandom on a warmed
-	// NVMe box, ~2-3 us/op before stall effects), split into WAL framing and
-	// memtable insert.
+	// Sequence allocation, and the simulation's WAL and memtable stage
+	// prices.
 	prevSeq := db.vs.lastSeq
 	seq := prevSeq + 1
 	var walCPU, memCPU time.Duration
@@ -217,8 +216,8 @@ func (db *DB) leadGroup(leader *writeRequest) {
 		seq += uint64(w.batch.Count())
 		g.reps = append(g.reps, w.batch.rep)
 		committedBytes += w.batch.ApproximateSize()
-		walCPU += 500*time.Nanosecond + time.Duration(w.batch.ApproximateSize()>>10)*200*time.Nanosecond
-		memCPU += 400*time.Nanosecond + time.Duration(w.batch.Count())*1100*time.Nanosecond
+		walCPU += simPrices.walBatch.d + time.Duration(w.batch.ApproximateSize()>>10)*simPrices.walKiB.d
+		memCPU += simPrices.memtableBatch.d + time.Duration(w.batch.Count())*simPrices.memtableEntry.d
 	}
 	lastSeq := seq - 1
 	db.vs.lastSeq = lastSeq
@@ -279,7 +278,7 @@ func (db *DB) leadGroup(leader *writeRequest) {
 	if err == nil {
 		err = db.insertGroup(leader)
 		if g.concurrent {
-			db.env.ChargeCPU(memCPU * 115 / 100)
+			db.env.ChargeCPU(memCPU * time.Duration(simPrices.concurrentInsert.pct) / 100)
 		}
 	}
 	if timed {
@@ -491,9 +490,6 @@ const (
 	// exceed the number of foreground vthreads, and RocksDB groups rarely
 	// grow past a handful of batches at db_bench batch sizes.
 	maxSimWriteGroup = 8
-	// simWriteWakeLatency is the modeled futex wake + scheduler delay paid
-	// by a queued writer that blocked instead of spinning.
-	simWriteWakeLatency = 5 * time.Microsecond
 )
 
 // writePipeline is one DB's virtual write-lock timeline: the virtual times
@@ -579,7 +575,7 @@ func (r *simRuntime) queueWait(leader *writeRequest, serialEnd, insertCPU time.D
 	if wait <= 0 {
 		return
 	}
-	overhead := simWriteWakeLatency
+	overhead := simPrices.writeWake.d
 	if o.EnableWriteThreadAdaptiveYield &&
 		wait <= time.Duration(o.WriteThreadMaxYieldUsec)*time.Microsecond &&
 		!r.env.Oversubscribed() {
