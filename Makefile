@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race crashtest equivalence serverbench liveretune allocgate fuzz benchmodule loc simfork onestream simdiff verify clean
+.PHONY: build test vet race crashtest equivalence serverbench liveretune allocgate fuzz benchmodule loc simfork onestream onehist simdiff verify clean
 
 build:
 	$(GO) build ./...
@@ -101,6 +101,11 @@ simfork:
 onestream:
 	./scripts/onestream.sh
 
+# Latency histograms are one type (DESIGN §7): only internal/lsm/histogram.go
+# may hold bucket math (sort.SearchFloat64s or a Percentile method).
+onehist:
+	./scripts/onehist.sh
+
 # The refactor oracle for the simulated side (EXPERIMENTS.md): the paper's
 # tables and figures regenerated at PARENT and at the working tree must be
 # byte-identical. ~2 minutes; not part of verify (it needs a parent to name).
@@ -108,7 +113,7 @@ simdiff:
 	@test -n "$(PARENT)" || { echo "usage: make simdiff PARENT=<ref>" >&2; exit 2; }
 	./scripts/simdiff.sh $(PARENT)
 
-verify: build vet simfork onestream test race equivalence allocgate fuzz benchmodule serverbench liveretune
+verify: build vet simfork onestream onehist test race equivalence allocgate fuzz benchmodule serverbench liveretune
 
 clean:
 	$(GO) clean ./...

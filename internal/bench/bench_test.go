@@ -5,84 +5,11 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"repro/internal/device"
 	"repro/internal/lsm"
 )
-
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram()
-	if h.Count() != 0 || h.Mean() != 0 || h.P99() != 0 || h.Min() != 0 || h.Max() != 0 {
-		t.Fatal("empty histogram not zeroed")
-	}
-	for i := 1; i <= 100; i++ {
-		h.Add(time.Duration(i) * time.Microsecond)
-	}
-	if h.Count() != 100 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if m := h.Mean(); m < 49 || m > 52 {
-		t.Fatalf("mean = %v", m)
-	}
-	if p := h.P50(); p < 40 || p > 60 {
-		t.Fatalf("p50 = %v", p)
-	}
-	if p := h.P99(); p < 90 || p > 101 {
-		t.Fatalf("p99 = %v", p)
-	}
-	if h.Min() != 1 || h.Max() != 100 {
-		t.Fatalf("min/max = %v/%v", h.Min(), h.Max())
-	}
-	if h.StdDev() <= 0 {
-		t.Fatal("stddev")
-	}
-	if h.String() == "" {
-		t.Fatal("empty render")
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(), NewHistogram()
-	for i := 0; i < 50; i++ {
-		a.Add(10 * time.Microsecond)
-		b.Add(1000 * time.Microsecond)
-	}
-	a.Merge(b)
-	if a.Count() != 100 {
-		t.Fatalf("count = %d", a.Count())
-	}
-	if p := a.P99(); p < 900 {
-		t.Fatalf("p99 after merge = %v", p)
-	}
-	a.Merge(nil) // nil-safe
-}
-
-// TestQuickHistogramPercentileMonotone: percentiles are monotone in p and
-// bounded by min/max.
-func TestQuickHistogramPercentileMonotone(t *testing.T) {
-	fn := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		h := NewHistogram()
-		n := 1 + r.Intn(500)
-		for i := 0; i < n; i++ {
-			h.Add(time.Duration(1+r.Intn(1_000_000)) * time.Microsecond)
-		}
-		prev := 0.0
-		for _, p := range []float64{10, 25, 50, 75, 90, 99, 99.9} {
-			v := h.Percentile(p)
-			if v < prev {
-				return false
-			}
-			prev = v
-		}
-		return h.Percentile(100) <= h.Max()+1e-9 && h.Percentile(1) >= h.Min()-1e-9
-	}
-	if err := quick.Check(fn, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestKeyGen(t *testing.T) {
 	g := NewKeyGen(16)

@@ -4,6 +4,8 @@ import (
 	"io"
 	"math/rand"
 	"time"
+
+	"repro/internal/lsm"
 )
 
 // Op is one workload operation: what an op source yields, what a worker
@@ -103,8 +105,8 @@ type worker struct {
 	errs      int64
 	readMiss  int64
 	bytes     int64
-	readHist  *Histogram
-	writeHist *Histogram
+	readHist  *lsm.Histogram // the worker's own: merged after the run
+	writeHist *lsm.Histogram
 }
 
 // newWorker builds a worker whose put values come from a pool seeded by rng.
@@ -113,8 +115,8 @@ func newWorker(src OpSource, t target, rng *rand.Rand) *worker {
 		src:       src,
 		t:         t,
 		values:    NewValueGen(rng, 0.5),
-		readHist:  NewHistogram(),
-		writeHist: NewHistogram(),
+		readHist:  lsm.NewHistogram(),
+		writeHist: lsm.NewHistogram(),
 	}
 }
 

@@ -18,8 +18,8 @@ type Report struct {
 	Bytes      int64
 	Elapsed    time.Duration
 	Throughput float64 // ops/sec
-	Read       *Histogram
-	Write      *Histogram
+	Read       *lsm.Histogram
+	Write      *lsm.Histogram
 	ReadMisses int64
 	Errors     int64 // operations the store failed (a miss is not a failure)
 	Aborted    bool

@@ -16,8 +16,8 @@ func sampleReport() *Report {
 		Bytes:      5 << 20,
 		Elapsed:    2 * time.Second,
 		Throughput: 5000,
-		Read:       NewHistogram(),
-		Write:      NewHistogram(),
+		Read:       lsm.NewHistogram(),
+		Write:      lsm.NewHistogram(),
 		ReadMisses: 120,
 		Stats: map[string]int64{
 			"rocksdb.stall.micros":    1234,
@@ -79,7 +79,7 @@ func TestReportAbortedMarker(t *testing.T) {
 }
 
 func TestReportZeroDivisionSafety(t *testing.T) {
-	r := &Report{Read: NewHistogram(), Write: NewHistogram()}
+	r := &Report{Read: lsm.NewHistogram(), Write: lsm.NewHistogram()}
 	if r.MicrosPerOp() != 0 || r.MBPerSec() != 0 {
 		t.Fatal("zero report produced non-zero rates")
 	}

@@ -1,3 +1,8 @@
+// Package bench reimplements the db_bench workloads the paper evaluates:
+// fillrandom, readrandom, readrandomwriterandom and mixgraph, with
+// db_bench-style latency histograms (lsm.Histogram) and reports. In
+// simulation mode the runner is a deterministic event loop over virtual
+// threads driven by the engine's virtual clock.
 package bench
 
 import (
@@ -121,8 +126,8 @@ func newReport(name string, valueSize int, workers []*worker, elapsed time.Durat
 	rep := &Report{
 		Workload:  name,
 		Threads:   len(workers),
-		Read:      NewHistogram(),
-		Write:     NewHistogram(),
+		Read:      lsm.NewHistogram(),
+		Write:     lsm.NewHistogram(),
 		Elapsed:   elapsed,
 		Aborted:   aborted,
 		ValueSize: valueSize,

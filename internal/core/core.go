@@ -19,32 +19,16 @@ import (
 	"repro/internal/sysmon"
 )
 
-// BenchRunner executes one benchmark under a configuration. Implementations
-// create a fresh database/environment per call so iterations are comparable
-// (cf. db_bench runs in the paper). monitor may be nil.
-type BenchRunner interface {
-	RunBenchmark(opts *lsm.Options, monitor func(bench.Progress) bool) (*bench.Report, error)
-}
-
-// BenchRunnerFunc adapts a function to BenchRunner.
-type BenchRunnerFunc func(opts *lsm.Options, monitor func(bench.Progress) bool) (*bench.Report, error)
-
-// RunBenchmark implements BenchRunner.
-func (f BenchRunnerFunc) RunBenchmark(opts *lsm.Options, monitor func(bench.Progress) bool) (*bench.Report, error) {
-	return f(opts, monitor)
-}
-
-// ConfigRunner is the optional multi-family extension of BenchRunner: a
-// runner that can open every column family in the configuration and drive
-// traffic to all of them. When the Runner implements it, the loop passes the
-// whole ConfigSet; otherwise only the default family's options reach the
-// benchmark (named-family changes still tune the configuration the session
-// outputs).
+// ConfigRunner executes one benchmark under a configuration: it opens every
+// column family in the ConfigSet and drives traffic to all of them.
+// Implementations create a fresh database/environment per call so
+// iterations are comparable (cf. db_bench runs in the paper). monitor may be
+// nil. A single-family caller wraps its options with lsm.NewConfigSet.
 type ConfigRunner interface {
 	RunBenchmarkConfig(cfg *lsm.ConfigSet, monitor func(bench.Progress) bool) (*bench.Report, error)
 }
 
-// ConfigRunnerFunc adapts a function to ConfigRunner (and BenchRunner).
+// ConfigRunnerFunc adapts a function to ConfigRunner.
 type ConfigRunnerFunc func(cfg *lsm.ConfigSet, monitor func(bench.Progress) bool) (*bench.Report, error)
 
 // RunBenchmarkConfig implements ConfigRunner.
@@ -52,18 +36,12 @@ func (f ConfigRunnerFunc) RunBenchmarkConfig(cfg *lsm.ConfigSet, monitor func(be
 	return f(cfg, monitor)
 }
 
-// RunBenchmark implements BenchRunner by wrapping the options in a
-// single-family configuration.
-func (f ConfigRunnerFunc) RunBenchmark(opts *lsm.Options, monitor func(bench.Progress) bool) (*bench.Report, error) {
-	return f(lsm.NewConfigSet(opts), monitor)
-}
-
 // Config wires one tuning session.
 type Config struct {
 	// Client is the LLM (GPT-4 API or the mock expert).
 	Client llm.Client
 	// Runner executes benchmarks.
-	Runner BenchRunner
+	Runner ConfigRunner
 	// Monitor characterizes the host for prompts.
 	Monitor sysmon.Monitor
 	// InitialOptions is iteration 0's configuration (db_bench defaults in
@@ -224,7 +202,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 // it on a fresh database, watched by the early-stop monitor once there is a
 // best to fall short of.
 type benchTarget struct {
-	runner     BenchRunner
+	runner     ConfigRunner
 	cfg        *lsm.ConfigSet
 	earlyStop  bool
 	checkAfter time.Duration
@@ -252,14 +230,8 @@ func (t *benchTarget) measure(_ context.Context, best float64) (*window, error) 
 			return ok
 		}
 	}
-	// The whole configuration goes to runners that understand column
-	// families, the default family's options to those that don't.
 	var err error
-	if cr, ok := t.runner.(ConfigRunner); ok {
-		w.report, err = cr.RunBenchmarkConfig(t.cfg.Clone(), monitor)
-	} else {
-		w.report, err = t.runner.RunBenchmark(t.cfg.Default.Clone(), monitor)
-	}
+	w.report, err = t.runner.RunBenchmarkConfig(t.cfg.Clone(), monitor)
 	if err != nil {
 		return nil, err
 	}

@@ -26,7 +26,7 @@ func quickCfg(seed int64) experiments.Config {
 	return experiments.Config{Scale: 400, Seed: seed, MaxIterations: 4}
 }
 
-// quickRunner builds a test BenchRunner at the quick scale.
+// quickRunner builds a test ConfigRunner at the quick scale.
 func quickRunner(workload string, seed int64) *experiments.SimRunner {
 	return &experiments.SimRunner{
 		Device:   device.NVMe(),
@@ -357,15 +357,15 @@ func TestWriteOptionsFile(t *testing.T) {
 func TestTraceAndTelemetryFeedback(t *testing.T) {
 	const maxIters = 3
 	runs := 0
-	runner := core.BenchRunnerFunc(func(opts *lsm.Options, monitor func(bench.Progress) bool) (*bench.Report, error) {
+	runner := core.ConfigRunnerFunc(func(_ *lsm.ConfigSet, monitor func(bench.Progress) bool) (*bench.Report, error) {
 		runs++
 		return &bench.Report{
 			Workload:      "fillrandom",
 			Ops:           1000,
 			Elapsed:       time.Second,
 			Throughput:    100_000 + float64(runs)*10_000, // always improving: every iteration kept
-			Read:          bench.NewHistogram(),
-			Write:         bench.NewHistogram(),
+			Read:          lsm.NewHistogram(),
+			Write:         lsm.NewHistogram(),
 			StatsDump:     fmt.Sprintf("SENTINEL-STATS-DUMP run %d\n** Compaction Stats [default] **", runs),
 			HistogramDump: fmt.Sprintf("rocksdb.db.write.micros P50 : 1.00 P95 : 2.00 P99 : 3.00 COUNT : %d SUM : 1", runs),
 			Stats:         map[string]int64{"rocksdb.flush.count": int64(runs)},
@@ -492,11 +492,11 @@ func TestTraceRecordsRejectedCombination(t *testing.T) {
 
 func TestSimRunnerFreshPerIteration(t *testing.T) {
 	r := quickRunner("fillrandom", 31)
-	rep1, err := r.RunBenchmark(lsm.DBBenchDefaults(), nil)
+	rep1, err := r.RunBenchmarkConfig(lsm.NewConfigSet(lsm.DBBenchDefaults()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep2, err := r.RunBenchmark(lsm.DBBenchDefaults(), nil)
+	rep2, err := r.RunBenchmarkConfig(lsm.NewConfigSet(lsm.DBBenchDefaults()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -527,8 +527,8 @@ func TestRunTunesOneColumnFamilyIndependently(t *testing.T) {
 			Ops:        1000,
 			Elapsed:    time.Second,
 			Throughput: 100_000 + float64(runs)*10_000, // always improving
-			Read:       bench.NewHistogram(),
-			Write:      bench.NewHistogram(),
+			Read:       lsm.NewHistogram(),
+			Write:      lsm.NewHistogram(),
 		}, nil
 	})
 	var prompts []string
@@ -610,8 +610,8 @@ func TestRunRejectsHallucinatedColumnFamily(t *testing.T) {
 			Ops:        1000,
 			Elapsed:    time.Second,
 			Throughput: 100_000,
-			Read:       bench.NewHistogram(),
-			Write:      bench.NewHistogram(),
+			Read:       lsm.NewHistogram(),
+			Write:      lsm.NewHistogram(),
 		}, nil
 	})
 	client := &llm.FuncClient{Fn: func(_ context.Context, msgs []llm.Message) (string, error) {
@@ -658,13 +658,13 @@ func TestRunWorkloadCharacterizationInPrompt(t *testing.T) {
 		return "max_background_jobs=4\n", nil
 	}}
 	calls := 0
-	runner := core.BenchRunnerFunc(func(opts *lsm.Options, mon func(bench.Progress) bool) (*bench.Report, error) {
+	runner := core.ConfigRunnerFunc(func(cfg *lsm.ConfigSet, mon func(bench.Progress) bool) (*bench.Report, error) {
 		wl := "fillrandom"
 		if calls > 0 {
 			wl = "readrandom"
 		}
 		calls++
-		return quickRunner(wl, 11).RunBenchmark(opts, mon)
+		return quickRunner(wl, 11).RunBenchmarkConfig(cfg, mon)
 	})
 	var traceBuf bytes.Buffer
 	_, err := core.Run(context.Background(), core.Config{

@@ -33,7 +33,7 @@ type LiveObservation struct {
 }
 
 // LiveTarget is a RUNNING database instance the loop can retune in place —
-// the counterpart of BenchRunner, which opens a fresh database per
+// the counterpart of ConfigRunner, which opens a fresh database per
 // measurement. Implementations: EmbeddedTarget (a *lsm.DB in this process)
 // and cmd/elmotune's server-backed target (a kvserver over the wire).
 type LiveTarget interface {

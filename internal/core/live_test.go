@@ -455,9 +455,9 @@ func TestEveryRoundTracedOnce(t *testing.T) {
 
 	t.Run("offline", func(t *testing.T) {
 		client, ops := roundScript()
-		runner := core.BenchRunnerFunc(func(o *lsm.Options, _ func(bench.Progress) bool) (*bench.Report, error) {
+		runner := core.ConfigRunnerFunc(func(cfg *lsm.ConfigSet, _ func(bench.Progress) bool) (*bench.Report, error) {
 			return &bench.Report{Workload: "fillrandom", Ops: 1000, Elapsed: time.Second,
-				Throughput: ops(o), Read: bench.NewHistogram(), Write: bench.NewHistogram()}, nil
+				Throughput: ops(cfg.Default), Read: lsm.NewHistogram(), Write: lsm.NewHistogram()}, nil
 		})
 		var trace bytes.Buffer
 		res, err := core.Run(context.Background(), core.Config{

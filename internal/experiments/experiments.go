@@ -128,11 +128,6 @@ type SimRunner struct {
 	runs     int
 }
 
-// RunBenchmark implements core.BenchRunner.
-func (s *SimRunner) RunBenchmark(opts *lsm.Options, monitor func(bench.Progress) bool) (*bench.Report, error) {
-	return s.RunBenchmarkConfig(lsm.NewConfigSet(opts), monitor)
-}
-
 // RunBenchmarkConfig implements core.ConfigRunner: the whole multi-family
 // configuration is opened (named families and their per-family options
 // included) and the workload spreads traffic across Cfg.ColumnFamilies.

@@ -138,7 +138,7 @@ func TestHostMonitorUnscaled(t *testing.T) {
 func TestSimRunnerScalesOptions(t *testing.T) {
 	r := &SimRunner{Device: device.NVMe(), Profile: device.Profile4C4G(), Workload: "fillrandom", Cfg: testCfg().withDefaults()}
 	// An unscaled 64MB write buffer at scale 800 must shrink to the floor.
-	rep, err := r.RunBenchmark(lsm.DBBenchDefaults(), nil)
+	rep, err := r.RunBenchmarkConfig(lsm.NewConfigSet(lsm.DBBenchDefaults()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,11 +33,6 @@ type OSRunner struct {
 	runs int
 }
 
-// RunBenchmark implements core.BenchRunner on real files.
-func (r *OSRunner) RunBenchmark(opts *lsm.Options, monitor func(bench.Progress) bool) (*bench.Report, error) {
-	return r.RunBenchmarkConfig(lsm.NewConfigSet(opts), monitor)
-}
-
 // RunBenchmarkConfig implements core.ConfigRunner: the whole multi-family
 // configuration is opened on real files and traffic spreads across
 // ColumnFamilies.

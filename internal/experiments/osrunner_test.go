@@ -15,7 +15,7 @@ import (
 
 func TestOSRunnerRealFiles(t *testing.T) {
 	r := &OSRunner{BaseDir: t.TempDir(), Workload: "fillrandom", Ops: 5000, ValueSize: 100, Seed: 3}
-	rep, err := r.RunBenchmark(lsm.DBBenchDefaults(), nil)
+	rep, err := r.RunBenchmarkConfig(lsm.NewConfigSet(lsm.DBBenchDefaults()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestOSRunnerRealFiles(t *testing.T) {
 		t.Fatalf("report: ops=%d tput=%f", rep.Ops, rep.Throughput)
 	}
 	// Second run gets a fresh directory (fresh DB, same op count).
-	rep2, err := r.RunBenchmark(lsm.DBBenchDefaults(), nil)
+	rep2, err := r.RunBenchmarkConfig(lsm.NewConfigSet(lsm.DBBenchDefaults()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestOSRunnerRealFiles(t *testing.T) {
 
 func TestOSRunnerBadWorkload(t *testing.T) {
 	r := &OSRunner{BaseDir: t.TempDir(), Workload: "nope"}
-	if _, err := r.RunBenchmark(lsm.DBBenchDefaults(), nil); err == nil {
+	if _, err := r.RunBenchmarkConfig(lsm.NewConfigSet(lsm.DBBenchDefaults()), nil); err == nil {
 		t.Fatal("bad workload accepted")
 	}
 }

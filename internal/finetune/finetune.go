@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"strconv"
 
-	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/flagger"
 	"repro/internal/lsm"
@@ -45,7 +44,7 @@ func DefaultKnobs() []Knob {
 // Config wires a fine-tuning pass.
 type Config struct {
 	// Runner executes benchmarks (same contract as the main loop).
-	Runner core.BenchRunner
+	Runner core.ConfigRunner
 	// Start is the configuration to polish (the tuning session's best).
 	Start *lsm.Options
 	// StartMetrics seeds the comparison (pass the session's BestMetrics;
@@ -99,7 +98,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	res := &Result{Best: cfg.Start.Clone(), BestMetrics: cfg.StartMetrics}
 	if res.BestMetrics.Throughput == 0 {
-		rep, err := cfg.Runner.RunBenchmark(res.Best.Clone(), nil)
+		rep, err := cfg.Runner.RunBenchmarkConfig(lsm.NewConfigSet(res.Best.Clone()), nil)
 		if err != nil {
 			return nil, fmt.Errorf("finetune: measuring start config: %w", err)
 		}
@@ -140,7 +139,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 				if err := trial.Validate(); err != nil {
 					continue
 				}
-				rep, err := cfg.Runner.RunBenchmark(trial.Clone(), nil)
+				rep, err := cfg.Runner.RunBenchmarkConfig(lsm.NewConfigSet(trial.Clone()), nil)
 				if err != nil {
 					return res, fmt.Errorf("finetune: trial %s=%d: %w", knob.Name, val, err)
 				}
@@ -174,5 +173,3 @@ func (r *Result) ImprovementOver(baseline flagger.Metrics) float64 {
 	}
 	return r.BestMetrics.Throughput / baseline.Throughput
 }
-
-var _ = bench.Progress{} // bench types appear in the BenchRunner contract

@@ -17,11 +17,11 @@ import (
 // syntheticRunner scores configurations analytically: throughput peaks when
 // write_buffer_size hits an optimum, so the hill climber has a landscape to
 // climb without paying for real benchmark runs.
-func syntheticRunner(optimum int64) core.BenchRunner {
-	return core.BenchRunnerFunc(func(opts *lsm.Options, _ func(bench.Progress) bool) (*bench.Report, error) {
+func syntheticRunner(optimum int64) core.ConfigRunner {
+	return core.ConfigRunnerFunc(func(cfg *lsm.ConfigSet, _ func(bench.Progress) bool) (*bench.Report, error) {
 		// Score: 100k minus a penalty growing with log-distance from the
 		// optimum.
-		cur := opts.WriteBufferSize
+		cur := cfg.Default.WriteBufferSize
 		dist := float64(cur) / float64(optimum)
 		if dist < 1 {
 			dist = 1 / dist
@@ -31,8 +31,8 @@ func syntheticRunner(optimum int64) core.BenchRunner {
 			Throughput: tput,
 			Ops:        1000,
 			Elapsed:    time.Second,
-			Read:       bench.NewHistogram(),
-			Write:      bench.NewHistogram(),
+			Read:       lsm.NewHistogram(),
+			Write:      lsm.NewHistogram(),
 		}
 		r.Write.Add(10 * time.Microsecond)
 		return r, nil
@@ -86,10 +86,10 @@ func TestRunSkipsDisabledKnobs(t *testing.T) {
 	start := lsm.DBBenchDefaults()
 	start.BytesPerSync = 0 // disabled: must be left alone
 	calls := 0
-	runner := core.BenchRunnerFunc(func(opts *lsm.Options, _ func(bench.Progress) bool) (*bench.Report, error) {
+	runner := core.ConfigRunnerFunc(func(_ *lsm.ConfigSet, _ func(bench.Progress) bool) (*bench.Report, error) {
 		calls++
 		r := &bench.Report{Throughput: 1000, Ops: 1, Elapsed: time.Second,
-			Read: bench.NewHistogram(), Write: bench.NewHistogram()}
+			Read: lsm.NewHistogram(), Write: lsm.NewHistogram()}
 		return r, nil
 	})
 	res, err := Run(context.Background(), Config{

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/lsm"
 )
 
 func TestBetter(t *testing.T) {
@@ -93,8 +94,8 @@ func TestEarlyStop(t *testing.T) {
 func TestFromReport(t *testing.T) {
 	r := &bench.Report{
 		Throughput: 12345,
-		Read:       bench.NewHistogram(),
-		Write:      bench.NewHistogram(),
+		Read:       lsm.NewHistogram(),
+		Write:      lsm.NewHistogram(),
 	}
 	r.Write.Add(10 * time.Microsecond)
 	r.Read.Add(100 * time.Microsecond)

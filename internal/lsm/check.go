@@ -251,7 +251,10 @@ func RepairDBColumnFamily(dir string, opts *Options, cfName string) (*RepairRepo
 	var survivors []survivor
 	for _, num := range tableNums {
 		name := tableFileName(dir, num)
-		meta, maxSeq, err := scanTable(env, name, num)
+		meta, maxSeq, err := scanTable(env, name, num, IOBackground)
+		if err == nil && meta.Entries == 0 {
+			err = fmt.Errorf("%w: table %s is empty", ErrCorruption, name)
+		}
 		rt := RepairTable{OldName: filepath.Base(name)}
 		if err != nil {
 			rt.Err = err
@@ -354,10 +357,12 @@ func RepairDBColumnFamily(dir string, opts *Options, cfName string) (*RepairRepo
 	return rep, nil
 }
 
-// scanTable fully reads a table, returning fresh metadata (computed from
-// the data itself, trusting nothing) and the largest sequence number seen.
-func scanTable(env Env, name string, num uint64) (*FileMeta, uint64, error) {
-	t, err := openTable(env, name, num, nil, nil, IOBackground, nil, nil)
+// scanTable reads a table end to end in one pass, returning metadata
+// computed from the data itself (trusting nothing: entry count, first and
+// last key, file size) and the largest sequence number seen. Out-of-order
+// keys and unreadable blocks fail it; an empty table does not.
+func scanTable(env Env, name string, num uint64, class IOClass) (*FileMeta, uint64, error) {
+	t, err := openTable(env, name, num, nil, nil, class, nil, nil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -369,7 +374,7 @@ func scanTable(env Env, name string, num uint64) (*FileMeta, uint64, error) {
 	for it.SeekToFirst(); it.Valid(); it.Next() {
 		k := it.Key()
 		if prev != nil && compareInternal(prev, k) >= 0 {
-			return nil, 0, fmt.Errorf("%w: keys out of order in %s", ErrCorruption, name)
+			return nil, 0, fmt.Errorf("%w: keys out of order in %s (entry %d)", ErrCorruption, name, meta.Entries)
 		}
 		if meta.Entries == 0 {
 			meta.Smallest = append(internalKey(nil), k...)
@@ -381,16 +386,11 @@ func scanTable(env Env, name string, num uint64) (*FileMeta, uint64, error) {
 		meta.Entries++
 	}
 	if err := it.Err(); err != nil {
+		return nil, 0, fmt.Errorf("lsm: read %s: %w", name, err)
+	}
+	meta.Largest = append(internalKey(nil), prev...) // nil when empty
+	if meta.Size, err = env.FileSize(name); err != nil {
 		return nil, 0, err
 	}
-	if meta.Entries == 0 {
-		return nil, 0, fmt.Errorf("%w: table %s is empty", ErrCorruption, name)
-	}
-	meta.Largest = append(internalKey(nil), prev...)
-	size, err := env.FileSize(name)
-	if err != nil {
-		return nil, 0, err
-	}
-	meta.Size = size
 	return meta, maxSeq, nil
 }

@@ -685,51 +685,28 @@ func (it *tableIter) Value() []byte { return it.data.Value() }
 // Err returns the first error encountered.
 func (it *tableIter) Err() error { return it.err }
 
-// verifyTableFile reads a table back end to end: footer and per-block
-// checksums, strict internal-key ordering, and (when meta is non-nil) the
-// entry count, key range and file size of the metadata about to be
-// installed. It is the paranoid_file_checks read-back pass and the core of
-// `ldb verify`. All mismatches wrap ErrCorruption.
+// verifyTableFile reads a table back end to end in one scanTable pass
+// (footer and per-block checksums, strict internal-key ordering) and checks
+// what it found against meta, the metadata about to be installed or already
+// installed: entry count, file size and key range. It is the
+// paranoid_file_checks read-back pass and the core of `ldb verify`. All
+// mismatches wrap ErrCorruption.
 func verifyTableFile(env Env, name string, meta *FileMeta, class IOClass) error {
-	var num uint64
-	if meta != nil {
-		num = meta.Number
-	}
-	t, err := openTable(env, name, num, nil, nil, class, nil, nil)
+	got, _, err := scanTable(env, name, meta.Number, class)
 	if err != nil {
 		return err
 	}
-	defer t.close()
-	it := t.iterator(HintSequential)
-	var prev internalKey
-	var entries int64
-	for it.SeekToFirst(); it.Valid(); it.Next() {
-		k := it.Key()
-		if prev != nil && compareInternal(prev, k) >= 0 {
-			return fmt.Errorf("%w: keys out of order in %s (entry %d)", ErrCorruption, name, entries)
-		}
-		prev = append(prev[:0], k...)
-		entries++
+	if got.Entries != meta.Entries {
+		return fmt.Errorf("%w: %s holds %d entries, metadata says %d", ErrCorruption, name, got.Entries, meta.Entries)
 	}
-	if err := it.Err(); err != nil {
-		return fmt.Errorf("lsm: verify %s: %w", name, err)
+	if got.Size != meta.Size {
+		return fmt.Errorf("%w: %s is %d bytes, metadata says %d", ErrCorruption, name, got.Size, meta.Size)
 	}
-	if meta == nil {
-		return nil
-	}
-	if entries != meta.Entries {
-		return fmt.Errorf("%w: %s holds %d entries, metadata says %d", ErrCorruption, name, entries, meta.Entries)
-	}
-	if size, err := env.FileSize(name); err != nil {
-		return err
-	} else if size != meta.Size {
-		return fmt.Errorf("%w: %s is %d bytes, metadata says %d", ErrCorruption, name, size, meta.Size)
-	}
-	if entries > 0 {
-		if len(meta.Smallest) > 0 && compareInternal(t.smallestKey(), meta.Smallest) != 0 {
+	if got.Entries > 0 {
+		if len(meta.Smallest) > 0 && compareInternal(got.Smallest, meta.Smallest) != 0 {
 			return fmt.Errorf("%w: %s smallest key differs from metadata", ErrCorruption, name)
 		}
-		if len(meta.Largest) > 0 && compareInternal(prev, meta.Largest) != 0 {
+		if len(meta.Largest) > 0 && compareInternal(got.Largest, meta.Largest) != 0 {
 			return fmt.Errorf("%w: %s largest key differs from metadata", ErrCorruption, name)
 		}
 	}
@@ -770,14 +747,4 @@ func (t *tableReader) indexAnchors() ([]indexAnchor, error) {
 		})
 	}
 	return anchors, it.Err()
-}
-
-// smallestKey returns the first internal key in the table (nil when empty).
-func (t *tableReader) smallestKey() internalKey {
-	it := t.iterator(HintSequential)
-	it.SeekToFirst()
-	if !it.Valid() {
-		return nil
-	}
-	return append(internalKey(nil), it.Key()...)
 }
