@@ -47,7 +47,9 @@ serverbench:
 # Get path, the single-writer commit path (both runtimes), memtable inserts
 # carved from the arena, reused block iteration, snappy block compression and
 # reads (scratch and cache-bound), the per-frame server/client paths, and a
-# burst of Puts committed as one write group.
+# burst of Puts committed as one write group; on the read side, a lookup
+# appended into a reused buffer, cache-hit Get frames, Scan pairs appended
+# without a copy each, and a whole client Get round trip.
 # The limits are measured steady-state values plus noise headroom — a pooled
 # codec, buffer, or iterator falling out of reuse, or a memtable entry
 # allocated per Put, trips them immediately.
@@ -65,9 +67,12 @@ liveretune:
 # Native fuzzing of the option boundary — what an LLM's text passes through
 # on its way into the engine: any OPTIONS document is refused or renders to a
 # fixed point, any (name, value) is refused or leaves a value its own
-# validation accepts — and of the snappy block codec: any input round-trips
+# validation accepts — of the snappy block codec: any input round-trips
 # or is stored raw, any payload decodes to an error or a block exactly as
-# long as its prefix declares. go test takes one -fuzz target per run.
+# long as its prefix declares — and of the wire response decoder: decoding
+# any (opcode, body) into a reused Response full of stale fields gives the
+# same error or the same fields as decoding into a fresh one. go test takes
+# one -fuzz target per run.
 # Minimization is off: minimizing one 9 KB "interesting" input would eat the
 # whole budget.
 fuzz:
@@ -75,6 +80,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSetByName$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/lsm
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockCodecRoundTrip$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/lsm
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlock$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/lsm
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/server
 
 # benchmark/ is its own module, out of reach of `go test ./...`; every PR must
 # leave it untouched and still building and passing against the root module.

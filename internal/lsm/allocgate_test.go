@@ -56,11 +56,12 @@ func openAllocBenchDB(tb testing.TB, numKeys int, tweak func(*Options)) (*DB, []
 }
 
 // TestAllocGateGetCacheHit is the allocation regression gate for the
-// cache-hit point-read path. Steady state measures 1 alloc/op, the returned
-// value copy (the lookup key is pooled and shared by the memtable and table
-// probes); the bound leaves headroom for noise, not for regressions — the
-// lookup key falling out of the pool adds 2, pooled codecs or iterators
-// falling out of reuse 5+.
+// cache-hit point-read path through Get. Steady state measures 1 alloc/op:
+// the copy of the value Get returns, which the caller owns (the lookup key
+// is pooled and shared by the memtable and table probes, and the value is
+// appended straight out of the cached block). The bound leaves headroom for
+// noise, not for regressions — the lookup key falling out of the pool adds
+// 2, pooled codecs or iterators falling out of reuse 5+.
 func TestAllocGateGetCacheHit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation gate needs a flushed table")
@@ -77,6 +78,38 @@ func TestAllocGateGetCacheHit(t *testing.T) {
 	const limit = 2
 	if avg > limit {
 		t.Fatalf("cache-hit Get allocates %.1f/op, gate is %d", avg, limit)
+	}
+}
+
+// TestAllocGateAppendGetCacheHit gates the same cache-hit lookup through
+// AppendGetCF into a reused buffer: the value is appended to the caller's
+// dst, so a warm lookup allocates nothing (0.00 measured). One allocation
+// per lookup means the value is copied somewhere on the way again.
+func TestAllocGateAppendGetCacheHit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation gate needs a flushed table")
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled lookup keys and iterators under -race")
+	}
+	db, keys := openAllocBenchDB(t, 1024, nil)
+	defer db.Close()
+	var dst []byte
+	i := 0
+	avg := testing.AllocsPerRun(200, func() {
+		k := keys[i%len(keys)]
+		var err error
+		if dst, err = db.AppendGetCF(dst[:0], nil, nil, k); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(dst, []byte("value-")) || !bytes.Equal(dst[len("value-"):], k[len("key"):]) {
+			t.Fatalf("AppendGetCF(%q) = %q", k, dst)
+		}
+		i++
+	})
+	const limit = 0.1
+	if avg > limit {
+		t.Fatalf("cache-hit AppendGetCF into a reused buffer allocates %.2f/op, gate is %.1f", avg, limit)
 	}
 }
 

@@ -343,10 +343,11 @@ func (db *DB) captureReadState(h *ColumnFamilyHandle, ro *ReadOptions) (readStat
 }
 
 // lookupInState performs one key lookup against a captured read state:
-// memtable, then frozen memtables newest first, then SSTables by level.
+// memtable, then frozen memtables newest first, then SSTables by level. The
+// value is appended to dst; on a miss or an error dst comes back unchanged.
 // PerfContext attributes the memtable phase and the SST phase separately
 // (get_from_memtable_time vs get_from_output_files_time).
-func (db *DB) lookupInState(st readState, key []byte) ([]byte, error) {
+func (db *DB) lookupInState(dst []byte, st readState, key []byte) ([]byte, error) {
 	kp := lookupKeyPool.Get().(*internalKey)
 	lookup := makeInternalKey((*kp)[:0], key, st.seq, KindValue)
 	*kp = lookup
@@ -361,14 +362,7 @@ func (db *DB) lookupInState(st readState, key []byte) ([]byte, error) {
 		if timed {
 			db.perf.AddTime(PerfGetFromMemtableTime, time.Since(phaseStart))
 		}
-		db.stats.Add(TickerMemtableHit, 1)
-		if deleted {
-			db.stats.Add(TickerGetMiss, 1)
-			return nil, ErrNotFound
-		}
-		db.stats.Add(TickerGetHit, 1)
-		db.stats.Add(TickerBytesRead, int64(len(val)))
-		return append([]byte(nil), val...), nil
+		return db.memtableHit(dst, val, deleted)
 	}
 	for i := len(st.imms) - 1; i >= 0; i-- {
 		db.perf.Add(PerfGetFromMemtableCount, 1)
@@ -376,14 +370,7 @@ func (db *DB) lookupInState(st readState, key []byte) ([]byte, error) {
 			if timed {
 				db.perf.AddTime(PerfGetFromMemtableTime, time.Since(phaseStart))
 			}
-			db.stats.Add(TickerMemtableHit, 1)
-			if deleted {
-				db.stats.Add(TickerGetMiss, 1)
-				return nil, ErrNotFound
-			}
-			db.stats.Add(TickerGetHit, 1)
-			db.stats.Add(TickerBytesRead, int64(len(val)))
-			return append([]byte(nil), val...), nil
+			return db.memtableHit(dst, val, deleted)
 		}
 	}
 	db.stats.Add(TickerMemtableMiss, 1)
@@ -392,42 +379,59 @@ func (db *DB) lookupInState(st readState, key []byte) ([]byte, error) {
 		db.perf.AddTime(PerfGetFromMemtableTime, now.Sub(phaseStart))
 		phaseStart = now
 	}
-	val, err := db.lookupInTables(st, key, lookup)
+	dst, err := db.lookupInTables(dst, st, key, lookup)
 	if timed {
 		db.perf.AddTime(PerfGetFromOutputFilesTime, time.Since(phaseStart))
 	}
-	return val, err
+	return dst, err
+}
+
+// memtableHit resolves a lookup that a memtable answered: a tombstone is
+// ErrNotFound, a value is appended to dst (the memtable's arena is never
+// handed out).
+func (db *DB) memtableHit(dst, val []byte, deleted bool) ([]byte, error) {
+	db.stats.Add(TickerMemtableHit, 1)
+	if deleted {
+		db.stats.Add(TickerGetMiss, 1)
+		return dst, ErrNotFound
+	}
+	db.stats.Add(TickerGetHit, 1)
+	db.stats.Add(TickerBytesRead, int64(len(val)))
+	return append(dst, val...), nil
 }
 
 // lookupKeyPool recycles the internal-key buffer a point lookup probes
 // memtables and tables with; it never escapes lookupInState (memtable hits
-// and tableReader.get copy the value out before returning).
+// and tableReader.get append the value to the caller's dst before
+// returning).
 var lookupKeyPool = sync.Pool{
 	New: func() any { return new(internalKey) },
 }
 
-// probeTable checks one file for the lookup key. done reports that the
-// lookup is resolved (value hit, tombstone, or error) and the search must
-// stop. val is a private copy the caller may mutate freely.
-func (db *DB) probeTable(fm *FileMeta, lookup internalKey) (val []byte, done bool, err error) {
+// probeTable checks one file for the lookup key, appending a found value to
+// dst. done reports that the lookup is resolved (value hit, tombstone, or
+// error) and the search must stop; dst comes back unchanged unless the
+// table held a live value.
+func (db *DB) probeTable(dst []byte, fm *FileMeta, lookup internalKey) (_ []byte, done bool, err error) {
 	r, err := db.tcache.get(fm.Number)
 	if err != nil {
-		return nil, true, err
+		return dst, true, err
 	}
-	val, found, deleted, err := r.get(lookup)
+	n := len(dst)
+	dst, found, deleted, err := r.get(dst, lookup)
 	if err != nil {
-		return nil, true, err
+		return dst, true, err
 	}
 	if !found {
-		return nil, false, nil
+		return dst, false, nil
 	}
 	if deleted {
 		db.stats.Add(TickerGetMiss, 1)
-		return nil, true, ErrNotFound
+		return dst, true, ErrNotFound
 	}
 	db.stats.Add(TickerGetHit, 1)
-	db.stats.Add(TickerBytesRead, int64(len(val)))
-	return val, true, nil
+	db.stats.Add(TickerBytesRead, int64(len(dst)-n))
+	return dst, true, nil
 }
 
 // lookupInTables is the SST phase of a lookup: probe the levels of the
@@ -435,13 +439,13 @@ func (db *DB) probeTable(fm *FileMeta, lookup internalKey) (val []byte, done boo
 // walked directly (overlapping L0 files newest-first, then the at-most-one
 // candidate per disjoint level) rather than materializing filesForGet's
 // per-level slices.
-func (db *DB) lookupInTables(st readState, key []byte, lookup internalKey) ([]byte, error) {
+func (db *DB) lookupInTables(dst []byte, st readState, key []byte, lookup internalKey) ([]byte, error) {
 	for _, fm := range st.v.LevelFiles(0) {
 		if !overlapsRange(fm, key, key) {
 			continue
 		}
-		if val, done, err := db.probeTable(fm, lookup); done {
-			return val, err
+		if dst, done, err := db.probeTable(dst, fm, lookup); done {
+			return dst, err
 		}
 	}
 	for level := 1; level < st.v.NumLevels(); level++ {
@@ -449,16 +453,26 @@ func (db *DB) lookupInTables(st readState, key []byte, lookup internalKey) ([]by
 		if fm == nil {
 			continue
 		}
-		if val, done, err := db.probeTable(fm, lookup); done {
-			return val, err
+		if dst, done, err := db.probeTable(dst, fm, lookup); done {
+			return dst, err
 		}
 	}
 	db.stats.Add(TickerGetMiss, 1)
-	return nil, ErrNotFound
+	return dst, ErrNotFound
 }
 
-// GetCF returns the value stored for key in the given family.
+// GetCF returns the value stored for key in the given family, in storage
+// of its own.
 func (db *DB) GetCF(ro *ReadOptions, h *ColumnFamilyHandle, key []byte) ([]byte, error) {
+	return db.AppendGetCF(nil, ro, h, key)
+}
+
+// AppendGetCF appends the value stored for key in the given family to dst
+// and returns the extended slice; on ErrNotFound or any other error dst is
+// returned unchanged. The value never aliases engine storage, so a caller
+// that reuses dst across lookups reads without allocating once dst is large
+// enough.
+func (db *DB) AppendGetCF(dst []byte, ro *ReadOptions, h *ColumnFamilyHandle, key []byte) ([]byte, error) {
 	if ro == nil {
 		ro = defaultReadOptions
 	}
@@ -466,11 +480,11 @@ func (db *DB) GetCF(ro *ReadOptions, h *ColumnFamilyHandle, key []byte) ([]byte,
 	db.env.ChargeCPU(simPrices.get.d)
 	st, err := db.captureReadState(h, ro)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	defer st.release()
 	st.cf.readOps.Add(1)
-	return db.lookupInState(st, key)
+	return db.lookupInState(dst, st, key)
 }
 
 // MultiGet looks up a batch of keys in the default family. See MultiGetCF.
@@ -506,7 +520,7 @@ func (db *DB) MultiGetCF(ro *ReadOptions, h *ColumnFamilyHandle, keys [][]byte) 
 	st.cf.readOps.Add(int64(len(keys)))
 	var bytesRead int64
 	for i, key := range keys {
-		vals[i], errs[i] = db.lookupInState(st, key)
+		vals[i], errs[i] = db.lookupInState(nil, st, key)
 		bytesRead += int64(len(vals[i]))
 	}
 	db.stats.Add(TickerMultiGetBytesRead, bytesRead)

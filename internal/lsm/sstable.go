@@ -504,29 +504,30 @@ var getScratchPool = sync.Pool{
 }
 
 // get finds the newest entry for ikey's user key at or before ikey's
-// sequence. Returns value, found, deleted. The returned value is always a
-// private copy; nothing handed out aliases pooled or cached storage.
-func (t *tableReader) get(ikey internalKey) (value []byte, found, deleted bool, err error) {
+// sequence. Returns found, deleted, and dst with a live value appended to
+// it (dst unchanged otherwise): the value is copied out of the block, so
+// nothing handed out aliases pooled or cached storage.
+func (t *tableReader) get(dst []byte, ikey internalKey) (_ []byte, found, deleted bool, err error) {
 	if !t.mayContain(ikey.userKey()) {
-		return nil, false, false, nil
+		return dst, false, false, nil
 	}
 	scr := getScratchPool.Get().(*getScratch)
 	defer getScratchPool.Put(scr)
 	idx := &scr.idx
 	if err := idx.init(t.indexRaw); err != nil {
-		return nil, false, false, err
+		return dst, false, false, err
 	}
 	idx.Seek(ikey, icmp)
 	if !idx.Valid() {
-		return nil, false, false, idx.Err()
+		return dst, false, false, idx.Err()
 	}
 	h, _, err := decodeBlockHandle(idx.Value())
 	if err != nil {
-		return nil, false, false, err
+		return dst, false, false, err
 	}
 	data, err := t.readBlock(h, HintRandom, scr.buf)
 	if err != nil {
-		return nil, false, false, err
+		return dst, false, false, err
 	}
 	if t.cache == nil {
 		// Private block: keep its buffer for the next pooled lookup.
@@ -534,24 +535,23 @@ func (t *tableReader) get(ikey internalKey) (value []byte, found, deleted bool, 
 	}
 	it := &scr.data
 	if err := it.init(data); err != nil {
-		return nil, false, false, err
+		return dst, false, false, err
 	}
 	if t.env != nil {
 		t.env.ChargeCPU(simPrices.blockSeek.d)
 	}
 	it.Seek(ikey, icmp)
 	if !it.Valid() {
-		return nil, false, false, it.Err()
+		return dst, false, false, it.Err()
 	}
 	got := internalKey(it.Key())
 	if !bytes.Equal(got.userKey(), ikey.userKey()) {
-		return nil, false, false, nil
+		return dst, false, false, nil
 	}
 	if got.kind() == KindDelete {
-		return nil, true, true, nil
+		return dst, true, true, nil
 	}
-	val := append([]byte(nil), it.Value()...)
-	return val, true, false, nil
+	return append(dst, it.Value()...), true, false, nil
 }
 
 // close releases the file and evicts the table's cached blocks.

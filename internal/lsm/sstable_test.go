@@ -179,7 +179,7 @@ func TestTableRoundTrip(t *testing.T) {
 
 	for i := 0; i < 500; i += 7 {
 		lookup := makeInternalKey(nil, []byte(fmt.Sprintf("key%06d", i)), maxSequence, KindValue)
-		val, found, deleted, err := r.get(lookup)
+		val, found, deleted, err := r.get(nil, lookup)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +193,7 @@ func TestTableRoundTrip(t *testing.T) {
 	// Misses.
 	for _, k := range []string{"aaaa", "key9999999", "zzz"} {
 		lookup := makeInternalKey(nil, []byte(k), maxSequence, KindValue)
-		_, found, _, err := r.get(lookup)
+		_, found, _, err := r.get(nil, lookup)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,7 +245,7 @@ func TestTableCompression(t *testing.T) {
 			r := buildTestTable(t, env, opts, 200)
 			defer r.close()
 			lookup := makeInternalKey(nil, []byte("key000042"), maxSequence, KindValue)
-			val, found, _, err := r.get(lookup)
+			val, found, _, err := r.get(nil, lookup)
 			if err != nil || !found || string(val) != "value-42" {
 				t.Fatalf("get = %q %v %v", val, found, err)
 			}
@@ -320,7 +320,7 @@ func TestQuickTableRoundTrip(t *testing.T) {
 		defer tr.close()
 		for _, e := range kvs {
 			lookup := makeInternalKey(nil, []byte(e.k), maxSequence, KindValue)
-			val, found, deleted, err := tr.get(lookup)
+			val, found, deleted, err := tr.get(nil, lookup)
 			if err != nil || !found || deleted || string(val) != e.v {
 				return false
 			}

@@ -24,6 +24,13 @@ type Client struct {
 	sendCh chan clientCall
 	wg     sync.WaitGroup
 
+	// sendMu orders sends on sendCh before its close: callers hold it shared
+	// while they enqueue, Close holds it exclusively to close the queue. A
+	// caller may block on a full queue while holding it; the write loop, which
+	// never takes sendMu, drains the queue until it is closed — once Close
+	// has closed the connection, by failing every call (failQueued).
+	sendMu sync.RWMutex
+
 	mu     sync.Mutex
 	err    error // sticky transport error
 	closed bool
@@ -38,9 +45,19 @@ type clientCall struct {
 	slot  chan clientResult
 }
 
+// clientResult is what a call's slot carries: the decoded response by value,
+// or the error that ended the call.
 type clientResult struct {
-	resp *Response
+	resp Response
 	err  error
+}
+
+// slotPool recycles the one-slot channels calls wait on. A slot is safe to
+// reuse because every call that enqueues receives exactly one send on it —
+// from readLoop, or from failQueued once the write loop has stopped — and
+// the call has received that send before it puts the slot back.
+var slotPool = sync.Pool{
+	New: func() any { return make(chan clientResult, 1) },
 }
 
 // Dial connects a pipelined client to a kvserver address.
@@ -118,9 +135,13 @@ func (c *Client) readLoop(pending <-chan clientCall) {
 	defer c.wg.Done()
 	br := bufio.NewReaderSize(c.conn, connBufSize)
 	for call := range pending {
-		// Fresh buffer per frame: the decoded response aliases it and is
-		// handed to the caller.
+		// Fresh buffer per frame, the one allocation of a Get round trip:
+		// the decoded response aliases it and the caller keeps the value.
 		body, err := readFrame(br, nil)
+		var res clientResult
+		if err == nil {
+			err = decodeResponseInto(call.op, body, &res.resp)
+		}
 		if err != nil {
 			c.fail(err)
 			call.slot <- clientResult{err: err}
@@ -130,16 +151,7 @@ func (c *Client) readLoop(pending <-chan clientCall) {
 			}
 			return
 		}
-		resp, err := DecodeResponse(call.op, body)
-		if err != nil {
-			c.fail(err)
-			call.slot <- clientResult{err: err}
-			for call := range pending {
-				call.slot <- clientResult{err: err}
-			}
-			return
-		}
-		call.slot <- clientResult{resp: resp}
+		call.slot <- res
 	}
 }
 
@@ -154,64 +166,74 @@ func (c *Client) fail(err error) {
 	c.conn.Close()
 }
 
-// Call sends one request and blocks for its response. The request is
-// encoded into a pooled frame (released by the write loop); the response
-// frame stays freshly allocated because its decoded fields are handed to
-// the caller.
+// Call sends one request and blocks for its response, which it returns in
+// storage of its own. A StatusErr response comes back with the error.
 func (c *Client) Call(req *Request) (*Response, error) {
+	resp := new(Response)
+	if err := c.call(req, resp); err != nil {
+		if resp.Status != StatusErr {
+			return nil, err
+		}
+		return resp, err
+	}
+	return resp, nil
+}
+
+// call sends one request and blocks for its response, decoded into resp.
+// The request is encoded into a pooled frame (released by the write loop)
+// and the call waits on a pooled slot; the response's fields alias the one
+// reply frame readLoop allocated for it, which the caller keeps. A transport
+// error leaves resp zero; a StatusErr response fills it and returns the
+// error too.
+func (c *Client) call(req *Request, resp *Response) error {
 	fb := getFrame()
 	body, err := EncodeRequest(fb.b[:0], req)
 	if err != nil {
 		putFrame(fb)
-		return nil, err
+		return err
 	}
 	fb.b = body
-	slot := make(chan clientResult, 1)
+	c.sendMu.RLock()
 	c.mu.Lock()
-	if c.closed || c.err != nil {
-		err := c.err
-		c.mu.Unlock()
+	closed, err := c.closed, c.err
+	c.mu.Unlock()
+	if closed || err != nil {
+		c.sendMu.RUnlock()
 		putFrame(fb)
 		if err == nil {
 			err = net.ErrClosed
 		}
-		return nil, err
+		return err
 	}
-	c.mu.Unlock()
+	slot := slotPool.Get().(chan clientResult)
 	// The send channel is the pipeline: many callers enqueue concurrently,
 	// the write loop serializes them, and FIFO response matching follows
-	// from the single pending queue.
-	func() {
-		defer func() {
-			// sendCh closes concurrently with Close; surface it as an error
-			// rather than a panic. The frame is abandoned to the GC: the
-			// write loop never saw it, so nobody else will put it back.
-			if recover() != nil {
-				slot <- clientResult{err: net.ErrClosed}
-			}
-		}()
-		c.sendCh <- clientCall{op: req.Op, frame: fb, slot: slot}
-	}()
+	// from the single pending queue. Close cannot close it under this send:
+	// it sets closed first and then waits for sendMu.
+	c.sendCh <- clientCall{op: req.Op, frame: fb, slot: slot}
+	c.sendMu.RUnlock()
 	res := <-slot
+	slotPool.Put(slot) // its one send is received: nothing can land in it now
 	if res.err != nil {
-		return nil, res.err
+		return res.err
 	}
-	if res.resp.Status == StatusErr {
-		return res.resp, fmt.Errorf("kvserver: %s", res.resp.Err)
+	*resp = res.resp
+	if resp.Status == StatusErr {
+		return fmt.Errorf("kvserver: %s", resp.Err)
 	}
-	return res.resp, nil
+	return nil
 }
 
 // Put writes one key.
 func (c *Client) Put(cf string, key, value []byte) error {
-	_, err := c.Call(&Request{Op: OpPut, CF: cf, Key: key, Value: value})
-	return err
+	var resp Response
+	return c.call(&Request{Op: OpPut, CF: cf, Key: key, Value: value}, &resp)
 }
 
 // Get reads one key; ErrNotFound when absent.
 func (c *Client) Get(cf string, key []byte) ([]byte, error) {
-	resp, err := c.Call(&Request{Op: OpGet, CF: cf, Key: key})
-	if err != nil {
+	var resp Response
+	if err := c.call(&Request{Op: OpGet, CF: cf, Key: key}, &resp); err != nil {
 		return nil, err
 	}
 	if resp.Status == StatusNotFound {
@@ -222,8 +244,8 @@ func (c *Client) Get(cf string, key []byte) ([]byte, error) {
 
 // Delete removes one key.
 func (c *Client) Delete(cf string, key []byte) error {
-	_, err := c.Call(&Request{Op: OpDelete, CF: cf, Key: key})
-	return err
+	var resp Response
+	return c.call(&Request{Op: OpDelete, CF: cf, Key: key}, &resp)
 }
 
 // MultiGet reads a key batch; results are positional, with ErrNotFound for
@@ -251,8 +273,8 @@ func (c *Client) MultiGet(cf string, keys [][]byte) ([][]byte, []error) {
 // Scan returns up to limit pairs with key >= start in ascending order,
 // merged across the server's shards.
 func (c *Client) Scan(cf string, start []byte, limit int) ([]KV, error) {
-	resp, err := c.Call(&Request{Op: OpScan, CF: cf, Key: start, Limit: limit})
-	if err != nil {
+	var resp Response
+	if err := c.call(&Request{Op: OpScan, CF: cf, Key: start, Limit: limit}, &resp); err != nil {
 		return nil, err
 	}
 	return resp.Pairs, nil
@@ -260,8 +282,8 @@ func (c *Client) Scan(cf string, start []byte, limit int) ([]KV, error) {
 
 // Batch applies entries atomically per server shard.
 func (c *Client) Batch(entries []BatchEntry) error {
-	_, err := c.Call(&Request{Op: OpBatch, Batch: entries})
-	return err
+	var resp Response
+	return c.call(&Request{Op: OpBatch, Batch: entries}, &resp)
 }
 
 // Stats fetches the server's aggregated stats dump.
@@ -283,8 +305,13 @@ func (c *Client) Close() error {
 	}
 	c.closed = true
 	c.mu.Unlock()
-	close(c.sendCh)
+	// Closing the connection first fails the write loop, which then answers
+	// every queued call, so callers still blocked sending get through and
+	// release sendMu.
 	err := c.conn.Close()
+	c.sendMu.Lock()
+	close(c.sendCh)
+	c.sendMu.Unlock()
 	c.wg.Wait()
 	return err
 }

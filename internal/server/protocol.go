@@ -461,82 +461,94 @@ func EncodeResponse(dst []byte, op byte, resp *Response) []byte {
 	return dst
 }
 
-// DecodeResponse parses a response frame body for the given request opcode.
+// DecodeResponse parses a response frame body for the given request opcode
+// into a fresh Response.
 func DecodeResponse(op byte, body []byte) (*Response, error) {
+	resp := &Response{}
+	if err := decodeResponseInto(op, body, resp); err != nil {
+		return nil, err
+	}
+	return resp, nil
+}
+
+// decodeResponseInto parses a response frame body for the given request
+// opcode into resp, overwriting every field: nothing resp held before
+// survives. Value, Values and Pairs alias body; Found, Values and Pairs are
+// allocated fresh, because a decoded response is handed to the caller to
+// keep. On error resp holds a partial decode.
+func decodeResponseInto(op byte, body []byte, resp *Response) error {
+	*resp = Response{}
 	r := reader{body}
 	status, err := r.byte()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	resp := &Response{Status: status}
+	resp.Status = status
 	if status == StatusErr {
 		if resp.Err, err = r.string(); err != nil {
-			return nil, err
+			return err
 		}
-		return resp, r.done()
+		return r.done()
 	}
 	if status != StatusOK && status != StatusNotFound {
-		return nil, fmt.Errorf("%w: unknown status %d", ErrProtocol, status)
+		return fmt.Errorf("%w: unknown status %d", ErrProtocol, status)
 	}
 	switch op {
 	case OpGet:
 		if status == StatusOK {
 			if resp.Value, err = r.bytes(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	case OpMultiGet:
 		n, err := r.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if n > uint64(len(r.buf)) { // each result costs >= 1 byte
-			return nil, ErrProtocol
+			return ErrProtocol
 		}
 		resp.Found = make([]bool, n)
 		resp.Values = make([][]byte, n)
 		for i := range resp.Found {
 			flag, err := r.byte()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			switch flag {
 			case 1:
 				resp.Found[i] = true
 				if resp.Values[i], err = r.bytes(); err != nil {
-					return nil, err
+					return err
 				}
 			case 0:
 			default:
-				return nil, fmt.Errorf("%w: bad multiget flag %d", ErrProtocol, flag)
+				return fmt.Errorf("%w: bad multiget flag %d", ErrProtocol, flag)
 			}
 		}
 	case OpScan:
 		n, err := r.uvarint()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if n > uint64(len(r.buf)) { // each pair costs >= 2 bytes
-			return nil, ErrProtocol
+			return ErrProtocol
 		}
 		resp.Pairs = make([]KV, n)
 		for i := range resp.Pairs {
 			if resp.Pairs[i].Key, err = r.bytes(); err != nil {
-				return nil, err
+				return err
 			}
 			if resp.Pairs[i].Value, err = r.bytes(); err != nil {
-				return nil, err
+				return err
 			}
 		}
 	case OpStats, OpSetOptions:
 		if resp.Text, err = r.string(); err != nil {
-			return nil, err
+			return err
 		}
 	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return r.done()
 }
 
 // writeFrame buffers one length-prefixed frame. The header is built in the

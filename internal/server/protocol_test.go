@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"reflect"
 	"testing"
 )
 
@@ -246,4 +247,48 @@ func TestFrameErrors(t *testing.T) {
 	if _, err := readFrame(bufio.NewReader(bytes.NewReader(short)), nil); !errors.Is(err, ErrProtocol) {
 		t.Errorf("truncated body: got %v, want ErrProtocol", err)
 	}
+}
+
+// FuzzDecodeResponse checks that decoding into a reused Response is the same
+// as decoding into a fresh one: for any opcode and body, DecodeResponse and
+// decodeResponseInto over a Response full of stale fields return the same
+// error (or none) and, on success, the same fields — nothing stale survives.
+// The seeds are one valid frame per opcode and status, and the same frames
+// under the two out-of-range opcodes.
+func FuzzDecodeResponse(f *testing.F) {
+	ok := map[byte]*Response{
+		OpGet:        {Value: []byte("value")},
+		OpMultiGet:   {Found: []bool{true, false}, Values: [][]byte{[]byte("v0"), nil}},
+		OpScan:       {Pairs: []KV{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("b")}}},
+		OpStats:      {Text: "** stats **\n"},
+		OpSetOptions: {Text: "applied 1 option(s)"},
+	}
+	for op := opInvalid; op <= opMax; op++ {
+		resp := Response{}
+		if r := ok[op]; r != nil {
+			resp = *r
+		}
+		f.Add(op, EncodeResponse(nil, op, &resp))
+		f.Add(op, EncodeResponse(nil, op, &Response{Status: StatusNotFound}))
+		f.Add(op, EncodeResponse(nil, op, &Response{Status: StatusErr, Err: "boom"}))
+	}
+	f.Fuzz(func(t *testing.T, op byte, body []byte) {
+		want, wantErr := DecodeResponse(op, body)
+		got := Response{
+			Status: 9,
+			Err:    "stale error",
+			Value:  []byte("stale value"),
+			Found:  []bool{true},
+			Values: [][]byte{[]byte("stale")},
+			Pairs:  []KV{{Key: []byte("stale"), Value: []byte("pair")}},
+			Text:   "stale text",
+		}
+		err := decodeResponseInto(op, body, &got)
+		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+			t.Fatalf("op %d: decodeResponseInto error %v, DecodeResponse error %v", op, err, wantErr)
+		}
+		if err == nil && !reflect.DeepEqual(&got, want) {
+			t.Fatalf("op %d: decoded into a reused Response %+v, into a fresh one %+v", op, got, *want)
+		}
+	})
 }

@@ -142,14 +142,20 @@ func (r *Router) Put(cf string, key, value []byte) error {
 	return r.ApplyBatch([]BatchEntry{{CF: cf, Key: key, Value: value}})
 }
 
-// Get routes a point lookup to its shard.
+// Get routes a point lookup to its shard; the value is the caller's own.
 func (r *Router) Get(cf string, key []byte) ([]byte, error) {
+	return r.AppendGet(nil, cf, key)
+}
+
+// AppendGet routes a point lookup to its shard and appends the value to dst
+// (lsm.DB.AppendGetCF): dst comes back unchanged on a miss or an error.
+func (r *Router) AppendGet(dst []byte, cf string, key []byte) ([]byte, error) {
 	hs, err := r.handles(cf)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
 	s := r.shardFor(key)
-	return r.shards[s].GetCF(nil, hs[s], key)
+	return r.shards[s].AppendGetCF(dst, nil, hs[s], key)
 }
 
 // Delete routes a single-key tombstone to its shard.
@@ -306,16 +312,29 @@ func (g *writeGroup) commit(done func(member int, err error)) int {
 }
 
 // Scan returns up to limit visible pairs with key >= start, in ascending key
-// order across every shard: one iterator per shard, merged by k-way minimum.
-// Shard keyspaces are disjoint (hash partitioning), so equal keys cannot
-// collide across children.
+// order across every shard, in storage of their own.
 func (r *Router) Scan(cf string, start []byte, limit int) ([]KV, error) {
+	_, pairs, err := r.AppendScan(nil, nil, cf, start, limit)
+	if err != nil {
+		return nil, err
+	}
+	return pairs, nil
+}
+
+// AppendScan appends up to limit visible pairs with key >= start to pairs, in
+// ascending key order across every shard: one iterator per shard, merged by
+// k-way minimum. Shard keyspaces are disjoint (hash partitioning), so equal
+// keys cannot collide across children. Each key and value is copied once,
+// appended to buf; the appended pairs alias buf's storage (an earlier array
+// of it when an append outgrew one), so they are valid until the caller
+// reuses buf. On error both slices come back at their original lengths.
+func (r *Router) AppendScan(buf []byte, pairs []KV, cf string, start []byte, limit int) ([]byte, []KV, error) {
 	if limit <= 0 {
-		return nil, nil
+		return buf, pairs, nil
 	}
 	hs, err := r.handles(cf)
 	if err != nil {
-		return nil, err
+		return buf, pairs, err
 	}
 	iters := make([]*lsm.Iterator, len(r.shards))
 	for s, db := range r.shards {
@@ -332,8 +351,8 @@ func (r *Router) Scan(cf string, start []byte, limit int) ([]KV, error) {
 			it.Close()
 		}
 	}()
-	var out []KV
-	for len(out) < limit {
+	buf0, pairs0 := len(buf), len(pairs)
+	for n := 0; n < limit; n++ {
 		best := -1
 		for s, it := range iters {
 			if !it.Valid() {
@@ -347,18 +366,27 @@ func (r *Router) Scan(cf string, start []byte, limit int) ([]KV, error) {
 			break
 		}
 		it := iters[best]
-		out = append(out, KV{
-			Key:   append([]byte(nil), it.Key()...),
-			Value: append([]byte(nil), it.Value()...),
-		})
+		var kv KV
+		buf, kv.Key = appendAlias(buf, it.Key())
+		buf, kv.Value = appendAlias(buf, it.Value())
+		pairs = append(pairs, kv)
 		it.Next()
 	}
 	for _, it := range iters {
 		if err := it.Err(); err != nil {
-			return nil, err
+			clear(pairs[pairs0:]) // dropped pairs must not keep buf reachable
+			return buf[:buf0], pairs[:pairs0], err
 		}
 	}
-	return out, nil
+	return buf, pairs, nil
+}
+
+// appendAlias appends b to buf and returns the grown buf and the appended
+// bytes, capped so that appending to them cannot overwrite what follows.
+func appendAlias(buf, b []byte) ([]byte, []byte) {
+	n := len(buf)
+	buf = append(buf, b...)
+	return buf, buf[n:len(buf):len(buf)]
 }
 
 // SetOptions applies dynamic option changes to EVERY shard — the shards are

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/lsm"
 )
@@ -138,7 +139,7 @@ func (s *Server) acceptLoop() {
 		s.metrics.ConnsTotal.Add(1)
 		s.metrics.ConnsActive.Add(1)
 		s.wg.Add(1)
-		go s.serveConn(c)
+		go s.serveConn(c, new(connScratch))
 	}
 }
 
@@ -157,10 +158,14 @@ func (s *Server) acceptLoop() {
 // responses are appended at the commit, in request order, so none leaves
 // before its write has committed.
 //
-// The request, its frame and the response are per-connection scratch: request
-// fields alias frame until the next readFrame, which is safe because staging
-// copies keys and values and Get returns a private copy.
-func (s *Server) serveConn(c net.Conn) {
+// The request, the response and every buffer in sc are per-connection
+// scratch. Request fields alias sc.frame until the next readFrame, which is
+// safe because staging copies keys and values and a read is done with its
+// key before the next frame is read. A Get's value and a Scan's pairs are
+// appended to sc.val and sc.kv, and the response aliases them until
+// appendResponse has copied it into sc.out; the read buffers are emptied
+// right after (see connScratch).
+func (s *Server) serveConn(c net.Conn, sc *connScratch) {
 	defer s.wg.Done()
 	defer func() {
 		c.Close()
@@ -177,8 +182,6 @@ func (s *Server) serveConn(c net.Conn) {
 	var (
 		req    Request
 		resp   Response
-		frame  []byte // current request body
-		out    []byte // length-prefixed responses not yet written
 		group  = s.router.newWriteGroup()
 		staged []stagedWrite // the group's members, in request order
 		one    [1]BatchEntry // a Put or Delete, staged as a batch of one
@@ -189,7 +192,7 @@ func (s *Server) serveConn(c net.Conn) {
 			resp = Response{Status: StatusErr, Err: err.Error()}
 		}
 		s.metrics.book(staged[i].op, time.Since(staged[i].start), err != nil)
-		out = appendResponse(out, staged[i].op, &resp)
+		sc.out = appendResponse(sc.out, staged[i].op, &resp)
 	}
 	commit := func() {
 		if len(staged) > 0 {
@@ -198,13 +201,13 @@ func (s *Server) serveConn(c net.Conn) {
 		}
 	}
 	flush := func() bool {
-		if len(out) == 0 {
+		if len(sc.out) == 0 {
 			return true
 		}
 		s.metrics.Flushes.Add(1)
-		s.metrics.BytesOut.Add(int64(len(out)))
-		_, err := c.Write(out)
-		out = trimScratch(out)
+		s.metrics.BytesOut.Add(int64(len(sc.out)))
+		_, err := c.Write(sc.out)
+		sc.out = trimScratch(sc.out)
 		return err == nil
 	}
 	// Responses to the requests ahead of an EOF or a protocol violation
@@ -217,21 +220,21 @@ func (s *Server) serveConn(c net.Conn) {
 		if !burst {
 			commit()
 		}
-		if !burst || len(out) >= connBufSize {
+		if !burst || len(sc.out) >= connBufSize {
 			if !flush() {
 				return
 			}
 		}
 		var err error
-		if frame, err = readFrame(br, trimScratch(frame)); err != nil {
+		if sc.frame, err = readFrame(br, trimScratch(sc.frame)); err != nil {
 			if errors.Is(err, ErrProtocol) {
 				s.metrics.ProtoErrors.Add(1)
 			}
 			return // EOF, protocol violation, or closed connection
 		}
-		s.metrics.BytesIn.Add(int64(len(frame) + 4))
+		s.metrics.BytesIn.Add(int64(len(sc.frame) + 4))
 		req.reset()
-		if err := DecodeRequestInto(frame, &req); err != nil {
+		if err := DecodeRequestInto(sc.frame, &req); err != nil {
 			// Malformed body: the stream cannot be trusted past this point.
 			s.metrics.ProtoErrors.Add(1)
 			return
@@ -252,10 +255,32 @@ func (s *Server) serveConn(c net.Conn) {
 		}
 		commit()
 		start := time.Now()
-		s.exec(&req, &resp)
+		s.exec(&req, &resp, sc)
 		s.metrics.book(req.Op, time.Since(start), resp.Status == StatusErr)
-		out = appendResponse(out, req.Op, &resp)
+		sc.out = appendResponse(sc.out, req.Op, &resp)
+		sc.trimReplies()
 	}
+}
+
+// connScratch is the storage one connection reuses from request to request.
+// Every buffer goes through trimScratch once it is consumed, so one large
+// request or reply does not stay pinned for the life of the connection.
+type connScratch struct {
+	frame []byte // the current request body: the decoded request aliases it
+	out   []byte // length-prefixed responses not yet written
+	val   []byte // a Get's value: the response aliases it
+	kv    []byte // a Scan's keys and values, back to back
+	pairs []KV   // a Scan's pairs: the response holds them, aliasing kv
+}
+
+// trimReplies empties the read-reply buffers once appendResponse has copied
+// the response out of them. The used pairs are cleared first: left in the
+// array, they would keep a dropped kv buffer reachable.
+func (sc *connScratch) trimReplies() {
+	sc.val = trimScratch(sc.val)
+	sc.kv = trimScratch(sc.kv)
+	clear(sc.pairs)
+	sc.pairs = trimScratch(sc.pairs)
 }
 
 // stagedWrite is a write request waiting in its connection's write group.
@@ -272,26 +297,29 @@ func appendResponse(out []byte, op byte, resp *Response) []byte {
 	return out
 }
 
-// trimScratch empties a per-connection scratch buffer for reuse, dropping it
-// instead when one large frame grew it past the default capacity (a 32 MiB
-// request must not stay pinned for the life of the connection).
-func trimScratch(b []byte) []byte {
-	if cap(b) > connBufSize {
+// trimScratch empties a per-connection scratch slice for reuse, dropping it
+// instead when one large frame or reply grew it past connBufSize bytes (a
+// 32 MiB request must not stay pinned for the life of the connection).
+func trimScratch[E any](b []E) []E {
+	var e E
+	if uintptr(cap(b))*unsafe.Sizeof(e) > connBufSize {
 		return nil
 	}
 	return b[:0]
 }
 
 // exec runs one decoded request other than a write (serveConn stages those)
-// against the router, filling resp.
-func (s *Server) exec(req *Request, resp *Response) {
+// against the router, filling resp. A Get's value and a Scan's pairs are
+// appended to the connection's empty read scratch in sc, which resp aliases.
+func (s *Server) exec(req *Request, resp *Response, sc *connScratch) {
 	*resp = Response{Status: StatusOK}
 	var err error
 	switch req.Op {
 	case OpGet:
-		if resp.Value, err = s.router.Get(req.CF, req.Key); errors.Is(err, lsm.ErrNotFound) {
+		if sc.val, err = s.router.AppendGet(sc.val, req.CF, req.Key); errors.Is(err, lsm.ErrNotFound) {
 			resp.Status, err = StatusNotFound, nil
 		}
+		resp.Value = sc.val
 	case OpMultiGet:
 		vals, errs := s.router.MultiGet(req.CF, req.Keys)
 		resp.Found, resp.Values = make([]bool, len(req.Keys)), vals
@@ -304,7 +332,8 @@ func (s *Server) exec(req *Request, resp *Response) {
 			}
 		}
 	case OpScan:
-		resp.Pairs, err = s.router.Scan(req.CF, req.Key, req.Limit)
+		sc.kv, sc.pairs, err = s.router.AppendScan(sc.kv, sc.pairs, req.CF, req.Key, req.Limit)
+		resp.Pairs = sc.pairs
 	case OpStats:
 		resp.Text = s.router.StatsText()
 	case OpSetOptions:

@@ -495,6 +495,89 @@ func TestClientFailsQueuedCallsOnDeadConn(t *testing.T) {
 	}
 }
 
+// TestClientPooledSlotNeverStale checks that the pooled per-call slots never
+// hand one call another's result. Sixteen goroutines read their own keys
+// through two Clients in turn, checking every value against its key, so
+// calls of both connections are in flight at once and draw on the one slot
+// pool. One connection is then closed under them — failing its calls
+// through readLoop and failQueued — and a new Client in the same process
+// takes its place. A slot put back before its one send was received is soon
+// waited on by a call of the other connection too, and whichever reply
+// arrives first goes to the call that waited first: a Get that succeeds
+// must return its own key's value, never another call's.
+func TestClientPooledSlotNeverStale(t *testing.T) {
+	const workers, keysPer, before, after = 16, 16, 2000, 200
+	srv, addr := startServer(t, 2)
+	key := func(w, k int) []byte { return []byte(fmt.Sprintf("w%02d-k%02d", w, k)) }
+	for w := 0; w < workers; w++ {
+		for k := 0; k < keysPer; k++ {
+			if err := srv.Router().Put("", key(w, k), append([]byte("value-of-"), key(w, k)...)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	dial := func() *Client {
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	var (
+		clients  [2]atomic.Pointer[Client]
+		ok       atomic.Int64 // Gets that returned their own value
+		wrong    atomic.Int64 // Gets that returned another key's value
+		replaced = make(chan struct{})
+		wg       sync.WaitGroup
+	)
+	clients[0].Store(dial())
+	clients[1].Store(dial())
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i, left := 0, after; left > 0; i++ {
+				select {
+				case <-replaced:
+					left--
+				default:
+				}
+				c := clients[i%2].Load()
+				k := key(w, i%keysPer)
+				v, err := c.Get("", k)
+				switch {
+				case err != nil:
+					// Only calls on the closed connection may fail, and it
+					// is replaced before it is closed.
+					if clients[i%2].Load() == c {
+						t.Errorf("Get(%s) on a live client: %v", k, err)
+						return
+					}
+				case string(v) != "value-of-"+string(k):
+					if wrong.Add(1) <= 3 {
+						t.Errorf("Get(%s) returned %q", k, v)
+					}
+				default:
+					ok.Add(1)
+				}
+			}
+		}(w)
+	}
+	for ok.Load() < before && wrong.Load() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	old := clients[0].Load()
+	clients[0].Store(dial())
+	close(replaced)
+	old.conn.Close() // transport failure under its callers
+	old.Close()      // and the send queue closes under late ones
+	wg.Wait()
+	if n := wrong.Load(); n > 0 {
+		t.Errorf("%d of %d successful Gets returned another call's value", n, n+ok.Load())
+	}
+}
+
 // TestServerCloseMidBurst closes the server while a connection is in the
 // middle of a burst whose responses nobody reads (so its goroutine is
 // executing or blocked in a socket write): Close must return, which it does
