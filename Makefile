@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race crashtest equivalence serverbench liveretune allocgate fuzz benchmodule loc simfork onestream onehist simdiff verify clean
+.PHONY: build test vet race crashtest equivalence serverbench liveretune allocgate fuzz benchmodule loc simfork onestream onehist onelru simdiff verify clean
 
 build:
 	$(GO) build ./...
@@ -112,6 +112,12 @@ onestream:
 onehist:
 	./scripts/onehist.sh
 
+# The recency list is one type (DESIGN §5): the block cache, the table cache
+# and SimEnv's page-cache model are built on lru in internal/lsm/lru.go, the
+# only file that may hold MoveToFront, PushFront( or pushFront(.
+onelru:
+	./scripts/onelru.sh
+
 # The refactor oracle for the simulated side (EXPERIMENTS.md): the paper's
 # tables and figures regenerated at PARENT and at the working tree must be
 # byte-identical. ~2 minutes; not part of verify (it needs a parent to name).
@@ -119,7 +125,7 @@ simdiff:
 	@test -n "$(PARENT)" || { echo "usage: make simdiff PARENT=<ref>" >&2; exit 2; }
 	./scripts/simdiff.sh $(PARENT)
 
-verify: build vet simfork onestream onehist test race equivalence allocgate fuzz benchmodule serverbench liveretune
+verify: build vet simfork onestream onehist onelru test race equivalence allocgate fuzz benchmodule serverbench liveretune
 
 clean:
 	$(GO) clean ./...

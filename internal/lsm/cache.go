@@ -12,119 +12,64 @@ type cacheKey struct {
 	offset uint64
 }
 
-type cacheEntry struct {
-	key        cacheKey
-	value      []byte
-	charge     int64
-	prev, next *cacheEntry
-}
-
-// cacheShard is one LRU shard of the block cache.
+// cacheShard is one shard of the block cache: an lru of decoded blocks, each
+// charged its length plus 64 bytes of overhead.
 type cacheShard struct {
-	mu         sync.Mutex
-	m          map[cacheKey]*cacheEntry
-	head, tail *cacheEntry
-	used       int64
-	capacity   int64
-	stats      *Statistics
-	// byID indexes this shard's entries by owning table, so eraseID (run on
-	// every table deletion) walks only the blocks the table owns instead of
-	// scanning the whole shard map — O(blocks owned), not O(entries).
-	byID map[uint64]map[*cacheEntry]struct{}
+	mu    sync.Mutex
+	lru   lru[cacheKey, []byte]
+	stats *Statistics
+	// byID indexes this shard's block offsets by owning table, so eraseID
+	// (run on every table deletion) walks only the blocks the table owns
+	// instead of scanning the whole shard — O(blocks owned), not O(entries).
+	byID map[uint64]map[uint64]struct{}
 }
 
-// indexAdd registers an entry under its table id.
-func (s *cacheShard) indexAdd(e *cacheEntry) {
-	set := s.byID[e.key.id]
+func (s *cacheShard) init(capacity int64) {
+	s.byID = make(map[uint64]map[uint64]struct{})
+	s.lru.init(capacity, func(k cacheKey, _ []byte) {
+		s.indexRemove(k)
+		s.stats.Add(TickerBlockCacheEvict, 1)
+	})
+}
+
+// indexAdd registers a block under its table id.
+func (s *cacheShard) indexAdd(k cacheKey) {
+	set := s.byID[k.id]
 	if set == nil {
-		set = make(map[*cacheEntry]struct{})
-		s.byID[e.key.id] = set
+		set = make(map[uint64]struct{})
+		s.byID[k.id] = set
 	}
-	set[e] = struct{}{}
+	set[k.offset] = struct{}{}
 }
 
-// indexRemove drops an entry from the per-table index.
-func (s *cacheShard) indexRemove(e *cacheEntry) {
-	set := s.byID[e.key.id]
-	delete(set, e)
+// indexRemove drops a block from the per-table index.
+func (s *cacheShard) indexRemove(k cacheKey) {
+	set := s.byID[k.id]
+	delete(set, k.offset)
 	if len(set) == 0 {
-		delete(s.byID, e.key.id)
-	}
-}
-
-func (s *cacheShard) unlink(e *cacheEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (s *cacheShard) pushFront(e *cacheEntry) {
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
+		delete(s.byID, k.id)
 	}
 }
 
 func (s *cacheShard) lookup(k cacheKey) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.m[k]
-	if !ok {
-		return nil, false
-	}
-	s.unlink(e)
-	s.pushFront(e)
-	return e.value, true
+	return s.lru.get(k)
 }
 
 func (s *cacheShard) insert(k cacheKey, v []byte) {
-	charge := int64(len(v)) + 64
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.m[k]; ok {
-		s.used += charge - e.charge
-		e.value, e.charge = v, charge
-		s.unlink(e)
-		s.pushFront(e)
-	} else {
-		e := &cacheEntry{key: k, value: v, charge: charge}
-		s.m[k] = e
-		s.indexAdd(e)
-		s.pushFront(e)
-		s.used += charge
-	}
+	s.indexAdd(k)
+	s.lru.add(k, v, int64(len(v))+64)
 	s.stats.Add(TickerBlockCacheAdd, 1)
-	// Evict to capacity, but always keep the just-inserted entry (head):
-	// an entry larger than a shard would otherwise thrash forever.
-	for s.used > s.capacity && s.tail != nil && s.tail != s.head {
-		victim := s.tail
-		s.unlink(victim)
-		delete(s.m, victim.key)
-		s.indexRemove(victim)
-		s.used -= victim.charge
-		s.stats.Add(TickerBlockCacheEvict, 1)
-	}
 }
 
 func (s *cacheShard) eraseID(id uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for e := range s.byID[id] {
-		s.unlink(e)
-		delete(s.m, e.key)
-		s.used -= e.charge
+	for off := range s.byID[id] {
+		s.lru.remove(cacheKey{id, off})
 	}
 	delete(s.byID, id)
 }
@@ -148,9 +93,7 @@ func newBlockCache(capacity int64) *blockCache {
 		per = 1
 	}
 	for i := range c.shards {
-		c.shards[i].m = make(map[cacheKey]*cacheEntry)
-		c.shards[i].byID = make(map[uint64]map[*cacheEntry]struct{})
-		c.shards[i].capacity = per
+		c.shards[i].init(per)
 	}
 	return c
 }
@@ -193,24 +136,6 @@ func (c *blockCache) EraseID(id uint64) {
 	}
 }
 
-// setCapacity resizes one shard, evicting LRU entries down to the new
-// budget. Unlike insert's eviction there is no fresh entry to protect, so
-// the shard may drain completely when the budget shrinks below its smallest
-// entry.
-func (s *cacheShard) setCapacity(capacity int64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.capacity = capacity
-	for s.used > s.capacity && s.tail != nil {
-		victim := s.tail
-		s.unlink(victim)
-		delete(s.m, victim.key)
-		s.indexRemove(victim)
-		s.used -= victim.charge
-		s.stats.Add(TickerBlockCacheEvict, 1)
-	}
-}
-
 // SetCapacity resizes the cache to a new total byte budget, evicting LRU
 // entries in every shard that exceeds its share. Growing never evicts;
 // shrinking evicts synchronously so the new budget holds on return. This is
@@ -221,7 +146,10 @@ func (c *blockCache) SetCapacity(capacity int64) {
 		per = 1
 	}
 	for i := range c.shards {
-		c.shards[i].setCapacity(per)
+		s := &c.shards[i]
+		s.mu.Lock()
+		s.lru.resize(per)
+		s.mu.Unlock()
 	}
 }
 
@@ -230,7 +158,7 @@ func (c *blockCache) Capacity() int64 {
 	var n int64
 	for i := range c.shards {
 		c.shards[i].mu.Lock()
-		n += c.shards[i].capacity
+		n += c.shards[i].lru.budget
 		c.shards[i].mu.Unlock()
 	}
 	return n
@@ -241,7 +169,7 @@ func (c *blockCache) Used() int64 {
 	var n int64
 	for i := range c.shards {
 		c.shards[i].mu.Lock()
-		n += c.shards[i].used
+		n += c.shards[i].lru.used
 		c.shards[i].mu.Unlock()
 	}
 	return n

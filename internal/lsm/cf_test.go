@@ -203,6 +203,11 @@ func TestColumnFamilyDropReclaimsFiles(t *testing.T) {
 	if _, err := db.GetCF(nil, hot, []byte("h0000")); !errors.Is(err, ErrColumnFamilyNotFound) {
 		t.Fatalf("read through dropped handle = %v", err)
 	}
+	it := db.NewIteratorCF(nil, hot)
+	if it.SeekToFirst(); it.Valid() || !errors.Is(it.Err(), ErrColumnFamilyNotFound) {
+		t.Fatalf("iterator over dropped family: valid=%v Err = %v", it.Valid(), it.Err())
+	}
+	it.Close()
 	if after := countTables(); after >= before {
 		t.Fatalf("drop reclaimed nothing: %d tables before, %d after", before, after)
 	}

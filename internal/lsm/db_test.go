@@ -224,12 +224,35 @@ func TestDBValidateRejectsBadOptions(t *testing.T) {
 
 func TestDBClosedOps(t *testing.T) {
 	db, _ := openTestDB(t, nil)
+	for i := 0; i < 100; i++ {
+		if err := db.Put(nil, []byte(fmt.Sprintf("key%03d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	db.Close()
 	if err := db.Put(nil, []byte("k"), []byte("v")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Put on closed = %v", err)
 	}
 	if _, err := db.Get(nil, []byte("k")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Get on closed = %v", err)
+	}
+	// An iterator made after Close reads nothing and opens no table.
+	it := db.NewIterator(nil)
+	n := 0
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+		n++
+	}
+	if n != 0 || !errors.Is(it.Err(), ErrClosed) {
+		t.Fatalf("iterator on closed DB: %d keys, Err = %v", n, it.Err())
+	}
+	if err := it.Close(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("iterator Close on closed DB = %v", err)
+	}
+	if open := len(db.tcache.lru.m); open != 0 {
+		t.Fatalf("closed table cache holds %d open readers", open)
 	}
 	if err := db.Close(); err != nil {
 		t.Fatalf("double close = %v", err)

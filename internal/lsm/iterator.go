@@ -28,6 +28,7 @@ type Iterator struct {
 	value []byte
 	skip  []byte // reusable skip-key buffer for Next (see findNextVisible)
 	valid bool
+	err   error // the failed capture, if any (see NewIteratorCF)
 }
 
 // NewIterator returns a point-in-time iterator over the default family.
@@ -35,39 +36,30 @@ func (db *DB) NewIterator(ro *ReadOptions) *Iterator {
 	return db.NewIteratorCF(ro, nil)
 }
 
-// NewIteratorCF returns a point-in-time iterator over one column family.
-// An iterator over a dropped family is empty (valid never becomes true).
+// NewIteratorCF returns a point-in-time iterator over one column family,
+// built from the same capture as a Get (captureReadState). If the capture
+// fails — the DB is closed or the family dropped — the iterator is never
+// valid and Err returns ErrClosed or ErrColumnFamilyNotFound.
 func (db *DB) NewIteratorCF(ro *ReadOptions, h *ColumnFamilyHandle) *Iterator {
 	if ro == nil {
 		ro = defaultReadOptions
 	}
-	db.mu.Lock()
-	db.rt.poll()
-	seq := db.publishedSeq.Load()
-	if ro.Snapshot != nil {
-		seq = ro.Snapshot.seq
+	st, err := db.captureReadState(h, ro)
+	if err != nil {
+		return &Iterator{db: db, merge: newMergeIter(nil), err: err}
 	}
-	cf, err := db.resolveCFLocked(h)
-	if err != nil || cf == nil {
-		db.mu.Unlock()
-		return &Iterator{db: db, merge: newMergeIter(nil), seq: seq}
+	v := st.v
+	children := make([]internalIterator, 0, 1+len(st.imms)+len(v.LevelFiles(0))+v.NumLevels())
+	children = append(children, st.mem.iterator())
+	for i := len(st.imms) - 1; i >= 0; i-- {
+		children = append(children, st.imms[i].iterator())
 	}
-	v := db.vs.head(cf.id)
-	children := make([]internalIterator, 0, 1+len(cf.imm)+len(v.LevelFiles(0))+v.NumLevels())
-	children = append(children, cf.mem.iterator())
-	for i := len(cf.imm) - 1; i >= 0; i-- {
-		children = append(children, cf.imm[i].iterator())
-	}
-	open := func(num uint64) (*tableReader, error) { return db.tcache.get(num) }
-	for _, f := range v.LevelFiles(0) {
-		fm := f
-		children = append(children, &lazyTableIter{open: func() (*tableIter, error) {
-			r, err := db.tcache.get(fm.Number)
-			if err != nil {
-				return nil, err
-			}
-			return r.iterator(HintRandom), nil
-		}})
+	// Every table opens on first positioning; L0 files overlap, so each is
+	// a level of one.
+	open := db.tcache.get
+	l0 := v.LevelFiles(0)
+	for i := range l0 {
+		children = append(children, newLevelIter(l0[i:i+1], HintRandom, open))
 	}
 	for level := 1; level < v.NumLevels(); level++ {
 		if len(v.LevelFiles(level)) == 0 {
@@ -75,63 +67,18 @@ func (db *DB) NewIteratorCF(ro *ReadOptions, h *ColumnFamilyHandle) *Iterator {
 		}
 		children = append(children, newLevelIter(v.LevelFiles(level), HintRandom, open))
 	}
-	// Reference the captured version: tables open lazily, so without the
-	// reference a compaction installing before the first Seek could delete
-	// them out from under the scan.
-	db.refVersionLocked(v)
-	memChildren := 1 + len(cf.imm)
-	db.mu.Unlock()
+	// The capture's version reference keeps the tables on disk until Close:
+	// they open lazily, so a compaction installing before the first Seek
+	// could otherwise delete them out from under the scan.
 	return &Iterator{
 		db:          db,
 		merge:       newMergeIter(children),
-		seq:         seq,
-		cf:          cf,
+		seq:         st.seq,
+		cf:          st.cf,
 		v:           v,
-		memChildren: memChildren,
+		memChildren: 1 + len(st.imms),
 		numChildren: len(children),
 	}
-}
-
-// lazyTableIter defers opening a table until first use.
-type lazyTableIter struct {
-	open func() (*tableIter, error)
-	it   *tableIter
-	err  error
-}
-
-func (l *lazyTableIter) ensure() bool {
-	if l.it == nil && l.err == nil {
-		l.it, l.err = l.open()
-	}
-	return l.err == nil
-}
-
-func (l *lazyTableIter) Valid() bool { return l.err == nil && l.it != nil && l.it.Valid() }
-func (l *lazyTableIter) SeekToFirst() {
-	if l.ensure() {
-		l.it.SeekToFirst()
-	}
-}
-func (l *lazyTableIter) Seek(k internalKey) {
-	if l.ensure() {
-		l.it.Seek(k)
-	}
-}
-func (l *lazyTableIter) Next() {
-	if l.it != nil {
-		l.it.Next()
-	}
-}
-func (l *lazyTableIter) Key() internalKey { return l.it.Key() }
-func (l *lazyTableIter) Value() []byte    { return l.it.Value() }
-func (l *lazyTableIter) Err() error {
-	if l.err != nil {
-		return l.err
-	}
-	if l.it != nil {
-		return l.it.Err()
-	}
-	return nil
 }
 
 // findNextVisible advances the underlying merge iterator to the next user
@@ -234,7 +181,12 @@ func (it *Iterator) Key() []byte { return it.key }
 func (it *Iterator) Value() []byte { return it.value }
 
 // Err returns the first error encountered while iterating.
-func (it *Iterator) Err() error { return it.merge.Err() }
+func (it *Iterator) Err() error {
+	if it.err != nil {
+		return it.err
+	}
+	return it.merge.Err()
+}
 
 // Close releases the iterator.
 func (it *Iterator) Close() error {
@@ -242,5 +194,5 @@ func (it *Iterator) Close() error {
 		it.v.refs.Add(-1)
 		it.v = nil
 	}
-	return it.merge.Err()
+	return it.Err()
 }

@@ -64,7 +64,7 @@ type SimEnv struct {
 	dirs   map[string]bool
 	nextID uint64
 
-	page *pageLRU
+	page lru[pageKey, struct{}] // the OS page-cache model; see pageAddLocked
 	rng  *rand.Rand
 
 	opCost     time.Duration // accumulates the current operation's cost
@@ -95,8 +95,8 @@ func NewSimEnv(dev *device.Model, prof device.Profile, seed int64) *SimEnv {
 		files:   make(map[string]*memFile),
 		dirs:    make(map[string]bool),
 		rng:     rand.New(rand.NewSource(seed)),
-		page:    newPageLRU(),
 	}
+	e.page.init(0, nil)
 	e.fgThreads = 1
 	e.OSReserve = simOSReserve
 	e.DirtyBurst = simDirtyBurst
@@ -459,7 +459,7 @@ func (e *SimEnv) ScheduleBackgroundIO(readBytes, writeBytes int64, readahead int
 			chunks = max
 		}
 		for c := int64(0); c < chunks; c++ {
-			e.page.insert(pageKey{polluter, c}, budget)
+			e.pageAddLocked(pageKey{polluter, c}, budget)
 		}
 	}
 	return end
@@ -740,87 +740,31 @@ func (e *SimEnv) TotalFileBytes() int64 {
 	return n
 }
 
-// --- page cache LRU ---
+// --- page cache ---
 
 type pageKey struct {
 	file  uint64
 	chunk int64
 }
 
-type pageEntry struct {
-	key        pageKey
-	prev, next *pageEntry
-}
-
-// pageLRU is a byte-budgeted LRU of fixed-size page chunks modeling the OS
-// page cache. The budget is re-derived from the host profile on each insert,
-// so growing engine memory evicts cached pages (memory pressure).
-type pageLRU struct {
-	m          map[pageKey]*pageEntry
-	head, tail *pageEntry // head = most recent
-}
-
-func newPageLRU() *pageLRU { return &pageLRU{m: make(map[pageKey]*pageEntry)} }
-
-func (c *pageLRU) unlink(e *pageEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		c.head = e.next
+// pageAddLocked caches one chunk in the page-cache model, an lru in which
+// each chunk charges simPageChunk. The budget is re-derived from the host
+// profile on each insert, so growing engine memory evicts cached pages
+// (memory pressure); a budget below one chunk caches nothing.
+func (e *SimEnv) pageAddLocked(k pageKey, budget int64) {
+	if budget < simPageChunk {
+		e.page.resize(budget)
+		return
 	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *pageLRU) pushFront(e *pageEntry) {
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-// lookup reports whether key is cached and refreshes its recency.
-func (c *pageLRU) lookup(k pageKey) bool {
-	e, ok := c.m[k]
-	if !ok {
-		return false
-	}
-	c.unlink(e)
-	c.pushFront(e)
-	return true
-}
-
-// insert adds key and evicts down to budget bytes.
-func (c *pageLRU) insert(k pageKey, budget int64) {
-	if e, ok := c.m[k]; ok {
-		c.unlink(e)
-		c.pushFront(e)
-	} else {
-		e := &pageEntry{key: k}
-		c.m[k] = e
-		c.pushFront(e)
-	}
-	maxEntries := budget / simPageChunk
-	for int64(len(c.m)) > maxEntries && c.tail != nil {
-		victim := c.tail
-		c.unlink(victim)
-		delete(c.m, victim.key)
-	}
+	e.page.budget = budget
+	e.page.add(k, struct{}{}, simPageChunk)
 }
 
 // pageLookup checks the page cache for a chunk (locked).
 func (e *SimEnv) pageLookup(file uint64, chunk int64) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	ok := e.page.lookup(pageKey{file, chunk})
+	_, ok := e.page.get(pageKey{file, chunk})
 	if ok {
 		e.pageHits++
 	} else {
@@ -833,7 +777,7 @@ func (e *SimEnv) pageLookup(file uint64, chunk int64) bool {
 func (e *SimEnv) pageInsertChunk(file uint64, chunk int64) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	e.page.insert(pageKey{file, chunk}, e.pageBudgetLocked())
+	e.pageAddLocked(pageKey{file, chunk}, e.pageBudgetLocked())
 }
 
 // pageInsert caches the chunks covering [off, off+n).
@@ -847,6 +791,6 @@ func (e *SimEnv) pageInsert(file uint64, off, n int64) {
 	first := off / simPageChunk
 	last := (off + n - 1) / simPageChunk
 	for c := first; c <= last; c++ {
-		e.page.insert(pageKey{file, c}, budget)
+		e.pageAddLocked(pageKey{file, c}, budget)
 	}
 }

@@ -1,12 +1,9 @@
 package lsm
 
-import (
-	"container/list"
-	"sync"
-)
+import "sync"
 
-// tableCache keeps open tableReaders, bounded by max_open_files. Eviction
-// closes the reader and drops its cached blocks.
+// tableCache keeps open tableReaders, bounded by max_open_files: an lru in
+// which each open table charges 1. Eviction closes the reader.
 type tableCache struct {
 	mu    sync.Mutex
 	env   Env
@@ -15,16 +12,7 @@ type tableCache struct {
 	stats *Statistics
 	perf  *PerfContext    // foreground per-op attribution for opened readers
 	ios   *IOStatsContext // env-level read attribution
-	cap   int
-	m     map[uint64]*list.Element
-	lru   *list.List // front = most recent; values are *tcEntry
-
-	hits, misses int64
-}
-
-type tcEntry struct {
-	num    uint64
-	reader *tableReader
+	lru   lru[uint64, *tableReader]
 }
 
 // newTableCache builds a cache holding at most cap open tables (cap <= 0
@@ -33,29 +21,19 @@ func newTableCache(env Env, dir string, cache *blockCache, stats *Statistics, ca
 	if cap <= 0 {
 		cap = 1 << 30
 	}
-	return &tableCache{
-		env:   env,
-		dir:   dir,
-		cache: cache,
-		stats: stats,
-		cap:   cap,
-		m:     make(map[uint64]*list.Element),
-		lru:   list.New(),
-	}
+	tc := &tableCache{env: env, dir: dir, cache: cache, stats: stats}
+	tc.lru.init(int64(cap), func(_ uint64, r *tableReader) { r.close() })
+	return tc
 }
 
 // get returns an open reader for a table file, opening it on miss.
 func (tc *tableCache) get(num uint64) (*tableReader, error) {
 	tc.mu.Lock()
-	if el, ok := tc.m[num]; ok {
-		tc.lru.MoveToFront(el)
-		r := el.Value.(*tcEntry).reader
-		tc.hits++
+	if r, ok := tc.lru.get(num); ok {
 		tc.mu.Unlock()
 		tc.stats.Add(TickerTableCacheHit, 1)
 		return r, nil
 	}
-	tc.misses++
 	tc.mu.Unlock()
 	tc.stats.Add(TickerTableCacheMiss, 1)
 
@@ -66,22 +44,12 @@ func (tc *tableCache) get(num uint64) (*tableReader, error) {
 		return nil, err
 	}
 	tc.mu.Lock()
-	if el, ok := tc.m[num]; ok {
-		tc.lru.MoveToFront(el)
-		existing := el.Value.(*tcEntry).reader
+	if existing, ok := tc.lru.get(num); ok {
 		tc.mu.Unlock()
 		r.close()
 		return existing, nil
 	}
-	el := tc.lru.PushFront(&tcEntry{num: num, reader: r})
-	tc.m[num] = el
-	for tc.lru.Len() > tc.cap {
-		victim := tc.lru.Back()
-		tc.lru.Remove(victim)
-		ent := victim.Value.(*tcEntry)
-		delete(tc.m, ent.num)
-		ent.reader.close()
-	}
+	tc.lru.add(num, r, 1)
 	tc.mu.Unlock()
 	return r, nil
 }
@@ -89,14 +57,10 @@ func (tc *tableCache) get(num uint64) (*tableReader, error) {
 // evict closes and forgets a table (called when its file is deleted).
 func (tc *tableCache) evict(num uint64) {
 	tc.mu.Lock()
-	el, ok := tc.m[num]
-	if ok {
-		tc.lru.Remove(el)
-		delete(tc.m, num)
-	}
+	r, ok := tc.lru.remove(num)
 	tc.mu.Unlock()
 	if ok {
-		el.Value.(*tcEntry).reader.close()
+		r.close()
 	}
 }
 
@@ -104,9 +68,8 @@ func (tc *tableCache) evict(num uint64) {
 func (tc *tableCache) close() {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	for _, el := range tc.m {
-		el.Value.(*tcEntry).reader.close()
+	for num := range tc.lru.m {
+		r, _ := tc.lru.remove(num)
+		r.close()
 	}
-	tc.m = make(map[uint64]*list.Element)
-	tc.lru.Init()
 }
