@@ -105,18 +105,18 @@ simfork:
 # §1.2): only internal/bench/op.go may decide the op mix (read
 # Spec.ReadFraction / ScanFraction) or draw a Pareto value size.
 onestream:
-	./scripts/onestream.sh
+	./scripts/onefile.sh onestream
 
 # Latency histograms are one type (DESIGN §7): only internal/lsm/histogram.go
 # may hold bucket math (sort.SearchFloat64s or a Percentile method).
 onehist:
-	./scripts/onehist.sh
+	./scripts/onefile.sh onehist
 
 # The recency list is one type (DESIGN §5): the block cache, the table cache
 # and SimEnv's page-cache model are built on lru in internal/lsm/lru.go, the
 # only file that may hold MoveToFront, PushFront( or pushFront(.
 onelru:
-	./scripts/onelru.sh
+	./scripts/onefile.sh onelru
 
 # The refactor oracle for the simulated side (EXPERIMENTS.md): the paper's
 # tables and figures regenerated at PARENT and at the working tree must be

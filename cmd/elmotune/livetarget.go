@@ -34,9 +34,7 @@ type serverTarget struct {
 func newServerTarget(client *server.Client, cfNames []string) *serverTarget {
 	cfg := lsm.NewConfigSet(lsm.DefaultOptions())
 	for _, name := range cfNames {
-		if name != "" && name != lsm.DefaultColumnFamilyName {
-			cfg.CF(name)
-		}
+		cfg.CF(name)
 	}
 	return &serverTarget{client: client, cfg: cfg}
 }
@@ -64,10 +62,7 @@ func (t *serverTarget) ApplyLive(cf string, changes map[string]string) error {
 	for name, value := range dbScope {
 		_ = t.cfg.Default.SetByName(name, value)
 	}
-	family := t.cfg.Default
-	if cf != "" && cf != lsm.DefaultColumnFamilyName {
-		family = t.cfg.CF(cf)
-	}
+	family := t.cfg.CF(cf)
 	for name, value := range cfScope {
 		_ = family.SetByName(name, value)
 	}

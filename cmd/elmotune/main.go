@@ -107,12 +107,13 @@ func main() {
 		runLive(cfg, *srvAddr, *workload, *iters, *window, *watch, *insightF, *traceF, *out, cfNames)
 		return
 	}
-	var res *core.Result
-	var session *experiments.Session
+	// The simulator and -real differ only in the runner and the host monitor;
+	// the session and the hill climb run on runners of the same kind.
+	var newRunner func() core.ConfigRunner
+	var monitor sysmon.Monitor
 	if *real {
 		base := *dbDir
 		if base == "" {
-			var err error
 			base, err = os.MkdirTemp("", "elmotune-")
 			if err != nil {
 				fatal(err)
@@ -121,40 +122,25 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "ELMo-Tune: %s on the REAL filesystem under %s, up to %d iterations, model %s\n",
 			*workload, base, *iters, cfg.Client.Name())
-		runner := &experiments.OSRunner{BaseDir: base, Workload: *workload, Ops: *num, Seed: *seed, OnDB: cfg.OnDB, ColumnFamilies: cfNames}
-		initial := lsm.NewConfigSet(lsm.DBBenchDefaults())
-		for _, name := range cfNames {
-			if name != "" && name != lsm.DefaultColumnFamilyName {
-				initial.CF(name)
-			}
+		// Real files run unscaled, in wall time.
+		cfg.Scale = 1
+		newRunner = func() core.ConfigRunner {
+			return &experiments.OSRunner{BaseDir: base, Workload: *workload, Ops: *num, Seed: *seed, OnDB: cfg.OnDB, ColumnFamilies: cfNames}
 		}
-		var err error
-		res, err = core.Run(context.Background(), core.Config{
-			Client:        cfg.Client,
-			Runner:        runner,
-			Monitor:       sysmon.NewOSMonitor(),
-			InitialConfig: initial,
-			WorkloadName:  *workload,
-			MaxIterations: *iters,
-			StallLimit:    *iters + 1,
-			Logf:          cfg.Logf,
-			Trace:         cfg.Trace,
-			InsightPath:   cfg.InsightPath,
-		})
-		if err != nil {
-			fatal(err)
-		}
+		monitor = sysmon.NewOSMonitor()
 	} else {
 		fmt.Fprintf(os.Stderr, "ELMo-Tune: %s on %s (%s), up to %d iterations, model %s\n",
 			*workload, dev.Kind, prof.Name, *iters, cfg.Client.Name())
-		var err error
-		session, err = experiments.RunSession(context.Background(), dev, prof, *workload, cfg)
-		if err != nil {
-			fatal(err)
+		newRunner = func() core.ConfigRunner {
+			return &experiments.SimRunner{Device: dev, Profile: prof, Workload: *workload, Cfg: cfg}
 		}
-		res = session.Result
+		monitor = &experiments.HostMonitor{Device: dev, Profile: prof}
 	}
-	_ = session
+	session, err := experiments.RunSessionOn(context.Background(), newRunner(), monitor, *workload, cfg)
+	if err != nil {
+		fatal(err)
+	}
+	res := session.Result
 	fmt.Printf("\nBaseline: %.0f ops/sec (p99 write %.2fus, p99 read %.2fus)\n",
 		res.BaselineMetrics.Throughput, res.BaselineMetrics.P99Write, res.BaselineMetrics.P99Read)
 	fmt.Printf("Tuned:    %.0f ops/sec (p99 write %.2fus, p99 read %.2fus)\n",
@@ -169,31 +155,23 @@ func main() {
 		fmt.Printf("  iteration %d: %.0f ops/sec (%s, %d changes applied)\n",
 			it.Number, it.Metrics.Throughput, status, len(it.AppliedDiff))
 	}
-	finalCfg := res.BestConfig.Clone()
-	if *fine && *real {
-		fmt.Fprintln(os.Stderr, "-finetune with -real is not wired; skipping the hill climb")
-	}
-	if *fine && !*real {
+	best := res.BestConfig
+	if *fine {
 		fmt.Fprintln(os.Stderr, "\nfine-tuning the LLM's configuration (hill climb)...")
-		runner := &experiments.SimRunner{Device: dev, Profile: prof, Workload: *workload, Cfg: cfg}
 		ft, err := finetune.Run(context.Background(), finetune.Config{
-			Runner:       runner,
-			Start:        res.BestOptions,
+			Runner:       newRunner(),
+			Start:        best,
 			StartMetrics: res.BestMetrics,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			},
+			Logf:         cfg.Logf,
 		})
 		if err != nil {
 			fatal(err)
 		}
 		fmt.Printf("fine-tuned: %.0f ops/sec after %d extra trials (%.2fx over baseline)\n",
 			ft.BestMetrics.Throughput, ft.Trials, ft.ImprovementOver(res.BaselineMetrics))
-		// The hill climb works on the default family; named-family sections
-		// keep the LLM session's best values.
-		finalCfg.Default = ft.Best.Clone()
+		best = ft.Best
 	}
-	if err := finalCfg.ToINI().Save(*out); err != nil {
+	if err := best.ToINI().Save(*out); err != nil {
 		fatal(err)
 	}
 	fmt.Printf("wrote tuned configuration to %s\n", *out)

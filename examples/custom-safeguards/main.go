@@ -45,8 +45,8 @@ func main() {
 	enforcer := safeguard.New()
 	enforcer.Blacklist("compression")
 
-	cur := lsm.DBBenchDefaults()
-	decisions := enforcer.Vet(cur, parsed.Changes)
+	cur := lsm.NewConfigSet(lsm.DBBenchDefaults())
+	decisions := enforcer.VetConfig(cur, parsed.Changes)
 	fmt.Println("\n--- safeguard verdicts ---")
 	for _, d := range decisions {
 		reason := d.Reason
@@ -57,16 +57,17 @@ func main() {
 	}
 
 	// 3. Apply the survivors.
-	next, applied, err := safeguard.Apply(cur, decisions)
+	next, applied, err := safeguard.ApplyConfig(cur, decisions)
 	if err != nil {
 		fmt.Println("apply failed:", err)
 		return
 	}
 	fmt.Printf("\n--- applied %d of %d changes ---\n", len(applied), len(parsed.Changes))
-	fmt.Printf("max_background_jobs: %d -> %d\n", cur.MaxBackgroundJobs, next.MaxBackgroundJobs)
-	fmt.Printf("wal_bytes_per_sync:  %d -> %d\n", cur.WALBytesPerSync, next.WALBytesPerSync)
-	fmt.Printf("write_buffer_size:   %d -> %d\n", cur.WriteBufferSize, next.WriteBufferSize)
-	fmt.Printf("block_cache_size:    %d -> %d\n", cur.BlockCacheSize, next.BlockCacheSize)
-	fmt.Printf("disable_wal stays    %v (blacklisted)\n", next.DisableWAL)
-	fmt.Printf("compression stays    %v (operator blacklist)\n", next.Compression)
+	was, now := cur.Default, next.Default
+	fmt.Printf("max_background_jobs: %d -> %d\n", was.MaxBackgroundJobs, now.MaxBackgroundJobs)
+	fmt.Printf("wal_bytes_per_sync:  %d -> %d\n", was.WALBytesPerSync, now.WALBytesPerSync)
+	fmt.Printf("write_buffer_size:   %d -> %d\n", was.WriteBufferSize, now.WriteBufferSize)
+	fmt.Printf("block_cache_size:    %d -> %d\n", was.BlockCacheSize, now.BlockCacheSize)
+	fmt.Printf("disable_wal stays    %v (blacklisted)\n", now.DisableWAL)
+	fmt.Printf("compression stays    %v (operator blacklist)\n", now.Compression)
 }

@@ -32,8 +32,9 @@ type Report struct {
 	// StatsDump is the engine's rocksdb.stats property text at the end of
 	// the run (per-level compaction-stats table included). HistogramDump is
 	// the engine histograms' RocksDB-style P50/P95/P99 lines. Both feed the
-	// tuning loop's trace and the LLM prompt; neither is part of Format()
-	// because flagger.ParseReportText keys off the P99 lines there.
+	// tuning loop's trace and the LLM prompt as sections of their own;
+	// neither is part of Format(), which is the prompt's benchmark section
+	// and is pinned byte for byte by the golden offline session.
 	StatsDump     string
 	HistogramDump string
 

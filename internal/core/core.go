@@ -44,12 +44,11 @@ type Config struct {
 	Runner ConfigRunner
 	// Monitor characterizes the host for prompts.
 	Monitor sysmon.Monitor
-	// InitialOptions is iteration 0's configuration (db_bench defaults in
-	// the paper). Cloned; never mutated.
-	InitialOptions *lsm.Options
-	// InitialConfig, when set, takes precedence over InitialOptions and
-	// seeds the loop with a multi-family configuration: the LLM sees every
-	// [CFOptions "<name>"] section and may tune families independently.
+	// InitialConfig is iteration 0's configuration (db_bench defaults in
+	// the paper). Cloned; never mutated. A multi-family set shows the LLM
+	// every [CFOptions "<name>"] section, and it may tune families
+	// independently; a single-family caller wraps its options with
+	// lsm.NewConfigSet.
 	InitialConfig *lsm.ConfigSet
 	// WorkloadName is the db_bench benchmark name (appears in prompts).
 	WorkloadName string
@@ -108,10 +107,7 @@ type Iteration struct {
 	Metrics      flagger.Metrics
 	Kept         bool
 	EarlyStopped bool
-	// Options is the default family's configuration measured this iteration.
-	Options *lsm.Options
-	// Config is the full multi-family configuration measured this iteration
-	// (Config.Default == Options).
+	// Config is the full multi-family configuration measured this iteration.
 	Config *lsm.ConfigSet
 	// LLMDuration is the (wall) time of the LLM calls, the format retry
 	// included.
@@ -123,11 +119,8 @@ type Result struct {
 	Baseline        *bench.Report
 	BaselineMetrics flagger.Metrics
 	Iterations      []Iteration
-	// BestOptions is the best default-family configuration found (what
-	// ELMo-Tune outputs for single-family sessions).
-	BestOptions *lsm.Options
-	// BestConfig is the best full multi-family configuration found
-	// (BestConfig.Default == BestOptions).
+	// BestConfig is the best full multi-family configuration found: what
+	// ELMo-Tune outputs.
 	BestConfig  *lsm.ConfigSet
 	BestMetrics flagger.Metrics
 	// StoppedEarly reports the stall criterion fired before MaxIterations.
@@ -145,13 +138,10 @@ func (r *Result) ImprovementFactor() float64 {
 // Run executes the feedback loop offline: every iteration benchmarks its
 // configuration on a fresh database. The loop itself is session.run.
 func Run(ctx context.Context, cfg Config) (*Result, error) {
-	if cfg.Client == nil || cfg.Runner == nil || (cfg.InitialOptions == nil && cfg.InitialConfig == nil) {
-		return nil, fmt.Errorf("core: Client, Runner and InitialOptions (or InitialConfig) are required")
+	if cfg.Client == nil || cfg.Runner == nil || cfg.InitialConfig == nil {
+		return nil, fmt.Errorf("core: Client, Runner and InitialConfig are required")
 	}
 	initial := cfg.InitialConfig
-	if initial == nil {
-		initial = lsm.NewConfigSet(cfg.InitialOptions)
-	}
 	if err := initial.Validate(); err != nil {
 		return nil, fmt.Errorf("core: initial configuration: %w", err)
 	}
@@ -186,7 +176,6 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	res := &Result{
 		Baseline:        s.baseline.report,
 		BaselineMetrics: s.baseline.metrics,
-		BestOptions:     s.current.Default.Clone(),
 		BestConfig:      s.current.Clone(),
 		BestMetrics:     s.best,
 		StoppedEarly:    s.stoppedEarly,
@@ -249,8 +238,5 @@ func (t *benchTarget) measure(_ context.Context, best float64) (*window, error) 
 // OPTIONS file — the framework's final output. Multi-family sessions emit
 // one CFOptions/TableOptions section pair per column family.
 func (r *Result) WriteOptionsFile(path string) error {
-	if r.BestConfig != nil {
-		return r.BestConfig.ToINI().Save(path)
-	}
-	return r.BestOptions.ToINI().Save(path)
+	return r.BestConfig.ToINI().Save(path)
 }

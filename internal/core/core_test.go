@@ -43,7 +43,7 @@ func TestRunEndToEnd(t *testing.T) {
 		Client:              expert,
 		Runner:              quickRunner("fillrandom", 7),
 		Monitor:             &experiments.HostMonitor{Device: device.NVMe(), Profile: device.Profile4C4G()},
-		InitialOptions:      lsm.DBBenchDefaults(),
+		InitialConfig:       lsm.NewConfigSet(lsm.DBBenchDefaults()),
 		WorkloadName:        "fillrandom",
 		WorkloadDescription: "write intensive",
 		MaxIterations:       4,
@@ -61,13 +61,13 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 	// The tuned config must differ from default in at least one honored
 	// option after 4 iterations against the expert.
-	if res.BestOptions.MaxBackgroundJobs == lsm.DBBenchDefaults().MaxBackgroundJobs &&
-		res.BestOptions.WALBytesPerSync == 0 {
+	if res.BestConfig.Default.MaxBackgroundJobs == lsm.DBBenchDefaults().MaxBackgroundJobs &&
+		res.BestConfig.Default.WALBytesPerSync == 0 {
 		t.Logf("best options unchanged — unusual but not fatal")
 	}
 	// Iterations carry full provenance.
 	for _, it := range res.Iterations {
-		if it.Response == "" || it.Report == nil || it.Options == nil {
+		if it.Response == "" || it.Report == nil || it.Config == nil {
 			t.Fatalf("iteration %d incomplete", it.Number)
 		}
 	}
@@ -75,13 +75,13 @@ func TestRunEndToEnd(t *testing.T) {
 
 func TestRunImprovesWriteWorkload(t *testing.T) {
 	res, err := core.Run(context.Background(), core.Config{
-		Client:         mockllm.NewExpert(3),
-		Runner:         quickRunner("fillrandom", 3),
-		Monitor:        &experiments.HostMonitor{Device: device.NVMe(), Profile: device.Profile4C4G()},
-		InitialOptions: lsm.DBBenchDefaults(),
-		WorkloadName:   "fillrandom",
-		MaxIterations:  5,
-		StallLimit:     10,
+		Client:        mockllm.NewExpert(3),
+		Runner:        quickRunner("fillrandom", 3),
+		Monitor:       &experiments.HostMonitor{Device: device.NVMe(), Profile: device.Profile4C4G()},
+		InitialConfig: lsm.NewConfigSet(lsm.DBBenchDefaults()),
+		WorkloadName:  "fillrandom",
+		MaxIterations: 5,
+		StallLimit:    10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -98,17 +98,17 @@ func TestRunSafeguardsBlockDangerousSuggestions(t *testing.T) {
 		return "disable_wal=true\nflush_job_count=8\nmax_background_jobs=4\n", nil
 	}}
 	res, err := core.Run(context.Background(), core.Config{
-		Client:         client,
-		Runner:         quickRunner("fillrandom", 5),
-		InitialOptions: lsm.DBBenchDefaults(),
-		WorkloadName:   "fillrandom",
-		MaxIterations:  2,
-		StallLimit:     10,
+		Client:        client,
+		Runner:        quickRunner("fillrandom", 5),
+		InitialConfig: lsm.NewConfigSet(lsm.DBBenchDefaults()),
+		WorkloadName:  "fillrandom",
+		MaxIterations: 2,
+		StallLimit:    10,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.BestOptions.DisableWAL {
+	if res.BestConfig.Default.DisableWAL {
 		t.Fatal("blacklisted disable_wal reached the configuration")
 	}
 	it := res.Iterations[0]
@@ -116,8 +116,8 @@ func TestRunSafeguardsBlockDangerousSuggestions(t *testing.T) {
 	if sum[safeguard.Blacklisted] != 1 || sum[safeguard.Hallucinated] != 1 {
 		t.Fatalf("safeguard summary = %v", sum)
 	}
-	if res.BestOptions.MaxBackgroundJobs != 4 {
-		t.Fatalf("good option not applied: %d", res.BestOptions.MaxBackgroundJobs)
+	if res.BestConfig.Default.MaxBackgroundJobs != 4 {
+		t.Fatalf("good option not applied: %d", res.BestConfig.Default.MaxBackgroundJobs)
 	}
 }
 
@@ -142,7 +142,7 @@ func TestRunRevertsRegressions(t *testing.T) {
 	res, err := core.Run(context.Background(), core.Config{
 		Client:           client,
 		Runner:           quickRunner("fillrandom", 11),
-		InitialOptions:   lsm.DBBenchDefaults(),
+		InitialConfig:    lsm.NewConfigSet(lsm.DBBenchDefaults()),
 		WorkloadName:     "fillrandom",
 		MaxIterations:    3,
 		StallLimit:       10,
@@ -159,7 +159,7 @@ func TestRunRevertsRegressions(t *testing.T) {
 		t.Fatal("deterioration prompt never sent")
 	}
 	// The final best config must not contain the harmful values.
-	if res.BestOptions.WriteBufferSize == 1048576 {
+	if res.BestConfig.Default.WriteBufferSize == 1048576 {
 		t.Fatal("reverted change leaked into best options")
 	}
 }
@@ -176,12 +176,12 @@ func TestRunFormatRetry(t *testing.T) {
 		return "max_background_jobs=4", nil
 	}}
 	res, err := core.Run(context.Background(), core.Config{
-		Client:         client,
-		Runner:         quickRunner("fillrandom", 13),
-		InitialOptions: lsm.DBBenchDefaults(),
-		WorkloadName:   "fillrandom",
-		MaxIterations:  1,
-		StallLimit:     10,
+		Client:        client,
+		Runner:        quickRunner("fillrandom", 13),
+		InitialConfig: lsm.NewConfigSet(lsm.DBBenchDefaults()),
+		WorkloadName:  "fillrandom",
+		MaxIterations: 1,
+		StallLimit:    10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -209,12 +209,12 @@ func TestRunLLMFailure(t *testing.T) {
 		return "max_background_jobs=4", nil
 	}}
 	res, err := core.Run(context.Background(), core.Config{
-		Client:         client,
-		Runner:         quickRunner("fillrandom", 17),
-		InitialOptions: lsm.DBBenchDefaults(),
-		WorkloadName:   "fillrandom",
-		MaxIterations:  2,
-		StallLimit:     10,
+		Client:        client,
+		Runner:        quickRunner("fillrandom", 17),
+		InitialConfig: lsm.NewConfigSet(lsm.DBBenchDefaults()),
+		WorkloadName:  "fillrandom",
+		MaxIterations: 2,
+		StallLimit:    10,
 	})
 	if err != nil {
 		t.Fatalf("transient LLM failure aborted the session: %v", err)
@@ -226,10 +226,10 @@ func TestRunLLMFailure(t *testing.T) {
 	if failed.Kept {
 		t.Fatal("failed-LLM iteration marked kept")
 	}
-	if got := failed.Options.ToINI().String(); got != lsm.DBBenchDefaults().ToINI().String() {
+	if got := failed.Config.Default.ToINI().String(); got != lsm.DBBenchDefaults().ToINI().String() {
 		t.Fatal("failed-LLM iteration did not keep the previous configuration")
 	}
-	if res.BestOptions == nil {
+	if res.BestConfig == nil {
 		t.Fatal("best options lost")
 	}
 }
@@ -241,12 +241,12 @@ func TestRunLLMFailurePersistentStops(t *testing.T) {
 		return "", fmt.Errorf("api down")
 	}}
 	res, err := core.Run(context.Background(), core.Config{
-		Client:         client,
-		Runner:         quickRunner("fillrandom", 17),
-		InitialOptions: lsm.DBBenchDefaults(),
-		WorkloadName:   "fillrandom",
-		MaxIterations:  10,
-		StallLimit:     2,
+		Client:        client,
+		Runner:        quickRunner("fillrandom", 17),
+		InitialConfig: lsm.NewConfigSet(lsm.DBBenchDefaults()),
+		WorkloadName:  "fillrandom",
+		MaxIterations: 10,
+		StallLimit:    2,
 	})
 	if err != nil {
 		t.Fatalf("persistent LLM failure should stop, not error: %v", err)
@@ -257,7 +257,7 @@ func TestRunLLMFailurePersistentStops(t *testing.T) {
 	if calls != 2 || len(res.Iterations) != 2 {
 		t.Fatalf("calls=%d iterations=%d, want 2/2 (stall limit 2)", calls, len(res.Iterations))
 	}
-	if got := res.BestOptions.ToINI().String(); got != lsm.DBBenchDefaults().ToINI().String() {
+	if got := res.BestConfig.Default.ToINI().String(); got != lsm.DBBenchDefaults().ToINI().String() {
 		t.Fatal("best options drifted across failed iterations")
 	}
 }
@@ -269,11 +269,11 @@ func TestRunContextCancel(t *testing.T) {
 		return "max_background_jobs=4", nil
 	}}
 	res, err := core.Run(ctx, core.Config{
-		Client:         client,
-		Runner:         quickRunner("fillrandom", 19),
-		InitialOptions: lsm.DBBenchDefaults(),
-		WorkloadName:   "fillrandom",
-		MaxIterations:  5,
+		Client:        client,
+		Runner:        quickRunner("fillrandom", 19),
+		InitialConfig: lsm.NewConfigSet(lsm.DBBenchDefaults()),
+		WorkloadName:  "fillrandom",
+		MaxIterations: 5,
 	})
 	if err == nil {
 		t.Fatal("cancellation ignored")
@@ -300,12 +300,12 @@ func TestRunInvalidCombinationSkipsIteration(t *testing.T) {
 		return "max_background_jobs=4", nil
 	}}
 	res, err := core.Run(context.Background(), core.Config{
-		Client:         client,
-		Runner:         quickRunner("fillrandom", 23),
-		InitialOptions: lsm.DBBenchDefaults(),
-		WorkloadName:   "fillrandom",
-		MaxIterations:  2,
-		StallLimit:     10,
+		Client:        client,
+		Runner:        quickRunner("fillrandom", 23),
+		InitialConfig: lsm.NewConfigSet(lsm.DBBenchDefaults()),
+		WorkloadName:  "fillrandom",
+		MaxIterations: 2,
+		StallLimit:    10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -320,12 +320,12 @@ func TestRunInvalidCombinationSkipsIteration(t *testing.T) {
 
 func TestWriteOptionsFile(t *testing.T) {
 	res, err := core.Run(context.Background(), core.Config{
-		Client:         mockllm.NewExpert(29),
-		Runner:         quickRunner("fillrandom", 29),
-		InitialOptions: lsm.DBBenchDefaults(),
-		WorkloadName:   "fillrandom",
-		MaxIterations:  1,
-		StallLimit:     10,
+		Client:        mockllm.NewExpert(29),
+		Runner:        quickRunner("fillrandom", 29),
+		InitialConfig: lsm.NewConfigSet(lsm.DBBenchDefaults()),
+		WorkloadName:  "fillrandom",
+		MaxIterations: 1,
+		StallLimit:    10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -380,13 +380,13 @@ func TestTraceAndTelemetryFeedback(t *testing.T) {
 	}}
 	var traceBuf bytes.Buffer
 	res, err := core.Run(context.Background(), core.Config{
-		Client:         client,
-		Runner:         runner,
-		InitialOptions: lsm.DBBenchDefaults(),
-		WorkloadName:   "fillrandom",
-		MaxIterations:  maxIters,
-		StallLimit:     10,
-		Trace:          &traceBuf,
+		Client:        client,
+		Runner:        runner,
+		InitialConfig: lsm.NewConfigSet(lsm.DBBenchDefaults()),
+		WorkloadName:  "fillrandom",
+		MaxIterations: maxIters,
+		StallLimit:    10,
+		Trace:         &traceBuf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -463,13 +463,13 @@ func TestTraceRecordsRejectedCombination(t *testing.T) {
 	}}
 	var traceBuf bytes.Buffer
 	_, err := core.Run(context.Background(), core.Config{
-		Client:         client,
-		Runner:         quickRunner("fillrandom", 37),
-		InitialOptions: lsm.DBBenchDefaults(),
-		WorkloadName:   "fillrandom",
-		MaxIterations:  2,
-		StallLimit:     10,
-		Trace:          &traceBuf,
+		Client:        client,
+		Runner:        quickRunner("fillrandom", 37),
+		InitialConfig: lsm.NewConfigSet(lsm.DBBenchDefaults()),
+		WorkloadName:  "fillrandom",
+		MaxIterations: 2,
+		StallLimit:    10,
+		Trace:         &traceBuf,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -564,9 +564,6 @@ func TestRunTunesOneColumnFamilyIndependently(t *testing.T) {
 	}
 	if got := best.Default.WriteBufferSize; got != defaultWBS {
 		t.Fatalf("default write_buffer_size leaked to %d (was %d)", got, defaultWBS)
-	}
-	if got := res.BestOptions.WriteBufferSize; got != defaultWBS {
-		t.Fatalf("BestOptions.WriteBufferSize = %d, want untouched %d", got, defaultWBS)
 	}
 	// The input configuration was not mutated in place.
 	if got := initial.Lookup("hot").WriteBufferSize; got != defaultWBS {
@@ -670,7 +667,7 @@ func TestRunWorkloadCharacterizationInPrompt(t *testing.T) {
 	_, err := core.Run(context.Background(), core.Config{
 		Client:           client,
 		Runner:           runner,
-		InitialOptions:   lsm.DBBenchDefaults(),
+		InitialConfig:    lsm.NewConfigSet(lsm.DBBenchDefaults()),
 		WorkloadName:     "mixed",
 		MaxIterations:    2,
 		StallLimit:       10,

@@ -461,7 +461,7 @@ func TestEveryRoundTracedOnce(t *testing.T) {
 		})
 		var trace bytes.Buffer
 		res, err := core.Run(context.Background(), core.Config{
-			Client: client, Runner: runner, InitialOptions: lsm.DefaultOptions(),
+			Client: client, Runner: runner, InitialConfig: lsm.NewConfigSet(lsm.DefaultOptions()),
 			WorkloadName: "fillrandom", MaxIterations: rounds, StallLimit: 10, Trace: &trace,
 		})
 		if err != nil {
@@ -473,7 +473,7 @@ func TestEveryRoundTracedOnce(t *testing.T) {
 		}
 		// Offline benchmarks round 3's unchanged configuration again; the
 		// rerun ties the best, and a tie on every metric is kept.
-		check(t, &trace, "iteration", kept, []bool{true, false, true, false, false}, res.BestOptions)
+		check(t, &trace, "iteration", kept, []bool{true, false, true, false, false}, res.BestConfig.Default)
 	})
 }
 

@@ -291,7 +291,6 @@ func (s *session) close(r *round, reason, note string) {
 		s.detNote = note
 	}
 	r.Config = r.Config.Clone()
-	r.Options = r.Config.Default
 	rec := TraceRecord{
 		Kind:                s.traceKind,
 		Iteration:           r.Number,

@@ -72,7 +72,7 @@ func Ablation(ctx context.Context, dev *device.Model, prof device.Profile, workl
 			Client:              v.expert(),
 			Runner:              runner,
 			Monitor:             &HostMonitor{Device: dev, Profile: prof},
-			InitialOptions:      lsm.DBBenchDefaults(),
+			InitialConfig:       lsm.NewConfigSet(lsm.DBBenchDefaults()),
 			WorkloadName:        workload,
 			WorkloadDescription: workloadDescription(workload),
 			MaxIterations:       cfg.MaxIterations,
@@ -107,10 +107,11 @@ func Ablation(ctx context.Context, dev *device.Model, prof device.Profile, workl
 				}
 			}
 		}
-		row.UnsafeFinal = res.BestOptions.DisableWAL || res.BestOptions.AvoidFlushDuringShutdown ||
-			res.BestOptions.ParanoidChecks != lsm.DBBenchDefaults().ParanoidChecks
+		best := res.BestConfig.Default
+		row.UnsafeFinal = best.DisableWAL || best.AvoidFlushDuringShutdown ||
+			best.ParanoidChecks != lsm.DBBenchDefaults().ParanoidChecks
 		if cc.KeepAllIterations && len(res.Iterations) > 0 {
-			lastOpts := res.Iterations[len(res.Iterations)-1].Options
+			lastOpts := res.Iterations[len(res.Iterations)-1].Config.Default
 			row.UnsafeFinal = lastOpts.DisableWAL || lastOpts.AvoidFlushDuringShutdown
 		}
 		rows = append(rows, row)

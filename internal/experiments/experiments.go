@@ -183,9 +183,10 @@ type IterPoint struct {
 // Session is one complete tuning run and its derived series.
 type Session struct {
 	Workload string
-	Device   string
-	Profile  string
-	Result   *core.Result
+	// Device and Profile name the simulated hardware (RunSession only).
+	Device  string
+	Profile string
+	Result  *core.Result
 	// Points holds iterations 0..N (0 = default config).
 	Points []IterPoint
 	// Elapsed is the wall time of the whole session.
@@ -198,30 +199,42 @@ func (s *Session) DefaultMetrics() flagger.Metrics { return s.Result.BaselineMet
 // TunedMetrics returns the best configuration's metrics.
 func (s *Session) TunedMetrics() flagger.Metrics { return s.Result.BestMetrics }
 
-// RunSession executes one full ELMo-Tune session.
+// RunSession executes one full ELMo-Tune session on the simulated device.
 func RunSession(ctx context.Context, dev *device.Model, prof device.Profile, workload string, cfg Config) (*Session, error) {
 	cfg = cfg.withDefaults()
+	s, err := RunSessionOn(ctx, &SimRunner{Device: dev, Profile: prof, Workload: workload, Cfg: cfg},
+		&HostMonitor{Device: dev, Profile: prof}, workload, cfg)
+	if err != nil {
+		return nil, err
+	}
+	s.Device, s.Profile = dev.Kind.String(), prof.Name
+	return s, nil
+}
+
+// RunSessionOn executes one full ELMo-Tune session on any runner: the
+// simulator's or the real filesystem's. monitor describes the host to the
+// prompts. The 30-second early-stop window is divided by cfg.Scale, so a
+// runner on wall time runs at Scale 1.
+func RunSessionOn(ctx context.Context, runner core.ConfigRunner, monitor sysmon.Monitor, workload string, cfg Config) (*Session, error) {
+	cfg = cfg.withDefaults()
 	start := time.Now()
-	runner := &SimRunner{Device: dev, Profile: prof, Workload: workload, Cfg: cfg}
 	// Seed the session with one CFOptions entry per requested family so the
 	// LLM sees (and may tune) each of them from iteration 1.
 	initial := lsm.NewConfigSet(lsm.DBBenchDefaults())
 	for _, name := range cfg.ColumnFamilies {
-		if name != "" && name != lsm.DefaultColumnFamilyName {
-			initial.CF(name)
-		}
+		initial.CF(name)
 	}
 	res, err := core.Run(ctx, core.Config{
 		Client:              cfg.Client,
 		Runner:              runner,
-		Monitor:             &HostMonitor{Device: dev, Profile: prof},
+		Monitor:             monitor,
 		InitialConfig:       initial,
 		WorkloadName:        workload,
 		WorkloadDescription: workloadDescription(workload),
 		MaxIterations:       cfg.MaxIterations,
 		// Keep tuning through plateaus: the paper always runs 7 iterations.
 		StallLimit: cfg.MaxIterations + 1,
-		// The paper's 30-second monitor window, in scaled virtual time.
+		// The paper's 30-second monitor window, in the runner's clock.
 		EarlyStopCheckAfter: 30 * time.Second / time.Duration(cfg.Scale),
 		Logf:                cfg.Logf,
 		Trace:               cfg.Trace,
@@ -232,8 +245,6 @@ func RunSession(ctx context.Context, dev *device.Model, prof device.Profile, wor
 	}
 	s := &Session{
 		Workload: workload,
-		Device:   dev.Kind.String(),
-		Profile:  prof.Name,
 		Result:   res,
 		Elapsed:  time.Since(start),
 	}

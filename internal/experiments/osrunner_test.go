@@ -54,13 +54,13 @@ func TestFullLoopOverHTTP(t *testing.T) {
 	defer srv.Close()
 
 	res, err := core.Run(context.Background(), core.Config{
-		Client:         llm.NewHTTPClient(srv.URL+"/v1", "", "mock-gpt-4"),
-		Runner:         &OSRunner{BaseDir: t.TempDir(), Workload: "fillrandom", Ops: 5000, ValueSize: 100, Seed: 5},
-		Monitor:        sysmon.NewOSMonitor(),
-		InitialOptions: lsm.DBBenchDefaults(),
-		WorkloadName:   "fillrandom",
-		MaxIterations:  2,
-		StallLimit:     5,
+		Client:        llm.NewHTTPClient(srv.URL+"/v1", "", "mock-gpt-4"),
+		Runner:        &OSRunner{BaseDir: t.TempDir(), Workload: "fillrandom", Ops: 5000, ValueSize: 100, Seed: 5},
+		Monitor:       sysmon.NewOSMonitor(),
+		InitialConfig: lsm.NewConfigSet(lsm.DBBenchDefaults()),
+		WorkloadName:  "fillrandom",
+		MaxIterations: 2,
+		StallLimit:    5,
 	})
 	if err != nil {
 		t.Fatal(err)

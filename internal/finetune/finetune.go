@@ -45,8 +45,10 @@ func DefaultKnobs() []Knob {
 type Config struct {
 	// Runner executes benchmarks (same contract as the main loop).
 	Runner core.ConfigRunner
-	// Start is the configuration to polish (the tuning session's best).
-	Start *lsm.Options
+	// Start is the configuration to polish (the tuning session's best). The
+	// knobs move the default family's options; every other family rides
+	// along, so each trial measures the whole configuration.
+	Start *lsm.ConfigSet
 	// StartMetrics seeds the comparison (pass the session's BestMetrics;
 	// zero means the tuner measures Start first).
 	StartMetrics flagger.Metrics
@@ -71,7 +73,8 @@ type Step struct {
 
 // Result is a completed fine-tuning pass.
 type Result struct {
-	Best        *lsm.Options
+	// Best is the best whole configuration measured.
+	Best        *lsm.ConfigSet
 	BestMetrics flagger.Metrics
 	Steps       []Step
 	// Trials is the number of benchmark runs spent.
@@ -98,7 +101,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	res := &Result{Best: cfg.Start.Clone(), BestMetrics: cfg.StartMetrics}
 	if res.BestMetrics.Throughput == 0 {
-		rep, err := cfg.Runner.RunBenchmarkConfig(lsm.NewConfigSet(res.Best.Clone()), nil)
+		rep, err := cfg.Runner.RunBenchmarkConfig(res.Best.Clone(), nil)
 		if err != nil {
 			return nil, fmt.Errorf("finetune: measuring start config: %w", err)
 		}
@@ -113,7 +116,7 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 			if err := ctx.Err(); err != nil {
 				return res, err
 			}
-			curStr, err := res.Best.GetByName(knob.Name)
+			curStr, err := res.Best.Default.GetByName(knob.Name)
 			if err != nil {
 				continue // knob not applicable to this configuration
 			}
@@ -133,13 +136,13 @@ func Run(ctx context.Context, cfg Config) (*Result, error) {
 					continue
 				}
 				trial := res.Best.Clone()
-				if err := trial.SetByName(knob.Name, strconv.FormatInt(val, 10)); err != nil {
+				if err := trial.Default.SetByName(knob.Name, strconv.FormatInt(val, 10)); err != nil {
 					continue
 				}
 				if err := trial.Validate(); err != nil {
 					continue
 				}
-				rep, err := cfg.Runner.RunBenchmarkConfig(lsm.NewConfigSet(trial.Clone()), nil)
+				rep, err := cfg.Runner.RunBenchmarkConfig(trial.Clone(), nil)
 				if err != nil {
 					return res, fmt.Errorf("finetune: trial %s=%d: %w", knob.Name, val, err)
 				}

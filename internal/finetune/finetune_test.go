@@ -40,8 +40,8 @@ func syntheticRunner(optimum int64) core.ConfigRunner {
 }
 
 func TestRunClimbsTowardOptimum(t *testing.T) {
-	start := lsm.DBBenchDefaults() // write_buffer_size 64MB
-	optimum := int64(256 << 20)    // 4 doublings away
+	start := lsm.NewConfigSet(lsm.DBBenchDefaults()) // write_buffer_size 64MB
+	optimum := int64(256 << 20)                      // 4 doublings away
 	res, err := Run(context.Background(), Config{
 		Runner:    syntheticRunner(optimum),
 		Start:     start,
@@ -51,14 +51,14 @@ func TestRunClimbsTowardOptimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Best.WriteBufferSize != optimum {
-		t.Fatalf("climbed to %d, want %d (steps: %+v)", res.Best.WriteBufferSize, optimum, res.Steps)
+	if res.Best.Default.WriteBufferSize != optimum {
+		t.Fatalf("climbed to %d, want %d (steps: %+v)", res.Best.Default.WriteBufferSize, optimum, res.Steps)
 	}
 	if res.Trials == 0 || len(res.Steps) == 0 {
 		t.Fatal("no trials recorded")
 	}
 	// Start options untouched.
-	if start.WriteBufferSize != 64<<20 {
+	if start.Default.WriteBufferSize != 64<<20 {
 		t.Fatal("start mutated")
 	}
 }
@@ -66,14 +66,14 @@ func TestRunClimbsTowardOptimum(t *testing.T) {
 func TestRunKeepsOnlyImprovements(t *testing.T) {
 	res, err := Run(context.Background(), Config{
 		Runner: syntheticRunner(64 << 20), // already optimal
-		Start:  lsm.DBBenchDefaults(),
+		Start:  lsm.NewConfigSet(lsm.DBBenchDefaults()),
 		Knobs:  []Knob{{Name: "write_buffer_size", Factors: []float64{0.5, 2}, Min: 1 << 20, Max: 1 << 30}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Best.WriteBufferSize != 64<<20 {
-		t.Fatalf("moved away from the optimum: %d", res.Best.WriteBufferSize)
+	if res.Best.Default.WriteBufferSize != 64<<20 {
+		t.Fatalf("moved away from the optimum: %d", res.Best.Default.WriteBufferSize)
 	}
 	for _, s := range res.Steps {
 		if s.Kept {
@@ -83,8 +83,8 @@ func TestRunKeepsOnlyImprovements(t *testing.T) {
 }
 
 func TestRunSkipsDisabledKnobs(t *testing.T) {
-	start := lsm.DBBenchDefaults()
-	start.BytesPerSync = 0 // disabled: must be left alone
+	start := lsm.NewConfigSet(lsm.DBBenchDefaults())
+	start.Default.BytesPerSync = 0 // disabled: must be left alone
 	calls := 0
 	runner := core.ConfigRunnerFunc(func(_ *lsm.ConfigSet, _ func(bench.Progress) bool) (*bench.Report, error) {
 		calls++
@@ -104,7 +104,7 @@ func TestRunSkipsDisabledKnobs(t *testing.T) {
 	if calls != 0 {
 		t.Fatalf("benchmarked a disabled knob %d times", calls)
 	}
-	if res.Best.BytesPerSync != 0 {
+	if res.Best.Default.BytesPerSync != 0 {
 		t.Fatal("disabled knob modified")
 	}
 }
@@ -118,7 +118,7 @@ func TestRunValidatesConfig(t *testing.T) {
 func TestRunMeasuresStartWhenUnseeded(t *testing.T) {
 	res, err := Run(context.Background(), Config{
 		Runner:    syntheticRunner(64 << 20),
-		Start:     lsm.DBBenchDefaults(),
+		Start:     lsm.NewConfigSet(lsm.DBBenchDefaults()),
 		MaxRounds: 1,
 		Knobs:     []Knob{{Name: "write_buffer_size", Factors: []float64{2}, Min: 1 << 20, Max: 1 << 30}},
 	})
@@ -127,6 +127,46 @@ func TestRunMeasuresStartWhenUnseeded(t *testing.T) {
 	}
 	if res.BestMetrics.Throughput != 100000 {
 		t.Fatalf("start not measured: %v", res.BestMetrics)
+	}
+}
+
+// TestRunCarriesEveryFamily: the knobs move the default family, and every
+// trial measures the whole configuration, so a named family's own values
+// reach each benchmark and survive into Best.
+func TestRunCarriesEveryFamily(t *testing.T) {
+	const usersWBS = 8 << 20
+	start := lsm.NewConfigSet(lsm.DBBenchDefaults())
+	start.CF("users").WriteBufferSize = usersWBS
+	score := syntheticRunner(256 << 20)
+	trials := 0
+	runner := core.ConfigRunnerFunc(func(cfg *lsm.ConfigSet, monitor func(bench.Progress) bool) (*bench.Report, error) {
+		trials++
+		users := cfg.Lookup("users")
+		if users == nil {
+			t.Fatalf("trial %d ran without the users family", trials)
+		}
+		if users.WriteBufferSize != usersWBS {
+			t.Fatalf("trial %d ran users with write_buffer_size %d, want %d", trials, users.WriteBufferSize, usersWBS)
+		}
+		return score.RunBenchmarkConfig(cfg, monitor)
+	})
+	res, err := Run(context.Background(), Config{
+		Runner:    runner,
+		Start:     start,
+		MaxRounds: 2,
+		Knobs:     []Knob{{Name: "write_buffer_size", Factors: []float64{0.5, 2}, Min: 1 << 20, Max: 1 << 30}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if trials == 0 || trials != res.Trials {
+		t.Fatalf("runner saw %d trials, result counts %d", trials, res.Trials)
+	}
+	if got := res.Best.Default.WriteBufferSize; got != 256<<20 {
+		t.Fatalf("default family climbed to %d, want %d", got, 256<<20)
+	}
+	if users := res.Best.Lookup("users"); users == nil || users.WriteBufferSize != usersWBS {
+		t.Fatalf("Best lost the users family's write_buffer_size: %+v", users)
 	}
 }
 
@@ -148,7 +188,7 @@ func TestJumpstartPlusFinetune(t *testing.T) {
 	}
 	res, err := Run(context.Background(), Config{
 		Runner:       runner,
-		Start:        session.Result.BestOptions,
+		Start:        session.Result.BestConfig,
 		StartMetrics: session.Result.BestMetrics,
 		MaxRounds:    1,
 		Knobs: []Knob{

@@ -8,8 +8,6 @@ package flagger
 
 import (
 	"fmt"
-	"regexp"
-	"strconv"
 	"time"
 
 	"repro/internal/bench"
@@ -148,40 +146,4 @@ func (e *EarlyStop) Monitor(p bench.Progress) bool {
 		return true
 	}
 	return p.Throughput >= e.Best*e.Fraction
-}
-
-// reOpsSec extracts "NNN ops/sec" from db_bench-style text output, for
-// driving the flagger from textual reports (the paper's Benchmark Parser).
-var reOpsSec = regexp.MustCompile(`([\d.]+)\s*ops/sec`)
-
-// reP99 lines look like "Percentiles: P50: 1.00 P75: ... P99: 42.00 ...".
-var reP99 = regexp.MustCompile(`P99:\s*([\d.]+)`)
-
-// ParseReportText extracts metrics from db_bench-style textual output: the
-// summary ops/sec line plus per-write and per-read P99s in order of
-// appearance (write histogram first, as bench.Report.Format emits them).
-func ParseReportText(text string) (Metrics, error) {
-	var m Metrics
-	ops := reOpsSec.FindStringSubmatch(text)
-	if ops == nil {
-		return m, fmt.Errorf("flagger: no ops/sec found in report")
-	}
-	v, err := strconv.ParseFloat(ops[1], 64)
-	if err != nil {
-		return m, fmt.Errorf("flagger: bad ops/sec %q", ops[1])
-	}
-	m.Throughput = v
-	p99s := reP99.FindAllStringSubmatch(text, -1)
-	// Order matches Report.Format: write histogram then read histogram.
-	hasWrite := regexp.MustCompile(`Microseconds per write`).MatchString(text)
-	hasRead := regexp.MustCompile(`Microseconds per read`).MatchString(text)
-	idx := 0
-	if hasWrite && idx < len(p99s) {
-		m.P99Write, _ = strconv.ParseFloat(p99s[idx][1], 64)
-		idx++
-	}
-	if hasRead && idx < len(p99s) {
-		m.P99Read, _ = strconv.ParseFloat(p99s[idx][1], 64)
-	}
-	return m, nil
 }

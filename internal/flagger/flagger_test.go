@@ -105,43 +105,6 @@ func TestFromReport(t *testing.T) {
 	}
 }
 
-func TestParseReportText(t *testing.T) {
-	text := `fillrandom             :       3.126 micros/op 319847 ops/sec;   35.4 MB/s
-Microseconds per write:
-Count: 100 Average: 3.1 StdDev: 1.0
-Min: 1.0 Median: 3.0 Max: 99.0
-Percentiles: P50: 3.00 P75: 4.00 P99: 42.00 P99.9: 80.00 P99.99: 99.00
-Microseconds per read:
-Count: 100 Average: 50 StdDev: 5.0
-Min: 10 Median: 45 Max: 400
-Percentiles: P50: 45.00 P75: 60.00 P99: 250.00 P99.9: 390.00 P99.99: 400.00
-`
-	m, err := ParseReportText(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Throughput != 319847 || m.P99Write != 42 || m.P99Read != 250 {
-		t.Fatalf("metrics = %+v", m)
-	}
-}
-
-func TestParseReportTextWriteOnly(t *testing.T) {
-	text := "fillrandom : 3.1 micros/op 319847 ops/sec\nMicroseconds per write:\nPercentiles: P50: 3.00 P99: 42.00\n"
-	m, err := ParseReportText(text)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.P99Write != 42 || m.P99Read != 0 {
-		t.Fatalf("metrics = %+v", m)
-	}
-}
-
-func TestParseReportTextErrors(t *testing.T) {
-	if _, err := ParseReportText("no numbers here"); err == nil {
-		t.Fatal("expected error")
-	}
-}
-
 func contains(s, sub string) bool {
 	return len(sub) == 0 || (len(s) >= len(sub) && searchIn(s, sub))
 }

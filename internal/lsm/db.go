@@ -1096,8 +1096,8 @@ func (db *DB) Close() error {
 }
 
 // Metrics is a point-in-time view of engine state for monitoring and for
-// the tuning framework's prompt builder. The top-level call aggregates every
-// column family; GetCFMetrics scopes to one.
+// the tuning framework's prompt builder, aggregated across every column
+// family (GetMetrics).
 type Metrics struct {
 	LevelFiles             []int
 	LevelBytes             []int64
@@ -1136,30 +1136,6 @@ func (db *DB) GetMetrics() Metrics {
 	}
 	m.StatsHistoryCount, m.StatsHistoryBytes = db.history.footprint()
 	return m
-}
-
-// GetCFMetrics snapshots one family's state (false when the name is not a
-// live family).
-func (db *DB) GetCFMetrics(name string) (Metrics, bool) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	cf := db.cfNames[name]
-	if cf == nil {
-		return Metrics{}, false
-	}
-	m := Metrics{
-		RunningFlushes:     db.flushActive,
-		RunningCompactions: db.compactActive,
-		LastSequence:       db.publishedSeq.Load(),
-		ColumnFamilies:     []string{cf.name},
-	}
-	db.accumulateCFMetricsLocked(cf, &m)
-	if db.bcache != nil {
-		m.BlockCacheUsed = db.bcache.Used()
-		h, mi := db.bcache.HitRate()
-		m.BlockCacheHits, m.BlockCacheMisses = h, mi
-	}
-	return m, true
 }
 
 // accumulateCFMetricsLocked folds one family's state into m.

@@ -348,9 +348,15 @@ func (h *HistogramStats) Snapshot() []HistogramData {
 //	rocksdb.db.get.micros P50 : 3.10 P95 : 9.80 P99 : 14.20 COUNT : 123 SUM : 456
 func (h *HistogramStats) String() string {
 	var b strings.Builder
-	for _, d := range h.Snapshot() {
-		fmt.Fprintf(&b, "%s P50 : %.2f P95 : %.2f P99 : %.2f COUNT : %d SUM : %d\n",
+	writeHistogramLines(&b, h.Snapshot())
+	return b.String()
+}
+
+// writeHistogramLines renders summaries (as Snapshot returns them: empty
+// histograms left out) one line each.
+func writeHistogramLines(b *strings.Builder, hists []HistogramData) {
+	for _, d := range hists {
+		fmt.Fprintf(b, "%s P50 : %.2f P95 : %.2f P99 : %.2f COUNT : %d SUM : %d\n",
 			d.Name, d.P50, d.P95, d.P99, d.Count, d.Sum)
 	}
-	return b.String()
 }

@@ -152,15 +152,20 @@ func (s *Statistics) Snapshot() map[string]int64 {
 
 // String renders non-zero counters sorted by name, one per line.
 func (s *Statistics) String() string {
-	snap := s.Snapshot()
-	keys := make([]string, 0, len(snap))
-	for k := range snap {
+	var b strings.Builder
+	writeTickerLines(&b, s.Snapshot())
+	return b.String()
+}
+
+// writeTickerLines renders tickers sorted by name, one
+// "<name> COUNT : <value>" line each.
+func writeTickerLines(b *strings.Builder, tickers map[string]int64) {
+	keys := make([]string, 0, len(tickers))
+	for k := range tickers {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	var b strings.Builder
 	for _, k := range keys {
-		fmt.Fprintf(&b, "%s COUNT : %d\n", k, snap[k])
+		fmt.Fprintf(b, "%s COUNT : %d\n", k, tickers[k])
 	}
-	return b.String()
 }

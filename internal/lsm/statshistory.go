@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -192,21 +191,8 @@ func (db *DB) statsHistoryString() string {
 	for i := range snaps {
 		s := &snaps[i]
 		fmt.Fprintf(&b, "--- snapshot @ %s ---\n", s.Time)
-		keys := make([]string, 0, len(s.Tickers))
-		for k := range s.Tickers {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(&b, "%s COUNT : %d\n", k, s.Tickers[k])
-		}
-		for _, h := range s.Histograms {
-			if h.Count == 0 {
-				continue
-			}
-			fmt.Fprintf(&b, "%s P50 : %.2f P95 : %.2f P99 : %.2f COUNT : %d SUM : %d\n",
-				h.Name, h.P50, h.P95, h.P99, h.Count, h.Sum)
-		}
+		writeTickerLines(&b, s.Tickers)
+		writeHistogramLines(&b, s.Histograms)
 	}
 	return b.String()
 }

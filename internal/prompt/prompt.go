@@ -26,11 +26,9 @@ type Inputs struct {
 	WorkloadDescription string
 	// Host is the sysmon characterization (psutil/fio stand-ins).
 	Host sysmon.HostInfo
-	// Options is the configuration currently in effect (single-family runs).
-	Options *lsm.Options
-	// Config, when set, takes precedence over Options and renders the full
-	// multi-family OPTIONS file ([DBOptions] plus one CFOptions/TableOptions
-	// section pair per column family).
+	// Config is the configuration currently in effect, rendered as the full
+	// OPTIONS file ([DBOptions] plus one CFOptions/TableOptions section pair
+	// per column family).
 	Config *lsm.ConfigSet
 	// LastReport is the most recent benchmark output (db_bench style).
 	LastReport string
@@ -145,8 +143,7 @@ func Build(in Inputs) []llm.Message {
 				"re-examine assumptions carried over from earlier rounds.\n")
 		}
 	}
-	switch {
-	case in.Config != nil:
+	if in.Config != nil {
 		names := in.Config.Names()
 		if len(names) > 1 {
 			fmt.Fprintf(&b, "\n## Column families\n")
@@ -157,10 +154,6 @@ func Build(in Inputs) []llm.Message {
 		}
 		b.WriteString("\n## Current OPTIONS file\n```ini\n")
 		b.WriteString(in.Config.ToINI().String())
-		b.WriteString("```\n")
-	case in.Options != nil:
-		b.WriteString("\n## Current OPTIONS file\n```ini\n")
-		b.WriteString(in.Options.ToINI().String())
 		b.WriteString("```\n")
 	}
 	b.WriteString("\nRecommend the next configuration changes.\n")

@@ -30,7 +30,7 @@ func TestBuildContainsEverything(t *testing.T) {
 		WorkloadName:        "fillrandom",
 		WorkloadDescription: "write intensive",
 		Host:                testHost(),
-		Options:             lsm.DBBenchDefaults(),
+		Config:              lsm.NewConfigSet(lsm.DBBenchDefaults()),
 		LastReport:          "fillrandom : 3.1 micros/op 320000 ops/sec",
 		History:             []string{"iteration 0 (default config): 320000 ops/sec"},
 	})

@@ -2,8 +2,8 @@
 // paper's challenge #4): a configurable blacklist of options that must never
 // be modified (journaling/durability), unknown-option (hallucination)
 // detection against the engine's registry, value/bounds checking, and
-// deprecation warnings. Every LLM suggestion passes through Vet before it
-// can touch a configuration.
+// deprecation warnings. Every LLM suggestion passes through VetConfig before
+// it can touch a configuration.
 package safeguard
 
 import (
@@ -127,29 +127,12 @@ func (e *Enforcer) Unblacklist(names ...string) {
 // IsBlacklisted reports whether an option is protected.
 func (e *Enforcer) IsBlacklisted(name string) bool { return e.blacklist[name] }
 
-// Vet classifies every change against the current options. Accepted (and
-// deprecated-accepted) changes are returned in applied order; the caller
-// applies them to a clone of cur. Changes scoped to a named column family
-// are hallucinations here: a bare Options value has only the default family
-// (use VetConfig when tuning a multi-family ConfigSet).
-func (e *Enforcer) Vet(cur *lsm.Options, changes []parser.Change) []Decision {
-	out := make([]Decision, 0, len(changes))
-	for _, c := range changes {
-		if c.CF != "" && c.CF != lsm.DefaultColumnFamilyName {
-			out = append(out, Decision{c, Hallucinated,
-				fmt.Sprintf("column family %q does not exist", c.CF)})
-			continue
-		}
-		out = append(out, e.vetOne(cur, c))
-	}
-	return out
-}
-
-// VetConfig classifies every change against a multi-family configuration.
-// Each change is vetted against the options of the family it is scoped to
-// (unscoped changes target the default family); a change naming a family the
-// configuration does not have is a hallucination — the LLM invented a
-// column family, the per-option analogue of inventing an option name.
+// VetConfig classifies every change against a configuration, one decision
+// per change in order; ApplyConfig applies the accepted ones. Each change is
+// vetted against the options of the family it is scoped to (unscoped changes
+// target the default family); a change naming a family the configuration
+// does not have is a hallucination — the LLM invented a column family, the
+// per-option analogue of inventing an option name.
 func (e *Enforcer) VetConfig(cur *lsm.ConfigSet, changes []parser.Change) []Decision {
 	out := make([]Decision, 0, len(changes))
 	for _, c := range changes {
@@ -209,30 +192,6 @@ func normalized(o *lsm.Options, name, fallback string) string {
 		return v
 	}
 	return fallback
-}
-
-// Apply executes the accepted decisions onto a clone of cur and validates
-// the combined result. If the combined options fail validation, Apply
-// returns the original options and the validation error (the framework then
-// reports a failed iteration rather than running a broken config).
-func Apply(cur *lsm.Options, decisions []Decision) (*lsm.Options, []Decision, error) {
-	next := cur.Clone()
-	applied := make([]Decision, 0, len(decisions))
-	for _, d := range decisions {
-		if d.Verdict != Accepted && d.Verdict != DeprecatedAccepted {
-			continue
-		}
-		if err := next.SetByName(d.Change.Name, d.Change.Value); err != nil {
-			d.Verdict = Invalid
-			d.Reason = err.Error()
-			continue
-		}
-		applied = append(applied, d)
-	}
-	if err := next.Validate(); err != nil {
-		return cur, applied, fmt.Errorf("safeguard: combined changes fail validation: %w", err)
-	}
-	return next, applied, nil
 }
 
 // ApplyConfig executes the accepted decisions onto a clone of the full

@@ -10,9 +10,9 @@ import (
 
 func vetOne(t *testing.T, e *Enforcer, name, value string) Decision {
 	t.Helper()
-	ds := e.Vet(lsm.DBBenchDefaults(), []parser.Change{{Name: name, Value: value}})
+	ds := e.VetConfig(lsm.NewConfigSet(lsm.DBBenchDefaults()), []parser.Change{{Name: name, Value: value}})
 	if len(ds) != 1 {
-		t.Fatalf("Vet returned %d decisions", len(ds))
+		t.Fatalf("VetConfig returned %d decisions", len(ds))
 	}
 	return ds[0]
 }
@@ -78,8 +78,8 @@ func TestVetDeprecated(t *testing.T) {
 
 func TestVetNoOp(t *testing.T) {
 	e := New()
-	cur := lsm.DBBenchDefaults()
-	ds := e.Vet(cur, []parser.Change{{Name: "max_background_jobs", Value: "2"}})
+	cur := lsm.NewConfigSet(lsm.DBBenchDefaults())
+	ds := e.VetConfig(cur, []parser.Change{{Name: "max_background_jobs", Value: "2"}})
 	if ds[0].Verdict != NoOp {
 		t.Fatalf("verdict = %v", ds[0].Verdict)
 	}
@@ -102,53 +102,52 @@ func TestCustomBlacklist(t *testing.T) {
 
 func TestApply(t *testing.T) {
 	e := New()
-	cur := lsm.DBBenchDefaults()
+	cur := lsm.NewConfigSet(lsm.DBBenchDefaults())
 	changes := []parser.Change{
 		{Name: "max_background_jobs", Value: "4"},
 		{Name: "disable_wal", Value: "true"},  // blacklisted: skipped
 		{Name: "flush_job_count", Value: "2"}, // hallucinated: skipped
 		{Name: "write_buffer_size", Value: "33554432"},
 	}
-	next, applied, err := Apply(cur, e.Vet(cur, changes))
+	next, applied, err := ApplyConfig(cur, e.VetConfig(cur, changes))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(applied) != 2 {
 		t.Fatalf("applied %d changes: %+v", len(applied), applied)
 	}
-	if next.MaxBackgroundJobs != 4 || next.WriteBufferSize != 33554432 {
-		t.Fatalf("changes not applied: %+v", next)
+	if next.Default.MaxBackgroundJobs != 4 || next.Default.WriteBufferSize != 33554432 {
+		t.Fatalf("changes not applied: %+v", next.Default)
 	}
-	if next.DisableWAL {
+	if next.Default.DisableWAL {
 		t.Fatal("blacklisted change applied")
 	}
 	// Original untouched.
-	if cur.MaxBackgroundJobs != 2 {
+	if cur.Default.MaxBackgroundJobs != 2 {
 		t.Fatal("input options mutated")
 	}
 }
 
 func TestApplyCombinedValidationFailure(t *testing.T) {
 	e := New()
-	cur := lsm.DBBenchDefaults()
+	cur := lsm.NewConfigSet(lsm.DBBenchDefaults())
 	// Individually plausible, jointly invalid: min merge > max buffers.
 	changes := []parser.Change{
 		{Name: "min_write_buffer_number_to_merge", Value: "2"},
 		{Name: "max_write_buffer_number", Value: "1"},
 	}
-	next, _, err := Apply(cur, e.Vet(cur, changes))
+	next, _, err := ApplyConfig(cur, e.VetConfig(cur, changes))
 	if err == nil {
 		t.Fatal("combined invalid changes accepted")
 	}
 	if next != cur {
-		t.Fatal("failed Apply should return the original options")
+		t.Fatal("failed ApplyConfig should return the original configuration")
 	}
 }
 
 func TestSummary(t *testing.T) {
 	e := New()
-	cur := lsm.DBBenchDefaults()
-	ds := e.Vet(cur, []parser.Change{
+	ds := e.VetConfig(lsm.NewConfigSet(lsm.DBBenchDefaults()), []parser.Change{
 		{Name: "max_background_jobs", Value: "4"},
 		{Name: "disable_wal", Value: "true"},
 		{Name: "made_up", Value: "1"},
@@ -208,11 +207,11 @@ func TestVetConfigUnknownFamilyHallucinated(t *testing.T) {
 	}
 }
 
-// Vet against bare Options has only the default family: a named scope is a
-// hallucination there too.
+// A single-family set built from bare Options has only the default family:
+// a named scope is a hallucination there too, and the default scope is not.
 func TestVetScopedChangeAgainstBareOptions(t *testing.T) {
 	e := New()
-	ds := e.Vet(lsm.DBBenchDefaults(), []parser.Change{
+	ds := e.VetConfig(lsm.NewConfigSet(lsm.DBBenchDefaults()), []parser.Change{
 		{Name: "write_buffer_size", Value: "1048576", CF: "hot"},
 		{Name: "write_buffer_size", Value: "1048576", CF: "default"},
 	})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -487,18 +486,8 @@ func (r *Router) StatsText() string {
 	}
 	fmt.Fprintf(&b, "  sum %13d %10d %10d %8.1f%%\n",
 		usedSum, hitSum, missSum, hitRate(hitSum, missSum))
-	keys := make([]string, 0, 8)
-	snap := r.stats.Snapshot()
-	for k := range snap {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
 	b.WriteString("** Tickers (summed across shards) **\n")
-	for _, k := range keys {
-		if snap[k] != 0 {
-			fmt.Fprintf(&b, "%s COUNT : %d\n", k, snap[k])
-		}
-	}
+	b.WriteString(r.stats.String())
 	for i, db := range r.shards {
 		fmt.Fprintf(&b, "** Shard %d **\n", i)
 		if s, ok := db.GetProperty("rocksdb.stats"); ok {
