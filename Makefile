@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race crashtest equivalence serverbench liveretune allocgate fuzz benchmodule loc simfork onestream onehist onelru simdiff verify clean
+.PHONY: build test vet race crashtest equivalence serverbench liveretune allocgate fuzz benchmodule loc simfork onestream onehist onelru onewindow simdiff verify clean
 
 build:
 	$(GO) build ./...
@@ -118,6 +118,14 @@ onehist:
 onelru:
 	./scripts/onefile.sh onelru
 
+# A workload window is two counter readings (DESIGN §10): only
+# internal/lsm/workload.go may compute its mix fractions (a
+# ReadFraction/WriteFraction/ScanFraction = float64( assignment); the
+# benchmark runner, the live targets and elmotune's server target read
+# counters and call lsm.NewWorkloadSnapshot.
+onewindow:
+	./scripts/onefile.sh onewindow
+
 # The refactor oracle for the simulated side (EXPERIMENTS.md): the paper's
 # tables and figures regenerated at PARENT and at the working tree must be
 # byte-identical. ~2 minutes; not part of verify (it needs a parent to name).
@@ -125,7 +133,7 @@ simdiff:
 	@test -n "$(PARENT)" || { echo "usage: make simdiff PARENT=<ref>" >&2; exit 2; }
 	./scripts/simdiff.sh $(PARENT)
 
-verify: build vet simfork onestream onehist onelru test race equivalence allocgate fuzz benchmodule serverbench liveretune
+verify: build vet simfork onestream onehist onelru onewindow test race equivalence allocgate fuzz benchmodule serverbench liveretune
 
 clean:
 	$(GO) clean ./...

@@ -1,11 +1,8 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/core"
@@ -25,10 +22,6 @@ import (
 type serverTarget struct {
 	client *server.Client
 	cfg    *lsm.ConfigSet
-	// prev is the previous observation window's fingerprint, for drift
-	// scoring (the server's own drift tracker spans ALL traffic since boot;
-	// ours must cover exactly the windows this session observed).
-	prev *lsm.WorkloadSnapshot
 }
 
 func newServerTarget(client *server.Client, cfNames []string) *serverTarget {
@@ -75,11 +68,12 @@ func (t *serverTarget) Reopen(*lsm.ConfigSet) error {
 	return core.ErrReopenUnsupported
 }
 
-// Observe implements core.LiveTarget: sample the server's summed tickers,
-// wait out the window, sample again, and turn the deltas into a throughput
-// number and a workload fingerprint.
+// Observe implements core.LiveTarget: read the server's workload counters,
+// wait out the window, read them again, and turn the two readings into a
+// workload fingerprint and a throughput number. The stats dump taken at the
+// end is the prompt's telemetry text.
 func (t *serverTarget) Observe(ctx context.Context, d time.Duration) (*core.LiveObservation, error) {
-	before, _, err := t.sample()
+	before, err := t.client.Workload()
 	if err != nil {
 		return nil, err
 	}
@@ -89,67 +83,19 @@ func (t *serverTarget) Observe(ctx context.Context, d time.Duration) (*core.Live
 		return nil, ctx.Err()
 	case <-time.After(d):
 	}
-	after, text, err := t.sample()
+	after, err := t.client.Workload()
 	if err != nil {
 		return nil, err
 	}
 	wall := time.Since(start)
-
-	delta := func(name string) int64 { return after[name] - before[name] }
-	ws := lsm.WorkloadSnapshot{
-		Reads: delta("rocksdb.get.hit") + delta("rocksdb.get.miss") +
-			delta("rocksdb.number.multiget.keys.read"),
-		Writes: delta("rocksdb.write.self") + delta("rocksdb.write.other"),
-		Scans:  delta("rocksdb.number.db.seek"),
+	text, err := t.client.Stats()
+	if err != nil {
+		return nil, err
 	}
-	if total := ws.Reads + ws.Writes + ws.Scans; total > 0 {
-		ws.ReadFraction = float64(ws.Reads) / float64(total)
-		ws.WriteFraction = float64(ws.Writes) / float64(total)
-		ws.ScanFraction = float64(ws.Scans) / float64(total)
-	}
-	if micros := wall.Microseconds(); micros > 0 {
-		if stall := delta("rocksdb.stall.micros"); stall > 0 {
-			ws.StallFraction = float64(stall) / float64(micros)
-			if ws.StallFraction > 1 {
-				ws.StallFraction = 1
-			}
-		}
-	}
-	ws.Drift = ws.DriftFrom(t.prev)
-	t.prev = &ws
-
+	ws := lsm.NewWorkloadSnapshot(before, after)
 	obs := &core.LiveObservation{Workload: &ws, StatsDump: text}
 	if secs := wall.Seconds(); secs > 0 {
 		obs.Throughput = float64(ws.Reads+ws.Writes+ws.Scans) / secs
 	}
 	return obs, nil
-}
-
-// sample fetches the server stats dump and parses the summed ticker lines
-// ("<name> COUNT : <value>"), returning both the counters and the raw text.
-func (t *serverTarget) sample() (map[string]int64, string, error) {
-	text, err := t.client.Stats()
-	if err != nil {
-		return nil, "", err
-	}
-	counters := make(map[string]int64)
-	sc := bufio.NewScanner(strings.NewReader(text))
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		name, rest, ok := strings.Cut(line, " COUNT : ")
-		if !ok || strings.ContainsAny(name, " \t") {
-			continue
-		}
-		v, err := strconv.ParseInt(strings.TrimSpace(rest), 10, 64)
-		if err != nil {
-			continue
-		}
-		// Keep the first (summed, cross-shard) occurrence; per-shard dumps
-		// repeat the same names further down.
-		if _, seen := counters[name]; !seen {
-			counters[name] = v
-		}
-	}
-	return counters, text, nil
 }

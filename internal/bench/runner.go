@@ -72,9 +72,6 @@ func (r *Runner) run(t target) (*Report, error) {
 			return nil, err
 		}
 	}
-	// Characterize only the measured phase: preload writes would otherwise
-	// swamp the ops mix of read-heavy workloads.
-	r.DB.ResetWorkloadWindow()
 	workers := newWorkers(r.Spec, r.Spec.Threads, func(int) target { return t })
 	return measure(r.DB, r.Spec.Name, r.Spec.ValueSize, workers, r.Monitor)
 }
@@ -92,9 +89,11 @@ func Replay(db *lsm.DB, src OpSource, seed int64) (*Report, error) {
 
 // measure drives workers to completion on db's clock (virtual time on a
 // SimEnv, the wall clock otherwise) and assembles the report with the
-// engine's view of the run.
+// engine's view of the run. The workload window is the measured phase alone:
+// preload writes would otherwise swamp the ops mix of read-heavy workloads.
 func measure(db *lsm.DB, name string, valueSize int, workers []*worker, monitor func(Progress) bool) (*Report, error) {
 	sim, _ := db.Env().(*lsm.SimEnv)
+	before := db.WorkloadCounters()
 	var (
 		elapsed time.Duration
 		aborted bool
@@ -116,7 +115,7 @@ func measure(db *lsm.DB, name string, valueSize int, workers []*worker, monitor 
 	rep.Stats = db.Statistics().Snapshot()
 	rep.StatsDump, _ = db.GetProperty("rocksdb.stats")
 	rep.HistogramDump = db.Histograms().String()
-	ws := db.CaptureWorkloadSnapshot()
+	ws := lsm.NewWorkloadSnapshot(before, db.WorkloadCounters())
 	rep.WorkloadSnap = &ws
 	return rep, nil
 }

@@ -195,9 +195,6 @@ type benchTarget struct {
 	cfg        *lsm.ConfigSet
 	earlyStop  bool
 	checkAfter time.Duration
-	// prev is the previous run's workload characterization: benchmarks use
-	// fresh databases, so the engine cannot score drift across runs itself.
-	prev *lsm.WorkloadSnapshot
 }
 
 func (t *benchTarget) land(next *lsm.ConfigSet, _ []safeguard.Decision) (string, time.Duration, error) {
@@ -225,10 +222,6 @@ func (t *benchTarget) measure(_ context.Context, best float64) (*window, error) 
 		return nil, err
 	}
 	rep := w.report
-	if rep.WorkloadSnap != nil {
-		rep.WorkloadSnap.Drift = rep.WorkloadSnap.DriftFrom(t.prev)
-		t.prev = rep.WorkloadSnap
-	}
 	w.LiveObservation = LiveObservation{rep.Throughput, rep.WorkloadSnap, rep.StatsDump, rep.HistogramDump}
 	w.metrics = flagger.FromReport(rep)
 	return w, nil

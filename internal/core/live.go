@@ -23,8 +23,8 @@ var ErrReopenUnsupported = errors.New("core: target cannot reopen")
 type LiveObservation struct {
 	// Throughput is foreground ops/sec over the window.
 	Throughput float64
-	// Workload characterizes the window (mix, write amp, stalls, drift vs
-	// the previous window on the same instance).
+	// Workload characterizes the window (mix, write amp, stalls); the
+	// session scores its drift against the previous window it measured.
 	Workload *lsm.WorkloadSnapshot
 	// StatsDump and Histograms carry the engine telemetry text fed back to
 	// the prompt (either may be empty for remote targets).
@@ -288,17 +288,18 @@ func (t *EmbeddedTarget) Reopen(cfg *lsm.ConfigSet) error {
 	return nil
 }
 
-// Observe implements LiveTarget: a workload-snapshot window over real time.
+// Observe implements LiveTarget: a workload window between two counter
+// readings over real time.
 func (t *EmbeddedTarget) Observe(ctx context.Context, d time.Duration) (*LiveObservation, error) {
 	db := t.DB()
-	db.CaptureWorkloadSnapshot() // close the previous window; we time our own
+	before := db.WorkloadCounters()
 	start := time.Now()
 	select {
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	case <-time.After(d):
 	}
-	ws := db.CaptureWorkloadSnapshot()
+	ws := lsm.NewWorkloadSnapshot(before, db.WorkloadCounters())
 	obs := &LiveObservation{Workload: &ws}
 	if wall := time.Since(start).Seconds(); wall > 0 {
 		obs.Throughput = float64(ws.Reads+ws.Writes+ws.Scans) / wall

@@ -88,6 +88,9 @@ type session struct {
 	stoppedEarly bool
 	driftRetunes int
 	rounds       []*round
+	// measured is the workload of the window measured last, which the next
+	// window's drift is scored against.
+	measured *lsm.WorkloadSnapshot
 }
 
 // run measures the baseline, runs the tuning rounds, watches for drift and
@@ -108,7 +111,7 @@ func (s *session) run(ctx context.Context) error {
 	initial := s.current
 
 	s.Logf("%s 0: measuring baseline (%s)", s.unit, s.WorkloadName)
-	if s.baseline, err = s.target.measure(ctx, 0); err != nil {
+	if s.baseline, err = s.measure(ctx, 0); err != nil {
 		return fmt.Errorf("core: baseline measurement: %w", err)
 	}
 	s.last, s.best = s.baseline, s.baseline.metrics
@@ -126,7 +129,7 @@ func (s *session) run(ctx context.Context) error {
 		}
 	}
 	for w := 1; w <= s.watchWindows; w++ {
-		obs, err := s.target.measure(ctx, 0)
+		obs, err := s.measure(ctx, 0)
 		if err != nil {
 			return fmt.Errorf("core: watch measurement: %w", err)
 		}
@@ -227,7 +230,7 @@ func (s *session) tune(ctx context.Context, n int, trigger string, drift float64
 	if r.live.ApplyMode, r.live.Downtime, err = s.target.land(next, applied); err != nil {
 		return fmt.Errorf("core: apply at %s %d: %w", s.unit, n, err)
 	}
-	if r.after, err = s.target.measure(ctx, s.best.Throughput); err != nil {
+	if r.after, err = s.measure(ctx, s.best.Throughput); err != nil {
 		return fmt.Errorf("core: measurement at %s %d: %w", s.unit, n, err)
 	}
 	// The Active Flagger: keep what beats the reference (p99 breaks
@@ -260,6 +263,20 @@ func (s *session) tune(ctx context.Context, n int, trigger string, drift float64
 	s.stalled++
 	s.close(r, decision.Reason, note)
 	return nil
+}
+
+// measure measures one window on the target and scores its workload's drift
+// against the window measured before it, whatever became of that one.
+func (s *session) measure(ctx context.Context, best float64) (*window, error) {
+	w, err := s.target.measure(ctx, best)
+	if err != nil {
+		return nil, err
+	}
+	if ws := w.Workload; ws != nil {
+		ws.Drift = ws.DriftFrom(s.measured)
+		s.measured = ws
+	}
+	return w, nil
 }
 
 // ask sends the prompt and parses the reply; a reply with no usable changes

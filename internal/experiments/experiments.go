@@ -80,8 +80,12 @@ func PaperOps(scale int64) (fr, rrReads, rrPreload, rrwr, mix int64) {
 		25_000_000 / scale
 }
 
-// workloadSpec builds the scaled Spec for one of the paper's workloads.
+// workloadSpec builds the scaled Spec for one of the paper's workloads. A
+// scale below 1 is an error: it divides the paper's op counts.
 func workloadSpec(name string, cfg Config) (*bench.Spec, error) {
+	if cfg.Scale < 1 {
+		return nil, fmt.Errorf("experiments: scale %d < 1", cfg.Scale)
+	}
 	fr, rrReads, rrPreload, rrwr, mix := PaperOps(cfg.Scale)
 	// db_bench's default value size: with 25M keys this makes the dataset
 	// comparable to the 4 GiB hosts' memory, the regime where cache tuning

@@ -40,6 +40,17 @@ func TestWorkloadSpecs(t *testing.T) {
 	}
 }
 
+// TestSimRunnerScaleZero: a runner given scale 0 (elmotune -scale 0 passes
+// it through as given) returns an error instead of dividing by it.
+func TestSimRunnerScaleZero(t *testing.T) {
+	r := &SimRunner{Device: device.NVMe(), Profile: device.Profile4C4G(), Workload: "fillrandom",
+		Cfg: Config{Scale: 0, Seed: 9}}
+	rep, err := r.RunBenchmarkConfig(lsm.NewConfigSet(lsm.DefaultOptions()), nil)
+	if err == nil || !strings.Contains(err.Error(), "scale 0") {
+		t.Fatalf("scale 0: report %v, error %v; want a scale error", rep, err)
+	}
+}
+
 func TestRunSessionQuick(t *testing.T) {
 	s, err := RunSession(context.Background(), device.NVMe(), device.Profile4C4G(), "fillrandom", testCfg())
 	if err != nil {

@@ -40,7 +40,7 @@ type columnFamily struct {
 
 	// Foreground traffic counters for workload characterization: point
 	// lookups, write ops and iterator seeks routed to this family. Atomic
-	// (updated outside db.mu, read lock-free by CaptureWorkloadSnapshot).
+	// (updated outside db.mu, read lock-free by WorkloadCounters).
 	readOps  atomic.Int64
 	writeOps atomic.Int64
 	scanOps  atomic.Int64
@@ -419,6 +419,7 @@ func (db *DB) probeTable(dst []byte, fm *FileMeta, lookup internalKey) (_ []byte
 	}
 	n := len(dst)
 	dst, found, deleted, err := r.get(dst, lookup)
+	r.unref()
 	if err != nil {
 		return dst, true, err
 	}

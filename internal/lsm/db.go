@@ -129,9 +129,6 @@ type DB struct {
 	history          *statsHistory
 	nextStatsDump    time.Duration
 	nextStatsPersist time.Duration
-
-	// wl holds the workload-characterization window state.
-	wl workloadState
 }
 
 // options returns the DB-scoped effective-options snapshot: the default
@@ -295,9 +292,8 @@ func OpenConfig(dir string, cfg *ConfigSet) (*DB, error) {
 		w.Close()
 	}
 	db.deleteObsoleteFilesLocked()
-	now := db.armStatsTimersLocked(opts)
+	db.armStatsTimersLocked(opts)
 	db.rt.start()
-	db.wl.base = db.readWorkloadCounters(now)
 	db.infoLog.logf("[db] open %s (families=%d write_buffer_size=%d block_cache_size=%d compaction_style=%s num_levels=%d)",
 		dir, len(db.cfOrder), opts.WriteBufferSize, cacheSize, opts.CompactionStyle, opts.NumLevels)
 	return db, nil

@@ -55,17 +55,18 @@ func (db *DB) NewIteratorCF(ro *ReadOptions, h *ColumnFamilyHandle) *Iterator {
 		children = append(children, st.imms[i].iterator())
 	}
 	// Every table opens on first positioning; L0 files overlap, so each is
-	// a level of one.
-	open := db.tcache.get
+	// a level of one. Each level holds a table-cache reference to the reader
+	// it is on until it moves off that table or the iterator closes.
+	open, release := db.tcache.get, (*tableReader).unref
 	l0 := v.LevelFiles(0)
 	for i := range l0 {
-		children = append(children, newLevelIter(l0[i:i+1], HintRandom, open))
+		children = append(children, newLevelIter(l0[i:i+1], HintRandom, open, release))
 	}
 	for level := 1; level < v.NumLevels(); level++ {
 		if len(v.LevelFiles(level)) == 0 {
 			continue
 		}
-		children = append(children, newLevelIter(v.LevelFiles(level), HintRandom, open))
+		children = append(children, newLevelIter(v.LevelFiles(level), HintRandom, open, release))
 	}
 	// The capture's version reference keeps the tables on disk until Close:
 	// they open lazily, so a compaction installing before the first Seek
@@ -188,8 +189,13 @@ func (it *Iterator) Err() error {
 	return it.merge.Err()
 }
 
-// Close releases the iterator.
+// Close releases the iterator: the table readers it holds and the version.
 func (it *Iterator) Close() error {
+	for _, c := range it.merge.children {
+		if l, ok := c.(*levelIter); ok {
+			l.close()
+		}
+	}
 	if it.v != nil {
 		it.v.refs.Add(-1)
 		it.v = nil

@@ -22,22 +22,25 @@ func (it *skipIter) Err() error { return nil }
 
 // levelIter concatenates the tables of one sorted, non-overlapping level.
 type levelIter struct {
-	files []*FileMeta
-	open  func(num uint64) (*tableReader, error)
-	hint  AccessHint
-	idx   int
-	cur   *tableIter
-	err   error
+	files   []*FileMeta
+	open    func(num uint64) (*tableReader, error)
+	release func(*tableReader) // nil when the opener closes its readers
+	hint    AccessHint
+	idx     int
+	r       *tableReader // the reader cur iterates
+	cur     *tableIter
+	err     error
 }
 
 // newLevelIter iterates a level's files in key order; open resolves file
-// numbers to readers (table cache or direct).
-func newLevelIter(files []*FileMeta, hint AccessHint, open func(num uint64) (*tableReader, error)) *levelIter {
-	return &levelIter{files: files, open: open, hint: hint, idx: -1}
+// numbers to readers (table cache or direct), and release, when set, lets go
+// of each reader once the iterator leaves its table or closes.
+func newLevelIter(files []*FileMeta, hint AccessHint, open func(num uint64) (*tableReader, error), release func(*tableReader)) *levelIter {
+	return &levelIter{files: files, open: open, release: release, hint: hint, idx: -1}
 }
 
 func (it *levelIter) openIndex(i int) {
-	it.cur = nil
+	it.close()
 	it.idx = i
 	if i < 0 || i >= len(it.files) || it.err != nil {
 		return
@@ -47,7 +50,15 @@ func (it *levelIter) openIndex(i int) {
 		it.err = err
 		return
 	}
-	it.cur = r.iterator(it.hint)
+	it.r, it.cur = r, r.iterator(it.hint)
+}
+
+// close releases the reader of the table the iterator is on, if any.
+func (it *levelIter) close() {
+	if it.r != nil && it.release != nil {
+		it.release(it.r)
+	}
+	it.r, it.cur = nil, nil
 }
 
 // SeekToFirst implements internalIterator.
@@ -96,7 +107,7 @@ func (it *levelIter) skipForward() {
 			return
 		}
 		if it.idx+1 >= len(it.files) {
-			it.cur = nil
+			it.close()
 			return
 		}
 		it.openIndex(it.idx + 1)

@@ -198,17 +198,22 @@ func TestReportBgIOStats(t *testing.T) {
 }
 
 // TestWorkloadSnapshotDrift flips a window from write-heavy to read-heavy
-// and checks the characterization and the drift score follow.
+// and checks the characterization and the drift score follow. Each window is
+// two counter readings; drift is scored against the window before, as the
+// tuning session scores it.
 func TestWorkloadSnapshotDrift(t *testing.T) {
 	db, _ := openTestDB(t, nil)
 	defer db.Close()
 	wo, ro := DefaultWriteOptions(), DefaultReadOptions()
+	c0 := db.WorkloadCounters()
 
 	// Window 1: all writes.
 	for i := 0; i < 1000; i++ {
 		db.Put(wo, []byte(fmt.Sprintf("k%05d", i)), make([]byte, 64))
 	}
-	w1 := db.CaptureWorkloadSnapshot()
+	c1 := db.WorkloadCounters()
+	w1 := NewWorkloadSnapshot(c0, c1)
+	w1.Drift = w1.DriftFrom(nil)
 	if w1.WriteFraction < 0.95 || w1.Reads != 0 {
 		t.Fatalf("write-heavy window characterized as %+v", w1)
 	}
@@ -220,7 +225,9 @@ func TestWorkloadSnapshotDrift(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		db.Get(ro, []byte(fmt.Sprintf("k%05d", i)))
 	}
-	w2 := db.CaptureWorkloadSnapshot()
+	c2 := db.WorkloadCounters()
+	w2 := NewWorkloadSnapshot(c1, c2)
+	w2.Drift = w2.DriftFrom(&w1)
 	if w2.ReadFraction < 0.95 || w2.Writes != 0 {
 		t.Fatalf("read-heavy window characterized as %+v", w2)
 	}
@@ -235,7 +242,8 @@ func TestWorkloadSnapshotDrift(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		db.Get(ro, []byte(fmt.Sprintf("k%05d", i)))
 	}
-	w3 := db.CaptureWorkloadSnapshot()
+	w3 := NewWorkloadSnapshot(c2, db.WorkloadCounters())
+	w3.Drift = w3.DriftFrom(&w2)
 	if w3.Drift > 0.2 {
 		t.Errorf("unchanged mix drift = %v, want ~0", w3.Drift)
 	}
@@ -248,6 +256,7 @@ func TestWorkloadSnapshotDrift(t *testing.T) {
 func TestWorkloadSnapshotPerCF(t *testing.T) {
 	db, _ := openTestDB(t, nil)
 	defer db.Close()
+	before := db.WorkloadCounters()
 	hot, err := db.CreateColumnFamily("hot", nil)
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +268,7 @@ func TestWorkloadSnapshotPerCF(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		db.Put(wo, []byte(fmt.Sprintf("d%04d", i)), []byte("v"))
 	}
-	ws := db.CaptureWorkloadSnapshot()
+	ws := NewWorkloadSnapshot(before, db.WorkloadCounters())
 	if ws.CFTraffic["hot"] < 0.6 || ws.CFTraffic["default"] > 0.4 {
 		t.Fatalf("cf traffic = %v, want hot ~0.75 / default ~0.25", ws.CFTraffic)
 	}
@@ -319,6 +328,7 @@ func TestPerfStatsConcurrency(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		prev := db.WorkloadCounters()
 		for {
 			select {
 			case <-stop:
@@ -328,7 +338,9 @@ func TestPerfStatsConcurrency(t *testing.T) {
 			db.PerfContext().Snapshot()
 			db.IOStats().Snapshot()
 			db.GetStatsHistory(0, 1<<62)
-			db.CaptureWorkloadSnapshot()
+			cur := db.WorkloadCounters()
+			NewWorkloadSnapshot(prev, cur)
+			prev = cur
 			db.SetPerfLevel(PerfEnableCount)
 			db.SetPerfLevel(PerfEnableTime)
 			time.Sleep(time.Millisecond)

@@ -729,17 +729,6 @@ func (e *SimEnv) MkdirAll(dir string) error {
 	return nil
 }
 
-// TotalFileBytes returns the sum of all file sizes (the simulated disk use).
-func (e *SimEnv) TotalFileBytes() int64 {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	var n int64
-	for _, f := range e.files {
-		n += int64(len(f.data))
-	}
-	return n
-}
-
 // --- page cache ---
 
 type pageKey struct {

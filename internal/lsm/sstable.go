@@ -298,6 +298,11 @@ type tableReader struct {
 	// a raw block is read straight into its destination, and only
 	// compressed ones go through the pooled buffer they are decoded out of.
 	direct atomic.Bool
+	// refs counts the holders of a table-cache reader: the cache while the
+	// table is cached, and each Get and iterator reading it. The last unref
+	// closes it. A reader opened outside the cache (compaction, checks) is
+	// closed by its opener instead.
+	refs atomic.Int32
 }
 
 // openTable reads the footer, index and filter blocks of an SSTable. perf
@@ -552,6 +557,14 @@ func (t *tableReader) get(dst []byte, ikey internalKey) (_ []byte, found, delete
 		return dst, true, true, nil
 	}
 	return append(dst, it.Value()...), true, false, nil
+}
+
+// unref drops one reference to a table-cache reader, closing it with the
+// last.
+func (t *tableReader) unref() {
+	if t.refs.Add(-1) == 0 {
+		t.close()
+	}
 }
 
 // close releases the file and evicts the table's cached blocks.

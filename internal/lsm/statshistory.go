@@ -132,8 +132,8 @@ func (db *DB) GetStatsHistory(start, end time.Duration) []StatsSnapshot {
 }
 
 // armStatsTimersLocked (re)arms both stats deadlines from o, one period from
-// now, and returns now. A period of zero disarms its timer.
-func (db *DB) armStatsTimersLocked(o *Options) time.Duration {
+// now. A period of zero disarms its timer.
+func (db *DB) armStatsTimersLocked(o *Options) {
 	now := db.env.Now()
 	db.nextStatsDump, db.nextStatsPersist = 0, 0
 	if d := o.statsDumpEvery(); d > 0 {
@@ -142,7 +142,6 @@ func (db *DB) armStatsTimersLocked(o *Options) time.Duration {
 	if d := o.statsPersistEvery(); d > 0 {
 		db.nextStatsPersist = now + d
 	}
-	return now
 }
 
 // maybePeriodicStatsLocked fires whichever of the stats_dump_period_sec /

@@ -61,24 +61,6 @@ func (v *Version) LevelBytes(level int) int64 {
 	return n
 }
 
-// TotalBytes returns the byte total across levels.
-func (v *Version) TotalBytes() int64 {
-	var n int64
-	for l := range v.levels {
-		n += v.LevelBytes(l)
-	}
-	return n
-}
-
-// TotalFiles returns the file count across levels.
-func (v *Version) TotalFiles() int {
-	n := 0
-	for l := range v.levels {
-		n += len(v.levels[l])
-	}
-	return n
-}
-
 // overlapsRange reports whether file f's key range intersects [smallest,
 // largest] by user key.
 func overlapsRange(f *FileMeta, smallestUser, largestUser []byte) bool {
@@ -240,15 +222,4 @@ func (v *Version) checkInvariants() error {
 		}
 	}
 	return nil
-}
-
-// LevelSummary renders "files[ 3 1 0 ... ]" like RocksDB's LOG lines.
-func (v *Version) LevelSummary() string {
-	var b bytes.Buffer
-	b.WriteString("files[")
-	for l := range v.levels {
-		fmt.Fprintf(&b, " %d", len(v.levels[l]))
-	}
-	b.WriteString(" ]")
-	return b.String()
 }

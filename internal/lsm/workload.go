@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -13,8 +12,8 @@ import (
 // observation window: the read/write/scan mix, how that traffic spread
 // across column families, and the derived health signals a tuner cares
 // about (write amplification, stall fraction, memtable hit ratio). It is
-// computed from ticker/histogram deltas, so back-to-back captures describe
-// disjoint windows.
+// computed from two readings of cumulative counters (WorkloadCounters), so
+// back-to-back windows describe disjoint stretches of traffic.
 type WorkloadSnapshot struct {
 	// WindowStart/WindowEnd bound the window on the env clock.
 	WindowStart time.Duration `json:"window_start_ns"`
@@ -41,72 +40,76 @@ type WorkloadSnapshot struct {
 	// MemtableHitRatio is memtable hits / (hits + misses) for the window.
 	MemtableHitRatio float64 `json:"memtable_hit_ratio"`
 
-	// Drift scores how different this window is from the previous capture
-	// on the same DB (0 = first window or identical mix).
+	// Drift scores how different this window is from the previous window
+	// its observer measured (0 = first window or identical shape). The tuning
+	// session sets it.
 	Drift float64 `json:"drift"`
 }
 
-// workloadBaseline is the counter state at the end of the previous window.
-type workloadBaseline struct {
-	at        time.Duration
-	reads     int64
-	writes    int64
-	scans     int64
-	cfOps     map[string]int64
-	userBytes int64
-	bgBytes   int64
-	stallUs   int64
-	memHit    int64
-	memMiss   int64
+// WorkloadCounters is one reading of the cumulative counters a workload
+// window diffs: per-family foreground traffic, the ticker totals behind the
+// health signals, and the env clock. A window is two readings taken by
+// whoever observes it (NewWorkloadSnapshot); the DB keeps no window of its
+// own. The JSON form is what a kvserver returns for OpWorkload.
+type WorkloadCounters struct {
+	// At is the env clock at the reading.
+	At time.Duration `json:"at_ns"`
+	// Families maps each family's name to its point lookups (MultiGet keys
+	// count one each), written entries and iterator seeks.
+	Families map[string]FamilyOps `json:"families"`
+	// UserBytes is rocksdb.bytes.written; BackgroundBytes is flush plus
+	// compaction write bytes.
+	UserBytes       int64 `json:"user_bytes"`
+	BackgroundBytes int64 `json:"background_bytes"`
+	StallMicros     int64 `json:"stall_micros"`
+	MemtableHits    int64 `json:"memtable_hits"`
+	MemtableMisses  int64 `json:"memtable_misses"`
 }
 
-// workloadState hangs off the DB: the last baseline plus the previous
-// snapshot for drift scoring. Guarded by its own mutex so captures never
-// contend with the write path.
-type workloadState struct {
-	mu   sync.Mutex
-	base workloadBaseline
-	prev *WorkloadSnapshot
+// FamilyOps is one family's cumulative foreground operation counts.
+type FamilyOps struct {
+	Reads  int64 `json:"reads"`
+	Writes int64 `json:"writes"`
+	Scans  int64 `json:"scans"`
 }
 
-// readWorkloadCounters collects the cumulative counters a snapshot diffs.
-func (db *DB) readWorkloadCounters(now time.Duration) workloadBaseline {
-	b := workloadBaseline{at: now, cfOps: make(map[string]int64)}
+// WorkloadCounters reads the DB's cumulative workload counters now.
+func (db *DB) WorkloadCounters() WorkloadCounters {
+	c := WorkloadCounters{At: db.env.Now(), Families: make(map[string]FamilyOps)}
 	if snap := db.cfSnap.Load(); snap != nil {
 		for _, cf := range *snap {
-			r, w, s := cf.readOps.Load(), cf.writeOps.Load(), cf.scanOps.Load()
-			b.reads += r
-			b.writes += w
-			b.scans += s
-			b.cfOps[cf.name] = r + w + s
+			c.Families[cf.name] = FamilyOps{cf.readOps.Load(), cf.writeOps.Load(), cf.scanOps.Load()}
 		}
 	}
-	b.userBytes = db.stats.Get(TickerBytesWritten)
-	b.bgBytes = db.stats.Get(TickerFlushBytes) + db.stats.Get(TickerCompactWriteBytes)
-	b.stallUs = db.stats.Get(TickerStallMicros)
-	b.memHit = db.stats.Get(TickerMemtableHit)
-	b.memMiss = db.stats.Get(TickerMemtableMiss)
-	return b
+	c.UserBytes = db.stats.Get(TickerBytesWritten)
+	c.BackgroundBytes = db.stats.Get(TickerFlushBytes) + db.stats.Get(TickerCompactWriteBytes)
+	c.StallMicros = db.stats.Get(TickerStallMicros)
+	c.MemtableHits = db.stats.Get(TickerMemtableHit)
+	c.MemtableMisses = db.stats.Get(TickerMemtableMiss)
+	return c
 }
 
-// CaptureWorkloadSnapshot closes the current observation window: it diffs
-// the live counters against the previous capture (or DB open), scores the
-// drift versus the previous window, and starts a new window.
-func (db *DB) CaptureWorkloadSnapshot() WorkloadSnapshot {
-	now := db.env.Now()
-	cur := db.readWorkloadCounters(now)
+// totals sums the families' operation counts.
+func (c WorkloadCounters) totals() (t FamilyOps) {
+	for _, f := range c.Families {
+		t.Reads += f.Reads
+		t.Writes += f.Writes
+		t.Scans += f.Scans
+	}
+	return t
+}
 
-	db.wl.mu.Lock()
-	defer db.wl.mu.Unlock()
-	base := db.wl.base
-	db.wl.base = cur
-
+// NewWorkloadSnapshot describes the window between two readings of the same
+// counters. Drift is left 0: scoring it needs the window before, which only
+// the observer knows.
+func NewWorkloadSnapshot(before, after WorkloadCounters) WorkloadSnapshot {
+	b, a := before.totals(), after.totals()
 	ws := WorkloadSnapshot{
-		WindowStart: base.at,
-		WindowEnd:   now,
-		Reads:       cur.reads - base.reads,
-		Writes:      cur.writes - base.writes,
-		Scans:       cur.scans - base.scans,
+		WindowStart: before.At,
+		WindowEnd:   after.At,
+		Reads:       a.Reads - b.Reads,
+		Writes:      a.Writes - b.Writes,
+		Scans:       a.Scans - b.Scans,
 		CFTraffic:   make(map[string]float64),
 	}
 	total := ws.Reads + ws.Writes + ws.Scans
@@ -114,38 +117,25 @@ func (db *DB) CaptureWorkloadSnapshot() WorkloadSnapshot {
 		ws.ReadFraction = float64(ws.Reads) / float64(total)
 		ws.WriteFraction = float64(ws.Writes) / float64(total)
 		ws.ScanFraction = float64(ws.Scans) / float64(total)
-		for name, ops := range cur.cfOps {
-			if d := ops - base.cfOps[name]; d > 0 {
+		for name, f := range after.Families {
+			g := before.Families[name]
+			if d := (f.Reads + f.Writes + f.Scans) - (g.Reads + g.Writes + g.Scans); d > 0 {
 				ws.CFTraffic[name] = float64(d) / float64(total)
 			}
 		}
 	}
-	if user := cur.userBytes - base.userBytes; user > 0 {
-		ws.WriteAmp = float64(cur.bgBytes-base.bgBytes)/float64(user) + 1
+	if user := after.UserBytes - before.UserBytes; user > 0 {
+		ws.WriteAmp = float64(after.BackgroundBytes-before.BackgroundBytes)/float64(user) + 1
 	}
-	if wall := now - base.at; wall > 0 {
-		stall := time.Duration(cur.stallUs-base.stallUs) * time.Microsecond
+	if wall := after.At - before.At; wall > 0 {
+		stall := time.Duration(after.StallMicros-before.StallMicros) * time.Microsecond
 		ws.StallFraction = math.Min(1, float64(stall)/float64(wall))
 	}
-	if probes := (cur.memHit - base.memHit) + (cur.memMiss - base.memMiss); probes > 0 {
-		ws.MemtableHitRatio = float64(cur.memHit-base.memHit) / float64(probes)
+	hits := after.MemtableHits - before.MemtableHits
+	if probes := hits + (after.MemtableMisses - before.MemtableMisses); probes > 0 {
+		ws.MemtableHitRatio = float64(hits) / float64(probes)
 	}
-	ws.Drift = ws.DriftFrom(db.wl.prev)
-	prev := ws
-	db.wl.prev = &prev
 	return ws
-}
-
-// ResetWorkloadWindow starts a fresh observation window at the current
-// counters and forgets the previous snapshot, so the next capture describes
-// only traffic from this point on with drift 0. Benchmark harnesses call it
-// after unmeasured preload phases.
-func (db *DB) ResetWorkloadWindow() {
-	cur := db.readWorkloadCounters(db.env.Now())
-	db.wl.mu.Lock()
-	db.wl.base = cur
-	db.wl.prev = nil
-	db.wl.mu.Unlock()
 }
 
 // DriftFrom scores how far this window's shape moved from prev: the L1

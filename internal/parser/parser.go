@@ -6,7 +6,6 @@
 package parser
 
 import (
-	"fmt"
 	"regexp"
 	"strings"
 )
@@ -123,18 +122,4 @@ func Parse(response string) Result {
 	}
 	scan(prose, false)
 	return res
-}
-
-// FormatChanges renders changes as "name=value" lines (for logs and the
-// deterioration prompt); family-scoped changes carry the family name.
-func FormatChanges(cs []Change) string {
-	var b strings.Builder
-	for _, c := range cs {
-		if c.CF != "" {
-			fmt.Fprintf(&b, "%s=%s (column family %q)\n", c.Name, c.Value, c.CF)
-		} else {
-			fmt.Fprintf(&b, "%s=%s\n", c.Name, c.Value)
-		}
-	}
-	return b.String()
 }

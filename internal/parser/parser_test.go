@@ -116,17 +116,6 @@ func TestParseSectionHeadersSkipped(t *testing.T) {
 	}
 }
 
-func TestFormatChanges(t *testing.T) {
-	s := FormatChanges([]Change{{Name: "a", Value: "1"}, {Name: "b", Value: "2"}})
-	if s != "a=1\nb=2\n" {
-		t.Fatalf("FormatChanges = %q", s)
-	}
-	s = FormatChanges([]Change{{Name: "write_buffer_size", Value: "1048576", CF: "hot"}})
-	if s != "write_buffer_size=1048576 (column family \"hot\")\n" {
-		t.Fatalf("FormatChanges with CF = %q", s)
-	}
-}
-
 func cfChangeMap(r Result) map[string]string {
 	m := make(map[string]string)
 	for _, c := range r.Changes {

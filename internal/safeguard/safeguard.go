@@ -117,16 +117,6 @@ func (e *Enforcer) Blacklist(names ...string) {
 	}
 }
 
-// Unblacklist removes names (for operators who know what they are doing).
-func (e *Enforcer) Unblacklist(names ...string) {
-	for _, n := range names {
-		delete(e.blacklist, n)
-	}
-}
-
-// IsBlacklisted reports whether an option is protected.
-func (e *Enforcer) IsBlacklisted(name string) bool { return e.blacklist[name] }
-
 // VetConfig classifies every change against a configuration, one decision
 // per change in order; ApplyConfig applies the accepted ones. Each change is
 // vetted against the options of the family it is scoped to (unscoped changes

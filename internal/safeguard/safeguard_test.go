@@ -91,11 +91,7 @@ func TestCustomBlacklist(t *testing.T) {
 	if d := vetOne(t, e, "compression", "snappy"); d.Verdict != Blacklisted {
 		t.Fatalf("custom blacklist ignored: %v", d.Verdict)
 	}
-	e.Unblacklist("compression")
-	if d := vetOne(t, e, "compression", "snappy"); d.Verdict != Accepted {
-		t.Fatalf("unblacklist failed: %v", d.Verdict)
-	}
-	if !e.IsBlacklisted("disable_wal") {
+	if vetOne(t, e, "disable_wal", "true").Verdict != Blacklisted {
 		t.Fatal("default blacklist missing disable_wal")
 	}
 }

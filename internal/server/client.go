@@ -2,10 +2,13 @@ package server
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"net"
 	"runtime"
 	"sync"
+
+	"repro/internal/lsm"
 )
 
 // pipelineDepth bounds the calls a Client holds queued for the write loop and
@@ -293,6 +296,20 @@ func (c *Client) Stats() (string, error) {
 		return "", err
 	}
 	return resp.Text, nil
+}
+
+// Workload fetches the server's cumulative workload counters; two readings
+// make a window (lsm.NewWorkloadSnapshot).
+func (c *Client) Workload() (lsm.WorkloadCounters, error) {
+	var wc lsm.WorkloadCounters
+	resp, err := c.Call(&Request{Op: OpWorkload})
+	if err != nil {
+		return wc, err
+	}
+	if err := json.Unmarshal([]byte(resp.Text), &wc); err != nil {
+		return wc, fmt.Errorf("kvserver: workload reply: %w", err)
+	}
+	return wc, nil
 }
 
 // Close tears the connection down. In-flight calls fail with net.ErrClosed

@@ -37,6 +37,7 @@ const (
 	OpBatch
 	OpStats
 	OpSetOptions
+	OpWorkload
 	opMax // one past the last valid opcode
 )
 
@@ -51,6 +52,7 @@ var opNames = [...]string{
 	OpBatch:      "batch",
 	OpStats:      "stats",
 	OpSetOptions: "setoptions",
+	OpWorkload:   "workload",
 }
 
 // OpName returns a human-readable opcode label.
@@ -99,6 +101,7 @@ type BatchEntry struct {
 //	OpBatch       Batch
 //	OpStats       (nothing)
 //	OpSetOptions  CF ("" = DB/default scope), Options (sorted name/value pairs)
+//	OpWorkload    (nothing)
 type Request struct {
 	Op      byte
 	CF      string
@@ -130,6 +133,7 @@ type KV struct {
 //	scan        Pairs
 //	stats       Text
 //	setoptions  Text (human-readable applied summary)
+//	workload    Text (the server's lsm.WorkloadCounters as JSON)
 //	errors      Err (human-readable message, Status == StatusErr)
 type Response struct {
 	Status byte
@@ -273,7 +277,7 @@ func EncodeRequest(dst []byte, req *Request) ([]byte, error) {
 				dst = appendBytes(dst, e.Value)
 			}
 		}
-	case OpStats:
+	case OpStats, OpWorkload:
 		// no payload
 	case OpSetOptions:
 		dst = appendString(dst, req.CF)
@@ -398,7 +402,7 @@ func DecodeRequestInto(body []byte, req *Request) error {
 				}
 			}
 		}
-	case OpStats:
+	case OpStats, OpWorkload:
 	case OpSetOptions:
 		if req.CF, err = r.string(); err != nil {
 			return err
@@ -455,7 +459,7 @@ func EncodeResponse(dst []byte, op byte, resp *Response) []byte {
 			dst = appendBytes(dst, kv.Key)
 			dst = appendBytes(dst, kv.Value)
 		}
-	case OpStats, OpSetOptions:
+	case OpStats, OpSetOptions, OpWorkload:
 		dst = appendString(dst, resp.Text)
 	}
 	return dst
@@ -543,7 +547,7 @@ func decodeResponseInto(op byte, body []byte, resp *Response) error {
 				return err
 			}
 		}
-	case OpStats, OpSetOptions:
+	case OpStats, OpSetOptions, OpWorkload:
 		if resp.Text, err = r.string(); err != nil {
 			return err
 		}

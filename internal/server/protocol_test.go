@@ -66,6 +66,7 @@ func testRequests() []*Request {
 			{CF: "cold", Key: []byte("k3"), Value: []byte{}},
 		}},
 		{Op: OpStats},
+		{Op: OpWorkload},
 		{Op: OpSetOptions, CF: "", Options: []OptionKV{
 			{Name: "write_buffer_size", Value: "1048576"},
 			{Name: "max_background_jobs", Value: "4"},
@@ -149,6 +150,7 @@ func TestResponseRoundTrip(t *testing.T) {
 		}}},
 		{OpScan, &Response{Status: StatusOK}}, // empty scan
 		{OpStats, &Response{Status: StatusOK, Text: "** stats **\nline\n"}},
+		{OpWorkload, &Response{Status: StatusOK, Text: `{"at_ns":5,"families":{"default":{"reads":3,"writes":2,"scans":1}}}`}},
 		{OpBatch, &Response{Status: StatusErr, Err: "boom"}},
 	}
 	for i, c := range cases {
@@ -262,6 +264,7 @@ func FuzzDecodeResponse(f *testing.F) {
 		OpScan:       {Pairs: []KV{{Key: []byte("a"), Value: []byte("1")}, {Key: []byte("b")}}},
 		OpStats:      {Text: "** stats **\n"},
 		OpSetOptions: {Text: "applied 1 option(s)"},
+		OpWorkload:   {Text: `{"at_ns":5,"families":{"default":{"reads":3,"writes":2,"scans":1}}}`},
 	}
 	for op := opInvalid; op <= opMax; op++ {
 		resp := Response{}

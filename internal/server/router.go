@@ -439,6 +439,23 @@ func (r *Router) Close() error {
 // cross-shard sum).
 func (r *Router) Statistics() *lsm.Statistics { return r.stats }
 
+// WorkloadCounters reads the server-wide workload counters: each family's
+// reads and writes summed over the shards, its scans from one shard (every
+// Scan seeks every shard exactly once), and the ticker totals and the clock
+// once, from the Statistics the shards share.
+func (r *Router) WorkloadCounters() lsm.WorkloadCounters {
+	c := r.shards[0].WorkloadCounters()
+	for _, db := range r.shards[1:] {
+		for name, f := range db.WorkloadCounters().Families {
+			sum := c.Families[name]
+			sum.Reads += f.Reads
+			sum.Writes += f.Writes
+			c.Families[name] = sum
+		}
+	}
+	return c
+}
+
 // Histograms merges every shard's engine histograms into one fresh set.
 func (r *Router) Histograms() *lsm.HistogramStats {
 	h := lsm.NewHistogramStats()

@@ -3,6 +3,7 @@ package server
 import (
 	"bufio"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -336,6 +337,11 @@ func (s *Server) exec(req *Request, resp *Response, sc *connScratch) {
 		resp.Pairs = sc.pairs
 	case OpStats:
 		resp.Text = s.router.StatsText()
+	case OpWorkload:
+		var js []byte
+		if js, err = json.Marshal(s.router.WorkloadCounters()); err == nil {
+			resp.Text = string(js)
+		}
 	case OpSetOptions:
 		if err = s.router.SetOptions(req.CF, req.Options); err != nil {
 			break

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -970,6 +971,67 @@ func TestRouterSharedStatistics(t *testing.T) {
 		if !strings.Contains(text, fmt.Sprintf("** Shard %d **", i)) {
 			t.Errorf("stats dump missing shard %d section", i)
 		}
+	}
+}
+
+// TestRouterWorkloadCounters reads a 3-shard server's workload counters over
+// the wire around known traffic: one Batch of 100 Puts, one MultiGet of 10
+// keys, 20 Gets and 5 Scans make a window of 100 writes, 30 reads and 5
+// scans. The engine tickers count differently for the same traffic (3 write
+// commits, one per shard; 40 reads, MultiGet keys twice; 15 seeks, one per
+// shard per Scan), so a window built from them misstates the mix.
+func TestRouterWorkloadCounters(t *testing.T) {
+	srv, addr := startServer(t, 3)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	before, err := c.Workload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := func(i int) []byte { return []byte(fmt.Sprintf("key-%04d", i)) }
+	batch := make([]BatchEntry, 100)
+	for i := range batch {
+		batch[i] = BatchEntry{Key: key(i), Value: []byte("v")}
+	}
+	if err := c.Batch(batch); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([][]byte, 10)
+	for i := range keys {
+		keys[i] = key(i)
+	}
+	if _, errs := c.MultiGet("", keys); slices.ContainsFunc(errs, func(e error) bool { return e != nil }) {
+		t.Fatalf("MultiGet errors %v", errs)
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := c.Get("", key(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		if _, err := c.Scan("", key(10*i), 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after, err := c.Workload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := lsm.NewWorkloadSnapshot(before, after)
+	if ws.Writes != 100 || ws.Reads != 30 || ws.Scans != 5 {
+		t.Fatalf("window counted %d writes, %d reads, %d scans; want 100, 30, 5", ws.Writes, ws.Reads, ws.Scans)
+	}
+	if share := ws.CFTraffic[lsm.DefaultColumnFamilyName]; share != 1 {
+		t.Errorf("default family carried %v of the traffic, want all of it", share)
+	}
+	if ws.WindowEnd <= ws.WindowStart || ws.WriteAmp < 1 {
+		t.Errorf("window %v..%v with write amp %v, want a forward clock and user bytes written", ws.WindowStart, ws.WindowEnd, ws.WriteAmp)
+	}
+	if local := srv.Router().WorkloadCounters(); local.Families[lsm.DefaultColumnFamilyName] != after.Families[lsm.DefaultColumnFamilyName] {
+		t.Errorf("router reads %+v, the wire returned %+v", local.Families, after.Families)
 	}
 }
 

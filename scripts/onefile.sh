@@ -15,14 +15,19 @@
 # onelru: code that moves list entries to the front (MoveToFront,
 #   "PushFront(" or "pushFront(") is a recency list; the block cache, the
 #   table cache and SimEnv's page-cache model are built on lru instead.
+# onewindow: a workload window's mix fractions are computed from two
+#   counter readings by lsm.NewWorkloadSnapshot; observers (the benchmark
+#   runner, the live targets, elmotune's server target) read counters and
+#   call it instead of counting the mix themselves.
 set -eu
-gate=${1:?usage: scripts/onefile.sh onestream|onehist|onelru}
+gate=${1:?usage: scripts/onefile.sh onestream|onehist|onelru|onewindow}
 
 # gate;roots;skipped path;pattern;allowed file;what a stray match is;what the pattern marks
 table='
 onestream;internal cmd;internal/bench/workload.go;[Ss]pec\.(ReadFraction|ScanFraction)|paretoValueSize\(;internal/bench/op.go;the op mix is decided;the op source
 onehist;internal cmd examples;-;sort\.SearchFloat64s|\) Percentile\(;internal/lsm/histogram.go;histogram bucket math lives;the histogram
 onelru;internal cmd examples;-;MoveToFront|PushFront\(|pushFront\(;internal/lsm/lru.go;recency-list code lives;the lru
+onewindow;internal cmd examples;-;(Read|Write|Scan)Fraction = float64\(;internal/lsm/workload.go;window mix fractions are computed;the window arithmetic
 '
 row=$(printf '%s\n' "$table" | grep "^$gate;") || {
     echo "onefile: unknown gate $gate" >&2
