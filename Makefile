@@ -46,10 +46,12 @@ serverbench:
 # Allocation regression gates: testing.AllocsPerRun bounds on the cache-hit
 # Get path, the single-writer commit path (both runtimes), memtable inserts
 # carved from the arena, reused block iteration, snappy block compression and
-# reads (scratch and cache-bound), the per-frame server/client paths, and a
-# burst of Puts committed as one write group; on the read side, a lookup
-# appended into a reused buffer, cache-hit Get frames, Scan pairs appended
-# without a copy each, and a whole client Get round trip.
+# reads (scratch and cache-bound), a block-cache insert into a full cache
+# (recycled list entries), the per-frame server/client paths, and a burst of
+# Puts committed as one write group; on the read side, a lookup appended
+# into a reused buffer, a whole scan over the pooled iterator tree
+# (TestAllocGateIterator), cache-hit Get frames, Scan(1) frames and Scan
+# pairs appended without a copy each, and a whole client Get round trip.
 # The limits are measured steady-state values plus noise headroom — a pooled
 # codec, buffer, or iterator falling out of reuse, or a memtable entry
 # allocated per Put, trips them immediately.

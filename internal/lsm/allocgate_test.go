@@ -212,6 +212,105 @@ func TestAllocGateBlockIter(t *testing.T) {
 	}
 }
 
+// TestAllocGateIterator gates a whole scan through the pooled iterator tree:
+// NewIteratorCF, Seek, 20 Nexts and Close over a DB holding a memtable, an
+// immutable memtable whose flush is paused, two L0 tables and an L1, with
+// every block cached. The tree is recycled across scans, so a steady-state
+// scan allocates 1, the Iterator handle; building the tree per scan costs
+// about 15 more.
+func TestAllocGateIterator(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation gate needs flushed tables")
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled iterator trees under -race")
+	}
+	db, env := openTableFileDB(t, func(o *Options) { o.WriteBufferSize = 64 << 10 })
+	defer db.Close()
+	if err := db.CompactRange(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	keys := make([][]byte, 500)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key%04d", i))
+	}
+	key := func(i int) []byte { return keys[i%len(keys)] }
+	val := bytes.Repeat([]byte{'v'}, 200)
+	for run := 0; run < 2; run++ {
+		for i := run; i < 500; i += 4 {
+			if err := db.Put(nil, key(i), val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Fill the memtable until it is frozen: its flush pauses on the table's
+	// first Append, so the frozen memtable stays while the gate measures.
+	env.mu.Lock()
+	env.armed = true
+	env.mu.Unlock()
+	defer close(env.release)
+	for i, frozen := 0, 0; frozen < 50; i++ {
+		if err := db.Put(nil, key(i*7), val); err != nil {
+			t.Fatal(err)
+		}
+		if n, _ := db.GetProperty("rocksdb.num-immutable-mem-table"); n != "0" {
+			frozen++
+		}
+	}
+	<-env.paused
+	scan := func(start int) {
+		it := db.NewIteratorCF(nil, nil)
+		n := 0
+		for it.Seek(key(start)); it.Valid() && n < 20; it.Next() {
+			n++
+		}
+		if err := it.Close(); err != nil || n != 20 {
+			t.Fatalf("scan from %s read %d keys, err %v", key(start), n, err)
+		}
+	}
+	it := db.NewIteratorCF(nil, nil)
+	for it.SeekToFirst(); it.Valid(); it.Next() {
+	}
+	if len(it.a.mems) != 2 || len(it.a.levels) < 3 {
+		t.Fatalf("tree holds %d memtables and %d levels, want 2 and at least 3 (two L0 tables, L1)", len(it.a.mems), len(it.a.levels))
+	}
+	it.Close()
+	i := 0
+	avg := testing.AllocsPerRun(200, func() {
+		scan(i * 37 % 450)
+		i++
+	})
+	t.Logf("%.2f allocations per scan", avg)
+	const limit = 1
+	if avg > limit {
+		t.Fatalf("Seek + 20 Next scan allocates %.2f, gate is %d", avg, limit)
+	}
+}
+
+// TestAllocGateBlockCacheInsert gates a block-cache insert into a full
+// cache: each insert evicts one block, whose list entry the next insert
+// reuses, so with the block passed in a steady-state insert allocates
+// nothing. 1 per insert means the cache allocates a list entry again.
+func TestAllocGateBlockCacheInsert(t *testing.T) {
+	const blocks = 64
+	block := make([]byte, 4096)
+	c := newBlockCache(blocks * (4096 + 64))
+	off := uint64(0)
+	insert := func() {
+		c.Insert(1, off, block)
+		off += 4096
+	}
+	for i := 0; i < 4*blocks; i++ {
+		insert()
+	}
+	if avg := testing.AllocsPerRun(1000, insert); avg != 0 {
+		t.Fatalf("steady-state blockCache.Insert allocates %.2f/op, want 0", avg)
+	}
+}
+
 // BenchmarkGetSSTCacheHit measures the steady-state point-read path against
 // flushed tables with a warm block cache — the path the allocation gate
 // guards.

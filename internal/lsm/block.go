@@ -125,6 +125,13 @@ func (it *blockIter) init(data []byte) error {
 	return nil
 }
 
+// release drops the iterator's references into its block, keeping the key
+// buffer's capacity.
+func (it *blockIter) release() {
+	it.data, it.val, it.valid, it.err = nil, nil, false, nil
+	it.key = it.key[:0]
+}
+
 // restart returns the i-th restart offset, read from the trailer in place.
 func (it *blockIter) restart(i int) uint32 {
 	return binary.LittleEndian.Uint32(it.data[int(it.dataLimit)+4*i:])

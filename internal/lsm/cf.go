@@ -305,8 +305,10 @@ func (st *readState) release() {
 	}
 }
 
-// captureReadState snapshots a family's read inputs under db.mu.
-func (db *DB) captureReadState(h *ColumnFamilyHandle, ro *ReadOptions) (readState, error) {
+// captureReadState snapshots a family's read inputs under db.mu. The frozen
+// memtables are copied into imms (which may be nil), so a caller that keeps
+// a buffer across reads copies them without allocating.
+func (db *DB) captureReadState(h *ColumnFamilyHandle, ro *ReadOptions, imms []*memtable) (readState, error) {
 	if db.perf.TimeEnabled() {
 		start := time.Now()
 		db.mu.Lock()
@@ -325,7 +327,7 @@ func (db *DB) captureReadState(h *ColumnFamilyHandle, ro *ReadOptions) (readStat
 	}
 	st := readState{
 		mem:  cf.mem,
-		imms: append([]*memtable(nil), cf.imm...),
+		imms: append(imms[:0], cf.imm...),
 		v:    db.vs.head(cf.id),
 		cf:   cf,
 		// Read at the published sequence: entries whose group has not
@@ -479,7 +481,7 @@ func (db *DB) AppendGetCF(dst []byte, ro *ReadOptions, h *ColumnFamilyHandle, ke
 	}
 	defer db.recordSince(HistGetMicros, db.rt.stopwatch())
 	db.env.ChargeCPU(simPrices.get.d)
-	st, err := db.captureReadState(h, ro)
+	st, err := db.captureReadState(h, ro, nil)
 	if err != nil {
 		return dst, err
 	}
@@ -510,7 +512,7 @@ func (db *DB) MultiGetCF(ro *ReadOptions, h *ColumnFamilyHandle, keys [][]byte) 
 		return vals, errs
 	}
 	db.env.ChargeCPU(time.Duration(len(keys)) * simPrices.multiGetKey.d)
-	st, err := db.captureReadState(h, ro)
+	st, err := db.captureReadState(h, ro, nil)
 	if err != nil {
 		for i := range errs {
 			errs[i] = err

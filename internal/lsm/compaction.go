@@ -464,10 +464,10 @@ func (db *DB) runCompactionSlice(c *compaction, v *Version, cfOpts *Options, s s
 			iters = append(iters, r.iterator(HintSequential))
 		}
 	} else {
-		iters = append(iters, newLevelIter(c.inputs[0], HintSequential, openBG, nil))
+		iters = append(iters, newLevelIter(c.inputs[0], HintSequential, openFunc(openBG)))
 	}
 	if len(c.inputs[1]) > 0 {
-		iters = append(iters, newLevelIter(c.inputs[1], HintSequential, openBG, nil))
+		iters = append(iters, newLevelIter(c.inputs[1], HintSequential, openFunc(openBG)))
 	}
 	var merged internalIterator = newMergeIter(iters)
 	if s.limit != nil {

@@ -472,22 +472,17 @@ func (db *DB) recordSince(h HistogramType, start time.Duration) {
 	db.hists.Record(h, db.rt.stopwatch()-start)
 }
 
-// bookWriteTraffic attributes a committed batch's entries to the touched
-// families' workload counters, splitting the entry count evenly across the
-// touched set (per-entry attribution would mean re-decoding the batch).
+// bookWriteTraffic books each family a committed batch touches its own
+// entry count in the family's workload counters.
 func (db *DB) bookWriteTraffic(batch *WriteBatch) {
 	snapPtr := db.cfSnap.Load()
-	if snapPtr == nil || len(batch.cfIDs) == 0 {
+	if snapPtr == nil {
 		return
 	}
-	per := int64(batch.Count()) / int64(len(batch.cfIDs))
-	if per < 1 {
-		per = 1
-	}
-	for _, id := range batch.cfIDs {
+	for _, c := range batch.cfs {
 		for _, cf := range *snapPtr {
-			if cf.id == id {
-				cf.writeOps.Add(per)
+			if cf.id == c.id {
+				cf.writeOps.Add(int64(c.entries))
 				break
 			}
 		}

@@ -2,34 +2,57 @@ package lsm
 
 import (
 	"bytes"
+	"slices"
+	"sync"
 	"time"
 )
 
 // Iterator walks user keys in ascending order, exposing the newest visible
 // version of each and hiding tombstones. Forward-only (Prev is not
 // implemented; the paper's workloads never reverse-scan).
+//
+// Key and Value are valid until the next Seek, SeekToFirst, Next or Close;
+// copy them to keep them longer. An Iterator must be closed: Close releases
+// the table readers and the version it holds and recycles its iterator tree
+// for a later scan. A closed Iterator is never Valid, its moves do nothing,
+// Err keeps reporting what Close returned, and closing it again is harmless.
+// An Iterator is not safe for concurrent use.
 type Iterator struct {
-	db    *DB
-	merge *mergeIter
-	seq   uint64
-	cf    *columnFamily
+	a   *iterAlloc // the scan's iterator tree; nil once closed
+	err error      // the failed capture, or the error Close returned
+}
+
+// iterAlloc is one scan's whole iterator tree in a single allocation, reused
+// across scans through iterAllocPool in the style of Pebble's iterAlloc: the
+// merge iterator with its child and heap slices, a skipIter per memtable, a
+// levelIter (its tableIter and block iterators held by value) per L0 file
+// and non-empty level, and the key, value, skip and seek-key buffers. The
+// Iterator handle owns it from NewIteratorCF to Close; release clears every
+// pointer it holds into blocks, readers, versions and memtables, so a pooled
+// iterAlloc pins nothing but its own buffers.
+type iterAlloc struct {
+	db  *DB
+	cf  *columnFamily
+	seq uint64
 
 	// v is the referenced version this iterator scans; the reference keeps
 	// its tables on disk while a compaction (possibly triggered by a live
 	// SetOptions change) retires the version mid-scan. Released by Close.
 	v *Version
 
-	// Child-iterator counts captured at construction, booked into the
-	// PerfContext on every Seek/SeekToFirst.
-	memChildren int
-	numChildren int
+	merge  mergeIter
+	mems   []skipIter  // memtable, then frozen memtables newest first
+	levels []levelIter // one per L0 file, then one per non-empty level
+	imms   []*memtable // the capture's frozen memtables, cleared once built
 
-	key   []byte
-	value []byte
-	skip  []byte // reusable skip-key buffer for Next (see findNextVisible)
-	valid bool
-	err   error // the failed capture, if any (see NewIteratorCF)
+	key     []byte
+	value   []byte
+	skip    []byte      // reusable skip-key buffer for Next (see findNextVisible)
+	seekKey internalKey // Seek's target as an internal key
+	valid   bool
 }
+
+var iterAllocPool = sync.Pool{New: func() any { return new(iterAlloc) }}
 
 // NewIterator returns a point-in-time iterator over the default family.
 func (db *DB) NewIterator(ro *ReadOptions) *Iterator {
@@ -44,54 +67,77 @@ func (db *DB) NewIteratorCF(ro *ReadOptions, h *ColumnFamilyHandle) *Iterator {
 	if ro == nil {
 		ro = defaultReadOptions
 	}
-	st, err := db.captureReadState(h, ro)
+	a := iterAllocPool.Get().(*iterAlloc)
+	a.db = db
+	st, err := db.captureReadState(h, ro, a.imms)
 	if err != nil {
-		return &Iterator{db: db, merge: newMergeIter(nil), err: err}
+		return &Iterator{a: a, err: err}
 	}
-	v := st.v
-	children := make([]internalIterator, 0, 1+len(st.imms)+len(v.LevelFiles(0))+v.NumLevels())
-	children = append(children, st.mem.iterator())
-	for i := len(st.imms) - 1; i >= 0; i-- {
-		children = append(children, st.imms[i].iterator())
+	a.seq, a.cf, a.v, a.imms = st.seq, st.cf, st.v, st.imms
+	a.mems = slices.Grow(a.mems[:0], 1+len(st.imms))[:1+len(st.imms)]
+	a.mems[0] = skipIter{list: st.mem.list}
+	for i, m := range st.imms {
+		a.mems[len(st.imms)-i] = skipIter{list: m.list}
 	}
+	clear(a.imms)
 	// Every table opens on first positioning; L0 files overlap, so each is
 	// a level of one. Each level holds a table-cache reference to the reader
-	// it is on until it moves off that table or the iterator closes.
-	open, release := db.tcache.get, (*tableReader).unref
-	l0 := v.LevelFiles(0)
-	for i := range l0 {
-		children = append(children, newLevelIter(l0[i:i+1], HintRandom, open, release))
-	}
-	for level := 1; level < v.NumLevels(); level++ {
-		if len(v.LevelFiles(level)) == 0 {
-			continue
+	// it is on until it moves off that table or the iterator closes. A slot
+	// past the slice's length keeps the buffers of the scan that used it.
+	for level := 0; level < st.v.NumLevels(); level++ {
+		for files := st.v.LevelFiles(level); len(files) > 0; {
+			n := len(files)
+			if level == 0 {
+				n = 1
+			}
+			a.levels = slices.Grow(a.levels, 1)[:len(a.levels)+1]
+			a.levels[len(a.levels)-1].init(files[:n], HintRandom, db.tcache)
+			files = files[n:]
 		}
-		children = append(children, newLevelIter(v.LevelFiles(level), HintRandom, open, release))
+	}
+	children := a.merge.children[:0]
+	for i := range a.mems {
+		children = append(children, &a.mems[i])
+	}
+	for i := range a.levels {
+		children = append(children, &a.levels[i])
 	}
 	// The capture's version reference keeps the tables on disk until Close:
 	// they open lazily, so a compaction installing before the first Seek
 	// could otherwise delete them out from under the scan.
-	return &Iterator{
-		db:          db,
-		merge:       newMergeIter(children),
-		seq:         st.seq,
-		cf:          st.cf,
-		v:           v,
-		memChildren: 1 + len(st.imms),
-		numChildren: len(children),
+	a.merge.children = children
+	return &Iterator{a: a}
+}
+
+// release closes the tree's level iterators, which hands their table
+// readers back, drops the version reference, and clears every pointer the
+// tree holds outside itself.
+func (a *iterAlloc) release() {
+	for i := range a.levels {
+		a.levels[i].close()
+		a.levels[i].init(nil, 0, nil)
 	}
+	if a.v != nil {
+		a.v.refs.Add(-1)
+	}
+	a.db, a.cf, a.v = nil, nil, nil
+	a.merge.release()
+	clear(a.mems)
+	a.mems, a.levels = a.mems[:0], a.levels[:0]
+	a.key, a.value, a.skip = a.key[:0], a.value[:0], a.skip[:0]
+	a.valid = false
 }
 
 // findNextVisible advances the underlying merge iterator to the next user
 // key whose newest visible version is a live value. skip is scratch owned by
-// the caller (it.skip or nil); its contents are overwritten freely.
-func (it *Iterator) findNextVisible(skip []byte) {
-	it.valid = false
-	for it.merge.Valid() {
-		ik := it.merge.Key()
+// the caller (a.skip or nil); its contents are overwritten freely.
+func (a *iterAlloc) findNextVisible(skip []byte) {
+	a.valid = false
+	for a.merge.Valid() {
+		ik := a.merge.Key()
 		uk := ik.userKey()
 		switch {
-		case ik.seq() > it.seq:
+		case ik.seq() > a.seq:
 			// Written after our snapshot: invisible.
 		case skip != nil && bytes.Equal(uk, skip):
 			// Older version (or any version) of a key already emitted or
@@ -99,106 +145,121 @@ func (it *Iterator) findNextVisible(skip []byte) {
 		case ik.kind() == KindDelete:
 			skip = append(skip[:0], uk...)
 		default:
-			it.key = append(it.key[:0], uk...)
-			it.value = append(it.value[:0], it.merge.Value()...)
-			it.valid = true
+			a.key = append(a.key[:0], uk...)
+			a.value = append(a.value[:0], a.merge.Value()...)
+			a.valid = true
 			// Remember the key so Next skips its older versions.
 			return
 		}
-		it.merge.Next()
+		a.merge.Next()
 	}
 }
 
 // bookSeek records one positioning operation in the ticker, per-CF traffic
 // and PerfContext seek counters.
-func (it *Iterator) bookSeek() {
-	it.db.stats.Add(TickerSeekCount, 1)
-	if it.cf != nil {
-		it.cf.scanOps.Add(1)
+func (a *iterAlloc) bookSeek() {
+	a.db.stats.Add(TickerSeekCount, 1)
+	if a.cf != nil {
+		a.cf.scanOps.Add(1)
 	}
-	it.db.perf.Add(PerfSeekOnMemtableCount, int64(it.memChildren))
-	it.db.perf.Add(PerfSeekChildSeekCount, int64(it.numChildren))
+	a.db.perf.Add(PerfSeekOnMemtableCount, int64(len(a.mems)))
+	a.db.perf.Add(PerfSeekChildSeekCount, int64(len(a.merge.children)))
 }
 
-// SeekToFirst positions at the first visible key.
-func (it *Iterator) SeekToFirst() {
-	defer it.db.recordSince(HistSeekMicros, it.db.rt.stopwatch())
-	it.db.env.ChargeCPU(simPrices.iterSeek.d)
-	it.bookSeek()
-	timed := it.db.perf.TimeEnabled()
+// seek positions at the first visible key >= target, or at the first
+// visible key when target is nil.
+func (a *iterAlloc) seek(target []byte, first bool) {
+	defer a.db.recordSince(HistSeekMicros, a.db.rt.stopwatch())
+	a.db.env.ChargeCPU(simPrices.iterSeek.d)
+	a.bookSeek()
+	timed := a.db.perf.TimeEnabled()
 	var start time.Time
 	if timed {
 		start = time.Now()
 	}
-	it.merge.SeekToFirst()
-	it.findNextVisible(nil)
+	if first {
+		a.merge.SeekToFirst()
+	} else {
+		a.seekKey = makeInternalKey(a.seekKey[:0], target, a.seq, KindValue)
+		a.merge.Seek(a.seekKey)
+	}
+	a.findNextVisible(nil)
 	if timed {
-		it.db.perf.AddTime(PerfSeekInternalSeekTime, time.Since(start))
+		a.db.perf.AddTime(PerfSeekInternalSeekTime, time.Since(start))
+	}
+}
+
+// SeekToFirst positions at the first visible key.
+func (it *Iterator) SeekToFirst() {
+	if it.a != nil {
+		it.a.seek(nil, true)
 	}
 }
 
 // Seek positions at the first visible key >= target.
 func (it *Iterator) Seek(target []byte) {
-	defer it.db.recordSince(HistSeekMicros, it.db.rt.stopwatch())
-	it.db.env.ChargeCPU(simPrices.iterSeek.d)
-	it.bookSeek()
-	timed := it.db.perf.TimeEnabled()
-	var start time.Time
-	if timed {
-		start = time.Now()
-	}
-	it.merge.Seek(makeInternalKey(nil, target, it.seq, KindValue))
-	it.findNextVisible(nil)
-	if timed {
-		it.db.perf.AddTime(PerfSeekInternalSeekTime, time.Since(start))
+	if it.a != nil {
+		it.a.seek(target, false)
 	}
 }
 
 // Next advances to the next visible key.
 func (it *Iterator) Next() {
-	if !it.valid {
+	a := it.a
+	if a == nil || !a.valid {
 		return
 	}
-	defer it.db.recordSince(HistNextMicros, it.db.rt.stopwatch())
-	it.db.env.ChargeCPU(simPrices.iterNext.d)
-	it.db.stats.Add(TickerNextCount, 1)
-	it.skip = append(it.skip[:0], it.key...)
-	it.merge.Next()
-	if len(it.skip) == 0 {
+	defer a.db.recordSince(HistNextMicros, a.db.rt.stopwatch())
+	a.db.env.ChargeCPU(simPrices.iterNext.d)
+	a.db.stats.Add(TickerNextCount, 1)
+	a.skip = append(a.skip[:0], a.key...)
+	a.merge.Next()
+	if len(a.skip) == 0 {
 		// Preserve nil-skip semantics for an empty current key.
-		it.findNextVisible(nil)
+		a.findNextVisible(nil)
 	} else {
-		it.findNextVisible(it.skip)
+		a.findNextVisible(a.skip)
 	}
 }
 
 // Valid reports whether the iterator is positioned on a key.
-func (it *Iterator) Valid() bool { return it.valid }
+func (it *Iterator) Valid() bool { return it.a != nil && it.a.valid }
 
-// Key returns the current user key (valid until the next move).
-func (it *Iterator) Key() []byte { return it.key }
+// Key returns the current user key (valid until the next move or Close).
+func (it *Iterator) Key() []byte {
+	if it.a == nil {
+		return nil
+	}
+	return it.a.key
+}
 
-// Value returns the current value (valid until the next move).
-func (it *Iterator) Value() []byte { return it.value }
+// Value returns the current value (valid until the next move or Close).
+func (it *Iterator) Value() []byte {
+	if it.a == nil {
+		return nil
+	}
+	return it.a.value
+}
 
 // Err returns the first error encountered while iterating.
 func (it *Iterator) Err() error {
-	if it.err != nil {
+	if it.err != nil || it.a == nil {
 		return it.err
 	}
-	return it.merge.Err()
+	return it.a.merge.Err()
 }
 
-// Close releases the iterator: the table readers it holds and the version.
+// Close releases the table readers the iterator holds and its version, and
+// recycles its iterator tree. It returns Err; closing again returns the same
+// and does nothing else.
 func (it *Iterator) Close() error {
-	for _, c := range it.merge.children {
-		if l, ok := c.(*levelIter); ok {
-			l.close()
-		}
+	a := it.a
+	if a == nil {
+		return it.err
 	}
-	if it.v != nil {
-		it.v.refs.Add(-1)
-		it.v = nil
-	}
-	return it.Err()
+	it.err = it.Err()
+	it.a = nil
+	a.release()
+	iterAllocPool.Put(a)
+	return it.err
 }

@@ -12,6 +12,10 @@ package lsm
 // so it may empty the cache. onEvict, when set, sees every entry add or
 // resize evicts; remove does not call it.
 //
+// An entry that leaves the list is kept, zeroed, on a free list of at most
+// lruSpares entries for the next add, so a full cache that evicts one entry
+// per insert allocates none.
+//
 // lru has no lock: each owner serializes access under the lock it already
 // holds.
 type lru[K comparable, V any] struct {
@@ -20,7 +24,13 @@ type lru[K comparable, V any] struct {
 	used    int64
 	budget  int64
 	onEvict func(K, V)
+	free    *lruEntry[K, V] // spare entries, linked through next
+	spares  int
 }
+
+// lruSpares bounds the free list: enough for an insert that evicts several
+// smaller entries, while a resize that empties the cache keeps no more.
+const lruSpares = 16
 
 type lruEntry[K comparable, V any] struct {
 	key        K
@@ -73,7 +83,12 @@ func (c *lru[K, V]) add(k K, v V, charge int64) {
 		e.value, e.charge = v, charge
 		c.unlink(e)
 	} else {
-		e = &lruEntry[K, V]{key: k, value: v, charge: charge}
+		if e = c.free; e != nil {
+			c.free, c.spares = e.next, c.spares-1
+			e.key, e.value, e.charge = k, v, charge
+		} else {
+			e = &lruEntry[K, V]{key: k, value: v, charge: charge}
+		}
 		c.m[k] = e
 		c.used += charge
 	}
@@ -89,7 +104,9 @@ func (c *lru[K, V]) remove(k K) (V, bool) {
 		return zero, false
 	}
 	c.drop(e)
-	return e.value, true
+	v := e.value
+	c.recycle(e)
+	return v, true
 }
 
 // resize sets a new budget and evicts down to it; nothing is protected, so
@@ -108,6 +125,7 @@ func (c *lru[K, V]) evict(keep *lruEntry[K, V]) {
 		if c.onEvict != nil {
 			c.onEvict(victim.key, victim.value)
 		}
+		c.recycle(victim)
 	}
 }
 
@@ -115,4 +133,15 @@ func (c *lru[K, V]) drop(e *lruEntry[K, V]) {
 	c.unlink(e)
 	delete(c.m, e.key)
 	c.used -= e.charge
+}
+
+// recycle puts a dropped entry on the free list, zeroed so that a spare pins
+// no block, reader or page, unless the list already holds lruSpares.
+func (c *lru[K, V]) recycle(e *lruEntry[K, V]) {
+	if c.spares == lruSpares {
+		return
+	}
+	*e = lruEntry[K, V]{next: c.free}
+	c.free = e
+	c.spares++
 }

@@ -20,23 +20,46 @@ type internalIterator interface {
 // Err implements internalIterator for skipIter (skiplists cannot fail).
 func (it *skipIter) Err() error { return nil }
 
-// levelIter concatenates the tables of one sorted, non-overlapping level.
-type levelIter struct {
-	files   []*FileMeta
-	open    func(num uint64) (*tableReader, error)
-	release func(*tableReader) // nil when the opener closes its readers
-	hint    AccessHint
-	idx     int
-	r       *tableReader // the reader cur iterates
-	cur     *tableIter
-	err     error
+// tableOpener resolves a level's file numbers to readers and takes each
+// reader back when a level iterator leaves its table or closes.
+type tableOpener interface {
+	get(num uint64) (*tableReader, error)
+	release(r *tableReader)
 }
 
-// newLevelIter iterates a level's files in key order; open resolves file
-// numbers to readers (table cache or direct), and release, when set, lets go
-// of each reader once the iterator leaves its table or closes.
-func newLevelIter(files []*FileMeta, hint AccessHint, open func(num uint64) (*tableReader, error), release func(*tableReader)) *levelIter {
-	return &levelIter{files: files, open: open, release: release, hint: hint, idx: -1}
+// openFunc is a tableOpener whose readers the opener closes itself, so
+// release does nothing (compaction's input readers).
+type openFunc func(num uint64) (*tableReader, error)
+
+func (f openFunc) get(num uint64) (*tableReader, error) { return f(num) }
+func (openFunc) release(*tableReader)                   {}
+
+// levelIter concatenates the tables of one sorted, non-overlapping level.
+// Its tableIter is held by value and re-initialized per table, so the block
+// iterators' key buffers keep their capacity across files.
+type levelIter struct {
+	files []*FileMeta
+	src   tableOpener
+	hint  AccessHint
+	idx   int
+	r     *tableReader // the reader ti iterates; nil when on no table
+	ti    tableIter
+	err   error
+}
+
+// newLevelIter iterates a level's files in key order; src resolves file
+// numbers to readers (table cache or direct) and takes back each reader once
+// the iterator leaves its table or closes.
+func newLevelIter(files []*FileMeta, hint AccessHint, src tableOpener) *levelIter {
+	it := &levelIter{}
+	it.init(files, hint, src)
+	return it
+}
+
+// init points the iterator at a level's files, unpositioned.
+func (it *levelIter) init(files []*FileMeta, hint AccessHint, src tableOpener) {
+	it.files, it.src, it.hint = files, src, hint
+	it.idx, it.r, it.err = -1, nil, nil
 }
 
 func (it *levelIter) openIndex(i int) {
@@ -45,27 +68,30 @@ func (it *levelIter) openIndex(i int) {
 	if i < 0 || i >= len(it.files) || it.err != nil {
 		return
 	}
-	r, err := it.open(it.files[i].Number)
+	r, err := it.src.get(it.files[i].Number)
 	if err != nil {
 		it.err = err
 		return
 	}
-	it.r, it.cur = r, r.iterator(it.hint)
+	it.r = r
+	it.ti.init(r, it.hint)
 }
 
-// close releases the reader of the table the iterator is on, if any.
+// close releases the reader of the table the iterator is on, if any, and
+// drops the table iterator's references into it.
 func (it *levelIter) close() {
-	if it.r != nil && it.release != nil {
-		it.release(it.r)
+	if it.r != nil {
+		it.src.release(it.r)
+		it.r = nil
+		it.ti.release()
 	}
-	it.r, it.cur = nil, nil
 }
 
 // SeekToFirst implements internalIterator.
 func (it *levelIter) SeekToFirst() {
 	it.openIndex(0)
-	if it.cur != nil {
-		it.cur.SeekToFirst()
+	if it.r != nil {
+		it.ti.SeekToFirst()
 	}
 	it.skipForward()
 }
@@ -83,27 +109,27 @@ func (it *levelIter) Seek(key internalKey) {
 		}
 	}
 	it.openIndex(lo)
-	if it.cur != nil {
-		it.cur.Seek(key)
+	if it.r != nil {
+		it.ti.Seek(key)
 	}
 	it.skipForward()
 }
 
 // Next implements internalIterator.
 func (it *levelIter) Next() {
-	if it.cur == nil {
+	if it.r == nil {
 		return
 	}
-	it.cur.Next()
+	it.ti.Next()
 	it.skipForward()
 }
 
 // skipForward advances to the next non-empty table when the current one is
 // exhausted.
 func (it *levelIter) skipForward() {
-	for it.err == nil && (it.cur == nil || !it.cur.Valid()) {
-		if it.cur != nil && it.cur.Err() != nil {
-			it.err = it.cur.Err()
+	for it.err == nil && (it.r == nil || !it.ti.Valid()) {
+		if it.r != nil && it.ti.Err() != nil {
+			it.err = it.ti.Err()
 			return
 		}
 		if it.idx+1 >= len(it.files) {
@@ -111,20 +137,20 @@ func (it *levelIter) skipForward() {
 			return
 		}
 		it.openIndex(it.idx + 1)
-		if it.cur != nil {
-			it.cur.SeekToFirst()
+		if it.r != nil {
+			it.ti.SeekToFirst()
 		}
 	}
 }
 
 // Valid implements internalIterator.
-func (it *levelIter) Valid() bool { return it.err == nil && it.cur != nil && it.cur.Valid() }
+func (it *levelIter) Valid() bool { return it.err == nil && it.r != nil && it.ti.Valid() }
 
 // Key implements internalIterator.
-func (it *levelIter) Key() internalKey { return it.cur.Key() }
+func (it *levelIter) Key() internalKey { return it.ti.Key() }
 
 // Value implements internalIterator.
-func (it *levelIter) Value() []byte { return it.cur.Value() }
+func (it *levelIter) Value() []byte { return it.ti.Value() }
 
 // Err implements internalIterator.
 func (it *levelIter) Err() error { return it.err }
@@ -197,6 +223,14 @@ func (h *mergeHeap) Pop() interface{} {
 // newMergeIter merges the children (which need not be positioned yet).
 func newMergeIter(children []internalIterator) *mergeIter {
 	return &mergeIter{children: children}
+}
+
+// release empties the child and heap slices, keeping their capacity, so a
+// pooled mergeIter points at no iterator.
+func (it *mergeIter) release() {
+	clear(it.children)
+	clear(it.h[:cap(it.h)]) // Pop leaves its victims past len
+	it.children, it.h, it.err = it.children[:0], it.h[:0], nil
 }
 
 func (it *mergeIter) rebuild() {

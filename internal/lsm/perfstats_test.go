@@ -274,6 +274,59 @@ func TestWorkloadSnapshotPerCF(t *testing.T) {
 	}
 }
 
+// TestWriteTrafficPerFamily: a committed batch books each family it touches
+// its own entry count, not an even share of the batch.
+func TestWriteTrafficPerFamily(t *testing.T) {
+	db, _ := openTestDB(t, nil)
+	defer db.Close()
+	hot, err := db.CreateColumnFamily("hot", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writes := func(fill func(b *WriteBatch)) (hotWrites, defaultWrites int64) {
+		t.Helper()
+		before := db.WorkloadCounters()
+		b := NewWriteBatch()
+		fill(b)
+		if err := db.Write(nil, b); err != nil {
+			t.Fatal(err)
+		}
+		after := db.WorkloadCounters()
+		return after.Families["hot"].Writes - before.Families["hot"].Writes,
+			after.Families["default"].Writes - before.Families["default"].Writes
+	}
+	for _, tc := range []struct {
+		name       string
+		fill       func(b *WriteBatch)
+		hot, deflt int64
+	}{
+		{"99 hot, 1 default", func(b *WriteBatch) {
+			for i := 0; i < 99; i++ {
+				b.PutCF(hot, []byte(fmt.Sprintf("h%02d", i)), []byte("v"))
+			}
+			b.Put([]byte("d"), []byte("v"))
+		}, 99, 1},
+		{"3 entries over 2 families", func(b *WriteBatch) {
+			b.Put([]byte("d1"), []byte("v"))
+			b.DeleteCF(hot, []byte("h1"))
+			b.Delete([]byte("d2"))
+		}, 1, 2},
+		{"one family", func(b *WriteBatch) {
+			for i := 0; i < 5; i++ {
+				b.PutCF(hot, []byte(fmt.Sprintf("h%d", i)), []byte("v"))
+			}
+		}, 5, 0},
+		{"default only", func(b *WriteBatch) {
+			b.Put([]byte("d"), []byte("v"))
+			b.Delete([]byte("d"))
+		}, 0, 2},
+	} {
+		if h, d := writes(tc.fill); h != tc.hot || d != tc.deflt {
+			t.Errorf("%s: booked hot %d, default %d; want %d, %d", tc.name, h, d, tc.hot, tc.deflt)
+		}
+	}
+}
+
 // TestPerfStatsConcurrency hammers an OS-mode DB with concurrent reads,
 // writes, scans and observability readers while perf collection and the
 // stats-history pump run — the -race target for this subsystem.

@@ -579,7 +579,8 @@ func (t *tableReader) close() error {
 // data block iterators live inside the struct and are re-initialized in
 // place per block, and cache-less readers (compaction, verify) recycle one
 // private block buffer across sequential loads — steady-state iteration
-// allocates nothing.
+// allocates nothing. init re-points a tableIter at another table keeping
+// those buffers, which is how a level iterator walks its files.
 type tableIter struct {
 	t        *tableReader
 	idx      *blockIter // points at idxState (nil only on init error)
@@ -593,12 +594,27 @@ type tableIter struct {
 
 // iterator returns an iterator over the table. hint prices block reads.
 func (t *tableReader) iterator(hint AccessHint) *tableIter {
-	it := &tableIter{t: t, hint: hint}
+	it := &tableIter{}
+	it.init(t, hint)
+	return it
+}
+
+// init points the iterator at table t, unpositioned, keeping its block
+// iterators' key buffers and its private block buffer.
+func (it *tableIter) init(t *tableReader, hint AccessHint) {
+	it.t, it.hint, it.idx, it.data = t, hint, nil, nil
 	it.err = it.idxState.init(t.indexRaw)
 	if it.err == nil {
 		it.idx = &it.idxState
 	}
-	return it
+}
+
+// release drops every reference the iterator holds into its table and the
+// table's blocks, keeping only its own buffers.
+func (it *tableIter) release() {
+	it.t, it.idx, it.data, it.err = nil, nil, nil, nil
+	it.idxState.release()
+	it.dataSt.release()
 }
 
 // loadDataBlock opens the data block under the current index position.

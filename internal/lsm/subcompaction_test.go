@@ -29,13 +29,15 @@ func dumpAll(t testing.TB, db *DB, ro *ReadOptions, h *ColumnFamilyHandle) strin
 // width, and returns the post-compaction dumps: latest and snapshot-pinned
 // views of the default family, plus the latest view of the aux family. The
 // workload is seeded, so every call replays identical data and any
-// difference between calls is the compactor's doing.
-func subcompactionWorkloadDumps(t testing.TB, subs int) (latest, atSnap, aux string) {
+// difference between calls is the compactor's doing. maxOpenFiles sizes the
+// table cache (-1 unlimited).
+func subcompactionWorkloadDumps(t testing.TB, subs, maxOpenFiles int) (latest, atSnap, aux string) {
 	opts := DefaultOptions()
 	opts.WriteBufferSize = 64 << 10
 	opts.TargetFileSizeBase = 64 << 10 // minimum: force multi-file outputs
 	opts.MaxBytesForLevelBase = 256 << 10
 	opts.MaxSubcompactions = subs
+	opts.MaxOpenFiles = maxOpenFiles
 	opts.DisableAutoCompactions = true // only the manual compaction merges
 	db, err := Open(t.TempDir(), opts)
 	if err != nil {
@@ -116,22 +118,27 @@ func subcompactionWorkloadDumps(t testing.TB, subs int) (latest, atSnap, aux str
 // compacted at max_subcompactions=1 and =4 yields byte-identical iterator
 // dumps for the latest view, for a snapshot held across the compaction
 // (older versions and tombstones at slice boundaries must survive
-// identically), and for a second column family. Runs under -race via the
-// race CI target.
+// identically), and for a second column family. Both widths also run with
+// max_open_files=2, so the dumps' iterators walk the compacted tables
+// through a table cache that keeps evicting the readers they let go of.
+// Runs under -race via the race CI target.
 func TestSubcompactionEquivalence(t *testing.T) {
-	latest1, snap1, aux1 := subcompactionWorkloadDumps(t, 1)
-	latest4, snap4, aux4 := subcompactionWorkloadDumps(t, 4)
+	latest1, snap1, aux1 := subcompactionWorkloadDumps(t, 1, -1)
 	if latest1 == "" || snap1 == "" {
 		t.Fatal("workload produced empty dumps")
 	}
-	if latest1 != latest4 {
-		t.Errorf("latest view diverges between serial and parallel compaction:\nserial %d bytes, parallel %d bytes", len(latest1), len(latest4))
-	}
-	if snap1 != snap4 {
-		t.Errorf("snapshot view diverges between serial and parallel compaction:\nserial %d bytes, parallel %d bytes", len(snap1), len(snap4))
-	}
-	if aux1 != aux4 {
-		t.Errorf("aux family diverges between serial and parallel compaction:\nserial %d bytes, parallel %d bytes", len(aux1), len(aux4))
+	for _, c := range []struct{ subs, maxOpen int }{{4, -1}, {1, 2}, {4, 2}} {
+		latest, snap, aux := subcompactionWorkloadDumps(t, c.subs, c.maxOpen)
+		name := fmt.Sprintf("max_subcompactions=%d max_open_files=%d", c.subs, c.maxOpen)
+		if latest != latest1 {
+			t.Errorf("%s: latest view diverges from the serial unbounded run: %d bytes, want %d", name, len(latest), len(latest1))
+		}
+		if snap != snap1 {
+			t.Errorf("%s: snapshot view diverges from the serial unbounded run: %d bytes, want %d", name, len(snap), len(snap1))
+		}
+		if aux != aux1 {
+			t.Errorf("%s: aux family diverges from the serial unbounded run: %d bytes, want %d", name, len(aux), len(aux1))
+		}
 	}
 }
 

@@ -61,6 +61,9 @@ func (tc *tableCache) get(num uint64) (*tableReader, error) {
 	return r, nil
 }
 
+// release drops the reference get handed out with r.
+func (tc *tableCache) release(r *tableReader) { r.unref() }
+
 // evict forgets a table (called when its file is deleted), dropping the
 // cache's reference to its reader.
 func (tc *tableCache) evict(num uint64) {

@@ -252,7 +252,14 @@ func walValidRecordAt(f RandomAccessFile, off, size int64) bool {
 type WriteBatch struct {
 	rep   []byte
 	count uint32
-	cfIDs []uint32 // unique column-family IDs touched by this batch
+	cfs   []cfCount // the column families this batch touches, first touch first
+}
+
+// cfCount is one family a batch touches and how many of its entries are for
+// that family.
+type cfCount struct {
+	id      uint32
+	entries uint32
 }
 
 // NewWriteBatch returns an empty batch.
@@ -261,14 +268,15 @@ func NewWriteBatch() *WriteBatch {
 	return b
 }
 
-// touchCF records a column family as touched by this batch.
+// touchCF counts one more entry for a column family.
 func (b *WriteBatch) touchCF(id uint32) {
-	for _, have := range b.cfIDs {
-		if have == id {
+	for i := range b.cfs {
+		if b.cfs[i].id == id {
+			b.cfs[i].entries++
 			return
 		}
 	}
-	b.cfIDs = append(b.cfIDs, id)
+	b.cfs = append(b.cfs, cfCount{id: id, entries: 1})
 }
 
 // Put queues a key-value insertion into the default column family.
@@ -335,7 +343,7 @@ func (b *WriteBatch) Clear() {
 		b.rep[i] = 0
 	}
 	b.count = 0
-	b.cfIDs = b.cfIDs[:0]
+	b.cfs = b.cfs[:0]
 }
 
 // ApproximateSize returns the encoded size in bytes.

@@ -179,14 +179,14 @@ func (db *DB) leadGroup(leader *writeRequest) {
 		// family it touches.
 	members:
 		for _, w := range g.members {
-			for _, id := range w.batch.cfIDs {
-				if db.cfs[id] == nil {
-					w.err = fmt.Errorf("%w: id %d (write)", ErrColumnFamilyNotFound, id)
+			for _, c := range w.batch.cfs {
+				if db.cfs[c.id] == nil {
+					w.err = fmt.Errorf("%w: id %d (write)", ErrColumnFamilyNotFound, c.id)
 					continue members
 				}
 			}
-			for _, id := range w.batch.cfIDs {
-				g.mems = g.mems.add(db.cfs[id])
+			for _, c := range w.batch.cfs {
+				g.mems = g.mems.add(db.cfs[c.id])
 			}
 		}
 		for _, m := range g.mems {

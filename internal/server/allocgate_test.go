@@ -149,11 +149,12 @@ func TestAllocGateGetFrame(t *testing.T) {
 	}
 }
 
-// TestAllocGateScanPairs gates the per-pair cost of a Scan frame: each pair
-// is appended once to the connection's scan scratch, so a Scan(20) frame
-// allocates what a Scan(1) frame does — building the iterators — and no
-// more than 1 besides. Copying every key and value costs 2 per pair, 38
-// more than Scan(1).
+// TestAllocGateScanPairs gates a Scan frame. The shard's iterator tree is
+// recycled across scans, so a Scan(1) frame allocates about 1, the iterator
+// handle, and at most 2; building the tree per scan costs about 15 more.
+// Each pair is appended once to the connection's scan scratch, so a
+// Scan(20) frame allocates no more than 1 beyond Scan(1); copying every key
+// and value costs 2 per pair, 38 more.
 func TestAllocGateScanPairs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled iterators under -race")
@@ -175,9 +176,12 @@ func TestAllocGateScanPairs(t *testing.T) {
 	}
 	one, twenty := perFrame(1), perFrame(20)
 	t.Logf("%.2f allocations per Scan(1) frame, %.2f per Scan(20) frame", one, twenty)
-	const limit = 1
-	if twenty-one > limit {
-		t.Fatalf("Scan(20) frame allocates %.2f more than Scan(1), gate is %d", twenty-one, limit)
+	const frameLimit, pairsLimit = 2, 1
+	if one > frameLimit {
+		t.Errorf("Scan(1) frame allocates %.2f, gate is %d", one, frameLimit)
+	}
+	if twenty-one > pairsLimit {
+		t.Errorf("Scan(20) frame allocates %.2f more than Scan(1), gate is %d", twenty-one, pairsLimit)
 	}
 }
 

@@ -335,7 +335,7 @@ func (r *Router) AppendScan(buf []byte, pairs []KV, cf string, start []byte, lim
 	if err != nil {
 		return buf, pairs, err
 	}
-	iters := make([]*lsm.Iterator, len(r.shards))
+	iters := make([]*lsm.Iterator, 0, 16) // on the stack up to 16 shards
 	for s, db := range r.shards {
 		it := db.NewIteratorCF(nil, hs[s])
 		if len(start) > 0 {
@@ -343,7 +343,7 @@ func (r *Router) AppendScan(buf []byte, pairs []KV, cf string, start []byte, lim
 		} else {
 			it.SeekToFirst()
 		}
-		iters[s] = it
+		iters = append(iters, it)
 	}
 	defer func() {
 		for _, it := range iters {
