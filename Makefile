@@ -32,10 +32,12 @@ crashtest:
 # (overwrites, deletes, snapshot held across the compaction, multi-CF)
 # compacted at max_subcompactions=1 and =4 must produce byte-identical
 # iterator dumps. TestTableBytesGolden: a fixed SimEnv script's tables must
-# hash to the pinned SHA-256, byte for byte. -count=1 defeats the test cache
-# so verify always re-runs both.
+# hash to the pinned SHA-256, byte for byte. TestInfoLogGolden: the LOG a
+# fixed SimEnv script writes (every event line and the close stats dump) must
+# hash to its pinned SHA-256. -count=1 defeats the test cache so verify
+# always re-runs all three.
 equivalence:
-	$(GO) test -race -count=1 -run '^(TestSubcompactionEquivalence|TestTableBytesGolden)$$' ./internal/lsm
+	$(GO) test -race -count=1 -run '^(TestSubcompactionEquivalence|TestTableBytesGolden|TestInfoLogGolden)$$' ./internal/lsm
 
 # End-to-end smoke of the networked service: start kvserver, drive a short
 # mixed workload through dbbench -server, assert nonzero throughput and a

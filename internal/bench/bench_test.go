@@ -12,7 +12,7 @@ import (
 )
 
 func TestKeyGen(t *testing.T) {
-	g := NewKeyGen(16)
+	g := newKeyGen(16)
 	k := g.Key(42)
 	if string(k) != "0000000000000042" {
 		t.Fatalf("key = %q", k)
@@ -20,14 +20,14 @@ func TestKeyGen(t *testing.T) {
 	if len(g.Key(999999999)) != 16 {
 		t.Fatal("wrong width")
 	}
-	g2 := NewKeyGen(4) // clamps to 16
+	g2 := newKeyGen(4) // clamps to 16
 	if len(g2.Key(1)) != 16 {
 		t.Fatal("min width not enforced")
 	}
 }
 
 func TestValueGen(t *testing.T) {
-	g := NewValueGen(rand.New(rand.NewSource(1)), 0.5)
+	g := newValueGen(rand.New(rand.NewSource(1)), 0.5)
 	v1 := append([]byte(nil), g.Value(100)...)
 	v2 := g.Value(100)
 	if len(v1) != 100 || len(v2) != 100 {
@@ -39,21 +39,19 @@ func TestValueGen(t *testing.T) {
 }
 
 func TestUniformDist(t *testing.T) {
-	d := UniformDist{N: 100}
+	d := uniformDist{N: 100}
 	r := rand.New(rand.NewSource(1))
 	for i := 0; i < 1000; i++ {
 		if id := d.Next(r); id >= 100 {
 			t.Fatalf("id %d out of range", id)
 		}
 	}
-	if d.Name() != "uniform" {
-		t.Fatal(d.Name())
-	}
+	var _ keyDist = d
 }
 
 func TestZipfDistSkew(t *testing.T) {
 	const n = 100000
-	d := NewZipfDist(n, 0.99)
+	d := newZipfDist(n, 0.99)
 	r := rand.New(rand.NewSource(7))
 	counts := make(map[uint64]int)
 	const draws = 200000
@@ -80,7 +78,7 @@ func TestZipfDistSkew(t *testing.T) {
 }
 
 func TestSequentialDist(t *testing.T) {
-	d := &SequentialDist{}
+	d := &sequentialDist{}
 	for i := uint64(0); i < 5; i++ {
 		if got := d.Next(nil); got != i {
 			t.Fatalf("Next = %d, want %d", got, i)
@@ -330,10 +328,10 @@ func BenchmarkWriteParallel(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			b.RunParallel(func(pb *testing.PB) {
-				// KeyGen reuses its buffer: one per worker goroutine, and
+				// keyGen reuses its buffer: one per worker goroutine, and
 				// one WriteBatch reused via Clear (Write leaves the batch
 				// reusable once it returns).
-				kg := NewKeyGen(16)
+				kg := newKeyGen(16)
 				rng := rand.New(rand.NewSource(atomicAdd(&ctr, 1)))
 				val := make([]byte, 128)
 				wo := lsm.DefaultWriteOptions()
@@ -357,7 +355,7 @@ func BenchmarkWriteParallel(b *testing.B) {
 func BenchmarkGetParallel(b *testing.B) {
 	db := openOSBenchDB(b, nil)
 	defer db.Close()
-	kg := NewKeyGen(16)
+	kg := newKeyGen(16)
 	wo := lsm.DefaultWriteOptions()
 	const keys = 50000
 	for i := 0; i < keys; i += 512 {
@@ -373,8 +371,8 @@ func BenchmarkGetParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		// KeyGen reuses its buffer: one per worker goroutine.
-		kg := NewKeyGen(16)
+		// keyGen reuses its buffer: one per worker goroutine.
+		kg := newKeyGen(16)
 		rng := rand.New(rand.NewSource(atomicAdd(&ctr, 1)))
 		for pb.Next() {
 			if _, err := db.Get(nil, kg.Key(rng.Uint64()%keys)); err != nil {

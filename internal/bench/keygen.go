@@ -6,37 +6,37 @@ import (
 	"math/rand"
 )
 
-// KeyGen produces db_bench-style fixed-width keys ("%016d") from key ids.
-type KeyGen struct {
+// keyGen produces db_bench-style fixed-width keys ("%016d") from key ids.
+type keyGen struct {
 	keySize int
 	buf     []byte
 }
 
-// NewKeyGen returns a generator for keys of the given width (min 16).
-func NewKeyGen(keySize int) *KeyGen {
+// newKeyGen returns a generator for keys of the given width (min 16).
+func newKeyGen(keySize int) *keyGen {
 	if keySize < 16 {
 		keySize = 16
 	}
-	return &KeyGen{keySize: keySize, buf: make([]byte, keySize)}
+	return &keyGen{keySize: keySize, buf: make([]byte, keySize)}
 }
 
 // Key renders key id into the generator's reusable buffer.
-func (g *KeyGen) Key(id uint64) []byte {
+func (g *keyGen) Key(id uint64) []byte {
 	s := fmt.Sprintf("%0*d", g.keySize, id)
 	copy(g.buf, s[len(s)-g.keySize:])
 	return g.buf
 }
 
-// ValueGen produces pseudo-random values with a target compressibility,
+// valueGen produces pseudo-random values with a target compressibility,
 // like db_bench's RandomGenerator (compression_ratio 0.5 by default).
-type ValueGen struct {
+type valueGen struct {
 	data []byte
 	pos  int
 }
 
-// NewValueGen builds a pool of value bytes with the given compression ratio
+// newValueGen builds a pool of value bytes with the given compression ratio
 // (fraction of incompressible bytes; 1.0 = fully random).
-func NewValueGen(r *rand.Rand, ratio float64) *ValueGen {
+func newValueGen(r *rand.Rand, ratio float64) *valueGen {
 	const poolSize = 1 << 20
 	data := make([]byte, poolSize)
 	if ratio <= 0 {
@@ -60,11 +60,11 @@ func NewValueGen(r *rand.Rand, ratio float64) *ValueGen {
 			data[j] = 'x'
 		}
 	}
-	return &ValueGen{data: data}
+	return &valueGen{data: data}
 }
 
 // Value returns a value slice of length n (valid until the next call).
-func (g *ValueGen) Value(n int) []byte {
+func (g *valueGen) Value(n int) []byte {
 	if n > len(g.data) {
 		n = len(g.data)
 	}
@@ -79,28 +79,23 @@ func (g *ValueGen) Value(n int) []byte {
 	return v
 }
 
-// KeyDist selects key ids for a workload.
-type KeyDist interface {
+// keyDist selects key ids for a workload.
+type keyDist interface {
 	// Next returns the next key id in [0, N).
 	Next(r *rand.Rand) uint64
-	// Name describes the distribution.
-	Name() string
 }
 
-// UniformDist picks uniformly from [0, N).
-type UniformDist struct{ N uint64 }
+// uniformDist picks uniformly from [0, N).
+type uniformDist struct{ N uint64 }
 
-// Next implements KeyDist.
-func (d UniformDist) Next(r *rand.Rand) uint64 { return uint64(r.Int63n(int64(d.N))) }
+// Next implements keyDist.
+func (d uniformDist) Next(r *rand.Rand) uint64 { return uint64(r.Int63n(int64(d.N))) }
 
-// Name implements KeyDist.
-func (d UniformDist) Name() string { return "uniform" }
-
-// ZipfDist is a power-law distribution over [0, N) with exponent theta,
+// zipfDist is a power-law distribution over [0, N) with exponent theta,
 // matching the "two-term-exp" hot-key behaviour of Facebook's production
 // traces (Cao et al., FAST'20) closely enough for benchmarking: a small
 // fraction of keys receives most accesses.
-type ZipfDist struct {
+type zipfDist struct {
 	N     uint64
 	Theta float64 // typical 0.99 for mixgraph
 
@@ -109,13 +104,13 @@ type ZipfDist struct {
 	eta   float64
 }
 
-// NewZipfDist precomputes the rejection-free Zipfian sampler of Gray et al.
+// newZipfDist precomputes the rejection-free Zipfian sampler of Gray et al.
 // (the same algorithm YCSB uses).
-func NewZipfDist(n uint64, theta float64) *ZipfDist {
+func newZipfDist(n uint64, theta float64) *zipfDist {
 	if theta <= 0 || theta >= 1 {
 		theta = 0.99
 	}
-	d := &ZipfDist{N: n, Theta: theta}
+	d := &zipfDist{N: n, Theta: theta}
 	d.zetaN = zeta(n, theta)
 	d.alpha = 1 / (1 - theta)
 	d.eta = (1 - math.Pow(2/float64(n), 1-theta)) / (1 - zeta(2, theta)/d.zetaN)
@@ -140,9 +135,9 @@ func zeta(n uint64, theta float64) float64 {
 	return sum
 }
 
-// Next implements KeyDist. Hot ids are scattered across the key space by a
+// Next implements keyDist. Hot ids are scattered across the key space by a
 // multiplicative hash so the hot set is not one contiguous range.
-func (d *ZipfDist) Next(r *rand.Rand) uint64 {
+func (d *zipfDist) Next(r *rand.Rand) uint64 {
 	u := r.Float64()
 	uz := u * d.zetaN
 	var rank uint64
@@ -161,18 +156,12 @@ func (d *ZipfDist) Next(r *rand.Rand) uint64 {
 	return (rank * 0x9e3779b97f4a7c15) % d.N
 }
 
-// Name implements KeyDist.
-func (d *ZipfDist) Name() string { return fmt.Sprintf("zipf(%.2f)", d.Theta) }
+// sequentialDist yields 0,1,2,... (fillseq).
+type sequentialDist struct{ next uint64 }
 
-// SequentialDist yields 0,1,2,... (fillseq).
-type SequentialDist struct{ next uint64 }
-
-// Next implements KeyDist.
-func (d *SequentialDist) Next(*rand.Rand) uint64 {
+// Next implements keyDist.
+func (d *sequentialDist) Next(*rand.Rand) uint64 {
 	v := d.next
 	d.next++
 	return v
 }
-
-// Name implements KeyDist.
-func (d *SequentialDist) Name() string { return "sequential" }

@@ -37,8 +37,8 @@ type OpSource interface {
 type specSource struct {
 	spec *Spec
 	rng  *rand.Rand
-	dist KeyDist
-	keys *KeyGen
+	dist keyDist
+	keys *keyGen
 	// writer marks a dedicated write worker (readwhilewriting).
 	writer  bool
 	left    int64
@@ -94,7 +94,7 @@ func (s *specSource) Next(op *Op) error {
 type worker struct {
 	src    OpSource
 	t      target
-	values *ValueGen
+	values *valueGen
 	op     Op
 
 	now  time.Duration // virtual time (sim driver)
@@ -114,7 +114,7 @@ func newWorker(src OpSource, t target, rng *rand.Rand) *worker {
 	return &worker{
 		src:       src,
 		t:         t,
-		values:    NewValueGen(rng, 0.5),
+		values:    newValueGen(rng, 0.5),
 		readHist:  lsm.NewHistogram(),
 		writeHist: lsm.NewHistogram(),
 	}
@@ -137,13 +137,13 @@ func newWorkers(spec *Spec, n int, targetFor func(i int) target) []*worker {
 		}
 		dist := spec.dist()
 		if spec.Sequential {
-			dist = &SequentialDist{next: uint64(first)}
+			dist = &sequentialDist{next: uint64(first)}
 		}
 		src := &specSource{
 			spec:    spec,
 			rng:     rng,
 			dist:    dist,
-			keys:    NewKeyGen(spec.KeySize),
+			keys:    newKeyGen(spec.KeySize),
 			writer:  i < writers,
 			left:    ops,
 			buckets: make([][][]byte, len(spec.families())),

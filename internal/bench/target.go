@@ -155,11 +155,11 @@ func (t *wireTarget) writeBatch(entries []batchEntry) error {
 func preload(t target, spec *Spec, seed int64, lo, hi uint64) error {
 	const chunk = 512
 	rng := rand.New(rand.NewSource(seed))
-	values := NewValueGen(rng, 0.5)
-	keys := NewKeyGen(spec.KeySize)
+	values := newValueGen(rng, 0.5)
+	keys := newKeyGen(spec.KeySize)
 	ncf := uint64(len(spec.families()))
-	// KeyGen recycles its buffer, so each entry of a chunk needs its own key
-	// bytes; values are slices of ValueGen's immutable pool and need no copy.
+	// keyGen recycles its buffer, so each entry of a chunk needs its own key
+	// bytes; values are slices of valueGen's immutable pool and need no copy.
 	keyBuf := make([]byte, 0, chunk*len(keys.buf))
 	entries := make([]batchEntry, 0, chunk)
 	perm := rng.Perm(int(hi - lo))

@@ -94,15 +94,15 @@ func (s *Spec) families() []string {
 }
 
 // dist builds the key distribution for one thread.
-func (s *Spec) dist() KeyDist {
+func (s *Spec) dist() keyDist {
 	if s.Zipfian {
 		theta := s.ZipfTheta
 		if theta == 0 {
 			theta = 0.99
 		}
-		return NewZipfDist(s.KeySpace, theta)
+		return newZipfDist(s.KeySpace, theta)
 	}
-	return UniformDist{N: s.KeySpace}
+	return uniformDist{N: s.KeySpace}
 }
 
 // The paper's four workloads (§5.1), at a configurable scale. scale=1.0

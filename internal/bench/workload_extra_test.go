@@ -22,7 +22,7 @@ func TestFillSeqWritesInOrder(t *testing.T) {
 	// Sequential fill produces strictly ordered keys: every key readable,
 	// and the whole space densely packed from 0.
 	for _, id := range []uint64{0, 1, 4999, 9999} {
-		if _, err := db.Get(nil, NewKeyGen(16).Key(id)); err != nil {
+		if _, err := db.Get(nil, newKeyGen(16).Key(id)); err != nil {
 			t.Fatalf("key %d missing: %v", id, err)
 		}
 	}

@@ -103,7 +103,7 @@ func (db *DB) setBGErrorLocked(cause error, reason string) {
 	}
 	db.bgErr = &BGError{Reason: reason, Severity: sev, Cause: cause}
 	db.stats.Add(TickerBgError, 1)
-	db.notifyBackgroundError(BackgroundErrorInfo{Reason: reason, Severity: sev, Err: cause})
+	db.infoLog.logf("[bg_error] %s severity=%s: %v", reason, sev, cause)
 	if recoverable && !db.recovering && !db.closed && db.options().MaxBgErrorResumeCount > 0 {
 		db.rt.autoResume()
 	}
@@ -111,7 +111,7 @@ func (db *DB) setBGErrorLocked(cause error, reason string) {
 
 // Resume clears a recoverable background error: it retries the failed work
 // (re-runs pending flushes, re-syncs the WAL) and, on success, returns the
-// DB to writable state and fires OnErrorRecovery. Fatal (corruption) errors
+// DB to writable state and logs a recovery line. Fatal (corruption) errors
 // refuse to resume. A nil return with no prior error is a no-op.
 func (db *DB) Resume() error { return db.resume(false, 1) }
 
@@ -168,7 +168,11 @@ func (db *DB) resume(auto bool, attempts int) error {
 		return ErrClosed
 	}
 	db.stats.Add(TickerErrorRecoveryCount, 1)
-	db.notifyErrorRecovery(ErrorRecoveryInfo{PriorErr: prior, Auto: auto, Attempts: attempts})
+	mode := "manual"
+	if auto {
+		mode = "auto"
+	}
+	db.infoLog.logf("[recovery] %s attempts=%d cleared: %v", mode, attempts, prior)
 	return nil
 }
 

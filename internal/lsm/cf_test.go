@@ -408,3 +408,58 @@ func TestMultiGetConcurrentWrites(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+// TestNilHandleIsDefaultFamily: FlushCF(nil), CompactRange and
+// CompactRangeCF(nil, ...) act on the default family alone, as every other
+// *CF method does with a nil handle; only Flush flushes every family.
+func TestNilHandleIsDefaultFamily(t *testing.T) {
+	db, _ := openTestDB(t, nil)
+	defer db.Close()
+	hot, err := db.CreateColumnFamily("hot", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	memEmpty := func(h *ColumnFamilyHandle) bool {
+		db.mu.Lock()
+		defer db.mu.Unlock()
+		cf, err := db.resolveCFLocked(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cf.mem.empty() && len(cf.imm) == 0
+	}
+	wo := DefaultWriteOptions()
+	for _, step := range []struct {
+		name string
+		run  func() error
+	}{
+		{"FlushCF(nil)", func() error { return db.FlushCF(nil) }},
+		{"CompactRange", func() error { return db.CompactRange(nil, nil) }},
+		{"CompactRangeCF(nil)", func() error { return db.CompactRangeCF(nil, nil, nil) }},
+	} {
+		for i := 0; i < 100; i++ {
+			key := []byte(fmt.Sprintf("%s-%03d", step.name, i))
+			if err := db.PutCF(wo, nil, key, key); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.PutCF(wo, hot, key, key); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := step.run(); err != nil {
+			t.Fatalf("%s: %v", step.name, err)
+		}
+		if !memEmpty(nil) {
+			t.Errorf("%s left the default family's memtable unflushed", step.name)
+		}
+		if memEmpty(hot) {
+			t.Errorf("%s flushed the other family too", step.name)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !memEmpty(hot) {
+		t.Error("Flush left the other family's memtable unflushed")
+	}
+}

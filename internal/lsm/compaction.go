@@ -240,7 +240,7 @@ type compactionResult struct {
 	writeBytes int64
 	cpu        time.Duration
 	// dur is the job's wall-clock execution time, for histograms, the
-	// per-level compaction-stats table and event listeners.
+	// per-level compaction-stats table and the LOG.
 	dur time.Duration
 	// slices is the number of range-partitioned subcompactions the job ran
 	// (1 = unsplit); sliceDurs holds each slice's wall-clock duration for

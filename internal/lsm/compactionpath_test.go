@@ -274,17 +274,11 @@ func TestManualCompactionDoesNotBlockReads(t *testing.T) {
 }
 
 // TestFailedCompactionClosesOutput: a compaction whose output fails to sync
-// closes the output file, leaves a background error and a failed "manual"
-// compaction event, and a retry after Resume succeeds.
+// closes the output file, leaves a background error, writes one
+// "[compaction] ERROR:" and one "[bg_error] compaction" LOG line, and a retry
+// after Resume succeeds.
 func TestFailedCompactionClosesOutput(t *testing.T) {
-	var mu sync.Mutex
-	var events []CompactionInfo
-	lis := &ListenerFuncs{CompactionCompleted: func(i CompactionInfo) {
-		mu.Lock()
-		events = append(events, i)
-		mu.Unlock()
-	}}
-	db, env := openTableFileDB(t, func(o *Options) { o.Listeners = []EventListener{lis} })
+	db, env := openTableFileDB(t, nil)
 	defer db.Close()
 	fault := errors.New("injected sync failure")
 	env.mu.Lock()
@@ -297,12 +291,11 @@ func TestFailedCompactionClosesOutput(t *testing.T) {
 	if !errors.Is(err, ErrBackgroundError) || !errors.Is(err, fault) {
 		t.Errorf("CompactRange = %v, want a background error caused by the sync fault", err)
 	}
-	mu.Lock()
-	failed := events
-	events = nil
-	mu.Unlock()
-	if len(failed) != 1 || failed[0].Reason != "manual" || !errors.Is(failed[0].Err, fault) {
-		t.Fatalf("compaction events = %+v, want one failed manual compaction", failed)
+	if got := logEvents(t, env, db.dir, "compaction"); len(got) != 1 || got[0] != "ERROR: "+fault.Error() {
+		t.Fatalf("compaction lines = %q, want one failed compaction", got)
+	}
+	if got := logEvents(t, env, db.dir, "bg_error"); len(got) != 1 || !strings.HasPrefix(got[0], "compaction ") {
+		t.Fatalf("bg_error lines = %q, want one from the compaction", got)
 	}
 	env.mu.Lock()
 	env.failSync = nil

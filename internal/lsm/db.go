@@ -66,13 +66,12 @@ type levelIOStats struct {
 // log, records tagged with CF ids), the write thread, the block/table caches,
 // and the manifest.
 type DB struct {
-	env       Env
-	rt        engineRuntime // how jobs run, waits pass, groups form and time is read (runtime.go)
-	dir       string
-	stats     *Statistics
-	hists     *HistogramStats
-	listeners []EventListener
-	infoLog   *logListener
+	env     Env
+	rt      engineRuntime // how jobs run, waits pass, groups form and time is read (runtime.go)
+	dir     string
+	stats   *Statistics
+	hists   *HistogramStats
+	infoLog *infoLog
 
 	// commitMu serializes the write-group WAL stage (which runs outside
 	// db.mu) against memtable/WAL switches from Flush and Close. Lock order:
@@ -181,7 +180,6 @@ func OpenConfig(dir string, cfg *ConfigSet) (*DB, error) {
 		dir:         dir,
 		stats:       opts.Stats,
 		hists:       NewHistogramStats(),
-		listeners:   append([]EventListener(nil), opts.Listeners...),
 		busyFiles:   make(map[uint64]bool),
 		refVersions: make(map[*Version]struct{}),
 		memSeed:     opts.Seed + 1,
@@ -212,10 +210,7 @@ func OpenConfig(dir string, cfg *ConfigSet) (*DB, error) {
 		db.bcache.setStats(db.stats)
 	}
 	if !opts.DisableInfoLog {
-		db.infoLog = newLogListener(env, dir)
-		if db.infoLog != nil {
-			db.listeners = append(db.listeners, db.infoLog)
-		}
+		db.infoLog = openInfoLog(env, dir)
 	}
 	db.tcache = newTableCache(env, dir, db.bcache, db.stats, opts.MaxOpenFiles)
 	db.tcache.perf = db.perf
@@ -334,7 +329,7 @@ func (db *DB) rotateWALLocked() error {
 		return err
 	}
 	db.wal = newWALWriter(wrapWritableFile(f, db.iostats), db.options())
-	db.wal.onSync, db.wal.stopwatch = db.notifyWALSync, db.rt.stopwatch
+	db.wal.hists, db.wal.stopwatch = db.hists, db.rt.stopwatch
 	db.walNum = logNum
 	return nil
 }
@@ -644,7 +639,7 @@ func (db *DB) installFlushLocked(cf *columnFamily, mems []*memtable, res *compac
 	if err != nil {
 		// The memtables stay on cf.imm: Resume re-schedules the flush.
 		db.setBGErrorLocked(err, "flush")
-		db.notifyFlush(FlushInfo{ColumnFamily: cf.name, MemtablesMerged: len(mems), Err: err})
+		db.infoLog.logf("[flush] ERROR: %v", err)
 		return
 	}
 	cf.imm = cf.imm[len(mems):]
@@ -655,7 +650,7 @@ func (db *DB) installFlushLocked(cf *columnFamily, mems []*memtable, res *compac
 
 // applyFlushLocked installs the edit of a flush of mems, raising the
 // family's WAL floor to logNum, and books it: the flush tickers, the L0
-// cfstats row, the flush histogram and the listeners. Both the background
+// cfstats row, the flush histogram and the LOG line. Both the background
 // flush and the recovery flush at open install through it.
 func (db *DB) applyFlushLocked(cf *columnFamily, res *compactionResult, logNum uint64, mems []*memtable) error {
 	res.edit.cfID = cf.id
@@ -668,11 +663,12 @@ func (db *DB) applyFlushLocked(cf *columnFamily, res *compactionResult, logNum u
 	db.stats.Add(TickerFlushBytes, res.writeBytes)
 	db.recordLevelIOLocked(cf, 0, res)
 	db.hists.Record(HistFlushMicros, res.dur)
-	info := FlushInfo{ColumnFamily: cf.name, Bytes: res.writeBytes, MemtablesMerged: len(mems), Duration: res.dur}
+	var output uint64 // 0 when every entry was shadowed
 	if len(res.edit.newFiles) > 0 {
-		info.OutputFileNumber = res.edit.newFiles[0].meta.Number
+		output = res.edit.newFiles[0].meta.Number
 	}
-	db.notifyFlush(info)
+	db.infoLog.logf("[flush] memtables=%d -> %06d.sst bytes=%d duration=%v",
+		len(mems), output, res.writeBytes, res.dur.Round(time.Microsecond))
 	return nil
 }
 
@@ -703,17 +699,10 @@ func (db *DB) recordLevelIOLocked(cf *columnFamily, level int, res *compactionRe
 
 // recordCompactionLocked books a finished compaction (auto, manual or fifo):
 // on success the compaction tickers, the output level's cfstats row and the
-// compaction histograms; always the listeners.
+// compaction histograms; always the LOG line.
 func (db *DB) recordCompactionLocked(cf *columnFamily, c *compaction, res *compactionResult, reason string, err error) {
 	if err != nil {
-		db.notifyCompaction(CompactionInfo{
-			ColumnFamily: cf.name,
-			InputLevel:   c.level,
-			OutputLevel:  c.outputLevel,
-			InputFiles:   len(c.allInputs()),
-			Reason:       reason,
-			Err:          err,
-		})
+		db.infoLog.logf("[compaction] ERROR: %v", err)
 		return
 	}
 	db.stats.Add(TickerCompactCount, 1)
@@ -733,18 +722,9 @@ func (db *DB) recordCompactionLocked(cf *columnFamily, c *compaction, res *compa
 	for _, d := range res.sliceDurs {
 		db.hists.Record(HistSubcompactionMicros, d)
 	}
-	db.notifyCompaction(CompactionInfo{
-		ColumnFamily:   cf.name,
-		InputLevel:     c.level,
-		OutputLevel:    c.outputLevel,
-		InputFiles:     len(c.allInputs()),
-		OutputFiles:    len(res.edit.newFiles),
-		ReadBytes:      res.readBytes,
-		WriteBytes:     res.writeBytes,
-		Duration:       res.dur,
-		Reason:         reason,
-		Subcompactions: slices,
-	})
+	db.infoLog.logf("[compaction] %s L%d->L%d inputs=%d outputs=%d read=%d write=%d subcompactions=%d duration=%v",
+		reason, c.level, c.outputLevel, len(c.allInputs()), len(res.edit.newFiles),
+		res.readBytes, res.writeBytes, slices, res.dur.Round(time.Microsecond))
 }
 
 // maybeScheduleCompactionLocked starts compactions while slots and work
@@ -903,16 +883,15 @@ func (db *DB) refVersionLocked(v *Version) {
 // Flush forces every family's active memtable to disk and waits. The
 // memtable switches take commitMu so they cannot race a write group's WAL
 // stage.
-func (db *DB) Flush() error { return db.flush(nil) }
+func (db *DB) Flush() error { return db.flush(nil, true) }
 
-// FlushCF flushes one family's active memtable and waits for it.
-func (db *DB) FlushCF(h *ColumnFamilyHandle) error { return db.flush(h) }
+// FlushCF flushes one family's active memtable and waits for it. A nil
+// handle is the default family, as for every *CF method.
+func (db *DB) FlushCF(h *ColumnFamilyHandle) error { return db.flush(h, false) }
 
-// flush is the shared all-family / one-family flush path. h == nil with the
-// receiver on Flush means every family (note: the public single-family API
-// maps nil handles to the default family via resolveCFLocked, so FlushCF(nil)
-// flushes "default"; Flush() passes a sentinel instead).
-func (db *DB) flush(h *ColumnFamilyHandle) error {
+// flush is the shared flush path: every family when all is set, otherwise
+// the one h resolves to.
+func (db *DB) flush(h *ColumnFamilyHandle, all bool) error {
 	db.commitMu.Lock()
 	db.mu.Lock()
 	if db.closed {
@@ -921,7 +900,7 @@ func (db *DB) flush(h *ColumnFamilyHandle) error {
 		return ErrClosed
 	}
 	db.rt.poll()
-	targets, err := db.flushTargetsLocked(h)
+	targets, err := db.flushTargetsLocked(h, all)
 	if err != nil {
 		db.mu.Unlock()
 		db.commitMu.Unlock()
@@ -951,9 +930,10 @@ func (db *DB) flush(h *ColumnFamilyHandle) error {
 	return db.bgErr
 }
 
-// flushTargetsLocked resolves the families a flush targets (nil = all).
-func (db *DB) flushTargetsLocked(h *ColumnFamilyHandle) ([]*columnFamily, error) {
-	if h == nil {
+// flushTargetsLocked resolves the families a flush targets: every family
+// when all is set, else the one h resolves to (nil = the default family).
+func (db *DB) flushTargetsLocked(h *ColumnFamilyHandle, all bool) ([]*columnFamily, error) {
+	if all {
 		return append([]*columnFamily(nil), db.cfOrder...), nil
 	}
 	cf, err := db.resolveCFLocked(h)
@@ -984,7 +964,7 @@ func (db *DB) CompactRange(start, end []byte) error {
 // max_subcompactions width, and is waited for: the DB mutex is free while it
 // runs, and a failure is a background error (clear it with Resume).
 func (db *DB) CompactRangeCF(h *ColumnFamilyHandle, start, end []byte) error {
-	if err := db.flush(h); err != nil {
+	if err := db.flush(h, false); err != nil {
 		return err
 	}
 	db.mu.Lock()
@@ -1067,6 +1047,14 @@ func (db *DB) Close() error {
 	// out so teardown cannot race a running flush or compaction.
 	for db.rt.inFlight() > 0 {
 		db.rt.wait()
+	}
+	// A table retired while a reader still held its version outlives the
+	// install that retired it; with every job drained, reclaim it now. Not
+	// after a background error: a failed manifest write leaves the in-memory
+	// state ahead of the durable one, and files are deleted only after a
+	// durable edit.
+	if db.bgErr == nil {
+		db.deleteObsoleteFilesLocked()
 	}
 	// Periodic dumps run on the stats_dump_period_sec timer (statshistory.go);
 	// one final dump here captures the tail of the run.

@@ -473,3 +473,109 @@ func TestQuickDBModelCheck(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCloseReclaimsTablesRetiredUnderIterator: an iterator open across a
+// flush and a CompactRange keeps the retired tables alive; once it is closed,
+// Close (with nothing left to flush) deletes them, so no orphan table is left
+// on disk.
+func TestCloseReclaimsTablesRetiredUnderIterator(t *testing.T) {
+	db, env := openTestDB(t, nil)
+	wo := DefaultWriteOptions()
+	put := func(prefix string) {
+		for i := 0; i < 1000; i++ {
+			if err := db.Put(wo, []byte(fmt.Sprintf("%s%05d", prefix, i)), make([]byte, 100)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	put("a")
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	it := db.NewIterator(nil)
+	if it.SeekToFirst(); !it.Valid() {
+		t.Fatalf("iterator over flushed data is empty: %v", it.Err())
+	}
+	put("b")
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CompactRange(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := it.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	opts := DefaultOptions()
+	opts.Env = env
+	rep, err := CheckDB("/db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() || len(rep.Orphans) != 0 {
+		t.Fatalf("after Close: issues %v orphans %v", rep.Issues, rep.Orphans)
+	}
+}
+
+// TestCloseAfterManifestFaultKeepsFiles: when a flush's or a compaction's
+// manifest write fails, the in-memory version is ahead of the manifest on
+// disk. Close must then delete nothing, so a reopen without the fault finds
+// every WAL and table the old manifest names and every acknowledged key.
+func TestCloseAfterManifestFaultKeepsFiles(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		fail func(db *DB) error
+	}{
+		{"flush", func(db *DB) error { return db.Flush() }},
+		{"compaction", func(db *DB) error { return db.CompactRange(nil, nil) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			db, fenv, dir := openFaultDB(t, 1, nil)
+			wo := DefaultWriteOptions()
+			key := func(i int) []byte { return []byte(fmt.Sprintf("k%05d", i)) }
+			const n = 300
+			for i := 0; i < n; i++ {
+				if err := db.Put(wo, key(i), []byte(fmt.Sprintf("v%d", i))); err != nil {
+					t.Fatal(err)
+				}
+				if tc.name == "compaction" && i%100 == 99 {
+					if err := db.Flush(); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			fenv.Inject(FaultRule{Op: FaultWrite, Pattern: "MANIFEST"})
+			if err := tc.fail(db); err == nil {
+				t.Fatal("expected the manifest fault to fail the job")
+			}
+			db.Close() // reports the background error
+			fenv.ClearFaults()
+
+			opts := DefaultOptions()
+			opts.Env = fenv
+			db, err := Open(dir, opts)
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			for i := 0; i < n; i++ {
+				v, err := db.Get(nil, key(i))
+				if err != nil || string(v) != fmt.Sprintf("v%d", i) {
+					t.Fatalf("key %s after reopen: %q, %v", key(i), v, err)
+				}
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			rep, err := CheckDB(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.OK() {
+				t.Fatalf("CheckDB after reopen: %v", rep.Issues)
+			}
+		})
+	}
+}

@@ -3,7 +3,6 @@ package lsm
 import (
 	"fmt"
 	"sync"
-	"time"
 )
 
 // StallCondition is the write controller's state, mirroring RocksDB's
@@ -33,205 +32,34 @@ func (s StallCondition) String() string {
 	}
 }
 
-// FlushInfo describes a completed memtable flush.
-type FlushInfo struct {
-	// ColumnFamily is the name of the family that was flushed.
-	ColumnFamily string
-	// OutputFileNumber is the new L0 table's file number (0 when the flush
-	// produced no output, e.g. all entries were shadowed).
-	OutputFileNumber uint64
-	// Bytes written to the output table.
-	Bytes int64
-	// MemtablesMerged is how many immutable memtables the flush consumed.
-	MemtablesMerged int
-	// Duration is the flush job's execution time.
-	Duration time.Duration
-	// Err is non-nil when the flush failed (the DB enters a background
-	// error state).
-	Err error
-}
-
-// CompactionInfo describes a completed compaction.
-type CompactionInfo struct {
-	// ColumnFamily is the name of the family the compaction ran in.
-	ColumnFamily string
-	InputLevel   int
-	OutputLevel  int
-	// InputFiles counts input tables across both levels.
-	InputFiles int
-	// OutputFiles counts tables written.
-	OutputFiles int
-	ReadBytes   int64
-	WriteBytes  int64
-	// Duration is the compaction job's execution time.
-	Duration time.Duration
-	// Subcompactions is the number of range-partitioned slices the job ran
-	// (1 = unsplit serial merge).
-	Subcompactions int
-	// Reason distinguishes "auto", "manual" (CompactRange) and "fifo" drops.
-	Reason string
-	Err    error
-}
-
-// StallInfo describes a write-controller state transition.
-type StallInfo struct {
-	Previous StallCondition
-	Current  StallCondition
-	// L0Files and PendingCompactionBytes are the trigger inputs at the
-	// moment of the transition.
-	L0Files                int
-	PendingCompactionBytes int64
-}
-
-// WALSyncInfo describes one WAL durability sync.
-type WALSyncInfo struct {
-	// Bytes appended to the WAL since the previous sync.
-	Bytes    int64
-	Duration time.Duration
-}
-
-// BackgroundErrorInfo describes the engine entering a background error
-// state: new writes fail with ErrBackgroundError until DB.Resume (or
-// automatic recovery) clears it.
-type BackgroundErrorInfo struct {
-	// Reason names the failed operation ("flush", "compaction", "wal").
-	Reason string
-	// Severity classifies how recoverable the error is.
-	Severity ErrorSeverity
-	// Err is the underlying failure.
-	Err error
-}
-
-// ErrorRecoveryInfo describes a successful background-error recovery.
-type ErrorRecoveryInfo struct {
-	// PriorErr is the background error that was cleared.
-	PriorErr error
-	// Auto reports whether the automatic retry loop (rather than a manual
-	// DB.Resume call) performed the recovery.
-	Auto bool
-	// Attempts counts resume attempts, including the successful one.
-	Attempts int
-}
-
-// OptionChange records one knob's old and new value in a SetOptions /
-// SetDBOptions apply.
-type OptionChange struct {
-	Name string
-	Old  string
-	New  string
-}
-
-// OptionsChangedInfo describes a successful dynamic options change.
-type OptionsChangedInfo struct {
-	// ColumnFamily is the family whose options were swapped ("" for a
-	// DB-scoped SetDBOptions change, which lands on the default family's
-	// snapshot).
-	ColumnFamily string
-	// Changes lists the applied knobs old->new, sorted by name.
-	Changes []OptionChange
-}
-
-// EventListener receives engine lifecycle callbacks, in the spirit of
-// rocksdb::EventListener. Callbacks may fire from background goroutines and
-// may hold internal engine locks: implementations must be fast and must not
-// call back into the DB.
-type EventListener interface {
-	OnFlushCompleted(FlushInfo)
-	OnCompactionCompleted(CompactionInfo)
-	OnStallConditionChanged(StallInfo)
-	OnWALSync(WALSyncInfo)
-	OnBackgroundError(BackgroundErrorInfo)
-	OnErrorRecovery(ErrorRecoveryInfo)
-	OnOptionsChanged(OptionsChangedInfo)
-}
-
-// ListenerFuncs adapts optional funcs to EventListener; nil fields are
-// no-ops. Useful for tests and one-off hooks.
-type ListenerFuncs struct {
-	FlushCompleted        func(FlushInfo)
-	CompactionCompleted   func(CompactionInfo)
-	StallConditionChanged func(StallInfo)
-	WALSync               func(WALSyncInfo)
-	BackgroundError       func(BackgroundErrorInfo)
-	ErrorRecovery         func(ErrorRecoveryInfo)
-	OptionsChanged        func(OptionsChangedInfo)
-}
-
-// OnFlushCompleted implements EventListener.
-func (l *ListenerFuncs) OnFlushCompleted(info FlushInfo) {
-	if l.FlushCompleted != nil {
-		l.FlushCompleted(info)
-	}
-}
-
-// OnCompactionCompleted implements EventListener.
-func (l *ListenerFuncs) OnCompactionCompleted(info CompactionInfo) {
-	if l.CompactionCompleted != nil {
-		l.CompactionCompleted(info)
-	}
-}
-
-// OnStallConditionChanged implements EventListener.
-func (l *ListenerFuncs) OnStallConditionChanged(info StallInfo) {
-	if l.StallConditionChanged != nil {
-		l.StallConditionChanged(info)
-	}
-}
-
-// OnWALSync implements EventListener.
-func (l *ListenerFuncs) OnWALSync(info WALSyncInfo) {
-	if l.WALSync != nil {
-		l.WALSync(info)
-	}
-}
-
-// OnBackgroundError implements EventListener.
-func (l *ListenerFuncs) OnBackgroundError(info BackgroundErrorInfo) {
-	if l.BackgroundError != nil {
-		l.BackgroundError(info)
-	}
-}
-
-// OnErrorRecovery implements EventListener.
-func (l *ListenerFuncs) OnErrorRecovery(info ErrorRecoveryInfo) {
-	if l.ErrorRecovery != nil {
-		l.ErrorRecovery(info)
-	}
-}
-
-// OnOptionsChanged implements EventListener.
-func (l *ListenerFuncs) OnOptionsChanged(info OptionsChangedInfo) {
-	if l.OptionsChanged != nil {
-		l.OptionsChanged(info)
-	}
-}
-
 // InfoLogFileName returns the path of the DB's RocksDB-style LOG file.
 func InfoLogFileName(dir string) string { return dir + "/LOG" }
 
-// logListener is the built-in EventListener that writes a RocksDB-style LOG
-// file into the DB directory: one timestamped line per flush, compaction and
-// stall transition, plus open/close banners and a statistics dump at close.
-type logListener struct {
+// infoLog writes the RocksDB-style LOG file in the DB directory: the
+// engine's single record of its events. The engine formats each line where
+// the event happens: open/close banners, flush, compaction, stall
+// transitions, background errors and recoveries, set_options changes, and
+// statistics dumps.
+type infoLog struct {
 	mu  sync.Mutex
 	f   WritableFile
 	env Env
 }
 
-// newLogListener opens (truncating) dir/LOG. Returns nil on failure: info
-// logging is best-effort.
-func newLogListener(env Env, dir string) *logListener {
+// openInfoLog opens (truncating) dir/LOG. Returns nil on failure: info
+// logging is best-effort, and every method is a no-op on nil.
+func openInfoLog(env Env, dir string) *infoLog {
 	f, err := env.NewWritableFile(InfoLogFileName(dir), IOBackground)
 	if err != nil {
 		return nil
 	}
-	return &logListener{f: f, env: env}
+	return &infoLog{f: f, env: env}
 }
 
 // logf appends one timestamped line. The timestamp is the env clock
 // (virtual time under simulation), so LOG output is deterministic in sim
 // runs.
-func (l *logListener) logf(format string, args ...any) {
+func (l *infoLog) logf(format string, args ...any) {
 	if l == nil {
 		return
 	}
@@ -245,7 +73,7 @@ func (l *logListener) logf(format string, args ...any) {
 }
 
 // logRaw appends a multi-line block verbatim (statistics dumps).
-func (l *logListener) logRaw(text string) {
+func (l *infoLog) logRaw(text string) {
 	if l == nil {
 		return
 	}
@@ -257,7 +85,7 @@ func (l *logListener) logRaw(text string) {
 	l.f.Append([]byte(text))
 }
 
-func (l *logListener) close() {
+func (l *infoLog) close() {
 	if l == nil {
 		return
 	}
@@ -269,120 +97,12 @@ func (l *logListener) close() {
 	}
 }
 
-// OnFlushCompleted implements EventListener.
-func (l *logListener) OnFlushCompleted(info FlushInfo) {
-	if info.Err != nil {
-		l.logf("[flush] ERROR: %v", info.Err)
-		return
-	}
-	l.logf("[flush] memtables=%d -> %06d.sst bytes=%d duration=%v",
-		info.MemtablesMerged, info.OutputFileNumber, info.Bytes, info.Duration.Round(time.Microsecond))
-}
-
-// OnCompactionCompleted implements EventListener.
-func (l *logListener) OnCompactionCompleted(info CompactionInfo) {
-	if info.Err != nil {
-		l.logf("[compaction] ERROR: %v", info.Err)
-		return
-	}
-	l.logf("[compaction] %s L%d->L%d inputs=%d outputs=%d read=%d write=%d subcompactions=%d duration=%v",
-		info.Reason, info.InputLevel, info.OutputLevel, info.InputFiles, info.OutputFiles,
-		info.ReadBytes, info.WriteBytes, info.Subcompactions, info.Duration.Round(time.Microsecond))
-}
-
-// OnStallConditionChanged implements EventListener.
-func (l *logListener) OnStallConditionChanged(info StallInfo) {
-	l.logf("[stall] %s -> %s (l0_files=%d pending_compaction_bytes=%d)",
-		info.Previous, info.Current, info.L0Files, info.PendingCompactionBytes)
-}
-
-// OnWALSync implements EventListener. WAL syncs are high-frequency; they are
-// counted in statistics but not logged line-by-line.
-func (l *logListener) OnWALSync(WALSyncInfo) {}
-
-// OnBackgroundError implements EventListener.
-func (l *logListener) OnBackgroundError(info BackgroundErrorInfo) {
-	l.logf("[bg_error] %s severity=%s: %v", info.Reason, info.Severity, info.Err)
-}
-
-// OnErrorRecovery implements EventListener.
-func (l *logListener) OnErrorRecovery(info ErrorRecoveryInfo) {
-	mode := "manual"
-	if info.Auto {
-		mode = "auto"
-	}
-	l.logf("[recovery] %s attempts=%d cleared: %v", mode, info.Attempts, info.PriorErr)
-}
-
-// OnOptionsChanged implements EventListener: one LOG line per applied knob,
-// old -> new.
-func (l *logListener) OnOptionsChanged(info OptionsChangedInfo) {
-	scope := "db"
-	if info.ColumnFamily != "" {
-		scope = fmt.Sprintf("cf %q", info.ColumnFamily)
-	}
-	for _, ch := range info.Changes {
-		l.logf("[set_options] %s: %s %s -> %s", scope, ch.Name, ch.Old, ch.New)
-	}
-}
-
-// notifyOptionsChanged dispatches a dynamic options change to listeners.
-func (db *DB) notifyOptionsChanged(info OptionsChangedInfo) {
-	for _, l := range db.listeners {
-		l.OnOptionsChanged(info)
-	}
-}
-
-// notifyFlush dispatches a flush completion to every listener.
-func (db *DB) notifyFlush(info FlushInfo) {
-	for _, l := range db.listeners {
-		l.OnFlushCompleted(info)
-	}
-}
-
-// notifyCompaction dispatches a compaction completion to every listener.
-func (db *DB) notifyCompaction(info CompactionInfo) {
-	for _, l := range db.listeners {
-		l.OnCompactionCompleted(info)
-	}
-}
-
-// setStallConditionLocked records a write-controller transition and notifies
-// listeners when the condition actually changed. Caller holds db.mu.
+// setStallConditionLocked records a write-controller transition and logs it
+// when the condition actually changed. Caller holds db.mu.
 func (db *DB) setStallConditionLocked(cond StallCondition, l0 int, pending int64) {
 	if db.stallCond == cond {
 		return
 	}
-	info := StallInfo{
-		Previous:               db.stallCond,
-		Current:                cond,
-		L0Files:                l0,
-		PendingCompactionBytes: pending,
-	}
+	db.infoLog.logf("[stall] %s -> %s (l0_files=%d pending_compaction_bytes=%d)", db.stallCond, cond, l0, pending)
 	db.stallCond = cond
-	for _, l := range db.listeners {
-		l.OnStallConditionChanged(info)
-	}
-}
-
-// notifyBackgroundError dispatches the error-state transition to listeners.
-func (db *DB) notifyBackgroundError(info BackgroundErrorInfo) {
-	for _, l := range db.listeners {
-		l.OnBackgroundError(info)
-	}
-}
-
-// notifyErrorRecovery dispatches a successful recovery to listeners.
-func (db *DB) notifyErrorRecovery(info ErrorRecoveryInfo) {
-	for _, l := range db.listeners {
-		l.OnErrorRecovery(info)
-	}
-}
-
-// notifyWALSync records the sync latency and dispatches the event.
-func (db *DB) notifyWALSync(info WALSyncInfo) {
-	db.hists.Record(HistWALSyncMicros, info.Duration)
-	for _, l := range db.listeners {
-		l.OnWALSync(info)
-	}
 }

@@ -1,10 +1,14 @@
 package lsm
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
+	"math/rand"
 	"strings"
-	"sync"
 	"testing"
+
+	"repro/internal/device"
 )
 
 // readEnvFile reads a whole file from an Env (used to inspect the LOG).
@@ -28,37 +32,21 @@ func readEnvFile(t *testing.T, env Env, name string) string {
 	return string(buf)
 }
 
-func TestEventListenerCallbacks(t *testing.T) {
-	var mu sync.Mutex
-	var flushes []FlushInfo
-	var compactions []CompactionInfo
-	var stalls []StallInfo
-	var walSyncs int
-	listener := &ListenerFuncs{
-		FlushCompleted: func(i FlushInfo) {
-			mu.Lock()
-			flushes = append(flushes, i)
-			mu.Unlock()
-		},
-		CompactionCompleted: func(i CompactionInfo) {
-			mu.Lock()
-			compactions = append(compactions, i)
-			mu.Unlock()
-		},
-		StallConditionChanged: func(i StallInfo) {
-			mu.Lock()
-			stalls = append(stalls, i)
-			mu.Unlock()
-		},
-		WALSync: func(WALSyncInfo) {
-			mu.Lock()
-			walSyncs++
-			mu.Unlock()
-		},
+// logEvents returns the body of every LOG line tagged [tag] in dir, in
+// order: the text after "[tag] ".
+func logEvents(t *testing.T, env Env, dir, tag string) []string {
+	t.Helper()
+	var out []string
+	for _, line := range strings.Split(readEnvFile(t, env, InfoLogFileName(dir)), "\n") {
+		if _, body, ok := strings.Cut(line, " ["+tag+"] "); ok {
+			out = append(out, body)
+		}
 	}
-	db, _ := openTestDB(t, func(o *Options) {
-		o.Listeners = append(o.Listeners, listener)
-	})
+	return out
+}
+
+func TestEngineEventsLogged(t *testing.T) {
+	db, env := openTestDB(t, nil)
 	defer db.Close()
 
 	wo := DefaultWriteOptions()
@@ -78,64 +66,58 @@ func TestEventListenerCallbacks(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	mu.Lock()
-	defer mu.Unlock()
-	if len(flushes) == 0 {
-		t.Fatal("no flush events")
+	flushes := logEvents(t, env, "/db", "flush")
+	if len(flushes) == 0 || int64(len(flushes)) != db.stats.Get(TickerFlushCount) {
+		t.Fatalf("%d flush lines, flush.count %d", len(flushes), db.stats.Get(TickerFlushCount))
 	}
 	for _, f := range flushes {
-		if f.Err != nil {
-			t.Fatalf("flush error event: %v", f.Err)
-		}
-		if f.MemtablesMerged < 1 {
-			t.Fatalf("flush merged %d memtables", f.MemtablesMerged)
+		var mems int
+		if _, err := fmt.Sscanf(f, "memtables=%d", &mems); err != nil || mems < 1 {
+			t.Fatalf("flush line %q", f)
 		}
 	}
-	if flushes[0].Bytes <= 0 || flushes[0].OutputFileNumber == 0 {
-		t.Fatalf("flush info incomplete: %+v", flushes[0])
+	var mems, bytes int64
+	var out uint64
+	if _, err := fmt.Sscanf(flushes[0], "memtables=%d -> %d.sst bytes=%d", &mems, &out, &bytes); err != nil || bytes <= 0 || out == 0 {
+		t.Fatalf("flush line incomplete: %q", flushes[0])
 	}
-	if len(compactions) == 0 {
-		t.Fatal("no compaction events (CompactRange must emit one)")
+	compactions := logEvents(t, env, "/db", "compaction")
+	if len(compactions) == 0 || int64(len(compactions)) != db.stats.Get(TickerCompactCount) {
+		t.Fatalf("%d compaction lines, compact.count %d", len(compactions), db.stats.Get(TickerCompactCount))
 	}
 	sawManual := false
 	for _, c := range compactions {
-		if c.Reason == "manual" {
-			sawManual = true
+		var reason string
+		var in, outLevel int
+		if _, err := fmt.Sscanf(c, "%s L%d->L%d", &reason, &in, &outLevel); err != nil || outLevel < in {
+			t.Fatalf("compaction line incomplete: %q", c)
 		}
-		if c.Reason == "" || c.OutputLevel < c.InputLevel {
-			t.Fatalf("compaction info incomplete: %+v", c)
+		if reason == "manual" {
+			sawManual = true
 		}
 	}
 	if !sawManual {
-		t.Fatalf("no manual-compaction event among %d events", len(compactions))
+		t.Fatalf("no manual-compaction line among %q", compactions)
 	}
-	if walSyncs == 0 {
-		t.Fatal("no WAL sync events despite Sync writes")
+	if n := db.hists.Data(HistWALSyncMicros).Count; n == 0 {
+		t.Fatal("no WAL syncs recorded despite Sync writes")
 	}
 	// Stall transitions come in pairs when they happen (normal->delayed,
 	// delayed->normal, ...); with the small test buffers they may or may not
-	// trigger, but any emitted transition must be a real change.
-	for _, s := range stalls {
-		if s.Previous == s.Current {
-			t.Fatalf("no-op stall transition: %+v", s)
+	// trigger, but any logged transition must be a real change.
+	for _, s := range logEvents(t, env, "/db", "stall") {
+		var prev, cur string
+		if _, err := fmt.Sscanf(s, "%s -> %s", &prev, &cur); err != nil || prev == cur {
+			t.Fatalf("stall line %q", s)
 		}
 	}
 }
 
-func TestStallListenerFiresUnderPressure(t *testing.T) {
-	var mu sync.Mutex
-	var stalls []StallInfo
-	db, _ := openTestDB(t, func(o *Options) {
+func TestStallLoggedUnderPressure(t *testing.T) {
+	db, env := openTestDB(t, func(o *Options) {
 		o.Level0FileNumCompactionTrigger = 2
 		o.Level0SlowdownWritesTrigger = 2
 		o.Level0StopWritesTrigger = 4
-		o.Listeners = append(o.Listeners, &ListenerFuncs{
-			StallConditionChanged: func(i StallInfo) {
-				mu.Lock()
-				stalls = append(stalls, i)
-				mu.Unlock()
-			},
-		})
 	})
 	defer db.Close()
 	wo := DefaultWriteOptions()
@@ -145,13 +127,15 @@ func TestStallListenerFiresUnderPressure(t *testing.T) {
 		}
 	}
 	db.WaitForBackgroundIdle()
-	mu.Lock()
-	defer mu.Unlock()
+	stalls := logEvents(t, env, "/db", "stall")
 	if len(stalls) == 0 {
 		t.Fatal("no stall transitions with trigger=2 under 20k writes")
 	}
-	if stalls[0].Previous != StallNormal {
-		t.Fatalf("first transition from %v, want normal", stalls[0].Previous)
+	if db.stats.Get(TickerSlowdownWrites)+db.stats.Get(TickerStoppedWrites) == 0 {
+		t.Fatal("stall lines logged but no write was slowed or stopped")
+	}
+	if !strings.HasPrefix(stalls[0], "normal -> ") {
+		t.Fatalf("first transition %q, want one from normal", stalls[0])
 	}
 }
 
@@ -224,5 +208,79 @@ func TestStallConditionString(t *testing.T) {
 		if c.String() != want {
 			t.Errorf("%d.String() = %q, want %q", int(c), c.String(), want)
 		}
+	}
+}
+
+// infoLogScript runs a fixed SimEnv script — a write load that flushes,
+// compacts automatically and crosses the slowdown trigger, a live
+// SetOptions, more writes, Flush, a full CompactRange and Close — and
+// returns the LOG it leaves behind.
+func infoLogScript(t *testing.T) string {
+	env := NewSimEnv(device.NVMe(), device.Profile4C8G(), 42)
+	opts := DefaultOptions()
+	opts.Env = env
+	opts.WriteBufferSize = 64 << 10
+	opts.TargetFileSizeBase = 64 << 10
+	opts.MaxBytesForLevelBase = 256 << 10
+	opts.BlockSize = 1024
+	opts.BloomBitsPerKey = 10
+	opts.Level0FileNumCompactionTrigger = 2
+	opts.Level0SlowdownWritesTrigger = 2
+	opts.Level0StopWritesTrigger = 4
+	opts.MaxBackgroundJobs = 1
+	db, err := Open("/db", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	wo := DefaultWriteOptions()
+	put := func(n int) {
+		for i := 0; i < n; i++ {
+			val := make([]byte, 100+rng.Intn(400))
+			if err := db.Put(wo, []byte(fmt.Sprintf("key%05d", rng.Intn(20000))), val); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	put(3000)
+	if err := db.SetOptions(nil, map[string]string{"write_buffer_size": "131072", "max_write_buffer_number": "3"}); err != nil {
+		t.Fatal(err)
+	}
+	put(1500)
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.CompactRange(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return readEnvFile(t, env, InfoLogFileName("/db"))
+}
+
+// TestInfoLogGolden pins the LOG a fixed SimEnv script writes: every event
+// line (open banner, flush, auto and manual compaction, stall transitions,
+// set_options, close banner) and the close statistics dump. The timestamps
+// and durations are virtual time, so the bytes are deterministic. Regenerate
+// only when the LOG format is meant to change.
+func TestInfoLogGolden(t *testing.T) {
+	const want = "0fc9f4ddf898a64fdf4f75df082af3ec2829d600f13ed57cdc7c69aefdaedc58"
+	got := infoLogScript(t)
+	if again := infoLogScript(t); again != got {
+		t.Fatal("the script is not deterministic: two runs wrote different LOGs")
+	}
+	for _, line := range []string{
+		"[db] open /db", "[flush] memtables=", "[compaction] auto ", "[compaction] manual ",
+		"[stall] normal -> ", "[set_options] cf \"default\": write_buffer_size 65536 -> 131072",
+		"[db] close /db", "** Compaction Stats [default] **", "rocksdb.db.write.micros",
+	} {
+		if !strings.Contains(got, line) {
+			t.Errorf("LOG lacks %q", line)
+		}
+	}
+	sum := sha256.Sum256([]byte(got))
+	if h := hex.EncodeToString(sum[:]); h != want {
+		t.Errorf("LOG hash %s, want %s", h, want)
 	}
 }

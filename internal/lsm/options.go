@@ -102,10 +102,6 @@ type Options struct {
 	Env Env
 	// Stats receives engine counters; nil disables collection.
 	Stats *Statistics
-	// Listeners receive engine lifecycle events (flush/compaction
-	// completions, stall transitions, WAL syncs). Shared by reference on
-	// Clone, like Env and Stats.
-	Listeners []EventListener
 	// DisableInfoLog suppresses the built-in RocksDB-style LOG file the DB
 	// writes into its directory.
 	DisableInfoLog bool

@@ -4,42 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sync"
+	"strings"
 	"testing"
 	"time"
 )
-
-// collectErrors is an EventListener capture for bg-error / recovery events.
-type collectErrors struct {
-	mu        sync.Mutex
-	bgErrs    []BackgroundErrorInfo
-	recovered chan ErrorRecoveryInfo
-}
-
-func newCollectErrors() *collectErrors {
-	return &collectErrors{recovered: make(chan ErrorRecoveryInfo, 8)}
-}
-
-func (c *collectErrors) listener() *ListenerFuncs {
-	return &ListenerFuncs{
-		BackgroundError: func(info BackgroundErrorInfo) {
-			c.mu.Lock()
-			c.bgErrs = append(c.bgErrs, info)
-			c.mu.Unlock()
-		},
-		ErrorRecovery: func(info ErrorRecoveryInfo) { c.recovered <- info },
-	}
-}
-
-func (c *collectErrors) lastBGError(t *testing.T) BackgroundErrorInfo {
-	t.Helper()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.bgErrs) == 0 {
-		t.Fatal("no OnBackgroundError events")
-	}
-	return c.bgErrs[len(c.bgErrs)-1]
-}
 
 func fillKeys(t *testing.T, db *DB, prefix string, n int) {
 	t.Helper()
@@ -53,10 +21,7 @@ func fillKeys(t *testing.T, db *DB, prefix string, n int) {
 }
 
 func TestBackgroundErrorAndManualResume(t *testing.T) {
-	ce := newCollectErrors()
-	db, fenv, _ := openFaultDB(t, 11, func(o *Options) {
-		o.Listeners = append(o.Listeners, ce.listener())
-	})
+	db, fenv, dir := openFaultDB(t, 11, nil)
 	defer db.Close()
 
 	fillKeys(t, db, "pre", 50)
@@ -71,9 +36,9 @@ func TestBackgroundErrorAndManualResume(t *testing.T) {
 	if got := db.stats.Get(TickerBgError); got == 0 {
 		t.Fatal("bg.error ticker not bumped")
 	}
-	info := ce.lastBGError(t)
-	if info.Reason != "flush" || info.Severity != SeverityHard || !errors.Is(info.Err, ErrInjected) {
-		t.Fatalf("OnBackgroundError = %+v", info)
+	if got := logEvents(t, fenv, dir, "bg_error"); len(got) != 1 ||
+		!strings.HasPrefix(got[0], "flush severity=hard: lsm: injected permanent sync fault on ") {
+		t.Fatalf("bg_error lines = %q", got)
 	}
 
 	// Manual resume re-runs the failed flush (the one-shot rule is spent).
@@ -83,13 +48,9 @@ func TestBackgroundErrorAndManualResume(t *testing.T) {
 	if got := db.stats.Get(TickerErrorRecoveryCount); got != 1 {
 		t.Fatalf("error.recovery.count = %d, want 1", got)
 	}
-	select {
-	case rec := <-ce.recovered:
-		if rec.Auto || rec.Attempts != 1 || !errors.Is(rec.PriorErr, ErrBackgroundError) {
-			t.Fatalf("OnErrorRecovery = %+v", rec)
-		}
-	default:
-		t.Fatal("no OnErrorRecovery event")
+	if got := logEvents(t, fenv, dir, "recovery"); len(got) != 1 ||
+		!strings.HasPrefix(got[0], "manual attempts=1 cleared: lsm: background error (flush, hard): ") {
+		t.Fatalf("recovery lines = %q", got)
 	}
 	if err := db.Put(DefaultWriteOptions(), []byte("post"), []byte("v")); err != nil {
 		t.Fatalf("Put after Resume: %v", err)
@@ -103,9 +64,7 @@ func TestBackgroundErrorAndManualResume(t *testing.T) {
 }
 
 func TestBackgroundErrorAutoRecovery(t *testing.T) {
-	ce := newCollectErrors()
-	db, fenv, _ := openFaultDB(t, 13, func(o *Options) {
-		o.Listeners = append(o.Listeners, ce.listener())
+	db, fenv, dir := openFaultDB(t, 13, func(o *Options) {
 		o.MaxBgErrorResumeCount = 10
 		o.BgErrorResumeRetryInterval = 2000 // 2ms
 	})
@@ -115,22 +74,22 @@ func TestBackgroundErrorAutoRecovery(t *testing.T) {
 	fenv.Inject(FaultRule{Op: FaultSync, Pattern: ".sst", OneShot: true, Transient: true})
 	db.Flush() // may observe the bg error or the already-recovered state
 
-	select {
-	case rec := <-ce.recovered:
-		if !rec.Auto {
-			t.Fatalf("recovery not automatic: %+v", rec)
+	for deadline := time.Now().Add(10 * time.Second); db.stats.Get(TickerErrorRecoveryCount) == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("auto recovery did not happen")
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("auto recovery did not happen")
+		time.Sleep(time.Millisecond)
 	}
-	if info := ce.lastBGError(t); info.Severity != SeveritySoft {
-		t.Fatalf("transient fault classified %s, want soft", info.Severity)
-	}
-	if got := db.stats.Get(TickerErrorRecoveryCount); got == 0 {
-		t.Fatal("error.recovery.count not bumped")
-	}
+	// The recovery line is written under db.mu right after the ticker moves;
+	// the Put takes db.mu, so the line is complete once it returns.
 	if err := db.Put(DefaultWriteOptions(), []byte("post"), []byte("v")); err != nil {
 		t.Fatalf("Put after auto recovery: %v", err)
+	}
+	if got := logEvents(t, fenv, dir, "recovery"); len(got) != 1 || !strings.HasPrefix(got[0], "auto ") {
+		t.Fatalf("recovery not automatic: %q", got)
+	}
+	if got := logEvents(t, fenv, dir, "bg_error"); len(got) == 0 || !strings.Contains(got[len(got)-1], "severity=soft") {
+		t.Fatalf("transient fault not classified soft: %q", got)
 	}
 	if _, err := db.Get(nil, []byte("auto00000")); err != nil {
 		t.Fatalf("Get after auto recovery: %v", err)

@@ -29,8 +29,8 @@ const (
 // the registry first — unknown names (ErrUnknownOption), immutable knobs
 // (ErrImmutableOption), DB-scoped names (use SetDBOptions), bad syntax or a
 // combination failing Options.Validate reject the whole call; on success the
-// family's snapshot is swapped atomically and OnOptionsChanged fires with
-// the old->new diff.
+// family's snapshot is swapped atomically and the LOG gets one set_options
+// line per knob, old -> new.
 func (db *DB) SetOptions(h *ColumnFamilyHandle, changes map[string]string) error {
 	return db.setOptions(h, changes, scopeCF)
 }
@@ -79,7 +79,7 @@ func (db *DB) setOptions(h *ColumnFamilyHandle, changes map[string]string, scope
 	if len(changes) == 0 {
 		return nil
 	}
-	// Deterministic apply and event order regardless of map iteration.
+	// Deterministic apply and LOG order regardless of map iteration.
 	names := make([]string, 0, len(changes))
 	for name := range changes {
 		names = append(names, name)
@@ -101,7 +101,7 @@ func (db *DB) setOptions(h *ColumnFamilyHandle, changes map[string]string, scope
 
 	cur := cf.options()
 	next := cur.Clone()
-	applied := make([]OptionChange, 0, len(names))
+	applied := make([]string, 0, len(names)) // "name old -> new", sorted by name
 	for _, name := range names {
 		value := changes[name]
 		spec, ok := LookupOption(name)
@@ -128,7 +128,7 @@ func (db *DB) setOptions(h *ColumnFamilyHandle, changes map[string]string, scope
 		if err != nil {
 			return err
 		}
-		applied = append(applied, OptionChange{Name: spec.Name, Old: old, New: now})
+		applied = append(applied, fmt.Sprintf("%s %s -> %s", spec.Name, old, now))
 	}
 	if err := next.Validate(); err != nil {
 		return fmt.Errorf("lsm: SetOptions rejected: %w", err)
@@ -149,17 +149,14 @@ func (db *DB) setOptions(h *ColumnFamilyHandle, changes map[string]string, scope
 		}
 	}
 	db.applyOptionSideEffectsLocked(cf, cur, next)
-	db.notifyOptionsChanged(OptionsChangedInfo{ColumnFamily: optionsEventCF(cf, scope), Changes: applied})
-	return nil
-}
-
-// optionsEventCF names the family for the OnOptionsChanged event ("" for
-// DB scope).
-func optionsEventCF(cf *columnFamily, scope setOptionsScope) string {
-	if scope == scopeDB {
-		return ""
+	where := "db"
+	if scope != scopeDB {
+		where = fmt.Sprintf("cf %q", cf.name)
 	}
-	return cf.name
+	for _, ch := range applied {
+		db.infoLog.logf("[set_options] %s: %s", where, ch)
+	}
+	return nil
 }
 
 // applyOptionSideEffectsLocked propagates a swapped snapshot into the

@@ -51,45 +51,30 @@ func TestSetOptionsValidation(t *testing.T) {
 }
 
 func TestSetOptionsEvent(t *testing.T) {
-	var mu sync.Mutex
-	var events []OptionsChangedInfo
-	db, env := openTestDB(t, func(o *Options) {
-		o.Listeners = append(o.Listeners, &ListenerFuncs{
-			OptionsChanged: func(i OptionsChangedInfo) {
-				mu.Lock()
-				events = append(events, i)
-				mu.Unlock()
-			},
-		})
-	})
+	db, env := openTestDB(t, nil)
 	defer db.Close()
 
 	if err := db.SetOptions(nil, map[string]string{"write_buffer_size": "131072", "max_write_buffer_number": "4"}); err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(events) != 1 {
-		t.Fatalf("events = %d, want 1", len(events))
+	// One LOG line per knob, old -> new, sorted by name:
+	// max_write_buffer_number before write_buffer_size.
+	got := logEvents(t, env, "/db", "set_options")
+	want := []string{
+		`cf "default": max_write_buffer_number 2 -> 4`,
+		`cf "default": write_buffer_size 65536 -> 131072`,
 	}
-	ev := events[0]
-	if ev.ColumnFamily != "default" || len(ev.Changes) != 2 {
-		t.Fatalf("event = %+v", ev)
-	}
-	// Sorted by name: max_write_buffer_number before write_buffer_size.
-	if ev.Changes[0].Name != "max_write_buffer_number" || ev.Changes[0].Old != "2" || ev.Changes[0].New != "4" {
-		t.Fatalf("change[0] = %+v", ev.Changes[0])
-	}
-	if ev.Changes[1].Name != "write_buffer_size" || ev.Changes[1].New != "131072" {
-		t.Fatalf("change[1] = %+v", ev.Changes[1])
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("set_options lines = %q, want %q", got, want)
 	}
 	if got := db.Options().WriteBufferSize; got != 131072 {
 		t.Fatalf("WriteBufferSize = %d", got)
 	}
-	// The built-in LOG listener records old -> new.
-	log := readEnvFile(t, env, InfoLogFileName("/db"))
-	if !strings.Contains(log, "[set_options]") || !strings.Contains(log, "write_buffer_size 65536 -> 131072") {
-		t.Fatalf("LOG missing set_options record:\n%s", log)
+	if err := db.SetDBOptions(map[string]string{"max_background_jobs": "4"}); err != nil {
+		t.Fatal(err)
+	}
+	if got := logEvents(t, env, "/db", "set_options"); len(got) != 3 || !strings.HasPrefix(got[2], "db: max_background_jobs ") {
+		t.Fatalf("DB-scoped change logged as %q", got)
 	}
 }
 
@@ -97,17 +82,8 @@ func TestSetOptionsEvent(t *testing.T) {
 // write_buffer_size live makes the very next flush smaller, without a
 // reopen.
 func TestSetOptionsShrinksNextFlush(t *testing.T) {
-	var mu sync.Mutex
-	var flushes []FlushInfo
-	db, _ := openTestDB(t, func(o *Options) {
+	db, env := openTestDB(t, func(o *Options) {
 		o.WriteBufferSize = 1 << 20 // 1 MiB: no flush during the warmup
-		o.Listeners = append(o.Listeners, &ListenerFuncs{
-			FlushCompleted: func(i FlushInfo) {
-				mu.Lock()
-				flushes = append(flushes, i)
-				mu.Unlock()
-			},
-		})
 	})
 	defer db.Close()
 	wo := DefaultWriteOptions()
@@ -117,12 +93,9 @@ func TestSetOptionsShrinksNextFlush(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mu.Lock()
-	if len(flushes) != 0 {
-		mu.Unlock()
-		t.Fatalf("unexpected flush during warmup: %+v", flushes)
+	if flushes := logEvents(t, env, "/db", "flush"); len(flushes) != 0 {
+		t.Fatalf("unexpected flush during warmup: %q", flushes)
 	}
-	mu.Unlock()
 
 	// Live drop to the 64 KiB floor: the controller re-reads the snapshot on
 	// the next write and switches the (already oversized) memtable.
@@ -137,16 +110,19 @@ func TestSetOptionsShrinksNextFlush(t *testing.T) {
 	if err := db.WaitForBackgroundIdle(); err != nil {
 		t.Fatal(err)
 	}
-	mu.Lock()
-	defer mu.Unlock()
+	flushes := logEvents(t, env, "/db", "flush")
 	if len(flushes) < 2 {
 		t.Fatalf("flushes after live drop = %d, want >= 2", len(flushes))
 	}
 	// The first flush carries the oversized warmup memtable; every later one
 	// must be sized by the new 64 KiB buffer, far below the old 1 MiB one.
 	for _, f := range flushes[1:] {
-		if f.Bytes > 300<<10 {
-			t.Fatalf("flush after drop wrote %d bytes; write_buffer_size drop not honored", f.Bytes)
+		var mems, out, bytes int64
+		if _, err := fmt.Sscanf(f, "memtables=%d -> %d.sst bytes=%d", &mems, &out, &bytes); err != nil {
+			t.Fatalf("flush line %q: %v", f, err)
+		}
+		if bytes > 300<<10 {
+			t.Fatalf("flush after drop wrote %d bytes; write_buffer_size drop not honored", bytes)
 		}
 	}
 }

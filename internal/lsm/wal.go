@@ -20,12 +20,12 @@ type walWriter struct {
 	opts         *Options
 	bytesWritten int64
 	sinceSync    int64
-	unsynced     int64 // bytes appended since the last durability sync
 	stats        *Statistics
-	// onSync, when set, receives one event per durability sync (periodic
-	// bytes-per-sync syncs and explicit WriteOptions.Sync syncs), timed on
-	// stopwatch (the owner's engineRuntime.stopwatch).
-	onSync    func(WALSyncInfo)
+	// hists, when set, records every durability sync (periodic
+	// bytes-per-sync syncs and explicit WriteOptions.Sync syncs) in
+	// HistWALSyncMicros, timed on stopwatch (the owner's
+	// engineRuntime.stopwatch).
+	hists     *HistogramStats
 	stopwatch func() time.Duration
 }
 
@@ -77,7 +77,6 @@ func (w *walWriter) addRecords(payloads [][]byte) error {
 // wal_bytes_per_sync of them have accumulated.
 func (w *walWriter) appended(n int64) error {
 	w.bytesWritten += n
-	w.unsynced += n
 	w.stats.Add(TickerWALBytes, n)
 	if w.opts.WALBytesPerSync <= 0 {
 		return nil
@@ -100,7 +99,7 @@ func (w *walWriter) appended(n int64) error {
 		return err
 	}
 	w.stats.Add(TickerWALSyncs, 1)
-	w.notifySync(w.stopwatch() - start)
+	w.hists.Record(HistWALSyncMicros, w.stopwatch()-start)
 	w.sinceSync = 0
 	return nil
 }
@@ -111,16 +110,8 @@ func (w *walWriter) sync() error {
 	w.sinceSync = 0
 	start := w.stopwatch()
 	err := w.f.Sync()
-	w.notifySync(w.stopwatch() - start)
+	w.hists.Record(HistWALSyncMicros, w.stopwatch()-start)
 	return err
-}
-
-// notifySync reports one durability sync to the owner.
-func (w *walWriter) notifySync(d time.Duration) {
-	if w.onSync != nil {
-		w.onSync(WALSyncInfo{Bytes: w.unsynced, Duration: d})
-	}
-	w.unsynced = 0
 }
 
 // size returns bytes appended so far.
