@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race crashtest equivalence serverbench liveretune allocgate fuzz benchmodule loc simfork onestream onehist onelru onewindow simdiff verify clean
+.PHONY: build test vet race crashtest equivalence poison serverbench liveretune allocgate fuzz benchmodule loc simfork onestream onehist onelru onewindow simdiff verify clean
 
 build:
 	$(GO) build ./...
@@ -39,6 +39,14 @@ crashtest:
 equivalence:
 	$(GO) test -race -count=1 -run '^(TestSubcompactionEquivalence|TestTableBytesGolden|TestInfoLogGolden)$$' ./internal/lsm
 
+# Use after release, made loud: with -tags poison the block cache fills a
+# buffer with 0xDB as it becomes a spare, so a reader still on a released
+# block fails at once instead of reading another block later. Runs the
+# iterator, table-reader and block-handle lifetime tests and the
+# subcompaction equivalence check with the tag, under -race.
+poison:
+	$(GO) test -tags poison -race -count=1 -run '^(TestIterator|TestTableReader|TestBlockHandle|TestSubcompactionEquivalence)' ./internal/lsm
+
 # End-to-end smoke of the networked service: start kvserver, drive a short
 # mixed workload through dbbench -server, assert nonzero throughput and a
 # clean SIGINT shutdown.
@@ -46,10 +54,11 @@ serverbench:
 	./scripts/serverbench.sh
 
 # Allocation regression gates: testing.AllocsPerRun bounds on the cache-hit
-# Get path, the single-writer commit path (both runtimes), memtable inserts
-# carved from the arena, reused block iteration, snappy block compression and
-# reads (scratch and cache-bound), a block-cache insert into a full cache
-# (recycled list entries), the per-frame server/client paths, and a burst of
+# Get path, the single-writer commit path (both runtimes), WAL framing,
+# memtable inserts carved from the arena, reused block iteration, snappy
+# block compression and reads (scratch and private), the block cache's
+# recycled handles (an insert into a full cache, a refill after EraseID, a
+# Get that misses into a full cache), the per-frame server/client paths, and a burst of
 # Puts committed as one write group; on the read side, a lookup appended
 # into a reused buffer, a whole scan over the pooled iterator tree
 # (TestAllocGateIterator), cache-hit Get frames, Scan(1) frames and Scan
@@ -137,7 +146,7 @@ simdiff:
 	@test -n "$(PARENT)" || { echo "usage: make simdiff PARENT=<ref>" >&2; exit 2; }
 	./scripts/simdiff.sh $(PARENT)
 
-verify: build vet simfork onestream onehist onelru onewindow test race equivalence allocgate fuzz benchmodule serverbench liveretune
+verify: build vet simfork onestream onehist onelru onewindow test race equivalence poison allocgate fuzz benchmodule serverbench liveretune
 
 clean:
 	$(GO) clean ./...

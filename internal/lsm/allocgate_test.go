@@ -114,8 +114,9 @@ func TestAllocGateAppendGetCacheHit(t *testing.T) {
 }
 
 // TestAllocGateWrite gates the commit path for a single writer reusing a
-// one-Put batch, on both runtimes. Steady state measures 1 alloc/op on both,
-// the WAL append: the memtable entry, its skiplist node and tower come from
+// one-Put batch, on both runtimes. Steady state measures 0 allocs/op on
+// both: the WAL frames the record in its own buffer (TestAllocGateWALAppend),
+// the memtable entry, its skiplist node and tower come from
 // the memtable's arena (TestAllocGateMemtableAdd), and the compaction pick
 // simRuntime.poll runs per simulated op keeps its level capacities on the
 // stack. The write group itself — request, wake channel, member list, family
@@ -147,11 +148,33 @@ func TestAllocGateWrite(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			const limit = 2
+			const limit = 1
 			if avg > limit {
 				t.Fatalf("single-writer Write allocates %.1f/op, gate is %d", avg, limit)
 			}
 		})
+	}
+}
+
+// TestAllocGateWALAppend gates WAL framing: a single-batch group appends
+// its header and payload, and a larger group its whole run, from the
+// writer's own framing buffer, so neither allocates. 1 per append means the
+// header escapes through the Append call again, or a group makes a buffer.
+func TestAllocGateWALAppend(t *testing.T) {
+	w := newWALWriter(discardFile{}, DefaultOptions())
+	payload := make([]byte, 200)
+	for _, n := range []int{1, 4} {
+		payloads := make([][]byte, n)
+		for i := range payloads {
+			payloads[i] = payload
+		}
+		if avg := testing.AllocsPerRun(500, func() {
+			if err := w.addRecords(payloads); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Errorf("WAL append of a %d-batch group allocates %.2f/op, want 0", n, avg)
+		}
 	}
 }
 
@@ -291,16 +314,16 @@ func TestAllocGateIterator(t *testing.T) {
 }
 
 // TestAllocGateBlockCacheInsert gates a block-cache insert into a full
-// cache: each insert evicts one block, whose list entry the next insert
-// reuses, so with the block passed in a steady-state insert allocates
-// nothing. 1 per insert means the cache allocates a list entry again.
+// cache: each insert evicts one block, whose handle (list entry and buffer)
+// becomes a spare that the next insert takes, so a steady-state insert
+// allocates nothing. 1 per insert means the cache allocates a handle or an
+// entry again, 2 that it keeps no spare.
 func TestAllocGateBlockCacheInsert(t *testing.T) {
 	const blocks = 64
-	block := make([]byte, 4096)
 	c := newBlockCache(blocks * (4096 + 64))
 	off := uint64(0)
 	insert := func() {
-		c.Insert(1, off, block)
+		cacheTestInsert(c, 1, off, 4096)
 		off += 4096
 	}
 	for i := 0; i < 4*blocks; i++ {
@@ -308,6 +331,79 @@ func TestAllocGateBlockCacheInsert(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(1000, insert); avg != 0 {
 		t.Fatalf("steady-state blockCache.Insert allocates %.2f/op, want 0", avg)
+	}
+}
+
+// cacheTestInsert caches an n-byte block the way a miss does: into a spare
+// of its shard when one fits, else into new storage, then releases the
+// caller's reference.
+func cacheTestInsert(c *blockCache, id, off uint64, n int) {
+	d := blockDst{spares: c.shard(id, off)}
+	b := d.sized(n)
+	c.Insert(id, off, d.h, b).release()
+}
+
+// TestAllocGateBlockCacheRefill gates the refill after a table deletion:
+// EraseID turns a table's blocks into spares (list entries, chain links and
+// buffers), and caching as many blocks of another table takes them back, so
+// the refill allocates nothing. About 1 per insert means erased blocks'
+// entries or buffers are not taken back; 1 per table, a per-table index.
+func TestAllocGateBlockCacheRefill(t *testing.T) {
+	const blocks = 256
+	c := newBlockCache(4 * blocks * (4096 + 64))
+	id := uint64(1)
+	// Offsets step by a block and its trailer, as in a table; 4096-aligned
+	// offsets would put a whole table in one shard.
+	const stride = 4096 + blockTrailerSize
+	fill := func(id uint64) {
+		for off := uint64(0); off < blocks*stride; off += stride {
+			cacheTestInsert(c, id, off, 4096)
+		}
+	}
+	for ; id <= 4; id++ {
+		fill(id)
+	}
+	// Each round erases the oldest table and caches a new one in its room.
+	avg := testing.AllocsPerRun(20, func() {
+		c.EraseID(id - 4)
+		fill(id)
+		id++
+	})
+	if perInsert := avg / blocks; perInsert != 0 {
+		t.Fatalf("refilling an erased table allocates %.3f per insert (%.1f per table), want 0", perInsert, avg)
+	}
+}
+
+// TestAllocGateBlockCacheMiss gates a Get that misses into a full cache:
+// the block is read and decoded into a spare the cache recycled from a
+// block it evicted, so neither the cache nor the codec allocates. Get's one
+// allocation is the value it returns.
+func TestAllocGateBlockCacheMiss(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation gate needs a flushed table")
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled buffers under -race")
+	}
+	db, keys := openAllocBenchDB(t, 8192, func(o *Options) {
+		o.BlockCacheSize = 64 << 10 // a few blocks per shard: most Gets miss
+		o.Compression = SnappyCompression
+	})
+	defer db.Close()
+	missesBefore := db.stats.Get(TickerBlockCacheMiss)
+	i := 0
+	avg := testing.AllocsPerRun(500, func() {
+		if _, err := db.Get(nil, keys[i*7919%len(keys)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	if misses := db.stats.Get(TickerBlockCacheMiss) - missesBefore; misses < int64(i)/2 {
+		t.Fatalf("only %d of %d Gets missed the cache", misses, i)
+	}
+	const limit = 1
+	if avg > limit {
+		t.Fatalf("Get missing into a full cache allocates %.2f/op, gate is %d (the returned value)", avg, limit)
 	}
 }
 
@@ -401,8 +497,8 @@ func compressedBlockReader(tb testing.TB, raw []byte, comp Compression) (*tableR
 
 // TestAllocGateBlockCodec gates the snappy block paths: compressing a block
 // into the pooled staging buffer allocates nothing, a compaction-style read
-// into caller scratch allocates nothing, and a cache-bound read (nil
-// scratch) allocates once, the block itself.
+// into caller scratch allocates nothing, and a private read (no scratch:
+// openTable's index and filter) allocates once, the block itself.
 func TestAllocGateBlockCodec(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled buffers under -race")
@@ -422,9 +518,9 @@ func TestAllocGateBlockCodec(t *testing.T) {
 		name    string
 		scratch []byte
 		want    float64
-	}{{"scratch", scratch, 0}, {"cache-bound", nil, 1}} {
+	}{{"scratch", scratch, 0}, {"private", nil, 1}} {
 		avg := testing.AllocsPerRun(200, func() {
-			out, err := r.readBlockRaw(h, HintSequential, tc.scratch)
+			out, err := r.readBlockRaw(h, HintSequential, &blockDst{scratch: tc.scratch})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -476,7 +572,7 @@ func BenchmarkReadBlockCompressed(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				out, err := r.readBlockRaw(h, HintSequential, scratch)
+				out, err := r.readBlockRaw(h, HintSequential, &blockDst{scratch: scratch})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -5,6 +5,7 @@ import (
 	"compress/flate"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 )
 
@@ -131,14 +132,13 @@ func compressBlock(buf *bytes.Buffer, raw []byte, comp Compression) ([]byte, byt
 }
 
 // decodeBlock turns a verified payload of block type ctype into the block,
-// in dst's storage when its capacity suffices and in one exactly-sized
-// allocation otherwise. payload must not alias dst.
-func decodeBlock(dst, payload []byte, ctype byte) ([]byte, error) {
+// in storage from dst (blockDst.sized). payload must not alias dst.
+func decodeBlock(dst *blockDst, payload []byte, ctype byte) ([]byte, error) {
 	switch ctype {
 	case blockRaw:
-		dst = sized(dst, len(payload))
-		copy(dst, payload)
-		return dst, nil
+		out := dst.sized(len(payload))
+		copy(out, payload)
+		return out, nil
 	case blockFlate:
 		return inflateBlock(dst, payload)
 	case blockSnappy:
@@ -146,23 +146,43 @@ func decodeBlock(dst, payload []byte, ctype byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		dst = sized(dst, n)
-		if err := snappyDecode(dst, payload[prefix:]); err != nil {
+		out := dst.sized(n)
+		if err := snappyDecode(out, payload[prefix:]); err != nil {
 			return nil, err
 		}
-		return dst, nil
+		return out, nil
 	default:
 		return nil, fmt.Errorf("lsm: unknown block compression %d", ctype)
 	}
 }
 
-// sized returns b resliced to n bytes when its capacity allows, else new
-// storage of exactly n bytes.
-func sized(b []byte, n int) []byte {
-	if cap(b) >= n {
-		return b[:n]
+// blockDst is the storage readBlockRaw puts a block in: scratch when its
+// capacity suffices; otherwise, on a cache miss (spares set), a spare of the
+// block's cache shard, taken as h once the block's size is known; otherwise
+// new storage.
+type blockDst struct {
+	scratch []byte
+	spares  *cacheShard
+	h       *cacheHandle
+}
+
+// sized returns n bytes of the destination's storage.
+func (d *blockDst) sized(n int) []byte {
+	if cap(d.scratch) >= n {
+		return d.scratch[:n]
 	}
-	return make([]byte, n)
+	if d.spares == nil || d.h != nil {
+		return make([]byte, n)
+	}
+	if d.h = d.spares.takeSpare(n); d.h != nil {
+		d.scratch = d.h.b
+	} else {
+		// Storage for the cache: capacity rounded up to the allocator's
+		// size class, which costs no memory and lets the buffer take a
+		// slightly larger block once recycled.
+		d.scratch = slices.Grow([]byte(nil), n)
+	}
+	return d.scratch[:n]
 }
 
 // flateScratch is inflateBlock's pooled state: a reader over the payload and
@@ -177,9 +197,9 @@ var flateScratchPool = sync.Pool{
 	New: func() any { return new(flateScratch) },
 }
 
-// inflateBlock inflates a DEFLATE payload into dst's storage (see
+// inflateBlock inflates a DEFLATE payload into storage from dst (see
 // decodeBlock).
-func inflateBlock(dst, payload []byte) ([]byte, error) {
+func inflateBlock(dst *blockDst, payload []byte) ([]byte, error) {
 	scr := flateScratchPool.Get().(*flateScratch)
 	defer func() {
 		scr.buf.Reset()
@@ -192,7 +212,7 @@ func inflateBlock(dst, payload []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	dst = sized(dst, scr.buf.Len())
-	copy(dst, scr.buf.Bytes())
-	return dst, nil
+	out := dst.sized(scr.buf.Len())
+	copy(out, scr.buf.Bytes())
+	return out, nil
 }

@@ -67,7 +67,7 @@ func TestCodecPoolConcurrentRoundTrip(t *testing.T) {
 				rd := &tableReader{f: rf, env: env}
 				var scratch []byte
 				for i, h := range handles {
-					got, err := rd.readBlockRaw(h, HintSequential, scratch)
+					got, err := rd.readBlockRaw(h, HintSequential, &blockDst{scratch: scratch})
 					if err != nil {
 						errc <- fmt.Errorf("comp=%v block %d: %w", comp, i, err)
 						return
@@ -147,7 +147,7 @@ func TestCorruptCtypePooledBufferSafety(t *testing.T) {
 			t.Fatal(err)
 		}
 		rd := &tableReader{f: f, env: env}
-		_, err = rd.readBlockRaw(h, HintRandom, scratch)
+		_, err = rd.readBlockRaw(h, HintRandom, &blockDst{scratch: scratch})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: want %q error, got %v", tc.name, tc.want, err)
 		}
@@ -165,7 +165,7 @@ func TestCorruptCtypePooledBufferSafety(t *testing.T) {
 	raw := append([]byte(nil), bb.finish()...)
 	for _, comp := range []Compression{ZstdCompression, SnappyCompression} {
 		rd, gh := compressedBlockReader(t, raw, comp)
-		got, err := rd.readBlockRaw(gh, HintRandom, scratch)
+		got, err := rd.readBlockRaw(gh, HintRandom, &blockDst{scratch: scratch})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +223,7 @@ func TestReadBlockRawMixedTypes(t *testing.T) {
 					if (r+g)%2 == 0 {
 						dst = scratch
 					}
-					got, err := rd.readBlockRaw(handles[i], HintRandom, dst)
+					got, err := rd.readBlockRaw(handles[i], HintRandom, &blockDst{scratch: dst})
 					if err != nil {
 						t.Errorf("block %d (%v): %v", i, comps[i], err)
 						return

@@ -26,8 +26,6 @@ type WriteOptions struct {
 
 // ReadOptions controls one read.
 type ReadOptions struct {
-	// FillCache controls whether read blocks enter the block cache.
-	FillCache bool
 	// VerifyChecksums is accepted for API parity (checksums are always
 	// verified on block read in this implementation).
 	VerifyChecksums bool
@@ -38,12 +36,12 @@ type ReadOptions struct {
 // DefaultWriteOptions matches db_bench defaults (async WAL writes).
 func DefaultWriteOptions() *WriteOptions { return &WriteOptions{} }
 
-// DefaultReadOptions fills the cache.
-func DefaultReadOptions() *ReadOptions { return &ReadOptions{FillCache: true} }
+// DefaultReadOptions reads the latest state.
+func DefaultReadOptions() *ReadOptions { return &ReadOptions{} }
 
 // defaultReadOptions is the shared instance used when a caller passes nil,
 // so the per-op paths don't allocate one. Never mutated.
-var defaultReadOptions = &ReadOptions{FillCache: true}
+var defaultReadOptions = &ReadOptions{}
 
 // levelIOStats accumulates cumulative background I/O per level (flush
 // writes land on L0; compaction reads/writes land on the output level).
@@ -522,9 +520,9 @@ func (db *DB) makeRoomForWriteLocked(cf *columnFamily, batchBytes int64) error {
 			continue
 		}
 		// Slowdown: writes proceed at delayed_write_rate (applied once).
-		if auto && !delayed &&
-			(l0 >= o.Level0SlowdownWritesTrigger ||
-				(o.SoftPendingCompactionBytesLimit > 0 && pending >= o.SoftPendingCompactionBytesLimit)) {
+		slow := auto && (l0 >= o.Level0SlowdownWritesTrigger ||
+			(o.SoftPendingCompactionBytesLimit > 0 && pending >= o.SoftPendingCompactionBytesLimit))
+		if slow && !delayed {
 			db.setStallConditionLocked(StallDelayed, l0, pending)
 			delay := time.Duration(float64(batchBytes) / float64(db.options().delayedWriteRate()) * 1e9)
 			if delay < 50*time.Microsecond {
@@ -538,7 +536,13 @@ func (db *DB) makeRoomForWriteLocked(cf *columnFamily, batchBytes int64) error {
 			continue
 		}
 		if cf.mem.approximateBytes() < o.WriteBufferSize && db.wal.size() < db.options().maxTotalWALSize() {
-			db.setStallConditionLocked(StallNormal, l0, pending)
+			// The condition says which trigger still holds: a write just
+			// slowed leaves it delayed, not normal until the next write.
+			if slow {
+				db.setStallConditionLocked(StallDelayed, l0, pending)
+			} else {
+				db.setStallConditionLocked(StallNormal, l0, pending)
+			}
 			return nil
 		}
 		// Memtable full (or the shared WAL outgrew its cap): switch, unless

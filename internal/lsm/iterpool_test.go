@@ -59,7 +59,8 @@ func TestIteratorClosedHandle(t *testing.T) {
 }
 
 // TestIteratorCloseClearsTree: Close leaves the pooled tree pointing at no
-// DB, version, memtable, reader or block, so a recycled tree pins nothing.
+// DB, version, memtable, reader, block or block-cache handle, so a recycled
+// tree pins nothing.
 func TestIteratorCloseClearsTree(t *testing.T) {
 	db, _ := openTestDB(t, func(o *Options) { o.DisableAutoCompactions = true })
 	defer db.Close()
@@ -109,9 +110,9 @@ func TestIteratorCloseClearsTree(t *testing.T) {
 	}
 	for i, l := range a.levels[:cap(a.levels)] {
 		ti := &l.ti
-		if l.files != nil || l.src != nil || l.r != nil || ti.t != nil || ti.idx != nil || ti.data != nil ||
+		if l.files != nil || l.src != nil || l.r != nil || ti.t != nil || ti.idx != nil || ti.data != nil || ti.h != nil ||
 			ti.idxState.data != nil || ti.idxState.val != nil || ti.dataSt.data != nil || ti.dataSt.val != nil {
-			t.Fatalf("closed tree's level %d keeps a file list, opener, reader or block", i)
+			t.Fatalf("closed tree's level %d keeps a file list, opener, reader, block or handle", i)
 		}
 	}
 }

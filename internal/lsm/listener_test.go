@@ -139,6 +139,51 @@ func TestStallLoggedUnderPressure(t *testing.T) {
 	}
 }
 
+// TestStallRestsInDelayed checks that a slowed write leaves the controller
+// delayed: with the slowdown trigger holding, the LOG must not flip
+// delayed -> normal -> delayed at one timestamp, which it did once per
+// slowed write while the controller reset to normal before returning.
+func TestStallRestsInDelayed(t *testing.T) {
+	db, env := openTestDB(t, func(o *Options) {
+		o.Level0FileNumCompactionTrigger = 2
+		o.Level0SlowdownWritesTrigger = 2
+		o.Level0StopWritesTrigger = 4
+	})
+	defer db.Close()
+	wo := DefaultWriteOptions()
+	for i := 0; i < 20000; i++ {
+		if err := db.Put(wo, []byte(fmt.Sprintf("k%06d", i)), make([]byte, 256)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.WaitForBackgroundIdle()
+	if db.stats.Get(TickerSlowdownWrites) == 0 {
+		t.Fatal("no write was slowed: the script does not exercise the slowdown trigger")
+	}
+	type stall struct{ ts, body string }
+	var stalls []stall
+	for _, line := range strings.Split(readEnvFile(t, env, InfoLogFileName("/db")), "\n") {
+		if ts, body, ok := strings.Cut(line, " [stall] "); ok {
+			stalls = append(stalls, stall{ts, body})
+		}
+	}
+	delayed := 0
+	for i, s := range stalls {
+		if strings.Contains(s.body, "-> delayed") {
+			delayed++
+		}
+		if i == 0 {
+			continue
+		}
+		if p := stalls[i-1]; p.ts == s.ts && strings.HasPrefix(p.body, "delayed -> normal") && strings.HasPrefix(s.body, "normal -> delayed") {
+			t.Fatalf("stall flip at %s: %q then %q (%d stall lines)", s.ts, p.body, s.body, len(stalls))
+		}
+	}
+	if delayed == 0 {
+		t.Fatalf("no transition to delayed in %d stall lines", len(stalls))
+	}
+}
+
 func TestInfoLogWritten(t *testing.T) {
 	db, env := openTestDB(t, nil)
 	wo := DefaultWriteOptions()
@@ -265,7 +310,7 @@ func infoLogScript(t *testing.T) string {
 // and durations are virtual time, so the bytes are deterministic. Regenerate
 // only when the LOG format is meant to change.
 func TestInfoLogGolden(t *testing.T) {
-	const want = "0fc9f4ddf898a64fdf4f75df082af3ec2829d600f13ed57cdc7c69aefdaedc58"
+	const want = "9c68d54111e17073fbfb369d1f409edf64a9a42ed90ef4a62e8d4f91fe9fbebc"
 	got := infoLogScript(t)
 	if again := infoLogScript(t); again != got {
 		t.Fatal("the script is not deterministic: two runs wrote different LOGs")

@@ -14,7 +14,9 @@ package lsm
 //
 // An entry that leaves the list is kept, zeroed, on a free list of at most
 // lruSpares entries for the next add, so a full cache that evicts one entry
-// per insert allocates none.
+// per insert allocates none. An owner that embeds the entries in its own
+// values (the block cache's handles) adds them with link instead, and the
+// list then never recycles one: a dropped entry is its owner's again.
 //
 // lru has no lock: each owner serializes access under the lock it already
 // holds.
@@ -26,6 +28,7 @@ type lru[K comparable, V any] struct {
 	onEvict func(K, V)
 	free    *lruEntry[K, V] // spare entries, linked through next
 	spares  int
+	linked  bool // entries come from link, so none is recycled
 }
 
 // lruSpares bounds the free list: enough for an insert that evicts several
@@ -96,6 +99,18 @@ func (c *lru[K, V]) add(k K, v V, charge int64) {
 	c.evict(e)
 }
 
+// link caches e, an entry its owner allocated with key, value and charge
+// set, for a key not cached, as the most recent entry, then evicts to the
+// budget by the eviction rule. A list takes its entries either all from add
+// or all from link.
+func (c *lru[K, V]) link(e *lruEntry[K, V]) {
+	c.linked = true
+	c.m[e.key] = e
+	c.used += e.charge
+	c.pushFront(e)
+	c.evict(e)
+}
+
 // remove drops k without calling onEvict and returns what it held.
 func (c *lru[K, V]) remove(k K) (V, bool) {
 	e, ok := c.m[k]
@@ -136,8 +151,13 @@ func (c *lru[K, V]) drop(e *lruEntry[K, V]) {
 }
 
 // recycle puts a dropped entry on the free list, zeroed so that a spare pins
-// no block, reader or page, unless the list already holds lruSpares.
+// no block, reader or page, unless the list already holds lruSpares. An
+// owner's entry is only unlinked, so that it pins no neighbour.
 func (c *lru[K, V]) recycle(e *lruEntry[K, V]) {
+	if c.linked {
+		e.prev, e.next = nil, nil
+		return
+	}
 	if c.spares == lruSpares {
 		return
 	}

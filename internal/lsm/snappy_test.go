@@ -28,7 +28,7 @@ func snappyRoundTrip(t *testing.T, raw []byte) []byte {
 	if again, _ := snappyEncode(nil, raw, math.MaxInt); !bytes.Equal(enc, again) {
 		t.Fatalf("encoding %d bytes twice gave different output", len(raw))
 	}
-	out, err := decodeBlock(nil, enc, blockSnappy)
+	out, err := decodeBlock(&blockDst{}, enc, blockSnappy)
 	if err != nil {
 		t.Fatalf("decode of %d encoded bytes: %v", len(enc), err)
 	}
@@ -120,7 +120,7 @@ func FuzzBlockCodecRoundTrip(f *testing.F) {
 		default:
 			t.Fatalf("snappy wrote block type %d", ctype)
 		}
-		out, err := decodeBlock(nil, payload, ctype)
+		out, err := decodeBlock(&blockDst{}, payload, ctype)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +144,7 @@ func FuzzDecodeBlock(f *testing.F) {
 	f.Add([]byte{0x40, 0x00, 'a', 0xfe, 0x01, 0x00})  // overlapping copy2
 	f.Add([]byte{0x09, 0xf0, 0x08, 0, 0, 0, 0, 0, 0}) // literal with a length byte
 	f.Fuzz(func(t *testing.T, payload []byte) {
-		out, err := decodeBlock(make([]byte, 0, 64), payload, blockSnappy)
+		out, err := decodeBlock(&blockDst{scratch: make([]byte, 0, 64)}, payload, blockSnappy)
 		declared, prefix := binary.Uvarint(payload)
 		if prefix > 0 && declared > uint64(len(payload)-prefix)*snappyMaxExpansion && !errors.Is(err, errSnappyLength) {
 			t.Fatalf("declared length %d from %d bytes not refused at the prefix: %v", declared, len(payload), err)

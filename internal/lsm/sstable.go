@@ -356,14 +356,14 @@ func openTable(env Env, name string, fileNum uint64, cache *blockCache, stats *S
 	if cache != nil {
 		t.cacheID = cache.NewID()
 	}
-	// nil scratch: index and filter are retained for the table's lifetime.
-	t.indexRaw, err = t.readBlockRaw(indexHandle, HintRandom, nil)
+	// No scratch: index and filter are retained for the table's lifetime.
+	t.indexRaw, err = t.readBlockRaw(indexHandle, HintRandom, &blockDst{})
 	if err != nil {
 		f.Close()
 		return nil, err
 	}
 	if filterHandle.length > 0 {
-		t.filter, err = t.readBlockRaw(filterHandle, HintRandom, nil)
+		t.filter, err = t.readBlockRaw(filterHandle, HintRandom, &blockDst{})
 		if err != nil {
 			f.Close()
 			return nil, err
@@ -372,21 +372,22 @@ func openTable(env Env, name string, fileNum uint64, cache *blockCache, stats *S
 	return t, nil
 }
 
-// readBlockRaw reads and verifies one block payload, decompressing if needed.
+// readBlockRaw reads and verifies one block payload, decompressing if
+// needed, into storage from dst.
 //
-// scratch is an optional caller-owned buffer: when its capacity suffices the
-// returned block lives in it, letting iterator-style callers recycle one
-// buffer across blocks with no allocation. Callers that retain the result
-// indefinitely (the block cache, openTable's index/filter) must pass nil so
-// the block gets private, exactly-sized storage: its one allocation. A
+// A caller that keeps the result for the table's lifetime (openTable's
+// index and filter) passes an empty dst, so the block gets private storage:
+// its one allocation. An iterator-style caller passes its scratch buffer
+// and recycles it across blocks with no allocation. A cache miss passes the
+// block's shard, so the block lands in a buffer the cache recycled. A
 // compressed block is read into a pooled buffer and decoded out of it, so
 // its payload never aliases the destination (see t.direct).
-func (t *tableReader) readBlockRaw(h blockHandle, hint AccessHint, scratch []byte) ([]byte, error) {
+func (t *tableReader) readBlockRaw(h blockHandle, hint AccessHint, dst *blockDst) ([]byte, error) {
 	need := int(h.length) + blockTrailerSize
 	direct := t.direct.Load()
 	var buf []byte
 	if direct {
-		buf = sized(scratch, need)
+		buf = dst.sized(need)
 	} else {
 		rb := getBlockBuf()
 		defer putBlockBuf(rb)
@@ -423,9 +424,9 @@ func (t *tableReader) readBlockRaw(h blockHandle, hint AccessHint, scratch []byt
 		}
 		// Mispredicted: the payload sits where the block would go, so the
 		// block decodes into new storage.
-		scratch = nil
+		dst = &blockDst{}
 	}
-	out, err := decodeBlock(scratch, payload, ctype)
+	out, err := decodeBlock(dst, payload, ctype)
 	if err != nil {
 		return nil, fmt.Errorf("lsm: decompress block at %d: %w", h.offset, err)
 	}
@@ -435,36 +436,38 @@ func (t *tableReader) readBlockRaw(h blockHandle, hint AccessHint, scratch []byt
 	return out, nil
 }
 
-// readBlock returns a decoded block, consulting the block cache when one is
-// configured. Ownership of the returned slice depends on the reader: with a
-// cache the block is shared (freshly read blocks are handed to the cache,
-// which retains them — callers must treat them as immutable and must not
-// recycle them); without a cache the block is private to the caller and may
+// readBlock returns a decoded block and, when the reader has a block cache,
+// the cache handle that lends it: the caller must treat the block as
+// immutable and release the handle once done reading it (the block may be
+// another's after that). A miss decodes into a spare buffer the cache
+// recycled from a block that left it, then caches the block. Without a
+// cache the handle is nil and the block is private to the caller and may
 // alias scratch, enabling buffer reuse across sequential block loads.
-func (t *tableReader) readBlock(h blockHandle, hint AccessHint, scratch []byte) ([]byte, error) {
-	if t.cache != nil {
-		if v, ok := t.cache.Lookup(t.cacheID, h.offset); ok {
-			if t.stats != nil {
-				t.stats.Add(TickerBlockCacheHit, 1)
-			}
-			t.perf.Add(PerfBlockCacheHitCount, 1)
-			if t.env != nil {
-				t.env.ChargeCPU(simPrices.blockCacheHit.d)
-			}
-			return v, nil
-		}
-		if t.stats != nil {
-			t.stats.Add(TickerBlockCacheMiss, 1)
-		}
-		// Cache-bound read: private storage, ownership passes to the cache.
-		raw, err := t.readBlockRaw(h, hint, nil)
-		if err != nil {
-			return nil, err
-		}
-		t.cache.Insert(t.cacheID, h.offset, raw)
-		return raw, nil
+func (t *tableReader) readBlock(h blockHandle, hint AccessHint, scratch []byte) ([]byte, *cacheHandle, error) {
+	if t.cache == nil {
+		b, err := t.readBlockRaw(h, hint, &blockDst{scratch: scratch})
+		return b, nil, err
 	}
-	return t.readBlockRaw(h, hint, scratch)
+	if ch := t.cache.Lookup(t.cacheID, h.offset); ch != nil {
+		if t.stats != nil {
+			t.stats.Add(TickerBlockCacheHit, 1)
+		}
+		t.perf.Add(PerfBlockCacheHitCount, 1)
+		if t.env != nil {
+			t.env.ChargeCPU(simPrices.blockCacheHit.d)
+		}
+		return ch.b, ch, nil
+	}
+	if t.stats != nil {
+		t.stats.Add(TickerBlockCacheMiss, 1)
+	}
+	dst := blockDst{spares: t.cache.shard(t.cacheID, h.offset)}
+	b, err := t.readBlockRaw(h, hint, &dst)
+	if err != nil {
+		dst.spares.putSpare(dst.h)
+		return nil, nil, err
+	}
+	return b, t.cache.Insert(t.cacheID, h.offset, dst.h, b), nil
 }
 
 // mayContain runs the table's bloom filter for a user key.
@@ -530,10 +533,12 @@ func (t *tableReader) get(dst []byte, ikey internalKey) (_ []byte, found, delete
 	if err != nil {
 		return dst, false, false, err
 	}
-	data, err := t.readBlock(h, HintRandom, scr.buf)
+	data, ch, err := t.readBlock(h, HintRandom, scr.buf)
 	if err != nil {
 		return dst, false, false, err
 	}
+	// The value is copied out before the block's handle goes back.
+	defer ch.release()
 	if t.cache == nil {
 		// Private block: keep its buffer for the next pooled lookup.
 		scr.buf = data
@@ -580,14 +585,17 @@ func (t *tableReader) close() error {
 // place per block, and cache-less readers (compaction, verify) recycle one
 // private block buffer across sequential loads — steady-state iteration
 // allocates nothing. init re-points a tableIter at another table keeping
-// those buffers, which is how a level iterator walks its files.
+// those buffers, which is how a level iterator walks its files. With a
+// block cache, the iterator holds the handle of the block it is on and
+// releases it when it loads the next block, is re-pointed or released.
 type tableIter struct {
 	t        *tableReader
 	idx      *blockIter // points at idxState (nil only on init error)
 	data     *blockIter // points at dataState when a block is loaded
 	idxState blockIter
 	dataSt   blockIter
-	scratch  []byte // private block buffer, used only when t.cache == nil
+	h        *cacheHandle // lends dataSt's block (nil without a cache)
+	scratch  []byte       // private block buffer, used only when t.cache == nil
 	err      error
 	hint     AccessHint
 }
@@ -602,7 +610,8 @@ func (t *tableReader) iterator(hint AccessHint) *tableIter {
 // init points the iterator at table t, unpositioned, keeping its block
 // iterators' key buffers and its private block buffer.
 func (it *tableIter) init(t *tableReader, hint AccessHint) {
-	it.t, it.hint, it.idx, it.data = t, hint, nil, nil
+	it.h.release()
+	it.t, it.hint, it.idx, it.data, it.h = t, hint, nil, nil, nil
 	it.err = it.idxState.init(t.indexRaw)
 	if it.err == nil {
 		it.idx = &it.idxState
@@ -612,14 +621,16 @@ func (it *tableIter) init(t *tableReader, hint AccessHint) {
 // release drops every reference the iterator holds into its table and the
 // table's blocks, keeping only its own buffers.
 func (it *tableIter) release() {
-	it.t, it.idx, it.data, it.err = nil, nil, nil, nil
+	it.h.release()
+	it.t, it.idx, it.data, it.h, it.err = nil, nil, nil, nil, nil
 	it.idxState.release()
 	it.dataSt.release()
 }
 
 // loadDataBlock opens the data block under the current index position.
 func (it *tableIter) loadDataBlock() {
-	it.data = nil
+	it.h.release()
+	it.data, it.h = nil, nil
 	if it.err != nil || !it.idx.Valid() {
 		return
 	}
@@ -628,11 +639,12 @@ func (it *tableIter) loadDataBlock() {
 		it.err = err
 		return
 	}
-	raw, err := it.t.readBlock(h, it.hint, it.scratch)
+	raw, ch, err := it.t.readBlock(h, it.hint, it.scratch)
 	if err != nil {
 		it.err = err
 		return
 	}
+	it.h = ch
 	if it.t.cache == nil {
 		// Private block: keep the buffer so the next load reuses it. Cached
 		// blocks are shared and must never land in scratch.

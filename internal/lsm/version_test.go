@@ -208,17 +208,19 @@ func TestBlockCacheLRU(t *testing.T) {
 	c := newBlockCache(256 << 10)
 	id := c.NewID()
 	for i := uint64(0); i < 2000; i++ {
-		c.Insert(id, i, make([]byte, 1024))
+		c.Insert(id, i, nil, make([]byte, 1024)).release()
 	}
 	// Capacity plus one straggler entry per shard of slack.
 	if used := c.Used(); used > (256<<10)+16*1100 {
 		t.Fatalf("cache over capacity: %d", used)
 	}
 	// Recent entries survive, oldest evicted.
-	if _, ok := c.Lookup(id, 1999); !ok {
+	h := c.Lookup(id, 1999)
+	if h == nil {
 		t.Fatal("most recent entry evicted")
 	}
-	if _, ok := c.Lookup(id, 0); ok {
+	h.release()
+	if c.Lookup(id, 0) != nil {
 		t.Fatal("oldest entry survived heavy insertion")
 	}
 	hits, misses := c.HitRate()
@@ -226,7 +228,7 @@ func TestBlockCacheLRU(t *testing.T) {
 		t.Fatalf("hit/miss accounting: %d/%d", hits, misses)
 	}
 	c.EraseID(id)
-	if _, ok := c.Lookup(id, 99); ok {
+	if c.Lookup(id, 99) != nil {
 		t.Fatal("EraseID left entries")
 	}
 }

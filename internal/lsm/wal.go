@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"time"
 )
 
@@ -27,6 +28,22 @@ type walWriter struct {
 	// engineRuntime.stopwatch).
 	hists     *HistogramStats
 	stopwatch func() time.Duration
+	// frame is the framing buffer, reused by every append: a record's
+	// header, or a group's whole run. Every Env's Append copies what it is
+	// given, so nothing keeps it.
+	frame []byte
+}
+
+// walFrameKeep bounds the framing buffer kept between appends. A group's
+// run above it (a bulk load's batches) is framed in a buffer of its own, so
+// each of a server's per-shard writers pins at most this much between
+// groups.
+const walFrameKeep = 64 << 10
+
+// appendWALHeader appends payload's record header to dst.
+func appendWALHeader(dst, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
 }
 
 func newWALWriter(f WritableFile, opts *Options) *walWriter {
@@ -35,10 +52,8 @@ func newWALWriter(f WritableFile, opts *Options) *walWriter {
 
 // addRecord appends one record, honoring the periodic-sync options.
 func (w *walWriter) addRecord(payload []byte) error {
-	var hdr [walHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	if err := w.f.Append(hdr[:]); err != nil {
+	w.frame = appendWALHeader(w.frame[:0], payload)
+	if err := w.f.Append(w.frame); err != nil {
 		return err
 	}
 	if err := w.f.Append(payload); err != nil {
@@ -48,7 +63,7 @@ func (w *walWriter) addRecord(payload []byte) error {
 }
 
 // addRecords appends several records as one contiguous run: a write group's
-// batches become a single Append call (one framing buffer, one memcpy into
+// batches become a single Append call (framed in w.frame, one memcpy into
 // the OS), with the bytes-per-sync bookkeeping applied once for the whole
 // run. This is the group-commit amortization: N batches cost one WAL write.
 func (w *walWriter) addRecords(payloads [][]byte) error {
@@ -59,13 +74,13 @@ func (w *walWriter) addRecords(payloads [][]byte) error {
 	for _, p := range payloads {
 		total += int64(len(p)) + walHeaderSize
 	}
-	buf := make([]byte, 0, total)
+	buf := slices.Grow(w.frame[:0], int(total))
 	for _, p := range payloads {
-		var hdr [walHeaderSize]byte
-		binary.LittleEndian.PutUint32(hdr[0:], uint32(len(p)))
-		binary.LittleEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(p))
-		buf = append(buf, hdr[:]...)
+		buf = appendWALHeader(buf, p)
 		buf = append(buf, p...)
+	}
+	if cap(buf) <= walFrameKeep {
+		w.frame = buf
 	}
 	if err := w.f.Append(buf); err != nil {
 		return err
