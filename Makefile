@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race crashtest equivalence poison serverbench liveretune allocgate fuzz benchmodule loc simfork onestream onehist onelru onewindow simdiff verify clean
+.PHONY: build test vet race crashtest equivalence poison serverbench liveretune allocgate fuzz benchmodule loc simfork onestream onehist onelru onewindow onetree simdiff verify clean
 
 build:
 	$(GO) build ./...
@@ -139,6 +139,12 @@ onelru:
 onewindow:
 	./scripts/onefile.sh onewindow
 
+# Scans, flush and compaction build one iterator tree (DESIGN §13): only
+# internal/lsm/mergeiter.go, home of mergeTree, may hold a mergeIter{ or
+# levelIter{ literal or a []levelIter.
+onetree:
+	./scripts/onefile.sh onetree
+
 # The refactor oracle for the simulated side (EXPERIMENTS.md): the paper's
 # tables and figures regenerated at PARENT and at the working tree must be
 # byte-identical. ~2 minutes; not part of verify (it needs a parent to name).
@@ -146,7 +152,7 @@ simdiff:
 	@test -n "$(PARENT)" || { echo "usage: make simdiff PARENT=<ref>" >&2; exit 2; }
 	./scripts/simdiff.sh $(PARENT)
 
-verify: build vet simfork onestream onehist onelru onewindow test race equivalence poison allocgate fuzz benchmodule serverbench liveretune
+verify: build vet simfork onestream onehist onelru onewindow onetree test race equivalence poison allocgate fuzz benchmodule serverbench liveretune
 
 clean:
 	$(GO) clean ./...

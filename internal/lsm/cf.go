@@ -438,10 +438,9 @@ func (db *DB) probeTable(dst []byte, fm *FileMeta, lookup internalKey) (_ []byte
 }
 
 // lookupInTables is the SST phase of a lookup: probe the levels of the
-// captured version newest-data-first through the table cache. Levels are
-// walked directly (overlapping L0 files newest-first, then the at-most-one
-// candidate per disjoint level) rather than materializing filesForGet's
-// per-level slices.
+// captured version newest-data-first through the table cache — every
+// overlapping L0 file newest-first, then the at-most-one candidate per
+// disjoint level.
 func (db *DB) lookupInTables(dst []byte, st readState, key []byte, lookup internalKey) ([]byte, error) {
 	for _, fm := range st.v.LevelFiles(0) {
 		if !overlapsRange(fm, key, key) {

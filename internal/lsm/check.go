@@ -370,7 +370,8 @@ func scanTable(env Env, name string, num uint64, class IOClass) (*FileMeta, uint
 	meta := &FileMeta{Number: num}
 	var maxSeq uint64
 	var prev internalKey
-	it := t.iterator(HintSequential)
+	var it tableIter
+	it.init(t, HintSequential)
 	for it.SeekToFirst(); it.Valid(); it.Next() {
 		k := it.Key()
 		if prev != nil && compareInternal(prev, k) >= 0 {

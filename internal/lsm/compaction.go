@@ -310,13 +310,14 @@ func (db *DB) planSubcompactionBoundaries(c *compaction, outSize int64) [][]byte
 	}
 	// Gather split candidates from every input table's index block.
 	var anchors []indexAnchor
+	src := &bgOpener{db: db}
 	for _, f := range c.allInputs() {
-		r, err := openTable(db.env, tableFileName(db.dir, f.Number), f.Number, nil, db.options().Stats, db.bgIOClass(), nil, nil)
+		r, err := src.get(f.Number)
 		if err != nil {
 			return nil
 		}
 		a, err := r.indexAnchors()
-		r.close()
+		src.release(r)
 		if err != nil {
 			return nil
 		}
@@ -438,41 +439,15 @@ func (db *DB) runCompaction(c *compaction, v *Version) (*compactionResult, error
 func (db *DB) runCompactionSlice(c *compaction, v *Version, cfOpts *Options, s subSlice, smallestSnapshot uint64, outSize int64, ios *IOStatsContext) (sr sliceResult) {
 	defer func(start time.Duration) { sr.dur = db.rt.stopwatch() - start }(db.rt.stopwatch())
 
-	// Build the merged input stream. Inputs are opened directly with
-	// background IO class so foreground ops are not charged.
-	var iters []internalIterator
-	var readers []*tableReader
-	defer func() {
-		for _, r := range readers {
-			r.close()
-		}
-	}()
-	openBG := func(num uint64) (*tableReader, error) {
-		r, err := openTable(db.env, tableFileName(db.dir, num), num, nil, db.options().Stats, db.bgIOClass(), nil, ios)
-		if err == nil {
-			readers = append(readers, r)
-		}
-		return r, err
-	}
-	if c.level == 0 {
-		for _, f := range c.inputs[0] {
-			r, err := openBG(f.Number)
-			if err != nil {
-				sr.err = err
-				return sr
-			}
-			iters = append(iters, r.iterator(HintSequential))
-		}
-	} else {
-		iters = append(iters, newLevelIter(c.inputs[0], HintSequential, openFunc(openBG)))
-	}
-	if len(c.inputs[1]) > 0 {
-		iters = append(iters, newLevelIter(c.inputs[1], HintSequential, openFunc(openBG)))
-	}
-	var merged internalIterator = newMergeIter(iters)
-	if s.limit != nil {
-		merged = &boundedIter{inner: merged, limit: s.limit}
-	}
+	// Inputs open lazily, directly and with the background IO class, so
+	// foreground ops are not charged; each run closes a reader as soon as
+	// it moves past that table.
+	var tree mergeTree
+	defer tree.release()
+	src := &bgOpener{db: db, ios: ios}
+	tree.addRuns(c.level, c.inputs[0], HintSequential, src)
+	tree.addRuns(c.outputLevel, c.inputs[1], HintSequential, src)
+	merged := tree.build()
 	if s.start == nil {
 		merged.SeekToFirst()
 	} else {
@@ -481,18 +456,19 @@ func (db *DB) runCompactionSlice(c *compaction, v *Version, cfOpts *Options, s s
 		// key at or above start.
 		merged.Seek(makeInternalKey(nil, s.start, maxSequence, KindValue))
 	}
-	return db.writeTables(merged, cfOpts, c.outputLevel, v, smallestSnapshot, outSize, ios)
+	return db.writeTables(merged, s.limit, cfOpts, c.outputLevel, v, smallestSnapshot, outSize, ios)
 }
 
-// writeTables drains merged (already positioned) into tables at outputLevel:
-// the one per-entry loop flush and compaction share. An older version of a
+// writeTables drains merged (already positioned) into tables at outputLevel,
+// stopping at the first user key at or above limit (nil: the end): the one
+// per-entry loop flush and compaction share. An older version of a
 // user key is dropped once the next-newer version is at or below
 // smallestSnapshot (LevelDB's rule); with v set — a compaction — a tombstone
 // no snapshot can see and no level below outputLevel may hold a key for is
 // dropped too. A table is cut once its estimated size reaches outSize, then
 // synced, closed and, under paranoid_file_checks, read back. A table left
 // unfinished by a failure is closed. sr.entries counts the entries read.
-func (db *DB) writeTables(merged internalIterator, cfOpts *Options, outputLevel int, v *Version, smallestSnapshot uint64, outSize int64, ios *IOStatsContext) (sr sliceResult) {
+func (db *DB) writeTables(merged *mergeIter, limit []byte, cfOpts *Options, outputLevel int, v *Version, smallestSnapshot uint64, outSize int64, ios *IOStatsContext) (sr sliceResult) {
 	var builder *tableBuilder
 	var outFile WritableFile
 	var outNum uint64
@@ -542,6 +518,9 @@ func (db *DB) writeTables(merged internalIterator, cfOpts *Options, outputLevel 
 	for ; merged.Valid(); merged.Next() {
 		ik := merged.Key()
 		uk := ik.userKey()
+		if limit != nil && bytes.Compare(uk, limit) >= 0 {
+			break
+		}
 		sr.entries++
 		// An older version is droppable only when the next-newer version of
 		// the same key is already at or below the smallest live snapshot.

@@ -26,9 +26,6 @@ type WriteOptions struct {
 
 // ReadOptions controls one read.
 type ReadOptions struct {
-	// VerifyChecksums is accepted for API parity (checksums are always
-	// verified on block read in this implementation).
-	VerifyChecksums bool
 	// Snapshot pins the read to a point-in-time view (nil = latest).
 	Snapshot *Snapshot
 }

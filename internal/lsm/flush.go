@@ -13,18 +13,19 @@ func (db *DB) runFlush(cf *columnFamily, mems []*memtable) (*compactionResult, e
 	cfOpts := cf.options()
 	res := &compactionResult{edit: &versionEdit{}, ios: db.newBGIOStats(cfOpts)}
 	defer func(start time.Duration) { res.dur = db.rt.stopwatch() - start }(db.rt.stopwatch())
-	iters := make([]internalIterator, 0, len(mems))
+	var tree mergeTree
+	defer tree.release()
 	for _, m := range mems {
 		// A pipelined write group may still be inserting into a memtable
 		// that a later group's makeRoom already froze; wait for those
 		// writers to drain before iterating (no new ones can pin a frozen
 		// memtable).
 		m.writers.Wait()
-		iters = append(iters, m.iterator())
+		tree.addMemtable(m.list)
 	}
-	merged := newMergeIter(iters)
+	merged := tree.build()
 	merged.SeekToFirst()
-	sr := db.writeTables(merged, cfOpts, 0, nil, db.smallestSnapshot(), math.MaxInt64, res.ios)
+	sr := db.writeTables(merged, nil, cfOpts, 0, nil, db.smallestSnapshot(), math.MaxInt64, res.ios)
 	if sr.err != nil {
 		return nil, sr.err
 	}

@@ -95,7 +95,7 @@ func TestSkiplistBasic(t *testing.T) {
 	if sl.count() != 4 {
 		t.Fatalf("count = %d", sl.count())
 	}
-	it := sl.iterator()
+	it := &skipIter{list: sl}
 	it.SeekToFirst()
 	var got []string
 	for it.Valid() {
@@ -139,7 +139,7 @@ func TestQuickSkiplistSorted(t *testing.T) {
 			r.Read(key)
 			insertKV(sl, makeInternalKey(nil, key, uint64(i+1), KindValue), nil)
 		}
-		it := sl.iterator()
+		it := &skipIter{list: sl}
 		it.SeekToFirst()
 		var prev internalKey
 		count := 0

@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"bytes"
-	"slices"
 	"sync"
 	"time"
 )
@@ -24,12 +23,12 @@ type Iterator struct {
 
 // iterAlloc is one scan's whole iterator tree in a single allocation, reused
 // across scans through iterAllocPool in the style of Pebble's iterAlloc: the
-// merge iterator with its child and heap slices, a skipIter per memtable, a
-// levelIter (its tableIter and block iterators held by value) per L0 file
-// and non-empty level, and the key, value, skip and seek-key buffers. The
-// Iterator handle owns it from NewIteratorCF to Close; release clears every
-// pointer it holds into blocks, readers, versions and memtables, so a pooled
-// iterAlloc pins nothing but its own buffers.
+// mergeTree (the merge iterator with its child and heap slices, a skipIter
+// per memtable, a levelIter — its tableIter and block iterators held by
+// value — per L0 file and non-empty level) and the key, value, skip and
+// seek-key buffers. The Iterator handle owns it from NewIteratorCF to Close;
+// release clears every pointer it holds into blocks, readers, versions and
+// memtables, so a pooled iterAlloc pins nothing but its own buffers.
 type iterAlloc struct {
 	db  *DB
 	cf  *columnFamily
@@ -40,10 +39,10 @@ type iterAlloc struct {
 	// SetOptions change) retires the version mid-scan. Released by Close.
 	v *Version
 
-	merge  mergeIter
-	mems   []skipIter  // memtable, then frozen memtables newest first
-	levels []levelIter // one per L0 file, then one per non-empty level
-	imms   []*memtable // the capture's frozen memtables, cleared once built
+	// mergeTree holds the memtable, then the frozen memtables newest
+	// first, then one run per L0 file and one per non-empty level.
+	mergeTree
+	imms []*memtable // the capture's frozen memtables, cleared once built
 
 	key     []byte
 	value   []byte
@@ -74,38 +73,20 @@ func (db *DB) NewIteratorCF(ro *ReadOptions, h *ColumnFamilyHandle) *Iterator {
 		return &Iterator{a: a, err: err}
 	}
 	a.seq, a.cf, a.v, a.imms = st.seq, st.cf, st.v, st.imms
-	a.mems = slices.Grow(a.mems[:0], 1+len(st.imms))[:1+len(st.imms)]
-	a.mems[0] = skipIter{list: st.mem.list}
-	for i, m := range st.imms {
-		a.mems[len(st.imms)-i] = skipIter{list: m.list}
+	a.addMemtable(st.mem.list)
+	for i := len(st.imms) - 1; i >= 0; i-- {
+		a.addMemtable(st.imms[i].list)
 	}
 	clear(a.imms)
-	// Every table opens on first positioning; L0 files overlap, so each is
-	// a level of one. Each level holds a table-cache reference to the reader
-	// it is on until it moves off that table or the iterator closes. A slot
-	// past the slice's length keeps the buffers of the scan that used it.
+	// Every table opens on first positioning. Each run holds a table-cache
+	// reference to the reader it is on until it moves off that table or the
+	// iterator closes. The capture's version reference keeps the tables on
+	// disk until Close: they open lazily, so a compaction installing before
+	// the first Seek could otherwise delete them out from under the scan.
 	for level := 0; level < st.v.NumLevels(); level++ {
-		for files := st.v.LevelFiles(level); len(files) > 0; {
-			n := len(files)
-			if level == 0 {
-				n = 1
-			}
-			a.levels = slices.Grow(a.levels, 1)[:len(a.levels)+1]
-			a.levels[len(a.levels)-1].init(files[:n], HintRandom, db.tcache)
-			files = files[n:]
-		}
+		a.addRuns(level, st.v.LevelFiles(level), HintRandom, db.tcache)
 	}
-	children := a.merge.children[:0]
-	for i := range a.mems {
-		children = append(children, &a.mems[i])
-	}
-	for i := range a.levels {
-		children = append(children, &a.levels[i])
-	}
-	// The capture's version reference keeps the tables on disk until Close:
-	// they open lazily, so a compaction installing before the first Seek
-	// could otherwise delete them out from under the scan.
-	a.merge.children = children
+	a.build()
 	return &Iterator{a: a}
 }
 
@@ -113,17 +94,11 @@ func (db *DB) NewIteratorCF(ro *ReadOptions, h *ColumnFamilyHandle) *Iterator {
 // readers back, drops the version reference, and clears every pointer the
 // tree holds outside itself.
 func (a *iterAlloc) release() {
-	for i := range a.levels {
-		a.levels[i].close()
-		a.levels[i].init(nil, 0, nil)
-	}
+	a.mergeTree.release()
 	if a.v != nil {
 		a.v.refs.Add(-1)
 	}
 	a.db, a.cf, a.v = nil, nil, nil
-	a.merge.release()
-	clear(a.mems)
-	a.mems, a.levels = a.mems[:0], a.levels[:0]
 	a.key, a.value, a.skip = a.key[:0], a.value[:0], a.skip[:0]
 	a.valid = false
 }

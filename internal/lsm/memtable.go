@@ -77,6 +77,3 @@ func (m *memtable) empty() bool { return m.list.count() == 0 }
 
 // count returns the number of entries.
 func (m *memtable) count() int { return m.list.count() }
-
-// iterator returns an iterator over internal keys in sorted order.
-func (m *memtable) iterator() *skipIter { return m.list.iterator() }

@@ -42,7 +42,7 @@ func TestMemtableArenaConcurrentInsert(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	it := m.iterator()
+	it := &skipIter{list: m.list}
 	var prev internalKey
 	n := 0
 	for it.SeekToFirst(); it.Valid(); it.Next() {
@@ -89,7 +89,7 @@ func TestMemtableArenaNoAliasing(t *testing.T) {
 	} else {
 		_ = append(v, "XXXXXXXXXXXXXXXX"...)
 	}
-	it := m.iterator()
+	it := &skipIter{list: m.list}
 	for it.SeekToFirst(); it.Valid(); it.Next() {
 		k, v := it.Key(), it.Value()
 		if cap(k) != len(k) || cap(v) != len(v) {

@@ -1,8 +1,8 @@
 package lsm
 
 import (
-	"bytes"
 	"container/heap"
+	"slices"
 )
 
 // internalIterator is the engine-internal iteration contract shared by
@@ -27,12 +27,79 @@ type tableOpener interface {
 	release(r *tableReader)
 }
 
-// openFunc is a tableOpener whose readers the opener closes itself, so
-// release does nothing (compaction's input readers).
-type openFunc func(num uint64) (*tableReader, error)
+// bgOpener opens a flush or compaction's input tables directly, outside the
+// table cache and with the background IO class, attributing their reads to
+// ios (nil attributes nothing); release closes the reader.
+type bgOpener struct {
+	db  *DB
+	ios *IOStatsContext
+}
 
-func (f openFunc) get(num uint64) (*tableReader, error) { return f(num) }
-func (openFunc) release(*tableReader)                   {}
+func (o *bgOpener) get(num uint64) (*tableReader, error) {
+	db := o.db
+	return openTable(db.env, tableFileName(db.dir, num), num, nil, db.options().Stats, db.bgIOClass(), nil, o.ios)
+}
+
+func (*bgOpener) release(r *tableReader) { r.close() }
+
+// mergeTree is one merge over memtables and sorted runs of tables, held by
+// value with every child: scans (embedded in iterAlloc), flush and
+// compaction all build it. Children are added, then linked once with
+// build; release hands every reader back to its opener and clears every
+// pointer the tree holds outside itself, keeping its buffers for reuse.
+type mergeTree struct {
+	merge  mergeIter
+	mems   []skipIter  // in the order added
+	levels []levelIter // one per sorted run
+}
+
+// addMemtable adds a memtable's skiplist as a child.
+func (t *mergeTree) addMemtable(list *skiplist) {
+	t.mems = append(t.mems, skipIter{list: list})
+}
+
+// addRuns adds the files of one level as sorted runs: L0 files overlap, so
+// each is a run of one; a deeper level is one run. Every table opens from
+// src on first positioning and goes back to it once its run moves past it.
+// A slot past the slice's length keeps the buffers of the tree that used it.
+func (t *mergeTree) addRuns(level int, files []*FileMeta, hint AccessHint, src tableOpener) {
+	for len(files) > 0 {
+		n := len(files)
+		if level == 0 {
+			n = 1
+		}
+		t.levels = slices.Grow(t.levels, 1)[:len(t.levels)+1]
+		t.levels[len(t.levels)-1].init(files[:n], hint, src)
+		files = files[n:]
+	}
+}
+
+// build points the merge at every child added, memtables first, and
+// returns it unpositioned. No child may be added after it: a growing slice
+// would move children out from under the merge.
+func (t *mergeTree) build() *mergeIter {
+	children := t.merge.children[:0]
+	for i := range t.mems {
+		children = append(children, &t.mems[i])
+	}
+	for i := range t.levels {
+		children = append(children, &t.levels[i])
+	}
+	t.merge.children = children
+	return &t.merge
+}
+
+// release closes the level iterators, which hands their readers back, and
+// empties the tree.
+func (t *mergeTree) release() {
+	for i := range t.levels {
+		t.levels[i].close()
+		t.levels[i].init(nil, 0, nil)
+	}
+	t.merge.release()
+	clear(t.mems)
+	t.mems, t.levels = t.mems[:0], t.levels[:0]
+}
 
 // levelIter concatenates the tables of one sorted, non-overlapping level.
 // Its tableIter is held by value and re-initialized per table, so the block
@@ -45,15 +112,6 @@ type levelIter struct {
 	r     *tableReader // the reader ti iterates; nil when on no table
 	ti    tableIter
 	err   error
-}
-
-// newLevelIter iterates a level's files in key order; src resolves file
-// numbers to readers (table cache or direct) and takes back each reader once
-// the iterator leaves its table or closes.
-func newLevelIter(files []*FileMeta, hint AccessHint, src tableOpener) *levelIter {
-	it := &levelIter{}
-	it.init(files, hint, src)
-	return it
 }
 
 // init points the iterator at a level's files, unpositioned.
@@ -155,45 +213,6 @@ func (it *levelIter) Value() []byte { return it.ti.Value() }
 // Err implements internalIterator.
 func (it *levelIter) Err() error { return it.err }
 
-// boundedIter clips an internal iterator to user keys strictly below limit.
-// Subcompaction slices use it so each slice's merge stream stops at the
-// slice boundary without peeking into the neighbour's range; a nil limit is
-// open-ended.
-type boundedIter struct {
-	inner internalIterator
-	limit []byte // exclusive user-key upper bound; nil = unbounded
-}
-
-// inBounds reports whether the inner iterator's current key is below limit.
-func (it *boundedIter) inBounds() bool {
-	return it.limit == nil || bytes.Compare(it.inner.Key().userKey(), it.limit) < 0
-}
-
-// Valid implements internalIterator.
-func (it *boundedIter) Valid() bool { return it.inner.Valid() && it.inBounds() }
-
-// SeekToFirst implements internalIterator.
-func (it *boundedIter) SeekToFirst() { it.inner.SeekToFirst() }
-
-// Seek implements internalIterator.
-func (it *boundedIter) Seek(key internalKey) { it.inner.Seek(key) }
-
-// Next implements internalIterator.
-func (it *boundedIter) Next() {
-	if it.Valid() {
-		it.inner.Next()
-	}
-}
-
-// Key implements internalIterator.
-func (it *boundedIter) Key() internalKey { return it.inner.Key() }
-
-// Value implements internalIterator.
-func (it *boundedIter) Value() []byte { return it.inner.Value() }
-
-// Err implements internalIterator.
-func (it *boundedIter) Err() error { return it.inner.Err() }
-
 // mergeIter merges multiple internal iterators into one ordered stream.
 // Ties (identical internal keys) cannot occur because sequence numbers are
 // unique; ordering between children with equal user keys is decided by the
@@ -218,11 +237,6 @@ func (h *mergeHeap) Pop() interface{} {
 	x := old[n-1]
 	*h = old[:n-1]
 	return x
-}
-
-// newMergeIter merges the children (which need not be positioned yet).
-func newMergeIter(children []internalIterator) *mergeIter {
-	return &mergeIter{children: children}
 }
 
 // release empties the child and heap slices, keeping their capacity, so a

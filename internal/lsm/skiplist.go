@@ -163,8 +163,6 @@ type skipIter struct {
 	node *skipNode
 }
 
-func (s *skiplist) iterator() *skipIter { return &skipIter{list: s} }
-
 // Valid reports whether the iterator is positioned on an entry.
 func (it *skipIter) Valid() bool { return it.node != nil }
 

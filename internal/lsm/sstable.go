@@ -300,8 +300,9 @@ type tableReader struct {
 	direct atomic.Bool
 	// refs counts the holders of a table-cache reader: the cache while the
 	// table is cached, and each Get and iterator reading it. The last unref
-	// closes it. A reader opened outside the cache (compaction, checks) is
-	// closed by its opener instead.
+	// closes it. Either way a reader goes back to the opener it came from:
+	// the table cache unrefs it, and bgOpener (flush and compaction inputs,
+	// subcompaction planning) closes it, as do the checks that open one.
 	refs atomic.Int32
 }
 
@@ -598,13 +599,6 @@ type tableIter struct {
 	scratch  []byte       // private block buffer, used only when t.cache == nil
 	err      error
 	hint     AccessHint
-}
-
-// iterator returns an iterator over the table. hint prices block reads.
-func (t *tableReader) iterator(hint AccessHint) *tableIter {
-	it := &tableIter{}
-	it.init(t, hint)
-	return it
 }
 
 // init points the iterator at table t, unpositioned, keeping its block

@@ -210,7 +210,8 @@ func TestTableIterator(t *testing.T) {
 	r := buildTestTable(t, env, opts, 300)
 	defer r.close()
 
-	it := r.iterator(HintSequential)
+	var it tableIter
+	it.init(r, HintSequential)
 	it.SeekToFirst()
 	count := 0
 	var prev internalKey
@@ -229,10 +230,10 @@ func TestTableIterator(t *testing.T) {
 		t.Fatalf("iterated %d entries, want 300", count)
 	}
 
-	it2 := r.iterator(HintRandom)
-	it2.Seek(makeInternalKey(nil, []byte("key000150"), maxSequence, KindValue))
-	if !it2.Valid() || string(it2.Key().userKey()) != "key000150" {
-		t.Fatalf("Seek = %v", it2.Key())
+	it.init(r, HintRandom)
+	it.Seek(makeInternalKey(nil, []byte("key000150"), maxSequence, KindValue))
+	if !it.Valid() || string(it.Key().userKey()) != "key000150" {
+		t.Fatalf("Seek = %v", it.Key())
 	}
 }
 

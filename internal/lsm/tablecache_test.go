@@ -2,7 +2,9 @@ package lsm
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -55,15 +57,20 @@ func TestTableCacheMaxOpenFiles(t *testing.T) {
 }
 
 // openTablesEnv counts the table files open on an env: opens of *.sst
-// files minus their closes.
+// files minus their closes, and of those opened with the background IO
+// class, the number open and the most open at once.
 type openTablesEnv struct {
 	Env
-	open atomic.Int64
+	open   atomic.Int64
+	mu     sync.Mutex
+	bg     int
+	bgPeak int
 }
 
 type countedTableFile struct {
 	RandomAccessFile
 	env  *openTablesEnv
+	bg   bool
 	once sync.Once
 }
 
@@ -73,12 +80,36 @@ func (e *openTablesEnv) NewRandomAccessFile(name string, class IOClass) (RandomA
 		return f, err
 	}
 	e.open.Add(1)
-	return &countedTableFile{RandomAccessFile: f, env: e}, nil
+	bg := class == IOBackground
+	if bg {
+		e.mu.Lock()
+		e.bg++
+		e.bgPeak = max(e.bgPeak, e.bg)
+		e.mu.Unlock()
+	}
+	return &countedTableFile{RandomAccessFile: f, env: e, bg: bg}, nil
 }
 
 func (f *countedTableFile) Close() error {
-	f.once.Do(func() { f.env.open.Add(-1) })
+	f.once.Do(func() {
+		f.env.open.Add(-1)
+		if f.bg {
+			f.env.mu.Lock()
+			f.env.bg--
+			f.env.mu.Unlock()
+		}
+	})
 	return f.RandomAccessFile.Close()
+}
+
+// bgCounts returns the background readers open now and the most open at
+// once since the last call, and restarts that peak from what is open.
+func (e *openTablesEnv) bgCounts() (open, peak int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	open, peak = e.bg, e.bgPeak
+	e.bgPeak = e.bg
+	return open, peak
 }
 
 const overlapTables, overlapPerTable = 5, 200
@@ -190,5 +221,92 @@ func TestTableReadersConcurrent(t *testing.T) {
 	}
 	if open := env.open.Load(); open > 2 {
 		t.Fatalf("%d table files open after the reads, max_open_files=2", open)
+	}
+}
+
+const handBackKeys = 640
+
+// openHandBackDB opens a two-level real-file DB over base holding an L1 of
+// at least 8 tables (640 keys of 1 000 bytes, 64 KiB tables) under four L0
+// tables that each span the whole key range, so a CompactRange takes every
+// table as an input.
+func openHandBackDB(t *testing.T, base Env) (*DB, *openTablesEnv) {
+	t.Helper()
+	env := &openTablesEnv{Env: base}
+	opts := DefaultOptions()
+	opts.Env = env
+	opts.NumLevels = 2
+	opts.TargetFileSizeBase = 64 << 10
+	opts.DisableAutoCompactions = true
+	db, err := Open(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { db.Close() })
+	value := bytes.Repeat([]byte("v"), 1000)
+	for i := 0; i < handBackKeys; i++ {
+		if err := db.Put(nil, overlapKey(i), value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.CompactRange(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	if n := db.vs.head(0).NumLevelFiles(1); n < 8 {
+		t.Fatalf("%d L1 tables, want at least 8", n)
+	}
+	for tbl := 0; tbl < 4; tbl++ {
+		for i := tbl; i < handBackKeys; i += 16 {
+			if err := db.Put(nil, overlapKey(i), []byte(fmt.Sprintf("l0-%d", tbl))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Put(nil, overlapKey(handBackKeys-1), []byte(fmt.Sprintf("l0-%d", tbl))); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := db.vs.head(0).NumLevelFiles(0); n != 4 {
+		t.Fatalf("%d L0 tables, want 4", n)
+	}
+	env.bgCounts()
+	return db, env
+}
+
+// TestTableReaderHandBack: a compaction of four L0 tables into an L1 of at
+// least 8 holds at most one input reader per run open at once — one per L0
+// table and one for the level — because each run closes a reader as it
+// moves past its table, and none once the job installs.
+func TestTableReaderHandBack(t *testing.T) {
+	db, env := openHandBackDB(t, NewOSEnv())
+	if err := db.CompactRange(nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	open, peak := env.bgCounts()
+	if peak == 0 || peak > 5 {
+		t.Errorf("compaction held %d input readers open at once, want 1..5 (4 L0 runs + the level)", peak)
+	}
+	if open != 0 {
+		t.Errorf("%d input readers still open after the compaction installed", open)
+	}
+	if v, err := db.Get(nil, overlapKey(handBackKeys-1)); err != nil || string(v) != "l0-3" {
+		t.Errorf("Get = %q, %v; want l0-3", v, err)
+	}
+}
+
+// TestTableReaderHandBackFault: a read fault on the third L1 input fails the
+// compaction, and every input reader the job opened is closed.
+func TestTableReaderHandBackFault(t *testing.T) {
+	fault := NewFaultInjectionEnv(NewOSEnv(), 1)
+	db, env := openHandBackDB(t, fault)
+	third := db.vs.head(0).LevelFiles(1)[2].Number
+	fault.Inject(FaultRule{Op: FaultRead, Pattern: filepath.Base(tableFileName(db.dir, third)), Classes: []IOClass{IOBackground}})
+	if err := db.CompactRange(nil, nil); !errors.Is(err, ErrInjected) {
+		t.Fatalf("CompactRange = %v, want the injected read fault", err)
+	}
+	if open, peak := env.bgCounts(); open != 0 || peak == 0 {
+		t.Errorf("after the failed compaction %d input readers open (peak %d), want 0 (peak > 0)", open, peak)
 	}
 }

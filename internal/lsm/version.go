@@ -99,30 +99,6 @@ func (v *Version) levelFileForGet(level int, userKey []byte) *FileMeta {
 	return nil
 }
 
-// filesForGet returns the files that may contain userKey, in search order:
-// all overlapping L0 files newest-first, then at most one file per deeper
-// level (levels are disjoint). The Get hot path avoids this (it walks levels
-// via levelFileForGet without building slices); this form remains for tests
-// and tooling.
-func (v *Version) filesForGet(userKey []byte) [][]*FileMeta {
-	out := make([][]*FileMeta, 0, len(v.levels))
-	var l0 []*FileMeta
-	for _, f := range v.levels[0] {
-		if overlapsRange(f, userKey, userKey) {
-			l0 = append(l0, f)
-		}
-	}
-	out = append(out, l0)
-	for level := 1; level < len(v.levels); level++ {
-		if f := v.levelFileForGet(level, userKey); f != nil {
-			out = append(out, []*FileMeta{f})
-		} else {
-			out = append(out, nil)
-		}
-	}
-	return out
-}
-
 // levelCapacity returns the target byte size of a level under the options.
 func levelCapacity(opts *Options, level int) int64 {
 	if level <= 0 {
@@ -148,26 +124,6 @@ func targetFileSize(opts *Options, level int) int64 {
 		size = 1 << 16
 	}
 	return size
-}
-
-// compactionScore computes the highest compaction priority in the version:
-// L0 by file count relative to the trigger, deeper levels by size relative
-// to capacity. Returns the level and its score (score >= 1 means needed).
-func (v *Version) compactionScore(opts *Options) (level int, score float64) {
-	bestLevel, bestScore := -1, 0.0
-	s0 := float64(len(v.levels[0])) / float64(opts.Level0FileNumCompactionTrigger)
-	bestLevel, bestScore = 0, s0
-	for l := 1; l < len(v.levels)-1; l++ {
-		cap := levelCapacity(opts, l)
-		if cap <= 0 {
-			continue
-		}
-		s := float64(v.LevelBytes(l)) / float64(cap)
-		if s > bestScore {
-			bestLevel, bestScore = l, s
-		}
-	}
-	return bestLevel, bestScore
 }
 
 // pendingCompactionBytes estimates the byte debt above level capacities —

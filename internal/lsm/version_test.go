@@ -37,28 +37,48 @@ func TestVersionOverlaps(t *testing.T) {
 	}
 }
 
+// TestVersionFilesForGet: a Get probes the tables lookupInTables walks in
+// its order — overlapping L0 files newest first, then the one candidate of
+// each deeper level — so the first table holding a key answers.
 func TestVersionFilesForGet(t *testing.T) {
-	v := newVersion(3)
-	v.levels[0] = []*FileMeta{fm(9, 10, "a", "z"), fm(5, 10, "p", "q")}
-	sortLevel(0, v.levels[0])
-	v.levels[1] = []*FileMeta{fm(1, 10, "a", "c"), fm(2, 10, "d", "f")}
-
-	got := v.filesForGet([]byte("e"))
-	if len(got[0]) != 1 || got[0][0].Number != 9 {
-		t.Fatalf("L0 candidates = %v", got[0])
+	db, _ := openTestDB(t, func(o *Options) { o.DisableAutoCompactions = true })
+	defer db.Close()
+	put := func(kvs ...string) {
+		t.Helper()
+		for i := 0; i < len(kvs); i += 2 {
+			if err := db.Put(nil, []byte(kvs[i]), []byte(kvs[i+1])); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	if len(got[1]) != 1 || got[1][0].Number != 2 {
-		t.Fatalf("L1 candidate = %v", got[1])
+	put("a", "l1", "e", "l1", "p", "l1", "q", "l1")
+	if err := db.CompactRange(nil, nil); err != nil {
+		t.Fatal(err)
 	}
-	// Key "p": both L0 files overlap; newest (9) first.
-	got = v.filesForGet([]byte("p"))
-	if len(got[0]) != 2 || got[0][0].Number != 9 || got[0][1].Number != 5 {
-		t.Fatalf("L0 ordering = %v", got[0])
+	put("p", "old", "q", "old")
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
 	}
-	// Key outside L1 ranges.
-	got = v.filesForGet([]byte("x"))
-	if len(got[1]) != 0 {
-		t.Fatalf("phantom L1 candidate: %v", got[1])
+	put("a", "new", "p", "new", "z", "new")
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	m := db.GetMetrics()
+	if m.LevelFiles[0] != 2 || m.LevelFiles[len(m.LevelFiles)-1] != 1 {
+		t.Fatalf("level files %v, want 2 in L0 and 1 in the last level", m.LevelFiles)
+	}
+	for key, want := range map[string]string{
+		"a": "new", // newer L0 file before the deeper level
+		"p": "new", // both L0 files hold it: newest first
+		"q": "old", // the newer L0 file spans q but lacks it
+		"e": "l1",  // both L0 files miss: the deeper level answers
+	} {
+		if v, err := db.Get(nil, []byte(key)); err != nil || string(v) != want {
+			t.Errorf("Get(%s) = %q, %v; want %q", key, v, err, want)
+		}
+	}
+	if _, err := db.Get(nil, []byte("x")); err != ErrNotFound {
+		t.Errorf("Get(x) = %v, want ErrNotFound", err)
 	}
 }
 
@@ -74,25 +94,41 @@ func TestVersionInvariants(t *testing.T) {
 	}
 }
 
+// TestCompactionScore pins the scores pickLeveled ranks levels by: L0 is
+// file count over the trigger (8 files over 4: 2.0), a deeper level bytes
+// over capacity (5000 over 1000: 5.0). Each is bracketed by a rival level
+// scoring just below and just above it.
 func TestCompactionScore(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Level0FileNumCompactionTrigger = 4
 	opts.MaxBytesForLevelBase = 1000
 	opts.MaxBytesForLevelMultiplier = 10
-	v := newVersion(7)
-	for i := 0; i < 8; i++ {
-		v.levels[0] = append(v.levels[0], fm(uint64(10+i), 100, "a", "z"))
+	opts.LevelCompactionDynamicLevelBytes = false
+	pick := func(l0Files int, l1Bytes int64) int {
+		v := newVersion(7)
+		for i := 0; i < l0Files; i++ {
+			v.levels[0] = append(v.levels[0], fm(uint64(10+i), 100, "a", "z"))
+		}
+		v.levels[1] = []*FileMeta{fm(1, l1Bytes, "a", "c")}
+		c := pickLeveled(v, opts, nil)
+		if c == nil {
+			t.Fatalf("%d L0 files, L1 %d bytes: no compaction picked", l0Files, l1Bytes)
+		}
+		return c.level
 	}
-	level, score := v.compactionScore(opts)
-	if level != 0 || score != 2.0 {
-		t.Fatalf("score = L%d %.2f, want L0 2.0", level, score)
+	// L0 at 2.0 against L1 at 1.999 and 2.001.
+	if l := pick(8, 1999); l != 0 {
+		t.Fatalf("L0 2.0 vs L1 1.999 picked L%d, want L0", l)
 	}
-	// Oversized L1 outweighs a quiet L0.
-	v2 := newVersion(7)
-	v2.levels[1] = []*FileMeta{fm(1, 5000, "a", "c")}
-	level, score = v2.compactionScore(opts)
-	if level != 1 || score != 5.0 {
-		t.Fatalf("score = L%d %.2f, want L1 5.0", level, score)
+	if l := pick(8, 2001); l != 1 {
+		t.Fatalf("L0 2.0 vs L1 2.001 picked L%d, want L1", l)
+	}
+	// An oversized L1 at 5.0 against L0 at 4.75 and 5.25.
+	if l := pick(19, 5000); l != 1 {
+		t.Fatalf("L1 5.0 vs L0 4.75 picked L%d, want L1", l)
+	}
+	if l := pick(21, 5000); l != 0 {
+		t.Fatalf("L1 5.0 vs L0 5.25 picked L%d, want L0", l)
 	}
 }
 

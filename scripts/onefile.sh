@@ -19,8 +19,11 @@
 #   counter readings by lsm.NewWorkloadSnapshot; observers (the benchmark
 #   runner, the live targets, elmotune's server target) read counters and
 #   call it instead of counting the mix themselves.
+# onetree: an iterator tree (a mergeIter or levelIter literal, or a
+#   []levelIter) is built by mergeTree alone; scans, flush and compaction
+#   add memtables and sorted runs to one instead of assembling their own.
 set -eu
-gate=${1:?usage: scripts/onefile.sh onestream|onehist|onelru|onewindow}
+gate=${1:?usage: scripts/onefile.sh onestream|onehist|onelru|onewindow|onetree}
 
 # gate;roots;skipped path;pattern;allowed file;what a stray match is;what the pattern marks
 table='
@@ -28,6 +31,7 @@ onestream;internal cmd;internal/bench/workload.go;[Ss]pec\.(ReadFraction|ScanFra
 onehist;internal cmd examples;-;sort\.SearchFloat64s|\) Percentile\(;internal/lsm/histogram.go;histogram bucket math lives;the histogram
 onelru;internal cmd examples;-;MoveToFront|PushFront\(|pushFront\(;internal/lsm/lru.go;recency-list code lives;the lru
 onewindow;internal cmd examples;-;(Read|Write|Scan)Fraction = float64\(;internal/lsm/workload.go;window mix fractions are computed;the window arithmetic
+onetree;internal cmd examples;-;mergeIter\{|levelIter\{|\[\]levelIter;internal/lsm/mergeiter.go;iterator trees are built;the merge tree
 '
 row=$(printf '%s\n' "$table" | grep "^$gate;") || {
     echo "onefile: unknown gate $gate" >&2
