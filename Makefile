@@ -41,11 +41,14 @@ equivalence:
 
 # Use after release, made loud: with -tags poison the block cache fills a
 # buffer with 0xDB as it becomes a spare, so a reader still on a released
-# block fails at once instead of reading another block later. Runs the
-# iterator, table-reader and block-handle lifetime tests and the
-# subcompaction equivalence check with the tag, under -race.
+# block fails at once instead of reading another block later, and a table
+# builder fills its write buffer with 0xDB as it goes back to the free list,
+# so an Env that kept a slice of it instead of copying writes garbage. Runs
+# the iterator, table-reader and block-handle lifetime tests, the
+# subcompaction equivalence check, the table-bytes hash and the OSEnv file
+# write tests (TestFileWrites*) with the tag, under -race.
 poison:
-	$(GO) test -tags poison -race -count=1 -run '^(TestIterator|TestTableReader|TestBlockHandle|TestSubcompactionEquivalence)' ./internal/lsm
+	$(GO) test -tags poison -race -count=1 -run '^(TestIterator|TestTableReader|TestBlockHandle|TestSubcompactionEquivalence|TestTableBytesGolden|TestFileWrites)' ./internal/lsm
 
 # End-to-end smoke of the networked service: start kvserver, drive a short
 # mixed workload through dbbench -server, assert nonzero throughput and a
@@ -54,8 +57,10 @@ serverbench:
 	./scripts/serverbench.sh
 
 # Allocation regression gates: testing.AllocsPerRun bounds on the cache-hit
-# Get path, the single-writer commit path (both runtimes), WAL framing,
-# memtable inserts carved from the arena, reused block iteration, snappy
+# Get path, the single-writer commit path (both runtimes), WAL framing (a
+# record joined into one write on an OSEnv file too), a flush on a warmed DB
+# that reuses a table write buffer (TestAllocGateTableWriteBuf), memtable
+# inserts carved from the arena, reused block iteration, snappy
 # block compression and reads (scratch and private), the block cache's
 # recycled handles (an insert into a full cache, a refill after EraseID, a
 # Get that misses into a full cache), the per-frame server/client paths, and a burst of

@@ -480,7 +480,12 @@ func compressedBlockReader(tb testing.TB, raw []byte, comp Compression) (*tableR
 	if err != nil {
 		tb.Fatal(err)
 	}
-	h, err := (&tableBuilder{w: w, opts: DefaultOptions()}).writeBlock(raw, comp)
+	b := &tableBuilder{w: w, opts: DefaultOptions()}
+	h, err := b.writeBlock(raw, comp)
+	if err == nil {
+		err = b.flushWrites()
+	}
+	b.release()
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -505,6 +510,7 @@ func TestAllocGateBlockCodec(t *testing.T) {
 	}
 	raw := valueShapedBlock()
 	tb := &tableBuilder{w: discardFile{}, opts: DefaultOptions()}
+	defer tb.release()
 	if avg := testing.AllocsPerRun(200, func() {
 		if _, err := tb.writeBlock(raw, SnappyCompression); err != nil {
 			t.Fatal(err)
@@ -542,6 +548,7 @@ func BenchmarkWriteBlockCompressed(b *testing.B) {
 	for _, comp := range []Compression{SnappyCompression, ZstdCompression} {
 		b.Run(comp.String(), func(b *testing.B) {
 			tb := &tableBuilder{w: discardFile{}, opts: DefaultOptions()}
+			defer tb.release()
 			h, err := tb.writeBlock(raw, comp)
 			if err != nil {
 				b.Fatal(err)

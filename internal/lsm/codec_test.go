@@ -14,7 +14,8 @@ import (
 // TestCodecPoolConcurrentRoundTrip hammers the pooled block buffers and
 // flate writers and readers from many goroutines across every Compression
 // setting at once: each goroutine builds blocks, writes them through
-// writeBlock (pooled staging buffer and compressor) and reads them back
+// writeBlock (pooled staging buffer and compressor) and the builder's write
+// buffer, flushed before the file is closed, and reads them back
 // through readBlockRaw (pooled read buffer, reader and scratch), verifying
 // byte equality. Run under -race this is the lifetime guard for every pooled
 // codec object.
@@ -53,6 +54,12 @@ func TestCodecPoolConcurrentRoundTrip(t *testing.T) {
 					}
 					handles = append(handles, h)
 					raws = append(raws, raw)
+				}
+				err = tb.flushWrites()
+				tb.release()
+				if err != nil {
+					errc <- err
+					return
 				}
 				if err := f.Close(); err != nil {
 					errc <- err
@@ -200,6 +207,11 @@ func TestReadBlockRawMixedTypes(t *testing.T) {
 			t.Fatal(err)
 		}
 		handles, raws = append(handles, h), append(raws, raw)
+	}
+	err = tb.flushWrites()
+	tb.release()
+	if err != nil {
+		t.Fatal(err)
 	}
 	if err := w.Close(); err != nil {
 		t.Fatal(err)

@@ -467,12 +467,16 @@ func (db *DB) runCompactionSlice(c *compaction, v *Version, cfOpts *Options, s s
 // no snapshot can see and no level below outputLevel may hold a key for is
 // dropped too. A table is cut once its estimated size reaches outSize, then
 // synced, closed and, under paranoid_file_checks, read back. A table left
-// unfinished by a failure is closed. sr.entries counts the entries read.
+// unfinished by a failure is closed, and its builder's write buffer given
+// back. sr.entries counts the entries read.
 func (db *DB) writeTables(merged *mergeIter, limit []byte, cfOpts *Options, outputLevel int, v *Version, smallestSnapshot uint64, outSize int64, ios *IOStatsContext) (sr sliceResult) {
 	var builder *tableBuilder
 	var outFile WritableFile
 	var outNum uint64
 	defer func() {
+		if builder != nil {
+			builder.release()
+		}
 		if outFile != nil {
 			outFile.Close()
 		}
@@ -548,7 +552,7 @@ func (db *DB) writeTables(merged *mergeIter, limit []byte, cfOpts *Options, outp
 				return sr
 			}
 			outFile = wrapWritableFile(f, ios)
-			builder = newTableBuilder(outFile, cfOpts)
+			builder = newTableBuilder(outFile, cfOpts, &db.writeBufs)
 		}
 		if err := builder.add(ik, merged.Value()); err != nil {
 			sr.err = err

@@ -87,6 +87,9 @@ type DB struct {
 	bcache  *blockCache
 	tcache  *tableCache
 	memSeed int64
+	// writeBufs keeps the write buffers of finished table builds for the
+	// next ones (writeTables).
+	writeBufs writeBufList
 
 	// Column families. cfs/cfNames/cfOrder are guarded by mu; cfSnap is a
 	// lock-free snapshot of cfOrder for engineMemory.
@@ -316,14 +319,20 @@ func (db *DB) engineMemory() int64 {
 }
 
 // rotateWALLocked starts a fresh shared WAL file; every family's new
-// memtables log there from now on. The caller retires the old writer.
+// memtables log there from now on. The caller retires the old writer, so the
+// new one takes over its framing buffer, already grown to the records this
+// DB writes.
 func (db *DB) rotateWALLocked() error {
 	logNum := db.vs.newFileNumber()
 	f, err := db.env.NewWritableFile(logFileName(db.dir, logNum), IOForeground)
 	if err != nil {
 		return err
 	}
-	db.wal = newWALWriter(wrapWritableFile(f, db.iostats), db.options())
+	w := newWALWriter(wrapWritableFile(f, db.iostats), db.options())
+	if db.wal != nil {
+		w.frame = db.wal.frame
+	}
+	db.wal = w
 	db.wal.hists, db.wal.stopwatch = db.hists, db.rt.stopwatch
 	db.walNum = logNum
 	return nil

@@ -1,0 +1,305 @@
+package lsm
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"math/rand"
+	"path/filepath"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+)
+
+// fileCalls counts the calls that reach one kind of file.
+type fileCalls struct{ appends, syncs int }
+
+// countingEnv wraps an Env and counts, per file extension (".log", ".sst"),
+// the Append calls and the Sync and SyncAsync calls that reach the files it
+// creates. On OSEnv an Append is one write(2). A counted file forwards
+// joinsAppends, so the writers above it treat it as the file it wraps.
+type countingEnv struct {
+	Env
+	mu    sync.Mutex
+	calls map[string]*fileCalls
+}
+
+func newCountingEnv(base Env) *countingEnv {
+	return &countingEnv{Env: base, calls: make(map[string]*fileCalls)}
+}
+
+func (e *countingEnv) NewWritableFile(name string, class IOClass) (WritableFile, error) {
+	f, err := e.Env.NewWritableFile(name, class)
+	if err != nil {
+		return nil, err
+	}
+	return &countingFile{WritableFile: f, env: e, ext: filepath.Ext(name)}, nil
+}
+
+// counts returns the calls made so far on files with extension ext.
+func (e *countingEnv) counts(ext string) fileCalls {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if c := e.calls[ext]; c != nil {
+		return *c
+	}
+	return fileCalls{}
+}
+
+func (e *countingEnv) add(ext string, appends, syncs int) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	c := e.calls[ext]
+	if c == nil {
+		c = &fileCalls{}
+		e.calls[ext] = c
+	}
+	c.appends += appends
+	c.syncs += syncs
+}
+
+type countingFile struct {
+	WritableFile
+	env *countingEnv
+	ext string
+}
+
+func (f *countingFile) Append(p []byte) error {
+	f.env.add(f.ext, 1, 0)
+	return f.WritableFile.Append(p)
+}
+
+func (f *countingFile) Sync() error {
+	f.env.add(f.ext, 0, 1)
+	return f.WritableFile.Sync()
+}
+
+func (f *countingFile) SyncAsync() error {
+	f.env.add(f.ext, 0, 1)
+	return syncMaybeAsync(f.WritableFile)
+}
+
+func (f *countingFile) joinsAppends() bool { return joinsAppends(f.WritableFile) }
+
+// countedTableValue is entry i's value: 400 bytes, half random, half zeros.
+func countedTableValue(i int) []byte {
+	v := make([]byte, 400)
+	rand.New(rand.NewSource(int64(i))).Read(v[:200])
+	return v
+}
+
+// buildCountedTable writes n entries of 400-byte values (about 100 data
+// blocks for n=1000) into one table on env through a tableBuilder and
+// closes the file without syncing it, so every sync counted is the
+// builder's own.
+func buildCountedTable(t *testing.T, env Env, name string, opts *Options, n int) TableProps {
+	t.Helper()
+	f, err := env.NewWritableFile(name, IOBackground)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := newTableBuilder(f, opts, nil)
+	for i := 0; i < n; i++ {
+		ik := makeInternalKey(nil, []byte(fmt.Sprintf("key%06d", i)), uint64(i+1), KindValue)
+		if err := b.add(ik, countedTableValue(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	props, err := b.finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return props
+}
+
+// TestFileWritesTable: a table builder on OSEnv writes in whole
+// tableWriteBufSize chunks, so a table of size bytes takes at most
+// ⌈size/tableWriteBufSize⌉+1 write(2) calls (one Append per block payload
+// and one per trailer would be 2 per block + 3), and every byte reads back.
+func TestFileWritesTable(t *testing.T) {
+	env := newCountingEnv(NewOSEnv())
+	name := filepath.Join(t.TempDir(), "000001.sst")
+	const n = 1000
+	opts := DefaultOptions()
+	opts.BloomBitsPerKey = 10
+	props := buildCountedTable(t, env, name, opts, n)
+	maxWrites := int((props.FileSize+tableWriteBufSize-1)/tableWriteBufSize) + 1
+	if props.FileSize < 4*tableWriteBufSize {
+		t.Fatalf("table is %d bytes, want several write buffers' worth", props.FileSize)
+	}
+	if got := env.counts(".sst").appends; got > maxWrites {
+		t.Errorf("a %d-byte table took %d writes, want at most %d", props.FileSize, got, maxWrites)
+	}
+	r, err := openTable(env, name, 1, nil, nil, IOBackground, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.close()
+	for i := 0; i < n; i++ {
+		lookup := makeInternalKey(nil, []byte(fmt.Sprintf("key%06d", i)), maxSequence, KindValue)
+		val, found, _, err := r.get(nil, lookup)
+		if err != nil || !found || !bytes.Equal(val, countedTableValue(i)) {
+			t.Fatalf("key%06d: found=%v err=%v, value intact=%v", i, found, err, bytes.Equal(val, countedTableValue(i)))
+		}
+	}
+}
+
+// TestFileWritesWAL: one WAL record is one write(2) on OSEnv, and still two
+// Appends (header, payload) on SimEnv, whose foreground Append is priced per
+// call. Both count the same bytes into the DB's IOStatsContext, and the
+// joined record replays at reopen.
+func TestFileWritesWAL(t *testing.T) {
+	var written [2]int64
+	for i, mode := range []string{"os", "sim"} {
+		t.Run(mode, func(t *testing.T) {
+			base, dir, want := Env(NewOSEnv()), t.TempDir(), 1
+			if mode == "sim" {
+				base, dir, want = testSimEnv(), "/db", 2
+			}
+			env := newCountingEnv(base)
+			opts := DefaultOptions()
+			opts.Env = env
+			db, err := Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			db.SetPerfLevel(PerfEnableCount)
+			before, bytesBefore := env.counts(".log").appends, db.IOStats().bytesWritten.Load()
+			if err := db.Put(nil, []byte("key"), []byte("value")); err != nil {
+				t.Fatal(err)
+			}
+			if got := env.counts(".log").appends - before; got != want {
+				t.Errorf("one WAL record took %d Appends, want %d", got, want)
+			}
+			written[i] = db.IOStats().bytesWritten.Load() - bytesBefore
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			opts.Env = base
+			db, err = Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			if v, err := db.Get(nil, []byte("key")); err != nil || string(v) != "value" {
+				t.Errorf("after reopen Get = %q, %v; want value", v, err)
+			}
+		})
+	}
+	if written[0] != written[1] || written[0] == 0 {
+		t.Errorf("one WAL record counted %d bytes on OSEnv and %d on SimEnv, want the same nonzero count", written[0], written[1])
+	}
+}
+
+// TestFileWritesBytesPerSync: bytes_per_sync makes the table builder start
+// writeback once per bytes_per_sync bytes written (here once per full write
+// buffer), and 0 leaves every sync to the table's owner.
+func TestFileWritesBytesPerSync(t *testing.T) {
+	for _, bps := range []int64{0, 64 << 10} {
+		t.Run(fmt.Sprint(bps), func(t *testing.T) {
+			env := newCountingEnv(NewOSEnv())
+			opts := DefaultOptions()
+			opts.BytesPerSync = bps
+			props := buildCountedTable(t, env, filepath.Join(t.TempDir(), "000001.sst"), opts, 1000)
+			want := 0
+			if bps > 0 {
+				want = int(props.FileSize / bps)
+			}
+			if got := env.counts(".sst").syncs; got != want || (bps > 0 && got == 0) {
+				t.Errorf("bytes_per_sync=%d: %d syncs for a %d-byte table, want %d", bps, got, props.FileSize, want)
+			}
+		})
+	}
+}
+
+// TestFileWritesAbandonedBuild: a compaction that fails mid-table (an
+// injected read fault on its third L1 input) gives the abandoned builder's
+// write buffer back to the DB's free list. Every build of this DB runs alone,
+// so the DB only ever made one buffer.
+func TestFileWritesAbandonedBuild(t *testing.T) {
+	fault := NewFaultInjectionEnv(NewOSEnv(), 1)
+	db, _ := openHandBackDB(t, fault)
+	third := db.vs.head(0).LevelFiles(1)[2].Number
+	fault.Inject(FaultRule{Op: FaultRead, Pattern: filepath.Base(tableFileName(db.dir, third)), Classes: []IOClass{IOBackground}})
+	if err := db.CompactRange(nil, nil); !errors.Is(err, ErrInjected) {
+		t.Fatalf("CompactRange = %v, want the injected read fault", err)
+	}
+	db.writeBufs.mu.Lock()
+	spares := db.writeBufs.n
+	db.writeBufs.mu.Unlock()
+	if spares != 1 {
+		t.Errorf("after the failed compaction the DB keeps %d write buffers, want 1", spares)
+	}
+}
+
+// TestAllocGateTableWriteBuf gates the write buffers: once a DB has flushed
+// a table (about 170 KB), flushing another takes the first one's write
+// buffer from the free list, so the whole flush allocates less than one
+// buffer (about 30 KB); and a
+// single-record WAL append joined into the writer's framing buffer on an
+// OSEnv file allocates nothing.
+func TestAllocGateTableWriteBuf(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled buffers under -race")
+	}
+	t.Run("flush", func(t *testing.T) {
+		opts := DefaultOptions()
+		opts.DisableAutoCompactions = true
+		db, err := Open(t.TempDir(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		val := bytes.Repeat([]byte("v"), 400)
+		fill := func(round int) {
+			for i := 0; i < 400; i++ {
+				if err := db.Put(nil, []byte(fmt.Sprintf("key%06d-%d", i, round)), val); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		fill(0)
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		// The least of three flushes, so that a background allocation
+		// landing in one window does not fail the gate.
+		least := uint64(1 << 62)
+		for round := 1; round <= 3; round++ {
+			fill(round)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := db.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least >= tableWriteBufSize {
+			t.Errorf("a flush on a warmed DB allocated %d bytes, want under one %d-byte write buffer", least, tableWriteBufSize)
+		}
+	})
+	t.Run("wal", func(t *testing.T) {
+		f, err := NewOSEnv().NewWritableFile(filepath.Join(t.TempDir(), "000001.log"), IOForeground)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		w := newWALWriter(wrapWritableFile(f, &IOStatsContext{}), DefaultOptions())
+		if !w.join {
+			t.Fatal("an OSEnv WAL file does not join its appends")
+		}
+		payloads := [][]byte{[]byte(strings.Repeat("p", 200))}
+		if avg := testing.AllocsPerRun(500, func() {
+			if err := w.addRecords(payloads); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Errorf("a joined WAL record allocates %.2f/op, want 0", avg)
+		}
+	})
+}

@@ -389,6 +389,9 @@ func (w *ioStatsWritableFile) SyncAsync() error { return syncMaybeAsync(w.f) }
 
 func (w *ioStatsWritableFile) Close() error { return w.f.Close() }
 
+// joinsAppends forwards the wrapped file's answer (joinedAppender).
+func (w *ioStatsWritableFile) joinsAppends() bool { return joinsAppends(w.f) }
+
 // ioStatsRandomFile counts ReadAt traffic into an IOStatsContext.
 type ioStatsRandomFile struct {
 	f  RandomAccessFile

@@ -111,9 +111,68 @@ type TableProps struct {
 	LargestSeq    uint64
 }
 
-// tableBuilder writes an SSTable through a WritableFile.
+// tableWriteBufSize is a table builder's write buffer: the file receives
+// whole chunks of this size, not one Append per block payload and trailer.
+const tableWriteBufSize = 64 << 10
+
+// writeBufList is a DB's free list of table write buffers. A builder takes
+// one at its first write and gives it back when it finishes or is abandoned,
+// so the DB's next table, flush or compaction alike, writes through the same
+// buffer. At most writeBufSpares wait here (as lru keeps its spare entries),
+// bounding what idle buffers pin once concurrent builds end. It is not a
+// sync.Pool: a GC would empty that, and each build after it would allocate
+// its buffer again. A nil list keeps nothing: each build allocates.
+type writeBufList struct {
+	mu    sync.Mutex
+	spare [writeBufSpares][]byte
+	n     int
+}
+
+// writeBufSpares covers a DB's usual concurrent builds, a flush beside a
+// compaction or two; a build beyond them allocates its buffer, and the GC
+// takes it back.
+const writeBufSpares = 4
+
+func (l *writeBufList) get() []byte {
+	if l != nil {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if l.n > 0 {
+			l.n--
+			b := l.spare[l.n]
+			l.spare[l.n] = nil
+			return b
+		}
+	}
+	return make([]byte, 0, tableWriteBufSize)
+}
+
+// put gives b back. Under -tags poison it is filled with 0xDB first, so a
+// file that kept a slice of it instead of copying shows garbage.
+func (l *writeBufList) put(b []byte) {
+	if poisonBuffers {
+		poison(b[:cap(b)])
+	}
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.n < writeBufSpares {
+		l.spare[l.n] = b[:0]
+		l.n++
+	}
+}
+
+// tableBuilder writes an SSTable through a WritableFile. Everything it
+// writes goes through its write buffer (buf, taken from bufs at the first
+// write and given back by finish or release): the file sees one Append per
+// tableWriteBufSize bytes and the remainder at finish.
 type tableBuilder struct {
 	w           WritableFile
+	bufs        *writeBufList
+	buf         []byte
+	sinceSync   int64 // bytes appended since the last bytes_per_sync sync
 	opts        *Options
 	dataBlock   *blockBuilder
 	indexBlock  *blockBuilder
@@ -130,10 +189,12 @@ type tableBuilder struct {
 	err         error
 }
 
-// newTableBuilder starts building a table with the given options.
-func newTableBuilder(w WritableFile, opts *Options) *tableBuilder {
+// newTableBuilder starts building a table with the given options, writing
+// through a buffer from bufs.
+func newTableBuilder(w WritableFile, opts *Options, bufs *writeBufList) *tableBuilder {
 	b := &tableBuilder{
 		w:          w,
+		bufs:       bufs,
 		opts:       opts,
 		dataBlock:  newBlockBuilder(opts.BlockRestartInterval),
 		indexBlock: newBlockBuilder(1),
@@ -200,9 +261,10 @@ func (b *tableBuilder) flushDataBlock() {
 	b.dataBlock.reset()
 }
 
-// writeBlock compresses (maybe), appends payload+trailer, returns its handle.
-// The staging buffer comes from a pool and is released before returning
-// (Append copies the payload into the file).
+// writeBlock compresses (maybe), writes payload+trailer through the write
+// buffer and returns its handle. The staging buffer comes from a pool and is
+// released before returning (write copies the payload out of it, or Append
+// does).
 func (b *tableBuilder) writeBlock(raw []byte, comp Compression) (blockHandle, error) {
 	buf := getBlockBuf()
 	defer putBlockBuf(buf)
@@ -216,19 +278,88 @@ func (b *tableBuilder) writeBlock(raw []byte, comp Compression) (blockHandle, er
 	crc := crc32.ChecksumIEEE(payload)
 	crc = crc32.Update(crc, crc32.IEEETable, trailer[:1])
 	binary.LittleEndian.PutUint32(trailer[1:], crc)
-	if err := b.w.Append(payload); err != nil {
+	if err := b.write(payload); err != nil {
 		return blockHandle{}, err
 	}
-	if err := b.w.Append(trailer); err != nil {
+	if err := b.write(trailer); err != nil {
 		return blockHandle{}, err
 	}
 	b.offset += uint64(len(payload)) + blockTrailerSize
 	return h, nil
 }
 
-// finish flushes remaining blocks, writes filter+index+footer, and returns
-// the table properties. The file is not synced or closed.
+// write copies p into the write buffer, appending the buffer to the file
+// each time it fills. A p at least a whole buffer long that finds the
+// buffer empty (a large filter or index block) is appended as it is, so
+// every Append but the last carries at least tableWriteBufSize bytes.
+func (b *tableBuilder) write(p []byte) error {
+	if b.buf == nil {
+		b.buf = b.bufs.get()
+	}
+	for len(p) > 0 {
+		if len(b.buf) == 0 && len(p) >= cap(b.buf) {
+			return b.appendOut(p)
+		}
+		n := copy(b.buf[len(b.buf):cap(b.buf)], p)
+		b.buf = b.buf[:len(b.buf)+n]
+		p = p[n:]
+		if len(b.buf) == cap(b.buf) {
+			if err := b.flushWrites(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// flushWrites appends what the write buffer holds to the file.
+func (b *tableBuilder) flushWrites() error {
+	if len(b.buf) == 0 {
+		return nil
+	}
+	err := b.appendOut(b.buf)
+	b.buf = b.buf[:0]
+	return err
+}
+
+// appendOut appends p to the file and, every bytes_per_sync bytes, starts
+// writeback of what is written so far, as walWriter.appended does for
+// wal_bytes_per_sync: an async range sync where the file has one, a full
+// Sync under strict_bytes_per_sync or where it has not. The table is still
+// synced whole before it is installed.
+func (b *tableBuilder) appendOut(p []byte) error {
+	if err := b.w.Append(p); err != nil {
+		return err
+	}
+	if b.opts.BytesPerSync <= 0 {
+		return nil
+	}
+	b.sinceSync += int64(len(p))
+	if b.sinceSync < b.opts.BytesPerSync {
+		return nil
+	}
+	b.sinceSync = 0
+	if b.opts.StrictBytesPerSync {
+		return b.w.Sync()
+	}
+	return syncMaybeAsync(b.w)
+}
+
+// release gives the write buffer back to bufs; finish calls it, and the
+// owner of a build that fails or is abandoned before finish must. What the
+// buffer still held is not written.
+func (b *tableBuilder) release() {
+	if b.buf != nil {
+		b.bufs.put(b.buf)
+		b.buf = nil
+	}
+}
+
+// finish flushes remaining blocks, writes filter+index+footer, appends what
+// the write buffer holds and gives the buffer back, and returns the table
+// properties. The file is not synced or closed.
 func (b *tableBuilder) finish() (TableProps, error) {
+	defer b.release()
 	if b.err != nil {
 		return b.props, b.err
 	}
@@ -262,7 +393,10 @@ func (b *tableBuilder) finish() (TableProps, error) {
 	}
 	binary.LittleEndian.PutUint64(tmp[:], tableMagic)
 	footer = append(footer, tmp[:]...)
-	if err := b.w.Append(footer); err != nil {
+	if err := b.write(footer); err != nil {
+		return b.props, err
+	}
+	if err := b.flushWrites(); err != nil {
 		return b.props, err
 	}
 	b.offset += uint64(len(footer))

@@ -29,9 +29,11 @@ type walWriter struct {
 	hists     *HistogramStats
 	stopwatch func() time.Duration
 	// frame is the framing buffer, reused by every append: a record's
-	// header, or a group's whole run. Every Env's Append copies what it is
-	// given, so nothing keeps it.
+	// header (with its payload when join is set), or a group's whole run.
+	// Every Env's Append copies what it is given, so nothing keeps it.
 	frame []byte
+	// join is set when f prefers one Append per record (joinsAppends).
+	join bool
 }
 
 // walFrameKeep bounds the framing buffer kept between appends. A group's
@@ -47,11 +49,22 @@ func appendWALHeader(dst, payload []byte) []byte {
 }
 
 func newWALWriter(f WritableFile, opts *Options) *walWriter {
-	return &walWriter{f: f, opts: opts, stats: opts.Stats, stopwatch: func() time.Duration { return 0 }}
+	return &walWriter{f: f, opts: opts, stats: opts.Stats, stopwatch: func() time.Duration { return 0 }, join: joinsAppends(f)}
 }
 
-// addRecord appends one record, honoring the periodic-sync options.
+// addRecord appends one record, honoring the periodic-sync options. On a
+// file that joins appends (OSEnv) a record that fits the kept framing buffer
+// is copied in behind its header and written with one Append; otherwise the
+// header and payload are two Appends.
 func (w *walWriter) addRecord(payload []byte) error {
+	n := walHeaderSize + len(payload)
+	if w.join && n <= walFrameKeep {
+		w.frame = append(appendWALHeader(slices.Grow(w.frame[:0], n), payload), payload...)
+		if err := w.f.Append(w.frame); err != nil {
+			return err
+		}
+		return w.appended(int64(n))
+	}
 	w.frame = appendWALHeader(w.frame[:0], payload)
 	if err := w.f.Append(w.frame); err != nil {
 		return err
@@ -59,7 +72,7 @@ func (w *walWriter) addRecord(payload []byte) error {
 	if err := w.f.Append(payload); err != nil {
 		return err
 	}
-	return w.appended(int64(len(payload)) + walHeaderSize)
+	return w.appended(int64(n))
 }
 
 // addRecords appends several records as one contiguous run: a write group's
