@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race crashtest equivalence poison serverbench liveretune allocgate fuzz benchmodule loc simfork onestream onehist onelru onewindow onetree simdiff verify clean
+.PHONY: build test vet race crashtest equivalence poison serverbench liveretune allocgate fuzz benchmodule loc simfork onestream onehist onelru onewindow onetree onemanifest simdiff verify clean
 
 build:
 	$(GO) build ./...
@@ -89,8 +89,10 @@ liveretune:
 # or is stored raw, any payload decodes to an error or a block exactly as
 # long as its prefix declares — and of the wire response decoder: decoding
 # any (opcode, body) into a reused Response full of stale fields gives the
-# same error or the same fields as decoding into a fresh one. go test takes
-# one -fuzz target per run.
+# same error or the same fields as decoding into a fresh one — and of the
+# two log parsers: any bytes replay as a log in every recovery mode without a
+# panic, accounting for every byte, and any manifest edit that decodes
+# survives re-encoding. go test takes one -fuzz target per run.
 # Minimization is off: minimizing one 9 KB "interesting" input would eat the
 # whole budget.
 fuzz:
@@ -98,6 +100,8 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzSetByName$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/lsm
 	$(GO) test -run '^$$' -fuzz '^FuzzBlockCodecRoundTrip$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/lsm
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBlock$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/lsm
+	$(GO) test -run '^$$' -fuzz '^FuzzLogReplay$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/lsm
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeVersionEdit$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/lsm
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime 10s -fuzzminimizetime 0 ./internal/server
 
 # benchmark/ is its own module, out of reach of `go test ./...`; every PR must
@@ -150,6 +154,12 @@ onewindow:
 onetree:
 	./scripts/onefile.sh onetree
 
+# Every manifest is started by one method (DESIGN §8): only
+# internal/lsm/manifest.go, home of versionSet.rollover, may create a file
+# named by manifestFileName.
+onemanifest:
+	./scripts/onefile.sh onemanifest
+
 # The refactor oracle for the simulated side (EXPERIMENTS.md): the paper's
 # tables and figures regenerated at PARENT and at the working tree must be
 # byte-identical. ~2 minutes; not part of verify (it needs a parent to name).
@@ -157,7 +167,7 @@ simdiff:
 	@test -n "$(PARENT)" || { echo "usage: make simdiff PARENT=<ref>" >&2; exit 2; }
 	./scripts/simdiff.sh $(PARENT)
 
-verify: build vet simfork onestream onehist onelru onewindow onetree test race equivalence poison allocgate fuzz benchmodule serverbench liveretune
+verify: build vet simfork onestream onehist onelru onewindow onetree onemanifest test race equivalence poison allocgate fuzz benchmodule serverbench liveretune
 
 clean:
 	$(GO) clean ./...

@@ -469,6 +469,7 @@ type discardFile struct{}
 
 func (discardFile) Append([]byte) error { return nil }
 func (discardFile) Sync() error         { return nil }
+func (discardFile) SyncAsync() error    { return nil }
 func (discardFile) Close() error        { return nil }
 
 // compressedBlockReader writes raw as one block compressed with comp into a

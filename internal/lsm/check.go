@@ -247,6 +247,7 @@ func RepairDBColumnFamily(dir string, opts *Options, cfName string) (*RepairRepo
 	type survivor struct {
 		meta   *FileMeta
 		maxSeq uint64
+		table  int // its entry in rep.Tables
 	}
 	var survivors []survivor
 	for _, num := range tableNums {
@@ -267,7 +268,7 @@ func RepairDBColumnFamily(dir string, opts *Options, cfName string) (*RepairRepo
 		}
 		rt.Entries = meta.Entries
 		rt.MaxSeq = maxSeq
-		survivors = append(survivors, survivor{meta, maxSeq})
+		survivors = append(survivors, survivor{meta, maxSeq, len(rep.Tables)})
 		rep.Tables = append(rep.Tables, rt)
 		if maxSeq > rep.LastSeq {
 			rep.LastSeq = maxSeq
@@ -279,22 +280,13 @@ func RepairDBColumnFamily(dir string, opts *Options, cfName string) (*RepairRepo
 	sort.SliceStable(survivors, func(i, j int) bool { return survivors[i].maxSeq < survivors[j].maxSeq })
 	next := maxNum + 1
 	for _, s := range survivors {
-		oldName := tableFileName(dir, s.meta.Number)
-		newNum := next
-		next++
-		newName := tableFileName(dir, newNum)
+		oldName, newName := tableFileName(dir, s.meta.Number), tableFileName(dir, next)
 		if err := env.Rename(oldName, newName); err != nil {
 			return rep, fmt.Errorf("lsm: repair: rename %s: %w", oldName, err)
 		}
-		// rep.Tables preserves scan order; match by old name since the
-		// survivors were re-sorted by max sequence.
-		for i := range rep.Tables {
-			if rep.Tables[i].OldName == filepath.Base(oldName) {
-				rep.Tables[i].NewName = filepath.Base(newName)
-				break
-			}
-		}
-		s.meta.Number = newNum
+		rep.Tables[s.table].NewName = filepath.Base(newName)
+		s.meta.Number = next
+		next++
 		rep.Salvaged++
 	}
 
@@ -312,21 +304,14 @@ func RepairDBColumnFamily(dir string, opts *Options, cfName string) (*RepairRepo
 		}
 	}
 
-	// Fresh version set: snapshot manifest + CURRENT swap. Column-family
-	// ownership lives only in the manifest, so with the manifest lost every
-	// salvaged table lands in one family — the default, or the cfName the
-	// operator designated (see RepairDBColumnFamily).
+	// Fresh version set: the salvaged state, then a manifest holding it.
+	// Column-family ownership lives only in the manifest, so with the
+	// manifest lost every salvaged table lands in one family — the default,
+	// or the cfName the operator designated (see RepairDBColumnFamily).
 	vs := newVersionSet(env, dir, opts)
 	vs.lastSeq = rep.LastSeq
 	vs.cfs[0].logNumber = minLog
 	vs.nextFileNum.Store(next)
-	vs.manifestNum = vs.newFileNumber()
-	mf, err := env.NewWritableFile(manifestFileName(dir, vs.manifestNum), IOBackground)
-	if err != nil {
-		return rep, err
-	}
-	vs.manifest = newWALWriter(mf, opts)
-	vs.manifest.stats = nil
 	edit := &versionEdit{hasLogNumber: true, logNumber: minLog}
 	if cfName != "" && cfName != DefaultColumnFamilyName {
 		// Re-create the named family and make it the target of the file and
@@ -338,19 +323,14 @@ func RepairDBColumnFamily(dir string, opts *Options, cfName string) (*RepairRepo
 	for _, s := range survivors {
 		edit.newFiles = append(edit.newFiles, newFile{0, s.meta})
 	}
-	if err := vs.logAndApply(edit); err != nil {
-		vs.close()
+	if _, err := vs.apply(edit); err != nil {
 		return rep, err
 	}
-	if err := env.SyncDir(dir); err != nil {
-		vs.close()
-		return rep, err
+	err = vs.rollover()
+	if cerr := vs.close(); err == nil {
+		err = cerr
 	}
-	if err := vs.setCurrent(); err != nil {
-		vs.close()
-		return rep, err
-	}
-	if err := vs.close(); err != nil {
+	if err != nil {
 		return rep, err
 	}
 	rep.NewManifest = filepath.Base(manifestFileName(dir, vs.manifestNum))

@@ -252,7 +252,7 @@ func OpenConfig(dir string, cfg *ConfigSet) (*DB, error) {
 			return nil, err
 		}
 	} else {
-		if err := db.vs.createNew(); err != nil {
+		if err := db.vs.rollover(); err != nil {
 			return nil, err
 		}
 		cf := &columnFamily{

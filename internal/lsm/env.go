@@ -43,24 +43,12 @@ type WritableFile interface {
 	Append(p []byte) error
 	// Sync makes previously appended data durable.
 	Sync() error
+	// SyncAsync starts writeback of the appended data without waiting for
+	// it (sync_file_range semantics): the non-strict bytes_per_sync path.
+	// It promises no durability.
+	SyncAsync() error
 	// Close releases the handle (without implying Sync).
 	Close() error
-}
-
-// asyncSyncer is implemented by files that support a non-blocking range
-// sync (sync_file_range semantics): dirty pages are queued for writeback
-// without stalling the writer. Used by the non-strict bytes_per_sync path.
-type asyncSyncer interface {
-	SyncAsync() error
-}
-
-// syncMaybeAsync issues a cheap async sync when supported, a full sync
-// otherwise.
-func syncMaybeAsync(f WritableFile) error {
-	if a, ok := f.(asyncSyncer); ok {
-		return a.SyncAsync()
-	}
-	return f.Sync()
 }
 
 // joinedAppender is implemented by files whose every Append is one system

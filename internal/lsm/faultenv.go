@@ -252,30 +252,23 @@ func (w *faultWritableFile) Append(p []byte) error {
 }
 
 // Sync implements WritableFile; on success the whole file becomes durable.
-func (w *faultWritableFile) Sync() error {
+func (w *faultWritableFile) Sync() error { return w.sync(w.base.Sync, true) }
+
+// SyncAsync implements WritableFile. Queued writeback is NOT durable: a crash
+// may still drop the bytes, so syncedLen does not advance.
+func (w *faultWritableFile) SyncAsync() error { return w.sync(w.base.SyncAsync, false) }
+
+// sync runs a FaultSync check and then the base file's sync.
+func (w *faultWritableFile) sync(base func() error, durable bool) error {
 	w.env.mu.Lock()
+	defer w.env.mu.Unlock()
 	if _, ferr := w.env.checkLocked(FaultSync, w.name, w.class, 0); ferr != nil {
-		w.env.mu.Unlock()
 		return ferr
 	}
-	err := w.base.Sync()
-	if err == nil {
+	err := base()
+	if err == nil && durable {
 		w.st.syncedLen = w.st.size
 	}
-	w.env.mu.Unlock()
-	return err
-}
-
-// SyncAsync implements asyncSyncer. Queued writeback is NOT durable: a crash
-// may still drop the bytes, so syncedLen does not advance.
-func (w *faultWritableFile) SyncAsync() error {
-	w.env.mu.Lock()
-	if _, ferr := w.env.checkLocked(FaultSync, w.name, w.class, 0); ferr != nil {
-		w.env.mu.Unlock()
-		return ferr
-	}
-	err := syncMaybeAsync(w.base)
-	w.env.mu.Unlock()
 	return err
 }
 

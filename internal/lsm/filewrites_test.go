@@ -13,11 +13,12 @@ import (
 )
 
 // fileCalls counts the calls that reach one kind of file.
-type fileCalls struct{ appends, syncs int }
+type fileCalls struct{ appends, syncs, asyncSyncs, reads int }
 
 // countingEnv wraps an Env and counts, per file extension (".log", ".sst"),
-// the Append calls and the Sync and SyncAsync calls that reach the files it
-// creates. On OSEnv an Append is one write(2). A counted file forwards
+// the Append, Sync and SyncAsync calls that reach the files it creates and
+// the ReadAt calls that reach the files it opens for reading. On OSEnv an
+// Append is one write(2) and a ReadAt one pread(2). A counted file forwards
 // joinsAppends, so the writers above it treat it as the file it wraps.
 type countingEnv struct {
 	Env
@@ -37,6 +38,14 @@ func (e *countingEnv) NewWritableFile(name string, class IOClass) (WritableFile,
 	return &countingFile{WritableFile: f, env: e, ext: filepath.Ext(name)}, nil
 }
 
+func (e *countingEnv) NewRandomAccessFile(name string, class IOClass) (RandomAccessFile, error) {
+	f, err := e.Env.NewRandomAccessFile(name, class)
+	if err != nil {
+		return nil, err
+	}
+	return &countingRandomFile{RandomAccessFile: f, env: e, ext: filepath.Ext(name)}, nil
+}
+
 // counts returns the calls made so far on files with extension ext.
 func (e *countingEnv) counts(ext string) fileCalls {
 	e.mu.Lock()
@@ -47,7 +56,8 @@ func (e *countingEnv) counts(ext string) fileCalls {
 	return fileCalls{}
 }
 
-func (e *countingEnv) add(ext string, appends, syncs int) {
+// add counts one call on a file with extension ext.
+func (e *countingEnv) add(ext string, count func(*fileCalls)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	c := e.calls[ext]
@@ -55,8 +65,7 @@ func (e *countingEnv) add(ext string, appends, syncs int) {
 		c = &fileCalls{}
 		e.calls[ext] = c
 	}
-	c.appends += appends
-	c.syncs += syncs
+	count(c)
 }
 
 type countingFile struct {
@@ -66,21 +75,32 @@ type countingFile struct {
 }
 
 func (f *countingFile) Append(p []byte) error {
-	f.env.add(f.ext, 1, 0)
+	f.env.add(f.ext, func(c *fileCalls) { c.appends++ })
 	return f.WritableFile.Append(p)
 }
 
 func (f *countingFile) Sync() error {
-	f.env.add(f.ext, 0, 1)
+	f.env.add(f.ext, func(c *fileCalls) { c.syncs++ })
 	return f.WritableFile.Sync()
 }
 
 func (f *countingFile) SyncAsync() error {
-	f.env.add(f.ext, 0, 1)
-	return syncMaybeAsync(f.WritableFile)
+	f.env.add(f.ext, func(c *fileCalls) { c.asyncSyncs++ })
+	return f.WritableFile.SyncAsync()
 }
 
 func (f *countingFile) joinsAppends() bool { return joinsAppends(f.WritableFile) }
+
+type countingRandomFile struct {
+	RandomAccessFile
+	env *countingEnv
+	ext string
+}
+
+func (f *countingRandomFile) ReadAt(p []byte, off int64, hint AccessHint) error {
+	f.env.add(f.ext, func(c *fileCalls) { c.reads++ })
+	return f.RandomAccessFile.ReadAt(p, off, hint)
+}
 
 // countedTableValue is entry i's value: 400 bytes, half random, half zeros.
 func countedTableValue(i int) []byte {
@@ -197,20 +217,35 @@ func TestFileWritesWAL(t *testing.T) {
 
 // TestFileWritesBytesPerSync: bytes_per_sync makes the table builder start
 // writeback once per bytes_per_sync bytes written (here once per full write
-// buffer), and 0 leaves every sync to the table's owner.
+// buffer), with SyncAsync unless strict_bytes_per_sync asks for a full Sync;
+// 0 leaves every sync to the table's owner.
 func TestFileWritesBytesPerSync(t *testing.T) {
-	for _, bps := range []int64{0, 64 << 10} {
-		t.Run(fmt.Sprint(bps), func(t *testing.T) {
+	for _, tc := range []struct {
+		bps    int64
+		strict bool
+	}{{0, false}, {64 << 10, false}, {64 << 10, true}} {
+		name := fmt.Sprint(tc.bps)
+		if tc.strict {
+			name += "-strict"
+		}
+		t.Run(name, func(t *testing.T) {
 			env := newCountingEnv(NewOSEnv())
 			opts := DefaultOptions()
-			opts.BytesPerSync = bps
+			opts.BytesPerSync = tc.bps
+			opts.StrictBytesPerSync = tc.strict
 			props := buildCountedTable(t, env, filepath.Join(t.TempDir(), "000001.sst"), opts, 1000)
-			want := 0
-			if bps > 0 {
-				want = int(props.FileSize / bps)
+			periodic := 0
+			if tc.bps > 0 {
+				periodic = int(props.FileSize / tc.bps)
 			}
-			if got := env.counts(".sst").syncs; got != want || (bps > 0 && got == 0) {
-				t.Errorf("bytes_per_sync=%d: %d syncs for a %d-byte table, want %d", bps, got, props.FileSize, want)
+			wantSyncs, wantAsync := 0, periodic
+			if tc.strict {
+				wantSyncs, wantAsync = periodic, 0
+			}
+			c := env.counts(".sst")
+			if c.syncs != wantSyncs || c.asyncSyncs != wantAsync || (tc.bps > 0 && periodic == 0) {
+				t.Errorf("bytes_per_sync=%d strict=%v: %d syncs and %d async syncs for a %d-byte table, want %d and %d",
+					tc.bps, tc.strict, c.syncs, c.asyncSyncs, props.FileSize, wantSyncs, wantAsync)
 			}
 		})
 	}
@@ -302,4 +337,59 @@ func TestAllocGateTableWriteBuf(t *testing.T) {
 			t.Errorf("a joined WAL record allocates %.2f/op, want 0", avg)
 		}
 	})
+}
+
+// TestFileReadsWALReplay: replaying an OSEnv log reads it forward in
+// walReadChunk reads, so a log of size bytes takes at most
+// ⌈size/walReadChunk⌉+1 pread(2) calls (a header read and a payload read
+// per record would be two per record), and what a replay allocates does not
+// grow with the number of records.
+func TestFileReadsWALReplay(t *testing.T) {
+	dir := t.TempDir()
+	writeLog := func(n int) (string, int64) {
+		name := logFileName(dir, uint64(n))
+		batches := make([]*WriteBatch, n)
+		for i := range batches {
+			batches[i] = putBatch(uint64(i+1), fmt.Sprintf("key%06d", i), "value")
+		}
+		buildLogFile(t, NewOSEnv(), name, nil, batches...)
+		size, err := NewOSEnv().FileSize(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return name, size
+	}
+	replay := func(env Env, name string) int {
+		records := 0
+		if _, err := walReplayMode(env, name, WALRecoverAbsoluteConsistency, false, nil,
+			func([]byte) error { records++; return nil }); err != nil {
+			t.Fatal(err)
+		}
+		return records
+	}
+	const n = 2000
+	name, size := writeLog(n)
+	if size <= walReadChunk {
+		t.Fatalf("the log is %d bytes, want more than one %d-byte read", size, walReadChunk)
+	}
+	env := newCountingEnv(NewOSEnv())
+	if got := replay(env, name); got != n {
+		t.Fatalf("replayed %d records, want %d", got, n)
+	}
+	maxReads := int((size+walReadChunk-1)/walReadChunk) + 1
+	reads := env.counts(".log").reads
+	t.Logf("%d records, %d bytes: %d reads (at most %d)", n, size, reads, maxReads)
+	if reads > maxReads {
+		t.Errorf("replaying a %d-byte log took %d reads, want at most %d", size, reads, maxReads)
+	}
+
+	small, _ := writeLog(n / 10)
+	allocs := func(name string) float64 {
+		return testing.AllocsPerRun(20, func() { replay(NewOSEnv(), name) })
+	}
+	few, many := allocs(small), allocs(name)
+	t.Logf("allocations per replay: %.1f at %d records, %.1f at %d", few, n/10, many, n)
+	if many-few > 2 {
+		t.Errorf("a replay of %d records allocates %.1f, of %d records %.1f: want the same up to 2", n/10, few, n, many)
+	}
 }

@@ -321,9 +321,10 @@ type versionSet struct {
 	maxCF       uint32 // highest CF id ever allocated; ids are never reused
 }
 
-// newVersionSet returns a version set holding an empty default family.
+// newVersionSet returns a version set holding an empty default family, whose
+// next file number (a new database's first manifest) is 2.
 func newVersionSet(env Env, dir string, opts *Options) *versionSet {
-	return &versionSet{
+	vs := &versionSet{
 		env:  env,
 		dir:  dir,
 		opts: opts,
@@ -331,6 +332,8 @@ func newVersionSet(env Env, dir string, opts *Options) *versionSet {
 			0: {id: 0, name: DefaultColumnFamilyName, current: newVersion(opts.NumLevels)},
 		},
 	}
+	vs.nextFileNum.Store(2)
+	return vs
 }
 
 // head returns the current Version of a column family (nil if unknown).
@@ -500,9 +503,11 @@ func (vs *versionSet) logAndApply(e *versionEdit) error {
 	return vs.manifest.sync()
 }
 
-// createNew initializes a fresh version set (new database).
-func (vs *versionSet) createNew() error {
-	vs.nextFileNum.Store(2)
+// rollover starts a fresh manifest holding a snapshot of the current state,
+// syncs it and its directory entry, and points CURRENT at it. Every manifest
+// is started here: a new database, every Open (which compacts the history it
+// replayed) and RepairDB.
+func (vs *versionSet) rollover() error {
 	vs.manifestNum = vs.newFileNumber()
 	f, err := vs.env.NewWritableFile(manifestFileName(vs.dir, vs.manifestNum), IOBackground)
 	if err != nil {
@@ -558,37 +563,21 @@ func (vs *versionSet) replay(name string) error {
 	})
 }
 
-// recover loads the version state named by CURRENT.
+// recover loads the version state named by CURRENT into a version set fresh
+// from newVersionSet.
 func (vs *versionSet) recover() error {
 	name, err := readCurrentFile(vs.env, vs.dir)
 	if err != nil {
 		return err
 	}
 	_, num := parseFileName(name)
-	vs.cfs = map[uint32]*cfState{
-		0: {id: 0, name: DefaultColumnFamilyName, current: newVersion(vs.opts.NumLevels)},
-	}
-	vs.maxCF = 0
 	vs.nextFileNum.Store(num + 1)
 	if err := vs.replay(name); err != nil {
 		return err
 	}
-	// Continue appending to a fresh manifest (simpler than re-opening the
-	// old one for append, and it compacts manifest history).
-	vs.manifestNum = vs.newFileNumber()
-	mf, err := vs.env.NewWritableFile(manifestFileName(vs.dir, vs.manifestNum), IOBackground)
-	if err != nil {
-		return err
-	}
-	vs.manifest = newWALWriter(mf, vs.opts)
-	vs.manifest.stats = nil
-	if err := vs.writeSnapshot(); err != nil {
-		return err
-	}
-	if err := vs.env.SyncDir(vs.dir); err != nil {
-		return err
-	}
-	return vs.setCurrent()
+	// Continue in a fresh manifest (simpler than re-opening the old one for
+	// append, and it compacts manifest history).
+	return vs.rollover()
 }
 
 // snapshotEdits encodes the full current state as a sequence of edits: one

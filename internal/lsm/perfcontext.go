@@ -384,8 +384,8 @@ func (w *ioStatsWritableFile) Sync() error {
 	return err
 }
 
-// SyncAsync preserves the sync_file_range fast path of the wrapped file.
-func (w *ioStatsWritableFile) SyncAsync() error { return syncMaybeAsync(w.f) }
+// SyncAsync forwards to the wrapped file.
+func (w *ioStatsWritableFile) SyncAsync() error { return w.f.SyncAsync() }
 
 func (w *ioStatsWritableFile) Close() error { return w.f.Close() }
 

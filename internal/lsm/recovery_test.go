@@ -416,3 +416,53 @@ func TestCrashBetweenManifestWriteAndCurrentSwap(t *testing.T) {
 		t.Fatalf("post-crash CheckDB issues: %v", rep.Issues)
 	}
 }
+
+// TestWALReadErrorFailsOpen: a read that fails while Open replays the WAL is
+// an I/O error, not a torn tail, in every recovery mode: Open fails without
+// retiring the log, and the next Open without the fault returns every acked
+// write.
+func TestWALReadErrorFailsOpen(t *testing.T) {
+	for _, mode := range []WALRecoveryMode{WALRecoverTolerateCorruptedTailRecords, WALRecoverPointInTime, WALRecoverAbsoluteConsistency} {
+		t.Run(fmt.Sprint(mode), func(t *testing.T) {
+			db, fenv, dir := openFaultDB(t, 31, nil)
+			wo := DefaultWriteOptions()
+			wo.Sync = true
+			const n = 50
+			for i := 0; i < n; i++ {
+				if err := db.Put(wo, []byte(fmt.Sprintf("k%03d", i)), []byte(fmt.Sprintf("v%03d", i))); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := fenv.Crash(); err != nil { // everything was synced; nothing torn
+				t.Fatal(err)
+			}
+			db.Close()
+
+			opts := DefaultOptions()
+			opts.CreateIfMissing = false
+			opts.WALRecoveryMode = mode
+			faulty := NewFaultInjectionEnv(NewOSEnv(), 1)
+			faulty.Inject(FaultRule{Op: FaultRead, Pattern: ".log", OneShot: true})
+			opts.Env = faulty
+			if db, err := Open(dir, opts); err == nil {
+				db.Close()
+				t.Fatal("Open succeeded over a failed WAL read")
+			} else if !errors.Is(err, ErrInjected) || errors.Is(err, ErrCorruption) {
+				t.Fatalf("Open = %v, want the injected read error and not ErrCorruption", err)
+			}
+
+			opts.Env = NewOSEnv()
+			db, err := Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			for i := 0; i < n; i++ {
+				k := fmt.Sprintf("k%03d", i)
+				if v, err := db.Get(nil, []byte(k)); err != nil || string(v) != fmt.Sprintf("v%03d", i) {
+					t.Fatalf("acked %s after the failed Open: %q, %v", k, v, err)
+				}
+			}
+		})
+	}
+}

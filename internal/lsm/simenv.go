@@ -561,7 +561,7 @@ func (w *simWritableFile) Sync() error {
 	return nil
 }
 
-// SyncAsync implements asyncSyncer: dirty bytes are handed to the kernel
+// SyncAsync implements WritableFile: dirty bytes are handed to the kernel
 // writeback queue. The op pays a small CPU cost; the device absorbs the
 // write as a short low-intensity background stream instead of a stall.
 func (w *simWritableFile) SyncAsync() error {

@@ -342,7 +342,7 @@ func (b *tableBuilder) appendOut(p []byte) error {
 	if b.opts.StrictBytesPerSync {
 		return b.w.Sync()
 	}
-	return syncMaybeAsync(b.w)
+	return b.w.SyncAsync()
 }
 
 // release gives the write buffer back to bufs; finish calls it, and the

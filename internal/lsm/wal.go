@@ -121,7 +121,7 @@ func (w *walWriter) appended(n int64) error {
 	if w.opts.StrictBytesPerSync {
 		err = w.f.Sync()
 	} else {
-		err = syncMaybeAsync(w.f)
+		err = w.f.SyncAsync()
 	}
 	if err != nil {
 		return err
@@ -164,13 +164,84 @@ func walReplay(env Env, name string, fn func(payload []byte) error) error {
 	return err
 }
 
+// walReadChunk is the size of the forward reads a logReader makes.
+const walReadChunk = 64 << 10
+
+// logReader reads a log file's records forward through one reused buffer
+// holding the file's bytes [off, off+len(buf)).
+type logReader struct {
+	f    RandomAccessFile
+	name string
+	size int64
+	off  int64
+	buf  []byte
+}
+
+// at returns the n bytes at off, which must lie inside the file and inside
+// or right after the window. A miss slides the unread tail to the front of
+// the buffer and fills the rest with one read. The buffer is walReadChunk
+// bytes (less for a shorter file) and grows only for a record longer than
+// that. The bytes alias the buffer until the next call.
+func (r *logReader) at(off, n int64) ([]byte, error) {
+	if off+n > r.off+int64(len(r.buf)) {
+		buf := r.buf[:cap(r.buf)]
+		if want := min(max(n, walReadChunk), r.size-off); int64(len(buf)) < want {
+			buf = make([]byte, want)
+		}
+		keep := int64(copy(buf, r.buf[off-r.off:]))
+		r.off, r.buf = off, buf[:min(int64(len(buf)), r.size-off)]
+		if err := r.f.ReadAt(r.buf[keep:], off+keep, HintSequential); err != nil {
+			return nil, fmt.Errorf("lsm: read %s at offset %d: %w", r.name, off+keep, err)
+		}
+	}
+	return r.buf[off-r.off : off-r.off+n], nil
+}
+
+// recordState is what a logReader found at an offset.
+type recordState int
+
+const (
+	recordOK      recordState = iota
+	recordShort               // fewer bytes than a header remain
+	recordTorn                // the record's extent runs past the end of the file
+	recordCorrupt             // the payload fails its checksum
+)
+
+// record parses the record at off: the one place a log record's length and
+// checksum are read. The payload (of an OK or corrupt record) aliases the
+// reader's buffer until the next call. A failed read is an error, never a
+// state: it says nothing about the bytes on disk.
+func (r *logReader) record(off int64) ([]byte, recordState, error) {
+	if off+walHeaderSize > r.size {
+		return nil, recordShort, nil
+	}
+	hdr, err := r.at(off, walHeaderSize)
+	if err != nil {
+		return nil, 0, err
+	}
+	n, wantCRC := int64(binary.LittleEndian.Uint32(hdr)), binary.LittleEndian.Uint32(hdr[4:])
+	if off+walHeaderSize+n > r.size {
+		return nil, recordTorn, nil
+	}
+	rec, err := r.at(off, walHeaderSize+n)
+	if err != nil {
+		return nil, 0, err
+	}
+	if crc32.ChecksumIEEE(rec[walHeaderSize:]) != wantCRC {
+		return rec[walHeaderSize:], recordCorrupt, nil
+	}
+	return rec[walHeaderSize:], recordOK, nil
+}
+
 // walReplayMode streams records from a log file under the given recovery
-// mode. A record whose extent runs past end-of-file is a torn write;
-// a record whose checksum fails is corruption, classified as mid-file when
-// valid records parse after it. kAbsoluteConsistency errors on either;
-// the tolerant modes stop replaying at the damage, and paranoid upgrades
-// mid-file corruption (which a torn tail cannot explain) to an error.
-// Dropped corrupt records are counted into stats as wal.corrupt.records.
+// mode; fn's payload is valid until fn returns. A record whose extent runs
+// past end-of-file is a torn write; a record whose checksum fails is
+// corruption, classified as mid-file when a valid record parses right after
+// it. kAbsoluteConsistency errors on either; the tolerant modes stop
+// replaying at the damage, and paranoid upgrades mid-file corruption (which a
+// torn tail cannot explain) to an error. A failed read is an error in every
+// mode. Dropped corrupt records are counted into stats as
+// wal.corrupt.records.
 func walReplayMode(env Env, name string, mode WALRecoveryMode, paranoid bool, stats *Statistics, fn func(payload []byte) error) (walReplayInfo, error) {
 	var info walReplayInfo
 	f, err := env.NewRandomAccessFile(name, IOBackground)
@@ -182,85 +253,52 @@ func walReplayMode(env Env, name string, mode WALRecoveryMode, paranoid bool, st
 	if err != nil {
 		return info, err
 	}
-	torn := func(off int64, what string) (walReplayInfo, error) {
-		info.droppedBytes = size - off
-		if mode == WALRecoverAbsoluteConsistency {
-			return info, fmt.Errorf("lsm: %w: %s at offset %d of %s (wal_recovery_mode=kAbsoluteConsistency)",
-				ErrCorruption, what, off, name)
-		}
-		return info, nil
-	}
+	r := &logReader{f: f, name: name, size: size}
 	var off int64
-	var hdr [walHeaderSize]byte
-	for off+walHeaderSize <= size {
-		if err := f.ReadAt(hdr[:], off, HintSequential); err != nil {
-			return torn(off, "torn record header")
+	var payload []byte
+	var state recordState
+	for {
+		if payload, state, err = r.record(off); err != nil {
+			return info, err
 		}
-		n := int64(binary.LittleEndian.Uint32(hdr[0:]))
-		wantCRC := binary.LittleEndian.Uint32(hdr[4:])
-		if off+walHeaderSize+n > size {
-			return torn(off, "torn record")
-		}
-		payload := make([]byte, n)
-		if n > 0 {
-			if err := f.ReadAt(payload, off+walHeaderSize, HintSequential); err != nil {
-				return torn(off, "unreadable record")
-			}
-		}
-		if crc32.ChecksumIEEE(payload) != wantCRC {
-			info.corruptRecords++
-			stats.Add(TickerWALCorruptRecords, 1)
-			info.droppedBytes = size - off
-			info.midFile = walValidRecordAt(f, off+walHeaderSize+n, size)
-			switch {
-			case mode == WALRecoverAbsoluteConsistency:
-				return info, fmt.Errorf("lsm: %w: checksum mismatch at offset %d of %s (wal_recovery_mode=kAbsoluteConsistency)",
-					ErrCorruption, off, name)
-			case info.midFile && paranoid:
-				return info, fmt.Errorf("lsm: %w: mid-file checksum mismatch at offset %d of %s (valid records follow; paranoid_checks)",
-					ErrCorruption, off, name)
-			}
-			return info, nil
+		if state != recordOK {
+			break
 		}
 		if err := fn(payload); err != nil {
 			return info, err
 		}
 		info.records++
-		off += walHeaderSize + n
+		off += walHeaderSize + int64(len(payload))
 		info.validBytes = off
 	}
-	if off < size {
-		info.droppedBytes = size - off
-		if mode == WALRecoverAbsoluteConsistency {
-			return info, fmt.Errorf("lsm: %w: %d trailing bytes at offset %d of %s (wal_recovery_mode=kAbsoluteConsistency)",
-				ErrCorruption, size-off, off, name)
+	info.droppedBytes = size - off
+	var what string
+	switch state {
+	case recordShort:
+		if off == size {
+			return info, nil
 		}
+		what = fmt.Sprintf("%d trailing bytes", size-off)
+	case recordTorn:
+		what = "torn record"
+	case recordCorrupt:
+		info.corruptRecords++
+		stats.Add(TickerWALCorruptRecords, 1)
+		_, next, err := r.record(off + walHeaderSize + int64(len(payload)))
+		if err != nil {
+			return info, err
+		}
+		info.midFile, what = next == recordOK, "checksum mismatch"
+		if info.midFile && paranoid && mode != WALRecoverAbsoluteConsistency {
+			return info, fmt.Errorf("lsm: %w: mid-file checksum mismatch at offset %d of %s (valid records follow; paranoid_checks)",
+				ErrCorruption, off, name)
+		}
+	}
+	if mode == WALRecoverAbsoluteConsistency {
+		return info, fmt.Errorf("lsm: %w: %s at offset %d of %s (wal_recovery_mode=kAbsoluteConsistency)",
+			ErrCorruption, what, off, name)
 	}
 	return info, nil
-}
-
-// walValidRecordAt reports whether a well-formed record (header in bounds,
-// extent in bounds, checksum passing) starts at off — evidence that damage
-// before off is mid-file corruption rather than a torn tail.
-func walValidRecordAt(f RandomAccessFile, off, size int64) bool {
-	var hdr [walHeaderSize]byte
-	if off+walHeaderSize > size {
-		return false
-	}
-	if err := f.ReadAt(hdr[:], off, HintSequential); err != nil {
-		return false
-	}
-	n := int64(binary.LittleEndian.Uint32(hdr[0:]))
-	if off+walHeaderSize+n > size {
-		return false
-	}
-	payload := make([]byte, n)
-	if n > 0 {
-		if err := f.ReadAt(payload, off+walHeaderSize, HintSequential); err != nil {
-			return false
-		}
-	}
-	return crc32.ChecksumIEEE(payload) == binary.LittleEndian.Uint32(hdr[4:])
 }
 
 // WriteBatch collects updates applied atomically by DB.Write. Encoding:
@@ -299,56 +337,42 @@ func (b *WriteBatch) touchCF(id uint32) {
 }
 
 // Put queues a key-value insertion into the default column family.
-func (b *WriteBatch) Put(key, value []byte) {
-	b.touchCF(0)
-	b.rep = append(b.rep, byte(KindValue))
-	b.rep = binary.AppendUvarint(b.rep, uint64(len(key)))
-	b.rep = append(b.rep, key...)
-	b.rep = binary.AppendUvarint(b.rep, uint64(len(value)))
-	b.rep = append(b.rep, value...)
-	b.count++
-}
+func (b *WriteBatch) Put(key, value []byte) { b.add(0, KindValue, key, value) }
 
 // Delete queues a tombstone in the default column family.
-func (b *WriteBatch) Delete(key []byte) {
-	b.touchCF(0)
-	b.rep = append(b.rep, byte(KindDelete))
-	b.rep = binary.AppendUvarint(b.rep, uint64(len(key)))
-	b.rep = append(b.rep, key...)
-	b.count++
-}
+func (b *WriteBatch) Delete(key []byte) { b.add(0, KindDelete, key, nil) }
 
 // PutCF queues a key-value insertion into the given column family. A nil
 // handle (or the default family's handle) is equivalent to Put.
 func (b *WriteBatch) PutCF(h *ColumnFamilyHandle, key, value []byte) {
-	id := cfHandleID(h)
-	if id == 0 {
-		b.Put(key, value)
-		return
-	}
-	b.touchCF(id)
-	b.rep = append(b.rep, byte(KindValueCF))
-	b.rep = binary.AppendUvarint(b.rep, uint64(id))
-	b.rep = binary.AppendUvarint(b.rep, uint64(len(key)))
-	b.rep = append(b.rep, key...)
-	b.rep = binary.AppendUvarint(b.rep, uint64(len(value)))
-	b.rep = append(b.rep, value...)
-	b.count++
+	b.add(cfHandleID(h), KindValue, key, value)
 }
 
 // DeleteCF queues a tombstone in the given column family. A nil handle (or
 // the default family's handle) is equivalent to Delete.
 func (b *WriteBatch) DeleteCF(h *ColumnFamilyHandle, key []byte) {
-	id := cfHandleID(h)
-	if id == 0 {
-		b.Delete(key)
-		return
-	}
+	b.add(cfHandleID(h), KindDelete, key, nil)
+}
+
+// add queues one entry of kind (KindValue or KindDelete) for family id: the
+// default family's entries use the legacy kinds, any other family's the *CF
+// kinds followed by its id.
+func (b *WriteBatch) add(id uint32, kind ValueKind, key, value []byte) {
 	b.touchCF(id)
-	b.rep = append(b.rep, byte(KindDeleteCF))
-	b.rep = binary.AppendUvarint(b.rep, uint64(id))
+	switch {
+	case id == 0:
+		b.rep = append(b.rep, byte(kind))
+	case kind == KindValue:
+		b.rep = binary.AppendUvarint(append(b.rep, byte(KindValueCF)), uint64(id))
+	default:
+		b.rep = binary.AppendUvarint(append(b.rep, byte(KindDeleteCF)), uint64(id))
+	}
 	b.rep = binary.AppendUvarint(b.rep, uint64(len(key)))
 	b.rep = append(b.rep, key...)
+	if kind == KindValue {
+		b.rep = binary.AppendUvarint(b.rep, uint64(len(value)))
+		b.rep = append(b.rep, value...)
+	}
 	b.count++
 }
 

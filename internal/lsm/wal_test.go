@@ -1,7 +1,9 @@
 package lsm
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -213,5 +215,36 @@ func TestQuickBatchRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(fn, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWALReplayLongRecords: records longer than a read chunk, and records
+// that straddle chunk boundaries, replay byte for byte.
+func TestWALReplayLongRecords(t *testing.T) {
+	env := testSimEnv()
+	f, err := env.NewWritableFile("/wal.log", IOForeground)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := newWALWriter(f, DefaultOptions())
+	var records [][]byte
+	for i, n := range []int{10, walReadChunk - 20, 3 * walReadChunk, 5, walReadChunk, 0, walReadChunk - walHeaderSize, 1} {
+		r := bytes.Repeat([]byte{byte('a' + i)}, n)
+		records = append(records, r)
+		if err := w.addRecord(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.close()
+	got := 0
+	err = walReplay(env, "/wal.log", func(p []byte) error {
+		if got >= len(records) || !bytes.Equal(p, records[got]) {
+			return fmt.Errorf("record %d: %d bytes differ from the %d written", got, len(p), len(records[got]))
+		}
+		got++
+		return nil
+	})
+	if err != nil || got != len(records) {
+		t.Fatalf("replayed %d of %d records: %v", got, len(records), err)
 	}
 }

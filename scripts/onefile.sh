@@ -22,8 +22,11 @@
 # onetree: an iterator tree (a mergeIter or levelIter literal, or a
 #   []levelIter) is built by mergeTree alone; scans, flush and compaction
 #   add memtables and sorted runs to one instead of assembling their own.
+# onemanifest: a manifest file is created by versionSet.rollover alone; a
+#   new database, Open and RepairDB install their state and call it instead
+#   of starting a manifest of their own.
 set -eu
-gate=${1:?usage: scripts/onefile.sh onestream|onehist|onelru|onewindow|onetree}
+gate=${1:?usage: scripts/onefile.sh onestream|onehist|onelru|onewindow|onetree|onemanifest}
 
 # gate;roots;skipped path;pattern;allowed file;what a stray match is;what the pattern marks
 table='
@@ -32,6 +35,7 @@ onehist;internal cmd examples;-;sort\.SearchFloat64s|\) Percentile\(;internal/ls
 onelru;internal cmd examples;-;MoveToFront|PushFront\(|pushFront\(;internal/lsm/lru.go;recency-list code lives;the lru
 onewindow;internal cmd examples;-;(Read|Write|Scan)Fraction = float64\(;internal/lsm/workload.go;window mix fractions are computed;the window arithmetic
 onetree;internal cmd examples;-;mergeIter\{|levelIter\{|\[\]levelIter;internal/lsm/mergeiter.go;iterator trees are built;the merge tree
+onemanifest;internal cmd examples;-;NewWritableFile\(manifestFileName\(;internal/lsm/manifest.go;manifests are started;the manifest rollover
 '
 row=$(printf '%s\n' "$table" | grep "^$gate;") || {
     echo "onefile: unknown gate $gate" >&2
