@@ -67,7 +67,9 @@ serverbench:
 # Puts committed as one write group; on the read side, a lookup appended
 # into a reused buffer, a whole scan over the pooled iterator tree
 # (TestAllocGateIterator), cache-hit Get frames, Scan(1) frames and Scan
-# pairs appended without a copy each, and a whole client Get round trip.
+# pairs appended without a copy each, and a whole client Get round trip;
+# in the simulator, a SimEnv file appended in 4 KiB pieces allocates its
+# size plus at most one 64 KiB chunk (TestAllocGateSimFileAppend).
 # The limits are measured steady-state values plus noise headroom — a pooled
 # codec, buffer, or iterator falling out of reuse, or a memtable entry
 # allocated per Put, trips them immediately.

@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"sync/atomic"
@@ -12,13 +14,20 @@ import (
 )
 
 func TestKeyGen(t *testing.T) {
-	g := newKeyGen(16)
-	k := g.Key(42)
-	if string(k) != "0000000000000042" {
-		t.Fatalf("key = %q", k)
-	}
-	if len(g.Key(999999999)) != 16 {
-		t.Fatal("wrong width")
+	for _, width := range []int{16, 20, 24} {
+		g := newKeyGen(width)
+		for _, id := range []uint64{0, 42, 1e16 + 7, math.MaxUint64} {
+			// The rendering keys had when they were made with fmt: an id
+			// wider than the key keeps its last width digits.
+			s := fmt.Sprintf("%0*d", width, id)
+			want := s[len(s)-width:]
+			if got := g.Key(id); string(got) != want {
+				t.Errorf("width %d: Key(%d) = %q, want %q", width, id, got, want)
+			}
+		}
+		if avg := testing.AllocsPerRun(100, func() { g.Key(math.MaxUint64) }); avg != 0 {
+			t.Errorf("width %d: Key allocates %.2f/op, want 0", width, avg)
+		}
 	}
 	g2 := newKeyGen(4) // clamps to 16
 	if len(g2.Key(1)) != 16 {

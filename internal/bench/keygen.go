@@ -1,15 +1,13 @@
 package bench
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 )
 
 // keyGen produces db_bench-style fixed-width keys ("%016d") from key ids.
 type keyGen struct {
-	keySize int
-	buf     []byte
+	buf []byte
 }
 
 // newKeyGen returns a generator for keys of the given width (min 16).
@@ -17,13 +15,16 @@ func newKeyGen(keySize int) *keyGen {
 	if keySize < 16 {
 		keySize = 16
 	}
-	return &keyGen{keySize: keySize, buf: make([]byte, keySize)}
+	return &keyGen{buf: make([]byte, keySize)}
 }
 
-// Key renders key id into the generator's reusable buffer.
+// Key renders key id into the generator's reusable buffer, right-aligned
+// and zero-padded; an id wider than the key keeps its last digits.
 func (g *keyGen) Key(id uint64) []byte {
-	s := fmt.Sprintf("%0*d", g.keySize, id)
-	copy(g.buf, s[len(s)-g.keySize:])
+	for i := len(g.buf) - 1; i >= 0; i-- {
+		g.buf[i] = byte('0' + id%10)
+		id /= 10
+	}
 	return g.buf
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -175,6 +176,45 @@ func TestAllocGateWALAppend(t *testing.T) {
 		}); avg != 0 {
 			t.Errorf("WAL append of a %d-batch group allocates %.2f/op, want 0", n, avg)
 		}
+	}
+}
+
+// TestAllocGateSimFileAppend gates SimEnv file storage: a 4 MiB file
+// appended in 4 KiB pieces allocates its own size plus at most one chunk
+// (the chunk list itself is a few KiB), and reading it back allocates
+// nothing. A file grown as one doubling slice allocates ~8 MiB here.
+func TestAllocGateSimFileAppend(t *testing.T) {
+	const size, piece = 4 << 20, 4 << 10
+	env := testSimEnv()
+	w, err := env.NewWritableFile("/f", IOBackground)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := make([]byte, piece)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for n := 0; n < size; n += piece {
+		if err := w.Append(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("appending a %d-byte file allocated %d bytes", size, got)
+	if got > size+simFileChunk {
+		t.Errorf("appending a %d-byte file allocated %d bytes, want at most %d", size, got, size+simFileChunk)
+	}
+	r, err := env.NewRandomAccessFile("/f", IOBackground)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, size)
+	if avg := testing.AllocsPerRun(10, func() {
+		if err := r.ReadAt(buf, 0, HintSequential); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Errorf("reading the file back allocates %.2f/op, want 0", avg)
 	}
 }
 

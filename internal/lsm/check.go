@@ -243,6 +243,25 @@ func RepairDBColumnFamily(dir string, opts *Options, cfName string) (*RepairRepo
 	}
 	sort.Slice(tableNums, func(i, j int) bool { return tableNums[i] < tableNums[j] })
 
+	// Count what the WALs can contribute (the next Open does the replay).
+	// This runs before any table is renamed, so a log that cannot be read
+	// fails the repair with the directory unchanged.
+	minLog := uint64(0)
+	if len(logNums) > 0 {
+		sort.Slice(logNums, func(i, j int) bool { return logNums[i] < logNums[j] })
+		minLog = logNums[0]
+		for _, num := range logNums {
+			name := logFileName(dir, num)
+			info, err := walReplayMode(env, name, WALRecoverTolerateCorruptedTailRecords, false, nil,
+				func(payload []byte) error { return nil })
+			if err != nil {
+				return rep, fmt.Errorf("lsm: repair: read %s: %w", name, err)
+			}
+			rep.WALs++
+			rep.WALRecords += info.records
+		}
+	}
+
 	// Scan every table; quarantine the unreadable.
 	type survivor struct {
 		meta   *FileMeta
@@ -288,20 +307,6 @@ func RepairDBColumnFamily(dir string, opts *Options, cfName string) (*RepairRepo
 		s.meta.Number = next
 		next++
 		rep.Salvaged++
-	}
-
-	// Count what the WALs can contribute (the next Open does the replay).
-	minLog := uint64(0)
-	if len(logNums) > 0 {
-		sort.Slice(logNums, func(i, j int) bool { return logNums[i] < logNums[j] })
-		minLog = logNums[0]
-		for _, num := range logNums {
-			rep.WALs++
-			info, _ := walReplayMode(env, logFileName(dir, num),
-				WALRecoverTolerateCorruptedTailRecords, false, nil,
-				func(payload []byte) error { return nil })
-			rep.WALRecords += info.records
-		}
 	}
 
 	// Fresh version set: the salvaged state, then a manifest holding it.

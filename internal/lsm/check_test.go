@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -161,6 +163,58 @@ func TestRepairDBRebuildsLostManifest(t *testing.T) {
 	if crep, err := CheckDB(dir, nil); err != nil || !crep.OK() {
 		// The DB is open, but quiescent: CheckDB must still pass.
 		t.Fatalf("CheckDB after repair: %v, issues %v", err, crep.Issues)
+	}
+}
+
+// TestRepairDBLogReadError: a WAL that cannot be read fails RepairDB before
+// it touches the directory (no table renamed, no new MANIFEST), and a retry
+// without the fault counts every record the log holds.
+func TestRepairDBLogReadError(t *testing.T) {
+	dir := buildCheckDB(t)
+	opts := DefaultOptions()
+	opts.Env = NewOSEnv()
+	opts.AvoidFlushDuringShutdown = true // leave the writes in the WAL
+	db, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 30
+	for i := 0; i < n; i++ {
+		if err := db.Put(nil, []byte(fmt.Sprintf("w%03d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := opts.Env.List(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	faulty := NewFaultInjectionEnv(NewOSEnv(), 1)
+	faulty.Inject(FaultRule{Op: FaultRead, Pattern: ".log", OneShot: true})
+	ropts := DefaultOptions()
+	ropts.Env = faulty
+	if rep, err := RepairDB(dir, ropts); err == nil {
+		t.Fatalf("RepairDB succeeded over a failed log read: %+v", rep)
+	} else if !errors.Is(err, ErrInjected) || !strings.Contains(err.Error(), ".log") {
+		t.Fatalf("RepairDB = %v, want the injected read error naming the log", err)
+	}
+	after, err := opts.Env.List(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("a failed repair changed the directory:\nbefore %v\nafter  %v", before, after)
+	}
+
+	rep, err := RepairDB(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.WALs == 0 || rep.WALRecords != n || rep.Salvaged != 2 {
+		t.Fatalf("retried repair = %+v, want %d WAL records and 2 tables", rep, n)
 	}
 }
 

@@ -51,15 +51,15 @@ func realLogFiles(tb testing.TB) (wal, manifest []byte) {
 	for _, name := range names {
 		switch kind, _ := parseFileName(name); kind {
 		case fileKindLog:
-			wal = env.files[cleanPath("/db/"+name)].data
+			wal = env.files[cleanPath("/db/"+name)].bytes()
 		case fileKindManifest:
-			manifest = env.files[cleanPath("/db/"+name)].data
+			manifest = env.files[cleanPath("/db/"+name)].bytes()
 		}
 	}
 	if len(wal) == 0 || len(manifest) == 0 {
 		tb.Fatalf("found a %d-byte WAL and a %d-byte MANIFEST, want both written", len(wal), len(manifest))
 	}
-	return append([]byte(nil), wal...), append([]byte(nil), manifest...)
+	return wal, manifest
 }
 
 // FuzzLogReplay: arbitrary bytes, written as a log, replay in every

@@ -496,9 +496,39 @@ func (e *SimEnv) Stats() SimStats {
 
 // --- in-memory filesystem ---
 
+// simFileChunk is the storage unit of an in-memory file. A file is a list
+// of chunks of this size, every one full but the last, so an append fills
+// the tail chunk and allocates whole new ones: no byte already written is
+// ever copied again, and a small file costs one chunk.
+const simFileChunk = 64 << 10
+
 type memFile struct {
-	id   uint64
-	data []byte
+	id     uint64
+	chunks [][]byte
+	size   int64
+}
+
+// append copies p onto the end of the file.
+func (f *memFile) append(p []byte) {
+	for len(p) > 0 {
+		off := f.size % simFileChunk
+		if off == 0 {
+			f.chunks = append(f.chunks, make([]byte, simFileChunk))
+		}
+		n := copy(f.chunks[len(f.chunks)-1][off:], p)
+		p = p[n:]
+		f.size += int64(n)
+	}
+}
+
+// readAt fills p from offset off, crossing chunk boundaries as needed; the
+// caller has checked that off+len(p) <= size.
+func (f *memFile) readAt(p []byte, off int64) {
+	for len(p) > 0 {
+		n := copy(p, f.chunks[off/simFileChunk][off%simFileChunk:])
+		p = p[n:]
+		off += int64(n)
+	}
 }
 
 type simWritableFile struct {
@@ -516,22 +546,7 @@ func (w *simWritableFile) Append(p []byte) error {
 	if w.closed {
 		return fmt.Errorf("lsm: append to closed file")
 	}
-	// Grow with doubling: file buffers are large and append-heavy, and
-	// Go's default 1.25x growth for big slices makes reallocation copies
-	// the dominant simulation cost.
-	if need := len(w.f.data) + len(p); need > cap(w.f.data) {
-		newCap := 2 * cap(w.f.data)
-		if newCap < need {
-			newCap = need
-		}
-		if newCap < 1<<16 {
-			newCap = 1 << 16
-		}
-		grown := make([]byte, len(w.f.data), newCap)
-		copy(grown, w.f.data)
-		w.f.data = grown
-	}
-	w.f.data = append(w.f.data, p...)
+	w.f.append(p)
 	if w.class == IOForeground {
 		w.env.mu.Lock()
 		w.env.opCost += simPrices.copyMem(int64(len(p)))
@@ -545,7 +560,7 @@ func (w *simWritableFile) Append(p []byte) error {
 	// pressure, so freshly compacted data must be faulted back in — one of
 	// the reasons compaction churn hurts read performance.
 	if w.class == IOForeground {
-		w.env.pageInsert(w.f.id, int64(len(w.f.data))-int64(len(p)), int64(len(p)))
+		w.env.pageInsert(w.f.id, w.f.size-int64(len(p)), int64(len(p)))
 	}
 	return nil
 }
@@ -600,10 +615,10 @@ type simRandomFile struct {
 // ReadAt implements RandomAccessFile with the page-cache model: hits cost a
 // memory copy, misses cost a device read of the covering chunk(s).
 func (r *simRandomFile) ReadAt(p []byte, off int64, hint AccessHint) error {
-	if off < 0 || off+int64(len(p)) > int64(len(r.f.data)) {
+	if off < 0 || off+int64(len(p)) > r.f.size {
 		return errShortRead
 	}
-	copy(p, r.f.data[off:])
+	r.f.readAt(p, off)
 	if r.class != IOForeground {
 		return nil // background I/O priced by the job scheduler
 	}
@@ -626,7 +641,7 @@ func (r *simRandomFile) ReadAt(p []byte, off int64, hint AccessHint) error {
 }
 
 // Size implements RandomAccessFile.
-func (r *simRandomFile) Size() (int64, error) { return int64(len(r.f.data)), nil }
+func (r *simRandomFile) Size() (int64, error) { return r.f.size, nil }
 
 // Close implements RandomAccessFile.
 func (r *simRandomFile) Close() error { return nil }
@@ -695,7 +710,7 @@ func (e *SimEnv) FileSize(name string) (int64, error) {
 	if !ok {
 		return 0, &os.PathError{Op: "stat", Path: name, Err: os.ErrNotExist}
 	}
-	return int64(len(f.data)), nil
+	return f.size, nil
 }
 
 // List implements Env.

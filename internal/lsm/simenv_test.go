@@ -1,6 +1,8 @@
 package lsm
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 	"time"
 
@@ -56,6 +58,94 @@ func TestSimEnvFiles(t *testing.T) {
 	}
 	if _, err := env.NewRandomAccessFile("/nope", IOForeground); err == nil {
 		t.Fatal("open of missing file accepted")
+	}
+}
+
+// bytes returns a copy of the file's contents.
+func (f *memFile) bytes() []byte {
+	b := make([]byte, f.size)
+	f.readAt(b, 0)
+	return b
+}
+
+// TestSimEnvFileChunks: a SimEnv file is stored in simFileChunk pieces.
+// Reads that start, end or straddle a chunk boundary return the bytes
+// appended there, a file of exactly N chunks holds N, a zero-length read is
+// accepted anywhere up to the size, and a read past the size is a short read.
+func TestSimEnvFileChunks(t *testing.T) {
+	const c = simFileChunk
+	env := testSimEnv()
+	w, err := env.NewWritableFile("/f", IOBackground)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []byte
+	for len(want) < 3*c+1000 {
+		p := make([]byte, 4093) // not a divisor of the chunk size
+		for i := range p {
+			p[i] = byte(len(want) + i*7)
+		}
+		if err := w.Append(p); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, p...)
+		if n, err := env.FileSize("/f"); err != nil || n != int64(len(want)) {
+			t.Fatalf("FileSize = %d, %v after appending %d bytes", n, err, len(want))
+		}
+	}
+	r, err := env.NewRandomAccessFile("/f", IOBackground)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := int64(len(want))
+	if n, _ := r.Size(); n != size {
+		t.Fatalf("Size = %d, want %d", n, size)
+	}
+	for _, tc := range []struct{ off, n int64 }{
+		{0, 10},                   // inside the first chunk
+		{c - 10, 10},              // ends on a boundary
+		{c, 10},                   // starts on a boundary
+		{c - 5, 10},               // straddles one boundary
+		{c - 5, 2*c + 10},         // straddles two
+		{2 * c, c},                // exactly one chunk
+		{0, size},                 // the whole file
+		{size - 7, 7},             // the tail
+		{0, 0}, {c, 0}, {size, 0}, // zero-length
+	} {
+		got := make([]byte, tc.n)
+		if err := r.ReadAt(got, tc.off, HintSequential); err != nil {
+			t.Fatalf("ReadAt(%d, off %d): %v", tc.n, tc.off, err)
+		}
+		if !bytes.Equal(got, want[tc.off:tc.off+tc.n]) {
+			t.Fatalf("ReadAt(%d, off %d) returned other bytes than were appended", tc.n, tc.off)
+		}
+	}
+	for _, tc := range []struct{ off, n int64 }{{size - 1, 2}, {size, 1}, {size + 1, 0}, {-1, 1}} {
+		if err := r.ReadAt(make([]byte, tc.n), tc.off, HintSequential); !errors.Is(err, errShortRead) {
+			t.Fatalf("ReadAt(%d, off %d) past size %d = %v, want errShortRead", tc.n, tc.off, size, err)
+		}
+	}
+
+	// A file of exactly two chunks holds two; one more byte starts a third.
+	w, err = env.NewWritableFile("/g", IOBackground)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Append(want[:2*c]); err != nil {
+		t.Fatal(err)
+	}
+	g := env.files[cleanPath("/g")]
+	if len(g.chunks) != 2 || g.size != 2*c {
+		t.Fatalf("a %d-byte file holds %d chunks (size %d), want 2", 2*c, len(g.chunks), g.size)
+	}
+	if !bytes.Equal(g.bytes(), want[:2*c]) {
+		t.Fatal("two-chunk file reads back other bytes")
+	}
+	if err := w.Append([]byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := env.FileSize("/g"); len(g.chunks) != 3 || n != 2*c+1 {
+		t.Fatalf("after one more byte: %d chunks, FileSize %d; want 3, %d", len(g.chunks), n, 2*c+1)
 	}
 }
 

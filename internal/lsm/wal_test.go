@@ -82,7 +82,7 @@ func TestWALCorruptCRC(t *testing.T) {
 	w.close()
 	// Flip a byte in the second record's payload.
 	mf := env.files[cleanPath("/wal.log")]
-	mf.data[len(mf.data)-1] ^= 0xff
+	mf.chunks[len(mf.chunks)-1][(mf.size-1)%simFileChunk] ^= 0xff
 	var got int
 	if err := walReplay(env, "/wal.log", func(p []byte) error { got++; return nil }); err != nil {
 		t.Fatal(err)
