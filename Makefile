@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race crashtest equivalence poison serverbench liveretune allocgate fuzz benchmodule loc simfork onestream onehist onelru onewindow onetree onemanifest simdiff verify clean
+.PHONY: build test vet race crashtest equivalence poison serverbench liveretune allocgate fuzz benchmodule loc simfork onestream onehist onelru onewindow onetree onemanifest onescope simdiff verify clean
 
 build:
 	$(GO) build ./...
@@ -57,7 +57,8 @@ serverbench:
 	./scripts/serverbench.sh
 
 # Allocation regression gates: testing.AllocsPerRun bounds on the cache-hit
-# Get path, the single-writer commit path (both runtimes), WAL framing (a
+# Get path (beside a frozen memtable too), the single-writer commit path
+# through Write and through Put (both runtimes), WAL framing (a
 # record joined into one write on an OSEnv file too), a flush on a warmed DB
 # that reuses a table write buffer (TestAllocGateTableWriteBuf), memtable
 # inserts carved from the arena, reused block iteration, snappy
@@ -162,6 +163,11 @@ onetree:
 onemanifest:
 	./scripts/onefile.sh onemanifest
 
+# Every option has one home (DESIGN §12): only internal/lsm/cfconfig.go,
+# home of ConfigSet.Owner, may compare a section with SectionDB.
+onescope:
+	./scripts/onefile.sh onescope
+
 # The refactor oracle for the simulated side (EXPERIMENTS.md): the paper's
 # tables and figures regenerated at PARENT and at the working tree must be
 # byte-identical. ~2 minutes; not part of verify (it needs a parent to name).
@@ -169,7 +175,7 @@ simdiff:
 	@test -n "$(PARENT)" || { echo "usage: make simdiff PARENT=<ref>" >&2; exit 2; }
 	./scripts/simdiff.sh $(PARENT)
 
-verify: build vet simfork onestream onehist onelru onewindow onetree onemanifest test race equivalence poison allocgate fuzz benchmodule serverbench liveretune
+verify: build vet simfork onestream onehist onelru onewindow onetree onemanifest onescope test race equivalence poison allocgate fuzz benchmodule serverbench liveretune
 
 clean:
 	$(GO) clean ./...

@@ -49,15 +49,10 @@ func (t *serverTarget) ApplyLive(cf string, changes map[string]string) error {
 		return err
 	}
 	// Mirror the applied values into the tracked config the way the server
-	// applied them (vetted upstream, accepted by the server): DB-scoped names
-	// on Default, the rest on the family.
-	dbScope, cfScope := lsm.SplitOptionScopes(changes)
-	for name, value := range dbScope {
-		_ = t.cfg.Default.SetByName(name, value)
-	}
-	family := t.cfg.CF(cf)
-	for name, value := range cfScope {
-		_ = family.SetByName(name, value)
+	// applied them (vetted upstream, accepted by the server).
+	t.cfg.CF(cf)
+	for name, value := range changes {
+		_ = t.cfg.Owner(cf, name).SetByName(name, value)
 	}
 	return nil
 }

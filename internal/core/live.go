@@ -214,7 +214,7 @@ func (t liveTarget) land(next *lsm.ConfigSet, applied []safeguard.Decision) (str
 	for _, cf := range next.Names() {
 		opts, batch := next.Lookup(cf), make(map[string]string)
 		for _, d := range applied {
-			if next.Lookup(d.Change.CF) == opts {
+			if next.Owner(d.Change.CF, d.Change.Name) == opts {
 				batch[d.Change.Name], _ = opts.GetByName(d.Change.Name) // a name ApplyConfig just set
 			}
 		}
@@ -266,7 +266,7 @@ func (t *EmbeddedTarget) ApplyLive(cf string, changes map[string]string) error {
 			return err
 		}
 	}
-	return db.SetOptionsByScope(h, changes)
+	return db.SetOptions(h, changes)
 }
 
 // Reopen implements LiveTarget: close and reopen under cfg. A nil cfg is the

@@ -157,7 +157,7 @@ func (t *Tool) DumpOptions() error {
 }
 
 // SetOptions applies knob=value changes to the running database without a
-// reopen — the ldb face of DB.SetOptionsByScope, which splits them by registry
+// reopen — the ldb face of DB.SetOptions, which routes them by registry
 // scope (DB-wide vs column family); CF-scoped changes land on the family
 // selected with UseColumnFamily. Only registry-mutable knobs are
 // accepted; anything else errors naming the knob.
@@ -170,7 +170,7 @@ func (t *Tool) SetOptions(pairs []string) error {
 		}
 		changes[name] = value
 	}
-	if err := t.DB.SetOptionsByScope(t.cf, changes); err != nil {
+	if err := t.DB.SetOptions(t.cf, changes); err != nil {
 		return err
 	}
 	fmt.Fprintf(t.Out, "OK (%d option(s) applied)\n", len(changes))

@@ -114,6 +114,53 @@ func TestAllocGateAppendGetCacheHit(t *testing.T) {
 	}
 }
 
+// TestAllocGateAppendGetFrozenMemtable gates the same lookup while the
+// family has a frozen memtable waiting to flush: the read state copies the
+// memtable chain into an array on the caller's stack, so the lookup still
+// allocates nothing (0.00 measured). One allocation per lookup means the
+// chain is copied into a fresh slice again.
+func TestAllocGateAppendGetFrozenMemtable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation gate needs a flushed table")
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled lookup keys and iterators under -race")
+	}
+	db, keys := openAllocBenchDB(t, 1024, func(o *Options) {
+		o.MaxWriteBufferNumber = 4
+		o.MinWriteBufferNumberToMerge = 2 // one frozen memtable stays put
+	})
+	defer db.Close()
+	if err := db.Put(nil, []byte("zzz-frozen"), []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	db.mu.Lock()
+	err := db.switchMemtableLocked(db.defaultCF)
+	frozen := len(db.defaultCF.imm)
+	db.mu.Unlock()
+	if err != nil || frozen != 1 {
+		t.Fatalf("switchMemtableLocked = %v with %d frozen memtables, want 1", err, frozen)
+	}
+	var dst []byte
+	i := 0
+	avg := testing.AllocsPerRun(200, func() {
+		var err error
+		if dst, err = db.AppendGetCF(dst[:0], nil, nil, keys[i%len(keys)]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	db.mu.Lock()
+	frozen = len(db.defaultCF.imm)
+	db.mu.Unlock()
+	if frozen != 1 {
+		t.Fatalf("%d frozen memtables after the lookups, want 1", frozen)
+	}
+	if avg > 0 {
+		t.Fatalf("cache-hit AppendGetCF beside a frozen memtable allocates %.2f/op, gate is 0", avg)
+	}
+}
+
 // TestAllocGateWrite gates the commit path for a single writer reusing a
 // one-Put batch, on both runtimes. Steady state measures 0 allocs/op on
 // both: the WAL frames the record in its own buffer (TestAllocGateWALAppend),
@@ -152,6 +199,42 @@ func TestAllocGateWrite(t *testing.T) {
 			const limit = 1
 			if avg > limit {
 				t.Fatalf("single-writer Write allocates %.1f/op, gate is %d", avg, limit)
+			}
+		})
+	}
+}
+
+// TestAllocGatePut gates DB.Put for a single writer on both runtimes: it
+// commits through a pooled one-entry batch, so it allocates nothing (0
+// measured), like Write with a reused batch (TestAllocGateWrite). 5 per Put
+// means a fresh WriteBatch again: the struct, its payload growing and its
+// family list.
+func TestAllocGatePut(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled batches and requests under -race")
+	}
+	for _, mode := range []string{"sim", "os"} {
+		t.Run(mode, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.WriteBufferSize = 256 << 20 // no memtable switch while measuring
+			dir := t.TempDir()
+			if mode == "sim" {
+				opts.Env, dir = testSimEnv(), "/db"
+			}
+			db, err := Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			wo := DefaultWriteOptions()
+			key, value := []byte("key-0001"), []byte("value-0123456789")
+			avg := testing.AllocsPerRun(500, func() {
+				if err := db.Put(wo, key, value); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if avg > 0 {
+				t.Fatalf("single-writer Put allocates %.1f/op, gate is 0", avg)
 			}
 		})
 	}

@@ -26,7 +26,7 @@ type columnFamily struct {
 	name string
 	// opts carries this family's effective options as an atomically
 	// swappable immutable snapshot: readers call options() (lock-free),
-	// DB.SetOptions/SetDBOptions clone-modify-swap under db.mu. CF-scoped
+	// DB.SetOptions clones, modifies and swaps under db.mu. CF-scoped
 	// knobs (write_buffer_size, triggers, compaction style, table options,
 	// ...) are read from here; DB-scoped knobs (WAL sync policy, background
 	// slots, stall rates, ...) are always read from the default family's
@@ -220,10 +220,6 @@ func (db *DB) createColumnFamilyLocked(name string, opts *Options) (*ColumnFamil
 	db.memSeed++
 	cf.mem = newMemtable(db.memSeed, db.walNum)
 	db.registerCFLocked(cf)
-	// Keep the effective multi-family config in sync for OPTIONS persistence.
-	if db.cfg != nil && db.cfg.Lookup(name) == nil {
-		db.cfg.Others = append(db.cfg.Others, CFConfig{Name: name, Options: opts})
-	}
 	db.infoLog.logf("[cf] created column family %q (id=%d write_buffer_size=%d)", name, id, opts.WriteBufferSize)
 	return &ColumnFamilyHandle{db: db, id: id, name: name}, nil
 }
@@ -258,15 +254,6 @@ func (db *DB) DropColumnFamily(h *ColumnFamilyHandle) error {
 		return err
 	}
 	db.unregisterCFLocked(cf)
-	if db.cfg != nil {
-		others := db.cfg.Others[:0]
-		for _, c := range db.cfg.Others {
-			if c.Name != cf.name {
-				others = append(others, c)
-			}
-		}
-		db.cfg.Others = others
-	}
 	db.deleteObsoleteFilesLocked()
 	db.infoLog.logf("[cf] dropped column family %q (id=%d)", cf.name, cf.id)
 	return nil
@@ -274,16 +261,36 @@ func (db *DB) DropColumnFamily(h *ColumnFamilyHandle) error {
 
 // PutCF inserts or overwrites a key in the given family.
 func (db *DB) PutCF(wo *WriteOptions, h *ColumnFamilyHandle, key, value []byte) error {
-	b := NewWriteBatch()
-	b.PutCF(h, key, value)
-	return db.Write(wo, b)
+	return db.writeOne(wo, cfHandleID(h), KindValue, key, value)
 }
 
 // DeleteCF removes a key from the given family.
 func (db *DB) DeleteCF(wo *WriteOptions, h *ColumnFamilyHandle, key []byte) error {
-	b := NewWriteBatch()
-	b.DeleteCF(h, key)
-	return db.Write(wo, b)
+	return db.writeOne(wo, cfHandleID(h), KindDelete, key, nil)
+}
+
+// pointBatches recycles the one-entry batches Put, Delete, PutCF and
+// DeleteCF commit through. A batch is free again once Write returns: its
+// entry is in the WAL and the memtable by then, and nothing reads it after.
+// A follower's batch payload is still listed in its leader's g.reps at that
+// point; the leader only clears that slot (writeRequest.release) and never
+// reads it again, so the next writer may refill the batch.
+var pointBatches = sync.Pool{New: func() any { return NewWriteBatch() }}
+
+// maxPooledBatch bounds the batches pointBatches keeps: one that a large
+// value grew past it is left to the collector.
+const maxPooledBatch = 64 << 10
+
+// writeOne commits one entry of kind for family id through a pooled batch.
+func (db *DB) writeOne(wo *WriteOptions, id uint32, kind ValueKind, key, value []byte) error {
+	b := pointBatches.Get().(*WriteBatch)
+	b.add(id, kind, key, value)
+	err := db.Write(wo, b)
+	if cap(b.rep) <= maxPooledBatch {
+		b.Clear()
+		pointBatches.Put(b)
+	}
+	return err
 }
 
 // readState is a consistent capture of one family's read inputs: the
@@ -325,19 +332,23 @@ func (db *DB) captureReadState(h *ColumnFamilyHandle, ro *ReadOptions, imms []*m
 	if err != nil {
 		return readState{}, err
 	}
+	// Hold the version's tables on disk until the read finishes: a
+	// compaction (or one kicked off by a live SetOptions change) may retire
+	// and delete them while the lookup runs outside db.mu. The version is
+	// referenced before st is built, so escape analysis does not tie imms to
+	// the version's trip into refVersions and a caller's array can stay on
+	// its stack.
+	v := db.vs.head(cf.id)
+	db.refVersionLocked(v)
 	st := readState{
 		mem:  cf.mem,
 		imms: append(imms[:0], cf.imm...),
-		v:    db.vs.head(cf.id),
+		v:    v,
 		cf:   cf,
 		// Read at the published sequence: entries whose group has not
 		// finished its memtable inserts are not yet visible.
 		seq: db.publishedSeq.Load(),
 	}
-	// Hold the version's tables on disk until the read finishes: a
-	// compaction (or one kicked off by a live SetOptions change) may retire
-	// and delete them while the lookup runs outside db.mu.
-	db.refVersionLocked(st.v)
 	if ro.Snapshot != nil {
 		st.seq = ro.Snapshot.seq
 	}
@@ -480,7 +491,8 @@ func (db *DB) AppendGetCF(dst []byte, ro *ReadOptions, h *ColumnFamilyHandle, ke
 	}
 	defer db.recordSince(HistGetMicros, db.rt.stopwatch())
 	db.env.ChargeCPU(simPrices.get.d)
-	st, err := db.captureReadState(h, ro, nil)
+	var imms [4]*memtable // captureReadState copies the frozen memtables here
+	st, err := db.captureReadState(h, ro, imms[:0])
 	if err != nil {
 		return dst, err
 	}
@@ -511,7 +523,8 @@ func (db *DB) MultiGetCF(ro *ReadOptions, h *ColumnFamilyHandle, keys [][]byte) 
 		return vals, errs
 	}
 	db.env.ChargeCPU(time.Duration(len(keys)) * simPrices.multiGetKey.d)
-	st, err := db.captureReadState(h, ro, nil)
+	var imms [4]*memtable
+	st, err := db.captureReadState(h, ro, imms[:0])
 	if err != nil {
 		for i := range errs {
 			errs[i] = err

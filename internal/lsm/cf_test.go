@@ -284,6 +284,37 @@ func TestConfigSetINIRoundTrip(t *testing.T) {
 	}
 }
 
+// TestConfigSetOwner pins where a change lands for every registry row,
+// scoped to the default family and to a named one: a [DBOptions] row in
+// Default, any other row in the family's own options. An unknown name
+// lands in the family too, so SetByName is what rejects it, and a family
+// the set does not define has no owner for a CF-scoped name.
+func TestConfigSetOwner(t *testing.T) {
+	cs := NewConfigSet(nil)
+	hot := cs.CF("hot")
+	for i := range optionSpecs {
+		spec := &optionSpecs[i]
+		for _, cf := range []string{"", DefaultColumnFamilyName, "hot"} {
+			want := cs.Lookup(cf)
+			if spec.Section == SectionDB {
+				want = cs.Default
+			}
+			if got := cs.Owner(cf, spec.Name); got != want {
+				t.Errorf("Owner(%q, %s) of section %s = %p, want %p (Default %p, hot %p)", cf, spec.Name, spec.Section, got, want, cs.Default, hot)
+			}
+		}
+	}
+	if got := cs.Owner("hot", "not_a_knob"); got != hot {
+		t.Error("an unknown name does not land in the family")
+	}
+	if err := cs.Owner("hot", "not_a_knob").SetByName("not_a_knob", "1"); !errors.Is(err, ErrUnknownOption) {
+		t.Errorf("SetByName on an unknown name = %v, want ErrUnknownOption", err)
+	}
+	if cs.Owner("ghost", "write_buffer_size") != nil {
+		t.Error("a CF-scoped name in an undefined family has an owner")
+	}
+}
+
 func TestMultiGet(t *testing.T) {
 	db, _ := openTestDB(t, nil)
 	defer db.Close()

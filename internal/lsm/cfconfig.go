@@ -17,7 +17,8 @@ type CFConfig struct {
 
 // ConfigSet is the full configuration of a multi-family database: the
 // default family's options (which also carry the DB-scoped knobs) plus any
-// number of named families. It is what a RocksDB OPTIONS file with several
+// number of named families, whose copies of the DB-scoped fields are never
+// read (Owner). It is what a RocksDB OPTIONS file with several
 // [CFOptions "<name>"] sections deserializes into, and what OpenConfig
 // consumes.
 type ConfigSet struct {
@@ -65,6 +66,24 @@ func (cs *ConfigSet) Lookup(name string) *Options {
 		}
 	}
 	return nil
+}
+
+// Owner returns the options a change to option name scoped to family cf
+// lands on: a DB-scoped name lives in Default whichever family names it,
+// and any other name (an unknown one too, so SetByName reports it) in the
+// family's own options — nil when the set does not define cf. It is the
+// one place scope is decided.
+func (cs *ConfigSet) Owner(cf, name string) *Options {
+	if dbScoped(name) {
+		return cs.Default
+	}
+	return cs.Lookup(cf)
+}
+
+// dbScoped reports whether name is a [DBOptions] row of the registry.
+func dbScoped(name string) bool {
+	spec, ok := LookupOption(name)
+	return ok && spec.Section == SectionDB
 }
 
 // CF returns the options for a family, creating an entry (cloned from the

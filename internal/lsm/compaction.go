@@ -466,9 +466,9 @@ func (db *DB) runCompactionSlice(c *compaction, v *Version, cfOpts *Options, s s
 // smallestSnapshot (LevelDB's rule); with v set — a compaction — a tombstone
 // no snapshot can see and no level below outputLevel may hold a key for is
 // dropped too. A table is cut once its estimated size reaches outSize, then
-// synced, closed and, under paranoid_file_checks, read back. A table left
-// unfinished by a failure is closed, and its builder's write buffer given
-// back. sr.entries counts the entries read.
+// synced, closed and, under the DB's paranoid_file_checks, read back. A
+// table left unfinished by a failure is closed, and its builder's write
+// buffer given back. sr.entries counts the entries read.
 func (db *DB) writeTables(merged *mergeIter, limit []byte, cfOpts *Options, outputLevel int, v *Version, smallestSnapshot uint64, outSize int64, ios *IOStatsContext) (sr sliceResult) {
 	var builder *tableBuilder
 	var outFile WritableFile
@@ -481,6 +481,7 @@ func (db *DB) writeTables(merged *mergeIter, limit []byte, cfOpts *Options, outp
 			outFile.Close()
 		}
 	}()
+	dbOpts := db.options() // bytes_per_sync and paranoid_file_checks are DB-scoped
 	var lastUserKey []byte
 	haveLast := false
 	lastSeqForKey := maxSequence
@@ -508,7 +509,7 @@ func (db *DB) writeTables(merged *mergeIter, limit []byte, cfOpts *Options, outp
 			Smallest: append(internalKey(nil), builder.smallest()...),
 			Largest:  append(internalKey(nil), builder.largest()...),
 		}
-		if cfOpts.ParanoidFileChecks {
+		if dbOpts.ParanoidFileChecks {
 			if err := verifyTableFile(db.env, tableFileName(db.dir, outNum), meta, db.bgIOClass()); err != nil {
 				return err
 			}
@@ -552,7 +553,7 @@ func (db *DB) writeTables(merged *mergeIter, limit []byte, cfOpts *Options, outp
 				return sr
 			}
 			outFile = wrapWritableFile(f, ios)
-			builder = newTableBuilder(outFile, cfOpts, &db.writeBufs)
+			builder = newTableBuilder(outFile, cfOpts, dbOpts, &db.writeBufs)
 		}
 		if err := builder.add(ik, merged.Value()); err != nil {
 			sr.err = err

@@ -98,7 +98,6 @@ type DB struct {
 	cfOrder   []*columnFamily // ascending id; defaultCF first
 	defaultCF *columnFamily
 	cfSnap    atomic.Pointer[[]*columnFamily]
-	cfg       *ConfigSet // effective multi-family configuration
 
 	flushActive   int
 	compactActive int
@@ -130,8 +129,9 @@ type DB struct {
 
 // options returns the DB-scoped effective-options snapshot: the default
 // family's current options (the two are one pointer, swapped together by
-// SetDBOptions). Lock-free; safe from any goroutine once Open has installed
-// the default family.
+// SetOptions). Every DB-scoped knob is read from here, never from a named
+// family's snapshot. Lock-free; safe from any goroutine once Open has
+// installed the default family.
 func (db *DB) options() *Options { return db.defaultCF.options() }
 
 // Open opens (creating if allowed) the database in dir with a single set of
@@ -173,7 +173,6 @@ func OpenConfig(dir string, cfg *ConfigSet) (*DB, error) {
 	}
 	env := opts.Env
 	db := &DB{
-		cfg:         cfg,
 		env:         env,
 		dir:         dir,
 		stats:       opts.Stats,
@@ -235,7 +234,6 @@ func OpenConfig(dir string, cfg *ConfigSet) (*DB, error) {
 			cfOpts := cfg.Lookup(st.name)
 			if cfOpts == nil {
 				cfOpts = opts.Clone()
-				cfg.Others = append(cfg.Others, CFConfig{Name: st.name, Options: cfOpts})
 			}
 			cf := &columnFamily{
 				id:      id,
@@ -281,7 +279,7 @@ func OpenConfig(dir string, cfg *ConfigSet) (*DB, error) {
 	// Persist the effective options, RocksDB-style: one CFOptions section per
 	// family. Best effort: the file is a record, nothing reads it back.
 	if w, err := env.NewWritableFile(optionsFileName(dir, db.vs.newFileNumber()), IOBackground); err == nil {
-		_ = w.Append([]byte(db.cfg.ToINI().String()))
+		_ = w.Append([]byte(db.configLocked().ToINI().String()))
 		w.Close()
 	}
 	db.deleteObsoleteFilesLocked()
@@ -433,16 +431,12 @@ func (db *DB) replayWALsLocked() error {
 
 // Put inserts or overwrites a key in the default column family.
 func (db *DB) Put(wo *WriteOptions, key, value []byte) error {
-	b := NewWriteBatch()
-	b.Put(key, value)
-	return db.Write(wo, b)
+	return db.writeOne(wo, 0, KindValue, key, value)
 }
 
 // Delete removes a key (writing a tombstone) in the default column family.
 func (db *DB) Delete(wo *WriteOptions, key []byte) error {
-	b := NewWriteBatch()
-	b.Delete(key)
-	return db.Write(wo, b)
+	return db.writeOne(wo, 0, KindDelete, key, nil)
 }
 
 // Write applies a batch atomically through the group-commit write pipeline
@@ -1166,7 +1160,19 @@ func (db *DB) OptionsCF(h *ColumnFamilyHandle) (*Options, error) {
 func (db *DB) Config() *ConfigSet {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.cfg.Clone()
+	return db.configLocked().Clone()
+}
+
+// configLocked gathers the live families' snapshots, in id order, into a
+// ConfigSet that shares them: callers must not modify it.
+func (db *DB) configLocked() *ConfigSet {
+	cs := NewConfigSet(db.defaultCF.options())
+	for _, cf := range db.cfOrder {
+		if cf != db.defaultCF {
+			cs.Others = append(cs.Others, CFConfig{Name: cf.name, Options: cf.options()})
+		}
+	}
+	return cs
 }
 
 // Statistics returns the engine's statistics object.

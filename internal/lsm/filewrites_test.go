@@ -119,7 +119,7 @@ func buildCountedTable(t *testing.T, env Env, name string, opts *Options, n int)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := newTableBuilder(f, opts, nil)
+	b := newTableBuilder(f, opts, opts, nil)
 	for i := 0; i < n; i++ {
 		ik := makeInternalKey(nil, []byte(fmt.Sprintf("key%06d", i)), uint64(i+1), KindValue)
 		if err := b.add(ik, countedTableValue(i)); err != nil {

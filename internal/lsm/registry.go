@@ -46,7 +46,7 @@ func SectionTableName(name string) string {
 // its accessors — whether the engine acts on it (Honored) or merely records it
 // (the long tail RocksDB exposes — still valid to set, visible in OPTIONS
 // files, and therefore tunable surface for the LLM). Mutable marks the dynamic
-// subset that DB.SetOptions/SetDBOptions may change on a running database
+// subset that DB.SetOptions may change on a running database
 // without a reopen (RocksDB's dynamically-changeable options); everything
 // else is fixed at Open.
 type OptionSpec struct {
@@ -390,7 +390,7 @@ func MutableOptionNames() []string {
 }
 
 // IsMutableOption reports whether the named option (or alias) may be changed
-// on a running database via SetOptions/SetDBOptions. Unknown names are not
+// on a running database via SetOptions. Unknown names are not
 // mutable.
 func IsMutableOption(name string) bool {
 	s, err := lookupSpec(name)
@@ -456,7 +456,7 @@ func checkValue(s *OptionSpec, v string) (string, error) {
 // registry — the hallucination signal the Safeguard Enforcer keys on.
 var ErrUnknownOption = fmt.Errorf("unknown option")
 
-// ErrImmutableOption is returned (wrapped) by SetOptions/SetDBOptions when a
+// ErrImmutableOption is returned (wrapped) by SetOptions when a
 // change targets an option the registry does not mark Mutable — such knobs
 // only take effect through a close+reopen cycle.
 var ErrImmutableOption = fmt.Errorf("option is immutable at runtime")

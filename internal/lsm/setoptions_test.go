@@ -24,13 +24,6 @@ func TestSetOptionsValidation(t *testing.T) {
 	if !strings.Contains(err.Error(), "num_levels") {
 		t.Fatalf("immutable option error does not name the knob: %v", err)
 	}
-	// Scope routing: DB knobs go through SetDBOptions and vice versa.
-	if err := db.SetOptions(nil, map[string]string{"max_background_jobs": "4"}); err == nil || !strings.Contains(err.Error(), "SetDBOptions") {
-		t.Fatalf("DB-scoped via SetOptions: err = %v", err)
-	}
-	if err := db.SetDBOptions(map[string]string{"write_buffer_size": "131072"}); err == nil || !strings.Contains(err.Error(), "SetOptions") {
-		t.Fatalf("CF-scoped via SetDBOptions: err = %v", err)
-	}
 	// Bad syntax and out-of-range values reject the whole call.
 	if err := db.SetOptions(nil, map[string]string{"write_buffer_size": "huge"}); err == nil {
 		t.Fatal("bad integer accepted")
@@ -70,11 +63,110 @@ func TestSetOptionsEvent(t *testing.T) {
 	if got := db.Options().WriteBufferSize; got != 131072 {
 		t.Fatalf("WriteBufferSize = %d", got)
 	}
-	if err := db.SetDBOptions(map[string]string{"max_background_jobs": "4"}); err != nil {
+	if err := db.SetOptions(nil, map[string]string{"max_background_jobs": "4"}); err != nil {
 		t.Fatal(err)
 	}
 	if got := logEvents(t, env, "/db", "set_options"); len(got) != 3 || !strings.HasPrefix(got[2], "db: max_background_jobs ") {
 		t.Fatalf("DB-scoped change logged as %q", got)
+	}
+}
+
+// TestSetOptionsMixedBatch: one SetOptions call against a named family
+// routes each name by scope — max_background_jobs to the DB snapshot,
+// write_buffer_size to the family's — and applies all of it or none of it.
+func TestSetOptionsMixedBatch(t *testing.T) {
+	db, env := openTestDB(t, nil)
+	defer db.Close()
+	hot, err := db.CreateColumnFamily("hot", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshots := func() (jobs int, wbs, defaultWBS int64) {
+		o, err := db.OptionsCF(hot)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return db.Options().MaxBackgroundJobs, o.WriteBufferSize, db.Options().WriteBufferSize
+	}
+	jobs, wbs, defaultWBS := snapshots()
+	for _, bad := range []map[string]string{
+		{"max_background_jobs": "8", "write_buffer_size": "-5"},             // out of range
+		{"max_background_jobs": "8", "level0_slowdown_writes_trigger": "1"}, // fails Validate
+	} {
+		if err := db.SetOptions(hot, bad); err == nil {
+			t.Fatalf("SetOptions(hot, %v) accepted", bad)
+		}
+		if j, w, d := snapshots(); j != jobs || w != wbs || d != defaultWBS {
+			t.Fatalf("failed batch %v partially applied: max_background_jobs %d -> %d, hot write_buffer_size %d -> %d, default %d -> %d",
+				bad, jobs, j, wbs, w, defaultWBS, d)
+		}
+	}
+	if err := db.SetOptions(hot, map[string]string{"max_background_jobs": "8", "write_buffer_size": "131072"}); err != nil {
+		t.Fatal(err)
+	}
+	if j, w, d := snapshots(); j != 8 || w != 131072 || d != defaultWBS {
+		t.Fatalf("after the mixed batch: max_background_jobs %d, hot write_buffer_size %d, default write_buffer_size %d (was %d)", j, w, d, defaultWBS)
+	}
+	cfg := db.Config()
+	if cfg.Default.MaxBackgroundJobs != 8 || cfg.Lookup("hot").WriteBufferSize != 131072 {
+		t.Fatalf("Config() reads max_background_jobs %d and hot write_buffer_size %d", cfg.Default.MaxBackgroundJobs, cfg.Lookup("hot").WriteBufferSize)
+	}
+	got := logEvents(t, env, "/db", "set_options")
+	want := []string{
+		fmt.Sprintf("db: max_background_jobs %d -> 8", jobs),
+		fmt.Sprintf(`cf "hot": write_buffer_size %d -> 131072`, wbs),
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("set_options lines = %q, want %q", got, want)
+	}
+}
+
+// TestSetOptionsDBScopedReachNamedFamily: DB-scoped knobs set live through a
+// named family's handle act on that family's flushes, which read them from
+// the DB snapshot — paranoid_file_checks reads the new table back, and
+// bytes_per_sync starts writeback as the table is written.
+func TestSetOptionsDBScopedReachNamedFamily(t *testing.T) {
+	env := newCountingEnv(NewOSEnv())
+	opts := DefaultOptions()
+	opts.Env = env
+	opts.WriteBufferSize = 4 << 20 // only FlushCF flushes
+	db, err := Open(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	hot, err := db.CreateColumnFamily("hot", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// flushHot writes about 800 KB to hot, flushes it and returns the table
+	// file calls the flush made.
+	round := 0
+	flushHot := func() fileCalls {
+		t.Helper()
+		before := env.counts(".sst")
+		for i := 0; i < 2000; i++ {
+			if err := db.PutCF(nil, hot, []byte(fmt.Sprintf("r%d-key%06d", round, i)), countedTableValue(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		round++
+		if err := db.FlushCF(hot); err != nil {
+			t.Fatal(err)
+		}
+		after := env.counts(".sst")
+		return fileCalls{reads: after.reads - before.reads, asyncSyncs: after.asyncSyncs - before.asyncSyncs}
+	}
+	plain := flushHot()
+	if err := db.SetOptions(hot, map[string]string{"paranoid_file_checks": "true", "bytes_per_sync": "65536"}); err != nil {
+		t.Fatal(err)
+	}
+	tuned := flushHot()
+	if tuned.reads <= plain.reads {
+		t.Errorf("paranoid_file_checks: hot's flush read its table %d times, %d before the change", tuned.reads, plain.reads)
+	}
+	if plain.asyncSyncs != 0 || tuned.asyncSyncs == 0 {
+		t.Errorf("bytes_per_sync: hot's flush issued %d async syncs, %d before the change", tuned.asyncSyncs, plain.asyncSyncs)
 	}
 }
 
@@ -214,7 +306,7 @@ func TestSetDBOptionsStatsTimers(t *testing.T) {
 	})
 	defer db.Close()
 	wo := DefaultWriteOptions()
-	if err := db.SetDBOptions(map[string]string{"stats_persist_period_sec": "1"}); err != nil {
+	if err := db.SetOptions(nil, map[string]string{"stats_persist_period_sec": "1"}); err != nil {
 		t.Fatal(err)
 	}
 	env.Clock().Advance(5 * time.Second)
@@ -312,7 +404,7 @@ func TestSetOptionsRace(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if err := db.SetDBOptions(dbCycle[i%len(dbCycle)]); err != nil {
+			if err := db.SetOptions(nil, dbCycle[i%len(dbCycle)]); err != nil {
 				t.Error(err)
 				return
 			}

@@ -187,17 +187,23 @@ type tableBuilder struct {
 	hndlBuf     [2 * binary.MaxVarintLen64]byte // pendingHndl's encoding, so no block allocates it
 	trailer     [blockTrailerSize]byte          // writeBlock's, here so it does not escape per block
 	err         error
+
+	// The DB's bytes_per_sync and strict_bytes_per_sync (0 and false: off).
+	bytesPerSync int64
+	strictSync   bool
 }
 
-// newTableBuilder starts building a table with the given options, writing
-// through a buffer from bufs.
-func newTableBuilder(w WritableFile, opts *Options, bufs *writeBufList) *tableBuilder {
+// newTableBuilder starts building a table with a family's options and the
+// DB's, writing through a buffer from bufs.
+func newTableBuilder(w WritableFile, opts, dbOpts *Options, bufs *writeBufList) *tableBuilder {
 	b := &tableBuilder{
-		w:          w,
-		bufs:       bufs,
-		opts:       opts,
-		dataBlock:  newBlockBuilder(opts.BlockRestartInterval),
-		indexBlock: newBlockBuilder(1),
+		w:            w,
+		bufs:         bufs,
+		opts:         opts,
+		bytesPerSync: dbOpts.BytesPerSync,
+		strictSync:   dbOpts.StrictBytesPerSync,
+		dataBlock:    newBlockBuilder(opts.BlockRestartInterval),
+		indexBlock:   newBlockBuilder(1),
 	}
 	if opts.BloomBitsPerKey > 0 {
 		b.filter = newBloomFilter(opts.BloomBitsPerKey)
@@ -331,15 +337,15 @@ func (b *tableBuilder) appendOut(p []byte) error {
 	if err := b.w.Append(p); err != nil {
 		return err
 	}
-	if b.opts.BytesPerSync <= 0 {
+	if b.bytesPerSync <= 0 {
 		return nil
 	}
 	b.sinceSync += int64(len(p))
-	if b.sinceSync < b.opts.BytesPerSync {
+	if b.sinceSync < b.bytesPerSync {
 		return nil
 	}
 	b.sinceSync = 0
-	if b.opts.StrictBytesPerSync {
+	if b.strictSync {
 		return b.w.Sync()
 	}
 	return b.w.SyncAsync()

@@ -78,7 +78,7 @@ func (h *statsHistory) add(s StatsSnapshot) {
 }
 
 // setLimit swaps the byte budget (stats_history_buffer_size via
-// SetDBOptions), trimming oldest-first when the ring shrank below its
+// SetOptions), trimming oldest-first when the ring shrank below its
 // current footprint.
 func (h *statsHistory) setLimit(limit int64) {
 	if h == nil {

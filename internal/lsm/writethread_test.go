@@ -217,7 +217,8 @@ func openOSTestDB(t *testing.T, tweak func(*Options)) *DB {
 }
 
 // hammer runs writers goroutines, each committing batches sequential
-// distinct keys, and fails the test on any write error. It raises GOMAXPROCS
+// batches of perBatch distinct keys (perBatch 1: one DB.Put each), and fails
+// the test on any write error. It raises GOMAXPROCS
 // so that on a single-core runner a leader blocked in fsync leaves other OS
 // threads free to enqueue — otherwise a fast syscall can complete before the
 // scheduler ever preempts the writer and no group forms.
@@ -233,12 +234,19 @@ func hammer(t *testing.T, db *DB, wo *WriteOptions, writers, batches, perBatch i
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < batches; i++ {
-				b := NewWriteBatch()
-				for k := 0; k < perBatch; k++ {
-					key := fmt.Sprintf("w%02d-b%04d-k%02d", w, i, k)
-					b.Put([]byte(key), []byte(fmt.Sprintf("val-%s", key)))
+				var err error
+				if perBatch == 1 { // through Put's pooled one-entry batch
+					key := fmt.Sprintf("w%02d-b%04d-k00", w, i)
+					err = db.Put(wo, []byte(key), []byte("val-"+key))
+				} else {
+					b := NewWriteBatch()
+					for k := 0; k < perBatch; k++ {
+						key := fmt.Sprintf("w%02d-b%04d-k%02d", w, i, k)
+						b.Put([]byte(key), []byte(fmt.Sprintf("val-%s", key)))
+					}
+					err = db.Write(wo, b)
 				}
-				if err := db.Write(wo, b); err != nil {
+				if err != nil {
 					errs <- err
 					return
 				}
@@ -253,11 +261,23 @@ func hammer(t *testing.T, db *DB, wo *WriteOptions, writers, batches, perBatch i
 }
 
 func TestGroupCommitConcurrentWriters(t *testing.T) {
+	for _, perBatch := range []int{4, 1} {
+		t.Run(fmt.Sprintf("perBatch=%d", perBatch), func(t *testing.T) {
+			testGroupCommitConcurrentWriters(t, perBatch)
+		})
+	}
+}
+
+// testGroupCommitConcurrentWriters hammers a DB with 8 writers committing
+// batches of perBatch Puts (1: through DB.Put, whose pooled batch a
+// follower gives back while its leader still lists it) and checks that
+// every batch landed.
+func testGroupCommitConcurrentWriters(t *testing.T, perBatch int) {
 	db := openOSTestDB(t, func(o *Options) {
 		o.AllowConcurrentMemtableWrite = true
 	})
 	defer db.Close()
-	const writers, batches, perBatch = 8, 150, 4
+	const writers, batches = 8, 150
 	// Sync writes park the leader in fsync, so follower goroutines pile up
 	// behind it and groups form even on a single-core runner.
 	hammer(t, db, &WriteOptions{Sync: true}, writers, batches, perBatch)

@@ -89,10 +89,10 @@ type Enforcer struct {
 	// AllowDeprecated applies deprecated options (flagged); when false
 	// they are rejected outright.
 	AllowDeprecated bool
-	// LiveMode vets changes destined for a RUNNING database (SetOptions /
-	// SetDBOptions rather than a config file + reopen). Options the engine
-	// registry does not flag as mutable are rejected with ImmutableLive,
-	// naming the knob, instead of accepted.
+	// LiveMode vets changes destined for a RUNNING database (SetOptions
+	// rather than a config file + reopen). Options the engine registry does
+	// not flag as mutable are rejected with ImmutableLive, naming the knob,
+	// instead of accepted.
 	LiveMode bool
 }
 
@@ -119,20 +119,20 @@ func (e *Enforcer) Blacklist(names ...string) {
 
 // VetConfig classifies every change against a configuration, one decision
 // per change in order; ApplyConfig applies the accepted ones. Each change is
-// vetted against the options of the family it is scoped to (unscoped changes
-// target the default family); a change naming a family the configuration
-// does not have is a hallucination — the LLM invented a column family, the
-// per-option analogue of inventing an option name.
+// vetted against the options it lands on (ConfigSet.Owner): the DB's for a
+// DB-scoped name, otherwise those of the family it is scoped to (unscoped
+// changes target the default family). A change naming a family the
+// configuration does not have is a hallucination — the LLM invented a
+// column family, the per-option analogue of inventing an option name.
 func (e *Enforcer) VetConfig(cur *lsm.ConfigSet, changes []parser.Change) []Decision {
 	out := make([]Decision, 0, len(changes))
 	for _, c := range changes {
-		opts := cur.Lookup(c.CF)
-		if opts == nil {
+		if cur.Lookup(c.CF) == nil {
 			out = append(out, Decision{c, Hallucinated,
 				fmt.Sprintf("column family %q does not exist", c.CF)})
 			continue
 		}
-		out = append(out, e.vetOne(opts, c))
+		out = append(out, e.vetOne(cur.Owner(c.CF, c.Name), c))
 	}
 	return out
 }
@@ -185,9 +185,9 @@ func normalized(o *lsm.Options, name, fallback string) string {
 }
 
 // ApplyConfig executes the accepted decisions onto a clone of the full
-// multi-family configuration, routing each change to the family it is scoped
-// to, then validates the combined result. On validation failure the original
-// configuration is returned untouched.
+// multi-family configuration, routing each change where ConfigSet.Owner
+// puts it, then validates the combined result. On validation failure the
+// original configuration is returned untouched.
 func ApplyConfig(cur *lsm.ConfigSet, decisions []Decision) (*lsm.ConfigSet, []Decision, error) {
 	next := cur.Clone()
 	applied := make([]Decision, 0, len(decisions))
@@ -195,15 +195,14 @@ func ApplyConfig(cur *lsm.ConfigSet, decisions []Decision) (*lsm.ConfigSet, []De
 		if d.Verdict != Accepted && d.Verdict != DeprecatedAccepted {
 			continue
 		}
-		opts := next.Lookup(d.Change.CF)
-		if opts == nil {
+		if next.Lookup(d.Change.CF) == nil {
 			// A family accepted at vet time but absent now (e.g. dropped
 			// between vet and apply) degrades to a hallucination.
 			d.Verdict = Hallucinated
 			d.Reason = fmt.Sprintf("column family %q does not exist", d.Change.CF)
 			continue
 		}
-		if err := opts.SetByName(d.Change.Name, d.Change.Value); err != nil {
+		if err := next.Owner(d.Change.CF, d.Change.Name).SetByName(d.Change.Name, d.Change.Value); err != nil {
 			d.Verdict = Invalid
 			d.Reason = err.Error()
 			continue

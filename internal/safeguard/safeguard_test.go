@@ -249,6 +249,35 @@ func TestApplyConfig(t *testing.T) {
 	}
 }
 
+// A DB-scoped knob written under a named family's section is vetted and
+// applied where it takes effect: the DB options, which ToINI renders in
+// [DBOptions]. The family's own copy is left alone.
+func TestApplyConfigDBScopedInFamilySection(t *testing.T) {
+	e := New()
+	cs := twoFamilyConfig()
+	changes := []parser.Change{{Name: "max_background_jobs", Value: "12", CF: "hot"}}
+	next, applied, err := ApplyConfig(cs, e.VetConfig(cs, changes))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(applied) != 1 {
+		t.Fatalf("applied %d changes: %+v", len(applied), applied)
+	}
+	if next.Default.MaxBackgroundJobs != 12 {
+		t.Fatalf("DB max_background_jobs = %d, want 12", next.Default.MaxBackgroundJobs)
+	}
+	if got := next.Lookup("hot").MaxBackgroundJobs; got != cs.Lookup("hot").MaxBackgroundJobs {
+		t.Fatalf("hot's copy of max_background_jobs changed to %d", got)
+	}
+	if v, _ := next.ToINI().Section(lsm.SectionDB).Get("max_background_jobs"); v != "12" {
+		t.Fatalf("[DBOptions] max_background_jobs = %q, want 12", v)
+	}
+	// Vetted against the DB options too: the value now in effect there is a no-op.
+	if ds := e.VetConfig(next, changes); ds[0].Verdict != NoOp {
+		t.Fatalf("re-vet: verdict = %v (%s), want no-op", ds[0].Verdict, ds[0].Reason)
+	}
+}
+
 func TestApplyConfigCombinedValidationFailure(t *testing.T) {
 	e := New()
 	cs := twoFamilyConfig()

@@ -334,9 +334,9 @@ func (c *Client) Close() error {
 }
 
 // SetOptions applies dynamic option changes to the server's running shards —
-// the remote face of lsm.DB.SetOptions/SetDBOptions. cf scopes column-family
-// knobs ("" = default family); DB-scoped names in the same call are routed to
-// SetDBOptions server-side. Returns the server's human-readable summary.
+// the remote face of lsm.DB.SetOptions. cf scopes column-family knobs ("" =
+// default family); DB-scoped names in the same call land in each shard's DB
+// snapshot. Returns the server's human-readable summary.
 func (c *Client) SetOptions(cf string, changes []OptionKV) (string, error) {
 	resp, err := c.Call(&Request{Op: OpSetOptions, CF: cf, Options: changes})
 	if err != nil {

@@ -390,10 +390,11 @@ func appendAlias(buf, b []byte) ([]byte, []byte) {
 
 // SetOptions applies dynamic option changes to EVERY shard — the shards are
 // one logical database, so a live retune must land on all of them. Mixed
-// batches are allowed on the wire: lsm.DB.SetOptionsByScope sends DB-scoped
-// knobs through SetDBOptions and everything else through SetOptions against
-// the named family ("" = default), each scope group atomically per shard. The first shard error aborts (later shards keep the old config —
-// the caller re-sends or reports, same as a failed reopen).
+// batches are allowed on the wire: lsm.DB.SetOptions puts DB-scoped knobs
+// in the DB snapshot and everything else in the named family's ("" =
+// default), the whole batch atomically per shard. The first shard error
+// aborts (later shards keep the old config — the caller re-sends or
+// reports, same as a failed reopen).
 func (r *Router) SetOptions(cf string, changes []OptionKV) error {
 	if len(changes) == 0 {
 		return nil
@@ -407,7 +408,7 @@ func (r *Router) SetOptions(cf string, changes []OptionKV) error {
 		return err
 	}
 	for s, db := range r.shards {
-		if err := db.SetOptionsByScope(hs[s], batch); err != nil {
+		if err := db.SetOptions(hs[s], batch); err != nil {
 			return fmt.Errorf("shard %d: %w", s, err)
 		}
 	}

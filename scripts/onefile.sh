@@ -25,8 +25,11 @@
 # onemanifest: a manifest file is created by versionSet.rollover alone; a
 #   new database, Open and RepairDB install their state and call it instead
 #   of starting a manifest of their own.
+# onescope: whether a name is DB-scoped (a comparison with SectionDB) is
+#   decided by ConfigSet.Owner alone; the engine's SetOptions, the safeguard,
+#   the live loop and elmotune's server mirror ask it where a change lands.
 set -eu
-gate=${1:?usage: scripts/onefile.sh onestream|onehist|onelru|onewindow|onetree|onemanifest}
+gate=${1:?usage: scripts/onefile.sh onestream|onehist|onelru|onewindow|onetree|onemanifest|onescope}
 
 # gate;roots;skipped path;pattern;allowed file;what a stray match is;what the pattern marks
 table='
@@ -36,6 +39,7 @@ onelru;internal cmd examples;-;MoveToFront|PushFront\(|pushFront\(;internal/lsm/
 onewindow;internal cmd examples;-;(Read|Write|Scan)Fraction = float64\(;internal/lsm/workload.go;window mix fractions are computed;the window arithmetic
 onetree;internal cmd examples;-;mergeIter\{|levelIter\{|\[\]levelIter;internal/lsm/mergeiter.go;iterator trees are built;the merge tree
 onemanifest;internal cmd examples;-;NewWritableFile\(manifestFileName\(;internal/lsm/manifest.go;manifests are started;the manifest rollover
+onescope;internal cmd examples;-;[!=]= (lsm\.)?SectionDB;internal/lsm/cfconfig.go;option scope is decided;the scope rule
 '
 row=$(printf '%s\n' "$table" | grep "^$gate;") || {
     echo "onefile: unknown gate $gate" >&2
