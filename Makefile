@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race crashtest equivalence poison serverbench liveretune allocgate fuzz benchmodule loc simfork onestream onehist onelru onewindow onetree onemanifest onescope simdiff verify clean
+.PHONY: build test vet race crashtest equivalence poison serverbench liveretune allocgate fuzz benchmodule loc simfork onestream onehist onelru onewindow onetree onemanifest onescope onewriter simdiff verify clean
 
 build:
 	$(GO) build ./...
@@ -41,12 +41,14 @@ equivalence:
 
 # Use after release, made loud: with -tags poison the block cache fills a
 # buffer with 0xDB as it becomes a spare, so a reader still on a released
-# block fails at once instead of reading another block later, and a table
-# builder fills its write buffer with 0xDB as it goes back to the free list,
-# so an Env that kept a slice of it instead of copying writes garbage. Runs
+# block fails at once instead of reading another block later, and a file
+# writer (table, WAL or MANIFEST) fills its buffer with 0xDB as it goes back
+# to the free list, so an Env that kept a slice of it instead of copying
+# writes garbage. Runs
 # the iterator, table-reader and block-handle lifetime tests, the
-# subcompaction equivalence check, the table-bytes hash and the OSEnv file
-# write tests (TestFileWrites*) with the tag, under -race.
+# subcompaction equivalence check, the table-bytes hash and the file write
+# tests (TestFileWrites*, the WAL's on OSEnv, SimEnv and FaultInjectionEnv
+# included) with the tag, under -race.
 poison:
 	$(GO) test -tags poison -race -count=1 -run '^(TestIterator|TestTableReader|TestBlockHandle|TestSubcompactionEquivalence|TestTableBytesGolden|TestFileWrites)' ./internal/lsm
 
@@ -58,9 +60,10 @@ serverbench:
 
 # Allocation regression gates: testing.AllocsPerRun bounds on the cache-hit
 # Get path (beside a frozen memtable too), the single-writer commit path
-# through Write and through Put (both runtimes), WAL framing (a
-# record joined into one write on an OSEnv file too), a flush on a warmed DB
-# that reuses a table write buffer (TestAllocGateTableWriteBuf), memtable
+# through Write and through Put (both runtimes), WAL framing in the file
+# writer's buffer (TestAllocGateWALAppend, and one write on an OSEnv file),
+# a flush on a warmed DB that reuses a writer's buffer
+# (TestAllocGateTableWriteBuf), memtable
 # inserts carved from the arena, reused block iteration, snappy
 # block compression and reads (scratch and private), the block cache's
 # recycled handles (an insert into a full cache, a refill after EraseID, a
@@ -168,6 +171,12 @@ onemanifest:
 onescope:
 	./scripts/onefile.sh onescope
 
+# One file writer (DESIGN §13): only internal/lsm/filewriter.go, home of
+# fileWriter, may call SyncAsync; the WAL, the MANIFEST and the table builder
+# write and range-sync through it.
+onewriter:
+	./scripts/onefile.sh onewriter
+
 # The refactor oracle for the simulated side (EXPERIMENTS.md): the paper's
 # tables and figures regenerated at PARENT and at the working tree must be
 # byte-identical. ~2 minutes; not part of verify (it needs a parent to name).
@@ -175,7 +184,7 @@ simdiff:
 	@test -n "$(PARENT)" || { echo "usage: make simdiff PARENT=<ref>" >&2; exit 2; }
 	./scripts/simdiff.sh $(PARENT)
 
-verify: build vet simfork onestream onehist onelru onewindow onetree onemanifest onescope test race equivalence poison allocgate fuzz benchmodule serverbench liveretune
+verify: build vet simfork onestream onehist onelru onewindow onetree onemanifest onescope onewriter test race equivalence poison allocgate fuzz benchmodule serverbench liveretune
 
 clean:
 	$(GO) clean ./...

@@ -240,12 +240,12 @@ func TestAllocGatePut(t *testing.T) {
 	}
 }
 
-// TestAllocGateWALAppend gates WAL framing: a single-batch group appends
-// its header and payload, and a larger group its whole run, from the
-// writer's own framing buffer, so neither allocates. 1 per append means the
-// header escapes through the Append call again, or a group makes a buffer.
+// TestAllocGateWALAppend gates WAL framing: a single-batch group and a
+// larger one are framed into the file writer's buffer and appended from it,
+// so neither allocates. 1 per append means the header escapes through the
+// write again, or a group makes a buffer.
 func TestAllocGateWALAppend(t *testing.T) {
-	w := newWALWriter(discardFile{}, DefaultOptions())
+	w := newWALWriter(discardFile{}, DefaultOptions(), nil, nil)
 	payload := make([]byte, 200)
 	for _, n := range []int{1, 4} {
 		payloads := make([][]byte, n)
@@ -253,7 +253,7 @@ func TestAllocGateWALAppend(t *testing.T) {
 			payloads[i] = payload
 		}
 		if avg := testing.AllocsPerRun(500, func() {
-			if err := w.addRecords(payloads); err != nil {
+			if err := w.addRecords(payloads, 0, false); err != nil {
 				t.Fatal(err)
 			}
 		}); avg != 0 {
@@ -604,16 +604,15 @@ func compressedBlockReader(tb testing.TB, raw []byte, comp Compression) (*tableR
 	if err != nil {
 		tb.Fatal(err)
 	}
-	b := &tableBuilder{w: w, opts: DefaultOptions()}
+	b := &tableBuilder{w: newFileWriter(w, nil, nil, 0, false), opts: DefaultOptions()}
 	h, err := b.writeBlock(raw, comp)
 	if err == nil {
-		err = b.flushWrites()
+		err = b.w.flush()
 	}
-	b.release()
 	if err != nil {
 		tb.Fatal(err)
 	}
-	if err := w.Close(); err != nil {
+	if err := b.w.close(); err != nil {
 		tb.Fatal(err)
 	}
 	f, err := env.NewRandomAccessFile("/block.sst", IOBackground)
@@ -633,8 +632,8 @@ func TestAllocGateBlockCodec(t *testing.T) {
 		t.Skip("sync.Pool drops pooled buffers under -race")
 	}
 	raw := valueShapedBlock()
-	tb := &tableBuilder{w: discardFile{}, opts: DefaultOptions()}
-	defer tb.release()
+	tb := &tableBuilder{w: newFileWriter(discardFile{}, nil, nil, 0, false), opts: DefaultOptions()}
+	defer tb.w.close()
 	if avg := testing.AllocsPerRun(200, func() {
 		if _, err := tb.writeBlock(raw, SnappyCompression); err != nil {
 			t.Fatal(err)
@@ -671,8 +670,8 @@ func BenchmarkWriteBlockCompressed(b *testing.B) {
 	raw := valueShapedBlock()
 	for _, comp := range []Compression{SnappyCompression, ZstdCompression} {
 		b.Run(comp.String(), func(b *testing.B) {
-			tb := &tableBuilder{w: discardFile{}, opts: DefaultOptions()}
-			defer tb.release()
+			tb := &tableBuilder{w: newFileWriter(discardFile{}, nil, nil, 0, false), opts: DefaultOptions()}
+			defer tb.w.close()
 			h, err := tb.writeBlock(raw, comp)
 			if err != nil {
 				b.Fatal(err)

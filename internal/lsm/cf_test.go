@@ -315,6 +315,45 @@ func TestConfigSetOwner(t *testing.T) {
 	}
 }
 
+// TestConfigSetFromINIOwner: a DB-scoped key written inside a family's
+// section is not dropped: it lands where ConfigSet.Owner routes it, on the
+// DB's options, and ToINI writes it back under [DBOptions]. The family's
+// own CF-scoped keys stay its own, and an unknown key is still collected.
+func TestConfigSetFromINIOwner(t *testing.T) {
+	doc, err := ini.ParseString(`[CFOptions "hot"]
+max_background_jobs=12
+write_buffer_size=1048576
+not_a_knob=1
+
+[CFOptions "default"]
+bytes_per_sync=4096
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs, unknown, err := ConfigSetFromINI(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(unknown) != 1 || unknown[0] != "not_a_knob" {
+		t.Errorf("unknown keys = %q, want [not_a_knob]", unknown)
+	}
+	if got := cs.Default.MaxBackgroundJobs; got != 12 {
+		t.Errorf("Default.MaxBackgroundJobs = %d, want the 12 from [CFOptions \"hot\"]", got)
+	}
+	if got := cs.Default.BytesPerSync; got != 4096 {
+		t.Errorf("Default.BytesPerSync = %d, want 4096", got)
+	}
+	hot := cs.Lookup("hot")
+	if hot == nil || hot.WriteBufferSize != 1<<20 || cs.Default.WriteBufferSize == 1<<20 {
+		t.Fatalf("write_buffer_size did not stay hot's own: hot %+v, default %d", hot, cs.Default.WriteBufferSize)
+	}
+	v, ok := cs.ToINI().Section(SectionDB).Get("max_background_jobs")
+	if !ok || v != "12" {
+		t.Errorf("ToINI [DBOptions] max_background_jobs = %q (present %v), want 12", v, ok)
+	}
+}
+
 func TestMultiGet(t *testing.T) {
 	db, _ := openTestDB(t, nil)
 	defer db.Close()

@@ -162,32 +162,33 @@ func (o *Options) ToINI() *ini.File { return NewConfigSet(o).ToINI() }
 // any number of [CFOptions "<name>"] sections. DBOptions keys apply to every
 // family; each family then layers its own CFOptions and TableOptions keys on
 // top of engine defaults (RocksDB semantics: named families do not inherit
-// the default family's CF-section values). Unknown keys are collected, not
-// fatal.
+// the default family's CF-section values). A family section's key lands
+// where ConfigSet.Owner says, so a DB-scoped key there sets the DB's
+// options (Default). Unknown keys are collected, not fatal.
 func ConfigSetFromINI(f *ini.File) (cs *ConfigSet, unknown []string, err error) {
-	base := DefaultOptions()
-	applySection := func(o *Options, secName string) error {
+	// apply sets each key of a section on the options owner picks for it.
+	apply := func(secName string, owner func(key string) *Options) error {
 		sec := f.Section(secName)
 		for _, k := range sec.Keys() {
 			v, _ := sec.Get(k)
-			if setErr := o.SetByName(k, v); setErr != nil {
-				if errors.Is(setErr, ErrUnknownOption) {
-					unknown = append(unknown, k)
-					continue
+			if setErr := owner(k).SetByName(k, v); setErr != nil {
+				if !errors.Is(setErr, ErrUnknownOption) {
+					return setErr
 				}
-				return setErr
+				unknown = append(unknown, k)
 			}
 		}
 		return nil
 	}
-	// Pass 1: DB-scoped keys onto the base every family starts from.
+	// Pass 1: DBOptions keys onto the base every family starts from.
+	base := DefaultOptions()
 	var cfNames []string
 	seen := map[string]bool{}
 	for _, secName := range f.SectionNames() {
 		kind, cfName := ParseSectionName(secName)
 		switch kind {
 		case "DBOptions":
-			if err := applySection(base, secName); err != nil {
+			if err := apply(secName, func(string) *Options { return base }); err != nil {
 				return nil, unknown, err
 			}
 		case "CFOptions":
@@ -203,19 +204,20 @@ func ConfigSetFromINI(f *ini.File) (cs *ConfigSet, unknown []string, err error) 
 	if !seen[DefaultColumnFamilyName] {
 		cfNames = append([]string{DefaultColumnFamilyName}, cfNames...)
 	}
-	// Pass 2: per-family CF/table sections layered on the base.
-	cs = &ConfigSet{}
+	// Pass 2: every family from the base, then each family's CF and table
+	// sections, key by key, onto the options that own the key.
+	cs = &ConfigSet{Default: base.Clone()}
 	for _, name := range cfNames {
-		o := base.Clone()
+		if name != DefaultColumnFamilyName {
+			cs.Others = append(cs.Others, CFConfig{Name: name, Options: base.Clone()})
+		}
+	}
+	for _, name := range cfNames {
+		owner := func(k string) *Options { return cs.Owner(name, k) }
 		for _, secName := range []string{SectionCFName(name), SectionTableName(name)} {
-			if err := applySection(o, secName); err != nil {
+			if err := apply(secName, owner); err != nil {
 				return nil, unknown, fmt.Errorf("column family %q: %w", name, err)
 			}
-		}
-		if name == DefaultColumnFamilyName {
-			cs.Default = o
-		} else {
-			cs.Others = append(cs.Others, CFConfig{Name: name, Options: o})
 		}
 	}
 	return cs, unknown, nil

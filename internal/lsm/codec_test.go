@@ -37,7 +37,7 @@ func TestCodecPoolConcurrentRoundTrip(t *testing.T) {
 					errc <- err
 					return
 				}
-				tb := &tableBuilder{w: f, opts: DefaultOptions()}
+				tb := &tableBuilder{w: newFileWriter(f, nil, nil, 0, false), opts: DefaultOptions()}
 				var handles []blockHandle
 				var raws [][]byte
 				for r := 0; r < rounds; r++ {
@@ -55,13 +55,11 @@ func TestCodecPoolConcurrentRoundTrip(t *testing.T) {
 					handles = append(handles, h)
 					raws = append(raws, raw)
 				}
-				err = tb.flushWrites()
-				tb.release()
-				if err != nil {
+				if err := tb.w.flush(); err != nil {
 					errc <- err
 					return
 				}
-				if err := f.Close(); err != nil {
+				if err := tb.w.close(); err != nil {
 					errc <- err
 					return
 				}
@@ -192,7 +190,7 @@ func TestReadBlockRawMixedTypes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb := &tableBuilder{w: w, opts: DefaultOptions()}
+	tb := &tableBuilder{w: newFileWriter(w, nil, nil, 0, false), opts: DefaultOptions()}
 	comps := []Compression{NoCompression, SnappyCompression, NoCompression, ZstdCompression, SnappyCompression, SnappyCompression, NoCompression}
 	var handles []blockHandle
 	var raws [][]byte
@@ -208,12 +206,10 @@ func TestReadBlockRawMixedTypes(t *testing.T) {
 		}
 		handles, raws = append(handles, h), append(raws, raw)
 	}
-	err = tb.flushWrites()
-	tb.release()
-	if err != nil {
+	if err := tb.w.flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.Close(); err != nil {
+	if err := tb.w.close(); err != nil {
 		t.Fatal(err)
 	}
 	f, err := env.NewRandomAccessFile("/mixed.sst", IOBackground)

@@ -467,18 +467,15 @@ func (db *DB) runCompactionSlice(c *compaction, v *Version, cfOpts *Options, s s
 // no snapshot can see and no level below outputLevel may hold a key for is
 // dropped too. A table is cut once its estimated size reaches outSize, then
 // synced, closed and, under the DB's paranoid_file_checks, read back. A
-// table left unfinished by a failure is closed, and its builder's write
-// buffer given back. sr.entries counts the entries read.
+// table left unfinished by a failure is closed, and its writer's buffer
+// given back. sr.entries counts the entries read.
 func (db *DB) writeTables(merged *mergeIter, limit []byte, cfOpts *Options, outputLevel int, v *Version, smallestSnapshot uint64, outSize int64, ios *IOStatsContext) (sr sliceResult) {
 	var builder *tableBuilder
-	var outFile WritableFile
+	var out *fileWriter
 	var outNum uint64
 	defer func() {
-		if builder != nil {
-			builder.release()
-		}
-		if outFile != nil {
-			outFile.Close()
+		if out != nil {
+			out.close()
 		}
 	}()
 	dbOpts := db.options() // bytes_per_sync and paranoid_file_checks are DB-scoped
@@ -494,12 +491,12 @@ func (db *DB) writeTables(merged *mergeIter, limit []byte, cfOpts *Options, outp
 		if err != nil {
 			return err
 		}
-		if err := outFile.Sync(); err != nil {
+		if err := out.sync(); err != nil {
 			return err
 		}
-		f := outFile
-		outFile = nil // closed here, failed or not
-		if err := f.Close(); err != nil {
+		w := out
+		out = nil // closed here, failed or not
+		if err := w.close(); err != nil {
 			return err
 		}
 		meta := &FileMeta{
@@ -552,8 +549,8 @@ func (db *DB) writeTables(merged *mergeIter, limit []byte, cfOpts *Options, outp
 				sr.err = err
 				return sr
 			}
-			outFile = wrapWritableFile(f, ios)
-			builder = newTableBuilder(outFile, cfOpts, dbOpts, &db.writeBufs)
+			out = newFileWriter(f, &db.writeBufs, ios, dbOpts.BytesPerSync, dbOpts.StrictBytesPerSync)
+			builder = newTableBuilder(out, cfOpts)
 		}
 		if err := builder.add(ik, merged.Value()); err != nil {
 			sr.err = err

@@ -87,7 +87,7 @@ type DB struct {
 	bcache  *blockCache
 	tcache  *tableCache
 	memSeed int64
-	// writeBufs keeps the write buffers of finished table builds for the
+	// writeBufs keeps the buffers of closed file writers (tables, WALs) for the
 	// next ones (writeTables).
 	writeBufs writeBufList
 
@@ -317,21 +317,16 @@ func (db *DB) engineMemory() int64 {
 }
 
 // rotateWALLocked starts a fresh shared WAL file; every family's new
-// memtables log there from now on. The caller retires the old writer, so the
-// new one takes over its framing buffer, already grown to the records this
-// DB writes.
+// memtables log there from now on. The caller retires the old writer, whose
+// close gives its buffer to the new one's first write.
 func (db *DB) rotateWALLocked() error {
 	logNum := db.vs.newFileNumber()
 	f, err := db.env.NewWritableFile(logFileName(db.dir, logNum), IOForeground)
 	if err != nil {
 		return err
 	}
-	w := newWALWriter(wrapWritableFile(f, db.iostats), db.options())
-	if db.wal != nil {
-		w.frame = db.wal.frame
-	}
-	db.wal = w
-	db.wal.hists, db.wal.stopwatch = db.hists, db.rt.stopwatch
+	db.wal = newWALWriter(f, db.options(), &db.writeBufs, db.iostats)
+	db.wal.hists, db.wal.w.clock = db.hists, db.rt.stopwatch
 	db.walNum = logNum
 	return nil
 }

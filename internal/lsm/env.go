@@ -51,24 +51,6 @@ type WritableFile interface {
 	Close() error
 }
 
-// joinedAppender is implemented by files whose every Append is one system
-// call (osWritableFile: one write(2)), so a writer holding a record in two
-// slices does better to copy them into one buffer and Append once. The WAL
-// writer joins a record's header and payload into its framing buffer when
-// its file reports this, and appends them separately otherwise: SimEnv
-// prices a foreground Append per call, so joining would move simulated
-// numbers, and FaultInjectionEnv's crash matrix tears the two appends it
-// has always seen. Wrappers forward the answer of the file they wrap.
-type joinedAppender interface {
-	joinsAppends() bool
-}
-
-// joinsAppends reports whether f prefers one joined Append to several.
-func joinsAppends(f WritableFile) bool {
-	j, ok := f.(joinedAppender)
-	return ok && j.joinsAppends()
-}
-
 // RandomAccessFile is a read-only positional file handle.
 type RandomAccessFile interface {
 	// ReadAt fills p from offset off; short reads are errors (io.ReadFull
@@ -127,7 +109,6 @@ type osWritableFile struct{ f *os.File }
 func (w *osWritableFile) Append(p []byte) error { _, err := w.f.Write(p); return err }
 func (w *osWritableFile) Sync() error           { return w.f.Sync() }
 func (w *osWritableFile) Close() error          { return w.f.Close() }
-func (w *osWritableFile) joinsAppends() bool    { return true }
 
 type osRandomFile struct{ f *os.File }
 

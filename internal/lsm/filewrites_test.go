@@ -18,8 +18,7 @@ type fileCalls struct{ appends, syncs, asyncSyncs, reads int }
 // countingEnv wraps an Env and counts, per file extension (".log", ".sst"),
 // the Append, Sync and SyncAsync calls that reach the files it creates and
 // the ReadAt calls that reach the files it opens for reading. On OSEnv an
-// Append is one write(2) and a ReadAt one pread(2). A counted file forwards
-// joinsAppends, so the writers above it treat it as the file it wraps.
+// Append is one write(2) and a ReadAt one pread(2).
 type countingEnv struct {
 	Env
 	mu    sync.Mutex
@@ -89,8 +88,6 @@ func (f *countingFile) SyncAsync() error {
 	return f.WritableFile.SyncAsync()
 }
 
-func (f *countingFile) joinsAppends() bool { return joinsAppends(f.WritableFile) }
-
 type countingRandomFile struct {
 	RandomAccessFile
 	env *countingEnv
@@ -112,14 +109,14 @@ func countedTableValue(i int) []byte {
 // buildCountedTable writes n entries of 400-byte values (about 100 data
 // blocks for n=1000) into one table on env through a tableBuilder and
 // closes the file without syncing it, so every sync counted is the
-// builder's own.
+// writer's own.
 func buildCountedTable(t *testing.T, env Env, name string, opts *Options, n int) TableProps {
 	t.Helper()
 	f, err := env.NewWritableFile(name, IOBackground)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := newTableBuilder(f, opts, opts, nil)
+	b := newTableBuilder(newFileWriter(f, nil, nil, opts.BytesPerSync, opts.StrictBytesPerSync), opts)
 	for i := 0; i < n; i++ {
 		ik := makeInternalKey(nil, []byte(fmt.Sprintf("key%06d", i)), uint64(i+1), KindValue)
 		if err := b.add(ik, countedTableValue(i)); err != nil {
@@ -168,17 +165,20 @@ func TestFileWritesTable(t *testing.T) {
 	}
 }
 
-// TestFileWritesWAL: one WAL record is one write(2) on OSEnv, and still two
-// Appends (header, payload) on SimEnv, whose foreground Append is priced per
-// call. Both count the same bytes into the DB's IOStatsContext, and the
-// joined record replays at reopen.
+// TestFileWritesWAL: one WAL record is one Append on every Env (one
+// write(2) on OSEnv), framed in the file writer's buffer. Each Env counts
+// the same bytes into the DB's IOStatsContext, and the record replays at
+// reopen.
 func TestFileWritesWAL(t *testing.T) {
-	var written [2]int64
-	for i, mode := range []string{"os", "sim"} {
+	var written [3]int64
+	for i, mode := range []string{"os", "sim", "fault"} {
 		t.Run(mode, func(t *testing.T) {
-			base, dir, want := Env(NewOSEnv()), t.TempDir(), 1
-			if mode == "sim" {
-				base, dir, want = testSimEnv(), "/db", 2
+			base, dir := Env(NewOSEnv()), t.TempDir()
+			switch mode {
+			case "sim":
+				base, dir = testSimEnv(), "/db"
+			case "fault":
+				base = NewFaultInjectionEnv(NewOSEnv(), 1)
 			}
 			env := newCountingEnv(base)
 			opts := DefaultOptions()
@@ -192,8 +192,8 @@ func TestFileWritesWAL(t *testing.T) {
 			if err := db.Put(nil, []byte("key"), []byte("value")); err != nil {
 				t.Fatal(err)
 			}
-			if got := env.counts(".log").appends - before; got != want {
-				t.Errorf("one WAL record took %d Appends, want %d", got, want)
+			if got := env.counts(".log").appends - before; got != 1 {
+				t.Errorf("one WAL record took %d Appends, want 1", got)
 			}
 			written[i] = db.IOStats().bytesWritten.Load() - bytesBefore
 			if err := db.Close(); err != nil {
@@ -210,27 +210,36 @@ func TestFileWritesWAL(t *testing.T) {
 			}
 		})
 	}
-	if written[0] != written[1] || written[0] == 0 {
-		t.Errorf("one WAL record counted %d bytes on OSEnv and %d on SimEnv, want the same nonzero count", written[0], written[1])
+	if written[0] != written[1] || written[0] != written[2] || written[0] == 0 {
+		t.Errorf("one WAL record counted %d bytes on OSEnv, %d on SimEnv and %d on FaultInjectionEnv, want the same nonzero count", written[0], written[1], written[2])
 	}
 }
 
 // TestFileWritesBytesPerSync: bytes_per_sync makes the table builder start
 // writeback once per bytes_per_sync bytes written (here once per full write
 // buffer), with SyncAsync unless strict_bytes_per_sync asks for a full Sync;
-// 0 leaves every sync to the table's owner.
+// 0 leaves every sync to the table's owner. The wal rows set
+// wal_bytes_per_sync live on an open DB, and the WAL's next appends obey it.
 func TestFileWritesBytesPerSync(t *testing.T) {
 	for _, tc := range []struct {
 		bps    int64
 		strict bool
-	}{{0, false}, {64 << 10, false}, {64 << 10, true}} {
+		wal    bool
+	}{{0, false, false}, {64 << 10, false, false}, {64 << 10, true, false}, {4096, false, true}, {4096, true, true}} {
 		name := fmt.Sprint(tc.bps)
 		if tc.strict {
 			name += "-strict"
 		}
+		if tc.wal {
+			name = "wal-" + name
+		}
 		t.Run(name, func(t *testing.T) {
 			env := newCountingEnv(NewOSEnv())
 			opts := DefaultOptions()
+			if tc.wal {
+				checkLiveWALBytesPerSync(t, env, opts, tc.bps, tc.strict)
+				return
+			}
 			opts.BytesPerSync = tc.bps
 			opts.StrictBytesPerSync = tc.strict
 			props := buildCountedTable(t, env, filepath.Join(t.TempDir(), "000001.sst"), opts, 1000)
@@ -251,10 +260,50 @@ func TestFileWritesBytesPerSync(t *testing.T) {
 	}
 }
 
+// checkLiveWALBytesPerSync opens a DB on env with wal_bytes_per_sync off,
+// sets it to bps with SetOptions, and checks that 1 000 Puts of 400-byte
+// values, with no memtable switch between them, sync the WAL once per bps
+// bytes: each sync covers at least bps bytes and less than bps plus one
+// record, with SyncAsync unless strict.
+func checkLiveWALBytesPerSync(t *testing.T, env *countingEnv, opts *Options, bps int64, strict bool) {
+	t.Helper()
+	opts.Env = env
+	opts.StrictBytesPerSync = strict
+	opts.Stats = NewStatistics()
+	db, err := Open(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.SetOptions(nil, map[string]string{"wal_bytes_per_sync": fmt.Sprint(bps)}); err != nil {
+		t.Fatal(err)
+	}
+	before, bytesBefore := env.counts(".log"), opts.Stats.Get(TickerWALBytes)
+	const n = 1000
+	for i := 0; i < n; i++ {
+		if err := db.Put(nil, []byte(fmt.Sprintf("key%06d", i)), countedTableValue(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := env.counts(".log")
+	written := opts.Stats.Get(TickerWALBytes) - bytesBefore
+	got := after.asyncSyncs - before.asyncSyncs
+	other := after.syncs - before.syncs
+	if strict {
+		got, other = other, got
+	}
+	most, least := int(written/bps), int(written/(bps+written/n))
+	t.Logf("%d WAL bytes: %d periodic syncs (%d to %d)", written, got, least, most)
+	if got < least || got > most || least == 0 || other != 0 {
+		t.Errorf("wal_bytes_per_sync=%d strict=%v set live: %d periodic syncs and %d of the other kind for %d WAL bytes, want %d to %d and 0",
+			bps, strict, got, other, written, least, most)
+	}
+}
+
 // TestFileWritesAbandonedBuild: a compaction that fails mid-table (an
-// injected read fault on its third L1 input) gives the abandoned builder's
-// write buffer back to the DB's free list. Every build of this DB runs alone,
-// so the DB only ever made one buffer.
+// injected read fault on its third L1 input) gives the abandoned table
+// writer's buffer back to the DB's free list. Every build of this DB runs
+// alone, so that one spare is all the list holds.
 func TestFileWritesAbandonedBuild(t *testing.T) {
 	fault := NewFaultInjectionEnv(NewOSEnv(), 1)
 	db, _ := openHandBackDB(t, fault)
@@ -274,9 +323,8 @@ func TestFileWritesAbandonedBuild(t *testing.T) {
 // TestAllocGateTableWriteBuf gates the write buffers: once a DB has flushed
 // a table (about 170 KB), flushing another takes the first one's write
 // buffer from the free list, so the whole flush allocates less than one
-// buffer (about 30 KB); and a
-// single-record WAL append joined into the writer's framing buffer on an
-// OSEnv file allocates nothing.
+// buffer (about 30 KB); and a single-record WAL append framed in its
+// writer's buffer on an OSEnv file allocates nothing.
 func TestAllocGateTableWriteBuf(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops pooled buffers under -race")
@@ -324,13 +372,10 @@ func TestAllocGateTableWriteBuf(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		w := newWALWriter(wrapWritableFile(f, &IOStatsContext{}), DefaultOptions())
-		if !w.join {
-			t.Fatal("an OSEnv WAL file does not join its appends")
-		}
+		w := newWALWriter(f, DefaultOptions(), nil, &IOStatsContext{})
 		payloads := [][]byte{[]byte(strings.Repeat("p", 200))}
 		if avg := testing.AllocsPerRun(500, func() {
-			if err := w.addRecords(payloads); err != nil {
+			if err := w.addRecords(payloads, 0, false); err != nil {
 				t.Fatal(err)
 			}
 		}); avg != 0 {

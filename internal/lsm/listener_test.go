@@ -308,9 +308,10 @@ func infoLogScript(t *testing.T) string {
 // line (open banner, flush, auto and manual compaction, stall transitions,
 // set_options, close banner) and the close statistics dump. The timestamps
 // and durations are virtual time, so the bytes are deterministic. Regenerate
-// only when the LOG format is meant to change.
+// only when the LOG format or the simulated time of the script is meant to
+// change.
 func TestInfoLogGolden(t *testing.T) {
-	const want = "9c68d54111e17073fbfb369d1f409edf64a9a42ed90ef4a62e8d4f91fe9fbebc"
+	const want = "1ac5a43f579c531d5b712245e31c3eafe531690e71099e1c8deb21a07ed91cd6"
 	got := infoLogScript(t)
 	if again := infoLogScript(t); again != got {
 		t.Fatal("the script is not deterministic: two runs wrote different LOGs")

@@ -513,7 +513,7 @@ func (vs *versionSet) rollover() error {
 	if err != nil {
 		return err
 	}
-	vs.manifest = newWALWriter(f, vs.opts)
+	vs.manifest = newWALWriter(f, vs.opts, nil, nil)
 	vs.manifest.stats = nil // manifest appends are not WAL traffic
 	if err := vs.writeSnapshot(); err != nil {
 		return err

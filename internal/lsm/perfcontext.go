@@ -332,65 +332,14 @@ func (db *DB) newBGIOStats(cfOpts *Options) *IOStatsContext {
 	return io
 }
 
-// --- Env-level attribution wrappers ---
+// --- Env-level read attribution ---
 //
-// The DB wraps the files it opens (WAL, SSTable reads, flush/compaction
-// outputs) with these shims, so I/O is attributed uniformly whether the
-// underlying Env is the OS, the fault-injection env, or the simulator.
-// The DB's Env itself is never wrapped: callers type-assert db.Env() to
-// *SimEnv, so its identity must be preserved.
-
-// ioStatsWritableFile counts Append/Sync traffic into an IOStatsContext.
-type ioStatsWritableFile struct {
-	f  WritableFile
-	io *IOStatsContext
-}
-
-// wrapWritableFile wraps f for I/O attribution (nil-safe; returns f
-// unchanged when io is nil).
-func wrapWritableFile(f WritableFile, io *IOStatsContext) WritableFile {
-	if io == nil || f == nil {
-		return f
-	}
-	return &ioStatsWritableFile{f: f, io: io}
-}
-
-func (w *ioStatsWritableFile) Append(p []byte) error {
-	if !w.io.enabled() {
-		return w.f.Append(p)
-	}
-	if !w.io.timeEnabled() {
-		err := w.f.Append(p)
-		if err == nil {
-			w.io.bytesWritten.Add(int64(len(p)))
-		}
-		return err
-	}
-	start := time.Now()
-	err := w.f.Append(p)
-	if err == nil {
-		w.io.addWrite(int64(len(p)), time.Since(start))
-	}
-	return err
-}
-
-func (w *ioStatsWritableFile) Sync() error {
-	if !w.io.timeEnabled() {
-		return w.f.Sync()
-	}
-	start := time.Now()
-	err := w.f.Sync()
-	w.io.fsyncNanos.Add(int64(time.Since(start)))
-	return err
-}
-
-// SyncAsync forwards to the wrapped file.
-func (w *ioStatsWritableFile) SyncAsync() error { return w.f.SyncAsync() }
-
-func (w *ioStatsWritableFile) Close() error { return w.f.Close() }
-
-// joinsAppends forwards the wrapped file's answer (joinedAppender).
-func (w *ioStatsWritableFile) joinsAppends() bool { return joinsAppends(w.f) }
+// The DB wraps the files it reads (SSTables, through the table cache and
+// background jobs) with ioStatsRandomFile, so reads are attributed
+// uniformly whether the underlying Env is the OS, the fault-injection env,
+// or the simulator; writes are booked by the fileWriter. The DB's Env
+// itself is never wrapped: callers type-assert db.Env() to *SimEnv, so its
+// identity must be preserved.
 
 // ioStatsRandomFile counts ReadAt traffic into an IOStatsContext.
 type ioStatsRandomFile struct {

@@ -149,7 +149,7 @@ func buildLogFile(t *testing.T, env Env, name string, garbage []byte, batches ..
 	}
 	opts := DefaultOptions()
 	opts.Stats = NewStatistics()
-	w := newWALWriter(f, opts)
+	w := newWALWriter(f, opts, nil, nil)
 	for _, b := range batches {
 		if err := w.addRecord(b.rep); err != nil {
 			t.Fatal(err)

@@ -111,68 +111,10 @@ type TableProps struct {
 	LargestSeq    uint64
 }
 
-// tableWriteBufSize is a table builder's write buffer: the file receives
-// whole chunks of this size, not one Append per block payload and trailer.
-const tableWriteBufSize = 64 << 10
-
-// writeBufList is a DB's free list of table write buffers. A builder takes
-// one at its first write and gives it back when it finishes or is abandoned,
-// so the DB's next table, flush or compaction alike, writes through the same
-// buffer. At most writeBufSpares wait here (as lru keeps its spare entries),
-// bounding what idle buffers pin once concurrent builds end. It is not a
-// sync.Pool: a GC would empty that, and each build after it would allocate
-// its buffer again. A nil list keeps nothing: each build allocates.
-type writeBufList struct {
-	mu    sync.Mutex
-	spare [writeBufSpares][]byte
-	n     int
-}
-
-// writeBufSpares covers a DB's usual concurrent builds, a flush beside a
-// compaction or two; a build beyond them allocates its buffer, and the GC
-// takes it back.
-const writeBufSpares = 4
-
-func (l *writeBufList) get() []byte {
-	if l != nil {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		if l.n > 0 {
-			l.n--
-			b := l.spare[l.n]
-			l.spare[l.n] = nil
-			return b
-		}
-	}
-	return make([]byte, 0, tableWriteBufSize)
-}
-
-// put gives b back. Under -tags poison it is filled with 0xDB first, so a
-// file that kept a slice of it instead of copying shows garbage.
-func (l *writeBufList) put(b []byte) {
-	if poisonBuffers {
-		poison(b[:cap(b)])
-	}
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.n < writeBufSpares {
-		l.spare[l.n] = b[:0]
-		l.n++
-	}
-}
-
-// tableBuilder writes an SSTable through a WritableFile. Everything it
-// writes goes through its write buffer (buf, taken from bufs at the first
-// write and given back by finish or release): the file sees one Append per
-// tableWriteBufSize bytes and the remainder at finish.
+// tableBuilder lays out an SSTable's blocks and writes them through its
+// fileWriter, which the owner creates, syncs and closes.
 type tableBuilder struct {
-	w           WritableFile
-	bufs        *writeBufList
-	buf         []byte
-	sinceSync   int64 // bytes appended since the last bytes_per_sync sync
+	w           *fileWriter
 	opts        *Options
 	dataBlock   *blockBuilder
 	indexBlock  *blockBuilder
@@ -187,23 +129,16 @@ type tableBuilder struct {
 	hndlBuf     [2 * binary.MaxVarintLen64]byte // pendingHndl's encoding, so no block allocates it
 	trailer     [blockTrailerSize]byte          // writeBlock's, here so it does not escape per block
 	err         error
-
-	// The DB's bytes_per_sync and strict_bytes_per_sync (0 and false: off).
-	bytesPerSync int64
-	strictSync   bool
 }
 
-// newTableBuilder starts building a table with a family's options and the
-// DB's, writing through a buffer from bufs.
-func newTableBuilder(w WritableFile, opts, dbOpts *Options, bufs *writeBufList) *tableBuilder {
+// newTableBuilder starts building a table with a family's options, writing
+// through w.
+func newTableBuilder(w *fileWriter, opts *Options) *tableBuilder {
 	b := &tableBuilder{
-		w:            w,
-		bufs:         bufs,
-		opts:         opts,
-		bytesPerSync: dbOpts.BytesPerSync,
-		strictSync:   dbOpts.StrictBytesPerSync,
-		dataBlock:    newBlockBuilder(opts.BlockRestartInterval),
-		indexBlock:   newBlockBuilder(1),
+		w:          w,
+		opts:       opts,
+		dataBlock:  newBlockBuilder(opts.BlockRestartInterval),
+		indexBlock: newBlockBuilder(1),
 	}
 	if opts.BloomBitsPerKey > 0 {
 		b.filter = newBloomFilter(opts.BloomBitsPerKey)
@@ -267,10 +202,10 @@ func (b *tableBuilder) flushDataBlock() {
 	b.dataBlock.reset()
 }
 
-// writeBlock compresses (maybe), writes payload+trailer through the write
-// buffer and returns its handle. The staging buffer comes from a pool and is
-// released before returning (write copies the payload out of it, or Append
-// does).
+// writeBlock compresses (maybe), writes payload+trailer through the writer
+// and returns its handle. The staging buffer comes from a pool and is
+// released before returning (the writer copies the payload out of it, or
+// Append does).
 func (b *tableBuilder) writeBlock(raw []byte, comp Compression) (blockHandle, error) {
 	buf := getBlockBuf()
 	defer putBlockBuf(buf)
@@ -284,88 +219,20 @@ func (b *tableBuilder) writeBlock(raw []byte, comp Compression) (blockHandle, er
 	crc := crc32.ChecksumIEEE(payload)
 	crc = crc32.Update(crc, crc32.IEEETable, trailer[:1])
 	binary.LittleEndian.PutUint32(trailer[1:], crc)
-	if err := b.write(payload); err != nil {
+	if err := b.w.write(payload); err != nil {
 		return blockHandle{}, err
 	}
-	if err := b.write(trailer); err != nil {
+	if err := b.w.write(trailer); err != nil {
 		return blockHandle{}, err
 	}
 	b.offset += uint64(len(payload)) + blockTrailerSize
 	return h, nil
 }
 
-// write copies p into the write buffer, appending the buffer to the file
-// each time it fills. A p at least a whole buffer long that finds the
-// buffer empty (a large filter or index block) is appended as it is, so
-// every Append but the last carries at least tableWriteBufSize bytes.
-func (b *tableBuilder) write(p []byte) error {
-	if b.buf == nil {
-		b.buf = b.bufs.get()
-	}
-	for len(p) > 0 {
-		if len(b.buf) == 0 && len(p) >= cap(b.buf) {
-			return b.appendOut(p)
-		}
-		n := copy(b.buf[len(b.buf):cap(b.buf)], p)
-		b.buf = b.buf[:len(b.buf)+n]
-		p = p[n:]
-		if len(b.buf) == cap(b.buf) {
-			if err := b.flushWrites(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// flushWrites appends what the write buffer holds to the file.
-func (b *tableBuilder) flushWrites() error {
-	if len(b.buf) == 0 {
-		return nil
-	}
-	err := b.appendOut(b.buf)
-	b.buf = b.buf[:0]
-	return err
-}
-
-// appendOut appends p to the file and, every bytes_per_sync bytes, starts
-// writeback of what is written so far, as walWriter.appended does for
-// wal_bytes_per_sync: an async range sync where the file has one, a full
-// Sync under strict_bytes_per_sync or where it has not. The table is still
-// synced whole before it is installed.
-func (b *tableBuilder) appendOut(p []byte) error {
-	if err := b.w.Append(p); err != nil {
-		return err
-	}
-	if b.bytesPerSync <= 0 {
-		return nil
-	}
-	b.sinceSync += int64(len(p))
-	if b.sinceSync < b.bytesPerSync {
-		return nil
-	}
-	b.sinceSync = 0
-	if b.strictSync {
-		return b.w.Sync()
-	}
-	return b.w.SyncAsync()
-}
-
-// release gives the write buffer back to bufs; finish calls it, and the
-// owner of a build that fails or is abandoned before finish must. What the
-// buffer still held is not written.
-func (b *tableBuilder) release() {
-	if b.buf != nil {
-		b.bufs.put(b.buf)
-		b.buf = nil
-	}
-}
-
-// finish flushes remaining blocks, writes filter+index+footer, appends what
-// the write buffer holds and gives the buffer back, and returns the table
-// properties. The file is not synced or closed.
+// finish flushes remaining blocks, writes filter+index+footer, flushes the
+// writer and returns the table properties. The file is not synced or
+// closed.
 func (b *tableBuilder) finish() (TableProps, error) {
-	defer b.release()
 	if b.err != nil {
 		return b.props, b.err
 	}
@@ -399,10 +266,10 @@ func (b *tableBuilder) finish() (TableProps, error) {
 	}
 	binary.LittleEndian.PutUint64(tmp[:], tableMagic)
 	footer = append(footer, tmp[:]...)
-	if err := b.write(footer); err != nil {
+	if err := b.w.write(footer); err != nil {
 		return b.props, err
 	}
-	if err := b.flushWrites(); err != nil {
+	if err := b.w.flush(); err != nil {
 		return b.props, err
 	}
 	b.offset += uint64(len(footer))

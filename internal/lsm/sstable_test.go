@@ -145,7 +145,7 @@ func buildTestTable(t *testing.T, env Env, opts *Options, numKeys int) *tableRea
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := newTableBuilder(w, opts, opts, nil)
+	b := newTableBuilder(newFileWriter(w, nil, nil, 0, false), opts)
 	for i := 0; i < numKeys; i++ {
 		ik := makeInternalKey(nil, []byte(fmt.Sprintf("key%06d", i)), uint64(i+1), KindValue)
 		if err := b.add(ik, []byte(fmt.Sprintf("value-%d", i))); err != nil {
@@ -297,7 +297,7 @@ func TestQuickTableRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		b := newTableBuilder(w, opts, opts, nil)
+		b := newTableBuilder(newFileWriter(w, nil, nil, 0, false), opts)
 		n := 1 + r.Intn(300)
 		type kv struct{ k, v string }
 		var kvs []kv

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"slices"
 	"time"
 )
 
@@ -14,33 +13,21 @@ import (
 // Options.WALRecoveryMode (see walReplayMode).
 const walHeaderSize = 8
 
-// walWriter appends framed records to a log file, implementing the
-// wal_bytes_per_sync / strict_bytes_per_sync smoothing options.
+// walWriter frames records into a log file (the WAL, or the MANIFEST)
+// through its fileWriter: each record's header and payload are written into
+// the writer, and each append ends with one flush, so a write group's run
+// (or a MANIFEST record) of at most tableWriteBufSize bytes is one Append.
+// It books the WAL tickers and HistWALSyncMicros.
 type walWriter struct {
-	f            WritableFile
-	opts         *Options
-	bytesWritten int64
-	sinceSync    int64
-	stats        *Statistics
+	w     *fileWriter
+	stats *Statistics
 	// hists, when set, records every durability sync (periodic
 	// bytes-per-sync syncs and explicit WriteOptions.Sync syncs) in
-	// HistWALSyncMicros, timed on stopwatch (the owner's
+	// HistWALSyncMicros, timed on the writer's clock (the owner's
 	// engineRuntime.stopwatch).
-	hists     *HistogramStats
-	stopwatch func() time.Duration
-	// frame is the framing buffer, reused by every append: a record's
-	// header (with its payload when join is set), or a group's whole run.
-	// Every Env's Append copies what it is given, so nothing keeps it.
-	frame []byte
-	// join is set when f prefers one Append per record (joinsAppends).
-	join bool
+	hists *HistogramStats
+	hdr   [walHeaderSize]byte // writeRecord's, here so it does not escape per record
 }
-
-// walFrameKeep bounds the framing buffer kept between appends. A group's
-// run above it (a bulk load's batches) is framed in a buffer of its own, so
-// each of a server's per-shard writers pins at most this much between
-// groups.
-const walFrameKeep = 64 << 10
 
 // appendWALHeader appends payload's record header to dst.
 func appendWALHeader(dst, payload []byte) []byte {
@@ -48,105 +35,78 @@ func appendWALHeader(dst, payload []byte) []byte {
 	return binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
 }
 
-func newWALWriter(f WritableFile, opts *Options) *walWriter {
-	return &walWriter{f: f, opts: opts, stats: opts.Stats, stopwatch: func() time.Duration { return 0 }, join: joinsAppends(f)}
+// newWALWriter frames records into f through a writer with a buffer from
+// bufs, booking its I/O into io, with opts' Statistics and, until an append
+// restates them, its wal_bytes_per_sync and strict_bytes_per_sync.
+func newWALWriter(f WritableFile, opts *Options, bufs *writeBufList, io *IOStatsContext) *walWriter {
+	w := &walWriter{w: newFileWriter(f, bufs, io, opts.WALBytesPerSync, opts.StrictBytesPerSync), stats: opts.Stats}
+	w.w.clock = func() time.Duration { return 0 }
+	w.w.onRangeSync = w.synced
+	return w
 }
 
-// addRecord appends one record, honoring the periodic-sync options. On a
-// file that joins appends (OSEnv) a record that fits the kept framing buffer
-// is copied in behind its header and written with one Append; otherwise the
-// header and payload are two Appends.
+// addRecord appends one record under the writer's standing bytes-per-sync
+// options.
 func (w *walWriter) addRecord(payload []byte) error {
-	n := walHeaderSize + len(payload)
-	if w.join && n <= walFrameKeep {
-		w.frame = append(appendWALHeader(slices.Grow(w.frame[:0], n), payload), payload...)
-		if err := w.f.Append(w.frame); err != nil {
+	if err := w.writeRecord(payload); err != nil {
+		return err
+	}
+	return w.flush(walHeaderSize + int64(len(payload)))
+}
+
+// addRecords appends a write group's batches as one run of records: one
+// Append for a run of up to tableWriteBufSize bytes, with the bytes-per-sync
+// bookkeeping applied to the run. This is the group-commit amortization: N
+// batches cost one WAL write. bytesPerSync and strict are the live
+// wal_bytes_per_sync and strict_bytes_per_sync, read once per group.
+func (w *walWriter) addRecords(payloads [][]byte, bytesPerSync int64, strict bool) error {
+	w.w.bytesPerSync, w.w.strictSync = bytesPerSync, strict
+	var n int64
+	for _, p := range payloads {
+		if err := w.writeRecord(p); err != nil {
 			return err
 		}
-		return w.appended(int64(n))
+		n += walHeaderSize + int64(len(p))
 	}
-	w.frame = appendWALHeader(w.frame[:0], payload)
-	if err := w.f.Append(w.frame); err != nil {
-		return err
-	}
-	if err := w.f.Append(payload); err != nil {
-		return err
-	}
-	return w.appended(int64(n))
+	return w.flush(n)
 }
 
-// addRecords appends several records as one contiguous run: a write group's
-// batches become a single Append call (framed in w.frame, one memcpy into
-// the OS), with the bytes-per-sync bookkeeping applied once for the whole
-// run. This is the group-commit amortization: N batches cost one WAL write.
-func (w *walWriter) addRecords(payloads [][]byte) error {
-	if len(payloads) == 1 {
-		return w.addRecord(payloads[0])
-	}
-	var total int64
-	for _, p := range payloads {
-		total += int64(len(p)) + walHeaderSize
-	}
-	buf := slices.Grow(w.frame[:0], int(total))
-	for _, p := range payloads {
-		buf = appendWALHeader(buf, p)
-		buf = append(buf, p...)
-	}
-	if cap(buf) <= walFrameKeep {
-		w.frame = buf
-	}
-	if err := w.f.Append(buf); err != nil {
+// writeRecord writes payload's header and payload into the writer.
+func (w *walWriter) writeRecord(payload []byte) error {
+	if err := w.w.write(appendWALHeader(w.hdr[:0], payload)); err != nil {
 		return err
 	}
-	return w.appended(total)
+	return w.w.write(payload)
 }
 
-// appended books n freshly appended bytes and issues the periodic sync once
-// wal_bytes_per_sync of them have accumulated.
-func (w *walWriter) appended(n int64) error {
-	w.bytesWritten += n
+// flush appends the n bytes of records written since the last flush.
+func (w *walWriter) flush(n int64) error {
+	if err := w.w.flush(); err != nil {
+		return err
+	}
 	w.stats.Add(TickerWALBytes, n)
-	if w.opts.WALBytesPerSync <= 0 {
-		return nil
-	}
-	w.sinceSync += n
-	if w.sinceSync < w.opts.WALBytesPerSync {
-		return nil
-	}
-	// Non-strict mode queues writeback asynchronously (sync_file_range);
-	// strict blocks the writer until the range is durable (steadier tail,
-	// higher average).
-	start := w.stopwatch()
-	var err error
-	if w.opts.StrictBytesPerSync {
-		err = w.f.Sync()
-	} else {
-		err = w.f.SyncAsync()
-	}
-	if err != nil {
-		return err
-	}
-	w.stats.Add(TickerWALSyncs, 1)
-	w.hists.Record(HistWALSyncMicros, w.stopwatch()-start)
-	w.sinceSync = 0
 	return nil
+}
+
+// synced books one durability sync that took d.
+func (w *walWriter) synced(d time.Duration) {
+	w.stats.Add(TickerWALSyncs, 1)
+	w.hists.Record(HistWALSyncMicros, d)
 }
 
 // sync forces durability of everything appended so far.
 func (w *walWriter) sync() error {
-	w.stats.Add(TickerWALSyncs, 1)
-	w.sinceSync = 0
-	start := w.stopwatch()
-	err := w.f.Sync()
-	w.hists.Record(HistWALSyncMicros, w.stopwatch()-start)
+	start := w.w.clock()
+	err := w.w.sync()
+	w.synced(w.w.clock() - start)
 	return err
 }
 
 // size returns bytes appended so far.
-func (w *walWriter) size() int64 { return w.bytesWritten }
+func (w *walWriter) size() int64 { return w.w.size }
 
-// close closes the underlying file.
-func (w *walWriter) close() error { return w.f.Close() }
+// close gives the writer's buffer back and closes the file.
+func (w *walWriter) close() error { return w.w.close() }
 
 // walReplayInfo summarizes one log file's replay.
 type walReplayInfo struct {

@@ -15,7 +15,7 @@ func TestWALRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := DefaultOptions()
-	w := newWALWriter(f, opts)
+	w := newWALWriter(f, opts, nil, nil)
 	records := [][]byte{[]byte("one"), []byte("two"), {}, []byte("four-longer-record")}
 	for _, r := range records {
 		if err := w.addRecord(r); err != nil {
@@ -48,7 +48,7 @@ func TestWALRoundTrip(t *testing.T) {
 func TestWALTornTail(t *testing.T) {
 	env := testSimEnv()
 	f, _ := env.NewWritableFile("/wal.log", IOForeground)
-	w := newWALWriter(f, DefaultOptions())
+	w := newWALWriter(f, DefaultOptions(), nil, nil)
 	w.addRecord([]byte("good"))
 	w.close()
 	// Append garbage simulating a torn write.
@@ -76,7 +76,7 @@ func TestWALTornTail(t *testing.T) {
 func TestWALCorruptCRC(t *testing.T) {
 	env := testSimEnv()
 	f, _ := env.NewWritableFile("/wal.log", IOForeground)
-	w := newWALWriter(f, DefaultOptions())
+	w := newWALWriter(f, DefaultOptions(), nil, nil)
 	w.addRecord([]byte("record-a"))
 	w.addRecord([]byte("record-b"))
 	w.close()
@@ -99,7 +99,7 @@ func TestWALPeriodicSync(t *testing.T) {
 	opts.WALBytesPerSync = 64
 	stats := NewStatistics()
 	opts.Stats = stats
-	w := newWALWriter(f, opts)
+	w := newWALWriter(f, opts, nil, nil)
 	for i := 0; i < 10; i++ {
 		w.addRecord(make([]byte, 32))
 	}
@@ -226,7 +226,7 @@ func TestWALReplayLongRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := newWALWriter(f, DefaultOptions())
+	w := newWALWriter(f, DefaultOptions(), nil, nil)
 	var records [][]byte
 	for i, n := range []int{10, walReadChunk - 20, 3 * walReadChunk, 5, walReadChunk, 0, walReadChunk - walHeaderSize, 1} {
 		r := bytes.Repeat([]byte{byte('a' + i)}, n)

@@ -231,7 +231,9 @@ func (db *DB) leadGroup(leader *writeRequest) {
 	}
 	db.mu.Unlock()
 
-	// WAL stage: every batch in one record run, at most one sync.
+	// WAL stage: every batch in one record run, at most one sync, under the
+	// options live for this group.
+	o := db.options()
 	timed := db.perf.TimeEnabled()
 	var stageStart time.Duration
 	if timed {
@@ -239,7 +241,7 @@ func (db *DB) leadGroup(leader *writeRequest) {
 	}
 	db.env.ChargeCPU(walCPU)
 	if !leader.disableWAL {
-		err = wal.addRecords(g.reps)
+		err = wal.addRecords(g.reps, o.WALBytesPerSync, o.StrictBytesPerSync)
 		if err == nil && g.syncs {
 			err = wal.sync()
 		}
@@ -257,7 +259,7 @@ func (db *DB) leadGroup(leader *writeRequest) {
 	}
 	db.commitMu.Unlock()
 
-	pipelined := db.options().EnablePipelinedWrite
+	pipelined := o.EnablePipelinedWrite
 	if pipelined {
 		// Promote the next leader now so its WAL stage overlaps our
 		// memtable stage.

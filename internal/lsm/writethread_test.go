@@ -424,9 +424,9 @@ func TestWALAddRecordsMatchesFraming(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		w := newWALWriter(f, DefaultOptions())
+		w := newWALWriter(f, DefaultOptions(), nil, nil)
 		if grouped {
-			if err := w.addRecords(payloads); err != nil {
+			if err := w.addRecords(payloads, 0, false); err != nil {
 				t.Fatal(err)
 			}
 		} else {

@@ -28,8 +28,12 @@
 # onescope: whether a name is DB-scoped (a comparison with SectionDB) is
 #   decided by ConfigSet.Owner alone; the engine's SetOptions, the safeguard,
 #   the live loop and elmotune's server mirror ask it where a change lands.
+# onewriter: a bytes-per-sync range sync (a SyncAsync call) on a WAL,
+#   MANIFEST or table file is made by fileWriter alone; the WAL, the
+#   MANIFEST and the table builder write through one instead of buffering
+#   and syncing on their own.
 set -eu
-gate=${1:?usage: scripts/onefile.sh onestream|onehist|onelru|onewindow|onetree|onemanifest|onescope}
+gate=${1:?usage: scripts/onefile.sh onestream|onehist|onelru|onewindow|onetree|onemanifest|onescope|onewriter}
 
 # gate;roots;skipped path;pattern;allowed file;what a stray match is;what the pattern marks
 table='
@@ -40,6 +44,7 @@ onewindow;internal cmd examples;-;(Read|Write|Scan)Fraction = float64\(;internal
 onetree;internal cmd examples;-;mergeIter\{|levelIter\{|\[\]levelIter;internal/lsm/mergeiter.go;iterator trees are built;the merge tree
 onemanifest;internal cmd examples;-;NewWritableFile\(manifestFileName\(;internal/lsm/manifest.go;manifests are started;the manifest rollover
 onescope;internal cmd examples;-;[!=]= (lsm\.)?SectionDB;internal/lsm/cfconfig.go;option scope is decided;the scope rule
+onewriter;internal cmd examples;-;\.SyncAsync\(\);internal/lsm/filewriter.go;files are range-synced;the file writer
 '
 row=$(printf '%s\n' "$table" | grep "^$gate;") || {
     echo "onefile: unknown gate $gate" >&2
