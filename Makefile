@@ -44,13 +44,14 @@ equivalence:
 # block fails at once instead of reading another block later, and a file
 # writer (table, WAL or MANIFEST) fills its buffer with 0xDB as it goes back
 # to the free list, so an Env that kept a slice of it instead of copying
-# writes garbage. Runs
-# the iterator, table-reader and block-handle lifetime tests, the
-# subcompaction equivalence check, the table-bytes hash and the file write
-# tests (TestFileWrites*, the WAL's on OSEnv, SimEnv and FaultInjectionEnv
-# included) with the tag, under -race.
+# writes garbage, and a flushed memtable's arena fills its chunks with 0xDB
+# as it is recycled, so a reader still on that memtable reads garbage. Runs
+# the iterator, table-reader, block-handle and memtable lifetime tests
+# (TestMemtableRecycle* among them), the subcompaction equivalence check,
+# the table-bytes hash and the file write tests (TestFileWrites*, the WAL's
+# on OSEnv, SimEnv and FaultInjectionEnv included) with the tag, under -race.
 poison:
-	$(GO) test -tags poison -race -count=1 -run '^(TestIterator|TestTableReader|TestBlockHandle|TestSubcompactionEquivalence|TestTableBytesGolden|TestFileWrites)' ./internal/lsm
+	$(GO) test -tags poison -race -count=1 -run '^(TestIterator|TestTableReader|TestBlockHandle|TestMemtable|TestSubcompactionEquivalence|TestTableBytesGolden|TestFileWrites)' ./internal/lsm
 
 # End-to-end smoke of the networked service: start kvserver, drive a short
 # mixed workload through dbbench -server, assert nonzero throughput and a
@@ -73,7 +74,10 @@ serverbench:
 # (TestAllocGateIterator), cache-hit Get frames, Scan(1) frames and Scan
 # pairs appended without a copy each, and a whole client Get round trip;
 # in the simulator, a SimEnv file appended in 4 KiB pieces allocates its
-# size plus at most one 64 KiB chunk (TestAllocGateSimFileAppend).
+# size plus at most one 64 KiB chunk (TestAllocGateSimFileAppend); and on
+# both runtimes, a memtable filled after a flush carves from the flushed
+# one's recycled arena, at most one chunk and one slab per fill
+# (TestAllocGateMemtableRecycle).
 # The limits are measured steady-state values plus noise headroom — a pooled
 # codec, buffer, or iterator falling out of reuse, or a memtable entry
 # allocated per Put, trips them immediately.

@@ -96,6 +96,7 @@ type worker struct {
 	t      target
 	values *valueGen
 	op     Op
+	val    []byte // the worker's get buffer, as db_bench reuses one PinnableSlice
 
 	now  time.Duration // virtual time (sim driver)
 	done bool          // source exhausted (sim driver)
@@ -173,7 +174,7 @@ func (w *worker) exec() (isRead bool) {
 	var err error
 	switch op.Kind {
 	case 'G':
-		if err = w.t.get(op.CF, op.Key); isMiss(err) {
+		if w.val, err = w.t.get(w.val[:0], op.CF, op.Key); isMiss(err) {
 			w.readMiss++
 			err = nil
 		}

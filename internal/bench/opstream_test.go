@@ -33,7 +33,10 @@ func (t *recTarget) record(kind byte, key []byte, n int) {
 	t.mu.Unlock()
 }
 
-func (t *recTarget) get(_ int, key []byte) error    { t.record('G', key, 0); return nil }
+func (t *recTarget) get(dst []byte, _ int, key []byte) ([]byte, error) {
+	t.record('G', key, 0)
+	return dst, nil
+}
 func (t *recTarget) put(_ int, key, v []byte) error { t.record('P', key, len(v)); return nil }
 func (t *recTarget) delete(_ int, key []byte) error { t.record('D', key, 0); return nil }
 func (t *recTarget) scan(_ int, key []byte, n int) (int64, error) {

@@ -13,7 +13,9 @@ import (
 // the store's own not-found error (see isMiss); any other error is a failed
 // operation.
 type target interface {
-	get(cf int, key []byte) error
+	// get appends the value stored for key to dst, which the caller owns and
+	// reuses, so a read allocates nothing once dst has grown.
+	get(dst []byte, cf int, key []byte) ([]byte, error)
 	put(cf int, key, value []byte) error
 	delete(cf int, key []byte) error
 	// scan seeks to start and iterates up to n entries; bytes is the keys and
@@ -68,9 +70,8 @@ func newDBTarget(db *lsm.DB, names []string) (*dbTarget, error) {
 	return t, nil
 }
 
-func (t *dbTarget) get(cf int, key []byte) error {
-	_, err := t.db.GetCF(nil, t.cfs[cf], key)
-	return err
+func (t *dbTarget) get(dst []byte, cf int, key []byte) ([]byte, error) {
+	return t.db.AppendGetCF(dst, nil, t.cfs[cf], key)
 }
 
 func (t *dbTarget) put(cf int, key, value []byte) error {
@@ -116,9 +117,9 @@ type wireTarget struct {
 	cfs []string // "" = default family
 }
 
-func (t *wireTarget) get(cf int, key []byte) error {
-	_, err := t.c.Get(t.cfs[cf], key)
-	return err
+func (t *wireTarget) get(dst []byte, cf int, key []byte) ([]byte, error) {
+	v, err := t.c.Get(t.cfs[cf], key)
+	return append(dst, v...), err
 }
 
 func (t *wireTarget) put(cf int, key, value []byte) error {

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 // raceEnabled is set by race_test.go in -race builds.
@@ -322,6 +324,59 @@ func TestAllocGateMemtableAdd(t *testing.T) {
 	const limit = 0.05
 	if avg > limit {
 		t.Fatalf("memtable.add allocates %.3f per add, gate is %.2f", avg, limit)
+	}
+}
+
+// TestAllocGateMemtableRecycle gates memtable arena recycling on both
+// runtimes over fill-and-flush cycles of ~1 MiB of 400-byte values: a
+// memtable filled after a flush carves from the flushed memtable's arena, so
+// after the first cycle a fill allocates at most one chunk, one node slab and
+// one tower slab (110 592 bytes; 0 measured on OSEnv). Without recycling
+// each fill allocates its ~1.1 MiB of chunks and slabs again. The WAL is
+// off so that SimEnv's file chunks do not count.
+func TestAllocGateMemtableRecycle(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled batches and requests under -race")
+	}
+	const cycles, entries = 6, 2500
+	bound := uint64(arenaChunkSize) + arenaNodeSlab*uint64(unsafe.Sizeof(skipNode{})) +
+		arenaTowerSlab*uint64(unsafe.Sizeof(atomic.Pointer[skipNode]{}))
+	for _, mode := range []string{"sim", "os"} {
+		t.Run(mode, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.WriteBufferSize = 4 << 20 // only Flush switches memtables
+			opts.DisableAutoCompactions = true
+			dir := t.TempDir()
+			if mode == "sim" {
+				opts.Env, dir = testSimEnv(), "/db"
+			}
+			db, err := Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			wo := &WriteOptions{DisableWAL: true}
+			key, value := make([]byte, 16), bytes.Repeat([]byte{'v'}, 400)
+			var before, after runtime.MemStats
+			for c := 0; c < cycles; c++ {
+				runtime.ReadMemStats(&before)
+				for i := 0; i < entries; i++ {
+					binary.BigEndian.PutUint64(key[8:], uint64(i*7919%entries))
+					if err := db.Put(wo, key, value); err != nil {
+						t.Fatal(err)
+					}
+				}
+				runtime.ReadMemStats(&after)
+				delta := after.TotalAlloc - before.TotalAlloc
+				t.Logf("cycle %d: fill allocated %d bytes", c, delta)
+				if c > 0 && delta > bound {
+					t.Errorf("cycle %d: fill allocated %d bytes, gate is %d (one chunk and one slab of each kind)", c, delta, bound)
+				}
+				if err := db.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -37,6 +37,7 @@ type bloomFilter struct {
 	bitsPerKey int
 	k          int
 	hashes     []uint32
+	bits       []byte // build's output, reused by the next build
 }
 
 // newBloomFilter returns a builder with the given bits-per-key budget.
@@ -58,7 +59,7 @@ func (b *bloomFilter) add(key []byte) {
 }
 
 // build encodes the filter bits; the final byte stores k. Returns nil when
-// the filter is disabled or empty.
+// the filter is disabled or empty. The result is valid until the next build.
 func (b *bloomFilter) build() []byte {
 	if b.bitsPerKey <= 0 || len(b.hashes) == 0 {
 		return nil
@@ -69,7 +70,13 @@ func (b *bloomFilter) build() []byte {
 	}
 	nBytes := (bits + 7) / 8
 	bits = nBytes * 8
-	out := make([]byte, nBytes+1)
+	if cap(b.bits) < nBytes+1 {
+		b.bits = make([]byte, nBytes+1)
+	} else {
+		b.bits = b.bits[:nBytes+1]
+		clear(b.bits)
+	}
+	out := b.bits
 	out[nBytes] = byte(b.k)
 	for _, h := range b.hashes {
 		delta := h>>17 | h<<15

@@ -36,7 +36,13 @@ type columnFamily struct {
 	mem           *memtable
 	imm           []*memtable // oldest first
 	flushingCount int         // prefix of imm currently being flushed
-	levelIO       []levelIOStats
+	// retired is the family's last flushed memtable, kept for its arena:
+	// the next memtable carves from it once no reader holds a version
+	// numbered below retiredAt (DB.recycleRetiredLocked). A later flush
+	// displaces it to the GC, so a family keeps at most one.
+	retired   *memtable
+	retiredAt uint64
+	levelIO   []levelIOStats
 
 	// Foreground traffic counters for workload characterization: point
 	// lookups, write ops and iterator seeks routed to this family. Atomic
@@ -217,8 +223,7 @@ func (db *DB) createColumnFamilyLocked(name string, opts *Options) (*ColumnFamil
 		levelIO: make([]levelIOStats, opts.NumLevels),
 	}
 	cf.opts.Store(opts)
-	db.memSeed++
-	cf.mem = newMemtable(db.memSeed, db.walNum)
+	db.newMemtableLocked(cf)
 	db.registerCFLocked(cf)
 	db.infoLog.logf("[cf] created column family %q (id=%d write_buffer_size=%d)", name, id, opts.WriteBufferSize)
 	return &ColumnFamilyHandle{db: db, id: id, name: name}, nil

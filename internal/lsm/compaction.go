@@ -468,7 +468,9 @@ func (db *DB) runCompactionSlice(c *compaction, v *Version, cfOpts *Options, s s
 // dropped too. A table is cut once its estimated size reaches outSize, then
 // synced, closed and, under the DB's paranoid_file_checks, read back. A
 // table left unfinished by a failure is closed, and its writer's buffer
-// given back. sr.entries counts the entries read.
+// given back. One builder writes every table, so its block, filter and key
+// buffers grow once per call, not once per table. sr.entries counts the
+// entries read.
 func (db *DB) writeTables(merged *mergeIter, limit []byte, cfOpts *Options, outputLevel int, v *Version, smallestSnapshot uint64, outSize int64, ios *IOStatsContext) (sr sliceResult) {
 	var builder *tableBuilder
 	var out *fileWriter
@@ -484,7 +486,7 @@ func (db *DB) writeTables(merged *mergeIter, limit []byte, cfOpts *Options, outp
 	lastSeqForKey := maxSequence
 
 	finishOutput := func() error {
-		if builder == nil {
+		if out == nil {
 			return nil
 		}
 		props, err := builder.finish()
@@ -513,7 +515,6 @@ func (db *DB) writeTables(merged *mergeIter, limit []byte, cfOpts *Options, outp
 		}
 		sr.files = append(sr.files, newFile{outputLevel, meta})
 		sr.writeBytes += props.FileSize
-		builder = nil
 		return nil
 	}
 
@@ -542,7 +543,7 @@ func (db *DB) writeTables(merged *mergeIter, limit []byte, cfOpts *Options, outp
 		if drop {
 			continue
 		}
-		if builder == nil {
+		if out == nil {
 			outNum = db.vs.newFileNumber() // atomic: safe with or without db.mu
 			f, err := db.env.NewWritableFile(tableFileName(db.dir, outNum), db.bgIOClass())
 			if err != nil {
@@ -550,7 +551,11 @@ func (db *DB) writeTables(merged *mergeIter, limit []byte, cfOpts *Options, outp
 				return sr
 			}
 			out = newFileWriter(f, &db.writeBufs, ios, dbOpts.BytesPerSync, dbOpts.StrictBytesPerSync)
-			builder = newTableBuilder(out, cfOpts)
+			if builder == nil {
+				builder = newTableBuilder(out, cfOpts)
+			} else {
+				builder.reset(out)
+			}
 		}
 		if err := builder.add(ik, merged.Value()); err != nil {
 			sr.err = err

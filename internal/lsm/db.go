@@ -4,6 +4,7 @@ import (
 	"container/list"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -332,10 +333,35 @@ func (db *DB) rotateWALLocked() error {
 }
 
 // newMemtableLocked installs a fresh memtable for the family, backed by the
-// live shared WAL.
+// live shared WAL. It carves from the family's retired arena when that is
+// free.
 func (db *DB) newMemtableLocked(cf *columnFamily) {
 	db.memSeed++
 	cf.mem = newMemtable(db.memSeed, db.walNum)
+	db.recycleRetiredLocked(cf)
+}
+
+// recycleRetiredLocked frees the family's retired memtable into the active
+// one's arena once no reader can see it, if the active one holds no arena
+// memory yet. Every reader that can see a memtable took its version
+// reference in the same captureReadState critical section that copied the
+// memtable list, so it holds a version numbered below the memtable's
+// retirement; once none does (the rule deleteObsoleteFilesLocked applies to
+// table files), nothing reaches the memtable. Runs at each flush install
+// and at each memtable switch: a memtable that still has readers at its
+// install goes to the next switch's memtable.
+func (db *DB) recycleRetiredLocked(cf *columnFamily) {
+	if cf.retired == nil {
+		return
+	}
+	for v := range db.refVersions {
+		if v.num < cf.retiredAt && v.refs.Load() > 0 {
+			return
+		}
+	}
+	if cf.mem.adoptArena(cf.retired) {
+		cf.retired = nil
+	}
 }
 
 // replayWALsLocked replays live WAL files into fresh per-family memtables at
@@ -624,12 +650,17 @@ func (db *DB) rateFloor(bytes int64) time.Duration {
 
 // installFlushLocked applies a completed flush, releases its memtables and
 // schedules follow-up work. The family's WAL floor rises to its oldest
-// surviving memtable.
+// surviving memtable. With more than one flush slot, a flush of the family
+// scheduled earlier may still be running, so mems need not lead cf.imm: the
+// memtables before them stay, and so does the floor they hold.
 func (db *DB) installFlushLocked(cf *columnFamily, mems []*memtable, res *compactionResult, err error) {
 	db.flushActive--
+	at := slices.Index(cf.imm, mems[0])
 	if err == nil {
 		oldest := cf.mem.logNum
-		if len(cf.imm) > len(mems) {
+		if at > 0 {
+			oldest = cf.imm[0].logNum
+		} else if len(cf.imm) > len(mems) {
 			oldest = cf.imm[len(mems)].logNum
 		}
 		err = db.applyFlushLocked(cf, res, oldest, mems)
@@ -641,7 +672,14 @@ func (db *DB) installFlushLocked(cf *columnFamily, mems []*memtable, res *compac
 		db.infoLog.logf("[flush] ERROR: %v", err)
 		return
 	}
-	cf.imm = cf.imm[len(mems):]
+	if at == 0 {
+		clear(cf.imm[:len(mems)]) // the array outlives them: freed slots must not pin them
+		cf.imm = cf.imm[len(mems):]
+	} else {
+		// A new array: running flushes read their mems through the old one.
+		cf.imm = append(slices.Clip(cf.imm[:at]), cf.imm[at+len(mems):]...)
+	}
+	db.recycleRetiredLocked(cf)
 	db.deleteObsoleteFilesLocked()
 	db.maybeScheduleFlushLocked(false)
 	db.maybeScheduleCompactionLocked()
@@ -655,8 +693,20 @@ func (db *DB) applyFlushLocked(cf *columnFamily, res *compactionResult, logNum u
 	res.edit.cfID = cf.id
 	res.edit.hasLogNumber = true
 	res.edit.logNumber = logNum
+	// Versions numbered below this one predate the install.
+	installNum := db.vs.versions + 1
 	if err := db.vs.logAndApply(res.edit); err != nil {
 		return err
+	}
+	// Retire the flushed memtable, as the edit retires table files: the
+	// caller drops mems from the family before anything else runs under
+	// db.mu, so only readers that captured them earlier can still see them.
+	// A family keeps one spare arena: while its active memtable holds one it
+	// has not carved from (after a manual flush), the flushed arena goes to
+	// the GC.
+	cf.retired, cf.retiredAt = mems[len(mems)-1], installNum
+	if cf.mem.holdsSpare() {
+		cf.retired = nil
 	}
 	db.stats.Add(TickerFlushCount, 1)
 	db.stats.Add(TickerFlushBytes, res.writeBytes)

@@ -319,6 +319,9 @@ type versionSet struct {
 	nextFileNum atomic.Uint64
 	lastSeq     uint64
 	maxCF       uint32 // highest CF id ever allocated; ids are never reused
+	// versions counts the Versions apply has made; each is numbered in
+	// order of creation (Version.num).
+	versions uint64
 }
 
 // newVersionSet returns a version set holding an empty default family, whose
@@ -447,7 +450,7 @@ func (vs *versionSet) apply(e *versionEdit) (*Version, error) {
 
 	// Commit phase.
 	for _, a := range e.addCFs {
-		vs.cfs[a.id] = &cfState{id: a.id, name: a.name, current: newVersion(a.numLevels)}
+		vs.cfs[a.id] = &cfState{id: a.id, name: a.name, current: vs.number(newVersion(a.numLevels))}
 		if a.id > vs.maxCF {
 			vs.maxCF = a.id
 		}
@@ -463,7 +466,7 @@ func (vs *versionSet) apply(e *versionEdit) (*Version, error) {
 			st.logNumber = e.logNumber
 		}
 		if v != nil {
-			st.current = v
+			st.current = vs.number(v)
 		}
 	}
 	if e.hasNextFile {
@@ -478,6 +481,13 @@ func (vs *versionSet) apply(e *versionEdit) (*Version, error) {
 		vs.lastSeq = e.lastSeq
 	}
 	return v, nil
+}
+
+// number gives v the next creation number.
+func (vs *versionSet) number(v *Version) *Version {
+	vs.versions++
+	v.num = vs.versions
+	return v
 }
 
 // logAndApply persists the edit and installs the new state.

@@ -28,6 +28,29 @@ func newMemtable(seed int64, logNum uint64) *memtable {
 	return &memtable{list: newSkiplist(seed), logNum: logNum}
 }
 
+// adoptArena frees old, whose arena m then carves from, and reports true;
+// or, when m's arena already holds memory, it leaves both alone and reports
+// false. The caller guarantees that no reader or writer can reach old.
+func (m *memtable) adoptArena(old *memtable) bool {
+	s := m.list
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.arena.empty() {
+		return false
+	}
+	s.arena = old.list.arena.recycle()
+	return true
+}
+
+// holdsSpare reports whether m holds a recycled arena it has not carved
+// from yet.
+func (m *memtable) holdsSpare() bool {
+	s := m.list
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.arena.idle()
+}
+
 // add inserts an entry, copying key and value into the skiplist's arena.
 func (m *memtable) add(seq uint64, kind ValueKind, key, value []byte) {
 	n := m.list.newNode(len(key)+8, len(value))

@@ -146,6 +146,19 @@ func newTableBuilder(w *fileWriter, opts *Options) *tableBuilder {
 	return b
 }
 
+// reset starts the next table, written through w, keeping the block, filter
+// and key buffers the last table grew: the tables one flush or compaction
+// writes share one builder.
+func (b *tableBuilder) reset(w *fileWriter) {
+	b.w, b.offset, b.props, b.pendingIdx, b.err = w, 0, TableProps{}, false, nil
+	b.firstKey, b.lastKey, b.pendingKey = b.firstKey[:0], b.lastKey[:0], b.pendingKey[:0]
+	b.dataBlock.reset()
+	b.indexBlock.reset()
+	if b.filter != nil {
+		b.filter.hashes = b.filter.hashes[:0]
+	}
+}
+
 // add appends an entry; internal keys must arrive in strictly increasing
 // internal-key order.
 func (b *tableBuilder) add(ikey internalKey, value []byte) error {
@@ -158,8 +171,8 @@ func (b *tableBuilder) add(ikey internalKey, value []byte) error {
 		b.indexBlock.add(b.pendingKey, b.pendingHndl.encode(b.hndlBuf[:0]))
 		b.pendingIdx = false
 	}
-	if b.firstKey == nil {
-		b.firstKey = append(internalKey(nil), ikey...)
+	if b.props.NumEntries == 0 {
+		b.firstKey = append(b.firstKey[:0], ikey...)
 	}
 	b.lastKey = append(b.lastKey[:0], ikey...)
 	if b.filter != nil {

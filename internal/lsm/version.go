@@ -31,6 +31,10 @@ type Version struct {
 	// version's files on disk even after newer versions retire them.
 	// Incremented under db.mu; decremented lock-free on read completion.
 	refs atomic.Int32
+	// num orders versions by creation, DB-wide (versionSet.number): a
+	// reader holding a version numbered below a memtable's retirement may
+	// still see that memtable (DB.recycleRetiredLocked).
+	num uint64
 }
 
 // newVersion allocates an empty version with n levels.
