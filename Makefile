@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race crashtest equivalence poison serverbench liveretune allocgate fuzz benchmodule loc simfork onestream onehist onelru onewindow onetree onemanifest onescope onewriter simdiff verify clean
+.PHONY: build test vet race crashtest equivalence poison serverbench liveretune allocgate fuzz benchmodule loc simfork onestream onehist onelru onewindow onetree onemanifest onescope onewriter onereader simdiff verify clean
 
 build:
 	$(GO) build ./...
@@ -44,14 +44,16 @@ equivalence:
 # block fails at once instead of reading another block later, and a file
 # writer (table, WAL or MANIFEST) fills its buffer with 0xDB as it goes back
 # to the free list, so an Env that kept a slice of it instead of copying
-# writes garbage, and a flushed memtable's arena fills its chunks with 0xDB
+# writes garbage, as does a file reader's window, so a block still aliasing
+# a closed reader's window reads garbage, and a flushed memtable's arena fills its chunks with 0xDB
 # as it is recycled, so a reader still on that memtable reads garbage. Runs
 # the iterator, table-reader, block-handle and memtable lifetime tests
 # (TestMemtableRecycle* among them), the subcompaction equivalence check,
-# the table-bytes hash and the file write tests (TestFileWrites*, the WAL's
-# on OSEnv, SimEnv and FaultInjectionEnv included) with the tag, under -race.
+# the table-bytes hash and the file write and read tests (TestFileWrites*,
+# the WAL's on OSEnv, SimEnv and FaultInjectionEnv included, and
+# TestFileReads*) with the tag, under -race.
 poison:
-	$(GO) test -tags poison -race -count=1 -run '^(TestIterator|TestTableReader|TestBlockHandle|TestMemtable|TestSubcompactionEquivalence|TestTableBytesGolden|TestFileWrites)' ./internal/lsm
+	$(GO) test -tags poison -race -count=1 -run '^(TestIterator|TestTableReader|TestBlockHandle|TestMemtable|TestSubcompactionEquivalence|TestTableBytesGolden|TestFileWrites|TestFileReads)' ./internal/lsm
 
 # End-to-end smoke of the networked service: start kvserver, drive a short
 # mixed workload through dbbench -server, assert nonzero throughput and a
@@ -63,8 +65,9 @@ serverbench:
 # Get path (beside a frozen memtable too), the single-writer commit path
 # through Write and through Put (both runtimes), WAL framing in the file
 # writer's buffer (TestAllocGateWALAppend, and one write on an OSEnv file),
-# a flush on a warmed DB that reuses a writer's buffer
-# (TestAllocGateTableWriteBuf), memtable
+# a flush on a warmed DB that reuses a writer's buffer and table builder
+# (TestAllocGateTableWriteBuf), a compaction on a warmed DB that reuses its
+# input runs' read windows (TestAllocGateCompactionWindow), memtable
 # inserts carved from the arena, reused block iteration, snappy
 # block compression and reads (scratch and private), the block cache's
 # recycled handles (an insert into a full cache, a refill after EraseID, a
@@ -72,7 +75,9 @@ serverbench:
 # Puts committed as one write group; on the read side, a lookup appended
 # into a reused buffer, a whole scan over the pooled iterator tree
 # (TestAllocGateIterator), cache-hit Get frames, Scan(1) frames and Scan
-# pairs appended without a copy each, and a whole client Get round trip;
+# pairs appended without a copy each, a whole client Get round trip and a
+# whole client Put round trip (TestAllocGateClientPut: its status reply is
+# read into a reused buffer);
 # in the simulator, a SimEnv file appended in 4 KiB pieces allocates its
 # size plus at most one 64 KiB chunk (TestAllocGateSimFileAppend); and on
 # both runtimes, a memtable filled after a flush carves from the flushed
@@ -181,6 +186,12 @@ onescope:
 onewriter:
 	./scripts/onefile.sh onewriter
 
+# One file reader (DESIGN §5): outside the Env implementations (*env.go),
+# only internal/lsm/filereader.go, home of fileReader, may call ReadAt; WAL,
+# MANIFEST, CURRENT and table files are read and booked through it.
+onereader:
+	./scripts/onefile.sh onereader
+
 # The refactor oracle for the simulated side (EXPERIMENTS.md): the paper's
 # tables and figures regenerated at PARENT and at the working tree must be
 # byte-identical. ~2 minutes; not part of verify (it needs a parent to name).
@@ -188,7 +199,7 @@ simdiff:
 	@test -n "$(PARENT)" || { echo "usage: make simdiff PARENT=<ref>" >&2; exit 2; }
 	./scripts/simdiff.sh $(PARENT)
 
-verify: build vet simfork onestream onehist onelru onewindow onetree onemanifest onescope onewriter test race equivalence poison allocgate fuzz benchmodule serverbench liveretune
+verify: build vet simfork onestream onehist onelru onewindow onetree onemanifest onescope onewriter onereader test race equivalence poison allocgate fuzz benchmodule serverbench liveretune
 
 clean:
 	$(GO) clean ./...

@@ -670,11 +670,11 @@ func compressedBlockReader(tb testing.TB, raw []byte, comp Compression) (*tableR
 	if err := b.w.close(); err != nil {
 		tb.Fatal(err)
 	}
-	f, err := env.NewRandomAccessFile("/block.sst", IOBackground)
+	f, err := openFileReader(env, "/block.sst", IOBackground, nil, nil)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	tb.Cleanup(func() { f.Close() })
+	tb.Cleanup(func() { f.close() })
 	return &tableReader{f: f, env: env}, h
 }
 

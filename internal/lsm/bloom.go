@@ -40,17 +40,12 @@ type bloomFilter struct {
 	bits       []byte // build's output, reused by the next build
 }
 
-// newBloomFilter returns a builder with the given bits-per-key budget.
-// bitsPerKey <= 0 disables the filter (build returns nil).
-func newBloomFilter(bitsPerKey int) *bloomFilter {
-	k := int(float64(bitsPerKey) * 0.69) // ln(2) * bits/key
-	if k < 1 {
-		k = 1
-	}
-	if k > 30 {
-		k = 30
-	}
-	return &bloomFilter{bitsPerKey: bitsPerKey, k: k}
+// reset empties the builder for another set of keys under a bits-per-key
+// budget, keeping its buffers. bitsPerKey <= 0 disables the filter (build
+// returns nil).
+func (b *bloomFilter) reset(bitsPerKey int) {
+	b.bitsPerKey, b.hashes = bitsPerKey, b.hashes[:0]
+	b.k = min(max(int(float64(bitsPerKey)*0.69), 1), 30) // ln(2) * bits/key
 }
 
 // add records a key for the filter under construction.

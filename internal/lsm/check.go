@@ -60,9 +60,11 @@ func CheckDBColumnFamily(dir string, opts *Options, cfName string) (*CheckReport
 	}
 	rep := &CheckReport{}
 	vs := newVersionSet(env, dir, opts)
+	bufs := &writeBufList{} // one buffer list for every file the check reads
+	vs.bufs = bufs
 
 	// CURRENT -> manifest name.
-	cur, err := readCurrentFile(env, dir)
+	cur, err := readCurrentFile(env, dir, bufs)
 	if err != nil {
 		return rep, fmt.Errorf("lsm: check %s: %w", dir, err)
 	}
@@ -105,7 +107,7 @@ func CheckDBColumnFamily(dir string, opts *Options, cfName string) (*CheckReport
 			for _, f := range files {
 				rep.Tables++
 				name := tableFileName(dir, f.Number)
-				if err := verifyTableFile(env, name, f, IOBackground); err != nil {
+				if err := verifyTableFile(env, name, f, bufs); err != nil {
 					rep.Issues = append(rep.Issues, CheckIssue{filepath.Base(name), err})
 				} else {
 					rep.TablesOK++
@@ -136,7 +138,7 @@ func CheckDBColumnFamily(dir string, opts *Options, cfName string) (*CheckReport
 	for _, num := range logs {
 		rep.WALs++
 		name := logFileName(dir, num)
-		info, err := walReplayMode(env, name, WALRecoverTolerateCorruptedTailRecords, false, nil,
+		info, err := walReplayMode(env, name, bufs, WALRecoverTolerateCorruptedTailRecords, false, nil,
 			func(payload []byte) error {
 				return decodeBatch(payload, func(uint64, uint32, ValueKind, []byte, []byte) error { return nil })
 			})
@@ -154,19 +156,16 @@ func CheckDBColumnFamily(dir string, opts *Options, cfName string) (*CheckReport
 	return rep, nil
 }
 
-// readCurrentFile returns the manifest file name CURRENT points at.
-func readCurrentFile(env Env, dir string) (string, error) {
-	f, err := env.NewRandomAccessFile(currentFileName(dir), IOBackground)
+// readCurrentFile returns the manifest file name CURRENT points at, read
+// through a fileReader whose window comes from bufs.
+func readCurrentFile(env Env, dir string, bufs *writeBufList) (string, error) {
+	r, err := openFileReader(env, currentFileName(dir), IOBackground, bufs, nil)
 	if err != nil {
 		return "", err
 	}
-	defer f.Close()
-	size, err := f.Size()
+	defer r.close()
+	buf, err := r.sequential(0, r.size)
 	if err != nil {
-		return "", err
-	}
-	buf := make([]byte, size)
-	if err := f.ReadAt(buf, 0, HintSequential); err != nil {
 		return "", err
 	}
 	name := strings.TrimSpace(string(buf))
@@ -223,6 +222,7 @@ func RepairDBColumnFamily(dir string, opts *Options, cfName string) (*RepairRepo
 		env = NewOSEnv()
 	}
 	rep := &RepairReport{}
+	bufs := &writeBufList{} // one buffer list for every file the repair reads
 	names, err := env.List(dir)
 	if err != nil {
 		return rep, err
@@ -252,7 +252,7 @@ func RepairDBColumnFamily(dir string, opts *Options, cfName string) (*RepairRepo
 		minLog = logNums[0]
 		for _, num := range logNums {
 			name := logFileName(dir, num)
-			info, err := walReplayMode(env, name, WALRecoverTolerateCorruptedTailRecords, false, nil,
+			info, err := walReplayMode(env, name, bufs, WALRecoverTolerateCorruptedTailRecords, false, nil,
 				func(payload []byte) error { return nil })
 			if err != nil {
 				return rep, fmt.Errorf("lsm: repair: read %s: %w", name, err)
@@ -271,7 +271,7 @@ func RepairDBColumnFamily(dir string, opts *Options, cfName string) (*RepairRepo
 	var survivors []survivor
 	for _, num := range tableNums {
 		name := tableFileName(dir, num)
-		meta, maxSeq, err := scanTable(env, name, num, IOBackground)
+		meta, maxSeq, err := scanTable(env, name, num, bufs)
 		if err == nil && meta.Entries == 0 {
 			err = fmt.Errorf("%w: table %s is empty", ErrCorruption, name)
 		}
@@ -345,9 +345,14 @@ func RepairDBColumnFamily(dir string, opts *Options, cfName string) (*RepairRepo
 // scanTable reads a table end to end in one pass, returning metadata
 // computed from the data itself (trusting nothing: entry count, first and
 // last key, file size) and the largest sequence number seen. Out-of-order
-// keys and unreadable blocks fail it; an empty table does not.
-func scanTable(env Env, name string, num uint64, class IOClass) (*FileMeta, uint64, error) {
-	t, err := openTable(env, name, num, nil, nil, class, nil, nil)
+// keys and unreadable blocks fail it; an empty table does not. The data
+// blocks are read through a window from bufs.
+func scanTable(env Env, name string, num uint64, bufs *writeBufList) (*FileMeta, uint64, error) {
+	f, err := openFileReader(env, name, IOBackground, bufs, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	t, err := openTable(env, f, num, nil, nil, nil)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -375,8 +380,6 @@ func scanTable(env Env, name string, num uint64, class IOClass) (*FileMeta, uint
 		return nil, 0, fmt.Errorf("lsm: read %s: %w", name, err)
 	}
 	meta.Largest = append(internalKey(nil), prev...) // nil when empty
-	if meta.Size, err = env.FileSize(name); err != nil {
-		return nil, 0, err
-	}
+	meta.Size = t.f.size
 	return meta, maxSeq, nil
 }

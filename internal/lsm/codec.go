@@ -164,6 +164,7 @@ type blockDst struct {
 	scratch []byte
 	spares  *cacheShard
 	h       *cacheHandle
+	window  bool // set when the block returned aliases the file reader's window instead
 }
 
 // sized returns n bytes of the destination's storage.

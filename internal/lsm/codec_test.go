@@ -63,12 +63,12 @@ func TestCodecPoolConcurrentRoundTrip(t *testing.T) {
 					errc <- err
 					return
 				}
-				rf, err := env.NewRandomAccessFile(name, IOBackground)
+				rf, err := openFileReader(env, name, IOBackground, nil, nil)
 				if err != nil {
 					errc <- err
 					return
 				}
-				defer rf.Close()
+				defer rf.close()
 				rd := &tableReader{f: rf, env: env}
 				var scratch []byte
 				for i, h := range handles {
@@ -147,7 +147,7 @@ func TestCorruptCtypePooledBufferSafety(t *testing.T) {
 	} {
 		name := fmt.Sprintf("/bad-%d.blk", i)
 		h := writeRawBlock(t, env, name, tc.payload, tc.ctype)
-		f, err := env.NewRandomAccessFile(name, IOBackground)
+		f, err := openFileReader(env, name, IOBackground, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestCorruptCtypePooledBufferSafety(t *testing.T) {
 		if tc.ctype == blockSnappy && !errors.Is(err, ErrCorruption) {
 			t.Fatalf("%s: %v does not wrap ErrCorruption", tc.name, err)
 		}
-		f.Close()
+		f.close()
 	}
 
 	// The pools must still hand out working codecs and clean buffers.
@@ -212,11 +212,11 @@ func TestReadBlockRawMixedTypes(t *testing.T) {
 	if err := tb.w.close(); err != nil {
 		t.Fatal(err)
 	}
-	f, err := env.NewRandomAccessFile("/mixed.sst", IOBackground)
+	f, err := openFileReader(env, "/mixed.sst", IOBackground, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
+	defer f.close()
 	rd := &tableReader{f: f, env: env}
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

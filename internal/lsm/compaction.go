@@ -459,6 +459,9 @@ func (db *DB) runCompactionSlice(c *compaction, v *Version, cfOpts *Options, s s
 	return db.writeTables(merged, s.limit, cfOpts, c.outputLevel, v, smallestSnapshot, outSize, ios)
 }
 
+// builderSpares bounds the idle table builders: a flush's and a few slices'.
+const builderSpares = 4
+
 // writeTables drains merged (already positioned) into tables at outputLevel,
 // stopping at the first user key at or above limit (nil: the end): the one
 // per-entry loop flush and compaction share. An older version of a
@@ -468,9 +471,10 @@ func (db *DB) runCompactionSlice(c *compaction, v *Version, cfOpts *Options, s s
 // dropped too. A table is cut once its estimated size reaches outSize, then
 // synced, closed and, under the DB's paranoid_file_checks, read back. A
 // table left unfinished by a failure is closed, and its writer's buffer
-// given back. One builder writes every table, so its block, filter and key
-// buffers grow once per call, not once per table. sr.entries counts the
-// entries read.
+// given back. One builder writes every table, taken from the DB's builders
+// list and given back at return, so its block, filter and key buffers grow
+// once for the jobs it serves, not once per table or job. sr.entries counts
+// the entries read.
 func (db *DB) writeTables(merged *mergeIter, limit []byte, cfOpts *Options, outputLevel int, v *Version, smallestSnapshot uint64, outSize int64, ios *IOStatsContext) (sr sliceResult) {
 	var builder *tableBuilder
 	var out *fileWriter
@@ -478,6 +482,9 @@ func (db *DB) writeTables(merged *mergeIter, limit []byte, cfOpts *Options, outp
 	defer func() {
 		if out != nil {
 			out.close()
+		}
+		if builder != nil {
+			db.builders.give(builder, builderSpares)
 		}
 	}()
 	dbOpts := db.options() // bytes_per_sync and paranoid_file_checks are DB-scoped
@@ -509,7 +516,7 @@ func (db *DB) writeTables(merged *mergeIter, limit []byte, cfOpts *Options, outp
 			Largest:  append(internalKey(nil), builder.largest()...),
 		}
 		if dbOpts.ParanoidFileChecks {
-			if err := verifyTableFile(db.env, tableFileName(db.dir, outNum), meta, db.bgIOClass()); err != nil {
+			if err := verifyTableFile(db.env, tableFileName(db.dir, outNum), meta, &db.writeBufs); err != nil {
 				return err
 			}
 		}
@@ -545,17 +552,19 @@ func (db *DB) writeTables(merged *mergeIter, limit []byte, cfOpts *Options, outp
 		}
 		if out == nil {
 			outNum = db.vs.newFileNumber() // atomic: safe with or without db.mu
-			f, err := db.env.NewWritableFile(tableFileName(db.dir, outNum), db.bgIOClass())
+			f, err := db.env.NewWritableFile(tableFileName(db.dir, outNum), IOBackground)
 			if err != nil {
 				sr.err = err
 				return sr
 			}
 			out = newFileWriter(f, &db.writeBufs, ios, dbOpts.BytesPerSync, dbOpts.StrictBytesPerSync)
 			if builder == nil {
-				builder = newTableBuilder(out, cfOpts)
-			} else {
-				builder.reset(out)
+				builder, _ = db.builders.take()
 			}
+			if builder == nil {
+				builder = newTableBuilder(out, cfOpts)
+			}
+			builder.reset(out, cfOpts)
 		}
 		if err := builder.add(ik, merged.Value()); err != nil {
 			sr.err = err

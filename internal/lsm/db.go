@@ -88,9 +88,10 @@ type DB struct {
 	bcache  *blockCache
 	tcache  *tableCache
 	memSeed int64
-	// writeBufs keeps the buffers of closed file writers (tables, WALs) for the
-	// next ones (writeTables).
+	// writeBufs keeps closed file writers' and readers' buffers, builders
+	// finished jobs' table builders, for the next ones.
 	writeBufs writeBufList
+	builders  spareList[*tableBuilder]
 
 	// Column families. cfs/cfNames/cfOrder are guarded by mu; cfSnap is a
 	// lock-free snapshot of cfOrder for engineMemory.
@@ -117,7 +118,8 @@ type DB struct {
 	manualWaiters int
 
 	// Per-operation profiling (perfcontext.go). perf attributes operation
-	// phases; iostats attributes env-level I/O through the file wrappers.
+	// phases; iostats attributes env-level I/O through the file writers and
+	// readers.
 	perf    *PerfContext
 	iostats *IOStatsContext
 
@@ -214,6 +216,7 @@ func OpenConfig(dir string, cfg *ConfigSet) (*DB, error) {
 	db.tcache.perf = db.perf
 	db.tcache.ios = db.iostats
 	db.vs = newVersionSet(env, dir, opts)
+	db.vs.bufs = &db.writeBufs
 
 	exists := env.FileExists(currentFileName(dir))
 	switch {
@@ -289,15 +292,6 @@ func OpenConfig(dir string, cfg *ConfigSet) (*DB, error) {
 	db.infoLog.logf("[db] open %s (families=%d write_buffer_size=%d block_cache_size=%d compaction_style=%s num_levels=%d)",
 		dir, len(db.cfOrder), opts.WriteBufferSize, cacheSize, opts.CompactionStyle, opts.NumLevels)
 	return db, nil
-}
-
-// bgIOClass returns the IO class for flush/compaction files under the
-// direct-I/O option.
-func (db *DB) bgIOClass() IOClass {
-	if db.options().UseDirectIOForFlushAndCompaction {
-		return IOBackgroundDirect
-	}
-	return IOBackground
 }
 
 // engineMemory reports the engine's memory footprint (memtables + caches)
@@ -392,7 +386,7 @@ func (db *DB) replayWALsLocked() error {
 	for i, num := range logs {
 		logNum := num
 		name := logFileName(db.dir, num)
-		info, err := walReplayMode(db.env, name, db.options().WALRecoveryMode,
+		info, err := walReplayMode(db.env, name, &db.writeBufs, db.options().WALRecoveryMode,
 			db.options().ParanoidChecks, db.stats, func(payload []byte) error {
 				return decodeBatch(payload, func(seq uint64, cfID uint32, kind ValueKind, key, value []byte) error {
 					if seq > maxSeq {

@@ -29,12 +29,8 @@ type IOClass int
 const (
 	// IOForeground is user-facing I/O: WAL writes, Get/iterator reads.
 	IOForeground IOClass = iota
-	// IOBackground is flush/compaction I/O through the page cache.
+	// IOBackground is flush/compaction I/O.
 	IOBackground
-	// IOBackgroundDirect is flush/compaction I/O issued with O_DIRECT
-	// (use_direct_io_for_flush_and_compaction): it bypasses — and does not
-	// pollute — the OS page cache.
-	IOBackgroundDirect
 )
 
 // WritableFile is an append-only file handle.

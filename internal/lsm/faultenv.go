@@ -207,16 +207,6 @@ func (e *FaultInjectionEnv) checkLocked(op FaultOp, path string, class IOClass, 
 	return 0, nil
 }
 
-// stateLocked returns (creating if needed) the tracking state for name.
-func (e *FaultInjectionEnv) stateLocked(name string, class IOClass) *faultFileState {
-	st, ok := e.files[name]
-	if !ok {
-		st = &faultFileState{class: class}
-		e.files[name] = st
-	}
-	return st
-}
-
 // --- writable files ---
 
 type faultWritableFile struct {

@@ -5,38 +5,53 @@ import (
 	"time"
 )
 
-// tableWriteBufSize is a fileWriter's buffer: a table file receives whole
-// chunks of this size, and a WAL group or MANIFEST record of at most this
-// size is one Append.
+// tableWriteBufSize is a fileWriter's buffer and a fileReader's window: a
+// table file receives whole chunks of this size, and a WAL group or
+// MANIFEST record of at most this size is one Append.
 const tableWriteBufSize = 64 << 10
 
-// writeBufList is a DB's free list of file-writer buffers. A writer takes
-// one at its first write and gives it back when it is closed, so the DB's
-// next table, flush or compaction alike, and its next WAL write through the
-// same buffers. At most writeBufSpares wait here (as lru keeps its spare
-// entries), bounding what idle buffers pin once concurrent builds end. It is
-// not a sync.Pool: a GC would empty that, and each build after it would
-// allocate its buffer again. A nil list keeps nothing: each writer
-// allocates.
-type writeBufList struct {
+// spareList keeps idle values for the next taker, up to a bound the giver
+// passes. Not a sync.Pool: a GC would empty that.
+type spareList[T any] struct {
 	mu    sync.Mutex
-	spare [writeBufSpares][]byte
-	n     int
+	spare []T
 }
 
-// writeBufSpares covers a DB's usual concurrent writers, a flush beside a
-// compaction or two and the WAL; a writer beyond them allocates its buffer,
-// and the GC takes it back.
-const writeBufSpares = 4
+// take returns a kept value, if there is one.
+func (l *spareList[T]) take() (x T, ok bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if n := len(l.spare); n > 0 {
+		x, ok = l.spare[n-1], true
+		clear(l.spare[n-1:])
+		l.spare = l.spare[:n-1]
+	}
+	return x, ok
+}
+
+// give keeps x unless max values already wait.
+func (l *spareList[T]) give(x T, max int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if len(l.spare) < max {
+		l.spare = append(l.spare, x)
+	}
+}
+
+// writeBufList is a DB's free list of file buffers: a writer takes one at
+// its first write, a reader at its first sequential read, and each gives it
+// back at close. A nil list keeps nothing: each writer or reader allocates.
+type writeBufList struct{ spares spareList[[]byte] }
+
+// writeBufSpares bounds the idle buffers. The list allocates only when
+// empty, so it keeps what was out at once: a window per input run of a
+// compaction (each L0 file, each deeper level), the job's writer, a flush's
+// and the WAL's. 40 covers all 36 L0 files the default stop trigger allows.
+const writeBufSpares = 40
 
 func (l *writeBufList) get() []byte {
 	if l != nil {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		if l.n > 0 {
-			l.n--
-			b := l.spare[l.n]
-			l.spare[l.n] = nil
+		if b, ok := l.spares.take(); ok {
 			return b
 		}
 	}
@@ -44,19 +59,14 @@ func (l *writeBufList) get() []byte {
 }
 
 // put gives b back. Under -tags poison it is filled with 0xDB first, so a
-// file that kept a slice of it instead of copying shows garbage.
+// file that kept a slice of it, or a block still aliasing a closed reader's
+// window, shows garbage. A window grown for a long record is not kept.
 func (l *writeBufList) put(b []byte) {
 	if poisonBuffers {
 		poison(b[:cap(b)])
 	}
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.n < writeBufSpares {
-		l.spare[l.n] = b[:0]
-		l.n++
+	if l != nil && cap(b) == tableWriteBufSize {
+		l.spares.give(b[:0], writeBufSpares)
 	}
 }
 
@@ -131,21 +141,11 @@ func (w *fileWriter) flush() error {
 // append appends p to the file and, every bytesPerSync bytes, starts
 // writeback. A table is still synced whole before it is installed.
 func (w *fileWriter) append(p []byte) error {
-	n := int64(len(p))
-	if w.io.timeEnabled() {
-		start := time.Now()
-		if err := w.f.Append(p); err != nil {
-			return err
-		}
-		w.io.addWrite(n, time.Since(start))
-	} else {
-		if err := w.f.Append(p); err != nil {
-			return err
-		}
-		if w.io.enabled() {
-			w.io.bytesWritten.Add(n)
-		}
+	n, start := int64(len(p)), w.io.start()
+	if err := w.f.Append(p); err != nil {
+		return err
 	}
+	w.io.addWrite(n, start)
 	if w.bytesPerSync <= 0 {
 		return nil
 	}
@@ -154,9 +154,9 @@ func (w *fileWriter) append(p []byte) error {
 		return nil
 	}
 	w.sinceSync = 0
-	var start time.Duration
+	var syncStart time.Duration
 	if w.onRangeSync != nil {
-		start = w.clock()
+		syncStart = w.clock()
 	}
 	// Non-strict queues writeback (sync_file_range); strict blocks the
 	// writer until the range is durable (steadier tail, higher average).
@@ -167,7 +167,7 @@ func (w *fileWriter) append(p []byte) error {
 		err = w.f.SyncAsync()
 	}
 	if err == nil && w.onRangeSync != nil {
-		w.onRangeSync(w.clock() - start)
+		w.onRangeSync(w.clock() - syncStart)
 	}
 	return err
 }
@@ -183,12 +183,11 @@ func (w *fileWriter) sync() error {
 
 // syncFile syncs the file, booking the time into io.
 func (w *fileWriter) syncFile() error {
-	if !w.io.timeEnabled() {
-		return w.f.Sync()
-	}
-	start := time.Now()
+	start := w.io.start()
 	err := w.f.Sync()
-	w.io.fsyncNanos.Add(int64(time.Since(start)))
+	if !start.IsZero() {
+		w.io.fsyncNanos.Add(elapsed(start))
+	}
 	return err
 }
 

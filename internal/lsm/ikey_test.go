@@ -7,6 +7,14 @@ import (
 	"testing/quick"
 )
 
+// newBloomFilter returns a filter builder with the given bits-per-key
+// budget.
+func newBloomFilter(bitsPerKey int) *bloomFilter {
+	b := &bloomFilter{}
+	b.reset(bitsPerKey)
+	return b
+}
+
 func TestInternalKeyRoundTrip(t *testing.T) {
 	ik := makeInternalKey(nil, []byte("user"), 42, KindValue)
 	if string(ik.userKey()) != "user" {

@@ -83,7 +83,7 @@ func FuzzLogReplay(f *testing.F) {
 		for _, mode := range []WALRecoveryMode{WALRecoverTolerateCorruptedTailRecords, WALRecoverAbsoluteConsistency, WALRecoverPointInTime} {
 			for _, paranoid := range []bool{false, true} {
 				var off int
-				info, err := walReplayMode(env, name, mode, paranoid, nil, func(p []byte) error {
+				info, err := walReplayMode(env, name, nil, mode, paranoid, nil, func(p []byte) error {
 					rec := append(appendWALHeader(nil, p), p...)
 					if off+len(rec) > len(data) || !bytes.Equal(rec, data[off:off+len(rec)]) {
 						t.Fatalf("%v paranoid=%v: the %d-byte payload at offset %d does not re-frame to the file's bytes", mode, paranoid, len(p), off)
@@ -115,7 +115,7 @@ func FuzzDecodeVersionEdit(f *testing.F) {
 	_, manifest := realLogFiles(f)
 	env := testSimEnv()
 	putSimFile(f, env, "/MANIFEST-000001", manifest)
-	if err := walReplay(env, "/MANIFEST-000001", func(p []byte) error {
+	if err := walReplay(env, "/MANIFEST-000001", nil, func(p []byte) error {
 		f.Add(append([]byte(nil), p...))
 		return nil
 	}); err != nil {

@@ -313,6 +313,7 @@ type versionSet struct {
 	cfs         map[uint32]*cfState // always contains id 0 ("default")
 	manifest    *walWriter
 	manifestNum uint64
+	bufs        *writeBufList // windows for reading CURRENT and the manifest (nil: each allocates)
 
 	// nextFileNum is atomic: background jobs allocate file numbers while
 	// the DB mutex is held elsewhere (or not at all).
@@ -563,7 +564,7 @@ func (vs *versionSet) setCurrent() error {
 
 // replay applies every edit of manifest name, a file in vs.dir, in order.
 func (vs *versionSet) replay(name string) error {
-	return walReplay(vs.env, filepath.Join(vs.dir, name), func(payload []byte) error {
+	_, err := walReplayMode(vs.env, filepath.Join(vs.dir, name), vs.bufs, WALRecoverTolerateCorruptedTailRecords, false, nil, func(payload []byte) error {
 		e, err := decodeVersionEdit(payload)
 		if err != nil {
 			return err
@@ -571,12 +572,13 @@ func (vs *versionSet) replay(name string) error {
 		_, err = vs.apply(e)
 		return err
 	})
+	return err
 }
 
 // recover loads the version state named by CURRENT into a version set fresh
 // from newVersionSet.
 func (vs *versionSet) recover() error {
-	name, err := readCurrentFile(vs.env, vs.dir)
+	name, err := readCurrentFile(vs.env, vs.dir, vs.bufs)
 	if err != nil {
 		return err
 	}

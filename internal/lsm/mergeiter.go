@@ -28,8 +28,9 @@ type tableOpener interface {
 }
 
 // bgOpener opens a flush or compaction's input tables directly, outside the
-// table cache and with the background IO class, attributing their reads to
-// ios (nil attributes nothing); release closes the reader.
+// table cache and with the background IO class, booking their reads into ios
+// (nil: none) and scanning them through windows from the DB's buffer list;
+// release closes the reader, which gives its window back.
 type bgOpener struct {
 	db  *DB
 	ios *IOStatsContext
@@ -37,7 +38,11 @@ type bgOpener struct {
 
 func (o *bgOpener) get(num uint64) (*tableReader, error) {
 	db := o.db
-	return openTable(db.env, tableFileName(db.dir, num), num, nil, db.options().Stats, db.bgIOClass(), nil, o.ios)
+	f, err := openFileReader(db.env, tableFileName(db.dir, num), IOBackground, &db.writeBufs, o.ios)
+	if err != nil {
+		return nil, err
+	}
+	return openTable(db.env, f, num, nil, db.options().Stats, nil)
 }
 
 func (*bgOpener) release(r *tableReader) { r.close() }

@@ -327,16 +327,6 @@ func (o *Options) maxTotalWALSize() int64 {
 	return int64(o.MaxWriteBufferNumber) * o.WriteBufferSize * 4
 }
 
-// engineMemoryBytes estimates the engine's resident footprint for the
-// simulation's memory-pressure model.
-func (o *Options) engineMemoryBytes(liveMemtables int) int64 {
-	m := int64(liveMemtables) * o.WriteBufferSize
-	if !o.NoBlockCache {
-		m += o.BlockCacheSize
-	}
-	return m
-}
-
 // maxNumLevels is the largest num_levels the engine accepts.
 const maxNumLevels = 12
 

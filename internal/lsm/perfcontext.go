@@ -262,16 +262,37 @@ func (io *IOStatsContext) FsyncNanos() int64 {
 	return io.fsyncNanos.Load()
 }
 
-// addRead books one read call.
-func (io *IOStatsContext) addRead(n int64, d time.Duration) {
-	io.bytesRead.Add(n)
-	io.readNanos.Add(int64(d))
+// start returns the wall clock at the start of a call to be booked, or zero
+// when call times are not collected.
+func (io *IOStatsContext) start() time.Time {
+	if !io.timeEnabled() {
+		return time.Time{}
+	}
+	return time.Now()
 }
 
-// addWrite books one write call.
-func (io *IOStatsContext) addWrite(n int64, d time.Duration) {
-	io.bytesWritten.Add(n)
-	io.writeNanos.Add(int64(d))
+// elapsed is the time since start in nanoseconds, 0 for an untimed call.
+func elapsed(start time.Time) int64 {
+	if start.IsZero() {
+		return 0
+	}
+	return int64(time.Since(start))
+}
+
+// addRead books one read call of n bytes, timed from start (see start).
+func (io *IOStatsContext) addRead(n int64, start time.Time) {
+	if io.enabled() {
+		io.bytesRead.Add(n)
+		io.readNanos.Add(elapsed(start))
+	}
+}
+
+// addWrite books one write call of n bytes, timed from start.
+func (io *IOStatsContext) addWrite(n int64, start time.Time) {
+	if io.enabled() {
+		io.bytesWritten.Add(n)
+		io.writeNanos.Add(elapsed(start))
+	}
 }
 
 // merge folds another context's totals into io (used to publish a
@@ -331,48 +352,3 @@ func (db *DB) newBGIOStats(cfOpts *Options) *IOStatsContext {
 	}
 	return io
 }
-
-// --- Env-level read attribution ---
-//
-// The DB wraps the files it reads (SSTables, through the table cache and
-// background jobs) with ioStatsRandomFile, so reads are attributed
-// uniformly whether the underlying Env is the OS, the fault-injection env,
-// or the simulator; writes are booked by the fileWriter. The DB's Env
-// itself is never wrapped: callers type-assert db.Env() to *SimEnv, so its
-// identity must be preserved.
-
-// ioStatsRandomFile counts ReadAt traffic into an IOStatsContext.
-type ioStatsRandomFile struct {
-	f  RandomAccessFile
-	io *IOStatsContext
-}
-
-// wrapRandomFile wraps f for I/O attribution (nil-safe).
-func wrapRandomFile(f RandomAccessFile, io *IOStatsContext) RandomAccessFile {
-	if io == nil || f == nil {
-		return f
-	}
-	return &ioStatsRandomFile{f: f, io: io}
-}
-
-func (r *ioStatsRandomFile) ReadAt(p []byte, off int64, hint AccessHint) error {
-	if !r.io.enabled() {
-		return r.f.ReadAt(p, off, hint)
-	}
-	if !r.io.timeEnabled() {
-		err := r.f.ReadAt(p, off, hint)
-		if err == nil {
-			r.io.bytesRead.Add(int64(len(p)))
-		}
-		return err
-	}
-	start := time.Now()
-	err := r.f.ReadAt(p, off, hint)
-	if err == nil {
-		r.io.addRead(int64(len(p)), time.Since(start))
-	}
-	return err
-}
-
-func (r *ioStatsRandomFile) Size() (int64, error) { return r.f.Size() }
-func (r *ioStatsRandomFile) Close() error         { return r.f.Close() }

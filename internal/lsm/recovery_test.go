@@ -185,7 +185,7 @@ func TestWALReplayModesTornTail(t *testing.T) {
 
 	count := func() (int, walReplayInfo, error) {
 		n := 0
-		info, err := walReplayMode(env, name, WALRecoverTolerateCorruptedTailRecords, false, nil,
+		info, err := walReplayMode(env, name, nil, WALRecoverTolerateCorruptedTailRecords, false, nil,
 			func([]byte) error { n++; return nil })
 		return n, info, err
 	}
@@ -193,7 +193,7 @@ func TestWALReplayModesTornTail(t *testing.T) {
 	if err != nil || n != 2 || info.droppedBytes != 3 || info.midFile {
 		t.Fatalf("tolerate: n=%d info=%+v err=%v", n, info, err)
 	}
-	if _, err := walReplayMode(env, name, WALRecoverAbsoluteConsistency, false, nil,
+	if _, err := walReplayMode(env, name, nil, WALRecoverAbsoluteConsistency, false, nil,
 		func([]byte) error { return nil }); !errors.Is(err, ErrCorruption) {
 		t.Fatalf("absolute on torn tail = %v, want ErrCorruption", err)
 	}
@@ -216,7 +216,7 @@ func TestWALReplayMidFileCorruption(t *testing.T) {
 
 	stats := NewStatistics()
 	n := 0
-	info, err := walReplayMode(env, name, WALRecoverTolerateCorruptedTailRecords, false, stats,
+	info, err := walReplayMode(env, name, nil, WALRecoverTolerateCorruptedTailRecords, false, stats,
 		func([]byte) error { n++; return nil })
 	if err != nil || n != 1 || info.corruptRecords != 1 || !info.midFile {
 		t.Fatalf("tolerate: n=%d info=%+v err=%v", n, info, err)
@@ -225,11 +225,11 @@ func TestWALReplayMidFileCorruption(t *testing.T) {
 		t.Fatalf("wal.corrupt.records = %d, want 1", stats.Get(TickerWALCorruptRecords))
 	}
 	// paranoid_checks upgrades mid-file damage to a hard error.
-	if _, err := walReplayMode(env, name, WALRecoverTolerateCorruptedTailRecords, true, nil,
+	if _, err := walReplayMode(env, name, nil, WALRecoverTolerateCorruptedTailRecords, true, nil,
 		func([]byte) error { return nil }); err == nil {
 		t.Fatal("paranoid replay tolerated mid-file corruption")
 	}
-	if _, err := walReplayMode(env, name, WALRecoverAbsoluteConsistency, false, nil,
+	if _, err := walReplayMode(env, name, nil, WALRecoverAbsoluteConsistency, false, nil,
 		func([]byte) error { return nil }); !errors.Is(err, ErrCorruption) {
 		t.Fatalf("absolute = %v, want ErrCorruption", err)
 	}

@@ -269,7 +269,7 @@ func TestFlateSnappyTableStillReads(t *testing.T) {
 func dataBlockTypes(t *testing.T, name string) map[byte]int {
 	t.Helper()
 	env := NewOSEnv()
-	tr, err := openTable(env, name, 0, nil, nil, IOBackground, nil, nil)
+	tr, err := openTableFile(env, name, 0, IOBackground, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func dataBlockTypes(t *testing.T, name string) map[byte]int {
 			t.Fatal(err)
 		}
 		var ctype [1]byte
-		if err := tr.f.ReadAt(ctype[:], int64(h.offset+h.length), HintRandom); err != nil {
+		if err := tr.f.readAt(ctype[:], int64(h.offset+h.length), HintRandom); err != nil {
 			t.Fatal(err)
 		}
 		types[ctype[0]]++

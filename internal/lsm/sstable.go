@@ -2,6 +2,7 @@ package lsm
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -118,7 +119,7 @@ type tableBuilder struct {
 	opts        *Options
 	dataBlock   *blockBuilder
 	indexBlock  *blockBuilder
-	filter      *bloomFilter
+	filter      bloomFilter // disabled (bitsPerKey 0) unless the options ask for one
 	offset      uint64
 	firstKey    internalKey
 	lastKey     internalKey
@@ -134,29 +135,22 @@ type tableBuilder struct {
 // newTableBuilder starts building a table with a family's options, writing
 // through w.
 func newTableBuilder(w *fileWriter, opts *Options) *tableBuilder {
-	b := &tableBuilder{
-		w:          w,
-		opts:       opts,
-		dataBlock:  newBlockBuilder(opts.BlockRestartInterval),
-		indexBlock: newBlockBuilder(1),
-	}
-	if opts.BloomBitsPerKey > 0 {
-		b.filter = newBloomFilter(opts.BloomBitsPerKey)
-	}
+	b := &tableBuilder{dataBlock: newBlockBuilder(0), indexBlock: newBlockBuilder(1)}
+	b.reset(w, opts)
 	return b
 }
 
-// reset starts the next table, written through w, keeping the block, filter
-// and key buffers the last table grew: the tables one flush or compaction
-// writes share one builder.
-func (b *tableBuilder) reset(w *fileWriter) {
-	b.w, b.offset, b.props, b.pendingIdx, b.err = w, 0, TableProps{}, false, nil
+// reset starts the next table, written through w with a family's options,
+// keeping the block, filter and key buffers the last table grew: the
+// tables of one flush or compaction, and of the jobs after it (the DB's
+// builders list), share builders.
+func (b *tableBuilder) reset(w *fileWriter, opts *Options) {
+	b.w, b.opts, b.offset, b.props, b.pendingIdx, b.err = w, opts, 0, TableProps{}, false, nil
 	b.firstKey, b.lastKey, b.pendingKey = b.firstKey[:0], b.lastKey[:0], b.pendingKey[:0]
 	b.dataBlock.reset()
+	b.dataBlock.restartInterval = cmp.Or(max(opts.BlockRestartInterval, 0), 16) // as newBlockBuilder
 	b.indexBlock.reset()
-	if b.filter != nil {
-		b.filter.hashes = b.filter.hashes[:0]
-	}
+	b.filter.reset(opts.BloomBitsPerKey)
 }
 
 // add appends an entry; internal keys must arrive in strictly increasing
@@ -175,7 +169,7 @@ func (b *tableBuilder) add(ikey internalKey, value []byte) error {
 		b.firstKey = append(b.firstKey[:0], ikey...)
 	}
 	b.lastKey = append(b.lastKey[:0], ikey...)
-	if b.filter != nil {
+	if b.filter.bitsPerKey > 0 {
 		b.filter.add(ikey.userKey())
 	}
 	b.dataBlock.add(ikey, value)
@@ -255,14 +249,12 @@ func (b *tableBuilder) finish() (TableProps, error) {
 		b.pendingIdx = false
 	}
 	var filterHandle blockHandle
-	if b.filter != nil {
-		if data := b.filter.build(); data != nil {
-			h, err := b.writeBlock(data, NoCompression)
-			if err != nil {
-				return b.props, err
-			}
-			filterHandle = h
+	if data := b.filter.build(); data != nil {
+		h, err := b.writeBlock(data, NoCompression)
+		if err != nil {
+			return b.props, err
 		}
+		filterHandle = h
 	}
 	indexHandle, err := b.writeBlock(b.indexBlock.finish(), NoCompression)
 	if err != nil {
@@ -301,7 +293,7 @@ func (b *tableBuilder) estimatedSize() int64 {
 
 // tableReader serves point lookups and scans from one SSTable.
 type tableReader struct {
-	f        RandomAccessFile
+	f        *fileReader
 	env      Env
 	cache    *blockCache
 	cacheID  uint64
@@ -310,7 +302,6 @@ type tableReader struct {
 	indexRaw []byte
 	filter   []byte
 	entries  uint64
-	size     int64
 	stats    *Statistics
 	perf     *PerfContext // per-op attribution (nil for background readers)
 	// direct is set while the blocks read are stored raw. A table is written
@@ -326,51 +317,46 @@ type tableReader struct {
 	refs atomic.Int32
 }
 
-// openTable reads the footer, index and filter blocks of an SSTable. perf
-// receives block-read/bloom attribution (nil for background jobs); ios
-// receives env-level read traffic via a file wrapper (nil disables).
-func openTable(env Env, name string, fileNum uint64, cache *blockCache, stats *Statistics, class IOClass, perf *PerfContext, ios *IOStatsContext) (*tableReader, error) {
-	f, err := env.NewRandomAccessFile(name, class)
-	if err != nil {
-		return nil, err
-	}
-	f = wrapRandomFile(f, ios)
-	size, err := f.Size()
-	if err != nil {
-		f.Close()
-		return nil, err
-	}
-	if size < footerSize {
-		f.Close()
-		return nil, fmt.Errorf("%w: table %s too small (%d bytes)", ErrCorruption, name, size)
+// openTable reads the footer, index and filter blocks of an SSTable through
+// f, which the reader then owns: a failed open closes it. perf receives
+// block-read/bloom attribution (nil for background jobs); f books the reads.
+// The window of f's sequential reads stops at the last data block.
+func openTable(env Env, f *fileReader, fileNum uint64, cache *blockCache, stats *Statistics, perf *PerfContext) (_ *tableReader, err error) {
+	defer func() {
+		if err != nil {
+			f.close()
+		}
+	}()
+	if f.size < footerSize {
+		return nil, fmt.Errorf("%w: table %s too small (%d bytes)", ErrCorruption, f.name, f.size)
 	}
 	footer := make([]byte, footerSize)
-	if err := f.ReadAt(footer, size-footerSize, HintRandom); err != nil {
-		f.Close()
+	if err := f.readAt(footer, f.size-footerSize, HintRandom); err != nil {
 		return nil, err
 	}
 	if got := binary.LittleEndian.Uint64(footer[footerSize-8:]); got != tableMagic {
-		f.Close()
-		return nil, fmt.Errorf("%w: bad table magic %#x in %s", ErrCorruption, got, name)
+		return nil, fmt.Errorf("%w: bad table magic %#x in %s", ErrCorruption, got, f.name)
 	}
 	filterHandle, n, err := decodeBlockHandle(footer)
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
 	indexHandle, n2, err := decodeBlockHandle(footer[n:])
 	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	entries := binary.LittleEndian.Uint64(footer[n+n2:])
+	// The filter, when there is one, is written right after the last data
+	// block, and the index after it.
+	f.limit = int64(indexHandle.offset)
+	if filterHandle.length > 0 {
+		f.limit = min(f.limit, int64(filterHandle.offset))
+	}
 	t := &tableReader{
 		f:       f,
 		env:     env,
 		cache:   cache,
 		fileNum: fileNum,
-		entries: entries,
-		size:    size,
+		entries: binary.LittleEndian.Uint64(footer[n+n2:]),
 		stats:   stats,
 		perf:    perf,
 	}
@@ -378,15 +364,11 @@ func openTable(env Env, name string, fileNum uint64, cache *blockCache, stats *S
 		t.cacheID = cache.NewID()
 	}
 	// No scratch: index and filter are retained for the table's lifetime.
-	t.indexRaw, err = t.readBlockRaw(indexHandle, HintRandom, &blockDst{})
-	if err != nil {
-		f.Close()
+	if t.indexRaw, err = t.readBlockRaw(indexHandle, HintRandom, &blockDst{}); err != nil {
 		return nil, err
 	}
 	if filterHandle.length > 0 {
-		t.filter, err = t.readBlockRaw(filterHandle, HintRandom, &blockDst{})
-		if err != nil {
-			f.Close()
+		if t.filter, err = t.readBlockRaw(filterHandle, HintRandom, &blockDst{}); err != nil {
 			return nil, err
 		}
 	}
@@ -403,24 +385,34 @@ func openTable(env Env, name string, fileNum uint64, cache *blockCache, stats *S
 // block's shard, so the block lands in a buffer the cache recycled. A
 // compressed block is read into a pooled buffer and decoded out of it, so
 // its payload never aliases the destination (see t.direct).
+//
+// A HintSequential read comes out of the file reader's window: a raw block
+// is returned in place, aliasing it until the next one (dst.window is set).
 func (t *tableReader) readBlockRaw(h blockHandle, hint AccessHint, dst *blockDst) ([]byte, error) {
 	need := int(h.length) + blockTrailerSize
-	direct := t.direct.Load()
-	var buf []byte
-	if direct {
-		buf = dst.sized(need)
-	} else {
-		rb := getBlockBuf()
-		defer putBlockBuf(rb)
-		rb.Grow(need)
-		buf = rb.AvailableBuffer()[:need]
-	}
+	seq := hint == HintSequential
+	direct := !seq && t.direct.Load()
 	var start time.Time
 	timed := t.perf.TimeEnabled()
 	if timed {
 		start = time.Now()
 	}
-	if err := t.f.ReadAt(buf, int64(h.offset), hint); err != nil {
+	var buf []byte
+	var err error
+	switch {
+	case seq:
+		buf, err = t.f.sequential(int64(h.offset), int64(need))
+	case direct:
+		buf = dst.sized(need)
+		err = t.f.readAt(buf, int64(h.offset), hint)
+	default:
+		rb := getBlockBuf()
+		defer putBlockBuf(rb)
+		rb.Grow(need)
+		buf = rb.AvailableBuffer()[:need]
+		err = t.f.readAt(buf, int64(h.offset), hint)
+	}
+	if err != nil {
 		return nil, err
 	}
 	t.perf.Add(PerfBlockReadCount, 1)
@@ -436,13 +428,14 @@ func (t *tableReader) readBlockRaw(h blockHandle, hint AccessHint, dst *blockDst
 	if crc != wantCRC {
 		return nil, fmt.Errorf("%w: block checksum mismatch at offset %d (file %d)", ErrCorruption, h.offset, t.fileNum)
 	}
-	if raw := ctype == blockRaw; raw != direct {
+	if raw := ctype == blockRaw; !seq && raw != direct {
 		t.direct.Store(raw)
 	}
+	if ctype == blockRaw && (seq || direct) {
+		dst.window = seq
+		return payload, nil
+	}
 	if direct {
-		if ctype == blockRaw {
-			return payload, nil
-		}
 		// Mispredicted: the payload sits where the block would go, so the
 		// block decodes into new storage.
 		dst = &blockDst{}
@@ -462,11 +455,15 @@ func (t *tableReader) readBlockRaw(h blockHandle, hint AccessHint, dst *blockDst
 // immutable and release the handle once done reading it (the block may be
 // another's after that). A miss decodes into a spare buffer the cache
 // recycled from a block that left it, then caches the block. Without a
-// cache the handle is nil and the block is private to the caller and may
-// alias scratch, enabling buffer reuse across sequential block loads.
-func (t *tableReader) readBlock(h blockHandle, hint AccessHint, scratch []byte) ([]byte, *cacheHandle, error) {
+// cache the handle is nil and the block is private to the caller: it lands
+// in *scratch, kept for the next load, or aliases the reader's window.
+func (t *tableReader) readBlock(h blockHandle, hint AccessHint, scratch *[]byte) ([]byte, *cacheHandle, error) {
 	if t.cache == nil {
-		b, err := t.readBlockRaw(h, hint, &blockDst{scratch: scratch})
+		dst := blockDst{scratch: *scratch}
+		b, err := t.readBlockRaw(h, hint, &dst)
+		if err == nil && !dst.window {
+			*scratch = b
+		}
 		return b, nil, err
 	}
 	if ch := t.cache.Lookup(t.cacheID, h.offset); ch != nil {
@@ -554,16 +551,12 @@ func (t *tableReader) get(dst []byte, ikey internalKey) (_ []byte, found, delete
 	if err != nil {
 		return dst, false, false, err
 	}
-	data, ch, err := t.readBlock(h, HintRandom, scr.buf)
+	data, ch, err := t.readBlock(h, HintRandom, &scr.buf)
 	if err != nil {
 		return dst, false, false, err
 	}
 	// The value is copied out before the block's handle goes back.
 	defer ch.release()
-	if t.cache == nil {
-		// Private block: keep its buffer for the next pooled lookup.
-		scr.buf = data
-	}
 	it := &scr.data
 	if err := it.init(data); err != nil {
 		return dst, false, false, err
@@ -598,14 +591,15 @@ func (t *tableReader) close() error {
 	if t.cache != nil {
 		t.cache.EraseID(t.cacheID)
 	}
-	return t.f.Close()
+	return t.f.close()
 }
 
 // tableIter iterates a whole table in internal-key order. The index and
 // data block iterators live inside the struct and are re-initialized in
-// place per block, and cache-less readers (compaction, verify) recycle one
-// private block buffer across sequential loads — steady-state iteration
-// allocates nothing. init re-points a tableIter at another table keeping
+// place per block, and cache-less readers (compaction, verify) decode
+// compressed blocks into one private buffer recycled across loads, while a
+// raw block read sequentially stays in the file reader's window —
+// steady-state iteration allocates nothing. init re-points a tableIter at another table keeping
 // those buffers, which is how a level iterator walks its files. With a
 // block cache, the iterator holds the handle of the block it is on and
 // releases it when it loads the next block, is re-pointed or released.
@@ -616,7 +610,7 @@ type tableIter struct {
 	idxState blockIter
 	dataSt   blockIter
 	h        *cacheHandle // lends dataSt's block (nil without a cache)
-	scratch  []byte       // private block buffer, used only when t.cache == nil
+	scratch  []byte       // private block buffer, used only when t.cache == nil; never the window
 	err      error
 	hint     AccessHint
 }
@@ -653,17 +647,12 @@ func (it *tableIter) loadDataBlock() {
 		it.err = err
 		return
 	}
-	raw, ch, err := it.t.readBlock(h, it.hint, it.scratch)
+	raw, ch, err := it.t.readBlock(h, it.hint, &it.scratch)
 	if err != nil {
 		it.err = err
 		return
 	}
 	it.h = ch
-	if it.t.cache == nil {
-		// Private block: keep the buffer so the next load reuses it. Cached
-		// blocks are shared and must never land in scratch.
-		it.scratch = raw
-	}
 	if err := it.dataSt.init(raw); err != nil {
 		it.err = err
 		return
@@ -746,8 +735,8 @@ func (it *tableIter) Err() error { return it.err }
 // installed: entry count, file size and key range. It is the
 // paranoid_file_checks read-back pass and the core of `ldb verify`. All
 // mismatches wrap ErrCorruption.
-func verifyTableFile(env Env, name string, meta *FileMeta, class IOClass) error {
-	got, _, err := scanTable(env, name, meta.Number, class)
+func verifyTableFile(env Env, name string, meta *FileMeta, bufs *writeBufList) error {
+	got, _, err := scanTable(env, name, meta.Number, bufs)
 	if err != nil {
 		return err
 	}

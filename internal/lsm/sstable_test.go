@@ -10,6 +10,16 @@ import (
 	"repro/internal/device"
 )
 
+// openTableFile opens table file name on env as a reader with the given
+// I/O class and block cache, no buffer list and no attribution.
+func openTableFile(env Env, name string, num uint64, class IOClass, cache *blockCache) (*tableReader, error) {
+	f, err := openFileReader(env, name, class, nil, nil)
+	if err != nil {
+		return nil, err
+	}
+	return openTable(env, f, num, cache, nil, nil)
+}
+
 func testSimEnv() *SimEnv {
 	return NewSimEnv(device.NVMe(), device.Profile4C8G(), 1)
 }
@@ -162,7 +172,7 @@ func buildTestTable(t *testing.T, env Env, opts *Options, numKeys int) *tableRea
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := openTable(env, "/t.sst", 1, newBlockCache(1<<20), nil, IOForeground, nil, nil)
+	r, err := openTableFile(env, "/t.sst", 1, IOForeground, newBlockCache(1<<20))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +269,7 @@ func TestTableCorruptMagic(t *testing.T) {
 	w, _ := env.NewWritableFile("/bad.sst", IOBackground)
 	w.Append(bytes.Repeat([]byte{7}, 100))
 	w.Close()
-	if _, err := openTable(env, "/bad.sst", 1, nil, nil, IOForeground, nil, nil); err == nil {
+	if _, err := openTableFile(env, "/bad.sst", 1, IOForeground, nil); err == nil {
 		t.Fatal("corrupt table accepted")
 	}
 }
@@ -314,7 +324,7 @@ func TestQuickTableRoundTrip(t *testing.T) {
 			return false
 		}
 		w.Close()
-		tr, err := openTable(env, "/q.sst", 2, nil, nil, IOForeground, nil, nil)
+		tr, err := openTableFile(env, "/q.sst", 2, IOForeground, nil)
 		if err != nil {
 			return false
 		}

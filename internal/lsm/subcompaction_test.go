@@ -147,12 +147,14 @@ func TestSubcompactionEquivalence(t *testing.T) {
 // manual compaction at increasing subcompaction widths. Snappy compression
 // keeps the merge CPU-bound enough that extra cores matter; the speedup at
 // 4 vs 1 shows up on multi-core runners. sst_writes/drain is the Appends
-// (one write(2) each on OSEnv) the drain makes to its output tables, and
-// cpu_ms/drain the process's user plus system CPU time during the drain.
+// (one write(2) each on OSEnv) the drain makes to its output tables,
+// sst_reads/drain the ReadAt calls (one pread(2) each) it makes to table
+// files, and cpu_ms/drain the process's user plus system CPU time during
+// the drain.
 func BenchmarkCompactionDrain(b *testing.B) {
 	for _, subs := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("subcompactions=%d", subs), func(b *testing.B) {
-			writes, cpu := 0, time.Duration(0)
+			writes, reads, cpu := 0, 0, time.Duration(0)
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				env := newCountingEnv(NewOSEnv())
@@ -185,17 +187,20 @@ func BenchmarkCompactionDrain(b *testing.B) {
 						}
 					}
 				}
-				before, cpuBefore := env.counts(".sst").appends, processCPU()
+				before, cpuBefore := env.counts(".sst"), processCPU()
 				b.StartTimer()
 				if err := db.CompactRange(nil, nil); err != nil {
 					b.Fatal(err)
 				}
 				b.StopTimer()
-				writes += env.counts(".sst").appends - before
+				after := env.counts(".sst")
+				writes += after.appends - before.appends
+				reads += after.reads - before.reads
 				cpu += processCPU() - cpuBefore
 				db.Close()
 			}
 			b.ReportMetric(float64(writes)/float64(b.N), "sst_writes/drain")
+			b.ReportMetric(float64(reads)/float64(b.N), "sst_reads/drain")
 			b.ReportMetric(cpu.Seconds()*1e3/float64(b.N), "cpu_ms/drain")
 		})
 	}

@@ -14,7 +14,7 @@ type tableCache struct {
 	cache *blockCache
 	stats *Statistics
 	perf  *PerfContext    // foreground per-op attribution for opened readers
-	ios   *IOStatsContext // env-level read attribution
+	ios   *IOStatsContext // the readers' file I/O attribution
 	lru   lru[uint64, *tableReader]
 }
 
@@ -44,7 +44,11 @@ func (tc *tableCache) get(num uint64) (*tableReader, error) {
 
 	// Open outside the lock; a racing open of the same table is harmless
 	// (one wins the map, the loser is closed).
-	r, err := openTable(tc.env, tableFileName(tc.dir, num), num, tc.cache, tc.stats, IOForeground, tc.perf, tc.ios)
+	f, err := openFileReader(tc.env, tableFileName(tc.dir, num), IOForeground, nil, tc.ios)
+	if err != nil {
+		return nil, err
+	}
+	r, err := openTable(tc.env, f, num, tc.cache, tc.stats, tc.perf)
 	if err != nil {
 		return nil, err
 	}

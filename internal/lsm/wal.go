@@ -117,47 +117,7 @@ type walReplayInfo struct {
 	midFile        bool  // corruption had valid records after it (bit rot, not a torn tail)
 }
 
-// walReplay streams records from a log file, stopping cleanly at a corrupt
-// or truncated tail (tolerate-mode semantics). fn receives each payload.
-func walReplay(env Env, name string, fn func(payload []byte) error) error {
-	_, err := walReplayMode(env, name, WALRecoverTolerateCorruptedTailRecords, false, nil, fn)
-	return err
-}
-
-// walReadChunk is the size of the forward reads a logReader makes.
-const walReadChunk = 64 << 10
-
-// logReader reads a log file's records forward through one reused buffer
-// holding the file's bytes [off, off+len(buf)).
-type logReader struct {
-	f    RandomAccessFile
-	name string
-	size int64
-	off  int64
-	buf  []byte
-}
-
-// at returns the n bytes at off, which must lie inside the file and inside
-// or right after the window. A miss slides the unread tail to the front of
-// the buffer and fills the rest with one read. The buffer is walReadChunk
-// bytes (less for a shorter file) and grows only for a record longer than
-// that. The bytes alias the buffer until the next call.
-func (r *logReader) at(off, n int64) ([]byte, error) {
-	if off+n > r.off+int64(len(r.buf)) {
-		buf := r.buf[:cap(r.buf)]
-		if want := min(max(n, walReadChunk), r.size-off); int64(len(buf)) < want {
-			buf = make([]byte, want)
-		}
-		keep := int64(copy(buf, r.buf[off-r.off:]))
-		r.off, r.buf = off, buf[:min(int64(len(buf)), r.size-off)]
-		if err := r.f.ReadAt(r.buf[keep:], off+keep, HintSequential); err != nil {
-			return nil, fmt.Errorf("lsm: read %s at offset %d: %w", r.name, off+keep, err)
-		}
-	}
-	return r.buf[off-r.off : off-r.off+n], nil
-}
-
-// recordState is what a logReader found at an offset.
+// recordState is what logRecord found at an offset.
 type recordState int
 
 const (
@@ -167,25 +127,26 @@ const (
 	recordCorrupt             // the payload fails its checksum
 )
 
-// record parses the record at off: the one place a log record's length and
-// checksum are read. The payload (of an OK or corrupt record) aliases the
-// reader's buffer until the next call. A failed read is an error, never a
-// state: it says nothing about the bytes on disk.
-func (r *logReader) record(off int64) ([]byte, recordState, error) {
+// logRecord parses the record at off of a log read forward through r's
+// window: the one place a log record's length and checksum are read. The
+// payload (of an OK or corrupt record) aliases the window until the next
+// call. A failed read is an error, never a state: it says nothing about the
+// bytes on disk.
+func logRecord(r *fileReader, off int64) ([]byte, recordState, error) {
 	if off+walHeaderSize > r.size {
 		return nil, recordShort, nil
 	}
-	hdr, err := r.at(off, walHeaderSize)
+	hdr, err := r.sequential(off, walHeaderSize)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("lsm: read %s at offset %d: %w", r.name, off, err)
 	}
 	n, wantCRC := int64(binary.LittleEndian.Uint32(hdr)), binary.LittleEndian.Uint32(hdr[4:])
 	if off+walHeaderSize+n > r.size {
 		return nil, recordTorn, nil
 	}
-	rec, err := r.at(off, walHeaderSize+n)
+	rec, err := r.sequential(off, walHeaderSize+n)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, fmt.Errorf("lsm: read %s at offset %d: %w", r.name, off, err)
 	}
 	if crc32.ChecksumIEEE(rec[walHeaderSize:]) != wantCRC {
 		return rec[walHeaderSize:], recordCorrupt, nil
@@ -201,24 +162,21 @@ func (r *logReader) record(off int64) ([]byte, recordState, error) {
 // replaying at the damage, and paranoid upgrades mid-file corruption (which a
 // torn tail cannot explain) to an error. A failed read is an error in every
 // mode. Dropped corrupt records are counted into stats as
-// wal.corrupt.records.
-func walReplayMode(env Env, name string, mode WALRecoveryMode, paranoid bool, stats *Statistics, fn func(payload []byte) error) (walReplayInfo, error) {
+// wal.corrupt.records. The log is read through a fileReader whose window
+// comes from bufs.
+func walReplayMode(env Env, name string, bufs *writeBufList, mode WALRecoveryMode, paranoid bool, stats *Statistics, fn func(payload []byte) error) (walReplayInfo, error) {
 	var info walReplayInfo
-	f, err := env.NewRandomAccessFile(name, IOBackground)
+	r, err := openFileReader(env, name, IOBackground, bufs, nil)
 	if err != nil {
 		return info, err
 	}
-	defer f.Close()
-	size, err := f.Size()
-	if err != nil {
-		return info, err
-	}
-	r := &logReader{f: f, name: name, size: size}
+	defer r.close()
+	size := r.size
 	var off int64
 	var payload []byte
 	var state recordState
 	for {
-		if payload, state, err = r.record(off); err != nil {
+		if payload, state, err = logRecord(r, off); err != nil {
 			return info, err
 		}
 		if state != recordOK {
@@ -244,7 +202,7 @@ func walReplayMode(env Env, name string, mode WALRecoveryMode, paranoid bool, st
 	case recordCorrupt:
 		info.corruptRecords++
 		stats.Add(TickerWALCorruptRecords, 1)
-		_, next, err := r.record(off + walHeaderSize + int64(len(payload)))
+		_, next, err := logRecord(r, off+walHeaderSize+int64(len(payload)))
 		if err != nil {
 			return info, err
 		}

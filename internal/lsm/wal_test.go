@@ -8,6 +8,13 @@ import (
 	"testing/quick"
 )
 
+// walReplay streams records from a log file, stopping cleanly at a corrupt
+// or truncated tail (tolerate-mode semantics). fn receives each payload.
+func walReplay(env Env, name string, bufs *writeBufList, fn func(payload []byte) error) error {
+	_, err := walReplayMode(env, name, bufs, WALRecoverTolerateCorruptedTailRecords, false, nil, fn)
+	return err
+}
+
 func TestWALRoundTrip(t *testing.T) {
 	env := testSimEnv()
 	f, err := env.NewWritableFile("/wal.log", IOForeground)
@@ -28,7 +35,7 @@ func TestWALRoundTrip(t *testing.T) {
 	w.close()
 
 	var got [][]byte
-	err = walReplay(env, "/wal.log", func(p []byte) error {
+	err = walReplay(env, "/wal.log", nil, func(p []byte) error {
 		got = append(got, append([]byte(nil), p...))
 		return nil
 	})
@@ -65,7 +72,7 @@ func TestWALTornTail(t *testing.T) {
 	wf.Close()
 
 	var got int
-	if err := walReplay(env, "/wal2.log", func(p []byte) error { got++; return nil }); err != nil {
+	if err := walReplay(env, "/wal2.log", nil, func(p []byte) error { got++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if got != 1 {
@@ -84,7 +91,7 @@ func TestWALCorruptCRC(t *testing.T) {
 	mf := env.files[cleanPath("/wal.log")]
 	mf.chunks[len(mf.chunks)-1][(mf.size-1)%simFileChunk] ^= 0xff
 	var got int
-	if err := walReplay(env, "/wal.log", func(p []byte) error { got++; return nil }); err != nil {
+	if err := walReplay(env, "/wal.log", nil, func(p []byte) error { got++; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if got != 1 {
@@ -228,7 +235,7 @@ func TestWALReplayLongRecords(t *testing.T) {
 	}
 	w := newWALWriter(f, DefaultOptions(), nil, nil)
 	var records [][]byte
-	for i, n := range []int{10, walReadChunk - 20, 3 * walReadChunk, 5, walReadChunk, 0, walReadChunk - walHeaderSize, 1} {
+	for i, n := range []int{10, tableWriteBufSize - 20, 3 * tableWriteBufSize, 5, tableWriteBufSize, 0, tableWriteBufSize - walHeaderSize, 1} {
 		r := bytes.Repeat([]byte{byte('a' + i)}, n)
 		records = append(records, r)
 		if err := w.addRecord(r); err != nil {
@@ -237,7 +244,7 @@ func TestWALReplayLongRecords(t *testing.T) {
 	}
 	w.close()
 	got := 0
-	err = walReplay(env, "/wal.log", func(p []byte) error {
+	err = walReplay(env, "/wal.log", nil, func(p []byte) error {
 		if got >= len(records) || !bytes.Equal(p, records[got]) {
 			return fmt.Errorf("record %d: %d bytes differ from the %d written", got, len(p), len(records[got]))
 		}

@@ -236,6 +236,44 @@ func TestAllocGateClientRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAllocGateClientPut gates a whole Put round trip over loopback against
+// an in-process server. A Put's reply is a status, which the client reads
+// into a buffer its read loop reuses, so the round trip allocates nothing of
+// its own: what is left is the memtable's share of an arena chunk. A reply
+// frame allocated per call adds 1.
+func TestAllocGateClientPut(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops pooled slots and frames under -race")
+	}
+	const keys = 64
+	_, addr := startServer(t, 1)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var ks, vs [keys][]byte
+	for i := range ks {
+		ks[i], vs[i] = gateKey(i), gateValue(i)
+	}
+	i := 0
+	put := func() {
+		if err := c.Put("", ks[i%keys], vs[i%keys]); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for i < keys {
+		put() // warm the pools
+	}
+	avg := testing.AllocsPerRun(500, put)
+	t.Logf("%.2f allocations per Put round trip", avg)
+	const limit = 0.1
+	if avg > limit {
+		t.Fatalf("Put round trip allocates %.2f, gate is %.1f", avg, limit)
+	}
+}
+
 // TestAllocGateWriteBurst gates the write path behind the wire: the real
 // serveConn over bursts of eight 400-byte Puts, one burst per read. A burst
 // commits as one engine write and the memtable carves its entries from an

@@ -137,10 +137,19 @@ func (c *Client) failQueued() {
 func (c *Client) readLoop(pending <-chan clientCall) {
 	defer c.wg.Done()
 	br := bufio.NewReaderSize(c.conn, connBufSize)
+	var scratch []byte // status replies' frames: nothing decoded aliases it
 	for call := range pending {
-		// Fresh buffer per frame, the one allocation of a Get round trip:
-		// the decoded response aliases it and the caller keeps the value.
-		body, err := readFrame(br, nil)
+		// A Get, MultiGet or Scan reply gets a fresh buffer, the one
+		// allocation of its round trip: the decoded response aliases it and
+		// the caller keeps the values.
+		var body []byte
+		var err error
+		if statusReply(call.op) {
+			body, err = readFrame(br, scratch)
+			scratch = body
+		} else {
+			body, err = readFrame(br, nil)
+		}
 		var res clientResult
 		if err == nil {
 			err = decodeResponseInto(call.op, body, &res.resp)
@@ -185,9 +194,10 @@ func (c *Client) Call(req *Request) (*Response, error) {
 // call sends one request and blocks for its response, decoded into resp.
 // The request is encoded into a pooled frame (released by the write loop)
 // and the call waits on a pooled slot; the response's fields alias the one
-// reply frame readLoop allocated for it, which the caller keeps. A transport
-// error leaves resp zero; a StatusErr response fills it and returns the
-// error too.
+// reply frame readLoop allocated for it, which the caller keeps (a status
+// reply, which nothing aliases, is read into readLoop's reused buffer). A
+// transport error leaves resp zero; a StatusErr response fills it and
+// returns the error too.
 func (c *Client) call(req *Request, resp *Response) error {
 	fb := getFrame()
 	body, err := EncodeRequest(fb.b[:0], req)

@@ -475,11 +475,23 @@ func DecodeResponse(op byte, body []byte) (*Response, error) {
 	return resp, nil
 }
 
+// statusReply reports whether op's decoded response keeps nothing of the
+// reply frame: a status, and an error or text decodeResponseInto copies out
+// with reader.string. Such a frame can be read into a reused buffer.
+func statusReply(op byte) bool {
+	switch op {
+	case OpPut, OpDelete, OpBatch, OpStats, OpWorkload, OpSetOptions:
+		return true
+	}
+	return false
+}
+
 // decodeResponseInto parses a response frame body for the given request
 // opcode into resp, overwriting every field: nothing resp held before
 // survives. Value, Values and Pairs alias body; Found, Values and Pairs are
 // allocated fresh, because a decoded response is handed to the caller to
-// keep. On error resp holds a partial decode.
+// keep. Err and Text are copied out of body (see statusReply). On error
+// resp holds a partial decode.
 func decodeResponseInto(op byte, body []byte, resp *Response) error {
 	*resp = Response{}
 	r := reader{body}

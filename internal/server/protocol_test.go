@@ -254,8 +254,8 @@ func TestFrameErrors(t *testing.T) {
 // FuzzDecodeResponse checks that decoding into a reused Response is the same
 // as decoding into a fresh one: for any opcode and body, DecodeResponse and
 // decodeResponseInto over a Response full of stale fields return the same
-// error (or none) and, on success, the same fields — nothing stale survives.
-// The seeds are one valid frame per opcode and status, and the same frames
+// error (or none) and, on success, the same fields — nothing stale survives,
+// and a status reply's fields survive its frame being overwritten. The seeds are one valid frame per opcode and status, and the same frames
 // under the two out-of-range opcodes.
 func FuzzDecodeResponse(f *testing.F) {
 	ok := map[byte]*Response{
@@ -276,7 +276,7 @@ func FuzzDecodeResponse(f *testing.F) {
 		f.Add(op, EncodeResponse(nil, op, &Response{Status: StatusErr, Err: "boom"}))
 	}
 	f.Fuzz(func(t *testing.T, op byte, body []byte) {
-		want, wantErr := DecodeResponse(op, body)
+		want, wantErr := DecodeResponse(op, bytes.Clone(body))
 		got := Response{
 			Status: 9,
 			Err:    "stale error",
@@ -289,6 +289,13 @@ func FuzzDecodeResponse(f *testing.F) {
 		err := decodeResponseInto(op, body, &got)
 		if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
 			t.Fatalf("op %d: decodeResponseInto error %v, DecodeResponse error %v", op, err, wantErr)
+		}
+		if statusReply(op) {
+			// The client reads these replies into a reused buffer: what
+			// they decode to must not change when the frame does.
+			for i := range body {
+				body[i] = 0xDB
+			}
 		}
 		if err == nil && !reflect.DeepEqual(&got, want) {
 			t.Fatalf("op %d: decoded into a reused Response %+v, into a fresh one %+v", op, got, *want)

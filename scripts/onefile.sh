@@ -32,8 +32,12 @@
 #   MANIFEST or table file is made by fileWriter alone; the WAL, the
 #   MANIFEST and the table builder write through one instead of buffering
 #   and syncing on their own.
+# onereader: a read of a WAL, MANIFEST, CURRENT or table file (a ReadAt
+#   call) is made by fileReader alone, outside the Env implementations
+#   (*env.go) that serve it; log replay, CURRENT and the table reader read
+#   through one instead of windowing and booking reads on their own.
 set -eu
-gate=${1:?usage: scripts/onefile.sh onestream|onehist|onelru|onewindow|onetree|onemanifest|onescope|onewriter}
+gate=${1:?usage: scripts/onefile.sh onestream|onehist|onelru|onewindow|onetree|onemanifest|onescope|onewriter|onereader}
 
 # gate;roots;skipped path;pattern;allowed file;what a stray match is;what the pattern marks
 table='
@@ -45,6 +49,7 @@ onetree;internal cmd examples;-;mergeIter\{|levelIter\{|\[\]levelIter;internal/l
 onemanifest;internal cmd examples;-;NewWritableFile\(manifestFileName\(;internal/lsm/manifest.go;manifests are started;the manifest rollover
 onescope;internal cmd examples;-;[!=]= (lsm\.)?SectionDB;internal/lsm/cfconfig.go;option scope is decided;the scope rule
 onewriter;internal cmd examples;-;\.SyncAsync\(\);internal/lsm/filewriter.go;files are range-synced;the file writer
+onereader;internal cmd examples;*env.go;\.ReadAt\(;internal/lsm/filereader.go;files are read;the file reader
 '
 row=$(printf '%s\n' "$table" | grep "^$gate;") || {
     echo "onefile: unknown gate $gate" >&2
